@@ -31,7 +31,7 @@ from .fields import (
     multiply,
     scale as field_scale,
     symmetrized_contraction_field,
-    tensor_from_array_callable,
+    tensor_add,
     tensor_scale,
 )
 from .geometry import ManifoldModel
@@ -123,9 +123,16 @@ def _iter_cov_div(model: ManifoldModel, tensor: TensorField, times: int) -> Tens
 
 
 def _jet_contracted(model: ManifoldModel, X: TensorField, k: int) -> TensorField:
-    """The coefficient ``X`` with ``k`` slots eaten by volume-density jets."""
+    """The coefficient ``X`` with ``k`` slots eaten by volume-density jets.
+
+    The second jet is ``Ric / 3``, contracted through exact Ricci fields on
+    expression metrics; higher jets are numeric, with finite-difference
+    partials.
+    """
     if k == 0:
         return X
+    if k == 2:
+        return tensor_scale(geometry.ricci_contraction(model, X), 1.0 / 3.0)
     return symmetrized_contraction_field(
         X, lambda q, _k=k: volume_ratio_jets(model, q, _k)[_k], k
     )
@@ -202,12 +209,10 @@ def kinetic_symbol(model: ManifoldModel, hbar: float = 1.0) -> MomentumPolynomia
     curvature shift.
     """
     dim = model.dim
-    X = tensor_from_array_callable(dim, 2, lambda q: geometry.inverse_metric(model, q))
+    X = geometry.inverse_metric_field(model)
     div1 = geometry.covariant_divergence(model, X)
     div2 = geometry.covariant_divergence(model, div1)
-    ricci_term = symmetrized_contraction_field(X, lambda q: geometry.ricci(model, q), 2)
-    from .fields import tensor_add
-
+    ricci_term = geometry.ricci_contraction(model, X)
     terms = {
         2: X,
         1: tensor_scale(div1, 1j * hbar),
@@ -377,13 +382,11 @@ def _coeff_jets_curvature(
             out = np.moveaxis(np.tensordot(E, out, axes=([0], [axis])), 0, axis)
         return out
 
-    comps = tensor.comps
     jets = [to_frame(tensor.evaluate(q), rank, 0)]
     if order >= 1:
-        d1 = _cov_deriv_mixed(model, comps, rank, 0)
+        d1 = _cov_deriv_mixed(model, tensor.comps, rank, 0)
         jets.append(to_frame(_eval_field_array(d1, q), rank, 1))
     if order >= 2:
-        d1 = _cov_deriv_mixed(model, comps, rank, 0)
         d2 = _cov_deriv_mixed(model, d1, rank, 1)
         nabla2 = to_frame(_eval_field_array(d2, q), rank, 2)
         dG = _gamma_frame_derivative(model, q)  # [c, a, b, d]

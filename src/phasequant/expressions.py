@@ -13,15 +13,42 @@ import ast
 import math
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import ConfigError
 
 
 class Expr:
+    """Base node.  Arithmetic operators build simplified trees, so derived
+    quantities (inverse metrics, connections, curvature) can be written with
+    the same formulas as their numeric counterparts."""
+
     def eval(self, env: Mapping[str, float]) -> complex:  # pragma: no cover - interface
         raise NotImplementedError
 
     def diff(self, var: str) -> "Expr":  # pragma: no cover - interface
         raise NotImplementedError
+
+    def __add__(self, other):
+        return add(self, _lift(other))
+
+    def __sub__(self, other):
+        return add(self, mul(Const(-1.0), _lift(other)))
+
+    def __neg__(self):
+        return mul(Const(-1.0), self)
+
+    def __mul__(self, other):
+        return mul(self, _lift(other))
+
+    def __rmul__(self, other):
+        return mul(_lift(other), self)
+
+    def __truediv__(self, other):
+        return div(self, _lift(other))
+
+    def __rtruediv__(self, other):
+        return div(_lift(other), self)
 
 
 class Const(Expr):
@@ -167,6 +194,33 @@ def mul(a: Expr, b: Expr) -> Expr:
     if _is_const(b, 1.0):
         return a
     return Mul(a, b)
+
+
+def div(a: Expr, b: Expr) -> Expr:
+    if _is_const(a) and _is_const(b):
+        return Const(a.value / b.value)
+    if _is_const(a, 0.0):
+        return Const(0.0)
+    if _is_const(b, 1.0):
+        return a
+    return Div(a, b)
+
+
+def inverse_matrix(m):
+    """Closed-form inverse of a square object array of expressions:
+    reciprocals when it is diagonal, else the 2x2 adjugate over the determinant."""
+    if all(_is_const(m[i, j], 0.0) for i, j in np.ndindex(m.shape) if i != j):
+        inv = np.full(m.shape, Const(0.0), dtype=object)
+        np.fill_diagonal(inv, [1.0 / e for e in np.diagonal(m)])
+        return inv
+    if len(m) != 2:
+        raise ConfigError("non-diagonal expression matrices can be inverted in two dimensions only")
+    adjugate = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=object)
+    return adjugate / (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
+
+
+def _lift(value) -> Expr:
+    return value if isinstance(value, Expr) else Const(value)
 
 
 _FUNCTIONS = {"sin": Sin, "cos": Cos}

@@ -1,11 +1,11 @@
 """Chart-based Riemannian geometry for the configuration manifolds.
 
 A :class:`ManifoldModel` bundles a single chart (coordinate ranges), the
-metric in that chart, and optional closed-form geometry (Christoffel symbols,
-curvature, exponential map).  Anything not supplied in closed form falls back
-to finite differences of the metric and Runge-Kutta geodesic integration, so
-custom metrics work out of the box while the built-in models stay at
-round-off accuracy.
+metric in that chart, and optional closed-form geodesics.  Built-in models
+give the metric as expressions, from which the inverse metric, connection and
+curvature are derived symbolically, so they and all their partial derivatives
+are exact to round-off.  Only a model given by an opaque ``metric_fn`` falls
+back to finite differences (and Runge-Kutta geodesics without an ``exp_fn``).
 
 Conventions:
 
@@ -18,22 +18,29 @@ Conventions:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from . import numdiff
-from .errors import ChartDomainError, ConfigError
+from .errors import ChartDomainError, ConfigError, UnsupportedOrderError
+from .expressions import Const, Expr, inverse_matrix, parse_expression
 from .fields import (
     ScalarField,
     TensorField,
     add,
     constant,
     from_callable,
+    from_expression,
     multiply,
     scale,
+    symmetrized_contraction_field,
+    tensor_constant,
+    tensor_from_array_callable,
     tensor_from_fields,
 )
 
@@ -55,29 +62,96 @@ class CoordSpec:
 class ManifoldModel:
     """A Riemannian manifold presented in a single chart.
 
-    Only ``metric_fn`` is required.  The optional closed-form callables are
-    used when present; otherwise generic numerical fallbacks apply.
-    ``exp_fn(q, v)`` maps a chart tangent vector to the geodesic endpoint and
-    must be continuous in ``v`` near the chart point (periodic coordinates
-    unwrap rather than jump).
+    The metric is given either by ``metric_exprs``, a matrix of expressions in
+    the coordinate names (``metric_fn`` is then built from it), or by an
+    opaque ``metric_fn`` alone, whose connection and curvature come from
+    finite differences.  ``exp_fn(q, v)`` maps a chart tangent vector to the
+    geodesic endpoint and must be continuous in ``v`` near the chart point
+    (periodic coordinates unwrap rather than jump).
     """
 
     name: str
     dim: int
     coords: tuple[CoordSpec, ...]
-    metric_fn: Callable[[np.ndarray], np.ndarray]
+    metric_fn: Callable[[np.ndarray], np.ndarray] | None = None
+    metric_exprs: tuple[tuple[Expr, ...], ...] | None = None
     flat: bool = False
-    connection_free: bool = False
     injectivity_radius: float = math.inf
-    christoffel_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    ricci_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    riemann_fn: Callable[[np.ndarray], np.ndarray] | None = None
     exp_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     exp_jacobian_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+
+    def __post_init__(self):
+        if self.metric_fn is None:
+            if self.metric_exprs is None:
+                raise ConfigError(f"manifold {self.name!r} needs metric_fn or metric_exprs")
+            g, names = np.array(self.metric_exprs, dtype=object), self.coordinate_names
+            if all(isinstance(e, Const) for e in g.flat):
+                const = _evaluate(g, names, np.zeros(self.dim))
+                object.__setattr__(self, "metric_fn", lambda q: const)
+            else:
+                object.__setattr__(self, "metric_fn", lambda q: _evaluate(g, names, q))
 
     @property
     def coordinate_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.coords)
+
+    @cached_property
+    def connection_free(self) -> bool:
+        """Whether every Christoffel symbol vanishes identically (a constant metric)."""
+        derived = self._derived
+        return derived is not None and all(isinstance(e, Const) and e.value == 0 for e in derived["gamma"].flat)
+
+    @cached_property
+    def _derived(self) -> dict[str, np.ndarray] | None:
+        """Inverse metric, connection and curvature as expression arrays,
+        derived from ``metric_exprs`` on first use (``None`` when opaque)."""
+        if self.metric_exprs is None:
+            return None
+        names = self.coordinate_names
+
+        def grad(exprs: np.ndarray) -> np.ndarray:  # [..., d] = d_d exprs[...]
+            out = np.array([[e.diff(x) for x in names] for e in exprs.flat], dtype=object)
+            return out.reshape(exprs.shape + (self.dim,))
+
+        g = np.array(self.metric_exprs, dtype=object)
+        g_inv = inverse_matrix(g)
+        gamma = _christoffel_from(g_inv, grad(g))
+        riem = _riemann_from(gamma, grad(gamma))
+        return {"g_inv": g_inv, "gamma": gamma, "riemann": riem, "ricci": np.trace(riem, axis1=0, axis2=2)}
+
+    @cached_property
+    def _fields(self) -> dict[str, np.ndarray]:
+        """Read-only component fields of every ``_derived`` level, shared by all callers."""
+        out = {}
+        for level, exprs in self._derived.items():
+            comps = np.array([from_expression(e, self.coordinate_names) for e in exprs.flat], dtype=object)
+            out[level] = comps.reshape(exprs.shape)
+            out[level].flags.writeable = False
+        return out
+
+
+def _evaluate(exprs: np.ndarray, names: tuple[str, ...], q: np.ndarray) -> np.ndarray:
+    env = dict(zip(names, np.asarray(q, dtype=float)))
+    return np.array([e.eval(env) for e in exprs.flat], dtype=float).reshape(exprs.shape)
+
+
+# ---------------------------------------------------------------------------
+# connection and curvature formulas, on float or expression arrays
+
+
+def _christoffel_from(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
+    """``Gamma^c_{ab} = 1/2 g^{cd} (d_a g_db + d_b g_da - d_d g_ab)`` indexed
+    ``[c, a, b]``, from ``dg[a, b, c] = d_c g_ab``."""
+    return 0.5 * np.tensordot(g_inv, dg.transpose(0, 2, 1) + dg - dg.transpose(2, 0, 1), axes=1)
+
+
+def _riemann_from(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
+    """``R^r_{s m n}`` from ``Gamma^c_{ab}`` and ``dgamma[c, a, b, d] = d_d Gamma^c_{ab}``."""
+    gg = np.tensordot(gamma, gamma, axes=1)  # [r, m, n, s] = Gamma^r_{ml} Gamma^l_{ns}
+    return (
+        dgamma.transpose(0, 2, 3, 1) - dgamma.transpose(0, 2, 1, 3)
+        + gg.transpose(0, 3, 1, 2) - gg.transpose(0, 3, 2, 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +196,17 @@ def metric(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
 
 
 def inverse_metric(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
+    if model._derived is not None:
+        return _evaluate(model._derived["g_inv"], model.coordinate_names, q)
     return np.linalg.inv(metric(model, q))
+
+
+def inverse_metric_field(model: ManifoldModel) -> TensorField:
+    """The inverse metric ``g^{ab}`` as a symmetric rank-2 tensor field: exact
+    partials for expression metrics, FD partials for an opaque ``metric_fn``."""
+    if model._derived is None:
+        return tensor_from_array_callable(model.dim, 2, lambda q: inverse_metric(model, q))
+    return tensor_from_fields(model.dim, 2, lambda idx: model._fields["g_inv"][idx])
 
 
 def sqrt_g(model: ManifoldModel, q: np.ndarray) -> float:
@@ -132,44 +216,10 @@ def sqrt_g(model: ManifoldModel, q: np.ndarray) -> float:
 def christoffel(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
     """Christoffel symbols ``Gamma^c_{ab}`` indexed ``[c, a, b]``."""
     q = np.asarray(q, dtype=float)
-    if model.christoffel_fn is not None:
-        return np.asarray(model.christoffel_fn(q), dtype=float)
-    g_inv = inverse_metric(model, q)
-    dg = np.stack(
-        [
-            numdiff.partial_derivative(model.metric_fn, q, _unit_orders(model.dim, ax))
-            for ax in range(model.dim)
-        ],
-        axis=-1,
-    )  # dg[a, b, c] = d_c g_ab
-    # 1/2 g^{cd} (d_a g_db + d_b g_da - d_d g_ab)
-    gamma = np.zeros((model.dim,) * 3)
-    for c in range(model.dim):
-        for a in range(model.dim):
-            for b in range(model.dim):
-                val = 0.0
-                for d in range(model.dim):
-                    val += g_inv[c, d] * (dg[d, b, a] + dg[d, a, b] - dg[a, b, d])
-                gamma[c, a, b] = 0.5 * val
-    return gamma
-
-
-def _unit_orders(dim: int, axis: int) -> tuple[int, ...]:
-    orders = [0] * dim
-    orders[axis] = 1
-    return tuple(orders)
-
-
-def christoffel_derivative(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
-    """``d_d Gamma^c_{ab}`` indexed ``[c, a, b, d]``."""
-    q = np.asarray(q, dtype=float)
-    return np.stack(
-        [
-            numdiff.partial_derivative(lambda x: christoffel(model, x), q, _unit_orders(model.dim, ax))
-            for ax in range(model.dim)
-        ],
-        axis=-1,
-    )
+    if model._derived is not None:
+        return _evaluate(model._derived["gamma"], model.coordinate_names, q)
+    g, dg = numdiff.jet(model.metric_fn, q, 1)  # dg[a, b, c] = d_c g_ab
+    return _christoffel_from(np.linalg.inv(g), dg)
 
 
 def riemann(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
@@ -177,20 +227,10 @@ def riemann(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if model.flat:
         return np.zeros((model.dim,) * 4)
-    if model.riemann_fn is not None:
-        return np.asarray(model.riemann_fn(q), dtype=float)
-    gamma = christoffel(model, q)
-    dgamma = christoffel_derivative(model, q)  # [c, a, b, d]
-    riem = np.zeros((model.dim,) * 4)
-    for r in range(model.dim):
-        for s in range(model.dim):
-            for m in range(model.dim):
-                for n in range(model.dim):
-                    val = dgamma[r, n, s, m] - dgamma[r, m, s, n]
-                    for l in range(model.dim):
-                        val += gamma[r, m, l] * gamma[l, n, s] - gamma[r, n, l] * gamma[l, m, s]
-                    riem[r, s, m, n] = val
-    return riem
+    if model._derived is not None:
+        return _evaluate(model._derived["riemann"], model.coordinate_names, q)
+    gamma, dgamma = numdiff.jet(lambda x: christoffel(model, x), q, 1)  # dgamma[c, a, b, d]
+    return _riemann_from(gamma, dgamma)
 
 
 def ricci(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
@@ -198,9 +238,24 @@ def ricci(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
     q = np.asarray(q, dtype=float)
     if model.flat:
         return np.zeros((model.dim,) * 2)
-    if model.ricci_fn is not None:
-        return np.asarray(model.ricci_fn(q), dtype=float)
-    return np.einsum("msmn->sn", riemann(model, q))
+    if model._derived is not None:
+        return _evaluate(model._derived["ricci"], model.coordinate_names, q)
+    return np.trace(riemann(model, q), axis1=0, axis2=2)
+
+
+def ricci_contraction(model: ManifoldModel, X: TensorField) -> TensorField:
+    """``Ric_{ab} X^{ab J}`` as a rank ``X.rank - 2`` field: exact Ricci fields
+    on expression metrics, a pointwise contraction with FD partials otherwise."""
+    if model.flat:
+        return tensor_constant(model.dim, np.zeros((model.dim,) * (X.rank - 2)))
+    if model._derived is None:
+        return symmetrized_contraction_field(X, lambda q: ricci(model, q), 2)
+    ric = model._fields["ricci"]
+
+    def assign(idx: tuple[int, ...]) -> ScalarField:
+        return add(*[multiply(ric[ab], X.comps[ab + idx]) for ab in np.ndindex(ric.shape)])
+
+    return tensor_from_fields(model.dim, X.rank - 2, assign)
 
 
 def scalar_curvature(model: ManifoldModel, q: np.ndarray) -> float:
@@ -324,16 +379,15 @@ def sqrt_g_jet(
     q = np.asarray(q, dtype=float)
     dim = model.dim
     if method not in ("auto", "numeric", "curvature"):
-        raise ValueError(f"unknown jet method {method!r}")
+        raise ConfigError(f"unknown jet method {method!r}")
     if method == "auto" and model.flat:
         return [np.ones(()) if k == 0 else np.zeros((dim,) * k) for k in range(max_order + 1)]
     if method == "curvature" or (method == "auto" and max_order <= 2):
         if max_order > 2:
-            raise ValueError("curvature-form volume jets stop at order 2")
+            raise UnsupportedOrderError("curvature-form volume jets stop at order 2")
         jets = [np.ones(()), np.zeros((dim,)), -ricci_in_frame(model, q) / 3.0]
         return jets[: max_order + 1]
-    fn = sqrt_g_normal_fn(model, q)
-    return numdiff.jet(fn, np.zeros(dim), max_order, step=step)
+    return numdiff.jet(sqrt_g_normal_fn(model, q), np.zeros(dim), max_order, step=step)
 
 
 # ---------------------------------------------------------------------------
@@ -341,17 +395,14 @@ def sqrt_g_jet(
 
 
 def _christoffel_component_fields(model: ManifoldModel) -> np.ndarray:
+    """Component fields of ``Gamma^c_{ab}``; finite differences only for an opaque metric."""
+    if model.connection_free:
+        return np.full((model.dim,) * 3, constant(model.dim, 0.0), dtype=object)
+    if model._derived is not None:
+        return model._fields["gamma"]
     comps = np.empty((model.dim,) * 3, dtype=object)
-    zero = constant(model.dim, 0.0) if model.connection_free else None
-    for c in range(model.dim):
-        for a in range(model.dim):
-            for b in range(model.dim):
-                if zero is not None:
-                    comps[c, a, b] = zero
-                else:
-                    comps[c, a, b] = from_callable(
-                        model.dim, lambda x, _i=(c, a, b): christoffel(model, x)[_i]
-                    )
+    for idx in np.ndindex(comps.shape):
+        comps[idx] = from_callable(model.dim, lambda x, _i=idx: christoffel(model, x)[_i])
     return comps
 
 
@@ -364,8 +415,6 @@ def iterated_covariant_derivative_fields(
     ``[a1, ..., ak]`` component field evaluates
     ``nabla_{a1} ... nabla_{ak} psi`` (new index first, unsymmetrized).
     """
-    import itertools
-
     dim = model.dim
     gamma = None if model.connection_free else _christoffel_component_fields(model)
     base = np.empty((), dtype=object)
@@ -399,10 +448,7 @@ def sym_cov_deriv(model: ManifoldModel, psi: ScalarField, q: np.ndarray, order: 
     top = levels[order]
     if order == 0:
         return np.asarray(top[()](q))
-    vals = np.empty((model.dim,) * order, dtype=complex)
-    flat = vals.reshape(-1)
-    for i, comp in enumerate(top.reshape(-1)):
-        flat[i] = comp(q)
+    vals = np.array([comp(q) for comp in top.flat], dtype=complex).reshape(top.shape)
     if np.allclose(vals.imag, 0.0):
         vals = vals.real
     return numdiff.symmetrize(vals)
@@ -472,22 +518,22 @@ def pullback_jet(
 # built-in models
 
 
+def _metric_exprs(names: tuple[str, ...], rows: list[list[str]]) -> tuple[tuple[Expr, ...], ...]:
+    return tuple(tuple(parse_expression(entry, names) for entry in row) for row in rows)
+
+
 def euclidean_space(dim: int) -> ManifoldModel:
     if not 1 <= dim <= 3:
         raise ConfigError(f"euclidean model supports dimensions 1-3, got {dim}")
     identity = np.eye(dim)
-    coords = tuple(CoordSpec(name) for name in ("x", "y", "z")[:dim])
+    names = ("x", "y", "z")[:dim]
     return ManifoldModel(
         name=f"euclidean:{dim}",
         dim=dim,
-        coords=coords,
-        metric_fn=lambda q: identity,
+        coords=tuple(CoordSpec(name) for name in names),
+        metric_exprs=_metric_exprs(names, [["1" if i == j else "0" for j in range(dim)] for i in range(dim)]),
         flat=True,
-        connection_free=True,
         injectivity_radius=math.inf,
-        christoffel_fn=lambda q: np.zeros((dim,) * 3),
-        ricci_fn=lambda q: np.zeros((dim, dim)),
-        riemann_fn=lambda q: np.zeros((dim,) * 4),
         exp_fn=lambda q, v: q + v,
         exp_jacobian_fn=lambda q, v: identity,
     )
@@ -499,13 +545,9 @@ def circle() -> ManifoldModel:
         name="circle",
         dim=1,
         coords=(CoordSpec("theta", -math.pi, math.pi, periodic=True),),
-        metric_fn=lambda q: one,
+        metric_exprs=_metric_exprs(("theta",), [["1"]]),
         flat=True,
-        connection_free=True,
         injectivity_radius=math.pi,
-        christoffel_fn=lambda q: np.zeros((1, 1, 1)),
-        ricci_fn=lambda q: np.zeros((1, 1)),
-        riemann_fn=lambda q: np.zeros((1,) * 4),
         exp_fn=lambda q, v: q + v,
         exp_jacobian_fn=lambda q, v: one,
     )
@@ -520,28 +562,7 @@ def sphere(radius: float = 1.0) -> ManifoldModel:
     if radius <= 0:
         raise ConfigError(f"sphere radius must be positive, got {radius}")
     a = float(radius)
-
-    def metric_fn(q):
-        theta = q[0]
-        return np.array([[a * a, 0.0], [0.0, a * a * math.sin(theta) ** 2]])
-
-    def christoffel_fn(q):
-        theta = q[0]
-        gamma = np.zeros((2, 2, 2))
-        gamma[0, 1, 1] = -math.sin(theta) * math.cos(theta)
-        cot = math.cos(theta) / math.sin(theta)
-        gamma[1, 0, 1] = gamma[1, 1, 0] = cot
-        return gamma
-
-    def ricci_fn(q):
-        return metric_fn(q) / (a * a)
-
-    def riemann_fn(q):
-        g = metric_fn(q)
-        k = 1.0 / (a * a)
-        eye = np.eye(2)
-        # R^r_{s m n} = K (delta^r_m g_{s n} - delta^r_n g_{s m})
-        return k * (np.einsum("rm,sn->rsmn", eye, g) - np.einsum("rn,sm->rsmn", eye, g))
+    a2 = repr(a * a)
 
     def embed(q):
         theta, phi = q
@@ -577,28 +598,14 @@ def sphere(radius: float = 1.0) -> ManifoldModel:
             CoordSpec("theta", 0.0, math.pi),
             CoordSpec("phi", -math.pi, math.pi, periodic=True),
         ),
-        metric_fn=metric_fn,
+        metric_exprs=_metric_exprs(("theta", "phi"), [[a2, "0"], ["0", f"{a2}*sin(theta)**2"]]),
         flat=False,
         injectivity_radius=math.pi * a,
-        christoffel_fn=christoffel_fn,
-        ricci_fn=ricci_fn,
-        riemann_fn=riemann_fn,
         exp_fn=exp_fn,
     )
 
 
 def polar_plane() -> ManifoldModel:
-    def metric_fn(q):
-        r = q[0]
-        return np.array([[1.0, 0.0], [0.0, r * r]])
-
-    def christoffel_fn(q):
-        r = q[0]
-        gamma = np.zeros((2, 2, 2))
-        gamma[0, 1, 1] = -r
-        gamma[1, 0, 1] = gamma[1, 1, 0] = 1.0 / r
-        return gamma
-
     def chart_jacobian(q):
         r, phi = q
         return np.array([[math.cos(phi), -r * math.sin(phi)], [math.sin(phi), r * math.cos(phi)]])
@@ -614,8 +621,7 @@ def polar_plane() -> ManifoldModel:
         return np.array([r_new, _unwrap_angle(phi_new, phi)])
 
     def exp_jacobian_fn(q, v):
-        endpoint_chart = exp_fn(q, v)
-        r_new, phi_new = endpoint_chart
+        r_new, phi_new = exp_fn(q, v)
         x, y = r_new * math.cos(phi_new), r_new * math.sin(phi_new)
         from_cartesian = np.array(
             [[x / r_new, y / r_new], [-y / (r_new * r_new), x / (r_new * r_new)]]
@@ -629,12 +635,9 @@ def polar_plane() -> ManifoldModel:
             CoordSpec("r", 0.0, math.inf),
             CoordSpec("phi", -math.pi, math.pi, periodic=True),
         ),
-        metric_fn=metric_fn,
+        metric_exprs=_metric_exprs(("r", "phi"), [["1", "0"], ["0", "r*r"]]),
         flat=True,
         injectivity_radius=math.inf,
-        christoffel_fn=christoffel_fn,
-        ricci_fn=lambda q: np.zeros((2, 2)),
-        riemann_fn=lambda q: np.zeros((2,) * 4),
         exp_fn=exp_fn,
         exp_jacobian_fn=exp_jacobian_fn,
     )
@@ -656,20 +659,16 @@ def manifold(name: str) -> ManifoldModel:
         except ValueError as exc:
             raise ConfigError(f"invalid euclidean dimension {arg!r}") from exc
         return euclidean_space(dim)
-    if key == "circle":
+    if key in ("circle", "polar-plane"):
         if arg:
-            raise ConfigError("circle takes no parameter")
-        return circle()
+            raise ConfigError(f"{key} takes no parameter")
+        return circle() if key == "circle" else polar_plane()
     if key == "sphere":
         try:
             radius = float(arg) if arg else 1.0
         except ValueError as exc:
             raise ConfigError(f"invalid sphere radius {arg!r}") from exc
         return sphere(radius)
-    if key == "polar-plane":
-        if arg:
-            raise ConfigError("polar-plane takes no parameter")
-        return polar_plane()
     raise ConfigError(
         f"unknown manifold {name!r}; expected euclidean:<dim>, circle, sphere:<radius>, or polar-plane"
     )

@@ -256,6 +256,14 @@ class ExperimentConfig:
                 raise ConfigError(f"tolerance {name!r} must be a positive number")
         if self.output_dir is not None and not isinstance(self.output_dir, str):
             raise ConfigError("output_dir must be a string or null")
+        if self.experiment == "curved-defect":
+            # the defect oracle contracts the symbol's degree-2 coefficient with Ricci
+            degree = self.symbol.get("degree", 1) if isinstance(self.symbol, dict) else 1
+            if not isinstance(self.symbol, (str, dict)) or degree != 2:
+                raise ConfigError(
+                    "curved-defect needs a symbol of degree 2, "
+                    "e.g. {'coefficient': 'inverse-metric', 'degree': 2}"
+                )
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":

@@ -11,6 +11,7 @@ returned values are O(h^6) accurate for smooth inputs (``levels=2``).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -38,7 +39,13 @@ def _stencil(orders: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
 
     Returns integer offset vectors of shape (#nodes, d) and weights such that
     sum_i w_i f(x + h*offset_i) / h^total approximates the mixed partial.
+    Tables are built once per ``orders`` and shared read-only.
     """
+    return _stencil_table(tuple(orders))
+
+
+@functools.lru_cache(maxsize=None)
+def _stencil_table(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     per_axis = [_CENTRAL_STENCILS[m] for m in orders]
     offsets = []
     weights = []
@@ -47,7 +54,9 @@ def _stencil(orders: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
         w = math.prod(per_axis[ax][1][i] for ax, i in enumerate(combo))
         offsets.append(off)
         weights.append(w)
-    return np.asarray(offsets, dtype=float), np.asarray(weights, dtype=float)
+    offsets, weights = np.asarray(offsets, dtype=float), np.asarray(weights, dtype=float)
+    offsets.flags.writeable = weights.flags.writeable = False
+    return offsets, weights
 
 
 def _apply_stencil(f: Callable, x: np.ndarray, orders: Sequence[int], h: float):

@@ -25,7 +25,6 @@ from .fields import (
     scale,
     tensor_add,
     tensor_constant,
-    tensor_from_array_callable,
     tensor_from_fields,
     tensor_scalar,
     tensor_scale,
@@ -411,7 +410,7 @@ def symbol_from_config(model: ManifoldModel, cfg) -> MomentumPolynomial:
     elif coefficient == "inverse-metric":
         if degree != 2:
             raise ConfigError("inverse-metric symbols must have degree 2")
-        tensor = tensor_from_array_callable(dim, 2, lambda q: geometry.inverse_metric(model, q))
+        tensor = geometry.inverse_metric_field(model)
         if scale_value != 1:
             tensor = tensor_scale(tensor, scale_value)
     elif coefficient.startswith("custom:"):

@@ -1,10 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from phasequant.fields import constant, from_expression, tensor_from_fields
 from phasequant.symbols import MomentumPolynomial
 
 SEED = 20260814
+
+# Property tests draw the same examples on every run and keep no example
+# database, so a run's outcome depends only on the code under test.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from phasequant import curved, flat_weyl, geometry
+from phasequant import curved, flat_weyl, geometry, numdiff
 from phasequant.errors import ConfigError, UnsupportedOrderError
 from phasequant.fields import from_expression, tensor_from_array_callable, tensor_from_fields
 from phasequant.symbols import MomentumPolynomial, symbol_from_config
@@ -222,3 +222,15 @@ def test_image_request_validates_measure():
     req = curved.WueImageRequest(manifold="circle", symbol="constant", measure_variant="other")
     with pytest.raises(ConfigError):
         req.build()
+
+
+def test_sphere_defect_takes_no_finite_differences(monkeypatch):
+    # Expression-built geometry differentiates symbolically all the way down;
+    # finite differences are left to opaque metrics.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("finite differences on an expression-built model")
+
+    monkeypatch.setattr(numdiff, "partial_derivative", forbidden)
+    model = geometry.manifold("sphere:1.0")
+    d = curved.axiom_defect(model, kinetic_energy(model), P0, Q0)
+    assert abs(d - 2.0 / 3.0) <= 1e-15

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasequant.errors import ConfigError
-from phasequant.expressions import parse_expression
+from phasequant.expressions import Const, inverse_matrix, parse_expression
 
 
 def ev(source, **values):
@@ -97,3 +97,27 @@ def test_trig_identity(x):
 def test_constant_folding_keeps_value():
     # folded or not, numeric subtrees must evaluate identically
     assert ev("2*3 + 0*x + 1*x", x=0.7) == pytest.approx(6.7)
+
+
+def test_operators_build_simplified_differentiable_trees():
+    x = parse_expression("x", ("x",))
+    e = 2.0 * x * x - 1 / x + (x - x) * 0
+    assert e.eval({"x": 1.5}) == pytest.approx(2.0 * 2.25 - 1 / 1.5)
+    assert e.diff("x").eval({"x": 1.5}) == pytest.approx(4.0 * 1.5 + 1 / 2.25)
+    assert isinstance(Const(3.0) / Const(2.0), Const) and (x * 1.0) is x and (x / 1.0) is x
+    assert isinstance(0.0 * x, Const) and (-x).eval({"x": 2.0}) == -2.0
+
+
+def test_inverse_matrix_diagonal_and_adjugate():
+    import numpy as np
+
+    names = ("x", "y")
+    diag = np.array([[parse_expression(s, names) for s in row] for row in (["2", "0"], ["0", "x*x"])], dtype=object)
+    inv = inverse_matrix(diag)
+    assert inv[0, 0].value == 0.5 and inv[0, 1].value == 0.0
+    assert inv[1, 1].eval({"x": 3.0, "y": 0.0}) == pytest.approx(1.0 / 9.0)
+    full = np.array([[parse_expression(s, names) for s in row] for row in (["1", "y"], ["y", "2 + x"])], dtype=object)
+    env = {"x": 0.4, "y": -0.7}
+    m = np.array([[1.0, -0.7], [-0.7, 2.4]])
+    got = np.array([[e.eval(env) for e in row] for row in inverse_matrix(full)])
+    np.testing.assert_allclose(got @ m, np.eye(2), atol=1e-14)

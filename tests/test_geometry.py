@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -193,6 +195,14 @@ def test_sqrt_g_jet_rejects_unknown_method(sphere):
         geometry.sqrt_g_jet(sphere, np.array([1.1, 0.4]), method="symbolic")
 
 
+def test_sqrt_g_jet_error_types(sphere):
+    q = np.array([1.1, 0.4])
+    with pytest.raises(ConfigError):
+        geometry.sqrt_g_jet(sphere, q, method="symbolic")
+    with pytest.raises(UnsupportedOrderError):
+        geometry.sqrt_g_jet(sphere, q, max_order=3, method="curvature")
+
+
 # ---------------------------------------------------------------------------
 # covariant derivatives
 
@@ -238,3 +248,120 @@ def test_covariant_derivative_reduces_to_partials_on_flat_space():
     hess = geometry.sym_cov_deriv(model, psi, q, 2)
     want = np.array([[2.0 * q[1], 2.0 * q[0]], [2.0 * q[0], 0.0]])
     np.testing.assert_allclose(np.asarray(hess, dtype=float), want, atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# expression-derived geometry against hand-written closed forms
+
+
+def sphere_closed_forms(a, theta):
+    s, c = math.sin(theta), math.cos(theta)
+    g = np.diag([a * a, a * a * s * s])
+    gamma = np.zeros((2, 2, 2))
+    gamma[0, 1, 1] = -s * c
+    gamma[1, 0, 1] = gamma[1, 1, 0] = c / s
+    eye = np.eye(2)
+    # R^r_{s m n} = (delta^r_m g_{s n} - delta^r_n g_{s m}) / a^2
+    riemann = (np.einsum("rm,sn->rsmn", eye, g) - np.einsum("rn,sm->rsmn", eye, g)) / (a * a)
+    return np.diag([1.0 / (a * a), 1.0 / (a * a * s * s)]), gamma, riemann, g / (a * a)
+
+
+def polar_closed_forms(r):
+    gamma = np.zeros((2, 2, 2))
+    gamma[0, 1, 1] = -r
+    gamma[1, 0, 1] = gamma[1, 1, 0] = 1.0 / r
+    return np.diag([1.0, 1.0 / (r * r)]), gamma, np.zeros((2,) * 4), np.zeros((2, 2))
+
+
+@pytest.mark.parametrize(
+    "name, q, closed",
+    [
+        ("sphere:1", (1.1, 0.4), lambda q: sphere_closed_forms(1.0, q[0])),
+        ("sphere:1", (2.0, -1.3), lambda q: sphere_closed_forms(1.0, q[0])),
+        ("sphere:2", (0.7, 2.5), lambda q: sphere_closed_forms(2.0, q[0])),
+        ("sphere:2", (2.4, -0.2), lambda q: sphere_closed_forms(2.0, q[0])),
+        ("polar-plane", (1.3, 0.6), lambda q: polar_closed_forms(q[0])),
+        ("polar-plane", (0.7, -2.0), lambda q: polar_closed_forms(q[0])),
+    ],
+)
+def test_expression_geometry_matches_closed_forms(name, q, closed):
+    # Clearing the flat flag makes riemann/ricci evaluate the derived
+    # expressions instead of returning zeros, so the polar chart checks the
+    # curvature formula's signs: its terms cancel only when they are right.
+    model = dataclasses.replace(geometry.manifold(name), flat=False)
+    q = np.array(q)
+    got = [f(model, q) for f in (geometry.inverse_metric, geometry.christoffel, geometry.riemann, geometry.ricci)]
+    for value, want in zip(got, closed(q)):
+        np.testing.assert_allclose(value, want, rtol=0, atol=1e-13)
+
+
+def test_christoffel_field_partials_are_exact(sphere):
+    gamma = geometry._christoffel_component_fields(sphere)
+    for theta in (0.6, 1.1, 2.3):
+        q = np.array([theta, 0.4])
+        # d/dtheta (-sin cos) = -cos(2 theta); d/dtheta cot = -1/sin^2
+        assert abs(gamma[0, 1, 1].partial(0)(q) + math.cos(2.0 * theta)) < 1e-13
+        assert abs(gamma[1, 0, 1].partial(0)(q) + 1.0 / math.sin(theta) ** 2) < 1e-13
+        assert abs(gamma[1, 0, 1].partial(1)(q)) == 0.0
+        # second partials: 2 sin(2 theta) and 2 cos / sin^3
+        second = gamma[1, 0, 1].partial(0).partial(0)(q)
+        want = 2.0 * math.cos(theta) / math.sin(theta) ** 3
+        assert abs(second - want) < 1e-13 * abs(want)
+        assert abs(gamma[0, 1, 1].partial(0).partial(0)(q) - 2.0 * math.sin(2.0 * theta)) < 1e-13
+
+
+def test_non_diagonal_expression_metric():
+    # (u, v) -> (u + v^2/2, v) pulls the Euclidean metric back to a flat,
+    # non-diagonal one with unit determinant and Gamma^u_{vv} = 1.
+    names = ("u", "v")
+    model = geometry.ManifoldModel(
+        name="sheared-plane",
+        dim=2,
+        coords=tuple(geometry.CoordSpec(n) for n in names),
+        metric_exprs=geometry._metric_exprs(names, [["1", "v"], ["v", "1 + v*v"]]),
+    )
+    gamma_want = np.zeros((2, 2, 2))
+    gamma_want[0, 1, 1] = 1.0
+    for q in (np.array([0.3, 0.8]), np.array([-1.0, -1.7])):
+        v = q[1]
+        np.testing.assert_allclose(geometry.metric(model, q), [[1.0, v], [v, 1.0 + v * v]], atol=0)
+        np.testing.assert_allclose(geometry.inverse_metric(model, q), [[1.0 + v * v, -v], [-v, 1.0]], atol=1e-13)
+        np.testing.assert_allclose(geometry.christoffel(model, q), gamma_want, atol=1e-13)
+        np.testing.assert_allclose(geometry.riemann(model, q), 0.0, atol=1e-13)
+
+
+def test_opaque_metric_falls_back_to_finite_differences(sphere):
+    opaque = geometry.ManifoldModel(
+        name="sphere-opaque", dim=2, coords=sphere.coords, metric_fn=sphere.metric_fn
+    )
+    assert opaque.metric_exprs is None
+    for q in (np.array([1.1, 0.4]), np.array([2.0, -1.3])):
+        for quantity in (geometry.inverse_metric, geometry.christoffel, geometry.ricci, geometry.riemann):
+            np.testing.assert_allclose(quantity(opaque, q), quantity(sphere, q), rtol=0, atol=1e-6)
+        ginv_fd = geometry.inverse_metric_field(opaque).comps[1, 1].partial(0)(q)
+        ginv_exact = geometry.inverse_metric_field(sphere).comps[1, 1].partial(0)(q)
+        assert abs(ginv_fd - ginv_exact) < 1e-6
+
+
+def test_manifold_model_needs_a_metric():
+    with pytest.raises(ConfigError):
+        geometry.ManifoldModel(name="empty", dim=1, coords=(geometry.CoordSpec("x"),))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_connection_and_curvature_formulas_match_loop_reference(rng, dim):
+    # The opaque-metric path feeds finite-difference arrays to the same
+    # vectorized formulas the expression path uses; check them against loops.
+    g_inv, dg = rng.normal(size=(dim, dim)), rng.normal(size=(dim,) * 3)
+    gamma, dgamma = rng.normal(size=(dim,) * 3), rng.normal(size=(dim,) * 4)
+    gamma_want = np.zeros((dim,) * 3)
+    riemann_want = np.zeros((dim,) * 4)
+    r = range(dim)
+    for c, a, b in itertools.product(r, r, r):
+        gamma_want[c, a, b] = 0.5 * sum(g_inv[c, d] * (dg[d, b, a] + dg[d, a, b] - dg[a, b, d]) for d in r)
+    for rr, s, m, n in itertools.product(r, r, r, r):
+        riemann_want[rr, s, m, n] = dgamma[rr, n, s, m] - dgamma[rr, m, s, n] + sum(
+            gamma[rr, m, l] * gamma[l, n, s] - gamma[rr, n, l] * gamma[l, m, s] for l in r
+        )
+    np.testing.assert_allclose(geometry._christoffel_from(g_inv, dg), gamma_want, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(geometry._riemann_from(gamma, dgamma), riemann_want, rtol=0, atol=1e-13)

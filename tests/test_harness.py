@@ -310,3 +310,15 @@ def test_cli_out_dir_defaults_to_config_output_dir(tmp_path, capsys, monkeypatch
     assert run_cli("run", "--config", str(config_path)) == 0
     capsys.readouterr()
     assert (target / "point-transform.json").exists()
+
+
+def test_cli_curved_defect_rejects_symbol_without_degree_two(tmp_path, capsys):
+    config_path = tmp_path / "cd.json"
+    config_path.write_text(
+        json.dumps(
+            {"experiment": "curved-defect", "symbol": {"coefficient": "cos-theta", "degree": 1}}
+        )
+    )
+    assert run_cli("run", "--config", str(config_path), "--out", str(tmp_path / "out")) == 2
+    assert "degree 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -125,3 +125,11 @@ def test_jet_table_lookup():
     )
     assert float(table.coefficient(0)) == 3.0
     np.testing.assert_allclose(table.coefficient(1), [1.0, -2.0])
+
+
+def test_stencil_tables_are_shared_and_read_only():
+    offsets, weights = numdiff._stencil([1, 2])
+    again = numdiff._stencil((1, 2))
+    assert again[0] is offsets and again[1] is weights
+    assert not offsets.flags.writeable and not weights.flags.writeable
+    assert offsets.shape == (6, 2) and weights.sum() == 0.0
