@@ -7,6 +7,13 @@ through truncated Taylor algebra.  The round trip is not exact on curved
 manifolds: the residual is a curvature multiple of the symbol coefficients,
 and quantifying it is the main job of this module.
 
+The pairing reads its ingredients as jets in normal coordinates: coefficient
+jets from covariant derivatives (``geometry.covariant_derivative_fields``) and
+density jets from ``geometry.sqrt_g_jet``.  These are exact through operator
+order 2, and at every order on flat models, which are the zero-curvature case
+of the same path.  ``mode="numeric"`` (finite-difference jets) serves only
+operators of order above 2 on curved models.
+
 Two measure conventions are supported for building and tracing operators:
 ``"paper"`` weights the pairing with the normal-coordinate volume density
 (and produces the jet-corrected image), while ``"emmrich"`` uses the density
@@ -16,7 +23,6 @@ configuration vocabulary.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,20 +31,11 @@ import numpy as np
 
 from . import geometry, numdiff, taylor
 from .errors import ConfigError, UnsupportedOrderError
-from .fields import (
-    TensorField,
-    add as field_add,
-    multiply,
-    scale as field_scale,
-    symmetrized_contraction_field,
-    tensor_add,
-    tensor_scale,
-)
+from .fields import TensorField, symmetrized_contraction_field, tensor_add, tensor_scale
 from .geometry import ManifoldModel
 from .symbols import (
     CovariantOperator,
     MomentumPolynomial,
-    OrderingScheme,
     merge_terms,
     ordering_scheme,
     ordering_transform,
@@ -62,57 +59,6 @@ def _binomial_weight(m: int, k: int, j: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# volume-density jets
-
-
-def volume_ratio_jets(
-    model: ManifoldModel, q: np.ndarray, max_order: int = 2, method: str = "auto"
-) -> list[np.ndarray]:
-    """Jets of the reciprocal normal-coordinate volume density, chart indices.
-
-    Entry ``k`` is the k-th derivative array at the expansion point of
-    ``w(xi) = sqrt(g(q)) / sqrt(g(xi))`` expressed in normal coordinates,
-    with every derivative axis converted to a chart (covariant) index so the
-    arrays contract directly with contravariant symbol coefficients.  The
-    leading entries are exact: ``w(0) = 1``, the first jet vanishes
-    identically, and the second equals ``+Ricci / 3``.
-    """
-    q = np.asarray(q, dtype=float)
-    dim = model.dim
-    if method not in ("auto", "curvature", "numeric"):
-        raise ConfigError(f"unknown jet method {method!r}")
-    if method == "auto":
-        if model.flat:
-            return [np.ones(()) if k == 0 else np.zeros((dim,) * k) for k in range(max_order + 1)]
-        if max_order <= 2:
-            method = "curvature"
-        else:
-            method = "numeric"
-    if method == "curvature":
-        if max_order > 2:
-            raise UnsupportedOrderError("curvature-exact volume jets stop at order 2")
-        jets = [np.ones(())]
-        if max_order >= 1:
-            jets.append(np.zeros(dim))
-        if max_order >= 2:
-            jets.append(geometry.ricci(model, q) / 3.0)
-        return jets
-    # numeric: finite-difference jets in the normal chart, then convert the
-    # frame derivative axes to chart indices.
-    sqrt_fn = geometry.sqrt_g_normal_fn(model, q)
-    frame_jets = numdiff.jet(lambda xi: 1.0 / sqrt_fn(xi), np.zeros(dim), max_order)
-    E = geometry.normal_frame(model, q)
-    Einv = np.linalg.inv(E)
-    out = []
-    for k, arr in enumerate(frame_jets):
-        conv = np.asarray(arr, dtype=float)
-        for axis in range(k):
-            conv = np.moveaxis(np.tensordot(Einv, conv, axes=([0], [axis])), 0, axis)
-        out.append(conv)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # symbol-to-operator maps
 
 
@@ -123,19 +69,26 @@ def _iter_cov_div(model: ManifoldModel, tensor: TensorField, times: int) -> Tens
 
 
 def _jet_contracted(model: ManifoldModel, X: TensorField, k: int) -> TensorField:
-    """The coefficient ``X`` with ``k`` slots eaten by volume-density jets.
+    """The coefficient ``X`` with ``k`` slots eaten by reciprocal volume-density jets.
 
-    The second jet is ``Ric / 3``, contracted through exact Ricci fields on
-    expression metrics; higher jets are numeric, with finite-difference
-    partials.
+    The jets are those of ``sqrt(g(q)) / sqrt(g(xi))`` in normal coordinates,
+    with chart derivative axes.  The second is ``Ric / 3``, contracted through
+    exact Ricci fields on expression metrics; higher jets are numeric, with
+    finite-difference partials.
     """
     if k == 0:
         return X
     if k == 2:
         return tensor_scale(geometry.ricci_contraction(model, X), 1.0 / 3.0)
-    return symmetrized_contraction_field(
-        X, lambda q, _k=k: volume_ratio_jets(model, q, _k)[_k], k
-    )
+
+    def chart_jet(q: np.ndarray) -> np.ndarray:
+        jet = np.asarray(geometry.sqrt_g_jet(model, q, k, power=-1.0)[k], dtype=float)
+        Einv = np.linalg.inv(geometry.normal_frame(model, q))
+        for axis in range(k):
+            jet = np.moveaxis(np.tensordot(Einv, jet, axes=([0], [axis])), 0, axis)
+        return jet
+
+    return symmetrized_contraction_field(X, chart_jet, k)
 
 
 def wue_weyl_image(
@@ -236,31 +189,6 @@ def _eval_field_array(arr: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _cov_deriv_mixed(model: ManifoldModel, comps: np.ndarray, upper: int, lower: int) -> np.ndarray:
-    """Covariant derivative of a mixed tensor's component-field array.
-
-    ``comps`` has ``upper`` contravariant axes first, then ``lower`` covariant
-    axes; the new covariant index is appended last.
-    """
-    gamma = geometry._christoffel_component_fields(model)
-    dim = model.dim
-    rank = upper + lower
-    out = np.empty((dim,) * (rank + 1), dtype=object)
-    for idx in itertools.product(range(dim), repeat=rank + 1):
-        rest, e = idx[:-1], idx[-1]
-        terms = [(comps[rest] if rank else comps[()]).partial(e)]
-        for i in range(upper):
-            for g in range(dim):
-                swapped = rest[:i] + (g,) + rest[i + 1 :]
-                terms.append(multiply(gamma[rest[i], e, g], comps[swapped]))
-        for i in range(upper, rank):
-            for g in range(dim):
-                swapped = rest[:i] + (g,) + rest[i + 1 :]
-                terms.append(field_scale(multiply(gamma[g, e, rest[i]], comps[swapped]), -1.0))
-        out[idx] = field_add(*terms)
-    return out
-
-
 def _gamma_frame_derivative(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
     """Curvature-exact first jet of the normal-coordinate connection.
 
@@ -272,14 +200,6 @@ def _gamma_frame_derivative(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
     R = geometry.riemann(model, q)
     Rf = np.einsum("ca,abgd,bB,gG,dD->cBGD", Einv, R, E, E, E)
     return -(Rf + np.swapaxes(Rf, 1, 2)) / 3.0
-
-
-def _trivial_scalar_series(dim: int, order: int) -> taylor.Series:
-    return taylor.constant(dim, order, np.ones(()))
-
-
-def _scalar_jet_series(fn, dim: int, order: int) -> taylor.Series:
-    return taylor.from_jets(dim, numdiff.jet(fn, np.zeros(dim), order))
 
 
 def _phase_series(dim: int, order: int, p_frame: np.ndarray, hbar: float) -> taylor.Series:
@@ -298,44 +218,6 @@ class _PairingData:
     sqrt_g: taylor.Series
     gamma: taylor.Series
     coeff: dict[int, taylor.Series]
-    p_frame: np.ndarray
-
-
-def _is_affine_chart(model: ManifoldModel, q: np.ndarray) -> bool:
-    """Flat models whose chart connection vanishes near ``q`` (Cartesian-like)."""
-    if not model.flat:
-        return False
-    probe = q + 0.05 * (1.0 + np.abs(q))
-    return (
-        float(np.max(np.abs(geometry.christoffel(model, q)))) < 1e-13
-        and float(np.max(np.abs(geometry.christoffel(model, probe)))) < 1e-13
-    )
-
-
-def _coeff_jets_affine(
-    model: ManifoldModel, q: np.ndarray, tensor: TensorField, order: int
-) -> list[np.ndarray]:
-    """Exact pullback jets on affine flat charts via field derivative chains."""
-    dim, rank = model.dim, tensor.rank
-    E = geometry.normal_frame(model, q)
-    Einv = np.linalg.inv(E)
-    jets = []
-    for k in range(order + 1):
-        arr = np.empty((dim,) * (rank + k), dtype=complex)
-        for comp in itertools.product(range(dim), repeat=rank):
-            base_field = tensor.comps[comp] if rank else tensor.comps[()]
-            for dv in itertools.product(range(dim), repeat=k):
-                f = base_field
-                for axis in dv:
-                    f = f.partial(axis)
-                arr[comp + dv] = f(q)
-        # upper indices -> frame via E^-1; derivative axes -> frame via E
-        for axis in range(rank):
-            arr = np.moveaxis(np.tensordot(Einv, arr, axes=([1], [axis])), 0, axis)
-        for axis in range(rank, rank + k):
-            arr = np.moveaxis(np.tensordot(E, arr, axes=([0], [axis])), 0, axis)
-        jets.append(arr)
-    return jets
 
 
 def _coeff_jets_numeric(
@@ -361,127 +243,83 @@ def _coeff_jets_numeric(
 def _coeff_jets_curvature(
     model: ManifoldModel, q: np.ndarray, tensor: TensorField, order: int
 ) -> list[np.ndarray]:
-    """Curvature-exact pullback jets through second order.
+    """Curvature-exact pullback jets: every order on flat models, through
+    second order on curved ones.
 
-    Zeroth and first jets are the frame components of the tensor and its
-    covariant derivative; the second jet corrects the symmetrized second
-    covariant derivative by the connection's first jet contracted into each
-    contravariant slot.
+    The k-th jet is the frame components of the k-th covariant derivative,
+    symmetrized over its derivative axes.  On a curved model the second jet
+    also subtracts the connection's first jet contracted into each
+    contravariant slot; flat models need no correction at any order.
     """
-    if order > 2:
-        raise UnsupportedOrderError("curvature-exact coefficient jets stop at order 2")
-    dim, rank = model.dim, tensor.rank
+    if order > 2 and not model.flat:
+        raise UnsupportedOrderError(
+            "curvature-exact dequantization stops at operator order 2 on curved "
+            "models; use mode='numeric' for higher orders"
+        )
+    rank = tensor.rank
     E = geometry.normal_frame(model, q)
     Einv = np.linalg.inv(E)
 
-    def to_frame(arr: np.ndarray, upper: int, lower: int) -> np.ndarray:
+    def to_frame(arr: np.ndarray, lower: int) -> np.ndarray:
         out = np.asarray(arr, dtype=complex)
-        for axis in range(upper):
+        for axis in range(rank):
             out = np.moveaxis(np.tensordot(Einv, out, axes=([1], [axis])), 0, axis)
-        for axis in range(upper, upper + lower):
+        for axis in range(rank, rank + lower):
             out = np.moveaxis(np.tensordot(E, out, axes=([0], [axis])), 0, axis)
         return out
 
-    jets = [to_frame(tensor.evaluate(q), rank, 0)]
-    if order >= 1:
-        d1 = _cov_deriv_mixed(model, tensor.comps, rank, 0)
-        jets.append(to_frame(_eval_field_array(d1, q), rank, 1))
-    if order >= 2:
-        d2 = _cov_deriv_mixed(model, d1, rank, 1)
-        nabla2 = to_frame(_eval_field_array(d2, q), rank, 2)
-        dG = _gamma_frame_derivative(model, q)  # [c, a, b, d]
-        c0 = jets[0]
-        correction = np.zeros_like(nabla2)
-        for i in range(rank):
-            # (d_e Gamma~^{A_i}_{d g}) c~^{.. g ..}  with dG[A_i, d, g, e]
-            term = np.tensordot(dG, c0, axes=([2], [i]))  # [A_i, d, e] + rest
-            term = np.moveaxis(term, [0, 1, 2], [i, rank, rank + 1])
-            correction += term
-        second = nabla2 - correction
-        second = 0.5 * (second + np.swapaxes(second, rank, rank + 1))
-        jets.append(second)
+    c0 = to_frame(tensor.evaluate(q), 0)
+    jets = [c0]
+    comps = tensor.comps
+    for k in range(1, order + 1):
+        comps = geometry.covariant_derivative_fields(model, comps, rank)
+        jet = to_frame(_eval_field_array(comps, q), k)
+        if k == 2 and not model.flat:
+            dG = _gamma_frame_derivative(model, q)  # [c, a, b, d]
+            correction = np.zeros_like(jet)
+            for i in range(rank):
+                # (d_e Gamma~^{A_i}_{d g}) c~^{.. g ..}  with dG[A_i, d, g, e]
+                term = np.tensordot(dG, c0, axes=([2], [i]))  # [A_i, d, e] + rest
+                correction += np.moveaxis(term, [0, 1, 2], [i, rank, rank + 1])
+            jet = jet - correction
+        jets.append(numdiff.symmetrize(jet, axes=range(rank, rank + k)))
     return jets
 
 
 def _pairing_data(
-    model: ManifoldModel,
-    q: np.ndarray,
-    D: CovariantOperator,
-    p: np.ndarray,
-    order: int,
-    mode: str,
+    model: ManifoldModel, q: np.ndarray, D: CovariantOperator, order: int, mode: str
 ) -> _PairingData:
+    """Ingredient series at ``q``: curvature-exact on flat models and for
+    orders up to 2, finite differences only for higher orders on curved ones."""
+    if mode not in ("auto", "curvature", "numeric"):
+        raise ConfigError(f"unknown dequantization mode {mode!r}")
     dim = model.dim
-    E = geometry.normal_frame(model, q)
-    p_frame = E.T @ np.asarray(p, dtype=float)
-
-    if model.flat:
-        h = _trivial_scalar_series(dim, order)
-        sqrt_g = _trivial_scalar_series(dim, order)
-        gamma = taylor.constant(dim, order, np.zeros((dim,) * 3))
-        affine = _is_affine_chart(model, q)
-        coeff = {
-            k: taylor.from_jets(
-                dim,
-                _coeff_jets_affine(model, q, t, order)
-                if affine
-                else _coeff_jets_numeric(model, q, t, order),
-            )
-            for k, t in D.terms.items()
-        }
-        return _PairingData(h, sqrt_g, gamma, coeff, p_frame)
-
-    if mode == "auto":
-        mode = "curvature" if order <= 2 else "numeric"
-    if mode == "curvature":
-        if order > 2:
-            raise UnsupportedOrderError(
-                "curvature-exact dequantization stops at operator order 2; "
-                "use mode='numeric' for higher orders"
-            )
-        ric_f = geometry.ricci_in_frame(model, q)
-        h_jets = [np.ones(()), np.zeros(dim), ric_f / 6.0][: order + 1]
-        g_jets = [np.ones(()), np.zeros(dim), -ric_f / 3.0][: order + 1]
+    exact = model.flat or mode == "curvature" or (mode == "auto" and order <= 2)
+    coeff_jets = _coeff_jets_curvature if exact else _coeff_jets_numeric
+    coeff = {k: taylor.from_jets(dim, coeff_jets(model, q, t, order)) for k, t in D.terms.items()}
+    method = "curvature" if exact else "numeric"
+    h = taylor.from_jets(dim, geometry.sqrt_g_jet(model, q, order, method, power=-0.5))
+    sqrt_g = taylor.from_jets(dim, geometry.sqrt_g_jet(model, q, order, method))
+    if exact:
         gamma_jets = [np.zeros((dim,) * 3)]
         if order >= 1:
             gamma_jets.append(_gamma_frame_derivative(model, q))
-        # connection jets beyond those read by the pairing are padded with
-        # zeros: a rank-r pairing only consumes connection data through
-        # order r - 1.
-        while len(gamma_jets) < order + 1:
-            gamma_jets.append(np.zeros((dim,) * (3 + len(gamma_jets))))
-        h = taylor.from_jets(dim, h_jets)
-        sqrt_g = taylor.from_jets(dim, g_jets)
-        gamma = taylor.from_jets(dim, gamma_jets)
-        coeff = {
-            k: taylor.from_jets(dim, _coeff_jets_curvature(model, q, t, order))
-            for k, t in D.terms.items()
-        }
-        return _PairingData(h, sqrt_g, gamma, coeff, p_frame)
-    if mode != "numeric":
-        raise ConfigError(f"unknown dequantization mode {mode!r}")
-
-    sqrt_fn = geometry.sqrt_g_normal_fn(model, q)
-    h = _scalar_jet_series(lambda xi: sqrt_fn(xi) ** -0.5, dim, order)
-    sqrt_g = _scalar_jet_series(sqrt_fn, dim, order)
-    normal_model = ManifoldModel(
-        name=f"{model.name}-normal",
-        dim=dim,
-        coords=tuple(geometry.CoordSpec(f"xi{i}") for i in range(dim)),
-        metric_fn=geometry.normal_metric_fn(model, q),
-    )
-    gamma_jets = numdiff.jet(
-        lambda xi: geometry.christoffel(normal_model, xi), np.zeros(dim), max(order - 1, 0),
-        step=5e-2,
-    )
+    else:
+        normal_model = ManifoldModel(
+            name=f"{model.name}-normal",
+            dim=dim,
+            coords=tuple(geometry.CoordSpec(f"xi{i}") for i in range(dim)),
+            metric_fn=geometry.normal_metric_fn(model, q),
+        )
+        gamma_jets = numdiff.jet(
+            lambda xi: geometry.christoffel(normal_model, xi), np.zeros(dim), max(order - 1, 0),
+            step=5e-2,
+        )
+    # connection jets beyond those read by the pairing are padded with zeros:
+    # a rank-r pairing only consumes connection data through order r - 1.
     while len(gamma_jets) < order + 1:
         gamma_jets.append(np.zeros((dim,) * (3 + len(gamma_jets))))
-    gamma = taylor.from_jets(dim, gamma_jets)
-    coeff = {
-        k: taylor.from_jets(dim, _coeff_jets_numeric(model, q, t, order))
-        for k, t in D.terms.items()
-    }
-    return _PairingData(h, sqrt_g, gamma, coeff, p_frame)
+    return _PairingData(h, sqrt_g, taylor.from_jets(dim, gamma_jets), coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -559,9 +397,9 @@ def dequantize_curved(
     q = np.asarray(q, dtype=float)
     geometry.check_point(model, q)
     order = D.max_order
-    data = _pairing_data(model, q, D, p, order, mode)
+    data = _pairing_data(model, q, D, order, mode)
     dim = model.dim
-    phase = _phase_series(dim, order, data.p_frame, hbar)
+    phase = _phase_series(dim, order, geometry.normal_frame(model, q).T @ p, hbar)
     h_rev = taylor.negate_argument(data.h)
     if measure_variant == "paper":
         w = taylor.mul(data.sqrt_g, taylor.mul(h_rev, phase))

@@ -167,9 +167,6 @@ class TensorField:
             flat[i] = field(q)
         return out if self.rank else out.reshape(())
 
-    def component(self, *index: int) -> ScalarField:
-        return self.comps[index] if self.rank else self.comps[()]
-
 
 def tensor_from_fields(dim: int, rank: int, assign: Callable[[tuple[int, ...]], ScalarField]) -> TensorField:
     """Build a symmetric tensor field; ``assign`` is called once per sorted index."""

@@ -7,6 +7,11 @@ curvature are derived symbolically, so they and all their partial derivatives
 are exact to round-off.  Only a model given by an opaque ``metric_fn`` falls
 back to finite differences (and Runge-Kutta geodesics without an ``exp_fn``).
 
+Covariant derivatives of component fields come from one builder,
+:func:`covariant_derivative_fields`, which the iterated derivatives of
+scalars and the divergence reuse; :func:`sqrt_g_jet` is the one source of
+normal-coordinate volume-density jets.
+
 Conventions:
 
 * curvature: ``R^r_{s m n} = d_m Gamma^r_{n s} - d_n Gamma^r_{m s}
@@ -18,7 +23,6 @@ Conventions:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,7 +37,6 @@ from .fields import (
     ScalarField,
     TensorField,
     add,
-    constant,
     from_callable,
     from_expression,
     multiply,
@@ -174,16 +177,6 @@ def check_point(model: ManifoldModel, q: np.ndarray, margin: float = CHART_MARGI
         hi = spec.upper if math.isinf(spec.upper) else spec.upper - margin
         if not (lo <= value <= hi):
             raise ChartDomainError(spec.name, float(value))
-    return q
-
-
-def wrap_point(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
-    """Wrap periodic coordinates into their fundamental interval."""
-    q = np.array(q, dtype=float)
-    for ax, spec in enumerate(model.coords):
-        if spec.periodic:
-            width = spec.upper - spec.lower
-            q[ax] = spec.lower + (q[ax] - spec.lower) % width
     return q
 
 
@@ -364,30 +357,35 @@ def sqrt_g_jet(
     max_order: int = 2,
     method: str = "auto",
     step: float = numdiff.DEFAULT_STEP,
+    power: float = 1.0,
 ) -> list[np.ndarray]:
-    """Jets of the normal-coordinate volume density ``sqrt(det g)`` at 0.
+    """Jets at 0 of a power ``(sqrt(det g))**power`` of the normal-coordinate
+    volume density, derivative axes in the orthonormal frame.
 
-    ``method``:
+    This is the one source of density jets: the pairing uses ``power`` 1 and
+    -1/2, the image's jet corrections use -1.  ``method``:
 
-    * ``"curvature"`` - closed form through order 2: value 1, vanishing
-      gradient, Hessian ``-(1/3) Ric`` in the orthonormal frame (orders 3+
-      not available).
+    * ``"curvature"`` - closed form: value 1, vanishing gradient, Hessian
+      ``-(power/3) Ric`` in the orthonormal frame; orders 3+ only on flat
+      models, where every jet beyond the value vanishes.
     * ``"numeric"`` - finite-difference jets of the pulled-back density.
-    * ``"auto"`` - flat models return exact trivial jets; curvature form when
-      it suffices; numeric otherwise.
+    * ``"auto"`` - the curvature form when it suffices, numeric otherwise.
     """
     q = np.asarray(q, dtype=float)
     dim = model.dim
     if method not in ("auto", "numeric", "curvature"):
         raise ConfigError(f"unknown jet method {method!r}")
-    if method == "auto" and model.flat:
+    if method == "auto":
+        method = "curvature" if model.flat or max_order <= 2 else "numeric"
+    if method == "numeric":
+        sqrt_fn = sqrt_g_normal_fn(model, q)
+        return numdiff.jet(lambda xi: sqrt_fn(xi) ** power, np.zeros(dim), max_order, step=step)
+    if model.flat:
         return [np.ones(()) if k == 0 else np.zeros((dim,) * k) for k in range(max_order + 1)]
-    if method == "curvature" or (method == "auto" and max_order <= 2):
-        if max_order > 2:
-            raise UnsupportedOrderError("curvature-form volume jets stop at order 2")
-        jets = [np.ones(()), np.zeros((dim,)), -ricci_in_frame(model, q) / 3.0]
-        return jets[: max_order + 1]
-    return numdiff.jet(sqrt_g_normal_fn(model, q), np.zeros(dim), max_order, step=step)
+    if max_order > 2:
+        raise UnsupportedOrderError("curvature-form volume jets stop at order 2")
+    jets = [np.ones(()), np.zeros((dim,)), -power * ricci_in_frame(model, q) / 3.0]
+    return jets[: max_order + 1]
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +394,53 @@ def sqrt_g_jet(
 
 def _christoffel_component_fields(model: ManifoldModel) -> np.ndarray:
     """Component fields of ``Gamma^c_{ab}``; finite differences only for an opaque metric."""
-    if model.connection_free:
-        return np.full((model.dim,) * 3, constant(model.dim, 0.0), dtype=object)
     if model._derived is not None:
         return model._fields["gamma"]
     comps = np.empty((model.dim,) * 3, dtype=object)
     for idx in np.ndindex(comps.shape):
         comps[idx] = from_callable(model.dim, lambda x, _i=idx: christoffel(model, x)[_i])
     return comps
+
+
+def _covariant_derivative_terms(
+    gamma: np.ndarray | None, comps: np.ndarray, upper: int, idx: tuple[int, ...]
+) -> list[ScalarField]:
+    """Summands of component ``idx`` of the covariant derivative of ``comps``;
+    the only code that builds connection terms.
+
+    ``idx`` lists the existing indices (``upper`` contravariant ones first)
+    followed by the new covariant index: the coordinate partial, then one
+    connection term per dummy index and slot (``gamma`` is ``None`` on a
+    connection-free chart).  The term order is part of the result: finite
+    differences taken of these fields amplify a changed rounding of the sum.
+    """
+    rest, e = idx[:-1], idx[-1]
+    terms = [comps[rest].partial(e)]
+    if gamma is None:
+        return terms
+    for g in range(gamma.shape[0]):
+        for i, r in enumerate(rest):
+            swapped = comps[rest[:i] + (g,) + rest[i + 1 :]]
+            if i < upper:  # + Gamma^r_{e g} T^{..g..}
+                terms.append(multiply(gamma[r, e, g], swapped))
+            else:  # - Gamma^g_{e r} T_{..g..}
+                terms.append(scale(multiply(gamma[g, e, r], swapped), -1.0))
+    return terms
+
+
+def covariant_derivative_fields(model: ManifoldModel, comps: np.ndarray, upper: int) -> np.ndarray:
+    """Component fields of the covariant derivative of a mixed tensor.
+
+    ``comps`` is an object array of component fields with ``upper``
+    contravariant axes first and covariant axes after them; the result has one
+    more axis, the new covariant index, last.
+    """
+    gamma = None if model.connection_free else _christoffel_component_fields(model)
+    out = np.empty(comps.shape + (model.dim,), dtype=object)
+    for idx in np.ndindex(out.shape):
+        terms = _covariant_derivative_terms(gamma, comps, upper, idx)
+        out[idx] = terms[0] if len(terms) == 1 else add(*terms)
+    return out
 
 
 def iterated_covariant_derivative_fields(
@@ -413,28 +450,13 @@ def iterated_covariant_derivative_fields(
 
     Entry ``k`` is an object array of shape ``(dim,)*k`` whose
     ``[a1, ..., ak]`` component field evaluates
-    ``nabla_{a1} ... nabla_{ak} psi`` (new index first, unsymmetrized).
+    ``nabla_{ak} ... nabla_{a1} psi`` (new index last, unsymmetrized).
     """
-    dim = model.dim
-    gamma = None if model.connection_free else _christoffel_component_fields(model)
     base = np.empty((), dtype=object)
     base[()] = psi
     levels = [base]
-    for order in range(1, max_order + 1):
-        prev = levels[-1]
-        cur = np.empty((dim,) * order, dtype=object)
-        for idx in itertools.product(range(dim), repeat=order):
-            a, rest = idx[0], idx[1:]
-            prev_field = prev[rest] if rest else prev[()]
-            terms = [prev_field.partial(a)]
-            if gamma is not None:
-                for slot, b in enumerate(rest):
-                    for c in range(dim):
-                        swapped = rest[:slot] + (c,) + rest[slot + 1 :]
-                        swapped_field = prev[swapped] if swapped else prev[()]
-                        terms.append(scale(multiply(gamma[c, a, b], swapped_field), -1.0))
-            cur[idx] = terms[0] if len(terms) == 1 else add(*terms)
-        levels.append(cur)
+    for _ in range(max_order):
+        levels.append(covariant_derivative_fields(model, levels[-1], 0))
     return levels
 
 
@@ -468,30 +490,23 @@ def sym_cov_deriv_in_frame(
 def covariant_divergence(model: ManifoldModel, tensor: TensorField) -> TensorField:
     """Covariant divergence of a symmetric contravariant tensor field.
 
-    ``(nabla . X)^{J} = nabla_b X^{bJ}``: the coordinate divergence plus the
-    trace-of-connection term and one connection term per remaining slot.
-    Returns a rank ``tensor.rank - 1`` tensor field built from derivative-exact
-    field combinators.
+    ``(nabla . X)^{J} = nabla_b X^{bJ}``: the trace of the first slot of the
+    covariant derivative with its new index, built only for the traced
+    components.  Returns a rank ``tensor.rank - 1`` tensor field.
     """
     if tensor.rank == 0:
         raise ValueError("cannot take the divergence of a rank-0 tensor")
     dim = model.dim
-    gamma = _christoffel_component_fields(model)
+    gamma = None if model.connection_free else _christoffel_component_fields(model)
 
     def assign(idx: tuple[int, ...]) -> ScalarField:
-        terms = []
-        for b in range(dim):
-            terms.append(tensor.comps[(b,) + idx].partial(b))
-            for g in range(dim):
-                # Gamma^b_{bg} X^{gJ}
-                terms.append(multiply(gamma[b, b, g], tensor.comps[(g,) + idx]))
-                for slot in range(len(idx)):
-                    # Gamma^{J_slot}_{bg} X^{bg, J minus slot}
-                    rest = idx[:slot] + idx[slot + 1 :]
-                    terms.append(
-                        multiply(gamma[idx[slot], b, g], tensor.comps[(b, g) + rest])
-                    )
-        return add(*terms)
+        return add(
+            *[
+                term
+                for b in range(dim)
+                for term in _covariant_derivative_terms(gamma, tensor.comps, tensor.rank, (b,) + idx + (b,))
+            ]
+        )
 
     return tensor_from_fields(dim, tensor.rank - 1, assign)
 

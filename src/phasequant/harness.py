@@ -38,7 +38,6 @@ from .symbols import (
     MomentumPolynomial,
     OrderingScheme,
     delta_apply,
-    eval_symbol,
     flat_chart_delta_value,
     hermiticity_defect,
     operator_matrix,
@@ -263,6 +262,12 @@ class ExperimentConfig:
                 raise ConfigError(
                     "curved-defect needs a symbol of degree 2, "
                     "e.g. {'coefficient': 'inverse-metric', 'degree': 2}"
+                )
+            # the ricci-coefficient check divides by the scalar curvature
+            if geometry.manifold(self.manifold).flat:
+                raise ConfigError(
+                    f"curved-defect needs a curved manifold, got the flat {self.manifold!r}; "
+                    "use e.g. 'sphere:1.0'"
                 )
 
     @classmethod
@@ -654,7 +659,7 @@ def _run_flat_axioms(cfg: ExperimentConfig, out: _Checks) -> None:
             p = rng.uniform(-1.0, 1.0, size=1)
             x = rng.uniform(-1.0, 1.0, size=1)
             recovered = flat_weyl.dequantize_flat(scheme, D, p, x, hbar, model)
-            worst = max(worst, abs(recovered - eval_symbol(f, p, x)))
+            worst = max(worst, abs(recovered - f.evaluate(p, x)))
         return worst
 
     out.add(
@@ -719,7 +724,7 @@ def _run_orderings(cfg: ExperimentConfig, out: _Checks) -> None:
             p = rng.uniform(-1.0, 1.0, size=1)
             x = rng.uniform(-1.0, 1.0, size=1)
             recovered = flat_weyl.dequantize_flat(scheme, D, p, x, hbar, model)
-            worst = max(worst, abs(recovered - eval_symbol(f, p, x)))
+            worst = max(worst, abs(recovered - f.evaluate(p, x)))
         return worst
 
     out.add(
@@ -981,7 +986,7 @@ def _run_point_transform(cfg: ExperimentConfig, out: _Checks) -> None:
             p = rng.uniform(-1.0, 1.0, size=2)
 
             def plain(z):
-                return eval_symbol(f, z[:2], z[2:])
+                return f.evaluate(z[:2], z[2:])
 
             total = 0.0 + 0.0j
             for axis in range(2):
@@ -989,7 +994,7 @@ def _run_point_transform(cfg: ExperimentConfig, out: _Checks) -> None:
                 orders[axis] = 1
                 orders[2 + axis] = 1
                 total += complex(numdiff.partial_derivative(plain, np.concatenate([p, q]), orders))
-            worst = max(worst, abs(eval_symbol(derived, p, q) - (-hbar) * total))
+            worst = max(worst, abs(derived.evaluate(p, q) - (-hbar) * total))
         return worst
 
     out.add(
@@ -1007,7 +1012,7 @@ def _run_point_transform(cfg: ExperimentConfig, out: _Checks) -> None:
         for _ in range(20):
             q = np.array([rng.uniform(0.6, 1.8), rng.uniform(-2.5, 2.5)])
             p = rng.uniform(-1.2, 1.2, size=2)
-            direct = eval_symbol(derived, p, q)
+            direct = derived.evaluate(p, q)
             conjugated = flat_chart_delta_value(f, to_cartesian, from_cartesian, p, q, hbar)
             worst = max(worst, abs(direct - conjugated))
         return worst
@@ -1024,7 +1029,7 @@ def _run_point_transform(cfg: ExperimentConfig, out: _Checks) -> None:
     shifted = _measure("radial-momentum-shift", lambda: delta_apply(polar, radial, hbar))
 
     def shift_at(r: float) -> float:
-        return eval_symbol(shifted, np.array([0.3, -0.7]), np.array([r, 0.4])).real
+        return shifted.evaluate(np.array([0.3, -0.7]), np.array([r, 0.4])).real
 
     worst_shift = max(abs(shift_at(r) + hbar / r) for r in (0.5, 1.0, 2.0))
     out.add("radial-momentum-shift", worst_shift, 0.0, 1e-8, "PAPER Eq 2.49")
@@ -1043,7 +1048,7 @@ def _run_point_transform(cfg: ExperimentConfig, out: _Checks) -> None:
         divergence = geometry.covariant_divergence(polar, X)
         worst = 0.0
         for q in (np.array([0.8, 0.3]), np.array([1.6, -1.1])):
-            value = eval_symbol(derived, np.array([0.2, 0.4]), q)
+            value = derived.evaluate(np.array([0.2, 0.4]), q)
             want = -hbar * complex(np.asarray(divergence.evaluate(q)))
             worst = max(worst, abs(value - want))
         return worst

@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -169,23 +168,3 @@ def symmetrize(arr: np.ndarray, axes: Sequence[int] | None = None) -> np.ndarray
         order = [mapping.get(ax, ax) for ax in range(arr.ndim)]
         acc = acc + np.transpose(arr, order)
     return acc / len(perms)
-
-
-@dataclass(frozen=True)
-class JetTable:
-    """Taylor data of a scalar function at a point.
-
-    ``coefficients[k]`` is the symmetric array of k-th partial derivatives
-    (not divided by k!).
-    """
-
-    center: np.ndarray
-    max_order: int
-    coefficients: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if len(self.coefficients) != self.max_order + 1:
-            raise ValueError("coefficient list length must be max_order + 1")
-
-    def coefficient(self, order: int) -> np.ndarray:
-        return self.coefficients[order]

@@ -18,10 +18,8 @@ import numpy as np
 from . import geometry, numdiff
 from .errors import ConfigError, QuadratureAccuracyError, UnsupportedOrderError
 from .fields import (
-    ScalarField,
     TensorField,
     from_expression,
-    multiply,
     scale,
     tensor_add,
     tensor_constant,
@@ -40,7 +38,6 @@ class QuantizationContext:
     """Shared numerical settings for quantization maps."""
 
     hbar: float = 1.0
-    jet_tolerance: float = 1e-8
     quadrature_nodes: int = 192
     quadrature_tolerance: float = 1e-8
 
@@ -122,14 +119,6 @@ class CovariantOperator:
     def max_order(self) -> int:
         return max(self.terms, default=0)
 
-    def coefficient(self, order: int) -> np.ndarray | None:
-        tensor = self.terms.get(order)
-        return None if tensor is None else tensor
-
-
-def eval_symbol(f: MomentumPolynomial, p: np.ndarray, q: np.ndarray) -> complex:
-    return f.evaluate(p, q)
-
 
 def merge_terms(dim: int, *sources: dict[int, TensorField]) -> dict[int, TensorField]:
     """Add term dictionaries degree by degree."""
@@ -138,40 +127,6 @@ def merge_terms(dim: int, *sources: dict[int, TensorField]) -> dict[int, TensorF
         for degree, tensor in terms.items():
             buckets.setdefault(degree, []).append(tensor)
     return {d: (ts[0] if len(ts) == 1 else tensor_add(*ts)) for d, ts in buckets.items()}
-
-
-def apply_operator(
-    model: ManifoldModel, D: CovariantOperator, psi: ScalarField, q: np.ndarray
-) -> complex:
-    """Pointwise action of a covariant operator on a scalar field."""
-    q = np.asarray(q, dtype=float)
-    total = 0.0 + 0.0j
-    for order, tensor in D.terms.items():
-        derivs = geometry.sym_cov_deriv(model, psi, q, order)
-        coeff = tensor.evaluate(q)
-        total += complex(np.tensordot(coeff, np.asarray(derivs, dtype=complex), order))
-    return total
-
-
-def apply_operator_field(
-    model: ManifoldModel, D: CovariantOperator, psi: ScalarField
-) -> ScalarField:
-    """The operator image as a scalar field (for quadrature sweeps).
-
-    Contracts symmetric coefficients against unsymmetrized iterated covariant
-    derivatives, which is equivalent to contracting the symmetrized arrays.
-    """
-    from .fields import add as field_add
-
-    max_order = D.max_order
-    levels = geometry.iterated_covariant_derivative_fields(model, psi, max_order)
-    pieces = []
-    for order, tensor in D.terms.items():
-        level = levels[order]
-        for idx in itertools.product(range(model.dim), repeat=order):
-            cov = level[idx] if order else level[()]
-            pieces.append(multiply(tensor.comps[idx] if order else tensor.comps[()], cov))
-    return field_add(*pieces)
 
 
 def operator_matrix(
@@ -327,7 +282,7 @@ def flat_chart_delta_value(
     def symbol_in_cartesian(z: np.ndarray) -> complex:
         pc, xc = z[:dim], z[dim:]
         qq = np.asarray(from_cartesian(xc), dtype=float)
-        return eval_symbol(f, jacobian(qq).T @ pc, qq)
+        return f.evaluate(jacobian(qq).T @ pc, qq)
 
     x_c = np.asarray(to_cartesian(q), dtype=float)
     p_c = np.linalg.solve(jacobian(q).T, p)

@@ -148,11 +148,6 @@ def derivative(s: Series, base_position: int) -> Series:
     return Series(s.dim, s.order - 1, s.base_rank + 1, coeffs)
 
 
-def move_base_axis(s: Series, src: int, dst: int) -> Series:
-    coeffs = [np.moveaxis(c, src, dst) for c in s.coeffs]
-    return Series(s.dim, s.order, s.base_rank, coeffs)
-
-
 def identity_pair(s: Series, pos_a: int, pos_b: int) -> Series:
     """Tensor ``delta_{ab} * s`` with the two new base axes at given positions.
 

@@ -27,7 +27,6 @@ from phasequant.symbols import (
     MomentumPolynomial,
     OrderingScheme,
     delta_apply,
-    eval_symbol,
     flat_chart_delta_value,
     hermiticity_defect,
     operator_matrix,
@@ -90,7 +89,7 @@ def test_01_flat_symmetric_image_and_inverse():
         p = rng.uniform(-1.5, 1.5, size=1)
         x = rng.uniform(-1.0, 1.0, size=1)
         worst_rt = max(
-            worst_rt, abs(flat_weyl.dequantize_flat(weyl, D, p, x, model=model) - eval_symbol(f, p, x))
+            worst_rt, abs(flat_weyl.dequantize_flat(weyl, D, p, x, model=model) - f.evaluate(p, x))
         )
 
     ok = worst_coeff < 1e-12 and worst_rt < 1e-12
@@ -275,14 +274,14 @@ def test_05_chart_covariance_of_momentum_shift():
     for _ in range(20):
         q = np.array([rng.uniform(0.6, 1.8), rng.uniform(-2.5, 2.5)])
         p = rng.uniform(-1.2, 1.2, size=2)
-        direct = eval_symbol(derived, p, q)
+        direct = derived.evaluate(p, q)
         conjugated = flat_chart_delta_value(f, to_cartesian, from_cartesian, p, q)
         chart_gap = max(chart_gap, abs(direct - conjugated))
 
     radial = MomentumPolynomial(2, {1: tensor_constant(2, np.array([1.0, 0.0]))})
     shifted = delta_apply(polar, radial)
     shift_gap = max(
-        abs(eval_symbol(shifted, np.array([0.3, -0.7]), np.array([rad, 0.4])).real + 1.0 / rad)
+        abs(shifted.evaluate(np.array([0.3, -0.7]), np.array([rad, 0.4])).real + 1.0 / rad)
         for rad in (0.5, 1.0, 2.0)
     )
 

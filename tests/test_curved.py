@@ -5,7 +5,7 @@ import pytest
 
 from phasequant import curved, flat_weyl, geometry, numdiff
 from phasequant.errors import ConfigError, UnsupportedOrderError
-from phasequant.fields import from_expression, tensor_from_array_callable, tensor_from_fields
+from phasequant.fields import from_expression, tensor_from_fields
 from phasequant.symbols import MomentumPolynomial, symbol_from_config
 
 UNIT_SPHERE = geometry.sphere(1.0)
@@ -22,40 +22,6 @@ def coefficient_values(D, order, q):
     if tensor is None:
         return np.zeros(())
     return np.asarray(tensor.evaluate(np.asarray(q, dtype=float)))
-
-
-# ---------------------------------------------------------------------------
-# volume-density jets
-
-
-def test_volume_jets_trivial_on_flat_models():
-    jets = curved.volume_ratio_jets(geometry.polar_plane(), np.array([1.2, 0.5]), 2)
-    assert float(jets[0]) == 1.0
-    np.testing.assert_allclose(jets[1], 0.0, atol=0.0)
-    np.testing.assert_allclose(jets[2], 0.0, atol=0.0)
-
-
-def test_volume_jets_second_order_is_third_of_ricci():
-    jets = curved.volume_ratio_jets(UNIT_SPHERE, Q0, 2, method="curvature")
-    np.testing.assert_allclose(jets[2], geometry.ricci(UNIT_SPHERE, Q0) / 3.0, atol=1e-9)
-
-
-def test_volume_jets_numeric_agrees_with_curvature_form():
-    numeric = curved.volume_ratio_jets(UNIT_SPHERE, Q0, 2, method="numeric")
-    closed = curved.volume_ratio_jets(UNIT_SPHERE, Q0, 2, method="curvature")
-    assert float(numeric[0]) == pytest.approx(1.0, abs=1e-9)
-    np.testing.assert_allclose(numeric[1], 0.0, atol=1e-6)
-    np.testing.assert_allclose(numeric[2], closed[2], atol=1e-5)
-
-
-def test_volume_jets_curvature_form_order_cap():
-    with pytest.raises(UnsupportedOrderError):
-        curved.volume_ratio_jets(UNIT_SPHERE, Q0, 3, method="curvature")
-
-
-def test_volume_jets_unknown_method():
-    with pytest.raises(ConfigError):
-        curved.volume_ratio_jets(UNIT_SPHERE, Q0, 2, method="magic")
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +114,16 @@ def test_flat_round_trip_through_curved_pairing():
     p = np.array([0.7, 0.2])
     got = curved.dequantize_curved(model, D, p, q)
     assert got == pytest.approx(f.evaluate(p, q), abs=1e-10)
+    # point-dependent degree-3 and degree-1 terms: the flat pairing is exact
+    # at every order, not only through order 2
+    cubic = from_expression("x*x*y + 0.5*sin(x)", model.coordinate_names)
+    linear = from_expression("cos(y) - x", model.coordinate_names)
+    f3 = MomentumPolynomial(
+        2, {3: tensor_from_fields(2, 3, lambda idx: cubic), 1: tensor_from_fields(2, 1, lambda idx: linear)}
+    )
+    D3 = curved.wue_weyl_image(model, f3)
+    for q, p in ((q, p), (np.array([-1.1, 0.4]), np.array([-0.5, 1.3]))):
+        assert abs(curved.dequantize_curved(model, D3, p, q) - f3.evaluate(p, q)) <= 1e-12
 
 
 def test_defect_on_unit_sphere_is_two_thirds():
@@ -161,10 +137,29 @@ def test_defect_scales_with_hbar_squared():
     assert d.real == pytest.approx(2.0 / 3.0 * 0.25, rel=1e-6)
 
 
-def test_defect_vanishes_on_flat_polar_chart():
+def test_defect_vanishes_on_flat_polar_chart(monkeypatch):
+    # Flat charts take the curvature-exact pairing: exact covariant jets of
+    # the coefficients, no finite differences even where the chart connection
+    # is nonzero.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("finite differences on a flat expression-built chart")
+
+    monkeypatch.setattr(numdiff, "partial_derivative", forbidden)
     model = geometry.polar_plane()
-    d = curved.axiom_defect(model, kinetic_energy(model), P0, np.array([1.2, 0.5]))
-    assert abs(d) < 1e-8
+    for q in (np.array([1.2, 0.5]), np.array([0.7, -2.1])):
+        d = curved.axiom_defect(model, kinetic_energy(model), P0, q)
+        assert abs(d) <= 1e-14
+
+
+def test_curvature_mode_order_cap_and_unknown_mode():
+    f = MomentumPolynomial(
+        2, {3: tensor_from_fields(2, 3, lambda idx: from_expression("cos(theta)", ("theta", "phi")))}
+    )
+    D = curved.wue_weyl_image(UNIT_SPHERE, f, measure_variant="emmrich")
+    with pytest.raises(UnsupportedOrderError):
+        curved.dequantize_curved(UNIT_SPHERE, D, P0, Q0, mode="curvature")
+    with pytest.raises(ConfigError):
+        curved.dequantize_curved(UNIT_SPHERE, D, P0, Q0, mode="symbolic")
 
 
 def test_emmrich_defect_also_two_thirds_for_kinetic_symbol():

@@ -7,7 +7,7 @@ import pytest
 
 from phasequant import geometry
 from phasequant.errors import ChartDomainError, ConfigError, UnsupportedOrderError
-from phasequant.fields import from_expression, tensor_from_array_callable
+from phasequant.fields import from_expression, tensor_from_array_callable, tensor_from_fields
 
 
 @pytest.fixture(scope="module")
@@ -61,12 +61,6 @@ def test_check_point_rejects_chart_boundary(sphere, polar):
     with pytest.raises(ChartDomainError):
         geometry.check_point(polar, np.array([-0.5, 0.0]))
     geometry.check_point(sphere, np.array([1.2, 0.3]))
-
-
-def test_wrap_point_is_periodic():
-    circle = geometry.circle()
-    wrapped = geometry.wrap_point(circle, np.array([math.pi + 0.3]))
-    assert wrapped[0] == pytest.approx(-math.pi + 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -175,19 +169,25 @@ def test_normal_coordinates_anchor_at_origin(sphere):
 
 def test_sqrt_g_jet_flat_models_are_trivial():
     model = geometry.manifold("polar-plane")
-    jets = geometry.sqrt_g_jet(model, np.array([1.2, 0.5]), max_order=2)
-    assert float(jets[0]) == pytest.approx(1.0)
-    np.testing.assert_allclose(jets[1], 0.0, atol=1e-12)
-    np.testing.assert_allclose(jets[2], 0.0, atol=1e-12)
+    for power in (1.0, -0.5, -1.0):
+        jets = geometry.sqrt_g_jet(model, np.array([1.2, 0.5]), max_order=3, power=power)
+        assert float(jets[0]) == 1.0
+        for k in (1, 2, 3):
+            np.testing.assert_array_equal(jets[k], 0.0)
 
 
 def test_sqrt_g_jet_numeric_matches_curvature_form(sphere):
+    # (sqrt g)**power has the frame Hessian -(power/3) Ric: the pairing's
+    # density (1) and half-density (-1/2), and the image's reciprocal (-1).
     q = np.array([1.1, 0.4])
-    numeric = geometry.sqrt_g_jet(sphere, q, max_order=2, method="numeric")
-    reference = -geometry.ricci_in_frame(sphere, q) / 3.0
-    assert float(numeric[0]) == pytest.approx(1.0, abs=1e-9)
-    np.testing.assert_allclose(numeric[1], 0.0, atol=1e-6)
-    np.testing.assert_allclose(numeric[2], reference, atol=1e-5)
+    ricci_frame = geometry.ricci_in_frame(sphere, q)
+    for power in (1.0, -0.5, -1.0):
+        closed = geometry.sqrt_g_jet(sphere, q, max_order=2, method="curvature", power=power)
+        np.testing.assert_allclose(closed[2], -(power / 3.0) * ricci_frame, atol=1e-15)
+        numeric = geometry.sqrt_g_jet(sphere, q, max_order=2, method="numeric", power=power)
+        assert float(numeric[0]) == pytest.approx(1.0, abs=1e-9)
+        np.testing.assert_allclose(numeric[1], 0.0, atol=1e-6)
+        np.testing.assert_allclose(numeric[2], closed[2], atol=1e-5)
 
 
 def test_sqrt_g_jet_rejects_unknown_method(sphere):
@@ -219,6 +219,30 @@ def test_covariant_divergence_of_inverse_metric_vanishes(sphere):
     div = geometry.covariant_divergence(sphere, ginv)
     for q in (np.array([1.1, 0.4]), np.array([2.0, -0.9])):
         np.testing.assert_allclose(div.evaluate(q), 0.0, atol=1e-7)
+    # metric compatibility, exactly: every component of nabla g^{-1} vanishes
+    full = geometry.covariant_derivative_fields(sphere, geometry.inverse_metric_field(sphere).comps, 2)
+    assert full.shape == (2, 2, 2)
+    for q in (np.array([1.1, 0.4]), np.array([2.0, -0.9])):
+        values = np.array([complex(c(q)) for c in full.flat])
+        np.testing.assert_allclose(values, 0.0, atol=1e-13)
+
+
+def test_covariant_derivative_index_order(sphere):
+    # new covariant index last: nabla_e V^a sits at [a, e], and the divergence
+    # is its trace
+    V = from_expression("sin(theta)*cos(phi)", ("theta", "phi"))
+    W = from_expression("cos(theta) + phi", ("theta", "phi"))
+    comps = np.array([V, W], dtype=object)
+    grad = geometry.covariant_derivative_fields(sphere, comps, 1)
+    q = np.array([1.2, -0.6])
+    gamma = geometry.christoffel(sphere, q)
+    vec = np.array([V(q), W(q)])
+    partials = np.array([[c.partial(e)(q) for e in range(2)] for c in comps])
+    want = partials + np.einsum("aeg,g->ae", gamma, vec)
+    got = np.array([[grad[a, e](q) for e in range(2)] for a in range(2)])
+    np.testing.assert_allclose(got, want, atol=1e-14)
+    div = geometry.covariant_divergence(sphere, tensor_from_fields(2, 1, lambda idx: comps[idx]))
+    assert complex(div.evaluate(q)) == pytest.approx(np.trace(got), abs=1e-14)
 
 
 def test_covariant_divergence_rejects_scalars(sphere):

@@ -322,3 +322,12 @@ def test_cli_curved_defect_rejects_symbol_without_degree_two(tmp_path, capsys):
     assert run_cli("run", "--config", str(config_path), "--out", str(tmp_path / "out")) == 2
     assert "degree 2" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("manifold", ["circle", "polar-plane", "euclidean:2"])
+def test_cli_curved_defect_rejects_flat_manifold(tmp_path, capsys, manifold):
+    config_path = tmp_path / "cd.json"
+    config_path.write_text(json.dumps({"experiment": "curved-defect", "manifold": manifold}))
+    assert run_cli("run", "--config", str(config_path), "--out", str(tmp_path / "out")) == 2
+    assert repr(manifold) in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

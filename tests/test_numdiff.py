@@ -112,21 +112,6 @@ def test_symmetrize_partial_axes(rng):
     np.testing.assert_allclose(sym[0], (arr[0] + arr[0].T) / 2.0, atol=1e-14)
 
 
-def test_jet_table_validates_length():
-    with pytest.raises(ValueError):
-        numdiff.JetTable(np.zeros(1), max_order=2, coefficients=(np.zeros(()),))
-
-
-def test_jet_table_lookup():
-    table = numdiff.JetTable(
-        np.zeros(2),
-        max_order=1,
-        coefficients=(np.asarray(3.0), np.array([1.0, -2.0])),
-    )
-    assert float(table.coefficient(0)) == 3.0
-    np.testing.assert_allclose(table.coefficient(1), [1.0, -2.0])
-
-
 def test_stencil_tables_are_shared_and_read_only():
     offsets, weights = numdiff._stencil([1, 2])
     again = numdiff._stencil((1, 2))
