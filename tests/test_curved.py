@@ -25,6 +25,53 @@ def coefficient_values(D, order, q):
 
 
 # ---------------------------------------------------------------------------
+# volume-density jets
+
+
+def reciprocal_volume_jets(model, q, max_order, method="auto"):
+    """Jets of ``sqrt(g(q)) / sqrt(g(xi))`` with chart derivative axes, as the
+    image's jet contractions build them from the power -1 density jet."""
+    Einv = np.linalg.inv(geometry.normal_frame(model, q))
+    out = []
+    for k, jet in enumerate(geometry.sqrt_g_jet(model, q, max_order, method, power=-1.0)):
+        jet = np.asarray(jet, dtype=float)
+        for axis in range(k):
+            jet = np.moveaxis(np.tensordot(Einv, jet, axes=([0], [axis])), 0, axis)
+        out.append(jet)
+    return out
+
+
+def test_volume_jets_trivial_on_flat_models():
+    jets = reciprocal_volume_jets(geometry.polar_plane(), np.array([1.2, 0.5]), 2)
+    assert float(jets[0]) == 1.0
+    np.testing.assert_allclose(jets[1], 0.0, atol=0.0)
+    np.testing.assert_allclose(jets[2], 0.0, atol=0.0)
+
+
+def test_volume_jets_second_order_is_third_of_ricci():
+    jets = reciprocal_volume_jets(UNIT_SPHERE, Q0, 2, method="curvature")
+    np.testing.assert_allclose(jets[2], geometry.ricci(UNIT_SPHERE, Q0) / 3.0, atol=1e-9)
+
+
+def test_volume_jets_numeric_agrees_with_curvature_form():
+    numeric = reciprocal_volume_jets(UNIT_SPHERE, Q0, 2, method="numeric")
+    closed = reciprocal_volume_jets(UNIT_SPHERE, Q0, 2, method="curvature")
+    assert float(numeric[0]) == pytest.approx(1.0, abs=1e-9)
+    np.testing.assert_allclose(numeric[1], 0.0, atol=1e-6)
+    np.testing.assert_allclose(numeric[2], closed[2], atol=1e-5)
+
+
+def test_volume_jets_curvature_form_order_cap():
+    with pytest.raises(UnsupportedOrderError):
+        reciprocal_volume_jets(UNIT_SPHERE, Q0, 3, method="curvature")
+
+
+def test_volume_jets_unknown_method():
+    with pytest.raises(ConfigError):
+        reciprocal_volume_jets(UNIT_SPHERE, Q0, 2, method="magic")
+
+
+# ---------------------------------------------------------------------------
 # image maps
 
 
