@@ -11,8 +11,12 @@ The pairing reads its ingredients as jets in normal coordinates: coefficient
 jets from covariant derivatives (``geometry.covariant_derivative_fields``) and
 density jets from ``geometry.sqrt_g_jet``.  These are exact through operator
 order 2, and at every order on flat models, which are the zero-curvature case
-of the same path.  ``mode="numeric"`` (finite-difference jets) serves only
-operators of order above 2 on curved models.
+of the same path.  Finite-difference jets serve only operators of order
+above 2 on curved models.
+
+The images here are also the package's flat-space images: on a flat model
+every volume-density jet beyond order zero vanishes, and both maps reduce to
+the flat symmetric and standard orderings.
 
 Two measure conventions are supported for building and tracing operators:
 ``"paper"`` weights the pairing with the normal-coordinate volume density
@@ -30,17 +34,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import geometry, numdiff, taylor
-from .errors import ConfigError, UnsupportedOrderError
+from .errors import ConfigError
 from .fields import TensorField, symmetrized_contraction_field, tensor_add, tensor_scale
 from .geometry import ManifoldModel
-from .symbols import (
-    CovariantOperator,
-    MomentumPolynomial,
-    merge_terms,
-    ordering_scheme,
-    ordering_transform,
-    symbol_from_config,
-)
+from .symbols import CovariantOperator, MomentumPolynomial, merge_terms
 
 MEASURE_VARIANTS = ("paper", "emmrich")
 
@@ -136,7 +133,8 @@ def wue_standard_image(
     """All-derivatives-to-the-right operator on a manifold.
 
     Single jet cascade, no divergence terms:
-    ``(hbar/i)^m sum_k 2^-k C(m,k) X~_k nabla^(m-k)``.
+    ``(hbar/i)^m sum_k 2^-k C(m,k) X~_k nabla^(m-k)``; on flat models
+    only ``k = 0`` survives, ``(hbar/i)^m X d^m``.
     """
     _check_variant(measure_variant)
     terms: dict[int, TensorField] = {}
@@ -221,7 +219,7 @@ class _PairingData:
 
 
 def _coeff_jets_numeric(
-    model: ManifoldModel, q: np.ndarray, tensor: TensorField, order: int, steps: int = 128
+    model: ManifoldModel, q: np.ndarray, tensor: TensorField, order: int
 ) -> list[np.ndarray]:
     """Finite-difference pullback jets of a contravariant coefficient tensor."""
     dim, rank = model.dim, tensor.rank
@@ -229,7 +227,7 @@ def _coeff_jets_numeric(
 
     def pull(xi: np.ndarray) -> np.ndarray:
         v = E @ xi
-        y = geometry.exp_map(model, q, v, steps=steps)
+        y = geometry.exp_map(model, q, v)
         J = geometry.exp_jacobian(model, q, v) @ E
         Ji = np.linalg.inv(J)
         vals = tensor.evaluate(y)
@@ -251,11 +249,6 @@ def _coeff_jets_curvature(
     also subtracts the connection's first jet contracted into each
     contravariant slot; flat models need no correction at any order.
     """
-    if order > 2 and not model.flat:
-        raise UnsupportedOrderError(
-            "curvature-exact dequantization stops at operator order 2 on curved "
-            "models; use mode='numeric' for higher orders"
-        )
     rank = tensor.rank
     E = geometry.normal_frame(model, q)
     Einv = np.linalg.inv(E)
@@ -287,14 +280,12 @@ def _coeff_jets_curvature(
 
 
 def _pairing_data(
-    model: ManifoldModel, q: np.ndarray, D: CovariantOperator, order: int, mode: str
+    model: ManifoldModel, q: np.ndarray, D: CovariantOperator, order: int
 ) -> _PairingData:
     """Ingredient series at ``q``: curvature-exact on flat models and for
     orders up to 2, finite differences only for higher orders on curved ones."""
-    if mode not in ("auto", "curvature", "numeric"):
-        raise ConfigError(f"unknown dequantization mode {mode!r}")
     dim = model.dim
-    exact = model.flat or mode == "curvature" or (mode == "auto" and order <= 2)
+    exact = model.flat or order <= 2
     coeff_jets = _coeff_jets_curvature if exact else _coeff_jets_numeric
     coeff = {k: taylor.from_jets(dim, coeff_jets(model, q, t, order)) for k, t in D.terms.items()}
     method = "curvature" if exact else "numeric"
@@ -380,7 +371,6 @@ def dequantize_curved(
     q: np.ndarray,
     hbar: float = 1.0,
     measure_variant: str = "paper",
-    mode: str = "auto",
 ) -> complex:
     """Trace the operator against the quantizer at one phase-space point.
 
@@ -397,7 +387,7 @@ def dequantize_curved(
     q = np.asarray(q, dtype=float)
     geometry.check_point(model, q)
     order = D.max_order
-    data = _pairing_data(model, q, D, order, mode)
+    data = _pairing_data(model, q, D, order)
     dim = model.dim
     phase = _phase_series(dim, order, geometry.normal_frame(model, q).T @ p, hbar)
     h_rev = taylor.negate_argument(data.h)
@@ -419,11 +409,10 @@ def axiom_defect(
     q: np.ndarray,
     hbar: float = 1.0,
     measure_variant: str = "paper",
-    mode: str = "auto",
 ) -> complex:
     """Deviation of quantize-then-dequantize from the identity at one point."""
     D = wue_weyl_image(model, f, hbar, measure_variant)
-    value = dequantize_curved(model, D, p, q, hbar, measure_variant, mode)
+    value = dequantize_curved(model, D, p, q, hbar, measure_variant)
     return f.evaluate(np.atleast_1d(np.asarray(p, dtype=float)), np.asarray(q, dtype=float)) - value
 
 
@@ -459,31 +448,3 @@ def defect_curvature_coefficient(
     if denom == 0.0:
         raise ConfigError("curvature contraction vanishes at every sample point")
     return float(weights_arr @ defects_arr / denom)
-
-
-# ---------------------------------------------------------------------------
-# config-facing request
-
-
-@dataclass(frozen=True)
-class WueImageRequest:
-    """A declarative image request: manifold, symbol, ordering, measure."""
-
-    manifold: str
-    symbol: object
-    ordering: str = "weyl"
-    measure_variant: str = "paper"
-
-    def build(
-        self, hbar: float = 1.0
-    ) -> tuple[ManifoldModel, MomentumPolynomial, CovariantOperator]:
-        model = geometry.manifold(self.manifold)
-        f = symbol_from_config(model, self.symbol)
-        _check_variant(self.measure_variant)
-        if self.ordering == "standard":
-            D = wue_standard_image(model, f, hbar, self.measure_variant)
-        else:
-            A = ordering_scheme(self.ordering, hbar)
-            g = ordering_transform(model, A, f, hbar)
-            D = wue_weyl_image(model, g, hbar, self.measure_variant)
-        return model, f, D

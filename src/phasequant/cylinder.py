@@ -31,12 +31,14 @@ from .curved import wue_weyl_image
 from .errors import ConfigError, QuadratureAccuracyError
 from .fields import ScalarField, tensor_from_fields
 from .geometry import circle
-from .symbols import MomentumPolynomial, QuantizationContext, operator_matrix
+from .symbols import MomentumPolynomial, operator_matrix
 
 MAX_TRUNCATION = 64
 PROFILES = ("smoothstep", "classic-bump", "indicator")
 
 QUAD_TOLERANCE = 1e-11
+# Mollifier-ladder members j = 1..LADDER_STEPS compared by discrete_limit_check.
+LADDER_STEPS = 4
 
 
 def _check_truncation(K: int) -> None:
@@ -208,9 +210,7 @@ def polynomial_reproduction_check(
     chi: CutoffFamily,
     K: int,
     hbar: float = 1.0,
-    ctx: QuantizationContext | None = None,
-    full: bool = False,
-):
+) -> float:
     """Residual of dequantizing the operator matrix of ``X(theta) p^m`` on the cylinder.
 
     The trace ``Tr{quantizer * matrix}`` is evaluated band by band: entries of
@@ -218,7 +218,6 @@ def polynomial_reproduction_check(
     full index sum has the closed form ``e^{i d theta} P_d((2p/hbar - d)/2)``
     per band ``d`` (the cutoff's plateau kills every other Poisson term).  The
     residual therefore reflects operator-matrix quadrature, not the cutoff.
-    With ``full=True`` the raw truncated trace is reported alongside.
     """
     _check_truncation(K)
     if m < 0:
@@ -226,7 +225,7 @@ def polynomial_reproduction_check(
     model = circle()
     f = MomentumPolynomial(1, {m: tensor_from_fields(1, m, lambda idx: X)})
     D = wue_weyl_image(model, f, hbar)
-    F = operator_matrix(model, D, FourierBasis(), K, ctx)
+    F = operator_matrix(model, D, FourierBasis(), K)
     c = 2.0 * p / hbar
 
     scale = np.max(np.abs(F))
@@ -240,31 +239,11 @@ def polynomial_reproduction_check(
         completed += np.exp(1j * d * theta) * np.polynomial.polynomial.polyval((c - d) / 2.0, coeffs)
 
     exact = complex(X(np.array([theta]))) * p**m
-    residual = abs(complex(completed) - exact)
-    if not full:
-        return residual
-    omega = quantizer_matrix_cyl(p, theta, chi, K, hbar)
-    raw = complex(np.sum(omega * F.T))
-    return {"residual": residual, "completed": complex(completed), "raw": raw, "exact": exact}
+    return abs(complex(completed) - exact)
 
 
 # ---------------------------------------------------------------------------
 # pair traces and smeared diagnostics
-
-
-def pair_trace_cyl(
-    p: float,
-    theta: float,
-    p2: float,
-    theta2: float,
-    chi: CutoffFamily,
-    K: int,
-    hbar: float = 1.0,
-) -> complex:
-    """Truncated ``Tr{quantizer(p, theta) quantizer(p2, theta2)}``."""
-    A = quantizer_matrix_cyl(p, theta, chi, K, hbar)
-    B = quantizer_matrix_cyl(p2, theta2, chi, K, hbar)
-    return complex(np.sum(A * B.T))
 
 
 def periodic_test_function(center: float, width: float) -> Callable[[float], float]:
@@ -358,24 +337,17 @@ def discrete_quantizer(n: int, theta: float, K: int) -> np.ndarray:
     return np.outer(np.conj(phase), phase) * hankel / math.pi
 
 
-def discrete_limit_check(
-    n: int,
-    theta: float,
-    K: int,
-    steps: int = 4,
-    start: int = 1,
-    profile: str = "smoothstep",
-) -> np.ndarray:
+def discrete_limit_check(n: int, theta: float, K: int) -> np.ndarray:
     """Max-entry error of the mollifier-ladder quantizer against the discrete one.
 
-    Returns one error per ladder index ``j = start, ..., start + steps - 1``;
-    the sequence decreases strictly as the cutoffs shrink onto the indicator
-    of ``[-pi/2, pi/2]``.
+    Returns one error per ladder index ``j = 1, ..., LADDER_STEPS`` of the
+    smoothstep ladder; the sequence decreases strictly as the cutoffs shrink
+    onto the indicator of ``[-pi/2, pi/2]``.
     """
     target = discrete_quantizer(n, theta, K)
     errors = []
-    for j in range(start, start + steps):
-        chi = CutoffFamily.mollifier(j, profile)
+    for j in range(1, LADDER_STEPS + 1):
+        chi = CutoffFamily.mollifier(j)
         approx = quantizer_matrix_cyl(float(n), theta, chi, K)
         errors.append(float(np.max(np.abs(approx - target))))
     return np.array(errors)
@@ -415,7 +387,6 @@ def discrete_quantize(
     N: int,
     K: int,
     hbar: float = 1.0,
-    nodes: int | None = None,
 ) -> np.ndarray:
     """Quantization map ``sum_{|n|<=N} int dtheta/(2 pi) f(n hbar, theta) quantizer(n, theta)``.
 
@@ -427,7 +398,7 @@ def discrete_quantize(
     _check_truncation(K)
     if N < 0:
         raise ConfigError(f"momentum cap must be >= 0, got {N}")
-    M = nodes if nodes is not None else max(4 * K + 4, 64)
+    M = max(4 * K + 4, 64)
     grid = -math.pi + 2.0 * math.pi * np.arange(M) / M
     ks = np.arange(-K, K + 1)
     kdiff = ks[None, :] - ks[:, None]

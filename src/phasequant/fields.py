@@ -5,7 +5,8 @@ a field is built from the expression grammar (or another analytic source) its
 partials are exact; otherwise they fall back to the shared finite-difference
 engine.  All symbol/operator coefficient algebra in the package is expressed
 through these objects, which keeps forward and inverse maps numerically
-consistent.
+consistent.  Covariant derivatives and divergences of these fields, the
+Cartesian ones included, are built in ``geometry``.
 """
 
 from __future__ import annotations
@@ -218,20 +219,6 @@ def tensor_from_array_callable(dim: int, rank: int, fn: Callable[[np.ndarray], n
         return from_callable(dim, lambda q: complex(np.asarray(fn(q))))
 
     return tensor_from_fields(dim, rank, assign)
-
-
-def plain_divergence(t: TensorField) -> TensorField:
-    """Coordinate divergence ``(d . X)^{J} = sum_b d_b X^{bJ}`` (no connection).
-
-    For a symmetric input the result is symmetric, so components are shared.
-    """
-    if t.rank == 0:
-        raise ValueError("cannot take the divergence of a rank-0 tensor")
-
-    def assign(idx: tuple[int, ...]) -> ScalarField:
-        return add(*[t.comps[(b,) + idx].partial(b) for b in range(t.dim)])
-
-    return tensor_from_fields(t.dim, t.rank - 1, assign)
 
 
 def symmetrized_contraction_field(t: TensorField, weight_fn: Callable[[np.ndarray], np.ndarray], k: int) -> TensorField:

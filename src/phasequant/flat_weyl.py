@@ -1,65 +1,35 @@
 """Quantization maps on flat space in Cartesian-type charts.
 
-Implements the closed-form symbol-to-operator maps for momentum polynomials,
-their exact inverses, an explicit quantizer kernel in the scaled Hermite
-basis (with trace diagnostics), and a numerically quantized map for
-trace-class phase-space functions used in pairing checks.
+The symbol-to-operator map itself is the flat case of the covariant image
+(:func:`curved.wue_weyl_image` on a flat model, where every volume-density
+jet beyond order zero vanishes).  This module keeps what is particular to
+flat space: the A-ordered image, the exact inverse of the symmetric image,
+an explicit quantizer kernel in the scaled Hermite basis (with trace
+diagnostics), and a numerically quantized map for trace-class phase-space
+functions used in pairing checks.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
 from . import geometry
 from .bases import gauss_hermite, hermite_polynomial_values
+from .curved import _binomial_weight, _iter_cov_div, wue_weyl_image
 from .errors import InversionError
-from .fields import TensorField, plain_divergence, tensor_add, tensor_scale
+from .fields import TensorField, tensor_add, tensor_scale
 from .geometry import ManifoldModel
 from .symbols import (
     CovariantOperator,
     MomentumPolynomial,
     OrderingScheme,
-    merge_terms,
     ordering_transform,
 )
 
-
-def _binomial_weight(m: int, k: int) -> float:
-    """Exact dyadic weight ``C(m, k) / 2^k`` for the symmetric-ordering sum."""
-    return float(Fraction(math.comb(m, k), 2**k))
-
-
-def _iterated_divergence(tensor: TensorField, times: int) -> TensorField:
-    for _ in range(times):
-        tensor = plain_divergence(tensor)
-    return tensor
-
-
-def weyl_image_flat(f: MomentumPolynomial, hbar: float = 1.0) -> CovariantOperator:
-    """Symmetric-ordering operator of a momentum polynomial on flat space.
-
-    A degree-``m`` term with coefficient ``X`` maps to
-    ``(hbar/i)^m sum_k 2^(-k) C(m,k) (d^k . X) d^(m-k)`` where ``d^k . X``
-    contracts ``k`` coordinate divergences into ``X``.
-    """
-    terms: dict[int, TensorField] = {}
-    for m, X in f.terms.items():
-        front = (-1j * hbar) ** m
-        for k in range(m + 1):
-            piece = tensor_scale(_iterated_divergence(X, k), front * _binomial_weight(m, k))
-            terms = merge_terms(f.dim, terms, {m - k: piece})
-    return CovariantOperator(f.dim, terms)
-
-
-def standard_image_flat(f: MomentumPolynomial, hbar: float = 1.0) -> CovariantOperator:
-    """All-derivatives-to-the-right operator: ``(hbar/i)^m X d^m`` per term."""
-    terms = {
-        m: tensor_scale(X, (-1j * hbar) ** m) for m, X in f.terms.items()
-    }
-    return CovariantOperator(f.dim, terms)
+#: Relative defect above which :func:`dequantize_flat` rejects an operator.
+INVERSION_TOLERANCE = 1e-9
 
 
 def a_image_flat(
@@ -70,11 +40,17 @@ def a_image_flat(
 ) -> CovariantOperator:
     """Quantize with an ordering scheme: symmetric image of ``A(Delta) f``."""
     model = model or geometry.euclidean_space(f.dim)
-    return weyl_image_flat(ordering_transform(model, A, f, hbar), hbar)
+    return wue_weyl_image(model, ordering_transform(model, A, f, hbar), hbar)
 
 
 def weyl_symbol_flat(D: CovariantOperator, hbar: float = 1.0) -> MomentumPolynomial:
-    """Exact inverse of :func:`weyl_image_flat` by descending-order elimination.
+    """Exact inverse of the symmetric image on Euclidean space."""
+    return _weyl_symbol(geometry.euclidean_space(D.dim), D, hbar)
+
+
+def _weyl_symbol(model: ManifoldModel, D: CovariantOperator, hbar: float) -> MomentumPolynomial:
+    """Exact inverse of the symmetric image on a flat ``model`` by
+    descending-order elimination.
 
     The top-order coefficient fixes the top symbol term; each lower order is
     the operator coefficient minus the divergence cascade of the higher terms.
@@ -90,8 +66,8 @@ def weyl_symbol_flat(D: CovariantOperator, hbar: float = 1.0) -> MomentumPolynom
                 continue
             key = (m2, m2 - m)
             if key not in div_cache:
-                div_cache[key] = _iterated_divergence(recovered[m2], m2 - m)
-            weight = (-1j * hbar) ** m2 * _binomial_weight(m2, m2 - m)
+                div_cache[key] = _iter_cov_div(model, recovered[m2], m2 - m)
+            weight = (-1j * hbar) ** m2 * _binomial_weight(m2, 0, m2 - m)
             pieces.append(tensor_scale(div_cache[key], -weight))
         if not pieces:
             continue
@@ -107,53 +83,49 @@ def dequantize_flat(
     x: np.ndarray,
     hbar: float = 1.0,
     model: ManifoldModel | None = None,
-    check_tolerance: float | None = 1e-9,
 ) -> complex:
     """Recover the ``A``-ordered symbol value of a flat-space operator.
 
     Inverts the symmetric image exactly, then unwinds the ordering with the
-    formal inverse series.  When ``check_tolerance`` is set, the recovered
-    symbol is re-quantized and compared against the input operator at ``x``;
-    a mismatch raises :class:`InversionError` (it flags operators outside the
-    image of the polynomial calculus, e.g. non-symmetric coefficient data).
+    formal inverse series.  The recovered symbol is re-quantized and compared
+    against the input operator at ``x``; a relative mismatch above
+    :data:`INVERSION_TOLERANCE` raises :class:`InversionError` (it flags
+    operators outside the image of the polynomial calculus, e.g.
+    non-symmetric coefficient data).
     """
     model = model or geometry.euclidean_space(D.dim)
-    g = weyl_symbol_flat(D, hbar)
+    g = _weyl_symbol(model, D, hbar)
     f = ordering_transform(model, A.inverse(), g, hbar)
-    if check_tolerance is not None:
-        x_arr = np.asarray(x, dtype=float)
-        redone = a_image_flat(A, f, model, hbar)
-        scale_ref = 1.0
-        worst = 0.0
-        for order in set(D.terms) | set(redone.terms):
-            want = D.terms[order].evaluate(x_arr) if order in D.terms else 0.0
-            got = redone.terms[order].evaluate(x_arr) if order in redone.terms else 0.0
-            worst = max(worst, float(np.max(np.abs(np.asarray(want) - np.asarray(got)))))
-            scale_ref = max(scale_ref, float(np.max(np.abs(np.asarray(want)))))
-        if worst > check_tolerance * scale_ref:
-            raise InversionError(
-                f"operator is not reproduced by its recovered symbol (defect {worst:.3e})"
-            )
-    return f.evaluate(np.atleast_1d(np.asarray(p, dtype=float)), np.asarray(x, dtype=float))
+    x_arr = np.asarray(x, dtype=float)
+    redone = a_image_flat(A, f, model, hbar)
+    scale_ref = 1.0
+    worst = 0.0
+    for order in set(D.terms) | set(redone.terms):
+        want = D.terms[order].evaluate(x_arr) if order in D.terms else 0.0
+        got = redone.terms[order].evaluate(x_arr) if order in redone.terms else 0.0
+        worst = max(worst, float(np.max(np.abs(np.asarray(want) - np.asarray(got)))))
+        scale_ref = max(scale_ref, float(np.max(np.abs(np.asarray(want)))))
+    if worst > INVERSION_TOLERANCE * scale_ref:
+        raise InversionError(
+            f"operator is not reproduced by its recovered symbol (defect {worst:.3e})"
+        )
+    return f.evaluate(np.atleast_1d(np.asarray(p, dtype=float)), x_arr)
 
 
 # ---------------------------------------------------------------------------
 # explicit quantizer kernel in the scaled Hermite basis (one dimension)
 
 
-def quantizer_matrix_flat(
-    p: float, x: float, K: int, hbar: float = 1.0, nodes: int | None = None
-) -> np.ndarray:
+def quantizer_matrix_flat(p: float, x: float, K: int, hbar: float = 1.0) -> np.ndarray:
     """Phase-space kernel matrix in Hermite functions 0..K at one point.
 
     Entries are ``2 integral dxi exp(-2 i p xi / hbar) h_j(x - xi) h_k(x + xi)``
     evaluated with Gauss-Hermite quadrature after pulling out the shared
     Gaussian; node symmetry makes the result hermitian to rounding.
     """
-    nodes = nodes or max(4 * (K + 1), 32)
     s = math.sqrt(hbar)
     xt = x / s
-    u, w = gauss_hermite(nodes)
+    u, w = gauss_hermite(max(4 * (K + 1), 32))
     pm = hermite_polynomial_values(K, xt - u)  # (K+1, nodes)
     pp = hermite_polynomial_values(K, xt + u)
     phase = np.exp(-2j * p * u / s)
@@ -172,35 +144,23 @@ def quantizer_diag_flat(p: float, x: float, K: int, hbar: float = 1.0) -> np.nda
     return 2.0 * math.exp(-xt * xt) * np.einsum("i,ki,ki->k", w * phase, pm, pp)
 
 
-def flat_trace(p: float, x: float, K: int, hbar: float = 1.0, mode: str = "damped") -> complex:
+def flat_trace(p: float, x: float, K: int, hbar: float = 1.0) -> complex:
     """Regularized kernel trace at truncation scale ``K``.
 
     The sharp kernel is only conditionally trace-class: raw partial sums over
     Hermite diagonal elements oscillate without settling, so a summability
-    method is required.  ``raw`` returns the bare partial sum over the first
-    ``K`` functions, ``cesaro`` the average of its partial sums, and
-    ``damped`` (default) a Gaussian-weighted sum ``sum_k d_k exp(-(2k/K)^2)``
-    over the first ``2K`` diagonal entries, whose deviation from 1 decreases
-    monotonically in ``K``.
+    method is required.  This is a Gaussian-weighted sum
+    ``sum_k d_k exp(-(2k/K)^2)`` over the first ``2K`` diagonal entries,
+    whose deviation from 1 decreases monotonically in ``K``.
     """
-    if mode == "damped":
-        diag = quantizer_diag_flat(p, x, 2 * K - 1, hbar)
-        weights = np.exp(-((2.0 * np.arange(2 * K) / K) ** 2))
-        return complex(np.sum(diag * weights))
-    diag = quantizer_diag_flat(p, x, K - 1, hbar)
-    partial = np.cumsum(diag)
-    if mode == "raw":
-        return complex(partial[-1])
-    if mode == "cesaro":
-        return complex(np.mean(partial))
-    raise ValueError(f"unknown trace mode {mode!r}")
+    diag = quantizer_diag_flat(p, x, 2 * K - 1, hbar)
+    weights = np.exp(-((2.0 * np.arange(2 * K) / K) ** 2))
+    return complex(np.sum(diag * weights))
 
 
-def trace_ladder(
-    p: float, x: float, sizes: list[int], hbar: float = 1.0, mode: str = "damped"
-) -> list[float]:
+def trace_ladder(p: float, x: float, sizes: list[int], hbar: float = 1.0) -> list[float]:
     """Deviation ``|trace - 1|`` of the regularized truncated trace per size."""
-    return [abs(flat_trace(p, x, K, hbar, mode) - 1.0) for K in sizes]
+    return [abs(flat_trace(p, x, K, hbar) - 1.0) for K in sizes]
 
 
 def quantize_flat_numeric(
@@ -238,7 +198,6 @@ def quantize_gaussian_flat(
     sx: float,
     K: int,
     hbar: float = 1.0,
-    nodes: int | None = None,
 ) -> np.ndarray:
     """Quantize a phase-space Gaussian with the momentum integral done exactly.
 
@@ -248,7 +207,7 @@ def quantize_gaussian_flat(
     This avoids the dense sampling ``quantize_flat_numeric`` would need to
     resolve the kernel's phase-space oscillation at large ``K``.
     """
-    nodes = nodes or max(4 * (K + 1), 96)
+    nodes = max(4 * (K + 1), 96)
     s = math.sqrt(hbar)
     u, wu = gauss_hermite(nodes)  # scaled offset xi / s
     v, wv = gauss_hermite(nodes)  # scaled position x / s

@@ -49,6 +49,8 @@ from .fields import (
 
 # Safety margin (in chart units) kept away from open chart boundaries.
 CHART_MARGIN = 0.1
+# RK4 stages of a numerically integrated geodesic (models without ``exp_fn``).
+GEODESIC_STEPS = 128
 
 
 @dataclass(frozen=True)
@@ -259,11 +261,11 @@ def scalar_curvature(model: ManifoldModel, q: np.ndarray) -> float:
 # exponential map and normal coordinates
 
 
-def exp_map(model: ManifoldModel, q: np.ndarray, v: np.ndarray, steps: int = 128) -> np.ndarray:
+def exp_map(model: ManifoldModel, q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Geodesic endpoint ``exp_q(v)`` in chart coordinates.
 
     Uses the model's closed form when available, otherwise integrates the
-    geodesic equation with classical RK4 in ``steps`` stages.
+    geodesic equation with classical RK4 in :data:`GEODESIC_STEPS` stages.
     """
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -277,8 +279,8 @@ def exp_map(model: ManifoldModel, q: np.ndarray, v: np.ndarray, steps: int = 128
         return np.concatenate([u, acc])
 
     state = np.concatenate([q, v])
-    h = 1.0 / steps
-    for _ in range(steps):
+    h = 1.0 / GEODESIC_STEPS
+    for _ in range(GEODESIC_STEPS):
         k1 = rhs(state)
         k2 = rhs(state + 0.5 * h * k1)
         k3 = rhs(state + 0.5 * h * k2)
@@ -316,13 +318,11 @@ def normal_frame(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
     return E
 
 
-def normal_coordinates_map(
-    model: ManifoldModel, q: np.ndarray, steps: int = 128
-) -> Callable[[np.ndarray], np.ndarray]:
+def normal_coordinates_map(model: ManifoldModel, q: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
     """The map ``xi -> exp_q(E xi)`` from normal coordinates to the chart."""
     q = np.asarray(q, dtype=float)
     E = normal_frame(model, q)
-    return lambda xi: exp_map(model, q, E @ np.asarray(xi, dtype=float), steps=steps)
+    return lambda xi: exp_map(model, q, E @ np.asarray(xi, dtype=float))
 
 
 def normal_metric_fn(model: ManifoldModel, q: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
@@ -356,7 +356,6 @@ def sqrt_g_jet(
     q: np.ndarray,
     max_order: int = 2,
     method: str = "auto",
-    step: float = numdiff.DEFAULT_STEP,
     power: float = 1.0,
 ) -> list[np.ndarray]:
     """Jets at 0 of a power ``(sqrt(det g))**power`` of the normal-coordinate
@@ -379,7 +378,7 @@ def sqrt_g_jet(
         method = "curvature" if model.flat or max_order <= 2 else "numeric"
     if method == "numeric":
         sqrt_fn = sqrt_g_normal_fn(model, q)
-        return numdiff.jet(lambda xi: sqrt_fn(xi) ** power, np.zeros(dim), max_order, step=step)
+        return numdiff.jet(lambda xi: sqrt_fn(xi) ** power, np.zeros(dim), max_order)
     if model.flat:
         return [np.ones(()) if k == 0 else np.zeros((dim,) * k) for k in range(max_order + 1)]
     if max_order > 2:
@@ -516,8 +515,6 @@ def pullback_jet(
     psi: ScalarField,
     q: np.ndarray,
     max_order: int,
-    step: float = numdiff.DEFAULT_STEP,
-    steps: int = 128,
 ) -> list[np.ndarray]:
     """Finite-difference jets of ``psi`` composed with normal coordinates.
 
@@ -525,8 +522,8 @@ def pullback_jet(
     order by order.
     """
     q = np.asarray(q, dtype=float)
-    chart = normal_coordinates_map(model, q, steps=steps)
-    return numdiff.jet(lambda xi: psi(chart(xi)), np.zeros(model.dim), max_order, step=step)
+    chart = normal_coordinates_map(model, q)
+    return numdiff.jet(lambda xi: psi(chart(xi)), np.zeros(model.dim), max_order)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import datetime
+import functools
 import json
 import math
 from pathlib import Path
@@ -680,7 +681,7 @@ def _run_orderings(cfg: ExperimentConfig, out: _Checks) -> None:
 
     def weyl_identity():
         f = _random_flat_symbol(rng)
-        direct = flat_weyl.weyl_image_flat(f, hbar)
+        direct = curved.wue_weyl_image(model, f, hbar)
         through = flat_weyl.a_image_flat(ordering_scheme("weyl"), f, model, hbar)
         return _operator_difference(direct, through, probes)
 
@@ -702,7 +703,7 @@ def _run_orderings(cfg: ExperimentConfig, out: _Checks) -> None:
                 else tensor_from_fields(1, degree, lambda idx, f=field: f)
             )
             f = MomentumPolynomial(1, {degree: tensor})
-            direct = flat_weyl.standard_image_flat(f, hbar)
+            direct = curved.wue_standard_image(model, f, hbar)
             through = flat_weyl.a_image_flat(ordering_scheme("standard"), f, model, hbar)
             worst = max(worst, _operator_difference(direct, through, probes))
         return worst
@@ -813,8 +814,6 @@ def _run_curved_defect(cfg: ExperimentConfig, out: _Checks) -> None:
         scalar_curv = float(
             np.tensordot(geometry.inverse_metric(model, q0), geometry.ricci(model, q0), 2)
         )
-        if abs(scalar_curv) < 1e-12:
-            raise ConfigError("ricci-coefficient needs a curved manifold")
         f2 = MomentumPolynomial(
             2, {2: symbol_from_config(model, {"coefficient": "inverse-metric", "degree": 2}).terms[2]}
         )
@@ -1149,6 +1148,7 @@ def _run_cylinder_axioms(cfg: ExperimentConfig, out: _Checks) -> None:
     theta0, p0 = 0.9, 0.4 * hbar
     theta_width, p_width = 0.4, 0.8 * hbar
 
+    @functools.cache  # the profile and the K series share their traces
     def smeared(offset: float, K: int) -> float:
         return cylinder.pair_trace_smeared_cyl(
             p0,
@@ -1212,7 +1212,7 @@ def _run_discrete_limit(cfg: ExperimentConfig, out: _Checks) -> None:
 
     errors = _measure(
         "mollifier-ladder",
-        lambda: cylinder.discrete_limit_check(n0, theta0, cfg.truncation_K, steps=4, start=1),
+        lambda: cylinder.discrete_limit_check(n0, theta0, cfg.truncation_K),
     )
     decreases = [errors[i] - errors[i + 1] for i in range(len(errors) - 1)]
     out.add("mollifier-ladder", min(decreases), 0.0, 0.0, "PAPER Eq 3.9", mode="min")

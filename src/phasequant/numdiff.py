@@ -6,7 +6,7 @@ the same field twice.
 
 Stencils are the classical symmetric second-order ones; Richardson
 extrapolation over step halvings removes the h^2 and h^4 error terms, so the
-returned values are O(h^6) accurate for smooth inputs (``levels=2``).
+returned values are O(h^6) accurate for smooth inputs (:data:`LEVELS` = 2).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 # Base step per the shared differentiation policy.
 DEFAULT_STEP = 1e-2
 MAX_ORDER = 4
-DEFAULT_LEVELS = 2
+LEVELS = 2
 
 # Symmetric second-order stencils for d^m/dx^m, m = 0..4, as (offsets, weights).
 _CENTRAL_STENCILS: dict[int, tuple[tuple[int, ...], tuple[float, ...]]] = {
@@ -84,7 +84,6 @@ def partial_derivative(
     x: np.ndarray,
     orders: Sequence[int],
     step: float = DEFAULT_STEP,
-    levels: int = DEFAULT_LEVELS,
 ):
     """Mixed partial of ``f`` at ``x``; ``orders[i]`` counts derivatives in axis i.
 
@@ -93,7 +92,7 @@ def partial_derivative(
     x = np.asarray(x, dtype=float)
     if all(m == 0 for m in orders):
         return np.asarray(f(x))
-    samples = [_apply_stencil(f, x, orders, step / 2**lvl) for lvl in range(levels + 1)]
+    samples = [_apply_stencil(f, x, orders, step / 2**lvl) for lvl in range(LEVELS + 1)]
     return richardson(samples)
 
 
@@ -111,7 +110,6 @@ def jet(
     x: np.ndarray,
     max_order: int,
     step: float = DEFAULT_STEP,
-    levels: int = DEFAULT_LEVELS,
 ) -> list[np.ndarray]:
     """All partial derivatives of ``f`` at ``x`` up to ``max_order``.
 
@@ -129,26 +127,21 @@ def jet(
     for order in range(1, max_order + 1):
         arr = np.zeros(base.shape + (dim,) * order, dtype=dtype)
         for orders, idx in _multi_index_orders(dim, order):
-            val = partial_derivative(f, x, orders, step=step, levels=levels)
+            val = partial_derivative(f, x, orders, step=step)
             for perm in set(itertools.permutations(idx)):
                 arr[(Ellipsis,) + perm] = val
         out.append(arr)
     return out
 
 
-def jacobian(
-    f: Callable,
-    x: np.ndarray,
-    step: float = 1e-3,
-    levels: int = DEFAULT_LEVELS,
-) -> np.ndarray:
+def jacobian(f: Callable, x: np.ndarray, step: float = 1e-3) -> np.ndarray:
     """Jacobian matrix (outputs x inputs) of a vector-valued map."""
     x = np.asarray(x, dtype=float)
     cols = []
     for ax in range(x.size):
         orders = [0] * x.size
         orders[ax] = 1
-        cols.append(partial_derivative(f, x, orders, step=step, levels=levels))
+        cols.append(partial_derivative(f, x, orders, step=step))
     return np.stack(cols, axis=-1)
 
 

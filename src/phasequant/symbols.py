@@ -33,21 +33,6 @@ from .geometry import ManifoldModel
 MAX_DEGREE = 4
 
 
-@dataclass(frozen=True)
-class QuantizationContext:
-    """Shared numerical settings for quantization maps."""
-
-    hbar: float = 1.0
-    quadrature_nodes: int = 192
-    quadrature_tolerance: float = 1e-8
-
-    def __post_init__(self):
-        if self.hbar <= 0:
-            raise ConfigError(f"hbar must be positive, got {self.hbar}")
-        if self.quadrature_nodes < 8:
-            raise ConfigError("quadrature_nodes must be at least 8")
-
-
 def _check_terms(dim: int, terms: dict[int, TensorField], kind: str) -> dict[int, TensorField]:
     clean: dict[int, TensorField] = {}
     for degree, tensor in terms.items():
@@ -129,20 +114,19 @@ def merge_terms(dim: int, *sources: dict[int, TensorField]) -> dict[int, TensorF
     return {d: (ts[0] if len(ts) == 1 else tensor_add(*ts)) for d, ts in buckets.items()}
 
 
-def operator_matrix(
-    model: ManifoldModel,
-    D: CovariantOperator,
-    basis,
-    K: int,
-    ctx: QuantizationContext | None = None,
-) -> np.ndarray:
+#: Nodes of the coarse quadrature in :func:`operator_matrix`; the fine one doubles them.
+QUADRATURE_NODES = 192
+#: Largest coarse/fine entry difference :func:`operator_matrix` accepts.
+QUADRATURE_TOLERANCE = 1e-8
+
+
+def operator_matrix(model: ManifoldModel, D: CovariantOperator, basis, K: int) -> np.ndarray:
     """Matrix elements ``M[j, k] = <phi_j | D phi_k>`` in an orthonormal basis.
 
     The quadrature rule comes from the basis object; the integral is repeated
-    at doubled resolution and must agree to ``ctx.quadrature_tolerance``,
+    at doubled resolution and must agree to :data:`QUADRATURE_TOLERANCE`,
     otherwise :class:`QuadratureAccuracyError` is raised.
     """
-    ctx = ctx or QuantizationContext()
     fns = basis.fields(K)
     levels = [
         geometry.iterated_covariant_derivative_fields(model, f, D.max_order) for f in fns
@@ -165,11 +149,11 @@ def operator_matrix(
                     dphi[row] += cvals * np.array([complex(fld(x)) for x in points])
         return np.einsum("i,ji,ki->jk", weights * vol, phi.conj(), dphi)
 
-    coarse = assemble(ctx.quadrature_nodes)
-    fine = assemble(2 * ctx.quadrature_nodes)
+    coarse = assemble(QUADRATURE_NODES)
+    fine = assemble(2 * QUADRATURE_NODES)
     err = float(np.max(np.abs(fine - coarse)))
-    if err > ctx.quadrature_tolerance:
-        raise QuadratureAccuracyError(err, ctx.quadrature_tolerance)
+    if err > QUADRATURE_TOLERANCE:
+        raise QuadratureAccuracyError(err, QUADRATURE_TOLERANCE)
     return fine
 
 
@@ -254,7 +238,6 @@ def flat_chart_delta_value(
     p: np.ndarray,
     q: np.ndarray,
     hbar: float = 1.0,
-    step: float = 1e-2,
 ) -> complex:
     """Evaluate the ordering generator of ``f`` through a Cartesian chart.
 
@@ -276,7 +259,7 @@ def flat_chart_delta_value(
         for alpha in range(dim):
             orders = [0] * dim
             orders[alpha] = 1
-            cols.append(numdiff.partial_derivative(cart, qq, orders, step=step))
+            cols.append(numdiff.partial_derivative(cart, qq, orders))
         return np.column_stack(cols)
 
     def symbol_in_cartesian(z: np.ndarray) -> complex:
@@ -292,7 +275,7 @@ def flat_chart_delta_value(
         orders = [0] * (2 * dim)
         orders[alpha] = 1
         orders[dim + alpha] = 1
-        total += complex(numdiff.partial_derivative(symbol_in_cartesian, z0, orders, step=step))
+        total += complex(numdiff.partial_derivative(symbol_in_cartesian, z0, orders))
     return -hbar * total
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from phasequant import curved, flat_weyl, geometry, numdiff
+from phasequant import curved, geometry, numdiff
 from phasequant.errors import ConfigError, UnsupportedOrderError
 from phasequant.fields import from_expression, tensor_from_fields
 from phasequant.symbols import MomentumPolynomial, symbol_from_config
@@ -76,18 +76,18 @@ def test_volume_jets_unknown_method():
 
 
 def test_curved_image_reduces_to_flat_on_euclidean(rng):
+    """On the line X(x) p^2 maps to the flat symmetric ordering
+    -(X d^2 + X' d + X''/4)."""
     model = geometry.euclidean_space(1)
     X = from_expression("x**2 + 0.5*x", ("x",))
     f = MomentumPolynomial(1, {2: tensor_from_fields(1, 2, lambda idx: X)})
-    D_curved = curved.wue_weyl_image(model, f)
-    D_flat = flat_weyl.weyl_image_flat(f)
-    x = np.array([float(rng.uniform(-1, 1))])
-    for order in set(D_curved.terms) | set(D_flat.terms):
-        np.testing.assert_allclose(
-            coefficient_values(D_curved, order, x),
-            coefficient_values(D_flat, order, x),
-            atol=1e-12,
-        )
+    D = curved.wue_weyl_image(model, f)
+    x = float(rng.uniform(-1, 1))
+    want = {2: -(x * x + 0.5 * x), 1: -(2.0 * x + 0.5), 0: -2.0 / 4.0}
+    assert set(D.terms) == set(want)
+    for order, value in want.items():
+        got = complex(coefficient_values(D, order, np.array([x])).reshape(-1)[0])
+        assert got == pytest.approx(value, abs=1e-12)
 
 
 def test_linear_image_on_circle():
@@ -198,17 +198,6 @@ def test_defect_vanishes_on_flat_polar_chart(monkeypatch):
         assert abs(d) <= 1e-14
 
 
-def test_curvature_mode_order_cap_and_unknown_mode():
-    f = MomentumPolynomial(
-        2, {3: tensor_from_fields(2, 3, lambda idx: from_expression("cos(theta)", ("theta", "phi")))}
-    )
-    D = curved.wue_weyl_image(UNIT_SPHERE, f, measure_variant="emmrich")
-    with pytest.raises(UnsupportedOrderError):
-        curved.dequantize_curved(UNIT_SPHERE, D, P0, Q0, mode="curvature")
-    with pytest.raises(ConfigError):
-        curved.dequantize_curved(UNIT_SPHERE, D, P0, Q0, mode="symbolic")
-
-
 def test_emmrich_defect_also_two_thirds_for_kinetic_symbol():
     d = curved.axiom_defect(
         UNIT_SPHERE, kinetic_energy(UNIT_SPHERE), P0, Q0, measure_variant="emmrich"
@@ -228,42 +217,6 @@ def test_defect_coefficient_needs_momentum_squared():
     f = MomentumPolynomial(2, {0: tensor_from_fields(2, 0, lambda idx: from_expression("1 + 0*theta", ("theta", "phi")))})
     with pytest.raises(ConfigError):
         curved.defect_curvature_coefficient(UNIT_SPHERE, f, [Q0], P0)
-
-
-# ---------------------------------------------------------------------------
-# declarative requests
-
-
-def test_image_request_builds_all_parts():
-    req = curved.WueImageRequest(
-        manifold="sphere:1.0",
-        symbol={"coefficient": "inverse-metric", "degree": 2},
-    )
-    model, f, D = req.build()
-    assert model.dim == 2
-    assert f.max_degree == 2
-    assert D.max_order == 2
-
-
-def test_image_request_standard_ordering_differs():
-    req = curved.WueImageRequest(manifold="circle", symbol={"coefficient": "cos-theta", "degree": 1})
-    _, _, weyl_D = curved.WueImageRequest(
-        manifold="circle", symbol={"coefficient": "cos-theta", "degree": 1}, ordering="weyl"
-    ).build()
-    _, _, std_D = curved.WueImageRequest(
-        manifold="circle", symbol={"coefficient": "cos-theta", "degree": 1}, ordering="standard"
-    ).build()
-    del req
-    q = np.array([0.7])
-    assert complex(coefficient_values(weyl_D, 0, q)) != pytest.approx(
-        complex(coefficient_values(std_D, 0, q)), abs=1e-12
-    )
-
-
-def test_image_request_validates_measure():
-    req = curved.WueImageRequest(manifold="circle", symbol="constant", measure_variant="other")
-    with pytest.raises(ConfigError):
-        req.build()
 
 
 def test_sphere_defect_takes_no_finite_differences(monkeypatch):

@@ -124,14 +124,6 @@ def test_polynomial_reproduction(chi, m):
     assert residual < 1e-6
 
 
-def test_reproduction_full_mode_reports_raw_and_exact(chi):
-    one = constant(1, 1.0)
-    out = cylinder.polynomial_reproduction_check(one, 0, 0.77, 0.3, chi, 16, full=True)
-    assert set(out) == {"residual", "completed", "raw", "exact"}
-    assert out["exact"] == pytest.approx(1.0)
-    assert out["residual"] < 1e-8
-
-
 def test_reproduction_rejects_negative_degree(chi):
     with pytest.raises(ConfigError):
         cylinder.polynomial_reproduction_check(constant(1, 1.0), -1, 0.0, 0.0, chi, 8)
@@ -180,7 +172,7 @@ def test_discrete_quantizer_closed_form():
 
 
 def test_discrete_limit_errors_strictly_decrease():
-    errors = cylinder.discrete_limit_check(3, 1.1, 32, steps=4)
+    errors = cylinder.discrete_limit_check(3, 1.1, 32)
     assert len(errors) == 4
     assert all(b < a for a, b in zip(errors, errors[1:]))
 

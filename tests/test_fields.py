@@ -123,16 +123,6 @@ def test_tensor_add_and_scale():
         fields.tensor_add(a, fields.tensor_scalar(fields.constant(2, 1.0)))
 
 
-def test_plain_divergence_of_linear_vector_field():
-    # X = (x, 3y) has coordinate divergence 4
-    t = fields.tensor_from_array_callable(2, 1, lambda q: np.array([q[0], 3.0 * q[1]]))
-    div = fields.plain_divergence(t)
-    assert div.rank == 0
-    assert complex(div.evaluate(np.array([0.3, -0.2]))) == pytest.approx(4.0, abs=1e-9)
-    with pytest.raises(ValueError):
-        fields.plain_divergence(div)
-
-
 def test_symmetrized_contraction_against_manual(rng):
     t = fields.tensor_from_array_callable(
         2, 2, lambda q: np.array([[q[0], 1.0], [1.0, q[1] ** 2]])

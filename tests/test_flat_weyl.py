@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasequant import flat_weyl, geometry
+from phasequant import curved, flat_weyl, geometry
 from phasequant.fields import from_expression, tensor_constant, tensor_from_fields
 from phasequant.symbols import (
     MomentumPolynomial,
@@ -16,6 +16,8 @@ from phasequant.symbols import (
 
 from conftest import random_symbol
 
+LINE = geometry.euclidean_space(1)
+
 
 def coefficient_values(D, order, x):
     tensor = D.terms.get(order)
@@ -25,14 +27,14 @@ def coefficient_values(D, order, x):
 
 
 # ---------------------------------------------------------------------------
-# symmetric and standard images: closed-form coefficients
+# symmetric and standard images on the line: closed-form coefficients
 
 
 def test_weyl_image_linear_term_splits_divergence():
     """X(x) p maps to -i hbar (X d + X'/2)."""
     X = from_expression("x**2", ("x",))
     f = MomentumPolynomial(1, {1: tensor_from_fields(1, 1, lambda idx: X)})
-    D = flat_weyl.weyl_image_flat(f, hbar=1.0)
+    D = curved.wue_weyl_image(LINE, f, hbar=1.0)
     x = 0.7
     assert complex(coefficient_values(D, 1, x)[0]) == pytest.approx(-1j * x * x)
     assert complex(coefficient_values(D, 0, x)) == pytest.approx(-1j * x)
@@ -42,7 +44,7 @@ def test_weyl_image_quadratic_term_coefficients():
     """X(x) p^2 maps to (-i hbar)^2 (X d^2 + X' d + X''/4)."""
     X = from_expression("x**3", ("x",))
     f = MomentumPolynomial(1, {2: tensor_from_fields(1, 2, lambda idx: X)})
-    D = flat_weyl.weyl_image_flat(f, hbar=1.0)
+    D = curved.wue_weyl_image(LINE, f, hbar=1.0)
     x = 0.4
     assert complex(coefficient_values(D, 2, x)[0, 0]) == pytest.approx(-(x**3))
     assert complex(coefficient_values(D, 1, x)[0]) == pytest.approx(-3 * x * x)
@@ -53,7 +55,7 @@ def test_weyl_image_cubic_term_coefficients():
     """X p^3: weights 1, 3/2, 3/4, 1/8 on d^3..d^0 against divergences of X."""
     X = from_expression("x**4", ("x",))
     f = MomentumPolynomial(1, {3: tensor_from_fields(1, 3, lambda idx: X)})
-    D = flat_weyl.weyl_image_flat(f, hbar=1.0)
+    D = curved.wue_weyl_image(LINE, f, hbar=1.0)
     x = 0.9
     front = (-1j) ** 3
     assert complex(coefficient_values(D, 3, x)[0, 0, 0]) == pytest.approx(front * x**4)
@@ -68,21 +70,21 @@ def test_weyl_image_cubic_term_coefficients():
 
 def test_weyl_image_scales_with_hbar_power():
     f = MomentumPolynomial(1, {2: tensor_constant(1, np.ones((1, 1)))})
-    D = flat_weyl.weyl_image_flat(f, hbar=0.5)
+    D = curved.wue_weyl_image(LINE, f, hbar=0.5)
     assert complex(coefficient_values(D, 2, 0.0)[0, 0]) == pytest.approx(-0.25)
 
 
 def test_standard_image_keeps_all_derivatives_right():
     X = from_expression("x**2", ("x",))
     f = MomentumPolynomial(1, {2: tensor_from_fields(1, 2, lambda idx: X)})
-    D = flat_weyl.standard_image_flat(f, hbar=1.0)
+    D = curved.wue_standard_image(LINE, f, hbar=1.0)
     assert set(D.terms) == {2}
     assert complex(coefficient_values(D, 2, 0.5)[0, 0]) == pytest.approx(-0.25)
 
 
 def test_identity_ordering_reproduces_weyl_image(symbol_factory):
     f = symbol_factory()
-    D1 = flat_weyl.weyl_image_flat(f)
+    D1 = curved.wue_weyl_image(LINE, f)
     D2 = flat_weyl.a_image_flat(ordering_scheme("weyl"), f)
     for order in set(D1.terms) | set(D2.terms):
         np.testing.assert_allclose(
@@ -96,7 +98,7 @@ def test_standard_preset_image_equals_direct_standard_map(symbol_factory):
     """The ordering series with standard coefficients lands on X d^m exactly."""
     f = symbol_factory()
     D1 = flat_weyl.a_image_flat(ordering_scheme("standard"), f)
-    D2 = flat_weyl.standard_image_flat(f)
+    D2 = curved.wue_standard_image(LINE, f)
     for order in set(D1.terms) | set(D2.terms):
         for x in (-0.8, 0.1, 0.7):
             np.testing.assert_allclose(
@@ -112,7 +114,7 @@ def test_standard_preset_image_equals_direct_standard_map(symbol_factory):
 
 def test_symbol_recovery_inverts_the_image(symbol_factory):
     f = symbol_factory()
-    g = flat_weyl.weyl_symbol_flat(flat_weyl.weyl_image_flat(f))
+    g = flat_weyl.weyl_symbol_flat(curved.wue_weyl_image(LINE, f))
     for p in (0.0, 0.9, -1.4):
         for x in (-0.5, 0.6):
             assert g.evaluate(np.array([p]), np.array([x])) == pytest.approx(
@@ -178,6 +180,22 @@ def test_round_trip_two_dimensions(rng):
     assert got == pytest.approx(f.evaluate(p, x), abs=1e-12)
 
 
+def test_round_trip_on_polar_chart():
+    # image, ordering series and inverse all take covariant divergences on the
+    # chart they are given
+    polar = geometry.polar_plane()
+    X = from_expression("r + sin(phi)", polar.coordinate_names)
+    Y = from_expression("r*cos(phi)", polar.coordinate_names)
+    f = MomentumPolynomial(
+        2, {1: tensor_from_fields(2, 1, lambda idx: X), 2: tensor_from_fields(2, 2, lambda idx: Y)}
+    )
+    for A in (ordering_scheme("weyl"), ordering_scheme("standard")):
+        D = flat_weyl.a_image_flat(A, f, polar)
+        p, q = np.array([0.3, 0.2]), np.array([1.2, 0.5])
+        got = flat_weyl.dequantize_flat(A, D, p, q, model=polar)
+        assert got == pytest.approx(f.evaluate(p, q), abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # kernel matrix, trace, pairing
 
@@ -216,13 +234,6 @@ def test_damped_trace_approaches_one():
 def test_trace_ladder_is_monotone():
     errors = flat_weyl.trace_ladder(0.3, -0.2, [4, 8, 16, 32])
     assert all(b < a for a, b in zip(errors, errors[1:]))
-
-
-def test_trace_modes_exist():
-    for mode in ("raw", "cesaro", "damped"):
-        flat_weyl.flat_trace(0.0, 0.0, 8, mode=mode)
-    with pytest.raises(Exception):
-        flat_weyl.flat_trace(0.0, 0.0, 8, mode="fejerish")
 
 
 def test_gaussian_quantization_matches_weak_form_pairing():

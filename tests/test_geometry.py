@@ -245,6 +245,17 @@ def test_covariant_derivative_index_order(sphere):
     assert complex(div.evaluate(q)) == pytest.approx(np.trace(got), abs=1e-14)
 
 
+def test_covariant_divergence_of_linear_vector_field():
+    # X = (x, 3y) has divergence 4 on a Cartesian chart, with no connection terms
+    euclid = geometry.manifold("euclidean:2")
+    t = tensor_from_array_callable(2, 1, lambda q: np.array([q[0], 3.0 * q[1]]))
+    div = geometry.covariant_divergence(euclid, t)
+    assert div.rank == 0
+    assert complex(div.evaluate(np.array([0.3, -0.2]))) == pytest.approx(4.0, abs=1e-9)
+    with pytest.raises(ValueError):
+        geometry.covariant_divergence(euclid, div)
+
+
 def test_covariant_divergence_rejects_scalars(sphere):
     from phasequant.fields import tensor_scalar, constant
 

@@ -331,3 +331,16 @@ def test_cli_curved_defect_rejects_flat_manifold(tmp_path, capsys, manifold):
     assert run_cli("run", "--config", str(config_path), "--out", str(tmp_path / "out")) == 2
     assert repr(manifold) in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_curved_defect_runs_on_a_nearly_flat_sphere(tmp_path, capsys):
+    # scalar curvature 2e-14: small, but the manifold is curved and validation
+    # accepts it, so the run must end in a report, not a runtime error
+    config_path = tmp_path / "cd.json"
+    config_path.write_text(json.dumps({"experiment": "curved-defect", "manifold": "sphere:1e7"}))
+    code = run_cli("run", "--config", str(config_path), "--out", str(tmp_path / "out"))
+    capsys.readouterr()
+    assert code != 2
+    report = json.loads((tmp_path / "out" / "curved-defect.json").read_text())
+    ricci = next(r for r in report["records"] if r["name"] == "ricci-coefficient")
+    assert ricci["passed"]

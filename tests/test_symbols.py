@@ -10,7 +10,6 @@ from phasequant.fields import constant, from_expression, tensor_constant, tensor
 from phasequant.symbols import (
     MomentumPolynomial,
     OrderingScheme,
-    QuantizationContext,
     delta_apply,
     flat_chart_delta_value,
     hermiticity_defect,
@@ -217,7 +216,7 @@ def test_operator_matrix_oscillator_in_hermite_basis():
             2: tensor_constant(1, np.full((1, 1), -0.5)),
         },
     )
-    M = operator_matrix(model, D, HermiteBasis(), 5, QuantizationContext())
+    M = operator_matrix(model, D, HermiteBasis(), 5)
     np.testing.assert_allclose(M, np.diag(np.arange(6) + 0.5), atol=1e-9)
 
 
