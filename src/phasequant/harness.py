@@ -2,9 +2,15 @@
 
 Each experiment bundles a fixed list of checks around one area of the
 calculus: flat kernel axioms, ordering families, curvature defects, chart
-covariance, the cylinder kernel, and the discrete momentum lattice.  A check
-compares one measured number against a reference value that carries a
-provenance tag, at a tolerance that can be overridden per run.  Reports
+covariance, the cylinder kernel, and the discrete momentum lattice.  The
+``CATALOG`` table at the end of this module describes every experiment once:
+its name, description and anchor, the config settings its runner reads (with
+their defaults), its checks in report order, and the runner.  A config may
+set only the settings its experiment reads; validation builds the manifold,
+symbol and ordering it names, so an accepted config runs.
+
+A check compares one measured number against a reference value that carries
+a provenance tag, at a tolerance that can be overridden per run.  Reports
 serialize to JSON plus plot-ready CSV series; re-running the same
 configuration with the same package version reproduces the report bytes
 exactly, apart from the timestamp field.
@@ -12,12 +18,14 @@ exactly, apart from the timestamp field.
 
 from __future__ import annotations
 
+import copy
 import csv
 import dataclasses
 import datetime
 import functools
 import json
 import math
+from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
@@ -51,131 +59,30 @@ from .symbols import (
 
 
 @dataclasses.dataclass(frozen=True)
-class CatalogEntry:
-    """One experiment: a stable name, what it verifies, and its anchor."""
+class Experiment:
+    """One experiment: what it verifies, the settings it reads, its checks, its runner.
+
+    ``settings`` maps each config key the runner reads to its default, in
+    template order.  ``checks`` names the checks in report order; they are
+    also the accepted tolerance-override keys.
+    """
 
     name: str
     description: str
     anchor: str
+    settings: dict
+    checks: tuple[str, ...]
+    run: Callable[[ExperimentConfig, _Checks], None]
 
 
-CATALOG: tuple[CatalogEntry, ...] = (
-    CatalogEntry(
-        "flat-axioms",
-        "Flat kernel axioms: hermiticity, normalized trace, pairing, and polynomial round trips.",
-        "Eqs 2.3-2.13",
-    ),
-    CatalogEntry(
-        "orderings",
-        "Ordering-family images: identity preset, standard preset, and hermiticity behavior.",
-        "Eqs 2.15-2.23",
-    ),
-    CatalogEntry(
-        "curved-defect",
-        "Kinetic images with curvature corrections and the trace-axiom defect on spheres.",
-        "Eqs 2.31-2.46",
-    ),
-    CatalogEntry(
-        "point-transform",
-        "Chart covariance of the ordering generator between Cartesian and curvilinear charts.",
-        "Eqs 2.48-2.49",
-    ),
-    CatalogEntry(
-        "cylinder-axioms",
-        "Cylinder kernel axioms: trace, polynomial reproduction, and pair-trace localization.",
-        "Eqs 3.3-3.7",
-    ),
-    CatalogEntry(
-        "discrete-limit",
-        "Sharp-cutoff limit of the cylinder kernel onto the integer momentum lattice.",
-        "Eqs 3.8-3.10",
-    ),
-    CatalogEntry(
-        "discrete-orthogonality",
-        "Smeared orthogonality and momentum diagonality of the discrete lattice kernel.",
-        "Eqs 3.10-3.11",
-    ),
-)
-
-EXPERIMENT_NAMES: tuple[str, ...] = tuple(entry.name for entry in CATALOG)
-
-#: Valid per-experiment check names (also the accepted tolerance-override keys).
-CHECK_NAMES: dict[str, tuple[str, ...]] = {
-    "flat-axioms": (
-        "ground-state-peak",
-        "ground-state-gaussian",
-        "kernel-hermiticity",
-        "kernel-trace",
-        "trace-ladder-monotone",
-        "weak-form-pairing",
-        "round-trip-residual",
-    ),
-    "orderings": (
-        "weyl-preset-identity",
-        "standard-preset-image",
-        "configured-ordering-roundtrip",
-        "real-ordering-hermiticity",
-        "circle-weyl-hermiticity",
-        "standard-defect-positive",
-        "standard-defect-value",
-    ),
-    "curved-defect": (
-        "kinetic-image-residual",
-        "ricci-coefficient",
-        "defect-value",
-        "defect-p-independence",
-        "defect-curvature-coefficient",
-        "radius-scaling",
-        "flat-defect-euclidean",
-        "flat-defect-polar",
-        "emmrich-defect",
-        "ricci-convention",
-        "density-jet-ricci",
-        "pullback-vs-covariant",
-    ),
-    "point-transform": (
-        "cartesian-reduction",
-        "polar-cartesian-agreement",
-        "radial-momentum-shift",
-        "divergence-identity",
-    ),
-    "cylinder-axioms": (
-        "kernel-trace",
-        "raw-kernel-trace",
-        "kernel-hermiticity",
-        "entry-oracle",
-        "polynomial-reproduction",
-        "cutoff-independence",
-        "smeared-quarter-ratio",
-        "antipodal-vs-quarter",
-        "delta-model-mismatch",
-    ),
-    "discrete-limit": (
-        "mollifier-ladder",
-        "indicator-matches-discrete",
-        "discrete-diagonal",
-        "discrete-trace",
-        "discrete-first-band",
-    ),
-    "discrete-orthogonality": (
-        "diagonal-smeared-trace",
-        "offdiagonal-suppression",
-        "flat-test-function",
-        "unsmeared-growth",
-        "momentum-diagonality",
-        "momentum-spectrum",
-    ),
-}
+def _experiment(name) -> Experiment:
+    for entry in CATALOG:
+        if entry.name == name:
+            return entry
+    raise ConfigError(f"unknown experiment {name!r}; valid names: {', '.join(EXPERIMENT_NAMES)}")
 
 
-def _require_known_experiment(name: str) -> None:
-    if name not in CHECK_NAMES:
-        raise ConfigError(
-            f"unknown experiment {name!r}; valid names: {', '.join(EXPERIMENT_NAMES)}"
-        )
-
-
-def list_experiments() -> tuple[CatalogEntry, ...]:
+def list_experiments() -> tuple[Experiment, ...]:
     """The experiment catalog in its stable display order."""
     return CATALOG
 
@@ -184,92 +91,102 @@ def list_experiments() -> tuple[CatalogEntry, ...]:
 # configuration
 
 
-_CONFIG_KEYS = (
-    "experiment",
-    "hbar",
-    "manifold",
-    "symbol",
-    "ordering",
-    "cutoff",
-    "truncation_K",
-    "truncation_N",
-    "tolerances",
-    "output_dir",
-)
-
 _CYLINDER_EXPERIMENTS = ("cylinder-axioms", "discrete-limit", "discrete-orthogonality")
+
+_DEFAULT_CUTOFF = {"profile": "smoothstep", "plateau": 0.8, "support": 2.8}
+
+_COMMENTS = {
+    "experiment": "one of: ",
+    "hbar": "positive; dimensional references scale with it",
+    "manifold": "euclidean:<dim> | circle | sphere:<radius> | polar-plane",
+    "symbol": "name or {coefficient, degree, scale}; coefficient in "
+    "constant | cos-theta | inverse-metric | custom:<expression>",
+    "ordering": "weyl | standard | standard-printed",
+    "cutoff": "momentum cutoff: {profile, plateau, support} or {profile, mollifier: j}; "
+    "profile in smoothstep | classic-bump | indicator",
+    "truncation_K": f"basis/lattice index cap (cylinder kernels cap at {cylinder.MAX_TRUNCATION})",
+    "truncation_N": "auxiliary lattice truncation for discrete sums",
+    "tolerances": "optional per-check overrides; valid names: ",
+    "output_dir": "report directory used when the CLI --out flag is absent",
+}
 
 
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated inputs of one experiment run.
+    """Validated inputs of one experiment run; build it with ``from_dict``.
 
-    Unknown keys are rejected on parse; ``_comments`` entries (as emitted by
+    A config sets only ``experiment``, ``tolerances``, ``output_dir`` and the
+    settings its experiment reads; the other settings stay ``None``.  Any
+    other key is rejected on parse; ``_comments`` entries (as emitted by
     config templates) are allowed and ignored.  Tolerance overrides are keyed
     by check name and must be positive.
     """
 
     experiment: str
-    hbar: float = 1.0
-    manifold: str = "euclidean:1"
-    symbol: object = "constant"
-    ordering: str = "weyl"
-    cutoff: dict = dataclasses.field(default_factory=dict)
-    truncation_K: int = 32
-    truncation_N: int = 8
+    hbar: float | None = None
+    manifold: str | None = None
+    symbol: object = None
+    ordering: str | None = None
+    cutoff: dict | None = None
+    truncation_K: int | None = None
+    truncation_N: int | None = None
     tolerances: dict = dataclasses.field(default_factory=dict)
     output_dir: str | None = None
 
     def validate(self) -> None:
-        _require_known_experiment(self.experiment)
-        if isinstance(self.hbar, bool) or not isinstance(self.hbar, (int, float)):
-            raise ConfigError("hbar must be a positive number")
-        if not self.hbar > 0:
-            raise ConfigError("hbar must be a positive number")
+        experiment = _experiment(self.experiment)
+        settings = experiment.settings
+        if "hbar" in settings:
+            if isinstance(self.hbar, bool) or not isinstance(self.hbar, (int, float)):
+                raise ConfigError("hbar must be a positive number")
+            if not self.hbar > 0:
+                raise ConfigError("hbar must be a positive number")
         for key in ("truncation_K", "truncation_N"):
             value = getattr(self, key)
+            if key not in settings:
+                continue
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ConfigError(f"{key} must be a positive integer")
         if self.experiment in _CYLINDER_EXPERIMENTS and self.truncation_K > cylinder.MAX_TRUNCATION:
             raise ConfigError(
                 f"truncation_K for {self.experiment} is capped at {cylinder.MAX_TRUNCATION}"
             )
-        if not isinstance(self.manifold, str):
-            raise ConfigError("manifold must be a builder string such as 'sphere:1.0'")
-        if not isinstance(self.ordering, str):
-            raise ConfigError("ordering must be a scheme name")
-        if not isinstance(self.cutoff, dict):
-            raise ConfigError("cutoff must be a mapping")
-        unknown_cutoff = sorted(set(self.cutoff) - {"profile", "plateau", "support", "mollifier"})
-        if unknown_cutoff:
-            raise ConfigError(f"unknown cutoff keys {unknown_cutoff}")
+        if "manifold" in settings:
+            if not isinstance(self.manifold, str):
+                raise ConfigError("manifold must be a builder string such as 'sphere:1.0'")
+            model = geometry.manifold(self.manifold)
+            # the ricci-coefficient check divides by the scalar curvature
+            if model.flat:
+                raise ConfigError(
+                    f"{self.experiment} needs a curved manifold, got the flat {self.manifold!r}; "
+                    "use e.g. 'sphere:1.0'"
+                )
+            # the defect oracle contracts the symbol's degree-2 coefficient with Ricci
+            if "symbol" in settings and 2 not in symbol_from_config(model, self.symbol).terms:
+                raise ConfigError(
+                    f"{self.experiment} needs a symbol of degree 2, "
+                    "e.g. {'coefficient': 'inverse-metric', 'degree': 2}"
+                )
+        if "ordering" in settings:
+            ordering_scheme(self.ordering, self.hbar)
+        if "cutoff" in settings:
+            if not isinstance(self.cutoff, dict):
+                raise ConfigError("cutoff must be a mapping")
+            unknown_cutoff = sorted(set(self.cutoff) - {"profile", "plateau", "support", "mollifier"})
+            if unknown_cutoff:
+                raise ConfigError(f"unknown cutoff keys {unknown_cutoff}")
         if not isinstance(self.tolerances, dict):
             raise ConfigError("tolerances must be a mapping of check name to positive number")
-        known = set(CHECK_NAMES[self.experiment])
         for name, tol in self.tolerances.items():
-            if name not in known:
+            if name not in experiment.checks:
                 raise ConfigError(
                     f"unknown tolerance key {name!r} for {self.experiment}; "
-                    f"valid names: {', '.join(sorted(known))}"
+                    f"valid names: {', '.join(sorted(experiment.checks))}"
                 )
             if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not tol > 0:
                 raise ConfigError(f"tolerance {name!r} must be a positive number")
         if self.output_dir is not None and not isinstance(self.output_dir, str):
             raise ConfigError("output_dir must be a string or null")
-        if self.experiment == "curved-defect":
-            # the defect oracle contracts the symbol's degree-2 coefficient with Ricci
-            degree = self.symbol.get("degree", 1) if isinstance(self.symbol, dict) else 1
-            if not isinstance(self.symbol, (str, dict)) or degree != 2:
-                raise ConfigError(
-                    "curved-defect needs a symbol of degree 2, "
-                    "e.g. {'coefficient': 'inverse-metric', 'degree': 2}"
-                )
-            # the ricci-coefficient check divides by the scalar curvature
-            if geometry.manifold(self.manifold).flat:
-                raise ConfigError(
-                    f"curved-defect needs a curved manifold, got the flat {self.manifold!r}; "
-                    "use e.g. 'sphere:1.0'"
-                )
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
@@ -280,13 +197,12 @@ class ExperimentConfig:
         name = data["experiment"]
         if not isinstance(name, str):
             raise ConfigError("config key 'experiment' must be a string")
-        _require_known_experiment(name)
-        unknown = sorted(set(data) - set(_CONFIG_KEYS) - {"_comments"})
+        merged = {k: v for k, v in default_config(name).items() if k != "_comments"}
+        unknown = sorted(set(data) - set(merged) - {"_comments"})
         if unknown:
             raise ConfigError(
-                f"unknown config keys {unknown}; allowed keys: {list(_CONFIG_KEYS)}"
+                f"{name} does not read config keys {unknown}; allowed keys: {list(merged)}"
             )
-        merged = {k: v for k, v in default_config(name).items() if k != "_comments"}
         merged.update((k, v) for k, v in data.items() if k != "_comments")
         config = cls(**merged)
         config.validate()
@@ -307,58 +223,19 @@ class ExperimentConfig:
         return cls.from_dict(data)
 
 
-_DEFAULT_CUTOFF = {"profile": "smoothstep", "plateau": 0.8, "support": 2.8}
-
-_EXPERIMENT_DEFAULTS: dict[str, dict] = {
-    "flat-axioms": {"manifold": "euclidean:1", "ordering": "weyl", "truncation_K": 32},
-    "orderings": {"manifold": "euclidean:1", "ordering": "standard", "truncation_K": 16},
-    "curved-defect": {
-        "manifold": "sphere:1.0",
-        "symbol": {"coefficient": "inverse-metric", "degree": 2},
-        "truncation_K": 16,
-    },
-    "point-transform": {"manifold": "polar-plane", "truncation_K": 16},
-    "cylinder-axioms": {
-        "manifold": "circle",
-        "symbol": {"coefficient": "cos-theta", "degree": 2},
-        "truncation_K": 64,
-    },
-    "discrete-limit": {"manifold": "circle", "truncation_K": 32},
-    "discrete-orthogonality": {"manifold": "circle", "truncation_K": 64, "truncation_N": 3},
-}
-
-
 def default_config(name: str) -> dict:
-    """A complete, commented config template for one experiment."""
-    _require_known_experiment(name)
+    """A commented config template holding every key one experiment reads."""
+    experiment = _experiment(name)
     template = {
         "experiment": name,
-        "hbar": 1.0,
-        "manifold": "euclidean:1",
-        "symbol": "constant",
-        "ordering": "weyl",
-        "cutoff": dict(_DEFAULT_CUTOFF),
-        "truncation_K": 32,
-        "truncation_N": 8,
+        **copy.deepcopy(experiment.settings),
         "tolerances": {},
         "output_dir": None,
     }
-    template.update(_EXPERIMENT_DEFAULTS[name])
-    template["_comments"] = {
-        "experiment": "one of: " + ", ".join(EXPERIMENT_NAMES),
-        "hbar": "positive; dimensional references scale with it",
-        "manifold": "euclidean:<dim> | circle | sphere:<radius> | polar-plane",
-        "symbol": "name or {coefficient, degree, scale}; coefficient in "
-        "constant | cos-theta | inverse-metric | custom:<expression>",
-        "ordering": "weyl | standard | standard-printed",
-        "cutoff": "momentum cutoff: {profile, plateau, support} or {profile, mollifier: j}; "
-        "profile in smoothstep | classic-bump | indicator",
-        "truncation_K": f"basis/lattice index cap (cylinder kernels cap at {cylinder.MAX_TRUNCATION})",
-        "truncation_N": "auxiliary lattice truncation for discrete sums",
-        "tolerances": "optional per-check overrides; valid names: "
-        + ", ".join(CHECK_NAMES[name]),
-        "output_dir": "report directory used when the CLI --out flag is absent",
-    }
+    comments = {key: _COMMENTS[key] for key in template}
+    comments["experiment"] += ", ".join(EXPERIMENT_NAMES)
+    comments["tolerances"] += ", ".join(experiment.checks)
+    template["_comments"] = comments
     return template
 
 
@@ -425,7 +302,9 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True) + "\n"
+        """The report as strict JSON; non-finite floats become ``"NaN"``/``"Infinity"`` strings."""
+        text = json.dumps(_finite_json(self.as_dict()), indent=2, sort_keys=True, allow_nan=False)
+        return text + "\n"
 
     def summary_lines(self) -> list[str]:
         lines = []
@@ -480,14 +359,36 @@ class Report:
         return written
 
 
-class _Checks:
-    """Accumulates records and series for one run, applying overrides."""
+def _finite_json(value):
+    """``value`` with each non-finite float spelled as a string, which JSON has no literal for."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if math.isnan(value) else ("Infinity" if value > 0 else "-Infinity")
+    if isinstance(value, dict):
+        return {key: _finite_json(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_finite_json(item) for item in value]
+    return value
 
-    def __init__(self, config: ExperimentConfig, tolerance_scale: float):
+
+class _Checks:
+    """Accumulates records and series for one run, applying overrides.
+
+    Records arrive in the experiment's declared check order, so ``pending``
+    names the check being evaluated.
+    """
+
+    def __init__(self, config: ExperimentConfig, names: tuple[str, ...], tolerance_scale: float):
         self._config = config
+        self._names = names
         self._scale = float(tolerance_scale)
         self.records: list[CheckRecord] = []
         self.series: dict[str, dict] = {}
+
+    @property
+    def pending(self) -> str | None:
+        """The next declared check, or None once every check is recorded."""
+        done = len(self.records)
+        return self._names[done] if done < len(self._names) else None
 
     def add(
         self,
@@ -498,6 +399,8 @@ class _Checks:
         provenance: str,
         mode: str = "abs",
     ) -> None:
+        if name != self.pending:
+            raise ExperimentError(f"check {name!r} recorded out of order; expected {self.pending!r}")
         tol = float(self._config.tolerances.get(name, tolerance))
         measured = float(np.real(measured))
         reference = float(reference)
@@ -524,14 +427,6 @@ class _Checks:
             "columns": list(columns),
             "rows": [[float(v) if isinstance(v, (int, float, np.floating)) else v for v in row] for row in rows],
         }
-
-
-def _measure(name: str, fn):
-    """Run one check body, renaming library errors after the check."""
-    try:
-        return fn()
-    except PhasequantError as exc:
-        raise ExperimentError(f"check {name!r} could not be evaluated: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -592,15 +487,11 @@ def _run_flat_axioms(cfg: ExperimentConfig, out: _Checks) -> None:
     s = math.sqrt(hbar)
     rng = np.random.default_rng(20260814)
 
-    peak = _measure(
-        "ground-state-peak", lambda: flat_weyl.quantizer_diag_flat(0.0, 0.0, 2, hbar)[0]
-    )
+    peak = flat_weyl.quantizer_diag_flat(0.0, 0.0, 2, hbar)[0]
     out.add("ground-state-peak", peak.real, 2.0, 1e-12, "DERIVED oracle")
 
     p0, x0 = 0.7 * s, -0.4 * s
-    value = _measure(
-        "ground-state-gaussian", lambda: flat_weyl.quantizer_diag_flat(p0, x0, 2, hbar)[0]
-    )
+    value = flat_weyl.quantizer_diag_flat(p0, x0, 2, hbar)[0]
     oracle = 2.0 * math.exp(-(p0 * p0 + x0 * x0) / hbar)
     out.add("ground-state-gaussian", value.real, oracle, 1e-12, "DERIVED oracle")
 
@@ -611,37 +502,22 @@ def _run_flat_axioms(cfg: ExperimentConfig, out: _Checks) -> None:
             worst = max(worst, hermiticity_defect(flat_weyl.quantizer_matrix_flat(p, x, 16, hbar)))
         return worst
 
-    out.add(
-        "kernel-hermiticity",
-        _measure("kernel-hermiticity", worst_hermiticity),
-        0.0,
-        1e-8,
-        "PAPER Eq 2.4",
-    )
+    out.add("kernel-hermiticity", worst_hermiticity(), 0.0, 1e-8, "PAPER Eq 2.4")
 
-    deviation = _measure(
-        "kernel-trace", lambda: abs(flat_weyl.flat_trace(0.0, 0.0, 8, hbar) - 1.0)
-    )
+    deviation = abs(flat_weyl.flat_trace(0.0, 0.0, 8, hbar) - 1.0)
     out.add("kernel-trace", deviation, 0.0, 2e-3, "PAPER Eq 2.5")
 
     sizes = [4, 8, 16, 32]
-    ladder = _measure(
-        "trace-ladder-monotone",
-        lambda: flat_weyl.trace_ladder(0.3 * s, -0.2 * s, sizes, hbar),
-    )
+    ladder = flat_weyl.trace_ladder(0.3 * s, -0.2 * s, sizes, hbar)
     decreases = [ladder[i] - ladder[i + 1] for i in range(len(ladder) - 1)]
     out.add("trace-ladder-monotone", min(decreases), 0.0, 0.0, "PAPER Eq 2.5", mode="min")
     out.add_series("trace_vs_K", ["K", "deviation"], list(zip(sizes, ladder)))
 
     g1 = (0.4 * s, -0.3 * s, 0.9 * s, 0.8 * s)
     g2 = (-0.2 * s, 0.5 * s, 1.1 * s, 0.7 * s)
-
-    def weak_form():
-        A = flat_weyl.quantize_gaussian_flat(*g1, K=cfg.truncation_K, hbar=hbar)
-        B = flat_weyl.quantize_gaussian_flat(*g2, K=cfg.truncation_K, hbar=hbar)
-        return complex(np.sum(A * B.T)).real
-
-    traced = _measure("weak-form-pairing", weak_form)
+    A = flat_weyl.quantize_gaussian_flat(*g1, K=cfg.truncation_K, hbar=hbar)
+    B = flat_weyl.quantize_gaussian_flat(*g2, K=cfg.truncation_K, hbar=hbar)
+    traced = complex(np.sum(A * B.T)).real
     reference = flat_weyl.gaussian_pair_integral(g1, g2) / (2.0 * math.pi * hbar)
     out.add("weak-form-pairing", traced, reference, 1e-2, "PAPER Eq 2.6", mode="rel")
 
@@ -663,13 +539,7 @@ def _run_flat_axioms(cfg: ExperimentConfig, out: _Checks) -> None:
             worst = max(worst, abs(recovered - f.evaluate(p, x)))
         return worst
 
-    out.add(
-        "round-trip-residual",
-        _measure("round-trip-residual", round_trips),
-        0.0,
-        1e-12,
-        "PAPER Eq 2.13",
-    )
+    out.add("round-trip-residual", round_trips(), 0.0, 1e-12, "PAPER Eq 2.13")
 
 
 def _run_orderings(cfg: ExperimentConfig, out: _Checks) -> None:
@@ -685,13 +555,7 @@ def _run_orderings(cfg: ExperimentConfig, out: _Checks) -> None:
         through = flat_weyl.a_image_flat(ordering_scheme("weyl"), f, model, hbar)
         return _operator_difference(direct, through, probes)
 
-    out.add(
-        "weyl-preset-identity",
-        _measure("weyl-preset-identity", weyl_identity),
-        0.0,
-        1e-15,
-        "TRIVIAL",
-    )
+    out.add("weyl-preset-identity", weyl_identity(), 0.0, 1e-15, "TRIVIAL")
 
     def standard_image():
         worst = 0.0
@@ -708,13 +572,7 @@ def _run_orderings(cfg: ExperimentConfig, out: _Checks) -> None:
             worst = max(worst, _operator_difference(direct, through, probes))
         return worst
 
-    out.add(
-        "standard-preset-image",
-        _measure("standard-preset-image", standard_image),
-        0.0,
-        1e-13,
-        "PAPER Eq 2.22",
-    )
+    out.add("standard-preset-image", standard_image(), 0.0, 1e-13, "PAPER Eq 2.22")
 
     def configured_roundtrip():
         scheme = ordering_scheme(cfg.ordering, hbar)
@@ -728,51 +586,24 @@ def _run_orderings(cfg: ExperimentConfig, out: _Checks) -> None:
             worst = max(worst, abs(recovered - f.evaluate(p, x)))
         return worst
 
-    out.add(
-        "configured-ordering-roundtrip",
-        _measure("configured-ordering-roundtrip", configured_roundtrip),
-        0.0,
-        1e-12,
-        "PAPER Eq 2.15",
-    )
+    out.add("configured-ordering-roundtrip", configured_roundtrip(), 0.0, 1e-12, "PAPER Eq 2.15")
 
-    def real_ordering_defect():
-        scheme = OrderingScheme((1.0, 0.35, -0.15, 0.05, 0.0), name="real-demo")
-        X = from_expression("0.4 + 0.9*x + 0.25*x**2", ("x",))
-        f = MomentumPolynomial(1, {1: tensor_from_fields(1, 1, lambda idx: X)})
-        D = flat_weyl.a_image_flat(scheme, f, model, hbar)
-        matrix = operator_matrix(model, D, HermiteBasis(hbar=hbar), cfg.truncation_K)
-        return hermiticity_defect(matrix)
-
-    out.add(
-        "real-ordering-hermiticity",
-        _measure("real-ordering-hermiticity", real_ordering_defect),
-        0.0,
-        1e-9,
-        "PAPER Eq 2.23",
+    scheme = OrderingScheme((1.0, 0.35, -0.15, 0.05, 0.0), name="real-demo")
+    X = from_expression("0.4 + 0.9*x + 0.25*x**2", ("x",))
+    f = MomentumPolynomial(1, {1: tensor_from_fields(1, 1, lambda idx: X)})
+    D = flat_weyl.a_image_flat(scheme, f, model, hbar)
+    real_defect = hermiticity_defect(
+        operator_matrix(model, D, HermiteBasis(hbar=hbar), cfg.truncation_K)
     )
+    out.add("real-ordering-hermiticity", real_defect, 0.0, 1e-9, "PAPER Eq 2.23")
 
     cos_p = symbol_from_config(circle, {"coefficient": "cos-theta", "degree": 1})
+    D = curved.wue_weyl_image(circle, cos_p, hbar)
+    weyl_defect = hermiticity_defect(operator_matrix(circle, D, FourierBasis(), cfg.truncation_K))
+    out.add("circle-weyl-hermiticity", weyl_defect, 0.0, 1e-10, "PAPER Eq 2.23")
 
-    def circle_weyl_defect():
-        D = curved.wue_weyl_image(circle, cos_p, hbar)
-        matrix = operator_matrix(circle, D, FourierBasis(), cfg.truncation_K)
-        return hermiticity_defect(matrix)
-
-    out.add(
-        "circle-weyl-hermiticity",
-        _measure("circle-weyl-hermiticity", circle_weyl_defect),
-        0.0,
-        1e-10,
-        "PAPER Eq 2.23",
-    )
-
-    def standard_defect():
-        D = curved.wue_standard_image(circle, cos_p, hbar)
-        matrix = operator_matrix(circle, D, FourierBasis(), cfg.truncation_K)
-        return hermiticity_defect(matrix)
-
-    defect = _measure("standard-defect-positive", standard_defect)
+    D = curved.wue_standard_image(circle, cos_p, hbar)
+    defect = hermiticity_defect(operator_matrix(circle, D, FourierBasis(), cfg.truncation_K))
     out.add("standard-defect-positive", defect, 0.0, 1e-6, "DERIVED oracle", mode="min")
     out.add("standard-defect-value", defect, 0.5 * hbar, 1e-9, "DERIVED oracle")
 
@@ -802,32 +633,17 @@ def _run_curved_defect(cfg: ExperimentConfig, out: _Checks) -> None:
                 worst = max(worst, float(np.max(np.abs(values - want))))
         return worst
 
-    out.add(
-        "kinetic-image-residual",
-        _measure("kinetic-image-residual", kinetic_residual),
-        0.0,
-        1e-8,
-        "PAPER Eq 2.39",
-    )
+    out.add("kinetic-image-residual", kinetic_residual(), 0.0, 1e-8, "PAPER Eq 2.39")
 
-    def ricci_coefficient():
-        scalar_curv = float(
-            np.tensordot(geometry.inverse_metric(model, q0), geometry.ricci(model, q0), 2)
-        )
-        f2 = MomentumPolynomial(
-            2, {2: symbol_from_config(model, {"coefficient": "inverse-metric", "degree": 2}).terms[2]}
-        )
-        D = curved.wue_weyl_image(model, f2, hbar)
-        term0 = complex(np.asarray(D.terms[0].evaluate(q0)))
-        return -term0.real / (hbar * hbar * scalar_curv)
-
-    out.add(
-        "ricci-coefficient",
-        _measure("ricci-coefficient", ricci_coefficient),
-        1.0 / 12.0,
-        1e-6,
-        "PAPER Eq 2.36",
+    scalar_curv = float(
+        np.tensordot(geometry.inverse_metric(model, q0), geometry.ricci(model, q0), 2)
     )
+    f2 = MomentumPolynomial(
+        2, {2: symbol_from_config(model, {"coefficient": "inverse-metric", "degree": 2}).terms[2]}
+    )
+    term0 = complex(np.asarray(curved.wue_weyl_image(model, f2, hbar).terms[0].evaluate(q0)))
+    ricci_coefficient = -term0.real / (hbar * hbar * scalar_curv)
+    out.add("ricci-coefficient", ricci_coefficient, 1.0 / 12.0, 1e-6, "PAPER Eq 2.36")
 
     f_sym = symbol_from_config(model, cfg.symbol)
 
@@ -836,32 +652,18 @@ def _run_curved_defect(cfg: ExperimentConfig, out: _Checks) -> None:
         contraction = float(np.real(np.tensordot(X, geometry.ricci(mdl, q), 2)))
         return hbar * hbar * contraction / 3.0
 
-    defect0 = _measure(
-        "defect-value", lambda: curved.axiom_defect(model, f_sym, p_base, q0, hbar).real
-    )
+    defect0 = curved.axiom_defect(model, f_sym, p_base, q0, hbar).real
     out.add("defect-value", defect0, defect_oracle(model, f_sym, q0), 1e-4, "PAPER Eq 2.46", mode="rel")
 
-    def p_scan():
-        scales = [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75]
-        values = [
-            curved.axiom_defect(model, f_sym, t * p_base, q0, hbar).real for t in scales
-        ]
-        return scales, values
-
-    scales, values = _measure("defect-p-independence", p_scan)
+    scales = [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75]
+    values = [curved.axiom_defect(model, f_sym, t * p_base, q0, hbar).real for t in scales]
+    rows = [(t, v, defect_oracle(model, f_sym, q0)) for t, v in zip(scales, values)]
     out.add(
         "defect-p-independence", max(values) - min(values), 0.0, 1e-6, "PAPER Eq 2.46"
     )
-    out.add_series(
-        "defect_vs_p",
-        ["p_scale", "defect", "reference"],
-        [(t, v, defect_oracle(model, f_sym, q0)) for t, v in zip(scales, values)],
-    )
+    out.add_series("defect_vs_p", ["p_scale", "defect", "reference"], rows)
 
-    coefficient = _measure(
-        "defect-curvature-coefficient",
-        lambda: curved.defect_curvature_coefficient(model, f_sym, probes, p_base, hbar),
-    )
+    coefficient = curved.defect_curvature_coefficient(model, f_sym, probes, p_base, hbar)
     out.add(
         "defect-curvature-coefficient", coefficient, 1.0 / 3.0, 1e-4, "PAPER Eq 2.46", mode="rel"
     )
@@ -876,7 +678,7 @@ def _run_curved_defect(cfg: ExperimentConfig, out: _Checks) -> None:
             )
         return results
 
-    d1, d2 = _measure("radius-scaling", radius_pair)
+    d1, d2 = radius_pair()
     out.add("radius-scaling", d2, d1 / 4.0, 1e-3, "DERIVED oracle", mode="rel")
 
     def flat_defect(name: str):
@@ -885,59 +687,23 @@ def _run_curved_defect(cfg: ExperimentConfig, out: _Checks) -> None:
         q = np.array([0.3, -0.8]) if name.startswith("euclidean") else np.array([1.2, 0.5])
         return abs(curved.axiom_defect(flat_model, f, np.array([0.7, 0.2]), q, hbar))
 
-    out.add(
-        "flat-defect-euclidean",
-        _measure("flat-defect-euclidean", lambda: flat_defect("euclidean:2")),
-        0.0,
-        1e-8,
-        "TRIVIAL",
-    )
-    out.add(
-        "flat-defect-polar",
-        _measure("flat-defect-polar", lambda: flat_defect("polar-plane")),
-        0.0,
-        1e-8,
-        "TRIVIAL",
-    )
+    out.add("flat-defect-euclidean", flat_defect("euclidean:2"), 0.0, 1e-8, "TRIVIAL")
+    out.add("flat-defect-polar", flat_defect("polar-plane"), 0.0, 1e-8, "TRIVIAL")
 
-    emmrich = _measure(
-        "emmrich-defect",
-        lambda: abs(
-            curved.axiom_defect(model, f_sym, p_base, q0, hbar, measure_variant="emmrich")
-        ),
-    )
+    emmrich = abs(curved.axiom_defect(model, f_sym, p_base, q0, hbar, measure_variant="emmrich"))
     out.add("emmrich-defect", emmrich, 0.0, 0.1 * hbar * hbar, "PAPER Eq 2.28", mode="min")
 
-    def ricci_convention():
-        unit = geometry.manifold("sphere:1.0")
-        worst = 0.0
-        for q in (np.array([1.1, 0.4]), np.array([2.0, -1.3])):
-            worst = max(
-                worst,
-                float(np.max(np.abs(geometry.ricci(unit, q) - geometry.metric(unit, q)))),
-            )
-        return worst
-
-    out.add(
-        "ricci-convention",
-        _measure("ricci-convention", ricci_convention),
-        0.0,
-        1e-6,
-        "PAPER Eq 2.37",
+    unit = geometry.manifold("sphere:1.0")
+    ricci_residual = max(
+        float(np.max(np.abs(geometry.ricci(unit, q) - geometry.metric(unit, q))))
+        for q in (np.array([1.1, 0.4]), np.array([2.0, -1.3]))
     )
+    out.add("ricci-convention", ricci_residual, 0.0, 1e-6, "PAPER Eq 2.37")
 
-    def density_jet():
-        jets = geometry.sqrt_g_jet(model, q0, 2, method="numeric")
-        want = -geometry.ricci_in_frame(model, q0) / 3.0
-        return float(np.max(np.abs(jets[2] - want)))
-
-    out.add(
-        "density-jet-ricci",
-        _measure("density-jet-ricci", density_jet),
-        0.0,
-        1e-5,
-        "DERIVED oracle",
-    )
+    jets = geometry.sqrt_g_jet(model, q0, 2, method="numeric")
+    want = -geometry.ricci_in_frame(model, q0) / 3.0
+    jet_residual = float(np.max(np.abs(jets[2] - want)))
+    out.add("density-jet-ricci", jet_residual, 0.0, 1e-5, "DERIVED oracle")
 
     def pullback_agreement():
         names = model.coordinate_names
@@ -953,13 +719,7 @@ def _run_curved_defect(cfg: ExperimentConfig, out: _Checks) -> None:
             worst = max(worst, float(np.max(np.abs(jets[k] - frame_deriv))))
         return worst
 
-    out.add(
-        "pullback-vs-covariant",
-        _measure("pullback-vs-covariant", pullback_agreement),
-        0.0,
-        1e-5,
-        "PAPER Eq 2.31",
-    )
+    out.add("pullback-vs-covariant", pullback_agreement(), 0.0, 1e-5, "PAPER Eq 2.31")
 
 
 def _run_point_transform(cfg: ExperimentConfig, out: _Checks) -> None:
@@ -996,13 +756,7 @@ def _run_point_transform(cfg: ExperimentConfig, out: _Checks) -> None:
             worst = max(worst, abs(derived.evaluate(p, q) - (-hbar) * total))
         return worst
 
-    out.add(
-        "cartesian-reduction",
-        _measure("cartesian-reduction", cartesian_reduction),
-        0.0,
-        1e-8,
-        "PAPER Eq 2.49",
-    )
+    out.add("cartesian-reduction", cartesian_reduction(), 0.0, 1e-8, "PAPER Eq 2.49")
 
     def polar_agreement():
         f = _random_chart_symbol(rng, polar.coordinate_names)
@@ -1016,28 +770,18 @@ def _run_point_transform(cfg: ExperimentConfig, out: _Checks) -> None:
             worst = max(worst, abs(direct - conjugated))
         return worst
 
-    out.add(
-        "polar-cartesian-agreement",
-        _measure("polar-cartesian-agreement", polar_agreement),
-        0.0,
-        1e-6,
-        "PAPER Eq 2.48",
-    )
+    out.add("polar-cartesian-agreement", polar_agreement(), 0.0, 1e-6, "PAPER Eq 2.48")
 
     radial = MomentumPolynomial(2, {1: tensor_constant(2, np.array([1.0, 0.0]))})
-    shifted = _measure("radial-momentum-shift", lambda: delta_apply(polar, radial, hbar))
+    shifted = delta_apply(polar, radial, hbar)
 
     def shift_at(r: float) -> float:
         return shifted.evaluate(np.array([0.3, -0.7]), np.array([r, 0.4])).real
 
     worst_shift = max(abs(shift_at(r) + hbar / r) for r in (0.5, 1.0, 2.0))
+    rows = [(float(r), shift_at(float(r)), -hbar / float(r)) for r in np.linspace(0.5, 2.0, 7)]
     out.add("radial-momentum-shift", worst_shift, 0.0, 1e-8, "PAPER Eq 2.49")
-    grid = np.linspace(0.5, 2.0, 7)
-    out.add_series(
-        "shift_vs_r",
-        ["r", "measured", "reference"],
-        [(float(r), shift_at(float(r)), -hbar / float(r)) for r in grid],
-    )
+    out.add_series("shift_vs_r", ["r", "measured", "reference"], rows)
 
     def divergence_identity():
         names = polar.coordinate_names
@@ -1052,13 +796,7 @@ def _run_point_transform(cfg: ExperimentConfig, out: _Checks) -> None:
             worst = max(worst, abs(value - want))
         return worst
 
-    out.add(
-        "divergence-identity",
-        _measure("divergence-identity", divergence_identity),
-        0.0,
-        1e-8,
-        "DERIVED oracle",
-    )
+    out.add("divergence-identity", divergence_identity(), 0.0, 1e-8, "DERIVED oracle")
 
 
 def _run_cylinder_axioms(cfg: ExperimentConfig, out: _Checks) -> None:
@@ -1068,12 +806,7 @@ def _run_cylinder_axioms(cfg: ExperimentConfig, out: _Checks) -> None:
     one = constant_field(1, 1.0)
     cos_theta = from_expression("cos(theta)", ("theta",))
 
-    completed = _measure(
-        "kernel-trace",
-        lambda: cylinder.polynomial_reproduction_check(
-            one, 0, 0.77 * hbar, 0.3, chi, 32, hbar
-        ),
-    )
+    completed = cylinder.polynomial_reproduction_check(one, 0, 0.77 * hbar, 0.3, chi, 32, hbar)
     out.add("kernel-trace", completed, 0.0, 1e-8, "PAPER Eq 3.4")
 
     def raw_trace():
@@ -1086,64 +819,37 @@ def _run_cylinder_axioms(cfg: ExperimentConfig, out: _Checks) -> None:
             worst = max(worst, abs(trace - 1.0))
         return worst
 
-    out.add("raw-kernel-trace", _measure("raw-kernel-trace", raw_trace), 0.0, 1e-8, "PAPER Eq 3.4")
+    out.add("raw-kernel-trace", raw_trace(), 0.0, 1e-8, "PAPER Eq 3.4")
 
-    def hermiticity():
-        continuum = cylinder.quantizer_matrix_cyl(0.6 * hbar, 1.1, chi, 16, hbar)
-        discrete = cylinder.discrete_quantizer(2, 0.7, 16)
-        return max(hermiticity_defect(continuum), hermiticity_defect(discrete))
+    continuum = cylinder.quantizer_matrix_cyl(0.6 * hbar, 1.1, chi, 16, hbar)
+    discrete = cylinder.discrete_quantizer(2, 0.7, 16)
+    hermiticity = max(hermiticity_defect(continuum), hermiticity_defect(discrete))
+    out.add("kernel-hermiticity", hermiticity, 0.0, 1e-10, "PAPER Eq 3.3")
 
-    out.add(
-        "kernel-hermiticity",
-        _measure("kernel-hermiticity", hermiticity),
+    matrix = cylinder.quantizer_matrix_cyl(0.0, 0.0, chi, 8, hbar)
+    entry, _ = quad(
+        lambda xi: 2.0 * chi.value(xi) ** 2 * math.cos(xi),
         0.0,
-        1e-10,
-        "PAPER Eq 3.3",
+        chi.support,
+        limit=200,
+        epsabs=1e-13,
+        epsrel=1e-13,
     )
+    out.add("entry-oracle", abs(matrix[8, 9] - entry / math.pi), 0.0, 1e-12, "DERIVED oracle")
 
-    def entry_oracle():
-        matrix = cylinder.quantizer_matrix_cyl(0.0, 0.0, chi, 8, hbar)
-        value, err = quad(
-            lambda xi: 2.0 * chi.value(xi) ** 2 * math.cos(xi),
-            0.0,
-            chi.support,
-            limit=200,
-            epsabs=1e-13,
-            epsrel=1e-13,
-        )
-        del err
-        return abs(matrix[8, 9] - value / math.pi)
-
-    out.add(
-        "entry-oracle", _measure("entry-oracle", entry_oracle), 0.0, 1e-12, "DERIVED oracle"
-    )
-
-    def reproduction():
-        residuals = [
-            cylinder.polynomial_reproduction_check(cos_theta, m, 2.0 * hbar, 0.7, chi, 32, hbar)
-            for m in range(5)
-        ]
-        return residuals
-
-    residuals = _measure("polynomial-reproduction", reproduction)
+    residuals = [
+        cylinder.polynomial_reproduction_check(cos_theta, m, 2.0 * hbar, 0.7, chi, 32, hbar)
+        for m in range(5)
+    ]
     out.add("polynomial-reproduction", max(residuals), 0.0, 1e-6, "PAPER Eq 3.6")
     out.add_series(
         "reproduction_vs_m", ["m", "residual"], list(zip(range(5), residuals))
     )
 
-    def cutoff_independence():
-        other = CutoffFamily.mollifier(2)
-        res_a = cylinder.polynomial_reproduction_check(cos_theta, 2, 2.0 * hbar, 0.7, chi, 32, hbar)
-        res_b = cylinder.polynomial_reproduction_check(cos_theta, 2, 2.0 * hbar, 0.7, other, 32, hbar)
-        return abs(res_a - res_b)
-
-    out.add(
-        "cutoff-independence",
-        _measure("cutoff-independence", cutoff_independence),
-        0.0,
-        1e-6,
-        "PAPER Eq 3.6",
-    )
+    other = CutoffFamily.mollifier(2)
+    res_a = cylinder.polynomial_reproduction_check(cos_theta, 2, 2.0 * hbar, 0.7, chi, 32, hbar)
+    res_b = cylinder.polynomial_reproduction_check(cos_theta, 2, 2.0 * hbar, 0.7, other, 32, hbar)
+    out.add("cutoff-independence", abs(res_a - res_b), 0.0, 1e-6, "PAPER Eq 3.6")
 
     theta0, p0 = 0.9, 0.4 * hbar
     theta_width, p_width = 0.4, 0.8 * hbar
@@ -1162,14 +868,12 @@ def _run_cylinder_axioms(cfg: ExperimentConfig, out: _Checks) -> None:
             p_width=p_width,
         ).real
 
-    def smeared_profile():
-        K = cfg.truncation_K
-        coincident = smeared(0.0, K)
-        quarter = smeared(math.pi / 2.0, K)
-        antipodal = smeared(math.pi, K)
-        return coincident, quarter, antipodal
-
-    coincident, quarter, antipodal = _measure("smeared-quarter-ratio", smeared_profile)
+    K = cfg.truncation_K
+    coincident = smeared(0.0, K)
+    quarter = smeared(math.pi / 2.0, K)
+    antipodal = smeared(math.pi, K)
+    ks = [16, 32, 48, 64]
+    trace_rows = [(k, smeared(0.0, k), abs(smeared(math.pi / 2.0, k) / smeared(0.0, k))) for k in ks]
     out.add(
         "smeared-quarter-ratio",
         abs(quarter) / abs(coincident),
@@ -1198,22 +902,13 @@ def _run_cylinder_axioms(cfg: ExperimentConfig, out: _Checks) -> None:
         "PAPER Eq 3.7",
         mode="min",
     )
-
-    ks = [16, 32, 48, 64]
-    trace_rows = _measure(
-        "smeared-quarter-ratio",
-        lambda: [(K, smeared(0.0, K), abs(smeared(math.pi / 2.0, K) / smeared(0.0, K))) for K in ks],
-    )
     out.add_series("smeared_trace_vs_K", ["K", "coincident", "quarter_ratio"], trace_rows)
 
 
 def _run_discrete_limit(cfg: ExperimentConfig, out: _Checks) -> None:
     n0, theta0 = 3, 1.1
 
-    errors = _measure(
-        "mollifier-ladder",
-        lambda: cylinder.discrete_limit_check(n0, theta0, cfg.truncation_K),
-    )
+    errors = cylinder.discrete_limit_check(n0, theta0, cfg.truncation_K)
     decreases = [errors[i] - errors[i + 1] for i in range(len(errors) - 1)]
     out.add("mollifier-ladder", min(decreases), 0.0, 0.0, "PAPER Eq 3.9", mode="min")
     out.add_series(
@@ -1222,21 +917,13 @@ def _run_discrete_limit(cfg: ExperimentConfig, out: _Checks) -> None:
         [(j + 1, float(e)) for j, e in enumerate(errors)],
     )
 
-    def indicator_match():
-        sharp = CutoffFamily(math.pi / 2.0, math.pi / 2.0, "indicator")
-        continuum = cylinder.quantizer_matrix_cyl(float(n0), theta0, sharp, 16, 1.0)
-        discrete = cylinder.discrete_quantizer(n0, theta0, 16)
-        return float(np.max(np.abs(continuum - discrete)))
+    sharp = CutoffFamily(math.pi / 2.0, math.pi / 2.0, "indicator")
+    continuum = cylinder.quantizer_matrix_cyl(float(n0), theta0, sharp, 16, 1.0)
+    discrete = cylinder.discrete_quantizer(n0, theta0, 16)
+    indicator_gap = float(np.max(np.abs(continuum - discrete)))
+    out.add("indicator-matches-discrete", indicator_gap, 0.0, 1e-12, "DERIVED oracle")
 
-    out.add(
-        "indicator-matches-discrete",
-        _measure("indicator-matches-discrete", indicator_match),
-        0.0,
-        1e-12,
-        "DERIVED oracle",
-    )
-
-    matrix = _measure("discrete-diagonal", lambda: cylinder.discrete_quantizer(2, 0.7, 16))
+    matrix = cylinder.discrete_quantizer(2, 0.7, 16)
     diag = np.real(np.diag(matrix))
     want = np.zeros_like(diag)
     want[16 + 2] = 1.0
@@ -1253,10 +940,7 @@ def _run_discrete_orthogonality(cfg: ExperimentConfig, out: _Checks) -> None:
     theta0 = 1.3
     t = cylinder.periodic_test_function(0.9, 0.5)
 
-    diagonal = _measure(
-        "diagonal-smeared-trace",
-        lambda: cylinder.discrete_pair_trace_smeared(n0, n0, theta0, t, K).real,
-    )
+    diagonal = cylinder.discrete_pair_trace_smeared(n0, n0, theta0, t, K).real
     out.add(
         "diagonal-smeared-trace",
         diagonal,
@@ -1266,65 +950,169 @@ def _run_discrete_orthogonality(cfg: ExperimentConfig, out: _Checks) -> None:
         mode="rel",
     )
 
-    off = _measure(
-        "offdiagonal-suppression",
-        lambda: abs(cylinder.discrete_pair_trace_smeared(n0, n0 + 3, theta0, t, K)),
-    )
-    out.add("offdiagonal-suppression", off / abs(diagonal), 0.0, 0.05, "PAPER Eq 3.11")
-
-    flat_value = _measure(
-        "flat-test-function",
-        lambda: cylinder.discrete_pair_trace_smeared(
-            n0, n0, theta0, lambda angles: np.ones_like(angles, dtype=float), K
-        ).real,
-    )
-    out.add("flat-test-function", flat_value, 2.0 * math.pi, 1e-6, "DERIVED oracle")
-
-    def growth():
-        k1, k2 = 16, 32
-        t1 = cylinder.discrete_pair_trace(n0, n0, theta0, theta0, k1).real
-        t2 = cylinder.discrete_pair_trace(n0, n0, theta0, theta0, k2).real
-        expected = (2.0 * k2 + 1.0) / (2.0 * k1 + 1.0)
-        return abs(t2 / t1 / expected - 1.0)
-
-    out.add("unsmeared-growth", _measure("unsmeared-growth", growth), 0.0, 0.2, "TRIVIAL")
-
-    hbar = cfg.hbar
-
-    def momentum_functions():
-        worst_off = 0.0
-        worst_diag = 0.0
-        for fn in (lambda p, theta: p, lambda p, theta: p * p):
-            matrix = cylinder.discrete_quantize(fn, 16, 12, hbar)
-            ks = np.arange(-12, 13)
-            diag = np.diag(matrix)
-            want = np.array([fn(k * hbar, 0.0) for k in ks], dtype=complex)
-            worst_diag = max(worst_diag, float(np.max(np.abs(diag - want))))
-            off = matrix - np.diag(diag)
-            worst_off = max(worst_off, float(np.max(np.abs(off))))
-        return worst_off, worst_diag
-
-    worst_off, worst_diag = _measure("momentum-diagonality", momentum_functions)
-    out.add("momentum-diagonality", worst_off, 0.0, 1e-12, "PAPER Sec 3")
-    out.add("momentum-spectrum", worst_diag, 0.0, 1e-12, "PAPER Sec 3")
-
+    off = abs(cylinder.discrete_pair_trace_smeared(n0, n0 + 3, theta0, t, K))
     rows = []
     for k in (16, 32, 48, 64):
         d = cylinder.discrete_pair_trace_smeared(n0, n0, theta0, t, k).real
         o = abs(cylinder.discrete_pair_trace_smeared(n0, n0 + 3, theta0, t, k))
         rows.append((k, d, o))
+    out.add("offdiagonal-suppression", off / abs(diagonal), 0.0, 0.05, "PAPER Eq 3.11")
     out.add_series("orthogonality_vs_K", ["K", "diagonal", "offdiagonal"], rows)
 
+    flat_value = cylinder.discrete_pair_trace_smeared(
+        n0, n0, theta0, lambda angles: np.ones_like(angles, dtype=float), K
+    ).real
+    out.add("flat-test-function", flat_value, 2.0 * math.pi, 1e-6, "DERIVED oracle")
 
-_RUNNERS = {
-    "flat-axioms": _run_flat_axioms,
-    "orderings": _run_orderings,
-    "curved-defect": _run_curved_defect,
-    "point-transform": _run_point_transform,
-    "cylinder-axioms": _run_cylinder_axioms,
-    "discrete-limit": _run_discrete_limit,
-    "discrete-orthogonality": _run_discrete_orthogonality,
-}
+    k1, k2 = 16, 32
+    t1 = cylinder.discrete_pair_trace(n0, n0, theta0, theta0, k1).real
+    t2 = cylinder.discrete_pair_trace(n0, n0, theta0, theta0, k2).real
+    expected = (2.0 * k2 + 1.0) / (2.0 * k1 + 1.0)
+    out.add("unsmeared-growth", abs(t2 / t1 / expected - 1.0), 0.0, 0.2, "TRIVIAL")
+
+    hbar = cfg.hbar
+    worst_off = 0.0
+    worst_diag = 0.0
+    for fn in (lambda p, theta: p, lambda p, theta: p * p):
+        matrix = cylinder.discrete_quantize(fn, 16, 12, hbar)
+        ks = np.arange(-12, 13)
+        diag = np.diag(matrix)
+        want = np.array([fn(k * hbar, 0.0) for k in ks], dtype=complex)
+        worst_diag = max(worst_diag, float(np.max(np.abs(diag - want))))
+        off_diag = matrix - np.diag(diag)
+        worst_off = max(worst_off, float(np.max(np.abs(off_diag))))
+    out.add("momentum-diagonality", worst_off, 0.0, 1e-12, "PAPER Sec 3")
+    out.add("momentum-spectrum", worst_diag, 0.0, 1e-12, "PAPER Sec 3")
+
+
+# ---------------------------------------------------------------------------
+# the experiment table
+
+
+CATALOG: tuple[Experiment, ...] = (
+    Experiment(
+        "flat-axioms",
+        "Flat kernel axioms: hermiticity, normalized trace, pairing, and polynomial round trips.",
+        "Eqs 2.3-2.13",
+        {"hbar": 1.0, "truncation_K": 32},
+        (
+            "ground-state-peak",
+            "ground-state-gaussian",
+            "kernel-hermiticity",
+            "kernel-trace",
+            "trace-ladder-monotone",
+            "weak-form-pairing",
+            "round-trip-residual",
+        ),
+        _run_flat_axioms,
+    ),
+    Experiment(
+        "orderings",
+        "Ordering-family images: identity preset, standard preset, and hermiticity behavior.",
+        "Eqs 2.15-2.23",
+        {"hbar": 1.0, "ordering": "standard", "truncation_K": 16},
+        (
+            "weyl-preset-identity",
+            "standard-preset-image",
+            "configured-ordering-roundtrip",
+            "real-ordering-hermiticity",
+            "circle-weyl-hermiticity",
+            "standard-defect-positive",
+            "standard-defect-value",
+        ),
+        _run_orderings,
+    ),
+    Experiment(
+        "curved-defect",
+        "Kinetic images with curvature corrections and the trace-axiom defect on spheres.",
+        "Eqs 2.31-2.46",
+        {
+            "hbar": 1.0,
+            "manifold": "sphere:1.0",
+            "symbol": {"coefficient": "inverse-metric", "degree": 2},
+        },
+        (
+            "kinetic-image-residual",
+            "ricci-coefficient",
+            "defect-value",
+            "defect-p-independence",
+            "defect-curvature-coefficient",
+            "radius-scaling",
+            "flat-defect-euclidean",
+            "flat-defect-polar",
+            "emmrich-defect",
+            "ricci-convention",
+            "density-jet-ricci",
+            "pullback-vs-covariant",
+        ),
+        _run_curved_defect,
+    ),
+    Experiment(
+        "point-transform",
+        "Chart covariance of the ordering generator between Cartesian and curvilinear charts.",
+        "Eqs 2.48-2.49",
+        {"hbar": 1.0},
+        (
+            "cartesian-reduction",
+            "polar-cartesian-agreement",
+            "radial-momentum-shift",
+            "divergence-identity",
+        ),
+        _run_point_transform,
+    ),
+    Experiment(
+        "cylinder-axioms",
+        "Cylinder kernel axioms: trace, polynomial reproduction, and pair-trace localization.",
+        "Eqs 3.3-3.7",
+        {"hbar": 1.0, "cutoff": _DEFAULT_CUTOFF, "truncation_K": 64},
+        (
+            "kernel-trace",
+            "raw-kernel-trace",
+            "kernel-hermiticity",
+            "entry-oracle",
+            "polynomial-reproduction",
+            "cutoff-independence",
+            "smeared-quarter-ratio",
+            "antipodal-vs-quarter",
+            "delta-model-mismatch",
+        ),
+        _run_cylinder_axioms,
+    ),
+    Experiment(
+        "discrete-limit",
+        "Sharp-cutoff limit of the cylinder kernel onto the integer momentum lattice.",
+        "Eqs 3.8-3.10",
+        {"truncation_K": 32},
+        (
+            "mollifier-ladder",
+            "indicator-matches-discrete",
+            "discrete-diagonal",
+            "discrete-trace",
+            "discrete-first-band",
+        ),
+        _run_discrete_limit,
+    ),
+    Experiment(
+        "discrete-orthogonality",
+        "Smeared orthogonality and momentum diagonality of the discrete lattice kernel.",
+        "Eqs 3.10-3.11",
+        {"hbar": 1.0, "truncation_K": 64, "truncation_N": 3},
+        (
+            "diagonal-smeared-trace",
+            "offdiagonal-suppression",
+            "flat-test-function",
+            "unsmeared-growth",
+            "momentum-diagonality",
+            "momentum-spectrum",
+        ),
+        _run_discrete_orthogonality,
+    ),
+)
+
+EXPERIMENT_NAMES: tuple[str, ...] = tuple(entry.name for entry in CATALOG)
+
+#: Valid per-experiment check names (also the accepted tolerance-override keys).
+CHECK_NAMES: dict[str, tuple[str, ...]] = {entry.name: entry.checks for entry in CATALOG}
 
 
 def run_experiment(config: ExperimentConfig, tolerance_scale: float = 1.0) -> Report:
@@ -1332,18 +1120,24 @@ def run_experiment(config: ExperimentConfig, tolerance_scale: float = 1.0) -> Re
 
     ``tolerance_scale`` multiplies every ``abs``/``rel`` tolerance (lower-bound
     ``min`` thresholds are left untouched); values above 1 loosen the checks,
-    values below 1 tighten them.
+    values below 1 tighten them.  A library error raised while a check is
+    evaluated becomes an ``ExperimentError`` naming that check; a
+    ``ConfigError`` passes through unchanged.
     """
     if not tolerance_scale > 0:
         raise ConfigError("tolerance scale must be positive")
     config.validate()
-    checks = _Checks(config, tolerance_scale)
-    _RUNNERS[config.experiment](config, checks)
-    environment = {
-        "version": __version__,
-        "hbar": float(config.hbar),
-        "truncation_K": config.truncation_K,
-        "truncation_N": config.truncation_N,
-    }
+    experiment = _experiment(config.experiment)
+    checks = _Checks(config, experiment.checks, tolerance_scale)
+    try:
+        experiment.run(config, checks)
+    except ConfigError:
+        raise
+    except PhasequantError as exc:
+        raise ExperimentError(f"check {checks.pending!r} could not be evaluated: {exc}") from exc
+    environment = {"version": __version__}
+    environment.update((key, getattr(config, key)) for key in experiment.settings)
+    if "hbar" in environment:
+        environment["hbar"] = float(environment["hbar"])
     timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
     return Report(config.experiment, environment, checks.records, checks.series, timestamp)

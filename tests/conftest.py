@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+from phasequant import harness
 from phasequant.fields import constant, from_expression, tensor_from_fields
 from phasequant.symbols import MomentumPolynomial
 
@@ -46,3 +47,13 @@ def symbol_factory(rng):
 @pytest.fixture
 def unit_field():
     return constant(1, 1.0)
+
+
+@pytest.fixture(scope="session")
+def reports():
+    """One full run of every experiment at its defaults, shared across assertions."""
+    out = {}
+    for entry in harness.list_experiments():
+        cfg = harness.ExperimentConfig.from_dict({"experiment": entry.name})
+        out[entry.name] = harness.run_experiment(cfg)
+    return out

@@ -4,20 +4,29 @@ import math
 import numpy as np
 import pytest
 
-from phasequant import cli, harness
-from phasequant.errors import ConfigError
+from phasequant import cli, curved, harness
+from phasequant.errors import ConfigError, ExperimentError, QuadratureAccuracyError
 
 EXPERIMENTS = [entry.name for entry in harness.list_experiments()]
 
-
-@pytest.fixture(scope="session")
-def reports():
-    """One full run of every experiment, shared across assertions."""
-    out = {}
-    for name in EXPERIMENTS:
-        cfg = harness.ExperimentConfig.from_dict({"experiment": name})
-        out[name] = harness.run_experiment(cfg)
-    return out
+#: The config settings each experiment's runner reads, with their defaults.
+SETTINGS = {
+    "flat-axioms": {"hbar": 1.0, "truncation_K": 32},
+    "orderings": {"hbar": 1.0, "ordering": "standard", "truncation_K": 16},
+    "curved-defect": {
+        "hbar": 1.0,
+        "manifold": "sphere:1.0",
+        "symbol": {"coefficient": "inverse-metric", "degree": 2},
+    },
+    "point-transform": {"hbar": 1.0},
+    "cylinder-axioms": {
+        "hbar": 1.0,
+        "cutoff": {"profile": "smoothstep", "plateau": 0.8, "support": 2.8},
+        "truncation_K": 64,
+    },
+    "discrete-limit": {"truncation_K": 32},
+    "discrete-orthogonality": {"hbar": 1.0, "truncation_K": 64, "truncation_N": 3},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -72,12 +81,55 @@ def test_unknown_experiment_error_lists_valid_names():
         {"wavelength": 3},
         {"tolerances": {"no-such-check": 1e-6}},
         {"tolerances": {"kernel-trace": 0.0}},
-        {"cutoff": {"profile": "smoothstep", "plateau": 0.8, "support": 2.8, "x": 1}},
-        {"cutoff": "wide"},
+        {
+            "experiment": "cylinder-axioms",
+            "cutoff": {"profile": "smoothstep", "plateau": 0.8, "support": 2.8, "x": 1},
+        },
+        {"experiment": "cylinder-axioms", "cutoff": "wide"},
     ],
 )
 def test_invalid_configs_rejected(overrides):
     payload = {"experiment": "flat-axioms", **overrides}
+    with pytest.raises(ConfigError):
+        harness.ExperimentConfig.from_dict(payload)
+
+
+@pytest.mark.parametrize(
+    "experiment, key, value",
+    [
+        ("point-transform", "manifold", "sphere:1.0"),
+        ("discrete-limit", "hbar", 0.37),
+        ("flat-axioms", "cutoff", {"plateau": 0.5}),
+        ("curved-defect", "truncation_K", 16),
+        ("cylinder-axioms", "symbol", "constant"),
+    ],
+)
+def test_unread_config_key_rejected(experiment, key, value):
+    with pytest.raises(ConfigError) as excinfo:
+        harness.ExperimentConfig.from_dict({"experiment": experiment, key: value})
+    assert repr(key) in str(excinfo.value)
+
+
+@pytest.mark.parametrize("name", EXPERIMENTS)
+def test_default_config_lists_exactly_the_settings_read(name):
+    template = harness.default_config(name)
+    comments = template.pop("_comments")
+    assert template == {"experiment": name, **SETTINGS[name], "tolerances": {}, "output_dir": None}
+    assert list(comments) == list(template)
+
+
+BROKEN_BUILDS = [
+    {"experiment": "curved-defect", "symbol": {"coefficient": "custom:sin(", "degree": 2}},
+    {
+        "experiment": "curved-defect",
+        "symbol": {"coefficient": "inverse-metric", "degree": 2, "colour": 1},
+    },
+    {"experiment": "orderings", "ordering": "bogus"},
+]
+
+
+@pytest.mark.parametrize("payload", BROKEN_BUILDS)
+def test_validation_builds_symbol_and_ordering(payload):
     with pytest.raises(ConfigError):
         harness.ExperimentConfig.from_dict(payload)
 
@@ -158,11 +210,10 @@ def test_every_record_carries_a_provenance_tag(reports):
 def test_environment_stamp(reports):
     import phasequant
 
-    for report in reports.values():
-        env = report.environment
-        assert env["version"] == phasequant.__version__
-        assert env["hbar"] == 1.0
-        assert "truncation_K" in env
+    for name, report in reports.items():
+        assert report.environment == {"version": phasequant.__version__, **SETTINGS[name]}
+        if "hbar" in report.environment:
+            assert type(report.environment["hbar"]) is float
 
 
 def test_summary_lines_contain_pass_tag_and_values(reports):
@@ -171,15 +222,6 @@ def test_summary_lines_contain_pass_tag_and_values(reports):
     for line in lines:
         assert line.startswith("[PASS]") or line.startswith("[FAIL]")
         assert "measured=" in line and "tol=" in line
-
-
-def test_reports_are_deterministic_excluding_timestamp():
-    cfg = harness.ExperimentConfig.from_dict({"experiment": "point-transform"})
-    a = harness.run_experiment(cfg).as_dict()
-    b = harness.run_experiment(cfg).as_dict()
-    a.pop("timestamp")
-    b.pop("timestamp")
-    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
 
 
 def test_report_files_written(tmp_path, reports):
@@ -204,6 +246,46 @@ def test_report_format_filter(tmp_path, reports):
     assert all(p.suffix == ".json" for p in json_only)
     csv_only = report.write(tmp_path / "b", format="csv")
     assert csv_only and all(p.suffix == ".csv" for p in csv_only)
+
+
+def test_non_finite_values_serialize_as_strict_json(tmp_path):
+    record = harness.CheckRecord("probe", math.nan, 0.0, 1e-8, "abs", "TRIVIAL", False)
+    series = {"curve": {"columns": ["x", "y"], "rows": [[1.0, math.inf], [2.0, -math.inf]]}}
+    report = harness.Report("probe", {"version": "0"}, [record], series, "now")
+
+    def reject(constant):
+        raise ValueError(f"non-JSON literal {constant}")
+
+    payload = json.loads(report.to_json(), parse_constant=reject)
+    assert payload["records"][0]["measured"] == "NaN"
+    assert payload["series"]["curve"]["rows"] == [[1.0, "Infinity"], [2.0, "-Infinity"]]
+    report.write(tmp_path, format="csv")
+    assert (tmp_path / "probe-records.csv").read_text().splitlines()[1].startswith("probe,nan,")
+    assert (tmp_path / "probe-curve.csv").read_text().splitlines()[1:] == ["1.0,inf", "2.0,-inf"]
+
+
+def test_checks_must_arrive_in_declared_order():
+    cfg = harness.ExperimentConfig.from_dict({"experiment": "point-transform"})
+    checks = harness._Checks(cfg, ("first", "second"), 1.0)
+    with pytest.raises(ExperimentError, match="'second'"):
+        checks.add("second", 0.0, 0.0, 1e-8, "TRIVIAL")
+    checks.add("first", 0.0, 0.0, 1e-8, "TRIVIAL")
+    assert checks.pending == "second"
+
+
+def test_library_error_names_the_pending_check(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise QuadratureAccuracyError(1e-3, 1e-8)
+
+    monkeypatch.setattr(curved, "axiom_defect", fail)
+    cfg = harness.ExperimentConfig.from_dict({"experiment": "curved-defect"})
+    with pytest.raises(ExperimentError, match="check 'defect-value' could not be evaluated"):
+        harness.run_experiment(cfg)
+    config_path = tmp_path / "cd.json"
+    config_path.write_text(json.dumps({"experiment": "curved-defect"}))
+    assert run_cli("run", "--config", str(config_path), "--out", str(tmp_path / "out")) == 2
+    assert "'defect-value'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_series_columns(reports):
@@ -344,3 +426,15 @@ def test_cli_curved_defect_runs_on_a_nearly_flat_sphere(tmp_path, capsys):
     report = json.loads((tmp_path / "out" / "curved-defect.json").read_text())
     ricci = next(r for r in report["records"] if r["name"] == "ricci-coefficient")
     assert ricci["passed"]
+
+
+@pytest.mark.parametrize(
+    "payload",
+    BROKEN_BUILDS + [{"experiment": "discrete-limit", "hbar": 0.37}],
+)
+def test_cli_rejects_config_it_cannot_run(tmp_path, capsys, payload):
+    config_path = tmp_path / "bad.json"
+    config_path.write_text(json.dumps(payload))
+    assert run_cli("run", "--config", str(config_path), "--out", str(tmp_path / "out")) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()

@@ -1,4 +1,5 @@
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -18,3 +19,20 @@ def test_defect_scan_rows_match_curvature_prediction():
     assert [(radius, scale) for radius, scale, _, _ in rows] == [(1.0, 1.0), (2.0, 1.0)]
     for _, _, defect, prediction in rows:
         assert defect == pytest.approx(prediction, rel=1e-6)
+
+
+def test_run_all_writes_the_same_reports_as_single_runs(tmp_path, capsys, reports):
+    # Two independent runs of every experiment must agree byte for byte,
+    # apart from the JSON timestamp line.
+    single, batch = tmp_path / "single", tmp_path / "batch"
+    for report in reports.values():
+        report.write(single)
+    assert load_script("run_all").main(["--out", str(batch)]) == 0
+    assert "50/50 checks passed" in capsys.readouterr().out
+    written = sorted(path.name for path in batch.iterdir())
+    assert written == sorted(path.name for path in single.iterdir())
+    for name in written:
+        want, got = ((d / name).read_bytes() for d in (single, batch))
+        if name.endswith(".json"):
+            want, got = (re.sub(rb'"timestamp": "[^"]*"', b"", text) for text in (want, got))
+        assert got == want, name
