@@ -11,6 +11,11 @@ the truncated trace, while the pair-trace diagnostics deliberately keep
 the raw truncated sums whose failure to approximate a delta pair is the
 point being measured.
 
+Cutoff transforms take arrays of frequencies.  The plateau contributes in
+closed form; the smooth transition from plateau to support is integrated by
+one Gauss-Legendre rule for all frequencies at once, a nodes x frequencies
+cosine matrix (see :class:`CutoffFamily`).
+
 The discrete quantizer at momentum ``n * hbar`` is the closed-form limit
 of the continuous one along a mollifier ladder of cutoffs shrinking onto
 the indicator of ``[-pi/2, pi/2]``.
@@ -18,13 +23,13 @@ the indicator of ``[-pi/2, pi/2]``.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 from .bases import FourierBasis
 from .curved import wue_weyl_image
@@ -36,7 +41,12 @@ from .symbols import MomentumPolynomial, operator_matrix
 MAX_TRUNCATION = 64
 PROFILES = ("smoothstep", "classic-bump", "indicator")
 
+#: Largest gap between the coarse and the fine Gauss-Legendre value of a cutoff transform.
 QUAD_TOLERANCE = 1e-11
+#: Coarse Gauss-Legendre rules have a multiple of this many nodes; the fine rule doubles them.
+RULE_NODE_STEP = 64
+#: Most nodes of a coarse rule; a transform that would need more raises.
+MAX_RULE_NODES = 1024
 # Mollifier-ladder members j = 1..LADDER_STEPS compared by discrete_limit_check.
 LADDER_STEPS = 4
 
@@ -46,24 +56,42 @@ def _check_truncation(K: int) -> None:
         raise ConfigError(f"Fourier truncation must be an integer in [1, {MAX_TRUNCATION}], got {K}")
 
 
-def _smooth_step(u: float) -> float:
-    """Infinitely flat step: 0 for u <= 0, 1 for u >= 1."""
-    if u <= 0.0:
-        return 0.0
-    if u >= 1.0:
-        return 1.0
-    lo = math.exp(-1.0 / u)
-    hi = math.exp(-1.0 / (1.0 - u))
-    return lo / (lo + hi)
+@functools.cache
+def _legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], computed once per node count."""
+    u, w = np.polynomial.legendre.leggauss(nodes)
+    u.flags.writeable = w.flags.writeable = False
+    return u, w
 
 
-def _classic_bump(t: float) -> float:
-    """The mollifier profile ``exp(1 - 1/(1 - t^2))`` on 0 <= t < 1."""
-    if t <= 0.0:
-        return 1.0
-    if t >= 1.0:
-        return 0.0
-    return math.exp(1.0 - 1.0 / (1.0 - t * t))
+def _cosine_integral(weight: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, s: np.ndarray) -> np.ndarray:
+    """``int_lo^hi weight(x) cos(s x) dx`` at every frequency of ``s``.
+
+    The coarse rule has ``RULE_NODE_STEP + ceil((hi - lo) * max|s| / 2)``
+    nodes rounded up to a multiple of ``RULE_NODE_STEP``; the fine rule has
+    twice as many.  The fine values are returned when the two agree to
+    :data:`QUAD_TOLERANCE`.
+    """
+    s_max = float(np.max(s, initial=0.0))
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    nodes = RULE_NODE_STEP * (1 + math.ceil(half * s_max / RULE_NODE_STEP))
+    if nodes > MAX_RULE_NODES:
+        raise QuadratureAccuracyError(
+            math.inf,
+            QUAD_TOLERANCE,
+            f"cutoff transform at frequency {s_max:.6g} needs {nodes} Gauss-Legendre nodes, "
+            f"more than the cap of {MAX_RULE_NODES}",
+        )
+    values = []
+    for count in (nodes, 2 * nodes):
+        u, w = _legendre_rule(count)
+        x = mid + half * u
+        values.append((half * w * weight(x)) @ np.cos(np.outer(x, s.reshape(-1))))
+    coarse, fine = values
+    gap = float(np.max(np.abs(fine - coarse), initial=0.0))
+    if gap > QUAD_TOLERANCE:
+        raise QuadratureAccuracyError(gap, QUAD_TOLERANCE)
+    return fine.reshape(s.shape)
 
 
 @dataclass(frozen=True)
@@ -75,12 +103,21 @@ class CutoffFamily:
     (the traditional ``exp(1 - 1/(1 - t^2))`` mollifier, which matches the
     plateau only to first order), or ``indicator`` (sharp edge; requires
     ``plateau == support`` and has a closed-form transform).
+
+    ``value``, ``transform`` and ``weighted_transform`` accept a number or an
+    array (a number gives a float).  A transform integrates the transition
+    ``[plateau, support]`` (and, for ``weighted_transform``, the plateau)
+    with one Gauss-Legendre rule for every frequency at once.  Its node count
+    grows with the interval length times the largest frequency (see
+    ``_cosine_integral``) and is capped at :data:`MAX_RULE_NODES`, beyond
+    which :class:`QuadratureAccuracyError` is raised; the rule is repeated
+    with twice the nodes, and a gap between the two above
+    :data:`QUAD_TOLERANCE` raises the same error.
     """
 
     plateau: float
     support: float
     profile: str = "smoothstep"
-    _transform_cache: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.profile not in PROFILES:
@@ -100,64 +137,57 @@ class CutoffFamily:
             raise ConfigError(f"mollifier index must be >= 1, got {j}")
         return cls(plateau=math.pi / 2 - 2.0 ** (-j), support=math.pi / 2 - 2.0 ** (-j - 1), profile=profile)
 
-    def value(self, xi: float) -> float:
-        x = abs(float(xi))
-        if x <= self.plateau:
-            return 1.0
-        if x >= self.support:
-            return 0.0
-        t = (x - self.plateau) / (self.support - self.plateau)
+    def value(self, xi: float | np.ndarray) -> float | np.ndarray:
+        """The profile at ``xi``.  Between plateau and support, with ``t`` the
+        fraction of the way out, it is the infinitely flat step
+        ``e^{-1/(1-t)} / (e^{-1/(1-t)} + e^{-1/t})`` or the bump
+        ``exp(1 - 1/(1 - t^2))``."""
+        x = np.abs(np.asarray(xi, dtype=float))
+        out = np.where(x <= self.plateau, 1.0, 0.0)
+        inside = (x > self.plateau) & (x < self.support)
+        t = (x[inside] - self.plateau) / (self.support - self.plateau)
         if self.profile == "smoothstep":
-            return _smooth_step(1.0 - t)
-        return _classic_bump(t)
+            lo, hi = np.exp(-1.0 / (1.0 - t)), np.exp(-1.0 / t)
+            out[inside] = lo / (lo + hi)
+        else:
+            out[inside] = np.exp(1.0 - 1.0 / (1.0 - t * t))
+        return float(out) if out.ndim == 0 else out
 
-    def transform(self, s: float) -> float:
+    def transform(self, s: float | np.ndarray) -> float | np.ndarray:
         """Cosine transform ``int chi^2(xi) exp(i s xi) dxi`` (real and even in s)."""
-        s = abs(float(s))
-        key = round(s, 12)
-        cached = self._transform_cache.get(key)
-        if cached is not None:
-            return cached
+        s = np.abs(np.asarray(s, dtype=float))
         a, b = self.plateau, self.support
-        total = 2.0 * a if s == 0.0 else 2.0 * math.sin(s * a) / s
+        with np.errstate(divide="ignore", invalid="ignore"):
+            total = np.where(s == 0.0, 2.0 * a, 2.0 * np.sin(s * a) / s)
         if self.profile != "indicator":
-            tail, err = quad(
-                lambda x: 2.0 * self.value(x) ** 2,
-                a,
-                b,
-                weight="cos",
-                wvar=s,
-                limit=400,
-                epsabs=1e-13,
-                epsrel=1e-13,
-            )
-            if err > QUAD_TOLERANCE:
-                raise QuadratureAccuracyError(err, QUAD_TOLERANCE)
-            total += tail
-        self._transform_cache[key] = total
-        return total
+            total = total + _cosine_integral(lambda x: 2.0 * self.value(x) ** 2, a, b, s)
+        return float(total) if total.ndim == 0 else total
 
-    def weighted_transform(self, s: float, envelope: Callable[[float], float]) -> float:
-        """Cosine transform of ``chi^2 * envelope`` for an even real envelope."""
-        s = abs(float(s))
-        total = 0.0
+    def weighted_transform(
+        self, s: float | np.ndarray, envelope: Callable[[np.ndarray], np.ndarray]
+    ) -> float | np.ndarray:
+        """Cosine transform of ``chi^2 * envelope`` for an even real envelope.
+
+        ``envelope`` is called on arrays of quadrature nodes and must return
+        the array of its values.
+        """
+        s = np.abs(np.asarray(s, dtype=float))
+        total = np.zeros(s.shape)
         for lo, hi in ((0.0, self.plateau), (self.plateau, self.support)):
-            if hi <= lo:
-                continue
-            piece, err = quad(
-                lambda x: 2.0 * self.value(x) ** 2 * envelope(x),
-                lo,
-                hi,
-                weight="cos",
-                wvar=s,
-                limit=400,
-                epsabs=1e-13,
-                epsrel=1e-13,
-            )
-            if err > QUAD_TOLERANCE:
-                raise QuadratureAccuracyError(err, QUAD_TOLERANCE)
-            total += piece
-        return total
+            if hi > lo:
+                total += _cosine_integral(lambda x: 2.0 * self.value(x) ** 2 * envelope(x), lo, hi, s)
+        return float(total) if total.ndim == 0 else total
+
+
+def __getattr__(name: str):
+    # Nothing here calls ``quad``, but the perfbench tracer looks it up on
+    # this module by name to count its calls, so the name resolves; scipy is
+    # imported on that first access only.
+    if name == "quad":
+        from scipy.integrate import quad
+
+        return quad
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +201,7 @@ def quantizer_matrix_cyl(
     _check_truncation(K)
     c = 2.0 * p / hbar
     ks = np.arange(-K, K + 1)
-    ivals = np.array([chi.transform(u - c) for u in range(-2 * K, 2 * K + 1)])
+    ivals = chi.transform(np.arange(-2 * K, 2 * K + 1) - c)
     hankel = ivals[(ks[:, None] + ks[None, :]) + 2 * K]
     phase = np.exp(1j * ks * theta)
     return np.outer(np.conj(phase), phase) * hankel / math.pi
@@ -181,7 +211,7 @@ def quantizer_trace_cyl(p: float, theta: float, chi: CutoffFamily, K: int, hbar:
     """Raw truncated trace ``(1/pi) sum_{|k|<=K} I(2k - 2p/hbar)`` (exactly 1 as K grows)."""
     _check_truncation(K)
     c = 2.0 * p / hbar
-    return sum(chi.transform(2 * k - c) for k in range(-K, K + 1)) / math.pi
+    return float(np.sum(chi.transform(2 * np.arange(-K, K + 1) - c))) / math.pi
 
 
 def _band_samples(F: np.ndarray, K: int, d: int, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -292,13 +322,12 @@ def pair_trace_smeared_cyl(
 
     amplitude = p_width * math.sqrt(2.0 * math.pi)
 
-    def envelope(xi: float) -> float:
-        return amplitude * math.exp(-2.0 * (p_width * xi / hbar) ** 2)
+    def envelope(xi: np.ndarray) -> np.ndarray:
+        return amplitude * np.exp(-2.0 * (p_width * xi / hbar) ** 2)
 
-    ivals = np.array([chi.transform(u - c) for u in range(-2 * K, 2 * K + 1)])
-    wvals = np.array(
-        [chi.weighted_transform(u - cc, envelope) for u in range(-2 * K, 2 * K + 1)]
-    )
+    us = np.arange(-2 * K, 2 * K + 1)
+    ivals = chi.transform(us - c)
+    wvals = chi.weighted_transform(us - cc, envelope)
     tcoef = _fourier_coefficients(periodic_test_function(theta_center, theta_width), 2 * K)
 
     ksum = ks[:, None] + ks[None, :]

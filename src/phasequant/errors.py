@@ -28,14 +28,16 @@ class UnsupportedOrderError(PhasequantError, ValueError):
 class QuadratureAccuracyError(PhasequantError, RuntimeError):
     """A quadrature failed to converge to the requested accuracy.
 
-    ``estimate`` holds the observed accuracy estimate.
+    ``estimate`` holds the observed accuracy estimate (``inf`` when the rule
+    that could reach ``requested`` is refused before it runs; ``detail`` then
+    says why).
     """
 
-    def __init__(self, estimate: float, requested: float):
+    def __init__(self, estimate: float, requested: float, detail: str = ""):
         self.estimate = estimate
         self.requested = requested
         super().__init__(
-            f"quadrature accuracy estimate {estimate:.3e} exceeds requested {requested:.3e}"
+            detail or f"quadrature accuracy estimate {estimate:.3e} exceeds requested {requested:.3e}"
         )
 
 

@@ -2,14 +2,15 @@
 
 Supports ``+ - * /``, integer powers, ``sin``/``cos``, numeric literals and
 coordinate names.  Expressions are parsed from Python syntax via ``ast`` into
-a small closed node set, evaluate on coordinate vectors, and differentiate
-symbolically, so coefficient fields declared this way have exact partial
-derivatives.
+a small closed node set, evaluate on coordinate values (numbers, or arrays of
+values at many points at once), and differentiate symbolically, so
+coefficient fields declared this way have exact partial derivatives.
 """
 
 from __future__ import annotations
 
 import ast
+import cmath
 import math
 from typing import Mapping, Sequence
 
@@ -23,7 +24,8 @@ class Expr:
     quantities (inverse metrics, connections, curvature) can be written with
     the same formulas as their numeric counterparts."""
 
-    def eval(self, env: Mapping[str, float]) -> complex:  # pragma: no cover - interface
+    def eval(self, env: Mapping[str, float | np.ndarray]) -> complex | np.ndarray:  # pragma: no cover - interface
+        """The value at one point, or elementwise values when ``env`` holds arrays."""
         raise NotImplementedError
 
     def diff(self, var: str) -> "Expr":  # pragma: no cover - interface
@@ -154,7 +156,9 @@ class Sin(Expr):
 
     def eval(self, env):
         v = self.arg.eval(env)
-        return math.sin(v) if isinstance(v, float) else __import__("cmath").sin(v)
+        if isinstance(v, float):
+            return math.sin(v)
+        return np.sin(v) if isinstance(v, np.ndarray) else cmath.sin(v)
 
     def diff(self, var):
         return mul(Cos(self.arg), self.arg.diff(var))
@@ -168,7 +172,9 @@ class Cos(Expr):
 
     def eval(self, env):
         v = self.arg.eval(env)
-        return math.cos(v) if isinstance(v, float) else __import__("cmath").cos(v)
+        if isinstance(v, float):
+            return math.cos(v)
+        return np.cos(v) if isinstance(v, np.ndarray) else cmath.cos(v)
 
     def diff(self, var):
         return mul(Const(-1.0), mul(Sin(self.arg), self.arg.diff(var)))

@@ -3,9 +3,12 @@
 Fields wrap point evaluations together with partial-derivative access.  When
 a field is built from the expression grammar (or another analytic source) its
 partials are exact; otherwise they fall back to the shared finite-difference
-engine.  All symbol/operator coefficient algebra in the package is expressed
-through these objects, which keeps forward and inverse maps numerically
-consistent.  Covariant derivatives and divergences of these fields, the
+engine.  A field called on one chart point, shape ``(dim,)``, returns a
+complex number; called on an ``(N, dim)`` array of points it returns the N
+values as one array, computed with array arithmetic except for opaque
+callables (:func:`from_callable`), which are called point by point.  All
+symbol/operator coefficient algebra in the package is expressed through
+these objects, which keeps forward and inverse maps numerically consistent.  Covariant derivatives and divergences of these fields, the
 Cartesian ones included, are built in ``geometry``.
 """
 
@@ -21,7 +24,11 @@ from .expressions import Expr, parse_expression
 
 
 class ScalarField:
-    """A complex-valued function of chart coordinates with partial derivatives."""
+    """A complex-valued function of chart coordinates with partial derivatives.
+
+    ``fn`` takes a point of shape ``(dim,)`` and returns a complex number, or
+    an ``(N, dim)`` point array and returns the N values.
+    """
 
     __slots__ = ("dim", "_fn", "_partial_factory", "_partial_cache")
 
@@ -36,7 +43,7 @@ class ScalarField:
         self._partial_factory = partial_factory
         self._partial_cache: dict[int, ScalarField] = {}
 
-    def __call__(self, q: np.ndarray) -> complex:
+    def __call__(self, q: np.ndarray) -> complex | np.ndarray:
         return self._fn(np.asarray(q, dtype=float))
 
     def partial(self, axis: int) -> "ScalarField":
@@ -52,9 +59,18 @@ class ScalarField:
             def fd(q, _orders=tuple(orders)):
                 return complex(numdiff.partial_derivative(fn, q, _orders))
 
-            field = ScalarField(self.dim, fd)
+            field = ScalarField(self.dim, _pointwise(fd))
         self._partial_cache[axis] = field
         return field
+
+
+def _pointwise(fn: Callable[[np.ndarray], complex]) -> Callable[[np.ndarray], complex | np.ndarray]:
+    """Lift a one-point function to point arrays by calling it at each point."""
+
+    def lifted(q):
+        return fn(q) if q.ndim == 1 else np.array([fn(x) for x in q], dtype=complex)
+
+    return lifted
 
 
 def constant(dim: int, value: complex) -> ScalarField:
@@ -67,17 +83,26 @@ def constant(dim: int, value: complex) -> ScalarField:
             zero = constant(dim, 0.0)
         return zero
 
-    return ScalarField(dim, lambda q: value, zero_factory)
+    return ScalarField(dim, lambda q: value if q.ndim == 1 else np.full(len(q), value), zero_factory)
 
 
 def from_expression(source: str | Expr, coordinates: Sequence[str]) -> ScalarField:
-    """Build a scalar field with exact symbolic partials from an expression."""
+    """Build a scalar field with exact symbolic partials from an expression.
+
+    On a point array the field's values are those at the single points, bit
+    for bit, except where integer powers are taken: numpy's array power may
+    differ from the scalar one in the last bit.
+    """
     coords = tuple(coordinates)
     expr = parse_expression(source, coords) if isinstance(source, str) else source
 
     def make(e: Expr) -> ScalarField:
         def fn(q):
-            return complex(e.eval(dict(zip(coords, q))))
+            if q.ndim == 1:
+                return complex(e.eval(dict(zip(coords, q))))
+            out = np.empty(len(q), dtype=complex)
+            out[:] = e.eval(dict(zip(coords, q.T)))  # a constant expression gives one number
+            return out
 
         def partial_factory(axis: int) -> ScalarField:
             return make(e.diff(coords[axis]))
@@ -92,16 +117,17 @@ def from_callable(dim: int, fn: Callable[[np.ndarray], complex]) -> ScalarField:
 
     ``field.partial(a).partial(b)`` evaluates a single second-order stencil of
     ``fn`` rather than nesting first-order differences, which keeps the noise
-    floor near the Richardson accuracy of the base function.
+    floor near the Richardson accuracy of the base function.  ``fn`` takes one
+    point; on a point array the field calls it at each point in turn.
     """
 
     def make(orders: tuple[int, ...]) -> ScalarField:
         if sum(orders) == 0:
-            value = lambda q: complex(fn(q))
+            value = _pointwise(lambda q: complex(fn(q)))
         elif sum(orders) > numdiff.MAX_ORDER:
             raise ValueError("finite-difference chain exceeds supported order")
         else:
-            value = lambda q: complex(numdiff.partial_derivative(fn, q, orders))
+            value = _pointwise(lambda q: complex(numdiff.partial_derivative(fn, q, orders)))
 
         def partial_factory(axis: int) -> ScalarField:
             bumped = list(orders)

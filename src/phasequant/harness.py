@@ -29,7 +29,6 @@ from collections.abc import Callable
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import __version__, curved, cylinder, flat_weyl, geometry, numdiff
 from .bases import FourierBasis, HermiteBasis
@@ -53,6 +52,17 @@ from .symbols import (
     ordering_scheme,
     symbol_from_config,
 )
+
+
+def __getattr__(name: str):
+    # The perfbench tracer looks ``quad`` up on this module by name to count
+    # its calls, so the name resolves; scipy is imported on that access only.
+    if name == "quad":
+        from scipy.integrate import quad
+
+        return quad
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 # ---------------------------------------------------------------------------
 # catalog
@@ -800,6 +810,10 @@ def _run_point_transform(cfg: ExperimentConfig, out: _Checks) -> None:
 
 
 def _run_cylinder_axioms(cfg: ExperimentConfig, out: _Checks) -> None:
+    # scipy's adaptive quadrature is the entry-oracle's independent method,
+    # so it is loaded only when this experiment runs.
+    from scipy.integrate import quad
+
     hbar = cfg.hbar
     chi = _cutoff_from_config(cfg.cutoff)
     rng = np.random.default_rng(16180)

@@ -125,7 +125,8 @@ def operator_matrix(model: ManifoldModel, D: CovariantOperator, basis, K: int) -
 
     The quadrature rule comes from the basis object; the integral is repeated
     at doubled resolution and must agree to :data:`QUADRATURE_TOLERANCE`,
-    otherwise :class:`QuadratureAccuracyError` is raised.
+    otherwise :class:`QuadratureAccuracyError` is raised.  Every field is
+    evaluated once per quadrature grid, on the whole point array.
     """
     fns = basis.fields(K)
     levels = [
@@ -134,19 +135,27 @@ def operator_matrix(model: ManifoldModel, D: CovariantOperator, basis, K: int) -
 
     def assemble(nodes: int) -> np.ndarray:
         points, weights = basis.quadrature(nodes)
-        vol = np.array([geometry.sqrt_g(model, x) for x in points])
-        phi = np.array([[f(x) for x in points] for f in fns])
-        # Coefficient fields carry deep product-rule chains, so evaluate each
-        # of them once per node and contract against the per-basis derivative
-        # values instead of walking the assembled image field at every entry.
+        if model.connection_free:  # a constant metric has one density value
+            vol = np.full(len(points), geometry.sqrt_g(model, points[0]))
+        else:
+            vol = np.array([geometry.sqrt_g(model, x) for x in points])
+        values: dict[int, np.ndarray] = {}  # symmetric slots share one field
+
+        def on_grid(field) -> np.ndarray:
+            if id(field) not in values:
+                values[id(field)] = field(points)
+            return values[id(field)]
+
+        phi = np.array([on_grid(f) for f in fns])
+        # Contract each coefficient component against the per-basis
+        # derivative values instead of assembling the image field per entry.
         dphi = np.zeros((len(fns), len(points)), dtype=complex)
         for order, tensor in D.terms.items():
             for idx in itertools.product(range(model.dim), repeat=order):
                 key = idx if order else ()
-                cvals = np.array([complex(tensor.comps[key](x)) for x in points])
+                cvals = on_grid(tensor.comps[key])
                 for row, level in enumerate(levels):
-                    fld = level[order][key]
-                    dphi[row] += cvals * np.array([complex(fld(x)) for x in points])
+                    dphi[row] += cvals * on_grid(level[order][key])
         return np.einsum("i,ji,ki->jk", weights * vol, phi.conj(), dphi)
 
     coarse = assemble(QUADRATURE_NODES)
@@ -327,8 +336,13 @@ def symbol_from_config(model: ManifoldModel, cfg) -> MomentumPolynomial:
     if unknown:
         raise ConfigError(f"unknown symbol config keys: {sorted(unknown)}")
     coefficient = cfg.get("coefficient", "constant")
+    if not isinstance(coefficient, str):
+        raise ConfigError(f"symbol coefficient must be a string, got {coefficient!r}")
     degree = cfg.get("degree", 1)
-    scale_value = complex(cfg.get("scale", 1.0))
+    try:
+        scale_value = complex(cfg.get("scale", 1.0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"symbol scale must be a number, got {cfg.get('scale')!r}") from exc
     if not isinstance(degree, int) or not 0 <= degree <= MAX_DEGREE:
         raise ConfigError(f"symbol degree must be an integer in 0..{MAX_DEGREE}")
 

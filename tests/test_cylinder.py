@@ -1,13 +1,14 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from phasequant import cylinder
-from phasequant.errors import ConfigError
+from phasequant.errors import ConfigError, QuadratureAccuracyError
 from phasequant.fields import constant, from_expression
 from phasequant.symbols import hermiticity_defect
 
@@ -72,6 +73,78 @@ def test_weighted_transform_with_unit_envelope_matches_transform(chi):
     assert chi.weighted_transform(s, lambda x: 1.0) == pytest.approx(
         chi.transform(s), abs=1e-10
     )
+
+
+def smoothstep_squared(chi, x):
+    """``chi(x)^2`` of a smoothstep cutoff inside its transition, in scalar arithmetic."""
+    t = (x - chi.plateau) / (chi.support - chi.plateau)
+    lo, hi = math.exp(-1.0 / (1.0 - t)), math.exp(-1.0 / t)
+    return (lo / (lo + hi)) ** 2
+
+
+def plain_quad_transform(chi, s):
+    """The transform with the transition integrated by plain adaptive quadrature
+    of ``chi^2 cos(s x)``: no cosine-weighted rule, no Gauss-Legendre rule."""
+    a, b = chi.plateau, chi.support
+    head = 2.0 * a if s == 0.0 else 2.0 * math.sin(s * a) / s
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", IntegrationWarning)
+        tail, _ = quad(
+            lambda x: 2.0 * smoothstep_squared(chi, x) * math.cos(s * x),
+            a,
+            b,
+            limit=400,
+            epsabs=1e-14,
+            epsrel=1e-14,
+        )
+    return head + tail
+
+
+def test_transform_where_cosine_weighted_quadpack_was_wrong():
+    # s * (support - plateau) = 64: QUADPACK's cosine-weighted rule returned
+    # 0.019140 here and estimated its own error at 8e-15
+    value = cylinder.CutoffFamily(1.0, 1.4).transform(160)
+    assert value == pytest.approx(4.53568e-6, rel=1e-5)
+    assert value == pytest.approx(plain_quad_transform(cylinder.CutoffFamily(1.0, 1.4), 160.0), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [cylinder.CutoffFamily(0.8, 2.8)] + [cylinder.CutoffFamily.mollifier(j) for j in range(1, 5)],
+    ids=["default", "mollifier-1", "mollifier-2", "mollifier-3", "mollifier-4"],
+)
+def test_transform_matches_plain_quadrature_on_integer_frequencies(family):
+    s = np.arange(261)
+    want = [plain_quad_transform(family, float(v)) for v in s]
+    np.testing.assert_allclose(family.transform(s), want, rtol=0.0, atol=1e-12)
+
+
+def test_scalar_arguments_give_floats_and_arrays_give_arrays(chi):
+    assert type(chi.value(1.8)) is float
+    assert type(chi.transform(1.4)) is float
+    assert type(chi.transform(np.float64(1.4))) is float
+    assert type(chi.weighted_transform(0.9, np.cos)) is float
+    xs = np.array([-3.0, -1.8, 0.0, 0.8, 1.2, 2.79, 2.8])
+    np.testing.assert_allclose(chi.value(xs), [chi.value(x) for x in xs], rtol=0.0, atol=1e-15)
+    s = np.array([0.0, 1.4, -3.0, 17.5])
+    np.testing.assert_allclose(chi.transform(s), [chi.transform(v) for v in s], rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(
+        chi.weighted_transform(s, np.cos), [chi.weighted_transform(v, np.cos) for v in s], rtol=0.0, atol=1e-13
+    )
+
+
+def test_transform_refuses_rules_above_the_node_cap(chi):
+    with pytest.raises(QuadratureAccuracyError, match="cap"):
+        chi.transform(1e6)
+    with pytest.raises(QuadratureAccuracyError):
+        cylinder.quantizer_matrix_cyl(1e5, 0.0, chi, 8)
+
+
+def test_coarse_fine_gap_guards_the_transform(chi, monkeypatch):
+    monkeypatch.setattr(cylinder, "QUAD_TOLERANCE", 1e-18)  # below the rules' rounding
+    with pytest.raises(QuadratureAccuracyError) as excinfo:
+        chi.transform(np.arange(41.0))
+    assert 1e-18 < excinfo.value.estimate < 1e-11
 
 
 @given(s=st.floats(0, 8))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasequant import fields
+from phasequant import bases, fields
 
 
 def test_constant_field_and_zero_derivative():
@@ -137,3 +137,83 @@ def test_symmetrized_contraction_against_manual(rng):
 def test_symmetrized_contraction_zero_slots_is_identity():
     t = fields.tensor_constant(2, np.array([1.0, 2.0]))
     assert fields.symmetrized_contraction_field(t, lambda q: None, 0) is t
+
+
+# ---------------------------------------------------------------------------
+# evaluation on point arrays
+
+LINE = np.linspace(-2.3, 2.9, 37).reshape(-1, 1)
+PLANE = np.column_stack([np.linspace(0.2, 1.4, 29), np.linspace(-3.0, 3.0, 29)])
+
+
+def assert_array_equals_points(field, points):
+    """``field(points)`` must hold exactly the values of ``field(x)``, bit for bit."""
+    got = field(points)
+    want = np.array([field(x) for x in points], dtype=complex)
+    assert isinstance(got, np.ndarray) and got.dtype == complex and got.shape == (len(points),)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "source",
+    ["sin(x)*y + cos(x*y)/(1 + y*y)", "cos(2*x - y) - 3*sin(y)*sin(x)", "2.5", "y"],
+)
+def test_expression_field_on_point_array(source):
+    f = fields.from_expression(source, ("x", "y"))
+    for field in (f, f.partial(0), f.partial(1).partial(0), f.partial(1).partial(1).partial(1)):
+        assert_array_equals_points(field, PLANE)
+
+
+def test_point_evaluation_still_returns_a_complex_number():
+    f = fields.from_expression("sin(x)*y", ("x", "y"))
+    assert type(f(PLANE[3])) is complex
+    assert type(fields.constant(2, 1.5)(PLANE[3])) is complex
+
+
+def test_constant_field_on_point_array():
+    assert_array_equals_points(fields.constant(2, 3.5 - 1.0j), PLANE)
+    assert_array_equals_points(fields.constant(2, 3.5).partial(1), PLANE)
+
+
+def test_combinators_on_point_array():
+    f = fields.from_expression("sin(x)*y", ("x", "y"))
+    g = fields.from_expression("cos(y) + x", ("x", "y"))
+    one = fields.constant(2, 0.25j)
+    combos = [
+        fields.scale(f, 0.3 - 1.7j),
+        fields.add(f, g, one),
+        fields.multiply(fields.scale(f, 1j), g),
+        fields.multiply(fields.add(f, one), fields.scale(g, -2.0)),
+    ]
+    for field in combos:
+        assert_array_equals_points(field, PLANE)
+        assert_array_equals_points(field.partial(0).partial(1), PLANE)
+
+
+@pytest.mark.parametrize("k", [-3, 0, 2])
+def test_fourier_mode_on_point_array(k):
+    field = bases.fourier_mode(k)
+    for _ in range(4):
+        assert_array_equals_points(field, LINE)
+        field = field.partial(0)
+
+
+@pytest.mark.parametrize("k, hbar", [(0, 1.0), (3, 0.7), (6, 1.3)])
+def test_hermite_function_on_point_array(k, hbar):
+    field = bases.hermite_function(k, hbar)
+    for _ in range(4):
+        assert_array_equals_points(field, LINE)
+        field = field.partial(0)
+
+
+def test_callable_field_loops_over_point_array():
+    calls = []
+
+    def fn(q):
+        calls.append(q.shape)
+        return math.exp(0.5 * q[0]) * q[1]
+
+    f = fields.from_callable(2, fn)
+    assert_array_equals_points(f, PLANE)
+    assert set(calls) == {(2,)}  # the opaque callable only ever sees single points
+    assert_array_equals_points(f.partial(0), PLANE[:5])

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -429,6 +433,21 @@ def test_cli_curved_defect_runs_on_a_nearly_flat_sphere(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "symbol",
+    [
+        {"coefficient": "constant", "degree": 2, "scale": "x"},
+        {"coefficient": 5, "degree": 2},
+    ],
+)
+def test_cli_malformed_symbol_is_a_config_error(tmp_path, capsys, symbol):
+    config_path = tmp_path / "cd.json"
+    config_path.write_text(json.dumps({"experiment": "curved-defect", "symbol": symbol}))
+    assert run_cli("run", "--config", str(config_path), "--out", str(tmp_path / "out")) == 2
+    assert "error: symbol" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
     "payload",
     BROKEN_BUILDS + [{"experiment": "discrete-limit", "hbar": 0.37}],
 )
@@ -438,3 +457,34 @@ def test_cli_rejects_config_it_cannot_run(tmp_path, capsys, payload):
     assert run_cli("run", "--config", str(config_path), "--out", str(tmp_path / "out")) == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# imports
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_harness_and_cylinder_import_without_scipy():
+    code = (
+        "import sys, phasequant.harness, phasequant.cylinder; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_quad_still_resolves_on_harness_and_cylinder():
+    from scipy.integrate import quad
+
+    from phasequant import cylinder
+
+    assert cylinder.quad is quad
+    assert harness.quad is quad
+    with pytest.raises(AttributeError):
+        cylinder.no_such_name
+    with pytest.raises(AttributeError):
+        harness.no_such_name

@@ -1,11 +1,14 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from phasequant import geometry, symbols
+from phasequant.curved import wue_weyl_image
 from phasequant.bases import FourierBasis, HermiteBasis
 from phasequant.errors import ConfigError
+from phasequant.expressions import parse_expression
 from phasequant.fields import constant, from_expression, tensor_constant, tensor_from_fields
 from phasequant.symbols import (
     MomentumPolynomial,
@@ -220,6 +223,50 @@ def test_operator_matrix_oscillator_in_hermite_basis():
     np.testing.assert_allclose(M, np.diag(np.arange(6) + 0.5), atol=1e-9)
 
 
+# SHA-256 of the bytes of operator_matrix(circle, Weyl image of cos(theta) p^m,
+# FourierBasis(), 32), negative zeros folded to +0, recorded when every field
+# was still evaluated one quadrature node at a time.
+COS_THETA_MATRIX_SHA256 = {
+    0: "23664d16b77d7eb9af38b23c9d37a63029a2a58949441f97eb86c76b2c9a825d",
+    1: "71b1cfb21a97dabc6969561e1fdf1ac2059fe3e88df02ad9118dac43981a7aa3",
+    2: "071e463f1e2f008c13b26767de559189cf5116769f50d5c860c12e5df42051d0",
+    3: "198bf0865f339ce143f966236bc98fdb7e7e97901f362eee100ebeab77477b18",
+    4: "0ae2f2e41aebf9bb6cdfec23ac40a2c9c22da895faf4af37b03db21d046e8bb6",
+}
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_operator_matrix_is_bit_identical_to_pointwise_assembly(m):
+    model = geometry.circle()
+    X = from_expression("cos(theta)", ("theta",))
+    D = wue_weyl_image(model, momentum_power(1, m, X), 1.0)
+    M = operator_matrix(model, D, FourierBasis(), 32)
+    assert M.shape == (65, 65)
+    digest = hashlib.sha256(np.ascontiguousarray(M + 0.0).tobytes()).hexdigest()
+    assert digest == COS_THETA_MATRIX_SHA256[m]
+
+
+def test_operator_matrix_weights_by_a_varying_density():
+    # a circle whose metric varies, so every node carries its own sqrt(g)
+    theta = geometry.CoordSpec("theta", -math.pi, math.pi, periodic=True)
+    metric = parse_expression("1 + 0.5*cos(theta)*cos(theta)", ("theta",))
+    model = geometry.ManifoldModel("wavy-circle", 1, (theta,), metric_exprs=((metric,),))
+    assert not model.connection_free
+    coeff = from_expression("sin(theta)", ("theta",))
+    D = symbols.CovariantOperator(1, {0: tensor_from_fields(1, 0, lambda idx: coeff)})
+    M = operator_matrix(model, D, FourierBasis(), 3)
+    points, weights = FourierBasis().quadrature(2 * symbols.QUADRATURE_NODES)
+    modes = FourierBasis().fields(3)
+    want = [
+        [
+            sum(w * geometry.sqrt_g(model, x) * np.conj(fj(x)) * coeff(x) * fk(x) for x, w in zip(points, weights))
+            for fk in modes
+        ]
+        for fj in modes
+    ]
+    np.testing.assert_allclose(M, want, atol=1e-13)
+
+
 def test_hermiticity_defect_measures_max_deviation():
     M = np.array([[1.0, 2.0 + 1j], [2.0, 0.0]])
     assert hermiticity_defect(M) == pytest.approx(1.0)
@@ -268,6 +315,9 @@ def test_symbol_from_config_custom_expression_and_scale():
         {"coefficient": "constant", "degree": "two"},  # non-integer degree
         {"coefficient": "constant", "degree": 1, "window": 3},  # unknown key
         {"coefficient": "inverse-metric", "degree": 1},  # rank mismatch
+        {"coefficient": "constant", "degree": 2, "scale": "x"},  # scale is no number
+        {"coefficient": "constant", "degree": 2, "scale": [1.0]},
+        {"coefficient": 5, "degree": 2},  # coefficient is no string
     ],
 )
 def test_symbol_from_config_rejects(cfg):
