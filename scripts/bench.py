@@ -13,8 +13,10 @@ checkout a round records:
   in-process run each in catalog order (as ``scripts/run_all.py`` runs them,
   but with scipy already loaded), and how many checks passed;
 - the median of five timed calls of ``symbols.operator_matrix`` (circle,
-  Weyl image of cos(theta) p^2, Fourier basis) at K = 32 and K = 64, and of
-  ``cylinder.pair_trace_smeared_cyl`` at K = 64 with a fresh default cutoff;
+  Weyl image of cos(theta) p^2, Fourier basis) at K = 32 and K = 64, of
+  ``cylinder.pair_trace_smeared_cyl`` at K = 64 with a fresh default cutoff,
+  and of ``flat_weyl.quantize_gaussian_flat`` at K = 32 (the first Gaussian
+  of the flat-axioms weak-form pairing);
 - the end-to-end medians of ``perfbench/run.py --workload all`` of that
   checkout, with ``--seconds`` and the round's seed (``--seed`` + round).
 
@@ -67,6 +69,7 @@ def layer_timings(src: Path) -> dict:
     from phasequant.curved import wue_weyl_image
     from phasequant.cylinder import CutoffFamily, pair_trace_smeared_cyl
     from phasequant.fields import from_expression, tensor_from_fields
+    from phasequant.flat_weyl import quantize_gaussian_flat
     from phasequant.geometry import circle
     from phasequant.symbols import MomentumPolynomial, operator_matrix
 
@@ -101,6 +104,7 @@ def layer_timings(src: Path) -> dict:
             0.4, 0.9, CutoffFamily(0.8, 2.8), 64, 1.0, theta_center=0.9, p_center=0.4, theta_width=0.4, p_width=0.8
         )
     )
+    layers_ms["quantize_gaussian_flat_K32"] = median_ms(lambda: quantize_gaussian_flat(0.4, -0.3, 0.9, 0.8, K=32))
     return {
         "import_harness_s": import_s,
         "then_import_scipy_integrate_s": scipy_import_s,

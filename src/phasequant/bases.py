@@ -10,6 +10,7 @@ operator images stay at machine precision.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -138,6 +139,12 @@ def _libm_exp(w: np.ndarray) -> float | np.ndarray:
     return np.fromiter(map(math.exp, w.tolist()), dtype=float, count=w.size)
 
 
+@functools.cache
 def gauss_hermite(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite rule for ``integral exp(-u^2) g(u) du``."""
-    return np.polynomial.hermite.hermgauss(nodes)
+    """Gauss-Hermite rule for ``integral exp(-u^2) g(u) du``.
+
+    Computed once per node count; the node and weight arrays are read-only.
+    """
+    u, w = np.polynomial.hermite.hermgauss(nodes)
+    u.flags.writeable = w.flags.writeable = False
+    return u, w

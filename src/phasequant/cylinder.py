@@ -287,12 +287,23 @@ def periodic_test_function(center: float, width: float) -> Callable[[float], flo
     return t
 
 
+@functools.lru_cache(maxsize=8)
+def _fourier_rule(mmax: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Trapezoid grid on ``[-pi, pi)`` and the phases ``e^{-im theta}``, ``|m| <= mmax``.
+
+    Computed once per ``(mmax, nodes)``; both arrays are read-only.
+    """
+    grid = -math.pi + 2.0 * math.pi * np.arange(nodes) / nodes
+    ms = np.arange(-mmax, mmax + 1)
+    phases = np.exp(-1j * np.outer(ms, grid))
+    grid.flags.writeable = phases.flags.writeable = False
+    return grid, phases
+
+
 def _fourier_coefficients(t: Callable[[np.ndarray], np.ndarray], mmax: int, nodes: int = 512) -> np.ndarray:
     """Coefficients ``t_m = (1/2pi) int t e^{-im theta}`` for ``|m| <= mmax``."""
-    grid = -math.pi + 2.0 * math.pi * np.arange(nodes) / nodes
-    values = np.asarray(t(grid), dtype=complex)
-    ms = np.arange(-mmax, mmax + 1)
-    return np.exp(-1j * np.outer(ms, grid)) @ values / nodes
+    grid, phases = _fourier_rule(mmax, nodes)
+    return phases @ np.asarray(t(grid), dtype=complex) / nodes
 
 
 def pair_trace_smeared_cyl(

@@ -3,10 +3,10 @@
 The symbol-to-operator map itself is the flat case of the covariant image
 (:func:`curved.wue_weyl_image` on a flat model, where every volume-density
 jet beyond order zero vanishes).  This module keeps what is particular to
-flat space: the A-ordered image, the exact inverse of the symmetric image,
-an explicit quantizer kernel in the scaled Hermite basis (with trace
-diagnostics), and a numerically quantized map for trace-class phase-space
-functions used in pairing checks.
+flat space: the A-ordered image and its dequantization (through the exact
+inverse of the symmetric image), an explicit quantizer kernel in the scaled
+Hermite basis (with trace diagnostics), and the quantization of phase-space
+Gaussians with their exact overlaps, used in pairing checks.
 """
 
 from __future__ import annotations
@@ -30,6 +30,8 @@ from .symbols import (
 
 #: Relative defect above which :func:`dequantize_flat` rejects an operator.
 INVERSION_TOLERANCE = 1e-9
+#: Position nodes per block in :func:`quantize_gaussian_flat`'s accumulation.
+GAUSSIAN_BLOCK_NODES = 32
 
 
 def a_image_flat(
@@ -41,11 +43,6 @@ def a_image_flat(
     """Quantize with an ordering scheme: symmetric image of ``A(Delta) f``."""
     model = model or geometry.euclidean_space(f.dim)
     return wue_weyl_image(model, ordering_transform(model, A, f, hbar), hbar)
-
-
-def weyl_symbol_flat(D: CovariantOperator, hbar: float = 1.0) -> MomentumPolynomial:
-    """Exact inverse of the symmetric image on Euclidean space."""
-    return _weyl_symbol(geometry.euclidean_space(D.dim), D, hbar)
 
 
 def _weyl_symbol(model: ManifoldModel, D: CovariantOperator, hbar: float) -> MomentumPolynomial:
@@ -163,34 +160,6 @@ def trace_ladder(p: float, x: float, sizes: list[int], hbar: float = 1.0) -> lis
     return [abs(flat_trace(p, x, K, hbar) - 1.0) for K in sizes]
 
 
-def quantize_flat_numeric(
-    f,
-    K: int,
-    hbar: float = 1.0,
-    window: float = 6.0,
-    nodes: int = 48,
-) -> np.ndarray:
-    """Numerically quantize a decaying phase-space function.
-
-    ``f(p, x)`` must decay fast inside ``|p|, |x| < window * sqrt(hbar)``
-    (e.g. phase-space Gaussians).  Returns the matrix of the quantized
-    operator in Hermite functions 0..K via the kernel average
-    ``(2 pi hbar)^{-1} integral f(p, x) Omega(p, x) dp dx``.
-    """
-    s = math.sqrt(hbar)
-    u, w = np.polynomial.legendre.leggauss(nodes)
-    grid = window * s * u
-    gw = window * s * w
-    out = np.zeros((K + 1, K + 1), dtype=complex)
-    for xp, wp in zip(grid, gw):
-        for xx, wx in zip(grid, gw):
-            val = f(xp, xx)
-            if val == 0.0:
-                continue
-            out += (wp * wx * val) * quantizer_matrix_flat(xp, xx, K, hbar)
-    return out / (2.0 * math.pi * hbar)
-
-
 def quantize_gaussian_flat(
     p0: float,
     x0: float,
@@ -203,36 +172,34 @@ def quantize_gaussian_flat(
 
     For ``f(p, x) = exp(-(p-p0)^2/2sp^2 - (x-x0)^2/2sx^2)`` the momentum
     average of the kernel phase is a closed-form Gaussian, so the remaining
-    ``(x, xi)`` integral is smooth and Gauss-Hermite handles it to rounding.
-    This avoids the dense sampling ``quantize_flat_numeric`` would need to
-    resolve the kernel's phase-space oscillation at large ``K``.
+    ``(x, xi)`` integral is smooth and one Gauss-Hermite rule, used for both
+    the scaled position ``v = x / s`` and the scaled offset ``u = xi / s``,
+    handles it to rounding.  Sampling ``f`` on a phase-space grid would need
+    far more nodes to resolve the kernel's oscillation at large ``K``.
+
+    The weight of node pair ``(v_i, u_j)`` factors as ``a_i b_j``, a real
+    position part times a complex offset part, so the sum over node pairs of
+    ``a_i b_j P_k(v_i - u_j) P_l(v_i + u_j)`` is a matrix product over the
+    pair index.  It is accumulated over blocks of
+    :data:`GAUSSIAN_BLOCK_NODES` position nodes: the Hermite values of all
+    ``nodes^2`` pairs at once would be two ``(K+1) x nodes x nodes`` arrays,
+    and a block keeps peak memory near that of the rest of the computation.
     """
     nodes = max(4 * (K + 1), 96)
     s = math.sqrt(hbar)
-    u, wu = gauss_hermite(nodes)  # scaled offset xi / s
-    v, wv = gauss_hermite(nodes)  # scaled position x / s
-    pm = hermite_polynomial_values(K, v[:, None] - u[None, :])  # (K+1, nv, nu)
-    pp = hermite_polynomial_values(K, v[:, None] + u[None, :])
-    xfac = np.exp(-0.5 * ((s * v - x0) / sx) ** 2)  # position Gaussian
+    u, w = gauss_hermite(nodes)
+    a = w * np.exp(-0.5 * ((s * u - x0) / sx) ** 2)  # position Gaussian
     # exact  integral dp exp(-(p-p0)^2/2sp^2) exp(-2 i p xi / hbar)
-    pfac = np.exp(-2.0 * (sp * u / s) ** 2 - 2j * p0 * u / s)
-    weight = np.einsum("i,j->ij", wv * xfac, wu * pfac)
-    out = np.einsum("ij,aij,bij->ab", weight, pm, pp)
+    b = w * np.exp(-2.0 * (sp * u / s) ** 2 - 2j * p0 * u / s)
+    out = np.zeros((K + 1, K + 1), dtype=complex)
+    for start in range(0, nodes, GAUSSIAN_BLOCK_NODES):
+        block = slice(start, start + GAUSSIAN_BLOCK_NODES)
+        v = u[block, None]
+        pm = hermite_polynomial_values(K, v - u).reshape(K + 1, -1)
+        pp = hermite_polynomial_values(K, v + u).reshape(K + 1, -1)
+        weight = (a[block, None] * b).reshape(-1)
+        out += (pm * weight.real) @ pp.T + 1j * ((pm * weight.imag) @ pp.T)
     return out * (math.sqrt(2.0 * math.pi) * sp * s / (math.pi * hbar))
-
-
-def gaussian_phase_function(p0: float, x0: float, sp: float, sx: float):
-    """A normalized phase-space Gaussian and its exact pair integrals.
-
-    Returns ``(f, norm)`` with ``f(p, x)`` the Gaussian of widths ``sp, sx``
-    centered at ``(p0, x0)`` and ``norm = integral f^2 dp dx``.
-    """
-
-    def f(p, x):
-        return math.exp(-0.5 * ((p - p0) / sp) ** 2 - 0.5 * ((x - x0) / sx) ** 2)
-
-    norm = math.pi * sp * sx
-    return f, norm
 
 
 def gaussian_pair_integral(

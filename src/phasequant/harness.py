@@ -1135,8 +1135,9 @@ def run_experiment(config: ExperimentConfig, tolerance_scale: float = 1.0) -> Re
     ``tolerance_scale`` multiplies every ``abs``/``rel`` tolerance (lower-bound
     ``min`` thresholds are left untouched); values above 1 loosen the checks,
     values below 1 tighten them.  A library error raised while a check is
-    evaluated becomes an ``ExperimentError`` naming that check; a
-    ``ConfigError`` passes through unchanged.
+    evaluated becomes an ``ExperimentError`` naming that check, and so does
+    an ``ArithmeticError`` (e.g. an ``OverflowError`` at an extreme
+    ``hbar``); a ``ConfigError`` passes through unchanged.
     """
     if not tolerance_scale > 0:
         raise ConfigError("tolerance scale must be positive")
@@ -1147,7 +1148,7 @@ def run_experiment(config: ExperimentConfig, tolerance_scale: float = 1.0) -> Re
         experiment.run(config, checks)
     except ConfigError:
         raise
-    except PhasequantError as exc:
+    except (PhasequantError, ArithmeticError) as exc:
         raise ExperimentError(f"check {checks.pending!r} could not be evaluated: {exc}") from exc
     environment = {"version": __version__}
     environment.update((key, getattr(config, key)) for key in experiment.settings)

@@ -188,10 +188,6 @@ class OrderingScheme:
             raise ConfigError("ordering coefficients must start with A_0 = 1")
         object.__setattr__(self, "coefficients", coeffs)
 
-    @property
-    def is_hermitian(self) -> bool:
-        return all(c.imag == 0.0 for c in self.coefficients)
-
     def inverse(self) -> "OrderingScheme":
         """The formal inverse series ``B`` with ``B(Delta) A(Delta) = 1``."""
         a = self.coefficients

@@ -15,6 +15,17 @@ def test_gauss_hermite_moments():
     assert w @ u**4 == pytest.approx(3.0 * math.sqrt(math.pi) / 4.0, abs=1e-11)
 
 
+def test_gauss_hermite_rule_is_cached_and_read_only():
+    u, w = bases.gauss_hermite(33)
+    assert bases.gauss_hermite(33)[0] is u
+    assert not u.flags.writeable and not w.flags.writeable
+    want_u, want_w = np.polynomial.hermite.hermgauss(33)
+    np.testing.assert_array_equal(u, want_u)
+    np.testing.assert_array_equal(w, want_w)
+    with pytest.raises(ValueError):
+        u[0] = 0.0
+
+
 def test_hermite_polynomials_orthonormal_under_gaussian_weight():
     K = 8
     u, w = bases.gauss_hermite(40)

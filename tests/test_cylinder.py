@@ -224,6 +224,23 @@ def test_periodic_test_function_properties():
         cylinder.periodic_test_function(0.0, 0.0)
 
 
+def test_fourier_rule_is_cached_and_read_only():
+    grid, phases = cylinder._fourier_rule(6, 64)
+    assert cylinder._fourier_rule(6, 64)[1] is phases
+    assert not grid.flags.writeable and not phases.flags.writeable
+    want_grid = -math.pi + 2.0 * math.pi * np.arange(64) / 64
+    np.testing.assert_array_equal(grid, want_grid)
+    np.testing.assert_array_equal(phases, np.exp(-1j * np.outer(np.arange(-6, 7), want_grid)))
+
+
+def test_fourier_coefficients_equal_the_uncached_product():
+    t = cylinder.periodic_test_function(0.9, 0.4)
+    grid = -math.pi + 2.0 * math.pi * np.arange(512) / 512
+    want = np.exp(-1j * np.outer(np.arange(-20, 21), grid)) @ t(grid).astype(complex) / 512
+    for _ in range(2):  # computing the rule, then reading it from the cache
+        np.testing.assert_array_equal(cylinder._fourier_coefficients(t, 20), want)
+
+
 # ---------------------------------------------------------------------------
 # discrete lattice kernel
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasequant import curved, flat_weyl, geometry
+from phasequant.bases import hermite_polynomial_values
 from phasequant.fields import from_expression, tensor_constant, tensor_from_fields
 from phasequant.symbols import (
     MomentumPolynomial,
@@ -114,7 +115,7 @@ def test_standard_preset_image_equals_direct_standard_map(symbol_factory):
 
 def test_symbol_recovery_inverts_the_image(symbol_factory):
     f = symbol_factory()
-    g = flat_weyl.weyl_symbol_flat(curved.wue_weyl_image(LINE, f))
+    g = flat_weyl._weyl_symbol(LINE, curved.wue_weyl_image(LINE, f), 1.0)
     for p in (0.0, 0.9, -1.4):
         for x in (-0.5, 0.6):
             assert g.evaluate(np.array([p]), np.array([x])) == pytest.approx(
@@ -236,6 +237,46 @@ def test_trace_ladder_is_monotone():
     assert all(b < a for a, b in zip(errors, errors[1:]))
 
 
+def gaussian_phase_function(p0, x0, sp, sx):
+    """The phase-space Gaussian of widths ``sp, sx`` at ``(p0, x0)`` and ``integral f^2 dp dx``."""
+
+    def f(p, x):
+        return math.exp(-0.5 * ((p - p0) / sp) ** 2 - 0.5 * ((x - x0) / sx) ** 2)
+
+    return f, math.pi * sp * sx
+
+
+def quantize_flat_numeric(f, K, window, nodes):
+    """Quantize ``f(p, x)`` by the kernel average ``(2 pi)^-1 int f Omega dp dx`` at hbar = 1.
+
+    A tensor Gauss-Legendre rule on ``|p|, |x| < window``; ``f`` must decay
+    inside that window.  Slow, and independent of the Gaussian fast path's
+    exact momentum integral.
+    """
+    u, w = np.polynomial.legendre.leggauss(nodes)
+    grid, gw = window * u, window * w
+    out = np.zeros((K + 1, K + 1), dtype=complex)
+    for xp, wp in zip(grid, gw):
+        for xx, wx in zip(grid, gw):
+            out += (wp * wx * f(xp, xx)) * flat_weyl.quantizer_matrix_flat(xp, xx, K)
+    return out / (2.0 * math.pi)
+
+
+def quantize_gaussian_einsum(p0, x0, sp, sx, K, hbar=1.0):
+    """The Gaussian fast path as one three-operand einsum over all node pairs."""
+    nodes = max(4 * (K + 1), 96)
+    s = math.sqrt(hbar)
+    u, wu = np.polynomial.hermite.hermgauss(nodes)  # scaled offset xi / s
+    v, wv = np.polynomial.hermite.hermgauss(nodes)  # scaled position x / s
+    pm = hermite_polynomial_values(K, v[:, None] - u[None, :])  # (K+1, nv, nu)
+    pp = hermite_polynomial_values(K, v[:, None] + u[None, :])
+    xfac = np.exp(-0.5 * ((s * v - x0) / sx) ** 2)
+    pfac = np.exp(-2.0 * (sp * u / s) ** 2 - 2j * p0 * u / s)
+    weight = np.einsum("i,j->ij", wv * xfac, wu * pfac)
+    out = np.einsum("ij,aij,bij->ab", weight, pm, pp)
+    return out * (math.sqrt(2.0 * math.pi) * sp * s / (math.pi * hbar))
+
+
 def test_gaussian_quantization_matches_weak_form_pairing():
     """Tr of two quantized gaussians equals their phase-space overlap / (2 pi hbar)."""
     g1 = (0.4, -0.3, 0.9, 0.8)
@@ -250,19 +291,43 @@ def test_gaussian_quantization_matches_weak_form_pairing():
 def test_gaussian_quantization_is_hermitian():
     A = flat_weyl.quantize_gaussian_flat(0.5, 0.1, 0.8, 1.2, K=16)
     assert hermiticity_defect(A) < 1e-12
+    A = flat_weyl.quantize_gaussian_flat(0.5, 0.1, 0.8, 1.2, K=32)
+    assert hermiticity_defect(A) < 1e-12
+
+
+# 4, 8 and 16 use 96 Gauss-Hermite nodes, three whole blocks; 24 uses 100,
+# so its last block is short.
+@pytest.mark.parametrize("K", [4, 8, 16, 24])
+def test_blocked_gaussian_quantization_matches_einsum(K):
+    g = (0.4, -0.3, 0.9, 0.8)
+    np.testing.assert_allclose(
+        flat_weyl.quantize_gaussian_flat(*g, K=K, hbar=0.7),
+        quantize_gaussian_einsum(*g, K=K, hbar=0.7),
+        rtol=0.0,
+        atol=1e-14,
+    )
+
+
+@pytest.mark.parametrize("block", [1, 7, 200])
+def test_gaussian_quantization_does_not_depend_on_the_block_size(block, monkeypatch):
+    """A block of one node, a block that leaves a remainder, and one block past the end."""
+    g = (-0.2, 0.5, 1.1, 0.7)
+    want = flat_weyl.quantize_gaussian_flat(*g, K=12)
+    monkeypatch.setattr(flat_weyl, "GAUSSIAN_BLOCK_NODES", block)
+    np.testing.assert_allclose(flat_weyl.quantize_gaussian_flat(*g, K=12), want, rtol=0.0, atol=1e-14)
 
 
 def test_gaussian_pair_integral_closed_form():
     g = (0.0, 0.0, 1.0, 1.0)
     # integral of exp(-(p^2+x^2)) squared over the plane = pi/2... via the helper
-    f, norm = flat_weyl.gaussian_phase_function(*g)
+    f, norm = gaussian_phase_function(*g)
     assert flat_weyl.gaussian_pair_integral(g, g) == pytest.approx(norm)
     assert f(0.0, 0.0) == pytest.approx(1.0)
 
 
 def test_numeric_quantization_agrees_with_gaussian_fast_path():
     g = (0.3, -0.2, 1.0, 0.9)
-    f, _ = flat_weyl.gaussian_phase_function(*g)
-    slow = flat_weyl.quantize_flat_numeric(f, K=4, window=7.0, nodes=72)
+    f, _ = gaussian_phase_function(*g)
+    slow = quantize_flat_numeric(f, K=4, window=7.0, nodes=72)
     fast = flat_weyl.quantize_gaussian_flat(*g, K=4)
     np.testing.assert_allclose(slow, fast, atol=5e-6)

@@ -382,6 +382,15 @@ def test_cli_run_config_error_exit_code(tmp_path, capsys):
     assert "valid names" in capsys.readouterr().err
 
 
+def test_cli_run_overflowing_hbar_exit_code(tmp_path, capsys):
+    """An overflow inside a check is a runtime error, not a failed check."""
+    config_path = tmp_path / "big-hbar.json"
+    config_path.write_text(json.dumps({"experiment": "orderings", "hbar": 1e300}))
+    assert run_cli("run", "--config", str(config_path), "--out", str(tmp_path / "out")) == 2
+    assert "could not be evaluated" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_run_missing_file(tmp_path, capsys):
     assert run_cli("run", "--config", str(tmp_path / "absent.json")) == 2
     assert "error:" in capsys.readouterr().err

@@ -76,11 +76,6 @@ def test_ordering_scheme_inverse_is_formal_reciprocal():
     np.testing.assert_allclose(conv[1:], 0.0, atol=1e-14)
 
 
-def test_hermitian_flag_tracks_real_coefficients():
-    assert OrderingScheme((1.0, 0.25)).is_hermitian
-    assert not OrderingScheme((1.0, 0.5j)).is_hermitian
-
-
 def test_preset_weyl_is_identity_series():
     A = ordering_scheme("weyl")
     assert A.coefficients[0] == 1.0
@@ -91,7 +86,6 @@ def test_preset_standard_series():
     A = ordering_scheme("standard")
     want = [(-0.5j) ** k / math.factorial(k) for k in range(len(A.coefficients))]
     np.testing.assert_allclose(A.coefficients, want, atol=1e-15)
-    assert not A.is_hermitian
 
 
 def test_preset_standard_printed_flips_phase_and_scales():
