@@ -12,11 +12,16 @@ checkout a round records:
 - the wall time of each cataloged experiment at its default config, one
   in-process run each in catalog order (as ``scripts/run_all.py`` runs them,
   but with scipy already loaded), and how many checks passed;
-- the median of five timed calls of ``symbols.operator_matrix`` (circle,
+- the median time of repeated calls of ``symbols.operator_matrix`` (circle,
   Weyl image of cos(theta) p^2, Fourier basis) at K = 32 and K = 64, of
   ``cylinder.pair_trace_smeared_cyl`` at K = 64 with a fresh default cutoff,
-  and of ``flat_weyl.quantize_gaussian_flat`` at K = 32 (the first Gaussian
-  of the flat-axioms weak-form pairing);
+  of ``flat_weyl.quantize_gaussian_flat`` at K = 32 (the first Gaussian of
+  the flat-axioms weak-form pairing), and of ``curved.dequantize_curved`` on
+  the unit sphere at the curved-defect point for cos(theta) p^m at m = 2
+  and 3 (each call builds the model and the Weyl image afresh, so no cache
+  carries over between calls).  A first timed call sets the repeat count:
+  enough calls to fill :data:`LAYER_SECONDS`, between :data:`MIN_REPEATS`
+  and :data:`MAX_REPEATS`; the first call itself is not in the median;
 - the end-to-end medians of ``perfbench/run.py --workload all`` of that
   checkout, with ``--seconds`` and the round's seed (``--seed`` + round).
 
@@ -31,6 +36,7 @@ import argparse
 import hashlib
 import importlib.metadata
 import json
+import math
 import os
 import platform
 import statistics
@@ -47,7 +53,12 @@ PINNED = {
     "NUMEXPR_NUM_THREADS": "1",
     "PYTHONHASHSEED": "0",
 }
-LAYER_REPEATS = 5
+# Each layer is timed for about this long after a first call that sets the
+# repeat count: a handful of calls cannot resolve changes of a few tens of
+# percent on the fast layers.
+LAYER_SECONDS = 1.0
+MIN_REPEATS = 3
+MAX_REPEATS = 200
 
 
 def layer_timings(src: Path) -> dict:
@@ -66,12 +77,12 @@ def layer_timings(src: Path) -> dict:
     scipy_import_s = time.perf_counter() - start
 
     from phasequant.bases import FourierBasis
-    from phasequant.curved import wue_weyl_image
+    from phasequant.curved import dequantize_curved, wue_weyl_image
     from phasequant.cylinder import CutoffFamily, pair_trace_smeared_cyl
     from phasequant.fields import from_expression, tensor_from_fields
     from phasequant.flat_weyl import quantize_gaussian_flat
-    from phasequant.geometry import circle
-    from phasequant.symbols import MomentumPolynomial, operator_matrix
+    from phasequant.geometry import circle, sphere
+    from phasequant.symbols import MomentumPolynomial, operator_matrix, symbol_from_config
 
     if src.resolve() not in Path(harness.__file__).resolve().parents:
         raise SystemExit(f"imported phasequant from {harness.__file__}, not from the checkout")
@@ -85,26 +96,36 @@ def layer_timings(src: Path) -> dict:
         passed += sum(record.passed for record in report.records)
         total += len(report.records)
 
-    def median_ms(call) -> float:
+    repeats = {}
+
+    def median_ms(name, call) -> float:
+        start = time.perf_counter()
+        call()
+        first = time.perf_counter() - start
+        repeats[name] = min(MAX_REPEATS, max(MIN_REPEATS, math.ceil(LAYER_SECONDS / max(first, 1e-9))))
         times = []
-        for _ in range(LAYER_REPEATS):
+        for _ in range(repeats[name]):
             start = time.perf_counter()
             call()
             times.append(time.perf_counter() - start)
         return 1e3 * statistics.median(times)
 
+    def sphere_dequantization(degree: int) -> complex:
+        model = sphere(1.0)
+        f = symbol_from_config(model, {"coefficient": "cos-theta", "degree": degree})
+        return dequantize_curved(model, wue_weyl_image(model, f), np.array([0.3, -0.55]), np.array([1.1, 0.4]))
+
     model = circle()
     cos_theta = from_expression("cos(theta)", ("theta",))
     D = wue_weyl_image(model, MomentumPolynomial(1, {2: tensor_from_fields(1, 2, lambda idx: cos_theta)}), 1.0)
-    layers_ms = {
-        f"operator_matrix_K{K}": median_ms(lambda K=K: operator_matrix(model, D, FourierBasis(), K)) for K in (32, 64)
-    }
-    layers_ms["pair_trace_smeared_cyl_K64"] = median_ms(
-        lambda: pair_trace_smeared_cyl(
-            0.4, 0.9, CutoffFamily(0.8, 2.8), 64, 1.0, theta_center=0.9, p_center=0.4, theta_width=0.4, p_width=0.8
-        )
+    layers = {f"operator_matrix_K{K}": lambda K=K: operator_matrix(model, D, FourierBasis(), K) for K in (32, 64)}
+    layers["pair_trace_smeared_cyl_K64"] = lambda: pair_trace_smeared_cyl(
+        0.4, 0.9, CutoffFamily(0.8, 2.8), 64, 1.0, theta_center=0.9, p_center=0.4, theta_width=0.4, p_width=0.8
     )
-    layers_ms["quantize_gaussian_flat_K32"] = median_ms(lambda: quantize_gaussian_flat(0.4, -0.3, 0.9, 0.8, K=32))
+    layers["quantize_gaussian_flat_K32"] = lambda: quantize_gaussian_flat(0.4, -0.3, 0.9, 0.8, K=32)
+    for degree in (2, 3):
+        layers[f"dequantize_curved_sphere_deg{degree}"] = lambda degree=degree: sphere_dequantization(degree)
+    layers_ms = {name: median_ms(name, call) for name, call in layers.items()}
     return {
         "import_harness_s": import_s,
         "then_import_scipy_integrate_s": scipy_import_s,
@@ -112,6 +133,7 @@ def layer_timings(src: Path) -> dict:
         "run_all_total_s": sum(run_all_s.values()),
         "checks_passed": f"{passed}/{total}",
         "layers_ms": layers_ms,
+        "layer_repeats": repeats,
         "numpy": np.__version__,
     }
 

@@ -7,12 +7,15 @@ through truncated Taylor algebra.  The round trip is not exact on curved
 manifolds: the residual is a curvature multiple of the symbol coefficients,
 and quantifying it is the main job of this module.
 
-The pairing reads its ingredients as jets in normal coordinates: coefficient
-jets from covariant derivatives (``geometry.covariant_derivative_fields``) and
-density jets from ``geometry.sqrt_g_jet``.  These are exact through operator
-order 2, and at every order on flat models, which are the zero-curvature case
-of the same path.  Finite-difference jets serve only operators of order
-above 2 on curved models.
+The pairing reads its ingredients as jets in normal coordinates, all from
+one source, the normal-coordinate expansion of the metric in
+``geometry``: density jets from ``geometry.sqrt_g_jet``, connection jets
+from ``geometry.normal_christoffel_jets``, and coefficient jets from
+covariant derivatives (``geometry.covariant_derivative_fields``) corrected by
+those connection jets along the radial geodesics.  Every operator order the
+package supports (up to 4) is exact in the curvature; flat models are the
+zero-curvature case of the same path.  A pairing evaluates each distinct
+field once (``fields.shared_values``).
 
 The images here are also the package's flat-space images: on a flat model
 every volume-density jet beyond order zero vanishes, and both maps reduce to
@@ -28,14 +31,13 @@ configuration vocabulary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import geometry, numdiff, taylor
 from .errors import ConfigError
-from .fields import TensorField, symmetrized_contraction_field, tensor_add, tensor_scale
+from .fields import TensorField, contract, shared_values, tensor_add, tensor_scale
 from .geometry import ManifoldModel
 from .symbols import CovariantOperator, MomentumPolynomial, merge_terms
 
@@ -59,33 +61,19 @@ def _binomial_weight(m: int, k: int, j: int) -> float:
 # symbol-to-operator maps
 
 
-def _iter_cov_div(model: ManifoldModel, tensor: TensorField, times: int) -> TensorField:
-    for _ in range(times):
-        tensor = geometry.covariant_divergence(model, tensor)
-    return tensor
-
-
 def _jet_contracted(model: ManifoldModel, X: TensorField, k: int) -> TensorField:
     """The coefficient ``X`` with ``k`` slots eaten by reciprocal volume-density jets.
 
     The jets are those of ``sqrt(g(q)) / sqrt(g(xi))`` in normal coordinates,
-    with chart derivative axes.  The second is ``Ric / 3``, contracted through
-    exact Ricci fields on expression metrics; higher jets are numeric, with
-    finite-difference partials.
+    with chart derivative axes, as exact tensor fields of ``q``: ``Ric / 3``
+    for the second, and :func:`geometry.reciprocal_density_jet_fields` for
+    the third (``(1/2) sym nabla Ric``) and fourth.
     """
     if k == 0:
         return X
     if k == 2:
         return tensor_scale(geometry.ricci_contraction(model, X), 1.0 / 3.0)
-
-    def chart_jet(q: np.ndarray) -> np.ndarray:
-        jet = np.asarray(geometry.sqrt_g_jet(model, q, k, power=-1.0)[k], dtype=float)
-        Einv = np.linalg.inv(geometry.normal_frame(model, q))
-        for axis in range(k):
-            jet = np.moveaxis(np.tensordot(Einv, jet, axes=([0], [axis])), 0, axis)
-        return jet
-
-    return symmetrized_contraction_field(X, chart_jet, k)
+    return contract(X, geometry.reciprocal_density_jet_fields(model, k))
 
 
 def wue_weyl_image(
@@ -107,21 +95,7 @@ def wue_weyl_image(
     vanishes and the map reduces to the flat symmetric ordering.  With the
     ``emmrich`` measure no jet terms arise (k = 0 only).
     """
-    _check_variant(measure_variant)
-    terms: dict[int, TensorField] = {}
-    for m, X in f.terms.items():
-        front = (-1j * hbar) ** m
-        top_k = 0 if measure_variant == "emmrich" or model.flat else m
-        for k in range(top_k + 1):
-            if k == 1:
-                continue  # the first volume jet vanishes identically
-            Xt = _jet_contracted(model, X, k)
-            for j in range(m - k + 1):
-                piece = tensor_scale(
-                    _iter_cov_div(model, Xt, j), front * _binomial_weight(m, k, j)
-                )
-                terms = merge_terms(f.dim, terms, {m - k - j: piece})
-    return CovariantOperator(f.dim, terms)
+    return _image(model, f, hbar, measure_variant, divergences=True)
 
 
 def wue_standard_image(
@@ -136,6 +110,13 @@ def wue_standard_image(
     ``(hbar/i)^m sum_k 2^-k C(m,k) X~_k nabla^(m-k)``; on flat models
     only ``k = 0`` survives, ``(hbar/i)^m X d^m``.
     """
+    return _image(model, f, hbar, measure_variant, divergences=False)
+
+
+def _image(
+    model: ManifoldModel, f: MomentumPolynomial, hbar: float, measure_variant: str, divergences: bool
+) -> CovariantOperator:
+    """The jet cascade of both images, with the divergence cascade of the symmetric one."""
     _check_variant(measure_variant)
     terms: dict[int, TensorField] = {}
     for m, X in f.terms.items():
@@ -143,11 +124,12 @@ def wue_standard_image(
         top_k = 0 if measure_variant == "emmrich" or model.flat else m
         for k in range(top_k + 1):
             if k == 1:
-                continue
-            piece = tensor_scale(
-                _jet_contracted(model, X, k), front * _binomial_weight(m, k, 0)
-            )
-            terms = merge_terms(f.dim, terms, {m - k: piece})
+                continue  # the first volume jet vanishes identically
+            Xt = _jet_contracted(model, X, k)
+            for j in range(m - k + 1 if divergences else 1):
+                if j:
+                    Xt = geometry.covariant_divergence(model, Xt)
+                terms = merge_terms(f.dim, terms, {m - k - j: tensor_scale(Xt, front * _binomial_weight(m, k, j))})
     return CovariantOperator(f.dim, terms)
 
 
@@ -179,27 +161,6 @@ def kinetic_symbol(model: ManifoldModel, hbar: float = 1.0) -> MomentumPolynomia
 # ingredient jets for the dequantization pairing
 
 
-def _eval_field_array(arr: np.ndarray, q: np.ndarray) -> np.ndarray:
-    out = np.empty(arr.shape, dtype=complex)
-    flat_out = out.reshape(-1)
-    for i, f in enumerate(arr.reshape(-1)):
-        flat_out[i] = f(q)
-    return out
-
-
-def _gamma_frame_derivative(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
-    """Curvature-exact first jet of the normal-coordinate connection.
-
-    ``d_d Gamma~^c_{ab}(0) = -(1/3)(R~^c_{abd} + R~^c_{bad})`` with the frame
-    Riemann tensor; array axes ``[c, a, b, d]``.
-    """
-    E = geometry.normal_frame(model, q)
-    Einv = np.linalg.inv(E)
-    R = geometry.riemann(model, q)
-    Rf = np.einsum("ca,abgd,bB,gG,dD->cBGD", Einv, R, E, E, E)
-    return -(Rf + np.swapaxes(Rf, 1, 2)) / 3.0
-
-
 def _phase_series(dim: int, order: int, p_frame: np.ndarray, hbar: float) -> taylor.Series:
     v = (-2j / hbar) * np.asarray(p_frame, dtype=complex)
     coeffs: list[np.ndarray] = [np.ones((), dtype=complex)]
@@ -208,116 +169,78 @@ def _phase_series(dim: int, order: int, p_frame: np.ndarray, hbar: float) -> tay
     return taylor.Series(dim, order, 0, coeffs)
 
 
-@dataclass
-class _PairingData:
-    """Normal-coordinate ingredient series for the trace pairing at one point."""
+def _ray_correction(G: list[np.ndarray], f: list[np.ndarray], rank: int, n: int) -> np.ndarray:
+    """``nabla^n X`` minus the n-th jet of ``X~`` in normal coordinates, ray axes unsymmetrized.
 
-    h: taylor.Series
-    sqrt_g: taylor.Series
-    gamma: taylor.Series
-    coeff: dict[int, taylor.Series]
+    Along a radial geodesic ``t -> t v`` the tangent ``v`` is parallel, so
+    ``nabla^n X [v..v] = (d/dt + Gamma~(t v) v)^n X~(t v)`` at ``t = 0``;
+    expanding with ``Gamma~(0) = 0`` leaves these connection terms, with
+    ``G`` the connection jets and ``f`` the lower jets of ``X~``.
+    """
+
+    def g(j: int, Y: np.ndarray) -> np.ndarray:
+        # G[j] (axes [c, a, b] + j derivative axes) meets each contravariant
+        # slot of Y through b, c takes the slot's place, and a and the
+        # derivative axes are appended as ray axes
+        out = None
+        for i in range(rank):
+            term = np.tensordot(G[j], Y, axes=([2], [i]))
+            term = np.moveaxis(term, range(j + 2), [i, *range(term.ndim - j - 1, term.ndim)])
+            out = term if out is None else out + term
+        return out
+
+    if n == 2:
+        return g(1, f[0])
+    if n == 3:
+        return g(2, f[0]) + 3 * g(1, f[1])
+    return g(3, f[0]) + 4 * g(2, f[1]) + 6 * g(1, f[2]) + 3 * g(1, g(1, f[0]))
 
 
-def _coeff_jets_numeric(
-    model: ManifoldModel, q: np.ndarray, tensor: TensorField, order: int
+def _coeff_jets(
+    model: ManifoldModel, q: np.ndarray, tensor: TensorField, order: int, gamma_jets: list[np.ndarray]
 ) -> list[np.ndarray]:
-    """Finite-difference pullback jets of a contravariant coefficient tensor."""
-    dim, rank = model.dim, tensor.rank
-    E = geometry.normal_frame(model, q)
-
-    def pull(xi: np.ndarray) -> np.ndarray:
-        v = E @ xi
-        y = geometry.exp_map(model, q, v)
-        J = geometry.exp_jacobian(model, q, v) @ E
-        Ji = np.linalg.inv(J)
-        vals = tensor.evaluate(y)
-        for axis in range(rank):
-            vals = np.moveaxis(np.tensordot(Ji, vals, axes=([1], [axis])), 0, axis)
-        return vals if rank else np.asarray(vals)
-
-    return numdiff.jet(pull, np.zeros(dim), order)
-
-
-def _coeff_jets_curvature(
-    model: ManifoldModel, q: np.ndarray, tensor: TensorField, order: int
-) -> list[np.ndarray]:
-    """Curvature-exact pullback jets: every order on flat models, through
-    second order on curved ones.
+    """Pullback jets of a contravariant coefficient tensor in normal coordinates.
 
     The k-th jet is the frame components of the k-th covariant derivative,
-    symmetrized over its derivative axes.  On a curved model the second jet
-    also subtracts the connection's first jet contracted into each
-    contravariant slot; flat models need no correction at any order.
+    less the connection terms of :func:`_ray_correction` (none on flat
+    models), symmetrized over its derivative axes.
     """
     rank = tensor.rank
     E = geometry.normal_frame(model, q)
-    Einv = np.linalg.inv(E)
-
-    def to_frame(arr: np.ndarray, lower: int) -> np.ndarray:
-        out = np.asarray(arr, dtype=complex)
-        for axis in range(rank):
-            out = np.moveaxis(np.tensordot(Einv, out, axes=([1], [axis])), 0, axis)
-        for axis in range(rank, rank + lower):
-            out = np.moveaxis(np.tensordot(E, out, axes=([0], [axis])), 0, axis)
-        return out
-
-    c0 = to_frame(tensor.evaluate(q), 0)
-    jets = [c0]
+    jets = [geometry.frame_components(np.asarray(tensor.evaluate(q), dtype=complex), E, rank)]
     comps = tensor.comps
     for k in range(1, order + 1):
         comps = geometry.covariant_derivative_fields(model, comps, rank)
-        jet = to_frame(_eval_field_array(comps, q), k)
-        if k == 2 and not model.flat:
-            dG = _gamma_frame_derivative(model, q)  # [c, a, b, d]
-            correction = np.zeros_like(jet)
-            for i in range(rank):
-                # (d_e Gamma~^{A_i}_{d g}) c~^{.. g ..}  with dG[A_i, d, g, e]
-                term = np.tensordot(dG, c0, axes=([2], [i]))  # [A_i, d, e] + rest
-                correction += np.moveaxis(term, [0, 1, 2], [i, rank, rank + 1])
-            jet = jet - correction
+        values = np.array([field(q) for field in comps.flat], dtype=complex).reshape(comps.shape)
+        jet = geometry.frame_components(values, E, rank)
+        if k >= 2 and rank and not model.flat:
+            jet = jet - _ray_correction(gamma_jets, jets, rank, k)
         jets.append(numdiff.symmetrize(jet, axes=range(rank, rank + k)))
     return jets
 
 
-def _pairing_data(
-    model: ManifoldModel, q: np.ndarray, D: CovariantOperator, order: int
-) -> _PairingData:
-    """Ingredient series at ``q``: curvature-exact on flat models and for
-    orders up to 2, finite differences only for higher orders on curved ones."""
+def _pairing_data(model: ManifoldModel, q: np.ndarray, D: CovariantOperator, order: int) -> tuple:
+    """The pairing's series at ``q``: ``h = sqrt(g)^(-1/2)``, ``sqrt(g)``, the
+    connection and the coefficients, all from the normal-coordinate expansion
+    of the metric.  The connection is read through order ``order - 1`` (zeros
+    pad it), the order-k coefficient through order k: it meets monomials of
+    rank at most k, and the trace pairing of rank r reads order r."""
     dim = model.dim
-    exact = model.flat or order <= 2
-    coeff_jets = _coeff_jets_curvature if exact else _coeff_jets_numeric
-    coeff = {k: taylor.from_jets(dim, coeff_jets(model, q, t, order)) for k, t in D.terms.items()}
-    method = "curvature" if exact else "numeric"
-    h = taylor.from_jets(dim, geometry.sqrt_g_jet(model, q, order, method, power=-0.5))
-    sqrt_g = taylor.from_jets(dim, geometry.sqrt_g_jet(model, q, order, method))
-    if exact:
-        gamma_jets = [np.zeros((dim,) * 3)]
-        if order >= 1:
-            gamma_jets.append(_gamma_frame_derivative(model, q))
-    else:
-        normal_model = ManifoldModel(
-            name=f"{model.name}-normal",
-            dim=dim,
-            coords=tuple(geometry.CoordSpec(f"xi{i}") for i in range(dim)),
-            metric_fn=geometry.normal_metric_fn(model, q),
-        )
-        gamma_jets = numdiff.jet(
-            lambda xi: geometry.christoffel(normal_model, xi), np.zeros(dim), max(order - 1, 0),
-            step=5e-2,
-        )
-    # connection jets beyond those read by the pairing are padded with zeros:
-    # a rank-r pairing only consumes connection data through order r - 1.
-    while len(gamma_jets) < order + 1:
-        gamma_jets.append(np.zeros((dim,) * (3 + len(gamma_jets))))
-    return _PairingData(h, sqrt_g, taylor.from_jets(dim, gamma_jets), coeff)
+    gamma_jets = geometry.normal_christoffel_jets(model, q, max(order - 1, 0))
+    coeff = {k: taylor.from_jets(dim, _coeff_jets(model, q, t, k, gamma_jets)) for k, t in D.terms.items()}
+    h = taylor.from_jets(dim, geometry.sqrt_g_jet(model, q, order, power=-0.5))
+    sqrt_g = taylor.from_jets(dim, geometry.sqrt_g_jet(model, q, order))
+    gamma_jets = gamma_jets + [np.zeros((dim,) * (3 + k)) for k in range(len(gamma_jets), order + 1)]
+    return h, sqrt_g, taylor.from_jets(dim, gamma_jets), coeff
 
 
 # ---------------------------------------------------------------------------
 # the dequantization trace
 
 
-def _momentum_polynomial_series(data: _PairingData, order: int) -> dict[int, taylor.Series]:
+def _momentum_polynomial_series(
+    h: taylor.Series, gamma: taylor.Series, coeff: dict[int, taylor.Series], order: int
+) -> dict[int, taylor.Series]:
     """Contract operator coefficient series against derivative cascades.
 
     Walks ``nabla^k (h exp(i s xi))`` through the series algebra: each step
@@ -329,17 +252,12 @@ def _momentum_polynomial_series(data: _PairingData, order: int) -> dict[int, tay
     collected: dict[int, taylor.Series] = {}
 
     def accumulate(bucket: dict[int, taylor.Series], r: int, s: taylor.Series) -> None:
-        if r in bucket:
-            prev = bucket[r]
-            trunc = min(prev.order, s.order)
-            bucket[r] = taylor.add(taylor.truncate(prev, trunc), taylor.truncate(s, trunc))
-        else:
-            bucket[r] = s
+        bucket[r] = taylor.add(bucket[r], s) if r in bucket else s  # add keeps the lower order
 
-    level: dict[int, taylor.Series] = {0: data.h}
+    level: dict[int, taylor.Series] = {0: h}
     for k in range(order + 1):
-        if k in data.coeff:
-            ck = data.coeff[k]
+        if k in coeff:
+            ck = coeff[k]
             for r, S in level.items():
                 prod = taylor.outer(ck, S)  # base: [c k][s r][cov k]
                 for i in range(k):
@@ -353,7 +271,7 @@ def _momentum_polynomial_series(data: _PairingData, order: int) -> dict[int, tay
                 accumulate(nxt, r, taylor.derivative(S, r))
             accumulate(nxt, r + 1, taylor.identity_pair(S, r, r + 1))
             for t in range(k):
-                prod = taylor.outer(data.gamma, S)  # base [c a b] + [s r] + [cov k]
+                prod = taylor.outer(gamma, S)  # base [c a b] + [s r] + [cov k]
                 tr = taylor.trace(prod, 0, 3 + r + t)  # contract c into cov slot t
                 # remaining [a b] + [s r] + [cov k-1]: a becomes the new front
                 # cov index, b refills slot t (one position later, after a)
@@ -387,18 +305,18 @@ def dequantize_curved(
     q = np.asarray(q, dtype=float)
     geometry.check_point(model, q)
     order = D.max_order
-    data = _pairing_data(model, q, D, order)
-    dim = model.dim
-    phase = _phase_series(dim, order, geometry.normal_frame(model, q).T @ p, hbar)
-    h_rev = taylor.negate_argument(data.h)
+    with shared_values(q):
+        h, sqrt_g, gamma, coeff = _pairing_data(model, q, D, order)
+    phase = _phase_series(model.dim, order, geometry.normal_frame(model, q).T @ p, hbar)
+    h_rev = taylor.negate_argument(h)
     if measure_variant == "paper":
-        w = taylor.mul(data.sqrt_g, taylor.mul(h_rev, phase))
+        w = taylor.mul(sqrt_g, taylor.mul(h_rev, phase))
     else:
         w = taylor.mul(h_rev, phase)
-    collected = _momentum_polynomial_series(data, order)
+    collected = _momentum_polynomial_series(h, gamma, coeff, order)
     total = 0.0 + 0.0j
     for r, series in collected.items():
-        total += taylor.delta_pairing(taylor.truncate(w, series.order), series)
+        total += taylor.delta_pairing(w, series)
     return total
 
 

@@ -22,7 +22,11 @@ class ChartDomainError(PhasequantError, ValueError):
 
 
 class UnsupportedOrderError(PhasequantError, ValueError):
-    """A polynomial degree or operator order exceeds the supported cap."""
+    """A polynomial degree, operator order or derivative order exceeds the supported cap."""
+
+
+class ShapeError(PhasequantError, ValueError):
+    """Tensors, fields or series of mismatched shape, rank or order were combined."""
 
 
 class QuadratureAccuracyError(PhasequantError, RuntimeError):

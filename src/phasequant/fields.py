@@ -14,20 +14,28 @@ Cartesian ones included, are built in ``geometry``.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import numdiff
+from .errors import ShapeError, UnsupportedOrderError
 from .expressions import Expr, parse_expression
+
+# The point and value table of the innermost ``shared_values`` block.
+_SHARED: contextvars.ContextVar[tuple[bytes, dict] | None] = contextvars.ContextVar("shared_values", default=None)
 
 
 class ScalarField:
     """A complex-valued function of chart coordinates with partial derivatives.
 
     ``fn`` takes a point of shape ``(dim,)`` and returns a complex number, or
-    an ``(N, dim)`` point array and returns the N values.
+    an ``(N, dim)`` point array and returns the N values;
+    ``partial_factory(axis)`` builds the partial along one axis (finite
+    differences of a plain callable come from :func:`from_callable`).
     """
 
     __slots__ = ("dim", "_fn", "_partial_factory", "_partial_cache")
@@ -36,7 +44,7 @@ class ScalarField:
         self,
         dim: int,
         fn: Callable[[np.ndarray], complex],
-        partial_factory: Callable[[int], "ScalarField"] | None = None,
+        partial_factory: Callable[[int], "ScalarField"],
     ):
         self.dim = dim
         self._fn = fn
@@ -44,24 +52,34 @@ class ScalarField:
         self._partial_cache: dict[int, ScalarField] = {}
 
     def __call__(self, q: np.ndarray) -> complex | np.ndarray:
-        return self._fn(np.asarray(q, dtype=float))
+        q = np.asarray(q, dtype=float)
+        shared = _SHARED.get()
+        if shared is None or q.ndim != 1 or q.tobytes() != shared[0]:
+            return self._fn(q)
+        table = shared[1]
+        if self not in table:
+            table[self] = self._fn(q)
+        return table[self]
 
     def partial(self, axis: int) -> "ScalarField":
-        if axis in self._partial_cache:
-            return self._partial_cache[axis]
-        if self._partial_factory is not None:
-            field = self._partial_factory(axis)
-        else:
-            orders = [0] * self.dim
-            orders[axis] = 1
-            fn = self._fn
+        if axis not in self._partial_cache:
+            self._partial_cache[axis] = self._partial_factory(axis)
+        return self._partial_cache[axis]
 
-            def fd(q, _orders=tuple(orders)):
-                return complex(numdiff.partial_derivative(fn, q, _orders))
 
-            field = ScalarField(self.dim, _pointwise(fd))
-        self._partial_cache[axis] = field
-        return field
+@contextlib.contextmanager
+def shared_values(q: np.ndarray):
+    """Inside the block each field is evaluated at most once at the point ``q``
+    (field trees share subtrees); values are unchanged, bit for bit.  Other
+    points and point arrays evaluate as usual; a nested block at ``q`` keeps
+    the outer table."""
+    key = np.asarray(q, dtype=float).tobytes()
+    outer = _SHARED.get()
+    token = _SHARED.set(outer if outer is not None and outer[0] == key else (key, {}))
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
 
 
 def _pointwise(fn: Callable[[np.ndarray], complex]) -> Callable[[np.ndarray], complex | np.ndarray]:
@@ -125,7 +143,7 @@ def from_callable(dim: int, fn: Callable[[np.ndarray], complex]) -> ScalarField:
         if sum(orders) == 0:
             value = _pointwise(lambda q: complex(fn(q)))
         elif sum(orders) > numdiff.MAX_ORDER:
-            raise ValueError("finite-difference chain exceeds supported order")
+            raise UnsupportedOrderError("finite-difference chain exceeds supported order")
         else:
             value = _pointwise(lambda q: complex(numdiff.partial_derivative(fn, q, orders)))
 
@@ -153,7 +171,7 @@ def scale(field: ScalarField, factor: complex) -> ScalarField:
 def add(*fields: ScalarField) -> ScalarField:
     fields = tuple(f for f in fields if f is not None)
     if not fields:
-        raise ValueError("add() needs at least one field")
+        raise ShapeError("add() needs at least one field")
     dim = fields[0].dim
 
     def partial_factory(axis: int) -> ScalarField:
@@ -183,7 +201,7 @@ class TensorField:
         self.rank = rank
         comps = np.asarray(comps, dtype=object)
         if comps.shape != (dim,) * rank:
-            raise ValueError(f"component array shape {comps.shape} != {(dim,) * rank}")
+            raise ShapeError(f"component array shape {comps.shape} != {(dim,) * rank}")
         self.comps = comps
 
     def evaluate(self, q: np.ndarray) -> np.ndarray:
@@ -228,7 +246,7 @@ def tensor_scale(t: TensorField, factor: complex) -> TensorField:
 def tensor_add(*tensors: TensorField) -> TensorField:
     first = tensors[0]
     if any(t.rank != first.rank or t.dim != first.dim for t in tensors):
-        raise ValueError("tensor_add() requires matching rank and dimension")
+        raise ShapeError("tensor_add() requires matching rank and dimension")
     return tensor_from_fields(
         first.dim,
         first.rank,
@@ -236,31 +254,12 @@ def tensor_add(*tensors: TensorField) -> TensorField:
     )
 
 
-def tensor_from_array_callable(dim: int, rank: int, fn: Callable[[np.ndarray], np.ndarray]) -> TensorField:
-    """Wrap an array-valued callable as a tensor field (FD partials)."""
+def contract(t: TensorField, weights: np.ndarray) -> TensorField:
+    """``W_{a1..ak} T^{a1..ak J}`` for an object array ``W`` of weight fields,
+    shape ``(dim,)*k``: a rank ``t.rank - k`` field with partials as exact as
+    those of ``W`` and ``t``.  Only the symmetric part of ``W`` contributes."""
 
     def assign(idx: tuple[int, ...]) -> ScalarField:
-        if rank:
-            return from_callable(dim, lambda q, _i=idx: complex(np.asarray(fn(q))[_i]))
-        return from_callable(dim, lambda q: complex(np.asarray(fn(q))))
+        return add(*[multiply(weights[s], t.comps[s + idx]) for s in np.ndindex(weights.shape)])
 
-    return tensor_from_fields(dim, rank, assign)
-
-
-def symmetrized_contraction_field(t: TensorField, weight_fn: Callable[[np.ndarray], np.ndarray], k: int) -> TensorField:
-    """Contract the first ``k`` slots of ``t`` with a point-dependent array.
-
-    ``weight_fn(q)`` must return an array of shape ``(dim,)*k``.  The result is
-    a rank ``t.rank - k`` tensor field with finite-difference partials.
-    """
-    if k == 0:
-        return t
-    rank_out = t.rank - k
-    axes_in = tuple(range(k))
-
-    def fn(q):
-        vals = t.evaluate(q)
-        w = np.asarray(weight_fn(q))
-        return np.tensordot(w, vals, axes=(axes_in, axes_in))
-
-    return tensor_from_array_callable(t.dim, rank_out, fn)
+    return tensor_from_fields(t.dim, t.rank - weights.ndim, assign)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import geometry
 from .bases import gauss_hermite, hermite_polynomial_values
-from .curved import _binomial_weight, _iter_cov_div, wue_weyl_image
+from .curved import _binomial_weight, wue_weyl_image
 from .errors import InversionError
 from .fields import TensorField, tensor_add, tensor_scale
 from .geometry import ManifoldModel
@@ -53,7 +53,7 @@ def _weyl_symbol(model: ManifoldModel, D: CovariantOperator, hbar: float) -> Mom
     the operator coefficient minus the divergence cascade of the higher terms.
     """
     recovered: dict[int, TensorField] = {}
-    div_cache: dict[tuple[int, int], TensorField] = {}
+    divergences: dict[int, list[TensorField]] = {}  # [recovered[m2], its divergence, ...]
     for m in range(D.max_order, -1, -1):
         pieces: list[TensorField] = []
         if m in D.terms:
@@ -61,11 +61,10 @@ def _weyl_symbol(model: ManifoldModel, D: CovariantOperator, hbar: float) -> Mom
         for m2 in range(m + 1, D.max_order + 1):
             if m2 not in recovered:
                 continue
-            key = (m2, m2 - m)
-            if key not in div_cache:
-                div_cache[key] = _iter_cov_div(model, recovered[m2], m2 - m)
+            divs = divergences.setdefault(m2, [recovered[m2]])
+            divs.append(geometry.covariant_divergence(model, divs[-1]))  # the (m2 - m)-th
             weight = (-1j * hbar) ** m2 * _binomial_weight(m2, 0, m2 - m)
-            pieces.append(tensor_scale(div_cache[key], -weight))
+            pieces.append(tensor_scale(divs[m2 - m], -weight))
         if not pieces:
             continue
         combined = pieces[0] if len(pieces) == 1 else tensor_add(*pieces)

@@ -9,8 +9,14 @@ back to finite differences (and Runge-Kutta geodesics without an ``exp_fn``).
 
 Covariant derivatives of component fields come from one builder,
 :func:`covariant_derivative_fields`, which the iterated derivatives of
-scalars and the divergence reuse; :func:`sqrt_g_jet` is the one source of
-normal-coordinate volume-density jets.
+scalars and the divergence reuse.  Everything in normal coordinates comes
+from one source, :func:`normal_metric_series`, the Riemann-normal-coordinate
+expansion of the metric through fourth order with ``R``, ``nabla R`` and
+``nabla nabla R`` from the component fields: :func:`sqrt_g_jet` (volume
+density jets) and :func:`normal_christoffel_jets` (connection jets) are
+series algebra on it.  Geodesics and finite-difference jets of the
+pulled-back density (``sqrt_g_jet(method="numeric")``, :func:`pullback_jet`)
+remain as independent references for checks.
 
 Conventions:
 
@@ -30,20 +36,20 @@ from typing import Callable
 
 import numpy as np
 
-from . import numdiff
-from .errors import ChartDomainError, ConfigError, UnsupportedOrderError
+from . import numdiff, taylor
+from .errors import ChartDomainError, ConfigError, ShapeError, UnsupportedOrderError
 from .expressions import Const, Expr, inverse_matrix, parse_expression
 from .fields import (
     ScalarField,
     TensorField,
     add,
+    contract,
     from_callable,
     from_expression,
     multiply,
     scale,
-    symmetrized_contraction_field,
+    shared_values,
     tensor_constant,
-    tensor_from_array_callable,
     tensor_from_fields,
 )
 
@@ -81,9 +87,7 @@ class ManifoldModel:
     metric_fn: Callable[[np.ndarray], np.ndarray] | None = None
     metric_exprs: tuple[tuple[Expr, ...], ...] | None = None
     flat: bool = False
-    injectivity_radius: float = math.inf
     exp_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    exp_jacobian_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if self.metric_fn is None:
@@ -126,13 +130,29 @@ class ManifoldModel:
 
     @cached_property
     def _fields(self) -> dict[str, np.ndarray]:
-        """Read-only component fields of every ``_derived`` level, shared by all callers."""
+        """Read-only component fields of every ``_derived`` level, shared by all
+        callers; for an opaque metric they wrap the finite-difference arrays."""
         out = {}
-        for level, exprs in self._derived.items():
-            comps = np.array([from_expression(e, self.coordinate_names) for e in exprs.flat], dtype=object)
-            out[level] = comps.reshape(exprs.shape)
-            out[level].flags.writeable = False
+        if self._derived is None:
+            for level, array_fn, rank in (
+                ("g_inv", inverse_metric, 2), ("gamma", christoffel, 3), ("riemann", riemann, 4), ("ricci", ricci, 2)
+            ):
+                out[level] = np.empty((self.dim,) * rank, dtype=object)
+                for idx in np.ndindex(out[level].shape):
+                    out[level][idx] = from_callable(self.dim, lambda x, _f=array_fn, _i=idx: _f(self, x)[_i])
+        else:
+            for level, exprs in self._derived.items():
+                comps = np.array([from_expression(e, self.coordinate_names) for e in exprs.flat], dtype=object)
+                out[level] = comps.reshape(exprs.shape)
+        for comps in out.values():
+            comps.flags.writeable = False
         return out
+
+    @cached_property
+    def _riemann_fields(self) -> list[np.ndarray]:
+        """Component fields of ``R``, ``nabla R``, ... (new index last), grown
+        by :func:`_covariant_riemann_fields` so that every caller shares them."""
+        return [self._fields["riemann"]]
 
 
 def _evaluate(exprs: np.ndarray, names: tuple[str, ...], q: np.ndarray) -> np.ndarray:
@@ -199,8 +219,6 @@ def inverse_metric(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
 def inverse_metric_field(model: ManifoldModel) -> TensorField:
     """The inverse metric ``g^{ab}`` as a symmetric rank-2 tensor field: exact
     partials for expression metrics, FD partials for an opaque ``metric_fn``."""
-    if model._derived is None:
-        return tensor_from_array_callable(model.dim, 2, lambda q: inverse_metric(model, q))
     return tensor_from_fields(model.dim, 2, lambda idx: model._fields["g_inv"][idx])
 
 
@@ -240,17 +258,40 @@ def ricci(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
 
 def ricci_contraction(model: ManifoldModel, X: TensorField) -> TensorField:
     """``Ric_{ab} X^{ab J}`` as a rank ``X.rank - 2`` field: exact Ricci fields
-    on expression metrics, a pointwise contraction with FD partials otherwise."""
+    on expression metrics, FD-derived ones for an opaque ``metric_fn``."""
     if model.flat:
         return tensor_constant(model.dim, np.zeros((model.dim,) * (X.rank - 2)))
-    if model._derived is None:
-        return symmetrized_contraction_field(X, lambda q: ricci(model, q), 2)
-    ric = model._fields["ricci"]
+    return contract(X, model._fields["ricci"])
 
-    def assign(idx: tuple[int, ...]) -> ScalarField:
-        return add(*[multiply(ric[ab], X.comps[ab + idx]) for ab in np.ndindex(ric.shape)])
 
-    return tensor_from_fields(model.dim, X.rank - 2, assign)
+def _covariant_riemann_fields(model: ManifoldModel, n: int) -> np.ndarray:
+    """Component fields of ``nabla^n R``, built once per model."""
+    levels = model._riemann_fields
+    while len(levels) <= n:
+        levels.append(covariant_derivative_fields(model, levels[-1], 1))
+    return levels[n]
+
+
+def reciprocal_density_jet_fields(model: ManifoldModel, k: int) -> np.ndarray:
+    """Fields whose symmetrization is, at each ``q``, the third or fourth jet
+    of ``sqrt(g(q)) / sqrt(g(xi))`` in normal coordinates, chart axes (the
+    terms of :func:`sqrt_g_jet` at power -1 as fields, for covariant
+    divergences to act on): ``(1/2) nabla_c Ric_ab`` at ``k = 3``, and
+    ``(3/5) nabla_d nabla_c Ric_ab + (2/15) R^e_{afb} R^f_{ced} + (1/3) Ric_ab Ric_cd``
+    at ``k = 4``."""
+    riem, first = model._fields["riemann"], _covariant_riemann_fields(model, 1)
+    ric, span = model._fields["ricci"], range(model.dim)
+    out = np.empty((model.dim,) * k, dtype=object)
+    for a, b, *cd in np.ndindex(out.shape):
+        if k == 3:
+            out[(a, b, *cd)] = scale(add(*[first[m, a, m, b, cd[0]] for m in span]), 0.5)
+        else:
+            c, d = cd
+            dd_ric = add(*[_covariant_riemann_fields(model, 2)[m, a, m, b, c, d] for m in span])
+            quad = add(*[multiply(riem[e, a, f, b], riem[f, c, e, d]) for e in span for f in span])
+            ric_ric = multiply(ric[a, b], ric[c, d])
+            out[a, b, c, d] = add(scale(dd_ric, 0.6), scale(quad, 2.0 / 15.0), scale(ric_ric, 1.0 / 3.0))
+    return out
 
 
 def scalar_curvature(model: ManifoldModel, q: np.ndarray) -> float:
@@ -293,8 +334,6 @@ def exp_jacobian(model: ManifoldModel, q: np.ndarray, v: np.ndarray) -> np.ndarr
     """Derivative ``d exp_q(v) / dv`` as a (dim, dim) matrix."""
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
-    if model.exp_jacobian_fn is not None:
-        return np.asarray(model.exp_jacobian_fn(q, v), dtype=float)
     return numdiff.jacobian(lambda u: exp_map(model, q, u), v)
 
 
@@ -318,31 +357,86 @@ def normal_frame(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
     return E
 
 
-def normal_coordinates_map(model: ManifoldModel, q: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """The map ``xi -> exp_q(E xi)`` from normal coordinates to the chart."""
-    q = np.asarray(q, dtype=float)
+def frame_components(arr: np.ndarray, E: np.ndarray, upper: int) -> np.ndarray:
+    """Components of a tensor in the orthonormal frame ``E``; the first
+    ``upper`` axes are contravariant, the others covariant."""
+    Einv = np.linalg.inv(E)
+    out = arr
+    for axis in range(out.ndim):
+        if axis < upper:
+            out = np.moveaxis(np.tensordot(Einv, out, axes=([1], [axis])), 0, axis)
+        else:
+            out = np.moveaxis(np.tensordot(E, out, axes=([0], [axis])), 0, axis)
+    return out
+
+
+def _frame_riemann(model: ManifoldModel, q: np.ndarray, count: int) -> list[np.ndarray]:
+    """Frame components of ``R``, ``nabla R`` and ``nabla nabla R`` at ``q``
+    (the first ``count`` of them), axes ``[r, s, m, n]`` then derivative axes."""
     E = normal_frame(model, q)
-    return lambda xi: exp_map(model, q, E @ np.asarray(xi, dtype=float))
+    out = [np.einsum("ca,abgd,bB,gG,dD->cBGD", np.linalg.inv(E), riemann(model, q), E, E, E)]
+    with shared_values(q):
+        for n in range(1, count):
+            comps = _covariant_riemann_fields(model, n)
+            values = np.array([field(q) for field in comps.flat]).reshape(comps.shape)
+            out.append(frame_components(values.real, E, 1))
+    return out
 
 
-def normal_metric_fn(model: ManifoldModel, q: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
-    """Metric components in normal coordinates centered at ``q``."""
-    q = np.asarray(q, dtype=float)
-    E = normal_frame(model, q)
+def normal_metric_series(model: ManifoldModel, q: np.ndarray, order: int) -> taylor.Series:
+    """Taylor series of the metric in normal coordinates at ``q``, frame axes:
+    the Riemann-normal-coordinate expansion through fourth order (Mueller,
+    Schubert and van de Ven, gr-qc/9712092; Brewin, arXiv:0903.2087)::
 
-    def g_normal(xi: np.ndarray) -> np.ndarray:
-        xi = np.asarray(xi, dtype=float)
-        v = E @ xi
-        x = exp_map(model, q, v)
-        J = exp_jacobian(model, q, v) @ E
-        return J.T @ metric(model, x) @ J
+        g_ab = delta_ab - (1/3) R_acbd x^c x^d - (1/6) nabla_e R_acbd x^c x^d x^e
+               + (-(1/20) nabla_f nabla_e R_acbd + (2/45) R_acgd R_begf) x^c x^d x^e x^f
 
-    return g_normal
+    with the curvature from the model's component fields; the identity on flat models.
+    """
+    dim = model.dim
+    if model.flat:
+        return taylor.constant(dim, order, np.eye(dim))
+    if order > 4:
+        raise UnsupportedOrderError("the normal-coordinate metric expansion stops at order 4")
+    curvature = _frame_riemann(model, q, order - 1)
+    terms = [np.eye(dim), np.zeros((dim,) * 3)]
+    terms += [-np.swapaxes(R, 1, 2) / divisor for R, divisor in zip(curvature, (3.0, 6.0, 20.0))]
+    if order >= 4:
+        R = curvature[0]
+        terms[4] = terms[4] + (2.0 / 45.0) * np.einsum("acgd,begf->abcdef", R, R)
+    coeffs = [math.factorial(k) * numdiff.symmetrize(t, axes=range(2, 2 + k)) for k, t in enumerate(terms)]
+    return taylor.Series(dim, order, 2, coeffs[: order + 1])
 
 
-def sqrt_g_normal_fn(model: ManifoldModel, q: np.ndarray) -> Callable[[np.ndarray], float]:
-    g_normal = normal_metric_fn(model, q)
-    return lambda xi: float(math.sqrt(np.linalg.det(g_normal(xi))))
+def _power_sum(G: taylor.Series, coefficient: Callable[[int], float]) -> taylor.Series:
+    """``sum_n coefficient(n) A^n`` over the powers of ``A = G - 1`` that
+    survive truncation (``A`` starts at order 2)."""
+    A = taylor.add(G, taylor.constant(G.dim, G.order, -np.eye(G.dim)))
+    power, total = A, taylor.scale(A, coefficient(1))
+    for n in range(2, G.order // 2 + 1):
+        power = taylor.matmul(power, A)
+        total = taylor.add(total, taylor.scale(power, coefficient(n)))
+    return total
+
+
+def normal_christoffel_jets(model: ManifoldModel, q: np.ndarray, order: int) -> list[np.ndarray]:
+    """Jets of the connection ``Gamma~^c_{ab}`` in normal coordinates at ``q``.
+
+    Frame axes ``[c, a, b]`` then derivative axes.  The value vanishes, the
+    first jet is ``-(R~^c_{abd} + R~^c_{bad}) / 3``, and higher jets (through
+    order 3) come from :func:`normal_metric_series` through
+    ``Gamma = (1/2) g^{-1} (d g + d g - d g)``.
+    """
+    dim = model.dim
+    R = _frame_riemann(model, q, 1)[0]
+    jets = [np.zeros((dim,) * 3), -(R + np.swapaxes(R, 1, 2)) / 3.0][: order + 1]
+    if order < 2:
+        return jets
+    G = normal_metric_series(model, q, order + 1)
+    g_inv = taylor.add(taylor.constant(dim, G.order, np.eye(dim)), _power_sum(G, lambda n: (-1.0) ** n))
+    # [d, a, b] = Gamma_{dab} from [a, b, e] = d_e g_ab
+    lower = [0.5 * (c.swapaxes(1, 2) + c - np.moveaxis(c, 2, 0)) for c in taylor.derivative(G, 2).coeffs]
+    return jets + taylor.matmul(g_inv, taylor.from_jets(dim, lower)).coeffs[2:]
 
 
 def ricci_in_frame(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
@@ -355,7 +449,7 @@ def sqrt_g_jet(
     model: ManifoldModel,
     q: np.ndarray,
     max_order: int = 2,
-    method: str = "auto",
+    method: str = "curvature",
     power: float = 1.0,
 ) -> list[np.ndarray]:
     """Jets at 0 of a power ``(sqrt(det g))**power`` of the normal-coordinate
@@ -364,41 +458,42 @@ def sqrt_g_jet(
     This is the one source of density jets: the pairing uses ``power`` 1 and
     -1/2, the image's jet corrections use -1.  ``method``:
 
-    * ``"curvature"`` - closed form: value 1, vanishing gradient, Hessian
-      ``-(power/3) Ric`` in the orthonormal frame; orders 3+ only on flat
-      models, where every jet beyond the value vanishes.
-    * ``"numeric"`` - finite-difference jets of the pulled-back density.
-    * ``"auto"`` - the curvature form when it suffices, numeric otherwise.
+    * ``"curvature"`` - from the curvature: value 1, vanishing gradient,
+      Hessian ``-(power/3) Ric``, and the jets of orders 3 and 4 from
+      ``exp((power/2) tr log g)`` on :func:`normal_metric_series`.  On flat
+      models every jet beyond the value vanishes, at any order.
+    * ``"numeric"`` - finite-difference jets of the pulled-back density, the
+      independent reference that checks compare the curvature form with.
     """
     q = np.asarray(q, dtype=float)
     dim = model.dim
-    if method not in ("auto", "numeric", "curvature"):
+    if method not in ("numeric", "curvature"):
         raise ConfigError(f"unknown jet method {method!r}")
-    if method == "auto":
-        method = "curvature" if model.flat or max_order <= 2 else "numeric"
     if method == "numeric":
-        sqrt_fn = sqrt_g_normal_fn(model, q)
-        return numdiff.jet(lambda xi: sqrt_fn(xi) ** power, np.zeros(dim), max_order)
+        E = normal_frame(model, q)
+
+        def density(xi: np.ndarray) -> float:  # the metric pulled back along geodesics
+            v = E @ xi
+            J = exp_jacobian(model, q, v) @ E
+            return float(math.sqrt(np.linalg.det(J.T @ metric(model, exp_map(model, q, v)) @ J))) ** power
+
+        return numdiff.jet(density, np.zeros(dim), max_order)
     if model.flat:
         return [np.ones(()) if k == 0 else np.zeros((dim,) * k) for k in range(max_order + 1)]
-    if max_order > 2:
-        raise UnsupportedOrderError("curvature-form volume jets stop at order 2")
     jets = [np.ones(()), np.zeros((dim,)), -power * ricci_in_frame(model, q) / 3.0]
+    if max_order > 2:
+        log_g = _power_sum(normal_metric_series(model, q, max_order), lambda n: (-1.0) ** (n + 1) / n)
+        exponent = taylor.scale(taylor.trace(log_g, 0, 1), power / 2.0)
+        term = density = taylor.constant(dim, max_order, np.ones(()))
+        for n in range(1, max_order // 2 + 1):
+            term = taylor.scale(taylor.mul(term, exponent), 1.0 / n)
+            density = taylor.add(density, term)
+        jets += density.coeffs[3:]
     return jets[: max_order + 1]
 
 
 # ---------------------------------------------------------------------------
 # covariant derivatives and normal-coordinate pullbacks
-
-
-def _christoffel_component_fields(model: ManifoldModel) -> np.ndarray:
-    """Component fields of ``Gamma^c_{ab}``; finite differences only for an opaque metric."""
-    if model._derived is not None:
-        return model._fields["gamma"]
-    comps = np.empty((model.dim,) * 3, dtype=object)
-    for idx in np.ndindex(comps.shape):
-        comps[idx] = from_callable(model.dim, lambda x, _i=idx: christoffel(model, x)[_i])
-    return comps
 
 
 def _covariant_derivative_terms(
@@ -434,7 +529,7 @@ def covariant_derivative_fields(model: ManifoldModel, comps: np.ndarray, upper: 
     contravariant axes first and covariant axes after them; the result has one
     more axis, the new covariant index, last.
     """
-    gamma = None if model.connection_free else _christoffel_component_fields(model)
+    gamma = None if model.connection_free else model._fields["gamma"]
     out = np.empty(comps.shape + (model.dim,), dtype=object)
     for idx in np.ndindex(out.shape):
         terms = _covariant_derivative_terms(gamma, comps, upper, idx)
@@ -494,9 +589,9 @@ def covariant_divergence(model: ManifoldModel, tensor: TensorField) -> TensorFie
     components.  Returns a rank ``tensor.rank - 1`` tensor field.
     """
     if tensor.rank == 0:
-        raise ValueError("cannot take the divergence of a rank-0 tensor")
+        raise ShapeError("cannot take the divergence of a rank-0 tensor")
     dim = model.dim
-    gamma = None if model.connection_free else _christoffel_component_fields(model)
+    gamma = None if model.connection_free else model._fields["gamma"]
 
     def assign(idx: tuple[int, ...]) -> ScalarField:
         return add(
@@ -522,7 +617,8 @@ def pullback_jet(
     order by order.
     """
     q = np.asarray(q, dtype=float)
-    chart = normal_coordinates_map(model, q)
+    E = normal_frame(model, q)
+    chart = lambda xi: exp_map(model, q, E @ np.asarray(xi, dtype=float))
     return numdiff.jet(lambda xi: psi(chart(xi)), np.zeros(model.dim), max_order)
 
 
@@ -537,7 +633,6 @@ def _metric_exprs(names: tuple[str, ...], rows: list[list[str]]) -> tuple[tuple[
 def euclidean_space(dim: int) -> ManifoldModel:
     if not 1 <= dim <= 3:
         raise ConfigError(f"euclidean model supports dimensions 1-3, got {dim}")
-    identity = np.eye(dim)
     names = ("x", "y", "z")[:dim]
     return ManifoldModel(
         name=f"euclidean:{dim}",
@@ -545,23 +640,18 @@ def euclidean_space(dim: int) -> ManifoldModel:
         coords=tuple(CoordSpec(name) for name in names),
         metric_exprs=_metric_exprs(names, [["1" if i == j else "0" for j in range(dim)] for i in range(dim)]),
         flat=True,
-        injectivity_radius=math.inf,
         exp_fn=lambda q, v: q + v,
-        exp_jacobian_fn=lambda q, v: identity,
     )
 
 
 def circle() -> ManifoldModel:
-    one = np.ones((1, 1))
     return ManifoldModel(
         name="circle",
         dim=1,
         coords=(CoordSpec("theta", -math.pi, math.pi, periodic=True),),
         metric_exprs=_metric_exprs(("theta",), [["1"]]),
         flat=True,
-        injectivity_radius=math.pi,
         exp_fn=lambda q, v: q + v,
-        exp_jacobian_fn=lambda q, v: one,
     )
 
 
@@ -612,34 +702,11 @@ def sphere(radius: float = 1.0) -> ManifoldModel:
         ),
         metric_exprs=_metric_exprs(("theta", "phi"), [[a2, "0"], ["0", f"{a2}*sin(theta)**2"]]),
         flat=False,
-        injectivity_radius=math.pi * a,
         exp_fn=exp_fn,
     )
 
 
 def polar_plane() -> ManifoldModel:
-    def chart_jacobian(q):
-        r, phi = q
-        return np.array([[math.cos(phi), -r * math.sin(phi)], [math.sin(phi), r * math.cos(phi)]])
-
-    def exp_fn(q, v):
-        r, phi = q
-        x = np.array([r * math.cos(phi), r * math.sin(phi)])
-        endpoint = x + chart_jacobian(q) @ np.asarray(v, dtype=float)
-        r_new = float(np.linalg.norm(endpoint))
-        if r_new < 1e-12:
-            raise ChartDomainError("r", r_new, "geodesic endpoint hit the polar-chart origin")
-        phi_new = math.atan2(endpoint[1], endpoint[0])
-        return np.array([r_new, _unwrap_angle(phi_new, phi)])
-
-    def exp_jacobian_fn(q, v):
-        r_new, phi_new = exp_fn(q, v)
-        x, y = r_new * math.cos(phi_new), r_new * math.sin(phi_new)
-        from_cartesian = np.array(
-            [[x / r_new, y / r_new], [-y / (r_new * r_new), x / (r_new * r_new)]]
-        )
-        return from_cartesian @ chart_jacobian(q)
-
     return ManifoldModel(
         name="polar-plane",
         dim=2,
@@ -649,9 +716,6 @@ def polar_plane() -> ManifoldModel:
         ),
         metric_exprs=_metric_exprs(("r", "phi"), [["1", "0"], ["0", "r*r"]]),
         flat=True,
-        injectivity_radius=math.inf,
-        exp_fn=exp_fn,
-        exp_jacobian_fn=exp_jacobian_fn,
     )
 
 

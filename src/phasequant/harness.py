@@ -427,7 +427,7 @@ class _Checks:
             reference = tol
             passed = measured > tol
         else:
-            raise ValueError(f"unknown comparison mode {mode!r}")
+            raise ConfigError(f"unknown comparison mode {mode!r}")
         self.records.append(
             CheckRecord(name, measured, reference, effective, mode, provenance, passed)
         )

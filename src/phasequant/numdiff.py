@@ -18,6 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import UnsupportedOrderError
+
 # Base step per the shared differentiation policy.
 DEFAULT_STEP = 1e-2
 MAX_ORDER = 4
@@ -118,7 +120,7 @@ def jet(
     symmetrically.
     """
     if max_order > 4:
-        raise ValueError(f"jet order {max_order} exceeds the supported cap of 4")
+        raise UnsupportedOrderError(f"jet order {max_order} exceeds the supported cap of 4")
     x = np.asarray(x, dtype=float)
     base = np.asarray(f(x))
     out: list[np.ndarray] = [base]

@@ -259,13 +259,7 @@ def flat_chart_delta_value(
     dim = q.size
 
     def jacobian(qq: np.ndarray) -> np.ndarray:
-        cart = lambda t: np.asarray(to_cartesian(t), dtype=float)
-        cols = []
-        for alpha in range(dim):
-            orders = [0] * dim
-            orders[alpha] = 1
-            cols.append(numdiff.partial_derivative(cart, qq, orders))
-        return np.column_stack(cols)
+        return numdiff.jacobian(to_cartesian, qq, step=numdiff.DEFAULT_STEP)
 
     def symbol_in_cartesian(z: np.ndarray) -> complex:
         pc, xc = z[:dim], z[dim:]

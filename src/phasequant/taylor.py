@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numdiff
+from .errors import ShapeError
 
 
 def _sym_last(arr: np.ndarray, k: int) -> np.ndarray:
@@ -38,14 +39,14 @@ class Series:
 
     def __post_init__(self):
         if len(self.coeffs) != self.order + 1:
-            raise ValueError("need one coefficient array per order 0..order")
+            raise ShapeError("need one coefficient array per order 0..order")
         self.coeffs = [np.asarray(c) for c in self.coeffs]
         base = self.coeffs[0].shape
         if len(base) != self.base_rank:
-            raise ValueError(f"base rank {self.base_rank} != leading shape {base}")
+            raise ShapeError(f"base rank {self.base_rank} != leading shape {base}")
         for k, c in enumerate(self.coeffs):
             if c.shape != base + (self.dim,) * k:
-                raise ValueError(f"order-{k} coefficient has shape {c.shape}")
+                raise ShapeError(f"order-{k} coefficient has shape {c.shape}")
 
     @property
     def base_shape(self) -> tuple[int, ...]:
@@ -71,17 +72,11 @@ def scale(s: Series, factor: complex) -> Series:
 
 def add(s1: Series, s2: Series) -> Series:
     if s1.base_shape != s2.base_shape:
-        raise ValueError("series base shapes differ")
+        raise ShapeError("series base shapes differ")
     order = min(s1.order, s2.order)
     return Series(
         s1.dim, order, s1.base_rank, [s1.coeffs[k] + s2.coeffs[k] for k in range(order + 1)]
     )
-
-
-def truncate(s: Series, order: int) -> Series:
-    if order > s.order:
-        raise ValueError("cannot extend a truncated series")
-    return Series(s.dim, order, s.base_rank, s.coeffs[: order + 1])
 
 
 def outer(s1: Series, s2: Series) -> Series:
@@ -91,7 +86,7 @@ def outer(s1: Series, s2: Series) -> Series:
     ``C(k, j) * sym(d^j s1 (x) d^(k-j) s2)``.
     """
     if s1.dim != s2.dim:
-        raise ValueError("series dimensions differ")
+        raise ShapeError("series dimensions differ")
     order = min(s1.order, s2.order)
     b1, b2 = s1.base_rank, s2.base_rank
     coeffs = []
@@ -113,16 +108,21 @@ def outer(s1: Series, s2: Series) -> Series:
 def mul(scalar: Series, tensor: Series) -> Series:
     """Product of a scalar series (empty base) with any series."""
     if scalar.base_rank != 0:
-        raise ValueError("first factor must have scalar base")
+        raise ShapeError("first factor must have scalar base")
     return outer(scalar, tensor)
 
 
 def trace(s: Series, axis1: int, axis2: int) -> Series:
     """Contract two base axes of every coefficient array."""
     if axis1 == axis2 or max(axis1, axis2) >= s.base_rank:
-        raise ValueError("trace axes must be distinct base axes")
+        raise ShapeError("trace axes must be distinct base axes")
     coeffs = [np.trace(c, axis1=axis1, axis2=axis2) for c in s.coeffs]
     return Series(s.dim, s.order, s.base_rank - 2, coeffs)
+
+
+def matmul(s1: Series, s2: Series) -> Series:
+    """Contract the last base axis of ``s1`` with the first base axis of ``s2``."""
+    return trace(outer(s1, s2), s1.base_rank - 1, s1.base_rank)
 
 
 def negate_argument(s: Series) -> Series:
@@ -138,7 +138,7 @@ def derivative(s: Series, base_position: int) -> Series:
     and ``result.coeffs[k][a, ...] = d_a (s)``-th derivative arrays.
     """
     if s.order == 0:
-        raise ValueError("cannot differentiate an order-0 series")
+        raise ShapeError("cannot differentiate an order-0 series")
     coeffs = []
     for k in range(s.order):
         src = s.coeffs[k + 1]
@@ -171,9 +171,9 @@ def delta_pairing(w: Series, p: Series) -> complex:
     """
     rank = p.base_rank
     if w.base_rank != 0:
-        raise ValueError("weight series must have scalar base")
+        raise ShapeError("weight series must have scalar base")
     if min(w.order, p.order) < rank:
-        raise ValueError("series order too low for the pairing rank")
+        raise ShapeError("series order too low for the pairing rank")
     prod = mul(w, p)
     arr = prod.coeffs[rank]
     for _ in range(rank):

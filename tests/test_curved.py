@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from phasequant import curved, geometry, numdiff
-from phasequant.errors import ConfigError, UnsupportedOrderError
+from phasequant.errors import ConfigError
 from phasequant.fields import from_expression, tensor_from_fields
 from phasequant.symbols import MomentumPolynomial, symbol_from_config
 
@@ -28,7 +28,7 @@ def coefficient_values(D, order, q):
 # volume-density jets
 
 
-def reciprocal_volume_jets(model, q, max_order, method="auto"):
+def reciprocal_volume_jets(model, q, max_order, method="curvature"):
     """Jets of ``sqrt(g(q)) / sqrt(g(xi))`` with chart derivative axes, as the
     image's jet contractions build them from the power -1 density jet."""
     Einv = np.linalg.inv(geometry.normal_frame(model, q))
@@ -61,9 +61,18 @@ def test_volume_jets_numeric_agrees_with_curvature_form():
     np.testing.assert_allclose(numeric[2], closed[2], atol=1e-5)
 
 
-def test_volume_jets_curvature_form_order_cap():
-    with pytest.raises(UnsupportedOrderError):
-        reciprocal_volume_jets(UNIT_SPHERE, Q0, 3, method="curvature")
+@pytest.mark.parametrize("q", [Q0, np.array([1.5, 0.0])])
+def test_volume_jets_fourth_order_on_unit_sphere(q):
+    # r / sin r = 1 + r^2/6 + 7 r^4/360 in normal coordinates: the fourth
+    # jet has 24 * 7/360 = 7/15 on each frame axis and 8 * 7/360 = 7/45 on
+    # the mixed entries, and the third jet vanishes.
+    frame = geometry.sqrt_g_jet(UNIT_SPHERE, q, 4, power=-1.0)
+    np.testing.assert_allclose(frame[3], 0.0, rtol=0, atol=1e-12)
+    want = np.zeros((2,) * 4)
+    for idx in np.ndindex(want.shape):
+        counts = sorted(idx.count(axis) for axis in range(2))
+        want[idx] = {(0, 4): 7.0 / 15.0, (2, 2): 7.0 / 45.0}.get(tuple(counts), 0.0)
+    np.testing.assert_allclose(frame[4], want, rtol=0, atol=1e-12)
 
 
 def test_volume_jets_unknown_method():
@@ -229,3 +238,67 @@ def test_sphere_defect_takes_no_finite_differences(monkeypatch):
     model = geometry.manifold("sphere:1.0")
     d = curved.axiom_defect(model, kinetic_energy(model), P0, Q0)
     assert abs(d - 2.0 / 3.0) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# third- and fourth-order operators on curved models
+
+
+def cos_theta_symbol(model, degree):
+    return symbol_from_config(model, {"coefficient": "cos-theta", "degree": degree})
+
+
+def test_degree_three_sphere_dequantization_is_real_and_matches_finite_differences():
+    # The finite-difference pairing of earlier versions read
+    # 0.19637888683737148 - 1.79e-5 i; the exact result is real.
+    f = cos_theta_symbol(UNIT_SPHERE, 3)
+    value = curved.dequantize_curved(UNIT_SPHERE, curved.wue_weyl_image(UNIT_SPHERE, f), P0, Q0)
+    assert abs(value.imag) <= 1e-12
+    assert abs(value.real - 0.19637888683737148) <= 1e-4
+
+
+def test_higher_order_curved_pairing_takes_no_finite_differences(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("finite differences or geodesics on an expression-built model")
+
+    for name in ("partial_derivative", "jet", "jacobian"):
+        monkeypatch.setattr(numdiff, name, forbidden)
+    monkeypatch.setattr(geometry, "exp_map", forbidden)
+    monkeypatch.setattr(geometry, "exp_jacobian", forbidden)
+    for degree in (3, 4):
+        f = cos_theta_symbol(UNIT_SPHERE, degree)
+        assert abs(curved.dequantize_curved(UNIT_SPHERE, curved.wue_weyl_image(UNIT_SPHERE, f), P0, Q0)) > 0.1
+
+
+def test_flat_polar_pairing_is_exact_at_third_order():
+    model = geometry.polar_plane()
+    coefficient = from_expression("r*cos(phi) + 0.5*r*r", model.coordinate_names)
+    f = MomentumPolynomial(2, {3: tensor_from_fields(2, 3, lambda idx: coefficient)})
+    D = curved.wue_weyl_image(model, f)
+    for q in (np.array([1.2, 0.5]), np.array([0.7, -2.1])):
+        assert abs(curved.dequantize_curved(model, D, P0, q) - f.evaluate(P0, q)) <= 1e-12
+
+
+def test_density_jet_fields_match_the_series_jets():
+    # The image contracts exact fields of q; the pairing reads the series at
+    # one point.  Both are the reciprocal density jet, with chart axes.
+    E = geometry.normal_frame(UNIT_SPHERE, Q0)
+    jets = geometry.sqrt_g_jet(UNIT_SPHERE, Q0, 4, power=-1.0)
+    for k in (3, 4):
+        weights = geometry.reciprocal_density_jet_fields(UNIT_SPHERE, k)
+        values = np.array([w(Q0) for w in weights.flat]).reshape(weights.shape).real
+        chart = numdiff.symmetrize(values)
+        for _ in range(k):
+            chart = np.tensordot(chart, E, axes=([0], [0]))
+        np.testing.assert_allclose(chart, jets[k], rtol=0, atol=1e-12)
+
+
+def test_opaque_metric_takes_the_same_path_with_finite_difference_curvature():
+    opaque = geometry.ManifoldModel(
+        name="sphere-opaque", dim=2, coords=UNIT_SPHERE.coords, metric_fn=UNIT_SPHERE.metric_fn
+    )
+    exact, numeric = (
+        curved.dequantize_curved(model, curved.wue_weyl_image(model, cos_theta_symbol(model, 3)), P0, Q0)
+        for model in (UNIT_SPHERE, opaque)
+    )
+    assert abs(numeric - exact) <= 1e-8

@@ -123,20 +123,56 @@ def test_tensor_add_and_scale():
         fields.tensor_add(a, fields.tensor_scalar(fields.constant(2, 1.0)))
 
 
-def test_symmetrized_contraction_against_manual(rng):
-    t = fields.tensor_from_array_callable(
-        2, 2, lambda q: np.array([[q[0], 1.0], [1.0, q[1] ** 2]])
+def test_contract_against_manual(rng):
+    names = ("x", "y")
+    t = fields.tensor_from_fields(
+        2, 3, lambda idx: fields.from_expression(["x*y", "sin(x)", "y**2", "cos(y) + x"][sum(idx)], names)
     )
-    w = np.array([[0.5, -1.0], [-1.0, 2.0]])
-    contracted = fields.symmetrized_contraction_field(t, lambda q: w, 2)
+    weights = np.array(
+        [[fields.from_expression(e, names) for e in row] for row in (["0.5", "x - y"], ["x*x", "2"])], dtype=object
+    )
+    contracted = fields.contract(t, weights)
+    assert contracted.rank == 1
     q = rng.uniform(-1, 1, size=2)
+    w = np.array([[f(q) for f in row] for row in weights])
     manual = np.tensordot(w, t.evaluate(q), axes=([0, 1], [0, 1]))
-    assert complex(contracted.evaluate(q)) == pytest.approx(complex(manual), abs=1e-12)
+    np.testing.assert_allclose(contracted.evaluate(q), manual, rtol=0, atol=1e-14)
+    # the partials are exact: product rule over the weight and tensor fields
+    dw = np.array([[f.partial(0)(q) for f in row] for row in weights])
+    dt = np.array([c.partial(0)(q) for c in t.comps.flat]).reshape(t.comps.shape)
+    want = np.tensordot(dw, t.evaluate(q), axes=([0, 1], [0, 1])) + np.tensordot(w, dt, axes=([0, 1], [0, 1]))
+    got = np.array([c.partial(0)(q) for c in contracted.comps])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
-def test_symmetrized_contraction_zero_slots_is_identity():
+def test_contract_with_no_slots_scales():
     t = fields.tensor_constant(2, np.array([1.0, 2.0]))
-    assert fields.symmetrized_contraction_field(t, lambda q: None, 0) is t
+    weight = np.empty((), dtype=object)
+    weight[()] = fields.constant(2, 3.0)
+    np.testing.assert_array_equal(fields.contract(t, weight).evaluate(np.zeros(2)), [3.0, 6.0])
+
+
+def test_shared_values_evaluate_each_field_once():
+    calls = []
+
+    def counted(q):
+        calls.append(tuple(q))
+        return q[0] * q[1]
+
+    base = fields.from_callable(2, counted)
+    tree = fields.add(fields.multiply(base, base), fields.scale(base, 2.0))
+    q = np.array([0.3, -0.7])
+    plain = tree(q)
+    assert len(calls) == 3
+    calls.clear()
+    with fields.shared_values(q):
+        assert tree(q) == plain
+        with fields.shared_values(q):
+            assert tree(q) == plain
+        assert tree(np.array([0.1, 0.2])) == fields.add(fields.multiply(base, base), fields.scale(base, 2.0))(
+            np.array([0.1, 0.2])
+        )
+    assert calls.count((0.3, -0.7)) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from phasequant import geometry
+from phasequant import curved, geometry, numdiff
 from phasequant.errors import ChartDomainError, ConfigError, UnsupportedOrderError
-from phasequant.fields import from_expression, tensor_from_array_callable, tensor_from_fields
+from phasequant.fields import from_callable, from_expression, tensor_from_fields
 
 
 @pytest.fixture(scope="module")
@@ -157,10 +157,9 @@ def test_normal_frame_orthonormalizes_metric(sphere, polar):
 
 def test_normal_coordinates_anchor_at_origin(sphere):
     q = np.array([1.1, 0.4])
-    chart = geometry.normal_coordinates_map(sphere, q)
-    np.testing.assert_allclose(chart(np.zeros(2)), q, atol=1e-12)
-    g_fn = geometry.normal_metric_fn(sphere, q)
-    np.testing.assert_allclose(g_fn(np.zeros(2)), np.eye(2), atol=1e-10)
+    np.testing.assert_allclose(geometry.exp_map(sphere, q, np.zeros(2)), q, atol=1e-12)
+    J = geometry.exp_jacobian(sphere, q, np.zeros(2)) @ geometry.normal_frame(sphere, q)
+    np.testing.assert_allclose(J.T @ geometry.metric(sphere, q) @ J, np.eye(2), atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +198,103 @@ def test_sqrt_g_jet_error_types(sphere):
     q = np.array([1.1, 0.4])
     with pytest.raises(ConfigError):
         geometry.sqrt_g_jet(sphere, q, method="symbolic")
+    # the normal-coordinate expansion of the metric stops at fourth order
     with pytest.raises(UnsupportedOrderError):
-        geometry.sqrt_g_jet(sphere, q, max_order=3, method="curvature")
+        geometry.sqrt_g_jet(sphere, q, max_order=5)
+
+
+@pytest.mark.parametrize("radius", [1.0, 2.0])
+@pytest.mark.parametrize("power", [1.0, -0.5, -1.0])
+@pytest.mark.parametrize("q", [(1.1, 0.4), (1.5, 0.0), (2.3, -2.0)])
+def test_sqrt_g_jet_matches_sphere_closed_form(radius, power, q):
+    # On a sphere of radius a the density is (sin(r/a) / (r/a))**p in normal
+    # coordinates, 1 + c2 r^2 + c4 r^4 + ..., with c2 = -p/(6 a^2) and
+    # c4 = (p/120 + p(p-1)/72) / a^4.  Its fourth jet is
+    # 8 c4 (delta delta + delta delta + delta delta); odd jets vanish.
+    model = geometry.sphere(radius)
+    jets = geometry.sqrt_g_jet(model, np.array(q), 4, power=power)
+    c2 = -power / (6.0 * radius**2)
+    c4 = (power / 120.0 + power * (power - 1.0) / 72.0) / radius**4
+    eye = np.eye(2)
+    pairs = np.einsum("ij,kl->ijkl", eye, eye)
+    want = {
+        2: 2.0 * c2 * eye,
+        3: np.zeros((2,) * 3),
+        4: 8.0 * c4 * (pairs + pairs.transpose(0, 2, 1, 3) + pairs.transpose(0, 2, 3, 1)),
+    }
+    for k, value in want.items():
+        np.testing.assert_allclose(jets[k], value, rtol=0, atol=1e-12)
+
+
+TORUS_NAMES = ("theta", "phi")
+TORUS = geometry.ManifoldModel(
+    name="torus",
+    dim=2,
+    coords=tuple(geometry.CoordSpec(n, -math.pi, math.pi, periodic=True) for n in TORUS_NAMES),
+    metric_exprs=geometry._metric_exprs(TORUS_NAMES, [["0.25", "0"], ["0", "(1 + 0.5*cos(theta))**2"]]),
+)
+
+
+def test_connection_jets_vanish_along_rays():
+    # Normal coordinates make radial lines geodesics: Gamma~(xi)(xi, xi) = 0
+    # at every xi, so each jet vanishes when symmetrized over its lower and
+    # derivative axes.  On the torus, where nabla R does not vanish, this
+    # checks the algebra that turns the metric series into connection jets.
+    for q in (np.array([1.1, 0.4]), np.array([2.5, -1.0])):
+        jets = geometry.normal_christoffel_jets(TORUS, q, 3)
+        assert len(jets) == 4
+        for k in range(1, 4):
+            assert np.abs(jets[k]).max() > 0.05
+            radial = np.stack([numdiff.symmetrize(jets[k][c]) for c in range(2)])
+            np.testing.assert_allclose(radial, 0.0, rtol=0, atol=1e-12)
+
+
+def test_normal_coordinate_series_match_integrated_geodesics():
+    # An oracle independent of the curvature expansion: geodesics and their
+    # Jacobians from q are integrated to 1e-13, the metric, the density and a
+    # tensor are pulled back to normal coordinates, and their Taylor
+    # coefficients along rays are read off polynomial fits.
+    from numpy.polynomial import chebyshev
+    from scipy.integrate import solve_ivp
+
+    q = np.array([1.1, 0.4])
+    gamma = TORUS._fields["gamma"]
+    E = geometry.normal_frame(TORUS, q)
+
+    def rhs(t, y):
+        x, u, J, K = y[:2], y[2:4], y[4:8].reshape(2, 2), y[8:].reshape(2, 2)
+        G = np.array([f(x) for f in gamma.flat]).real.reshape(gamma.shape)
+        dG = np.array([[f.partial(e)(x) for e in range(2)] for f in gamma.flat]).real.reshape(gamma.shape + (2,))
+        dK = -np.einsum("cabe,a,b,ej->cj", dG, u, u, J) - 2.0 * np.einsum("cab,a,bj->cj", G, u, K)
+        return np.concatenate([u, -np.einsum("cab,a,b->c", G, u, u), K.ravel(), dK.ravel()])
+
+    entries = {(0, 0): "cos(theta)", (0, 1): "0.3*sin(phi)", (1, 1): "1 + phi"}
+    X = tensor_from_fields(2, 2, lambda idx: from_expression(entries[idx], TORUS_NAMES))
+    metric_series = geometry.normal_metric_series(TORUS, q, 4)
+    density = geometry.sqrt_g_jet(TORUS, q, 4, power=-0.5)
+    coeff = curved._coeff_jets(TORUS, q, X, 4, geometry.normal_christoffel_jets(TORUS, q, 3))
+    half = 0.35
+    nodes = half * np.cos(np.pi * (np.arange(21) + 0.5) / 21)
+    for alpha in (0.0, 0.9, 2.0):
+        u = np.array([math.cos(alpha), math.sin(alpha)])
+        samples = []
+        for t in nodes:
+            y0 = np.concatenate([q, E @ (t * u), np.zeros(4), np.eye(2).ravel()])
+            y = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", rtol=1e-13, atol=1e-14).y[:, -1]
+            J = y[4:8].reshape(2, 2) @ E
+            g = J.T @ geometry.metric(TORUS, y[:2]) @ J
+            Ji = np.linalg.inv(J)
+            pulled = Ji @ X.evaluate(y[:2]).real @ Ji.T
+            samples.append(np.concatenate([g.ravel(), [np.linalg.det(g) ** -0.25], pulled.ravel()]))
+        fits = chebyshev.chebfit(nodes / half, np.array(samples), 14)
+        poly = np.array([np.pad(chebyshev.cheb2poly(fits[:, i]), (0, 4))[:5] for i in range(fits.shape[1])])
+        for k in range(5):
+            along = [metric_series.coeffs[k], density[k], coeff[k]]
+            for _ in range(k):
+                along = [a @ u for a in along]
+            got = math.factorial(k) * poly[:, k] / half**k
+            want = np.concatenate([along[0].ravel(), [along[1]], along[2].real.ravel()])
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +309,9 @@ def test_second_covariant_derivative_of_scalar_is_symmetric(sphere):
 
 
 def test_covariant_divergence_of_inverse_metric_vanishes(sphere):
-    ginv = tensor_from_array_callable(2, 2, lambda q: geometry.inverse_metric(sphere, q))
+    # finite-difference partials of g^{-1}, from the same metric given opaquely
+    opaque = geometry.ManifoldModel(name="sphere-opaque", dim=2, coords=sphere.coords, metric_fn=sphere.metric_fn)
+    ginv = geometry.inverse_metric_field(opaque)
     div = geometry.covariant_divergence(sphere, ginv)
     for q in (np.array([1.1, 0.4]), np.array([2.0, -0.9])):
         np.testing.assert_allclose(div.evaluate(q), 0.0, atol=1e-7)
@@ -248,7 +344,7 @@ def test_covariant_derivative_index_order(sphere):
 def test_covariant_divergence_of_linear_vector_field():
     # X = (x, 3y) has divergence 4 on a Cartesian chart, with no connection terms
     euclid = geometry.manifold("euclidean:2")
-    t = tensor_from_array_callable(2, 1, lambda q: np.array([q[0], 3.0 * q[1]]))
+    t = tensor_from_fields(2, 1, lambda idx: from_callable(2, lambda q, i=idx[0]: (q[0], 3.0 * q[1])[i]))
     div = geometry.covariant_divergence(euclid, t)
     assert div.rank == 0
     assert complex(div.evaluate(np.array([0.3, -0.2]))) == pytest.approx(4.0, abs=1e-9)
@@ -331,7 +427,7 @@ def test_expression_geometry_matches_closed_forms(name, q, closed):
 
 
 def test_christoffel_field_partials_are_exact(sphere):
-    gamma = geometry._christoffel_component_fields(sphere)
+    gamma = sphere._fields["gamma"]
     for theta in (0.6, 1.1, 2.3):
         q = np.array([theta, 0.4])
         # d/dtheta (-sin cos) = -cos(2 theta); d/dtheta cot = -1/sin^2
