@@ -19,9 +19,15 @@ checkout a round records:
   the flat-axioms weak-form pairing), and of ``curved.dequantize_curved`` on
   the unit sphere at the curved-defect point for cos(theta) p^m at m = 2
   and 3 (each call builds the model and the Weyl image afresh, so no cache
-  carries over between calls).  A first timed call sets the repeat count:
-  enough calls to fill :data:`LAYER_SECONDS`, between :data:`MIN_REPEATS`
-  and :data:`MAX_REPEATS`; the first call itself is not in the median;
+  carries over between calls), of the finite-difference density jet
+  ``geometry.sqrt_g_jet(sphere, (1.1, 0.4), 2, method="numeric")``, and of
+  the 20 ``symbols.flat_chart_delta_value`` calls of the point-transform
+  experiment's polar-cartesian-agreement check (its symbol and points, with
+  chart maps that take one point or an array of points, so packages that
+  call them either way are timed on the same work).  A first timed call
+  sets the repeat count: enough calls to fill :data:`LAYER_SECONDS`,
+  between :data:`MIN_REPEATS` and :data:`MAX_REPEATS`; the first call itself
+  is not in the median;
 - the end-to-end medians of ``perfbench/run.py --workload all`` of that
   checkout, with ``--seconds`` and the round's seed (``--seed`` + round).
 
@@ -82,7 +88,7 @@ def layer_timings(src: Path) -> dict:
     from phasequant.fields import from_expression, tensor_from_fields
     from phasequant.flat_weyl import quantize_gaussian_flat
     from phasequant.geometry import circle, sphere
-    from phasequant.symbols import MomentumPolynomial, operator_matrix, symbol_from_config
+    from phasequant.symbols import MomentumPolynomial, flat_chart_delta_value, operator_matrix, symbol_from_config
 
     if src.resolve() not in Path(harness.__file__).resolve().parents:
         raise SystemExit(f"imported phasequant from {harness.__file__}, not from the checkout")
@@ -115,6 +121,8 @@ def layer_timings(src: Path) -> dict:
         f = symbol_from_config(model, {"coefficient": "cos-theta", "degree": degree})
         return dequantize_curved(model, wue_weyl_image(model, f), np.array([0.3, -0.55]), np.array([1.1, 0.4]))
 
+    from phasequant import geometry
+
     model = circle()
     cos_theta = from_expression("cos(theta)", ("theta",))
     D = wue_weyl_image(model, MomentumPolynomial(1, {2: tensor_from_fields(1, 2, lambda idx: cos_theta)}), 1.0)
@@ -125,6 +133,10 @@ def layer_timings(src: Path) -> dict:
     layers["quantize_gaussian_flat_K32"] = lambda: quantize_gaussian_flat(0.4, -0.3, 0.9, 0.8, K=32)
     for degree in (2, 3):
         layers[f"dequantize_curved_sphere_deg{degree}"] = lambda degree=degree: sphere_dequantization(degree)
+    layers["sqrt_g_jet_numeric_sphere"] = lambda: geometry.sqrt_g_jet(
+        sphere(1.0), np.array([1.1, 0.4]), 2, method="numeric"
+    )
+    layers["flat_chart_delta_value_20"] = polar_chart_deltas(harness, flat_chart_delta_value)
     layers_ms = {name: median_ms(name, call) for name, call in layers.items()}
     return {
         "import_harness_s": import_s,
@@ -136,6 +148,29 @@ def layer_timings(src: Path) -> dict:
         "layer_repeats": repeats,
         "numpy": np.__version__,
     }
+
+
+def polar_chart_deltas(harness, flat_chart_delta_value):
+    """The 20 chart-conjugated generator values of the point-transform
+    experiment, as a call that recomputes them."""
+    import numpy as np
+
+    def to_cartesian(q):  # one polar point, or an (N, 2) array of them
+        return np.stack([q[..., 0] * np.cos(q[..., 1]), q[..., 0] * np.sin(q[..., 1])], axis=-1)
+
+    def from_cartesian(xy):  # the scalar C functions at each point, as the harness takes them
+        rows = np.reshape(xy, (-1, 2)).tolist()
+        polar = [[math.hypot(x, y), math.atan2(y, x)] for x, y in rows]
+        return np.reshape(np.array(polar), np.shape(xy))
+
+    rng = np.random.default_rng(27182)  # the experiment's generator, past its cartesian-reduction draws
+    rng.uniform(-1.0, 1.0, size=20)
+    f = harness._random_chart_symbol(rng, ("r", "phi"))
+    points = []
+    for _ in range(20):
+        q = np.array([rng.uniform(0.6, 1.8), rng.uniform(-2.5, 2.5)])
+        points.append((rng.uniform(-1.2, 1.2, size=2), q))
+    return lambda: [flat_chart_delta_value(f, to_cartesian, from_cartesian, p, q, 1.0) for p, q in points]
 
 
 def child_env(root: Path) -> dict:

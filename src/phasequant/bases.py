@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .expressions import libm
 from .fields import ScalarField
 
 
@@ -110,7 +111,7 @@ def hermite_function(k: int, hbar: float = 1.0) -> ScalarField:
         def fn(q):
             u = q[..., 0] / root_h
             vals = hermite_polynomial_values(top, u)
-            gauss = _libm_exp(-0.5 * u * u)
+            gauss = libm(math.exp, -0.5 * u * u)
             total = sum(c * (vals[i] * gauss * hbar ** -0.25) for i, c in combo.items())
             return complex(total) if q.ndim == 1 else total.astype(complex)
 
@@ -125,18 +126,6 @@ def hermite_function(k: int, hbar: float = 1.0) -> ScalarField:
         return ScalarField(1, fn, partial_factory)
 
     return make({k: 1.0})
-
-
-def _libm_exp(w: np.ndarray) -> float | np.ndarray:
-    """``exp`` by the scalar ``math.exp`` at every entry.
-
-    numpy's vectorized ``exp`` may differ from ``math.exp`` in the last bit,
-    so this keeps a field's values on a point array bit-identical to its
-    values at the single points.
-    """
-    if w.ndim == 0:
-        return math.exp(w)
-    return np.fromiter(map(math.exp, w.tolist()), dtype=float, count=w.size)
 
 
 @functools.cache

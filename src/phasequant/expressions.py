@@ -3,8 +3,9 @@
 Supports ``+ - * /``, integer powers, ``sin``/``cos``, numeric literals and
 coordinate names.  Expressions are parsed from Python syntax via ``ast`` into
 a small closed node set, evaluate on coordinate values (numbers, or arrays of
-values at many points at once), and differentiate symbolically, so
-coefficient fields declared this way have exact partial derivatives.
+values at many points at once, bit for bit the values at the single points),
+and differentiate symbolically, so coefficient fields declared this way have
+exact partial derivatives.
 """
 
 from __future__ import annotations
@@ -12,11 +13,30 @@ from __future__ import annotations
 import ast
 import cmath
 import math
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
+
+
+def libm(fn: Callable[..., float], *args) -> float | np.ndarray:
+    """The scalar function ``fn`` (``math.exp``, ``math.atan2``, ``pow``, ...)
+    at every entry of its broadcast float arguments.
+
+    numpy's vectorized ``exp``, ``arccos``, ``arctan2``, ``hypot`` and
+    ``power`` may differ from the scalar C library functions in the last bit.
+    Finite differences, nested as they are in the density and chart
+    references, amplify such a bit by up to 1e8, so values computed on a point
+    array go through the scalar functions and stay bit-identical to those
+    computed one point at a time.
+    """
+    arrays = [np.asarray(a, dtype=float) for a in args]
+    shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    if not shape:
+        return fn(*(float(a) for a in arrays))
+    columns = (np.broadcast_to(a, shape).ravel().tolist() for a in arrays)
+    return np.fromiter(map(fn, *columns), dtype=float, count=math.prod(shape)).reshape(shape)
 
 
 class Expr:
@@ -139,7 +159,10 @@ class Pow(Expr):
         self.base, self.exponent = base, exponent
 
     def eval(self, env):
-        return self.base.eval(env) ** self.exponent
+        v = self.base.eval(env)
+        if isinstance(v, np.ndarray) and v.dtype == float:
+            return libm(pow, v, self.exponent)
+        return v**self.exponent
 
     def diff(self, var):
         n = self.exponent

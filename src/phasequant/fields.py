@@ -82,15 +82,6 @@ def shared_values(q: np.ndarray):
         _SHARED.reset(token)
 
 
-def _pointwise(fn: Callable[[np.ndarray], complex]) -> Callable[[np.ndarray], complex | np.ndarray]:
-    """Lift a one-point function to point arrays by calling it at each point."""
-
-    def lifted(q):
-        return fn(q) if q.ndim == 1 else np.array([fn(x) for x in q], dtype=complex)
-
-    return lifted
-
-
 def constant(dim: int, value: complex) -> ScalarField:
     value = complex(value)
     zero = None
@@ -108,8 +99,7 @@ def from_expression(source: str | Expr, coordinates: Sequence[str]) -> ScalarFie
     """Build a scalar field with exact symbolic partials from an expression.
 
     On a point array the field's values are those at the single points, bit
-    for bit, except where integer powers are taken: numpy's array power may
-    differ from the scalar one in the last bit.
+    for bit (integer powers go through :func:`expressions.libm`).
     """
     coords = tuple(coordinates)
     expr = parse_expression(source, coords) if isinstance(source, str) else source
@@ -136,16 +126,21 @@ def from_callable(dim: int, fn: Callable[[np.ndarray], complex]) -> ScalarField:
     ``field.partial(a).partial(b)`` evaluates a single second-order stencil of
     ``fn`` rather than nesting first-order differences, which keeps the noise
     floor near the Richardson accuracy of the base function.  ``fn`` takes one
-    point; on a point array the field calls it at each point in turn.
+    point; on a point array the field calls it at each point in turn, and a
+    partial evaluates every stencil node of every point in one pass.
     """
+    lifted = numdiff.pointwise(fn)
 
     def make(orders: tuple[int, ...]) -> ScalarField:
         if sum(orders) == 0:
-            value = _pointwise(lambda q: complex(fn(q)))
+            value = numdiff.pointwise(lambda q: complex(fn(q)))
         elif sum(orders) > numdiff.MAX_ORDER:
             raise UnsupportedOrderError("finite-difference chain exceeds supported order")
         else:
-            value = _pointwise(lambda q: complex(numdiff.partial_derivative(fn, q, orders)))
+
+            def value(q):
+                d = numdiff.partial_derivative(lifted, q, orders)
+                return complex(d) if q.ndim == 1 else d.astype(complex)
 
         def partial_factory(axis: int) -> ScalarField:
             bumped = list(orders)
@@ -205,12 +200,14 @@ class TensorField:
         self.comps = comps
 
     def evaluate(self, q: np.ndarray) -> np.ndarray:
+        """Components at one point, or at each row of an ``(N, dim)`` array
+        (the point axis first)."""
         q = np.asarray(q, dtype=float)
-        out = np.empty((self.dim,) * self.rank, dtype=complex)
-        flat = out.reshape(-1)
+        out = np.empty(q.shape[:-1] + (self.dim,) * self.rank, dtype=complex)
+        flat = out.reshape(q.shape[:-1] + (-1,))
         for i, field in enumerate(self.comps.reshape(-1)):
-            flat[i] = field(q)
-        return out if self.rank else out.reshape(())
+            flat[..., i] = field(q)
+        return out
 
 
 def tensor_from_fields(dim: int, rank: int, assign: Callable[[tuple[int, ...]], ScalarField]) -> TensorField:

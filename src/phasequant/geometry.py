@@ -38,7 +38,7 @@ import numpy as np
 
 from . import numdiff, taylor
 from .errors import ChartDomainError, ConfigError, ShapeError, UnsupportedOrderError
-from .expressions import Const, Expr, inverse_matrix, parse_expression
+from .expressions import Const, Expr, inverse_matrix, libm, parse_expression
 from .fields import (
     ScalarField,
     TensorField,
@@ -74,11 +74,13 @@ class ManifoldModel:
     """A Riemannian manifold presented in a single chart.
 
     The metric is given either by ``metric_exprs``, a matrix of expressions in
-    the coordinate names (``metric_fn`` is then built from it), or by an
-    opaque ``metric_fn`` alone, whose connection and curvature come from
-    finite differences.  ``exp_fn(q, v)`` maps a chart tangent vector to the
-    geodesic endpoint and must be continuous in ``v`` near the chart point
-    (periodic coordinates unwrap rather than jump).
+    the coordinate names (``metric_fn`` is then built from it and also takes
+    an ``(N, dim)`` point array), or by an opaque ``metric_fn`` of one point
+    alone, whose connection and curvature come from finite differences.
+    ``exp_fn(q, v)`` maps a chart tangent vector at ``q`` to the geodesic
+    endpoint, or an ``(N, dim)`` stack of them to ``(N, dim)`` endpoints, and
+    must be continuous in ``v`` near the chart point (periodic coordinates
+    unwrap rather than jump).
     """
 
     name: str
@@ -96,7 +98,7 @@ class ManifoldModel:
             g, names = np.array(self.metric_exprs, dtype=object), self.coordinate_names
             if all(isinstance(e, Const) for e in g.flat):
                 const = _evaluate(g, names, np.zeros(self.dim))
-                object.__setattr__(self, "metric_fn", lambda q: const)
+                object.__setattr__(self, "metric_fn", lambda q: np.broadcast_to(const, np.shape(q)[:-1] + const.shape))
             else:
                 object.__setattr__(self, "metric_fn", lambda q: _evaluate(g, names, q))
 
@@ -156,8 +158,15 @@ class ManifoldModel:
 
 
 def _evaluate(exprs: np.ndarray, names: tuple[str, ...], q: np.ndarray) -> np.ndarray:
-    env = dict(zip(names, np.asarray(q, dtype=float)))
-    return np.array([e.eval(env) for e in exprs.flat], dtype=float).reshape(exprs.shape)
+    """Values of an expression array at one point, or at each row of an
+    ``(N, dim)`` point array (shape ``(N,) + exprs.shape``)."""
+    q = np.asarray(q, dtype=float)
+    env = dict(zip(names, q.T))
+    values = [e.eval(env) for e in exprs.flat]
+    if q.ndim == 1:
+        return np.array(values, dtype=float).reshape(exprs.shape)
+    values = np.stack([np.broadcast_to(v, q.shape[:1]) for v in values], axis=-1)
+    return values.astype(float).reshape(q.shape[:1] + exprs.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +216,9 @@ def check_point(model: ManifoldModel, q: np.ndarray, margin: float = CHART_MARGI
 
 
 def metric(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
-    return np.asarray(model.metric_fn(np.asarray(q, dtype=float)), dtype=float)
+    """``g_ab`` at a chart point, or at each row of an ``(N, dim)`` point array."""
+    fn = model.metric_fn if model.metric_exprs is not None else numdiff.pointwise(model.metric_fn)
+    return np.asarray(fn(np.asarray(q, dtype=float)), dtype=float)
 
 
 def inverse_metric(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
@@ -227,11 +238,14 @@ def sqrt_g(model: ManifoldModel, q: np.ndarray) -> float:
 
 
 def christoffel(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
-    """Christoffel symbols ``Gamma^c_{ab}`` indexed ``[c, a, b]``."""
+    """Christoffel symbols ``Gamma^c_{ab}`` indexed ``[c, a, b]``, at a chart
+    point or at each row of an ``(N, dim)`` point array."""
     q = np.asarray(q, dtype=float)
     if model._derived is not None:
         return _evaluate(model._derived["gamma"], model.coordinate_names, q)
-    g, dg = numdiff.jet(model.metric_fn, q, 1)  # dg[a, b, c] = d_c g_ab
+    if q.ndim == 2:
+        return np.array([christoffel(model, x) for x in q])
+    g, dg = numdiff.jet(numdiff.pointwise(model.metric_fn), q, 1)  # dg[a, b, c] = d_c g_ab
     return _christoffel_from(np.linalg.inv(g), dg)
 
 
@@ -242,7 +256,7 @@ def riemann(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
         return np.zeros((model.dim,) * 4)
     if model._derived is not None:
         return _evaluate(model._derived["riemann"], model.coordinate_names, q)
-    gamma, dgamma = numdiff.jet(lambda x: christoffel(model, x), q, 1)  # dgamma[c, a, b, d]
+    gamma, dgamma = numdiff.jet(numdiff.pointwise(lambda x: christoffel(model, x)), q, 1)  # dgamma[c, a, b, d]
     return _riemann_from(gamma, dgamma)
 
 
@@ -303,10 +317,13 @@ def scalar_curvature(model: ManifoldModel, q: np.ndarray) -> float:
 
 
 def exp_map(model: ManifoldModel, q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Geodesic endpoint ``exp_q(v)`` in chart coordinates.
+    """Geodesic endpoint ``exp_q(v)`` in chart coordinates; ``v`` is one
+    tangent vector or an ``(N, dim)`` stack of them, giving ``(N, dim)``
+    endpoints equal to those of single calls.
 
     Uses the model's closed form when available, otherwise integrates the
-    geodesic equation with classical RK4 in :data:`GEODESIC_STEPS` stages.
+    geodesic equation with classical RK4 in :data:`GEODESIC_STEPS` stages,
+    every vector of a stack stepped together.
     """
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
@@ -314,12 +331,12 @@ def exp_map(model: ManifoldModel, q: np.ndarray, v: np.ndarray) -> np.ndarray:
         return np.asarray(model.exp_fn(q, v), dtype=float)
 
     def rhs(state: np.ndarray) -> np.ndarray:
-        x, u = state[: model.dim], state[model.dim :]
+        x, u = state[..., : model.dim], state[..., model.dim :]
         gamma = christoffel(model, x)
-        acc = -np.einsum("cab,a,b->c", gamma, u, u)
-        return np.concatenate([u, acc])
+        acc = -np.einsum("...cab,...a,...b->...c", gamma, u, u)
+        return np.concatenate([u, acc], axis=-1)
 
-    state = np.concatenate([q, v])
+    state = np.concatenate([np.broadcast_to(q, v.shape), v], axis=-1)
     h = 1.0 / GEODESIC_STEPS
     for _ in range(GEODESIC_STEPS):
         k1 = rhs(state)
@@ -327,14 +344,23 @@ def exp_map(model: ManifoldModel, q: np.ndarray, v: np.ndarray) -> np.ndarray:
         k3 = rhs(state + 0.5 * h * k2)
         k4 = rhs(state + h * k3)
         state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return state[: model.dim]
+    return state[..., : model.dim]
 
 
 def exp_jacobian(model: ManifoldModel, q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Derivative ``d exp_q(v) / dv`` as a (dim, dim) matrix."""
+    """Derivative ``d exp_q(v) / dv`` as a (dim, dim) matrix, or one per row
+    of an ``(N, dim)`` stack of tangent vectors, from one batched call of
+    :func:`exp_map` on every stencil node."""
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
     return numdiff.jacobian(lambda u: exp_map(model, q, u), v)
+
+
+def _frame_vectors(E: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """Chart vectors ``E @ xi`` for each row of an ``(N, dim)`` array of frame
+    components, each by the same matrix-vector product as ``E @ xi`` at one
+    row, so the values are bit-identical to it."""
+    return np.matmul(E, xi[:, :, None])[:, :, 0]
 
 
 def normal_frame(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
@@ -472,10 +498,11 @@ def sqrt_g_jet(
     if method == "numeric":
         E = normal_frame(model, q)
 
-        def density(xi: np.ndarray) -> float:  # the metric pulled back along geodesics
-            v = E @ xi
-            J = exp_jacobian(model, q, v) @ E
-            return float(math.sqrt(np.linalg.det(J.T @ metric(model, exp_map(model, q, v)) @ J))) ** power
+        def density(xi: np.ndarray) -> np.ndarray:  # the metric pulled back along geodesics, per node
+            v = _frame_vectors(E, xi)
+            J = np.matmul(exp_jacobian(model, q, v), E)
+            G = np.matmul(np.matmul(J.transpose(0, 2, 1), metric(model, exp_map(model, q, v))), J)
+            return libm(pow, np.sqrt(np.linalg.det(G)), power)
 
         return numdiff.jet(density, np.zeros(dim), max_order)
     if model.flat:
@@ -618,8 +645,7 @@ def pullback_jet(
     """
     q = np.asarray(q, dtype=float)
     E = normal_frame(model, q)
-    chart = lambda xi: exp_map(model, q, E @ np.asarray(xi, dtype=float))
-    return numdiff.jet(lambda xi: psi(chart(xi)), np.zeros(model.dim), max_order)
+    return numdiff.jet(lambda xi: psi(exp_map(model, q, _frame_vectors(E, xi))), np.zeros(model.dim), max_order)
 
 
 # ---------------------------------------------------------------------------
@@ -655,9 +681,10 @@ def circle() -> ManifoldModel:
     )
 
 
-def _unwrap_angle(angle: float, reference: float) -> float:
-    """Shift ``angle`` by multiples of 2 pi so it lands nearest ``reference``."""
-    return angle + 2.0 * math.pi * round((reference - angle) / (2.0 * math.pi))
+def _unwrap_angle(angle: np.ndarray, reference: float) -> np.ndarray:
+    """Shift each ``angle`` by multiples of 2 pi so it lands nearest ``reference``."""
+    turns = np.round((reference - angle) / (2.0 * math.pi)) + 0.0  # no -0.0 turns, as with round()
+    return angle + 2.0 * math.pi * turns
 
 
 def sphere(radius: float = 1.0) -> ManifoldModel:
@@ -672,26 +699,30 @@ def sphere(radius: float = 1.0) -> ManifoldModel:
             [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
         )
 
-    def tangent(q, v):
+    def tangent(q, v):  # v: (N, 2)
         theta, phi = q
         d_theta = a * np.array(
             [math.cos(theta) * math.cos(phi), math.cos(theta) * math.sin(phi), -math.sin(theta)]
         )
         d_phi = a * np.array([-math.sin(theta) * math.sin(phi), math.sin(theta) * math.cos(phi), 0.0])
-        return v[0] * d_theta + v[1] * d_phi
+        return v[:, 0, None] * d_theta + v[:, 1, None] * d_phi
 
     def exp_fn(q, v):
+        q, v = np.asarray(q, dtype=float), np.asarray(v, dtype=float)
+        vs = np.atleast_2d(v)
         p = embed(q)
-        t = tangent(q, v)
-        speed = float(np.linalg.norm(t)) / a
-        if speed < 1e-300:
-            return np.array(q, dtype=float)
+        t = tangent(q, vs)
+        # |t| as np.linalg.norm takes it of one vector, a dot product per row
+        speed = np.sqrt(np.matmul(t[:, None, :], t[:, :, None])[:, 0, 0]) / a
+        moving = speed >= 1e-300
+        s = np.where(moving, speed, 1.0)
         # |t| = a * speed, so sin(speed)/speed * t has length a sin(speed).
-        endpoint = math.cos(speed) * p + (math.sin(speed) / speed) * t
-        z = min(1.0, max(-1.0, endpoint[2] / a))
-        theta = math.acos(z)
-        phi = math.atan2(endpoint[1], endpoint[0])
-        return np.array([theta, _unwrap_angle(phi, q[1])])
+        endpoint = np.cos(s)[:, None] * p + (np.sin(s) / s)[:, None] * t
+        z = np.clip(endpoint[:, 2] / a, -1.0, 1.0)
+        theta = libm(math.acos, z)
+        phi = libm(math.atan2, endpoint[:, 1], endpoint[:, 0])
+        out = np.where(moving[:, None], np.stack([theta, _unwrap_angle(phi, q[1])], axis=-1), q)
+        return out if v.ndim == 2 else out[0]
 
     return ManifoldModel(
         name=f"sphere:{a:g}",

@@ -34,10 +34,12 @@ from . import __version__, curved, cylinder, flat_weyl, geometry, numdiff
 from .bases import FourierBasis, HermiteBasis
 from .cylinder import CutoffFamily
 from .errors import ConfigError, ExperimentError, PhasequantError
+from .expressions import libm
 from .fields import (
     add as field_add,
     constant as constant_field,
     from_expression,
+    shared_values,
     tensor_constant,
     tensor_from_fields,
     tensor_scalar,
@@ -462,11 +464,12 @@ def _random_flat_symbol(rng: np.random.Generator, max_degree: int = 3) -> Moment
 
 def _operator_difference(first, second, points) -> float:
     worst = 0.0
-    for order in set(first.terms) | set(second.terms):
-        for q in points:
-            a = np.asarray(first.terms[order].evaluate(q)) if order in first.terms else 0.0
-            b = np.asarray(second.terms[order].evaluate(q)) if order in second.terms else 0.0
-            worst = max(worst, float(np.max(np.abs(a - b))))
+    for q in points:
+        with shared_values(q):  # each distinct field of both trees once per point
+            for order in set(first.terms) | set(second.terms):
+                a = np.asarray(first.terms[order].evaluate(q)) if order in first.terms else 0.0
+                b = np.asarray(second.terms[order].evaluate(q)) if order in second.terms else 0.0
+                worst = max(worst, float(np.max(np.abs(a - b))))
     return worst
 
 
@@ -738,11 +741,11 @@ def _run_point_transform(cfg: ExperimentConfig, out: _Checks) -> None:
     euclid = geometry.euclidean_space(2)
     rng = np.random.default_rng(27182)
 
-    def to_cartesian(q):
-        return np.array([q[0] * math.cos(q[1]), q[0] * math.sin(q[1])])
+    def to_cartesian(q):  # (N, 2) polar points
+        return np.stack([q[:, 0] * np.cos(q[:, 1]), q[:, 0] * np.sin(q[:, 1])], axis=-1)
 
-    def from_cartesian(xy):
-        return np.array([math.hypot(xy[0], xy[1]), math.atan2(xy[1], xy[0])])
+    def from_cartesian(xy):  # (N, 2) Cartesian points
+        return np.stack([libm(math.hypot, xy[:, 0], xy[:, 1]), libm(math.atan2, xy[:, 1], xy[:, 0])], axis=-1)
 
     def cartesian_reduction():
         names = euclid.coordinate_names
@@ -754,15 +757,12 @@ def _run_point_transform(cfg: ExperimentConfig, out: _Checks) -> None:
             q = rng.uniform(-1.0, 1.0, size=2)
             p = rng.uniform(-1.0, 1.0, size=2)
 
-            def plain(z):
-                return f.evaluate(z[:2], z[2:])
+            def plain(z):  # (N, 4) phase-space nodes
+                return f.evaluate(z[:, :2], z[:, 2:])
 
             total = 0.0 + 0.0j
-            for axis in range(2):
-                orders = [0] * 4
-                orders[axis] = 1
-                orders[2 + axis] = 1
-                total += complex(numdiff.partial_derivative(plain, np.concatenate([p, q]), orders))
+            for value in numdiff.partials(plain, np.concatenate([p, q]), [(1, 0, 1, 0), (0, 1, 0, 1)]):
+                total += complex(value)
             worst = max(worst, abs(derived.evaluate(p, q) - (-hbar) * total))
         return worst
 

@@ -7,6 +7,16 @@ the same field twice.
 Stencils are the classical symmetric second-order ones; Richardson
 extrapolation over step halvings removes the h^2 and h^4 error terms, so the
 returned values are O(h^6) accurate for smooth inputs (:data:`LEVELS` = 2).
+
+Integrands take node arrays: ``f`` is called on an ``(N, dim)`` array of
+points and returns the ``N`` values stacked along a leading axis.  A call of
+:func:`partials`, :func:`partial_derivative`, :func:`jet` or
+:func:`jacobian` collects every node it needs (all stencil offsets, at all
+Richardson levels, for every requested partial) and calls ``f`` once.  ``x``
+is one point, shape ``(dim,)``, or a stack of ``M`` points, shape
+``(M, dim)``, whose results stack along a leading axis and equal, bit for
+bit, those of ``M`` single-point calls.  A function of one point is lifted
+to node arrays with :func:`pointwise`.
 """
 
 from __future__ import annotations
@@ -60,14 +70,15 @@ def _stencil_table(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     return offsets, weights
 
 
-def _apply_stencil(f: Callable, x: np.ndarray, orders: Sequence[int], h: float):
-    offsets, weights = _stencil(orders)
-    total = int(sum(orders))
-    acc = None
-    for off, w in zip(offsets, weights):
-        val = np.asarray(f(x + h * off))
-        acc = w * val if acc is None else acc + w * val
-    return acc / h**total
+def pointwise(fn: Callable[[np.ndarray], object]) -> Callable[[np.ndarray], object]:
+    """Lift a function of one point to point arrays: on an ``(N, dim)`` array
+    it is called at each row in turn and the results are stacked; a single
+    point passes through."""
+
+    def lifted(x):
+        return fn(x) if x.ndim == 1 else np.array([fn(point) for point in x])
+
+    return lifted
 
 
 def richardson(samples: Sequence) -> np.ndarray:
@@ -81,21 +92,65 @@ def richardson(samples: Sequence) -> np.ndarray:
     return rows[0]
 
 
+def partials(
+    f: Callable[[np.ndarray], np.ndarray],
+    x: np.ndarray,
+    requests: Sequence[Sequence[int]],
+    step: float = DEFAULT_STEP,
+) -> list[np.ndarray]:
+    """Mixed partials of ``f`` at ``x``, one per entry of ``requests``, each a
+    tuple of per-axis derivative counts (all zeros give the value itself).
+
+    ``f`` is called once, on the nodes of every requested stencil at every
+    Richardson level; each partial is then the weighted sum of its node
+    values in stencil order, divided by ``h**order``, per level.  ``f`` may
+    return scalars or arrays per point; derivatives apply elementwise.
+    """
+    x = np.asarray(x, dtype=float)
+    stack = np.atleast_2d(x)
+    requests = [tuple(orders) for orders in requests]
+    nodes, starts, count = [], [], 0  # starts[r]: (first node, step) per level
+    for orders in requests:
+        if not any(orders):
+            nodes.append(stack[:, None, :])
+            starts.append([(count, None)])
+            count += 1
+            continue
+        offsets = _stencil(orders)[0]
+        starts.append([])
+        for lvl in range(LEVELS + 1):
+            h = step / 2**lvl
+            nodes.append(stack[:, None, :] + h * offsets)
+            starts[-1].append((count, h))
+            count += len(offsets)
+    values = np.asarray(f(np.concatenate(nodes, axis=1).reshape(-1, stack.shape[1])))
+    values = values.reshape((len(stack), count) + values.shape[1:])
+    out = []
+    for orders, levels in zip(requests, starts):
+        if not any(orders):
+            result = values[:, levels[0][0]]
+        else:
+            weights, total = _stencil(orders)[1], int(sum(orders))
+            samples = []
+            for first, h in levels:
+                acc = None
+                for i, w in enumerate(weights):
+                    term = w * values[:, first + i]
+                    acc = term if acc is None else acc + term
+                samples.append(acc / h**total)
+            result = richardson(samples)
+        out.append(result if x.ndim == 2 else result[0])
+    return out
+
+
 def partial_derivative(
-    f: Callable,
+    f: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
     orders: Sequence[int],
     step: float = DEFAULT_STEP,
 ):
-    """Mixed partial of ``f`` at ``x``; ``orders[i]`` counts derivatives in axis i.
-
-    ``f`` may return scalars or arrays; derivatives apply elementwise.
-    """
-    x = np.asarray(x, dtype=float)
-    if all(m == 0 for m in orders):
-        return np.asarray(f(x))
-    samples = [_apply_stencil(f, x, orders, step / 2**lvl) for lvl in range(LEVELS + 1)]
-    return richardson(samples)
+    """Mixed partial of ``f`` at ``x``; ``orders[i]`` counts derivatives in axis i."""
+    return partials(f, x, [orders], step)[0]
 
 
 def _multi_index_orders(dim: int, order: int):
@@ -108,43 +163,40 @@ def _multi_index_orders(dim: int, order: int):
 
 
 def jet(
-    f: Callable,
+    f: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
     max_order: int,
     step: float = DEFAULT_STEP,
 ) -> list[np.ndarray]:
     """All partial derivatives of ``f`` at ``x`` up to ``max_order``.
 
-    Returns a list indexed by order; entry k has shape
-    ``np.shape(f(x)) + (dim,)*k`` with the derivative axes appended, filled
-    symmetrically.
+    Returns a list indexed by order; entry k has the shape of the value at
+    ``x`` with ``(dim,)*k`` derivative axes appended, filled symmetrically
+    (a stack of points keeps its leading axis).
     """
     if max_order > 4:
         raise UnsupportedOrderError(f"jet order {max_order} exceeds the supported cap of 4")
     x = np.asarray(x, dtype=float)
-    base = np.asarray(f(x))
+    dim = x.shape[-1]
+    multi = [list(_multi_index_orders(dim, order)) for order in range(1, max_order + 1)]
+    base, *values = partials(f, x, [(0,) * dim] + [orders for level in multi for orders, _ in level], step)
+    base, derivatives = np.asarray(base), iter(values)
     out: list[np.ndarray] = [base]
-    dim = x.size
     dtype = complex if np.iscomplexobj(base) else float
-    for order in range(1, max_order + 1):
+    for order, level in enumerate(multi, start=1):
         arr = np.zeros(base.shape + (dim,) * order, dtype=dtype)
-        for orders, idx in _multi_index_orders(dim, order):
-            val = partial_derivative(f, x, orders, step=step)
+        for (_, idx), val in zip(level, derivatives):
             for perm in set(itertools.permutations(idx)):
                 arr[(Ellipsis,) + perm] = val
         out.append(arr)
     return out
 
 
-def jacobian(f: Callable, x: np.ndarray, step: float = 1e-3) -> np.ndarray:
+def jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, step: float = 1e-3) -> np.ndarray:
     """Jacobian matrix (outputs x inputs) of a vector-valued map."""
     x = np.asarray(x, dtype=float)
-    cols = []
-    for ax in range(x.size):
-        orders = [0] * x.size
-        orders[ax] = 1
-        cols.append(partial_derivative(f, x, orders, step=step))
-    return np.stack(cols, axis=-1)
+    dim = x.shape[-1]
+    return np.stack(partials(f, x, [tuple(int(i == ax) for i in range(dim)) for ax in range(dim)], step), axis=-1)
 
 
 def symmetrize(arr: np.ndarray, axes: Sequence[int] | None = None) -> np.ndarray:

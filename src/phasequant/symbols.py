@@ -52,11 +52,24 @@ def _check_terms(dim: int, terms: dict[int, TensorField], kind: str) -> dict[int
     return clean
 
 
-def _contract_full(vals: np.ndarray, p: np.ndarray, m: int) -> complex:
+def _contract_full(vals: np.ndarray, p: np.ndarray, m: int) -> complex | np.ndarray:
+    """``X^{a1..am} p_{a1} .. p_{am}``, contracted one axis at a time as
+    ``np.tensordot`` does it at one point.  On a stack (``vals`` of shape
+    ``(N,) + (dim,)*m``, ``p`` of shape ``(N, dim)``) every row goes through a
+    matrix-vector product with the memory layout tensordot gives it at one
+    point, so the values agree bit for bit (a summation order of its own, as
+    an ``einsum`` takes, moves them in the last bit)."""
     out = np.asarray(vals, dtype=complex)
+    if p.ndim == 1:
+        for _ in range(m):
+            out = np.tensordot(out, p, axes=([0], [0]))
+        return complex(out)
+    column = p.astype(complex)[:, :, None]
     for _ in range(m):
-        out = np.tensordot(out, p, axes=([0], [0]))
-    return complex(out)
+        rest = out.shape[2:]
+        rows = np.moveaxis(out, 1, -1).reshape(len(out), -1, out.shape[1])  # tensordot's (rest, dim) matrix
+        out = np.matmul(rows, column).reshape((len(out),) + rest)
+    return out
 
 
 class MomentumPolynomial:
@@ -77,7 +90,9 @@ class MomentumPolynomial:
     def max_degree(self) -> int:
         return max(self.terms, default=0)
 
-    def evaluate(self, p: np.ndarray, q: np.ndarray) -> complex:
+    def evaluate(self, p: np.ndarray, q: np.ndarray) -> complex | np.ndarray:
+        """The value at one phase-space point, or at each row of ``(N, dim)``
+        momentum and position arrays."""
         p = np.atleast_1d(np.asarray(p, dtype=float))
         q = np.asarray(q, dtype=float)
         total = 0.0 + 0.0j
@@ -251,8 +266,10 @@ def flat_chart_delta_value(
     symbol to a Cartesian chart, where the connection vanishes and the
     generator is the plain mixed derivative ``-hbar d^2/(dp_i dx^i)``, and
     read the value back at the matching phase-space point.  ``to_cartesian``
-    and ``from_cartesian`` map chart points both ways; momenta transform with
-    the Jacobian of ``to_cartesian``.
+    and ``from_cartesian`` map ``(N, dim)`` arrays of points both ways (lift
+    maps of one point with :func:`numdiff.pointwise`); momenta transform with
+    the Jacobian of ``to_cartesian``.  The symbol is evaluated once, on the
+    stencil nodes of all ``dim`` mixed partials together.
     """
     p = np.atleast_1d(np.asarray(p, dtype=float))
     q = np.asarray(q, dtype=float)
@@ -261,20 +278,18 @@ def flat_chart_delta_value(
     def jacobian(qq: np.ndarray) -> np.ndarray:
         return numdiff.jacobian(to_cartesian, qq, step=numdiff.DEFAULT_STEP)
 
-    def symbol_in_cartesian(z: np.ndarray) -> complex:
-        pc, xc = z[:dim], z[dim:]
+    def symbol_in_cartesian(z: np.ndarray) -> np.ndarray:  # (N, 2 dim) phase-space nodes
+        pc, xc = z[:, :dim], z[:, dim:]
         qq = np.asarray(from_cartesian(xc), dtype=float)
-        return f.evaluate(jacobian(qq).T @ pc, qq)
+        return f.evaluate(np.matmul(jacobian(qq).transpose(0, 2, 1), pc[:, :, None])[:, :, 0], qq)
 
-    x_c = np.asarray(to_cartesian(q), dtype=float)
+    x_c = np.asarray(to_cartesian(q[None]), dtype=float)[0]
     p_c = np.linalg.solve(jacobian(q).T, p)
     z0 = np.concatenate([p_c, x_c])
+    mixed = [tuple(int(i in (alpha, dim + alpha)) for i in range(2 * dim)) for alpha in range(dim)]
     total = 0.0 + 0.0j
-    for alpha in range(dim):
-        orders = [0] * (2 * dim)
-        orders[alpha] = 1
-        orders[dim + alpha] = 1
-        total += complex(numdiff.partial_derivative(symbol_in_cartesian, z0, orders))
+    for value in numdiff.partials(symbol_in_cartesian, z0, mixed):
+        total += complex(value)
     return -hbar * total
 
 

@@ -28,7 +28,7 @@ def unknown_comparison_mode():
 
 
 CASES = {
-    "numdiff-jet-order": lambda: numdiff.jet(lambda x: x[0], np.zeros(1), 5),
+    "numdiff-jet-order": lambda: numdiff.jet(numdiff.pointwise(lambda x: x[0]), np.zeros(1), 5),
     "fields-callable-order": fifth_callable_partial,
     "fields-add-empty": lambda: fields.add(),
     "fields-component-shape": lambda: fields.TensorField(2, 2, np.empty((2,), dtype=object)),

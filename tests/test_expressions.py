@@ -1,11 +1,12 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasequant.errors import ConfigError
-from phasequant.expressions import Const, inverse_matrix, parse_expression
+from phasequant.expressions import Const, inverse_matrix, libm, parse_expression
 
 
 def ev(source, **values):
@@ -121,3 +122,23 @@ def test_inverse_matrix_diagonal_and_adjugate():
     m = np.array([[1.0, -0.7], [-0.7, 2.4]])
     got = np.array([[e.eval(env) for e in row] for row in inverse_matrix(full)])
     np.testing.assert_allclose(got @ m, np.eye(2), atol=1e-14)
+
+
+def test_libm_applies_the_scalar_function_per_entry():
+    rng = np.random.default_rng(5)
+    x, y = rng.uniform(-3.0, 3.0, size=(2, 400))
+    for fn, args in ((math.exp, (x,)), (math.atan2, (y, x)), (math.hypot, (x, y)), (pow, (x, 3))):
+        got = libm(fn, *args)
+        want = [fn(*vals) for vals in zip(*[np.broadcast_to(a, x.shape).tolist() for a in args])]
+        assert got.shape == x.shape and got.tobytes() == np.array(want).tobytes()
+    assert libm(math.acos, x.reshape(20, 20) / 3.0).shape == (20, 20)
+    assert type(libm(math.exp, 0.5)) is float
+
+
+def test_integer_powers_on_arrays_equal_those_at_single_points():
+    expr = parse_expression("x**2 + (1 + 0.5*cos(y))**3 - x**4/y**2", ("x", "y"))
+    rng = np.random.default_rng(6)
+    points = rng.uniform(0.2, 3.0, size=(500, 2))
+    got = expr.eval({"x": points[:, 0], "y": points[:, 1]})
+    want = np.array([expr.eval({"x": x, "y": y}) for x, y in points.tolist()])
+    assert got.tobytes() == want.tobytes()

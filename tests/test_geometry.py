@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 
@@ -496,3 +497,64 @@ def test_connection_and_curvature_formulas_match_loop_reference(rng, dim):
         )
     np.testing.assert_allclose(geometry._christoffel_from(g_inv, dg), gamma_want, rtol=0, atol=1e-13)
     np.testing.assert_allclose(geometry._riemann_from(gamma, dgamma), riemann_want, rtol=0, atol=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# stacks of tangent vectors and pinned finite-difference references
+
+VECTORS = np.array([[0.0, 0.0], [0.3, -0.2], [-0.05, 0.4], [1e-3, 0.0], [0.7, 0.9]])
+
+
+@pytest.mark.parametrize("name", ["sphere:1.0", "sphere:2.0", "polar-plane", "euclidean:2"])
+def test_exp_map_on_a_stack_equals_single_calls(name):
+    # the sphere's closed form, and RK4 on the polar plane, which has no exp_fn
+    model = geometry.manifold(name)
+    q = np.array([1.1, 0.4])
+    for fn in (geometry.exp_map, geometry.exp_jacobian):
+        stacked = fn(model, q, VECTORS)
+        want = np.stack([fn(model, q, v) for v in VECTORS])
+        assert stacked.shape == want.shape and stacked.tobytes() == want.tobytes()
+
+
+def test_opaque_metric_on_a_point_stack_equals_single_calls(sphere):
+    opaque = geometry.ManifoldModel(name="sphere-opaque", dim=2, coords=sphere.coords, metric_fn=sphere.metric_fn)
+    points = np.array([[1.1, 0.4], [2.0, -1.3], [0.7, 0.2]])
+    for model in (opaque, sphere, geometry.manifold("euclidean:2")):
+        for fn in (geometry.metric, geometry.christoffel):
+            stacked = fn(model, points)
+            want = np.stack([fn(model, x) for x in points])
+            assert stacked.shape == want.shape and stacked.tobytes() == want.tobytes()
+
+
+def _sha256(arr) -> str:
+    return hashlib.sha256(np.ascontiguousarray(np.asarray(arr) + 0.0).tobytes()).hexdigest()
+
+
+# SHA-256 of the bytes of each jet, negative zeros folded to +0, recorded when
+# every stencil node was still evaluated in a call of its own: finite
+# differences nested in finite differences amplify a changed last bit of the
+# geodesic or metric values by about 1e8.
+NUMERIC_DENSITY_JET_SHA256 = [
+    "26b7d455dbe0186a54e7f552f35e6e5b4f9494b92840a32f32966295f7d7a136",
+    "99511853084da4bb85b209bbe2235b53224c4ed3f3a564ef1b92677d11cd6eb7",
+    "4f8df96593e2b3ce274ac84f8da7159af3345e384bf3511479ad530040390e20",
+]
+PULLBACK_JET_SHA256 = [
+    "8373b80abe61de1f8e46cd6b7da944d5e814fe56e8c709afab27b6e40ded4e8d",
+    "e14089a1c5437d0aa3955e2be68e08dac620c663a8291fbcf9835519d069a4ea",
+    "49aed29df10d5189fe07fe15f3d1e09b9a3548fe742f0a8ca0fe7e4a224be900",
+    "03359f4aa62ad23e29100347d72d20d64aa2d3bbfd677621a2c72fff1360cfcb",
+]
+
+
+def test_numeric_density_jet_is_bit_identical_to_pointwise_evaluation():
+    jets = geometry.sqrt_g_jet(geometry.manifold("sphere:1"), np.array([1.1, 0.4]), 2, method="numeric")
+    assert [_sha256(jet) for jet in jets] == NUMERIC_DENSITY_JET_SHA256
+
+
+def test_pullback_jet_is_bit_identical_to_pointwise_evaluation():
+    # the field and point of the curved-defect experiment's pullback-vs-covariant check
+    model = geometry.manifold("sphere:1")
+    psi = from_expression("sin(theta)*cos(phi) + 0.3*cos(theta)", model.coordinate_names)
+    jets = geometry.pullback_jet(model, psi, np.array([1.1, 0.4]), 3)
+    assert [_sha256(jet) for jet in jets] == PULLBACK_JET_SHA256

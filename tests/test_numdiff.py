@@ -35,13 +35,13 @@ def test_richardson_passes_through_single_sample():
 def test_mixed_partials_of_separable_product(orders, expected, tol):
     f = lambda z: math.sin(z[0]) * math.cos(z[1])
     point = np.array([0.4, -1.2])
-    got = float(numdiff.partial_derivative(f, point, orders))
+    got = float(numdiff.partial_derivative(numdiff.pointwise(f), point, orders))
     assert got == pytest.approx(expected(*point), abs=tol)
 
 
 def test_partial_derivative_elementwise_on_arrays():
     f = lambda z: np.array([z[0] ** 2, math.sin(z[0])])
-    got = numdiff.partial_derivative(f, np.array([0.3]), (1,))
+    got = numdiff.partial_derivative(numdiff.pointwise(f), np.array([0.3]), (1,))
     np.testing.assert_allclose(got, [0.6, math.cos(0.3)], atol=1e-9)
 
 
@@ -54,13 +54,13 @@ def test_cubic_first_derivative_matches_closed_form(coeffs, x0):
     a, b, c, d = coeffs
     f = lambda z: a + b * z[0] + c * z[0] ** 2 + d * z[0] ** 3
     want = b + 2 * c * x0 + 3 * d * x0**2
-    got = float(numdiff.partial_derivative(f, np.array([x0]), (1,)))
+    got = float(numdiff.partial_derivative(numdiff.pointwise(f), np.array([x0]), (1,)))
     assert abs(got - want) < 1e-6 * (1.0 + abs(want))
 
 
 def test_jet_orders_and_symmetry():
     f = lambda z: math.exp(0.3 * z[0]) * math.cos(0.7 * z[1])
-    jets = numdiff.jet(f, np.array([0.2, -0.4]), 3)
+    jets = numdiff.jet(numdiff.pointwise(f), np.array([0.2, -0.4]), 3)
     assert len(jets) == 4
     assert jets[2].shape == (2, 2)
     assert jets[3].shape == (2, 2, 2)
@@ -72,20 +72,20 @@ def test_jet_orders_and_symmetry():
 
 def test_jet_order_cap():
     with pytest.raises(ValueError):
-        numdiff.jet(lambda z: z[0], np.zeros(1), 5)
+        numdiff.jet(numdiff.pointwise(lambda z: z[0]), np.zeros(1), 5)
 
 
 def test_jacobian_of_linear_map_is_its_matrix():
     A = np.array([[1.0, 2.0], [-0.5, 0.25]])
     f = lambda z: A @ z
-    got = numdiff.jacobian(f, np.array([0.3, 0.9]))
+    got = numdiff.jacobian(numdiff.pointwise(f), np.array([0.3, 0.9]))
     np.testing.assert_allclose(got, A, atol=1e-10)
 
 
 def test_jacobian_polar_to_cartesian():
     f = lambda z: np.array([z[0] * math.cos(z[1]), z[0] * math.sin(z[1])])
     r, phi = 1.3, 0.6
-    got = numdiff.jacobian(f, np.array([r, phi]))
+    got = numdiff.jacobian(numdiff.pointwise(f), np.array([r, phi]))
     want = np.array(
         [
             [math.cos(phi), -r * math.sin(phi)],
@@ -118,3 +118,70 @@ def test_stencil_tables_are_shared_and_read_only():
     assert again[0] is offsets and again[1] is weights
     assert not offsets.flags.writeable and not weights.flags.writeable
     assert offsets.shape == (6, 2) and weights.sum() == 0.0
+
+
+# ---------------------------------------------------------------------------
+# node arrays and stacks of base points
+
+STACK = np.array([[0.4, -1.2], [0.0, 0.0], [1.3, 0.25], [-0.7, 2.1], [0.05, -0.3]])
+
+
+def _matrix_integrand(z):
+    """A complex (2, 3) array per row of an (N, 2) node array."""
+    x, y = z[:, 0], z[:, 1]
+    rows = [np.sin(x) * np.cos(y), x * x * y - 0.5j * y, np.cos(x * y), 1j * np.sin(x + y), x / (2.0 + y * y), y]
+    return np.stack(rows, axis=-1).reshape(-1, 2, 3)
+
+
+def _assert_stack_equals_single_calls(stacked, singles):
+    want = np.stack([np.asarray(s) for s in singles])
+    assert stacked.shape == want.shape and stacked.dtype == want.dtype
+    assert stacked.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("orders", [(1, 0), (0, 2), (2, 1), (1, 3)])
+def test_partial_derivative_on_a_stack_equals_single_calls(orders):
+    stacked = numdiff.partial_derivative(_matrix_integrand, STACK, orders)
+    _assert_stack_equals_single_calls(stacked, [numdiff.partial_derivative(_matrix_integrand, x, orders) for x in STACK])
+
+
+def test_jet_on_a_stack_equals_single_calls():
+    stacked = numdiff.jet(_matrix_integrand, STACK, 3)
+    singles = [numdiff.jet(_matrix_integrand, x, 3) for x in STACK]
+    for k in range(4):
+        _assert_stack_equals_single_calls(stacked[k], [jets[k] for jets in singles])
+
+
+def test_jacobian_on_a_stack_equals_single_calls():
+    f = lambda z: np.stack([z[:, 0] * np.cos(z[:, 1]), z[:, 0] * np.sin(z[:, 1]), z[:, 0] * z[:, 1]], axis=-1)
+    stacked = numdiff.jacobian(f, STACK)
+    assert stacked.shape == (len(STACK), 3, 2)
+    _assert_stack_equals_single_calls(stacked, [numdiff.jacobian(f, x) for x in STACK])
+
+
+def test_jet_calls_its_integrand_once_on_every_node():
+    calls = []
+
+    def f(z):
+        calls.append(z.shape)
+        return np.sin(z[:, 0]) * z[:, 1]
+
+    numdiff.jet(f, np.array([0.3, 0.2]), 2)
+    numdiff.jet(f, STACK[:4], 2)
+    # the value, then 3 Richardson levels of 2 + 2 first-order and 3 + 4 + 3 second-order nodes
+    nodes = 1 + 3 * (2 + 2 + 3 + 4 + 3)
+    assert calls == [(nodes, 2), (4 * nodes, 2)]
+
+
+def test_pointwise_lift_hands_its_function_single_points():
+    seen = []
+
+    def f(x):
+        seen.append(x.shape)
+        return np.array([x[0] * x[1], math.exp(x[0])])
+
+    lifted = numdiff.pointwise(f)
+    np.testing.assert_array_equal(lifted(STACK[2]), f(STACK[2]))
+    values = lifted(STACK)
+    assert values.shape == (len(STACK), 2) and values.dtype == float
+    assert set(seen) == {(2,)}

@@ -4,11 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from phasequant import geometry, symbols
+from phasequant import geometry, harness, numdiff, symbols
 from phasequant.curved import wue_weyl_image
 from phasequant.bases import FourierBasis, HermiteBasis
 from phasequant.errors import ConfigError
-from phasequant.expressions import parse_expression
+from phasequant.expressions import libm, parse_expression
 from phasequant.fields import constant, from_expression, tensor_constant, tensor_from_fields
 from phasequant.symbols import (
     MomentumPolynomial,
@@ -154,7 +154,7 @@ def test_chart_change_value_agrees_with_generator(rng):
         q = np.array([float(rng.uniform(0.7, 1.6)), float(rng.uniform(-1.0, 1.0))])
         p = rng.uniform(-1.0, 1.0, size=2)
         direct = complex(applied.evaluate(p, q))
-        via_chart = flat_chart_delta_value(f, to_cart, from_cart, p, q, hbar=1.0)
+        via_chart = flat_chart_delta_value(f, numdiff.pointwise(to_cart), numdiff.pointwise(from_cart), p, q, hbar=1.0)
         assert direct == pytest.approx(via_chart, abs=5e-6)
 
 
@@ -318,3 +318,59 @@ def test_symbol_from_config_rejects(cfg):
     model = geometry.sphere(1.0)
     with pytest.raises(ConfigError):
         symbol_from_config(model, cfg)
+
+
+# ---------------------------------------------------------------------------
+# symbols on point arrays and the Cartesian-chart reference
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_symbol_on_point_arrays_equals_single_points(dim, rng):
+    names = ("x", "y", "z")[:dim]
+    terms = {}
+    for degree in range(symbols.MAX_DEGREE + 1):
+        fields = {}
+
+        def assign(idx):
+            c = [float(v) for v in rng.uniform(-1.0, 1.0, size=3)]
+            source = f"({c[0]!r}) + ({c[1]!r})*sin({names[-1]}) + ({c[2]!r})*{names[0]}**2"
+            return fields.setdefault(idx, from_expression(source, names))
+
+        terms[degree] = tensor_from_fields(dim, degree, assign)
+    f = MomentumPolynomial(dim, terms)
+    p, q = rng.uniform(-1.5, 1.5, size=(2, 40, dim))
+    got = f.evaluate(p, q)
+    want = np.array([f.evaluate(pp, qq) for pp, qq in zip(p, q)])
+    assert got.shape == (40,) and got.tobytes() == want.tobytes()
+
+
+# SHA-256 of the 20 chart-conjugated generator values of the point-transform
+# experiment's polar-cartesian-agreement check, recorded when the symbol was
+# still evaluated one stencil node at a time.
+POLAR_CHART_DELTA_SHA256 = "c3bb7e935fbd7e42fe179a26aaccb9c38a322d122e051e664bbd562ee6596620"
+
+
+def test_flat_chart_delta_values_are_bit_identical_to_pointwise_evaluation():
+    polar = geometry.polar_plane()
+    rng = np.random.default_rng(27182)  # the experiment's generator, past its cartesian-reduction draws
+    rng.uniform(-1.0, 1.0, size=20)
+    f = harness._random_chart_symbol(rng, polar.coordinate_names)
+
+    def to_cartesian(q):
+        return np.stack([q[:, 0] * np.cos(q[:, 1]), q[:, 0] * np.sin(q[:, 1])], axis=-1)
+
+    def from_cartesian(xy):
+        return np.stack([libm(math.hypot, xy[:, 0], xy[:, 1]), libm(math.atan2, xy[:, 1], xy[:, 0])], axis=-1)
+
+    values = []
+    for _ in range(20):
+        q = np.array([rng.uniform(0.6, 1.8), rng.uniform(-2.5, 2.5)])
+        p = rng.uniform(-1.2, 1.2, size=2)
+        values.append(flat_chart_delta_value(f, to_cartesian, from_cartesian, p, q, 1.0))
+    digest = hashlib.sha256(np.ascontiguousarray(np.array(values) + 0.0).tobytes()).hexdigest()
+    assert digest == POLAR_CHART_DELTA_SHA256
+    # maps of one point, lifted, give the same value
+    to_one = lambda q: np.array([q[0] * math.cos(q[1]), q[0] * math.sin(q[1])])
+    from_one = lambda xy: np.array([math.hypot(xy[0], xy[1]), math.atan2(xy[1], xy[0])])
+    lifted = flat_chart_delta_value(f, numdiff.pointwise(to_one), numdiff.pointwise(from_one), p, q, 1.0)
+    assert lifted == values[-1]
