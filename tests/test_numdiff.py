@@ -142,7 +142,8 @@ def _assert_stack_equals_single_calls(stacked, singles):
 @pytest.mark.parametrize("orders", [(1, 0), (0, 2), (2, 1), (1, 3)])
 def test_partial_derivative_on_a_stack_equals_single_calls(orders):
     stacked = numdiff.partial_derivative(_matrix_integrand, STACK, orders)
-    _assert_stack_equals_single_calls(stacked, [numdiff.partial_derivative(_matrix_integrand, x, orders) for x in STACK])
+    singles = [numdiff.partial_derivative(_matrix_integrand, x, orders) for x in STACK]
+    _assert_stack_equals_single_calls(stacked, singles)
 
 
 def test_jet_on_a_stack_equals_single_calls():
