@@ -19,12 +19,13 @@ import numpy as np
 from .expressions import libm
 from .fields import ScalarField
 
+# Half-width of the Hermite quadrature window, in units of sqrt(hbar).
+HERMITE_HALF_WIDTH = 10.0
+
 
 @dataclass(frozen=True)
 class FourierBasis:
     """Orthonormal Fourier modes ``exp(i k theta) / sqrt(2 pi)``, |k| <= K."""
-
-    dim: int = 1
 
     @staticmethod
     def indices(K: int) -> list[int]:
@@ -65,18 +66,16 @@ class HermiteBasis:
     """
 
     hbar: float = 1.0
-    dim: int = 1
-    half_width: float = 10.0
 
     def fields(self, K: int) -> list[ScalarField]:
         return [hermite_function(k, self.hbar) for k in range(K + 1)]
 
     def quadrature(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
         # Gauss-Legendre on a fixed window; Hermite functions decay like
-        # exp(-x^2 / (2 hbar)), so a +-half_width*sqrt(hbar) window keeps the
+        # exp(-x^2 / (2 hbar)), so a +-HERMITE_HALF_WIDTH*sqrt(hbar) window keeps the
         # truncation error far below quadrature tolerances for modest K.
         u, w = np.polynomial.legendre.leggauss(nodes)
-        half = self.half_width * math.sqrt(self.hbar)
+        half = HERMITE_HALF_WIDTH * math.sqrt(self.hbar)
         return (half * u).reshape(-1, 1), half * w
 
 

@@ -15,7 +15,7 @@ covariant derivatives (``geometry.covariant_derivative_fields``) corrected by
 those connection jets along the radial geodesics.  Every operator order the
 package supports (up to 4) is exact in the curvature; flat models are the
 zero-curvature case of the same path.  A pairing evaluates each distinct
-field once (``fields.shared_values``).
+field once, since a field remembers its value at the last point.
 
 The images here are also the package's flat-space images: on a flat model
 every volume-density jet beyond order zero vanishes, and both maps reduce to
@@ -37,7 +37,7 @@ import numpy as np
 
 from . import geometry, numdiff, taylor
 from .errors import ConfigError
-from .fields import TensorField, contract, shared_values, tensor_add, tensor_scale
+from .fields import TensorField, contract, evaluate, tensor_add, tensor_scale
 from .geometry import ManifoldModel
 from .symbols import CovariantOperator, MomentumPolynomial, merge_terms
 
@@ -207,12 +207,11 @@ def _coeff_jets(
     """
     rank = tensor.rank
     E = geometry.normal_frame(model, q)
-    jets = [geometry.frame_components(np.asarray(tensor.evaluate(q), dtype=complex), E, rank)]
+    jets = [geometry.frame_components(evaluate(tensor.comps, q), E, rank)]
     comps = tensor.comps
     for k in range(1, order + 1):
         comps = geometry.covariant_derivative_fields(model, comps, rank)
-        values = np.array([field(q) for field in comps.flat], dtype=complex).reshape(comps.shape)
-        jet = geometry.frame_components(values, E, rank)
+        jet = geometry.frame_components(evaluate(comps, q), E, rank)
         if k >= 2 and rank and not model.flat:
             jet = jet - _ray_correction(gamma_jets, jets, rank, k)
         jets.append(numdiff.symmetrize(jet, axes=range(rank, rank + k)))
@@ -305,8 +304,7 @@ def dequantize_curved(
     q = np.asarray(q, dtype=float)
     geometry.check_point(model, q)
     order = D.max_order
-    with shared_values(q):
-        h, sqrt_g, gamma, coeff = _pairing_data(model, q, D, order)
+    h, sqrt_g, gamma, coeff = _pairing_data(model, q, D, order)
     phase = _phase_series(model.dim, order, geometry.normal_frame(model, q).T @ p, hbar)
     h_rev = taylor.negate_argument(h)
     if measure_variant == "paper":

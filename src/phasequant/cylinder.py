@@ -214,24 +214,6 @@ def quantizer_trace_cyl(p: float, theta: float, chi: CutoffFamily, K: int, hbar:
     return float(np.sum(chi.transform(2 * np.arange(-K, K + 1) - c))) / math.pi
 
 
-def _band_samples(F: np.ndarray, K: int, d: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Centered sample points ``k`` and values ``F[k+d, k]`` from one matrix band."""
-    lo = -K + max(0, -d)
-    hi = K - max(0, d)
-    picks: list[int] = []
-    k = 0
-    while len(picks) < count:
-        for candidate in (k, -k) if k else (0,):
-            if lo <= candidate <= hi and candidate not in picks:
-                picks.append(candidate)
-        k += 1
-        if k > 2 * K:
-            break
-    ks = np.array(sorted(picks))
-    vals = np.array([F[k + d + K, k + K] for k in ks])
-    return ks, vals
-
-
 def polynomial_reproduction_check(
     X: ScalarField,
     m: int,
@@ -261,11 +243,14 @@ def polynomial_reproduction_check(
     scale = np.max(np.abs(F))
     completed = 0.0 + 0.0j
     for d in range(-2 * K, 2 * K + 1):
-        band = np.array([F[k + d + K, k + K] for k in range(-K + max(0, -d), K - max(0, d) + 1)])
-        if band.size == 0 or np.max(np.abs(band)) <= 1e-11 * (1.0 + scale):
+        band = np.diagonal(F, -d)  # F[k + d, k], Fourier index k
+        if np.max(np.abs(band)) <= 1e-11 * (1.0 + scale):
             continue
-        ks, vals = _band_samples(F, K, d, m + 1)
-        coeffs = np.polynomial.polynomial.polyfit(ks, vals, m)
+        # fit the centered samples: every k within the smallest radius that holds m + 1 of them
+        lo, hi = -K + max(0, -d), K - max(0, d)
+        r = sorted(abs(k) for k in range(lo, hi + 1))[min(m, hi - lo)]
+        first, last = max(lo, -r), min(hi, r)
+        coeffs = np.polynomial.polynomial.polyfit(np.arange(first, last + 1), band[first - lo : last - lo + 1], m)
         completed += np.exp(1j * d * theta) * np.polynomial.polynomial.polyval((c - d) / 2.0, coeffs)
 
     exact = complex(X(np.array([theta]))) * p**m

@@ -6,16 +6,19 @@ partials are exact; otherwise they fall back to the shared finite-difference
 engine.  A field called on one chart point, shape ``(dim,)``, returns a
 complex number; called on an ``(N, dim)`` array of points it returns the N
 values as one array, computed with array arithmetic except for opaque
-callables (:func:`from_callable`), which are called point by point.  All
-symbol/operator coefficient algebra in the package is expressed through
-these objects, which keeps forward and inverse maps numerically consistent.  Covariant derivatives and divergences of these fields, the
-Cartesian ones included, are built in ``geometry``.
+callables (:func:`from_callable`), which are called point by point.  A
+field remembers its value at the last single point it was called on, so a
+field tree that shares subtrees evaluates each distinct field once per point
+without the caller doing anything; point arrays are never remembered (an
+operator matrix keeps its own per-grid table).  :func:`evaluate` evaluates an
+object array of fields.  All symbol/operator coefficient algebra in the
+package is expressed through these objects, which keeps forward and inverse
+maps numerically consistent.  Covariant derivatives and divergences of these
+fields, the Cartesian ones included, are built in ``geometry``.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import itertools
 from typing import Callable, Sequence
 
@@ -25,9 +28,6 @@ from . import numdiff
 from .errors import ShapeError, UnsupportedOrderError
 from .expressions import Expr, parse_expression
 
-# The point and value table of the innermost ``shared_values`` block.
-_SHARED: contextvars.ContextVar[tuple[bytes, dict] | None] = contextvars.ContextVar("shared_values", default=None)
-
 
 class ScalarField:
     """A complex-valued function of chart coordinates with partial derivatives.
@@ -35,10 +35,12 @@ class ScalarField:
     ``fn`` takes a point of shape ``(dim,)`` and returns a complex number, or
     an ``(N, dim)`` point array and returns the N values;
     ``partial_factory(axis)`` builds the partial along one axis (finite
-    differences of a plain callable come from :func:`from_callable`).
+    differences of a plain callable come from :func:`from_callable`).  The
+    value at the last single point is remembered and returned, unchanged, when
+    the field is called there again.
     """
 
-    __slots__ = ("dim", "_fn", "_partial_factory", "_partial_cache")
+    __slots__ = ("dim", "_fn", "_partial_factory", "_partial_cache", "_last")
 
     def __init__(
         self,
@@ -50,36 +52,21 @@ class ScalarField:
         self._fn = fn
         self._partial_factory = partial_factory
         self._partial_cache: dict[int, ScalarField] = {}
+        self._last: tuple = (None, None)  # (point bytes, value), replaced as one
 
     def __call__(self, q: np.ndarray) -> complex | np.ndarray:
         q = np.asarray(q, dtype=float)
-        shared = _SHARED.get()
-        if shared is None or q.ndim != 1 or q.tobytes() != shared[0]:
+        if q.ndim != 1:
             return self._fn(q)
-        table = shared[1]
-        if self not in table:
-            table[self] = self._fn(q)
-        return table[self]
+        key, last = q.tobytes(), self._last
+        if last[0] != key:
+            last = self._last = (key, self._fn(q))
+        return last[1]
 
     def partial(self, axis: int) -> "ScalarField":
         if axis not in self._partial_cache:
             self._partial_cache[axis] = self._partial_factory(axis)
         return self._partial_cache[axis]
-
-
-@contextlib.contextmanager
-def shared_values(q: np.ndarray):
-    """Inside the block each field is evaluated at most once at the point ``q``
-    (field trees share subtrees); values are unchanged, bit for bit.  Other
-    points and point arrays evaluate as usual; a nested block at ``q`` keeps
-    the outer table."""
-    key = np.asarray(q, dtype=float).tobytes()
-    outer = _SHARED.get()
-    token = _SHARED.set(outer if outer is not None and outer[0] == key else (key, {}))
-    try:
-        yield
-    finally:
-        _SHARED.reset(token)
 
 
 def constant(dim: int, value: complex) -> ScalarField:
@@ -200,14 +187,19 @@ class TensorField:
         self.comps = comps
 
     def evaluate(self, q: np.ndarray) -> np.ndarray:
-        """Components at one point, or at each row of an ``(N, dim)`` array
-        (the point axis first)."""
-        q = np.asarray(q, dtype=float)
-        out = np.empty(q.shape[:-1] + (self.dim,) * self.rank, dtype=complex)
-        flat = out.reshape(q.shape[:-1] + (-1,))
-        for i, field in enumerate(self.comps.reshape(-1)):
-            flat[..., i] = field(q)
-        return out
+        """Components at one point or on a point array (:func:`evaluate`)."""
+        return evaluate(self.comps, q)
+
+
+def evaluate(comps: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Values of an object array of fields at one point, or at each row of an
+    ``(N, dim)`` point array (shape ``(N,) + comps.shape``, the point axis first)."""
+    q = np.asarray(q, dtype=float)
+    out = np.empty(q.shape[:-1] + comps.shape, dtype=complex)
+    flat = out.reshape(q.shape[:-1] + (-1,))
+    for i, field in enumerate(comps.flat):
+        flat[..., i] = field(q)
+    return out
 
 
 def tensor_from_fields(dim: int, rank: int, assign: Callable[[tuple[int, ...]], ScalarField]) -> TensorField:

@@ -19,7 +19,7 @@ from . import geometry
 from .bases import gauss_hermite, hermite_polynomial_values
 from .curved import _binomial_weight, wue_weyl_image
 from .errors import InversionError
-from .fields import TensorField, shared_values, tensor_add, tensor_scale
+from .fields import TensorField, tensor_add, tensor_scale
 from .geometry import ManifoldModel
 from .symbols import (
     CovariantOperator,
@@ -96,17 +96,16 @@ def dequantize_flat(
     redone = a_image_flat(A, f, model, hbar)
     scale_ref = 1.0
     worst = 0.0
-    with shared_values(x_arr):  # the recovered and re-quantized trees share fields
-        for order in set(D.terms) | set(redone.terms):
-            want = D.terms[order].evaluate(x_arr) if order in D.terms else 0.0
-            got = redone.terms[order].evaluate(x_arr) if order in redone.terms else 0.0
-            worst = max(worst, float(np.max(np.abs(np.asarray(want) - np.asarray(got)))))
-            scale_ref = max(scale_ref, float(np.max(np.abs(np.asarray(want)))))
-        if worst > INVERSION_TOLERANCE * scale_ref:
-            raise InversionError(
-                f"operator is not reproduced by its recovered symbol (defect {worst:.3e})"
-            )
-        return f.evaluate(np.atleast_1d(np.asarray(p, dtype=float)), x_arr)
+    for order in set(D.terms) | set(redone.terms):
+        want = D.terms[order].evaluate(x_arr) if order in D.terms else 0.0
+        got = redone.terms[order].evaluate(x_arr) if order in redone.terms else 0.0
+        worst = max(worst, float(np.max(np.abs(np.asarray(want) - np.asarray(got)))))
+        scale_ref = max(scale_ref, float(np.max(np.abs(np.asarray(want)))))
+    if worst > INVERSION_TOLERANCE * scale_ref:
+        raise InversionError(
+            f"operator is not reproduced by its recovered symbol (defect {worst:.3e})"
+        )
+    return f.evaluate(np.atleast_1d(np.asarray(p, dtype=float)), x_arr)
 
 
 # ---------------------------------------------------------------------------

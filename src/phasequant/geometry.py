@@ -44,11 +44,11 @@ from .fields import (
     TensorField,
     add,
     contract,
+    evaluate,
     from_callable,
     from_expression,
     multiply,
     scale,
-    shared_values,
     tensor_constant,
     tensor_from_fields,
 )
@@ -95,12 +95,12 @@ class ManifoldModel:
         if self.metric_fn is None:
             if self.metric_exprs is None:
                 raise ConfigError(f"manifold {self.name!r} needs metric_fn or metric_exprs")
-            g, names = np.array(self.metric_exprs, dtype=object), self.coordinate_names
+            g = np.array(self.metric_exprs, dtype=object)
             if all(isinstance(e, Const) for e in g.flat):
-                const = _evaluate(g, names, np.zeros(self.dim))
+                const = np.array([e.value for e in g.flat], dtype=float).reshape(g.shape)
                 object.__setattr__(self, "metric_fn", lambda q: np.broadcast_to(const, np.shape(q)[:-1] + const.shape))
             else:
-                object.__setattr__(self, "metric_fn", lambda q: _evaluate(g, names, q))
+                object.__setattr__(self, "metric_fn", lambda q: evaluate(self._fields["g"], q).real)
 
     @property
     def coordinate_names(self) -> tuple[str, ...]:
@@ -114,8 +114,8 @@ class ManifoldModel:
 
     @cached_property
     def _derived(self) -> dict[str, np.ndarray] | None:
-        """Inverse metric, connection and curvature as expression arrays,
-        derived from ``metric_exprs`` on first use (``None`` when opaque)."""
+        """The metric, its inverse, connection and curvature as expression
+        arrays, derived from ``metric_exprs`` on first use (``None`` when opaque)."""
         if self.metric_exprs is None:
             return None
         names = self.coordinate_names
@@ -128,12 +128,13 @@ class ManifoldModel:
         g_inv = inverse_matrix(g)
         gamma = _christoffel_from(g_inv, grad(g))
         riem = _riemann_from(gamma, grad(gamma))
-        return {"g_inv": g_inv, "gamma": gamma, "riemann": riem, "ricci": np.trace(riem, axis1=0, axis2=2)}
+        return {"g": g, "g_inv": g_inv, "gamma": gamma, "riemann": riem, "ricci": np.trace(riem, axis1=0, axis2=2)}
 
     @cached_property
     def _fields(self) -> dict[str, np.ndarray]:
         """Read-only component fields of every ``_derived`` level, shared by all
-        callers; for an opaque metric they wrap the finite-difference arrays."""
+        callers; for an opaque metric they wrap the finite-difference arrays
+        of every level but ``g``."""
         out = {}
         if self._derived is None:
             for level, array_fn, rank in (
@@ -155,18 +156,6 @@ class ManifoldModel:
         """Component fields of ``R``, ``nabla R``, ... (new index last), grown
         by :func:`_covariant_riemann_fields` so that every caller shares them."""
         return [self._fields["riemann"]]
-
-
-def _evaluate(exprs: np.ndarray, names: tuple[str, ...], q: np.ndarray) -> np.ndarray:
-    """Values of an expression array at one point, or at each row of an
-    ``(N, dim)`` point array (shape ``(N,) + exprs.shape``)."""
-    q = np.asarray(q, dtype=float)
-    env = dict(zip(names, q.T))
-    values = [e.eval(env) for e in exprs.flat]
-    if q.ndim == 1:
-        return np.array(values, dtype=float).reshape(exprs.shape)
-    values = np.stack([np.broadcast_to(v, q.shape[:1]) for v in values], axis=-1)
-    return values.astype(float).reshape(q.shape[:1] + exprs.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +181,11 @@ def _riemann_from(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
 # chart domain handling
 
 
-def check_point(model: ManifoldModel, q: np.ndarray, margin: float = CHART_MARGIN) -> np.ndarray:
+def check_point(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
     """Validate a chart point, raising :class:`ChartDomainError` near edges.
 
     Periodic coordinates are never rejected; open boundaries are shrunk by
-    ``margin`` so downstream finite differences cannot step outside.
+    :data:`CHART_MARGIN` so downstream finite differences cannot step outside.
     """
     q = np.asarray(q, dtype=float)
     if q.shape != (model.dim,):
@@ -204,8 +193,8 @@ def check_point(model: ManifoldModel, q: np.ndarray, margin: float = CHART_MARGI
     for spec, value in zip(model.coords, q):
         if spec.periodic:
             continue
-        lo = spec.lower if math.isinf(spec.lower) else spec.lower + margin
-        hi = spec.upper if math.isinf(spec.upper) else spec.upper - margin
+        lo = spec.lower if math.isinf(spec.lower) else spec.lower + CHART_MARGIN
+        hi = spec.upper if math.isinf(spec.upper) else spec.upper - CHART_MARGIN
         if not (lo <= value <= hi):
             raise ChartDomainError(spec.name, float(value))
     return q
@@ -223,7 +212,7 @@ def metric(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
 
 def inverse_metric(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
     if model._derived is not None:
-        return _evaluate(model._derived["g_inv"], model.coordinate_names, q)
+        return evaluate(model._fields["g_inv"], q).real
     return np.linalg.inv(metric(model, q))
 
 
@@ -242,7 +231,7 @@ def christoffel(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
     point or at each row of an ``(N, dim)`` point array."""
     q = np.asarray(q, dtype=float)
     if model._derived is not None:
-        return _evaluate(model._derived["gamma"], model.coordinate_names, q)
+        return evaluate(model._fields["gamma"], q).real
     if q.ndim == 2:
         return np.array([christoffel(model, x) for x in q])
     g, dg = numdiff.jet(numdiff.pointwise(model.metric_fn), q, 1)  # dg[a, b, c] = d_c g_ab
@@ -255,7 +244,7 @@ def riemann(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
     if model.flat:
         return np.zeros((model.dim,) * 4)
     if model._derived is not None:
-        return _evaluate(model._derived["riemann"], model.coordinate_names, q)
+        return evaluate(model._fields["riemann"], q).real
     gamma, dgamma = numdiff.jet(numdiff.pointwise(lambda x: christoffel(model, x)), q, 1)  # dgamma[c, a, b, d]
     return _riemann_from(gamma, dgamma)
 
@@ -266,7 +255,7 @@ def ricci(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
     if model.flat:
         return np.zeros((model.dim,) * 2)
     if model._derived is not None:
-        return _evaluate(model._derived["ricci"], model.coordinate_names, q)
+        return evaluate(model._fields["ricci"], q).real
     return np.trace(riemann(model, q), axis1=0, axis2=2)
 
 
@@ -401,11 +390,8 @@ def _frame_riemann(model: ManifoldModel, q: np.ndarray, count: int) -> list[np.n
     (the first ``count`` of them), axes ``[r, s, m, n]`` then derivative axes."""
     E = normal_frame(model, q)
     out = [np.einsum("ca,abgd,bB,gG,dD->cBGD", np.linalg.inv(E), riemann(model, q), E, E, E)]
-    with shared_values(q):
-        for n in range(1, count):
-            comps = _covariant_riemann_fields(model, n)
-            values = np.array([field(q) for field in comps.flat]).reshape(comps.shape)
-            out.append(frame_components(values.real, E, 1))
+    for n in range(1, count):
+        out.append(frame_components(evaluate(_covariant_riemann_fields(model, n), q).real, E, 1))
     return out
 
 
@@ -586,12 +572,9 @@ def sym_cov_deriv(model: ManifoldModel, psi: ScalarField, q: np.ndarray, order: 
 
     Chart (lower) indices.  Order 0 returns the value itself.
     """
-    q = np.asarray(q, dtype=float)
-    levels = iterated_covariant_derivative_fields(model, psi, order)
-    top = levels[order]
+    vals = evaluate(iterated_covariant_derivative_fields(model, psi, order)[order], q)
     if order == 0:
-        return np.asarray(top[()](q))
-    vals = np.array([comp(q) for comp in top.flat], dtype=complex).reshape(top.shape)
+        return vals
     if np.allclose(vals.imag, 0.0):
         vals = vals.real
     return numdiff.symmetrize(vals)

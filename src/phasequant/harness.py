@@ -39,7 +39,6 @@ from .fields import (
     add as field_add,
     constant as constant_field,
     from_expression,
-    shared_values,
     tensor_constant,
     tensor_from_fields,
     tensor_scalar,
@@ -117,7 +116,7 @@ _COMMENTS = {
     "cutoff": "momentum cutoff: {profile, plateau, support} or {profile, mollifier: j}; "
     "profile in smoothstep | classic-bump | indicator",
     "truncation_K": f"basis/lattice index cap (cylinder kernels cap at {cylinder.MAX_TRUNCATION})",
-    "truncation_N": "auxiliary lattice truncation for discrete sums",
+    "truncation_N": "lattice momentum index n of the smeared pair traces (n, n) and (n, n + 3)",
     "tolerances": "optional per-check overrides; valid names: ",
     "output_dir": "report directory used when the CLI --out flag is absent",
 }
@@ -187,6 +186,7 @@ class ExperimentConfig:
             unknown_cutoff = sorted(set(self.cutoff) - {"profile", "plateau", "support", "mollifier"})
             if unknown_cutoff:
                 raise ConfigError(f"unknown cutoff keys {unknown_cutoff}")
+            _cutoff_from_config(self.cutoff)
         if not isinstance(self.tolerances, dict):
             raise ConfigError("tolerances must be a mapping of check name to positive number")
         for name, tol in self.tolerances.items():
@@ -257,11 +257,14 @@ def _cutoff_from_config(spec: dict) -> CutoffFamily:
         if "plateau" in spec or "support" in spec:
             raise ConfigError("cutoff accepts either mollifier or plateau/support, not both")
         j = spec["mollifier"]
-        if isinstance(j, bool) or not isinstance(j, int) or j < 0:
-            raise ConfigError("cutoff mollifier index must be a non-negative integer")
+        if isinstance(j, bool) or not isinstance(j, int) or j < 1:
+            raise ConfigError("cutoff mollifier index must be an integer >= 1")
         return CutoffFamily.mollifier(j, profile=profile)
     merged = {**_DEFAULT_CUTOFF, **spec}
-    return CutoffFamily(float(merged["plateau"]), float(merged["support"]), profile)
+    radii = (merged["plateau"], merged["support"])
+    if any(isinstance(r, bool) or not isinstance(r, (int, float)) for r in radii):
+        raise ConfigError("cutoff plateau and support must be numbers")
+    return CutoffFamily(float(radii[0]), float(radii[1]), profile)
 
 
 # ---------------------------------------------------------------------------
@@ -465,11 +468,10 @@ def _random_flat_symbol(rng: np.random.Generator, max_degree: int = 3) -> Moment
 def _operator_difference(first, second, points) -> float:
     worst = 0.0
     for q in points:
-        with shared_values(q):  # each distinct field of both trees once per point
-            for order in set(first.terms) | set(second.terms):
-                a = np.asarray(first.terms[order].evaluate(q)) if order in first.terms else 0.0
-                b = np.asarray(second.terms[order].evaluate(q)) if order in second.terms else 0.0
-                worst = max(worst, float(np.max(np.abs(a - b))))
+        for order in set(first.terms) | set(second.terms):
+            a = np.asarray(first.terms[order].evaluate(q)) if order in first.terms else 0.0
+            b = np.asarray(second.terms[order].evaluate(q)) if order in second.terms else 0.0
+            worst = max(worst, float(np.max(np.abs(a - b))))
     return worst
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasequant import bases, fields
+from phasequant import bases, fields, geometry
 
 
 def test_constant_field_and_zero_derivative():
@@ -152,7 +152,7 @@ def test_contract_with_no_slots_scales():
     np.testing.assert_array_equal(fields.contract(t, weight).evaluate(np.zeros(2)), [3.0, 6.0])
 
 
-def test_shared_values_evaluate_each_field_once():
+def test_field_remembers_its_value_at_the_last_point():
     calls = []
 
     def counted(q):
@@ -161,18 +161,29 @@ def test_shared_values_evaluate_each_field_once():
 
     base = fields.from_callable(2, counted)
     tree = fields.add(fields.multiply(base, base), fields.scale(base, 2.0))
-    q = np.array([0.3, -0.7])
-    plain = tree(q)
-    assert len(calls) == 3
+    q, q2 = np.array([0.3, -0.7]), np.array([0.1, 0.2])
+    value = tree(q)
+    assert tree(q) == value
+    assert calls == [(0.3, -0.7)]  # the shared subtree and the repeat call reuse one value
+    assert tree(q2) == 0.1 * 0.2 * (0.1 * 0.2) + 2.0 * (0.1 * 0.2)
+    assert tree(q) == value
+    assert calls == [(0.3, -0.7), (0.1, 0.2), (0.3, -0.7)]
     calls.clear()
-    with fields.shared_values(q):
-        assert tree(q) == plain
-        with fields.shared_values(q):
-            assert tree(q) == plain
-        assert tree(np.array([0.1, 0.2])) == fields.add(fields.multiply(base, base), fields.scale(base, 2.0))(
-            np.array([0.1, 0.2])
-        )
-    assert calls.count((0.3, -0.7)) == 1
+    points = np.array([q, q2])
+    tree(points)
+    tree(points)
+    # point arrays are never remembered: three uses of ``base`` per tree, twice
+    assert calls == [(0.3, -0.7), (0.1, 0.2)] * 6
+
+
+def test_evaluate_on_a_stack_matches_single_points():
+    sphere = geometry.sphere()
+    comps = geometry.covariant_derivative_fields(sphere, sphere._fields["gamma"], 1)
+    points = np.column_stack([np.linspace(0.4, 2.7, 11), np.linspace(-3.0, 3.0, 11)])
+    got = fields.evaluate(comps, points)
+    want = np.array([fields.evaluate(comps, x) for x in points])
+    assert got.shape == (11,) + comps.shape
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -147,19 +147,20 @@ def test_cylinder_truncation_cap():
 
 def test_partial_cutoff_merges_over_defaults():
     # A partial spec fills in the remaining knobs from the defaults, so this
-    # parses fine; the family itself is only built when the experiment runs.
+    # parses and builds fine.
     cfg = harness.ExperimentConfig.from_dict(
         {"experiment": "cylinder-axioms", "cutoff": {"plateau": 0.5}, "truncation_K": 8}
     )
     assert cfg.cutoff["plateau"] == 0.5
 
 
-def test_unbuildable_cutoff_fails_at_run_time():
-    cfg = harness.ExperimentConfig.from_dict(
-        {"experiment": "cylinder-axioms", "cutoff": {"plateau": 3.0}, "truncation_K": 8}
-    )
+@pytest.mark.parametrize(
+    "cutoff",
+    [{"plateau": 3.0}, {"plateau": "x"}, {"plateau": None}, {"support": True}, {"mollifier": 0}],
+)
+def test_unbuildable_cutoff_rejected_at_validation(cutoff):
     with pytest.raises(ConfigError):
-        harness.run_experiment(cfg)
+        harness.ExperimentConfig.from_dict({"experiment": "cylinder-axioms", "cutoff": cutoff, "truncation_K": 8})
 
 
 def test_tolerance_override_accepted_when_named_correctly():
@@ -465,6 +466,15 @@ def test_cli_rejects_config_it_cannot_run(tmp_path, capsys, payload):
     config_path.write_text(json.dumps(payload))
     assert run_cli("run", "--config", str(config_path), "--out", str(tmp_path / "out")) == 2
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("plateau", ["x", None])
+def test_cli_malformed_cutoff_is_a_config_error(tmp_path, capsys, plateau):
+    config_path = tmp_path / "cyl.json"
+    config_path.write_text(json.dumps({"experiment": "cylinder-axioms", "cutoff": {"plateau": plateau}}))
+    assert run_cli("run", "--config", str(config_path), "--out", str(tmp_path / "out")) == 2
+    assert "error: cutoff plateau and support must be numbers" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
