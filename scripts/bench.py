@@ -17,8 +17,8 @@ checkout a round records:
   ``cylinder.pair_trace_smeared_cyl`` at K = 64 with a fresh default cutoff,
   of ``flat_weyl.quantize_gaussian_flat`` at K = 32 (the first Gaussian of
   the flat-axioms weak-form pairing), and of ``curved.dequantize_curved`` on
-  the unit sphere at the curved-defect point for cos(theta) p^m at m = 2
-  and 3 (each call builds the model and the Weyl image afresh, so no cache
+  the unit sphere at the curved-defect point for cos(theta) p^m at m = 2,
+  3 and 4 (each call builds the model and the Weyl image afresh, so no cache
   carries over between calls), of the finite-difference density jet
   ``geometry.sqrt_g_jet(sphere, (1.1, 0.4), 2, method="numeric")``, and of
   the 20 ``symbols.flat_chart_delta_value`` calls of the point-transform
@@ -131,7 +131,7 @@ def layer_timings(src: Path) -> dict:
         0.4, 0.9, CutoffFamily(0.8, 2.8), 64, 1.0, theta_center=0.9, p_center=0.4, theta_width=0.4, p_width=0.8
     )
     layers["quantize_gaussian_flat_K32"] = lambda: quantize_gaussian_flat(0.4, -0.3, 0.9, 0.8, K=32)
-    for degree in (2, 3):
+    for degree in (2, 3, 4):
         layers[f"dequantize_curved_sphere_deg{degree}"] = lambda degree=degree: sphere_dequantization(degree)
     layers["sqrt_g_jet_numeric_sphere"] = lambda: geometry.sqrt_g_jet(
         sphere(1.0), np.array([1.1, 0.4]), 2, method="numeric"

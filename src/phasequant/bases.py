@@ -19,7 +19,7 @@ import numpy as np
 from .expressions import libm
 from .fields import ScalarField
 
-# Half-width of the Hermite quadrature window, in units of sqrt(hbar).
+# Least half-width of the Hermite quadrature window, in units of sqrt(hbar).
 HERMITE_HALF_WIDTH = 10.0
 
 
@@ -34,26 +34,26 @@ class FourierBasis:
     def fields(self, K: int) -> list[ScalarField]:
         return [fourier_mode(k) for k in self.indices(K)]
 
-    def quadrature(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    def quadrature(self, nodes: int, K: int) -> tuple[np.ndarray, np.ndarray]:
         theta = -math.pi + 2.0 * math.pi * np.arange(nodes) / nodes
         weights = np.full(nodes, 2.0 * math.pi / nodes)
         return theta.reshape(-1, 1), weights
 
 
 def fourier_mode(k: int) -> ScalarField:
-    """The mode ``exp(i k theta) / sqrt(2 pi)`` with exact derivative chain."""
+    """The mode ``exp(i k theta) / sqrt(2 pi)``; each derivative multiplies it by ``i k``."""
     norm = 1.0 / math.sqrt(2.0 * math.pi)
 
-    def make(prefactor: complex) -> ScalarField:
-        def fn(q, _c=prefactor):
-            return _c * np.exp(1j * k * q[..., 0])
+    def fn(q, prefactor=norm):
+        return prefactor * np.exp(1j * k * q[..., 0])
 
-        def partial_factory(axis: int) -> ScalarField:
-            return make(prefactor * 1j * k)
+    def derive(orders: tuple[int, ...]):
+        prefactor = norm
+        for _ in range(orders[0]):
+            prefactor = prefactor * 1j * k
+        return functools.partial(fn, prefactor=prefactor)
 
-        return ScalarField(1, fn, partial_factory)
-
-    return make(norm)
+    return ScalarField(1, fn, derive)
 
 
 @dataclass(frozen=True)
@@ -70,12 +70,13 @@ class HermiteBasis:
     def fields(self, K: int) -> list[ScalarField]:
         return [hermite_function(k, self.hbar) for k in range(K + 1)]
 
-    def quadrature(self, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-        # Gauss-Legendre on a fixed window; Hermite functions decay like
-        # exp(-x^2 / (2 hbar)), so a +-HERMITE_HALF_WIDTH*sqrt(hbar) window keeps the
-        # truncation error far below quadrature tolerances for modest K.
+    def quadrature(self, nodes: int, K: int) -> tuple[np.ndarray, np.ndarray]:
+        # Gauss-Legendre on a window past the turning point sqrt((2K + 1) hbar)
+        # of h_K, beyond which it decays like exp(-x^2 / (2 hbar)): 4.25 more
+        # units keep the truncation, which no coarse/fine check sees, far
+        # below quadrature tolerances.
         u, w = np.polynomial.legendre.leggauss(nodes)
-        half = HERMITE_HALF_WIDTH * math.sqrt(self.hbar)
+        half = max(HERMITE_HALF_WIDTH, math.sqrt(2 * K + 1) + 4.25) * math.sqrt(self.hbar)
         return (half * u).reshape(-1, 1), half * w
 
 
@@ -98,33 +99,31 @@ def hermite_polynomial_values(max_index: int, u: np.ndarray) -> np.ndarray:
 def hermite_function(k: int, hbar: float = 1.0) -> ScalarField:
     """The k-th scaled Hermite function as a field with exact derivatives.
 
-    Derivatives use the ladder identity
-    ``h_k' = (sqrt(k/2) h_{k-1} - sqrt((k+1)/2) h_{k+1}) / sqrt(hbar)``,
-    expanded over a small linear combination of neighbors.
+    Derivatives apply the ladder identity
+    ``h_k' = (sqrt(k/2) h_{k-1} - sqrt((k+1)/2) h_{k+1}) / sqrt(hbar)``
+    once per order, to a small linear combination of neighbors.
     """
     root_h = math.sqrt(hbar)
 
-    def make(combo: dict[int, float]) -> ScalarField:
-        top = max(combo)
+    def fn(q, combo={k: 1.0}):
+        u = q[..., 0] / root_h
+        vals = hermite_polynomial_values(max(combo), u)
+        gauss = libm(math.exp, -0.5 * u * u)
+        total = sum(c * (vals[i] * gauss * hbar ** -0.25) for i, c in combo.items())
+        return complex(total) if q.ndim == 1 else total.astype(complex)
 
-        def fn(q):
-            u = q[..., 0] / root_h
-            vals = hermite_polynomial_values(top, u)
-            gauss = libm(math.exp, -0.5 * u * u)
-            total = sum(c * (vals[i] * gauss * hbar ** -0.25) for i, c in combo.items())
-            return complex(total) if q.ndim == 1 else total.astype(complex)
-
-        def partial_factory(axis: int) -> ScalarField:
+    def derive(orders: tuple[int, ...]):
+        combo = {k: 1.0}
+        for _ in range(orders[0]):
             new: dict[int, float] = {}
             for i, c in combo.items():
                 if i >= 1:
                     new[i - 1] = new.get(i - 1, 0.0) + c * math.sqrt(i / 2.0) / root_h
                 new[i + 1] = new.get(i + 1, 0.0) - c * math.sqrt((i + 1) / 2.0) / root_h
-            return make(new)
+            combo = new
+        return functools.partial(fn, combo=combo)
 
-        return ScalarField(1, fn, partial_factory)
-
-    return make({k: 1.0})
+    return ScalarField(1, fn, derive)
 
 
 @functools.cache

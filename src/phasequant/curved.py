@@ -11,7 +11,7 @@ The pairing reads its ingredients as jets in normal coordinates, all from
 one source, the normal-coordinate expansion of the metric in
 ``geometry``: density jets from ``geometry.sqrt_g_jet``, connection jets
 from ``geometry.normal_christoffel_jets``, and coefficient jets from
-covariant derivatives (``geometry.covariant_derivative_fields``) corrected by
+covariant derivatives (``geometry.covariant_derivative_levels``) corrected by
 those connection jets along the radial geodesics.  Every operator order the
 package supports (up to 4) is exact in the curvature; flat models are the
 zero-curvature case of the same path.  A pairing evaluates each distinct
@@ -207,10 +207,8 @@ def _coeff_jets(
     """
     rank = tensor.rank
     E = geometry.normal_frame(model, q)
-    jets = [geometry.frame_components(evaluate(tensor.comps, q), E, rank)]
-    comps = tensor.comps
-    for k in range(1, order + 1):
-        comps = geometry.covariant_derivative_fields(model, comps, rank)
+    jets: list[np.ndarray] = []
+    for k, comps in enumerate(geometry.covariant_derivative_levels(model, [tensor.comps], rank, order)):
         jet = geometry.frame_components(evaluate(comps, q), E, rank)
         if k >= 2 and rank and not model.flat:
             jet = jet - _ray_correction(gamma_jets, jets, rank, k)

@@ -3,23 +3,29 @@
 Fields wrap point evaluations together with partial-derivative access.  When
 a field is built from the expression grammar (or another analytic source) its
 partials are exact; otherwise they fall back to the shared finite-difference
-engine.  A field called on one chart point, shape ``(dim,)``, returns a
-complex number; called on an ``(N, dim)`` array of points it returns the N
-values as one array, computed with array arithmetic except for opaque
-callables (:func:`from_callable`), which are called point by point.  A
-field remembers its value at the last single point it was called on, so a
-field tree that shares subtrees evaluates each distinct field once per point
-without the caller doing anything; point arrays are never remembered (an
-operator matrix keeps its own per-grid table).  :func:`evaluate` evaluates an
-object array of fields.  All symbol/operator coefficient algebra in the
-package is expressed through these objects, which keeps forward and inverse
-maps numerically consistent.  Covariant derivatives and divergences of these
-fields, the Cartesian ones included, are built in ``geometry``.
+engine.  A field and its partials share one table of them keyed by per-axis
+derivative orders, and a partial of a sum or product reads its children's
+tables (the Leibniz rule) rather than building a field tree.  A field called
+on one chart point, shape ``(dim,)``, returns a complex number; called on an
+``(N, dim)`` array of points it returns the N values as one array, computed
+with array arithmetic except for opaque callables (:func:`from_callable`),
+which are called point by point.  A field remembers its value at the last
+single point it was called on, so a field tree that shares subtrees evaluates
+each distinct field once per point without the caller doing anything; point
+arrays are never remembered (an operator matrix keeps its own per-grid
+table).  :func:`evaluate` evaluates an object array of fields.  All
+symbol/operator coefficient algebra in the package is expressed through these
+objects, which keeps forward and inverse maps numerically consistent.
+Covariant derivatives and divergences of these fields, the Cartesian ones
+included, are built in ``geometry``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import operator
 from typing import Callable, Sequence
 
 import numpy as np
@@ -33,25 +39,26 @@ class ScalarField:
     """A complex-valued function of chart coordinates with partial derivatives.
 
     ``fn`` takes a point of shape ``(dim,)`` and returns a complex number, or
-    an ``(N, dim)`` point array and returns the N values;
-    ``partial_factory(axis)`` builds the partial along one axis (finite
-    differences of a plain callable come from :func:`from_callable`).  The
-    value at the last single point is remembered and returned, unchanged, when
-    the field is called there again.
+    an ``(N, dim)`` point array and returns the N values; ``derive(orders)``
+    returns such a function for the partial with ``orders[i]`` derivatives
+    along axis ``i``, which is one field however its axes are ordered.  The
+    value at the last single point is remembered and returned, unchanged,
+    when the field is called there again.
     """
 
-    __slots__ = ("dim", "_fn", "_partial_factory", "_partial_cache", "_last")
+    __slots__ = ("dim", "_fn", "_derive", "_orders", "_family", "_last")
 
     def __init__(
         self,
         dim: int,
         fn: Callable[[np.ndarray], complex],
-        partial_factory: Callable[[int], "ScalarField"],
+        derive: Callable[[tuple[int, ...]], Callable[[np.ndarray], complex]],
     ):
         self.dim = dim
         self._fn = fn
-        self._partial_factory = partial_factory
-        self._partial_cache: dict[int, ScalarField] = {}
+        self._derive = derive
+        self._orders: tuple[int, ...] | None = None  # derivative counts from the table's root
+        self._family: dict[tuple[int, ...], ScalarField] | None = None
         self._last: tuple = (None, None)  # (point bytes, value), replaced as one
 
     def __call__(self, q: np.ndarray) -> complex | np.ndarray:
@@ -63,52 +70,59 @@ class ScalarField:
             last = self._last = (key, self._fn(q))
         return last[1]
 
+    def derivative(self, orders: Sequence[int]) -> "ScalarField":
+        """The mixed partial with ``orders[i]`` derivatives along axis ``i``."""
+        total = tuple(orders if self._orders is None else map(operator.add, self._orders, orders))
+        if self._family is None:  # made on first use: most fields are never differentiated
+            self._family = {(0,) * self.dim: self}
+        if total not in self._family:
+            field = self._family[total] = ScalarField(self.dim, self._derive(total), self._derive)
+            field._orders, field._family = total, self._family
+        return self._family[total]
+
     def partial(self, axis: int) -> "ScalarField":
-        if axis not in self._partial_cache:
-            self._partial_cache[axis] = self._partial_factory(axis)
-        return self._partial_cache[axis]
+        return self.derivative([int(i == axis) for i in range(self.dim)])
 
 
 def constant(dim: int, value: complex) -> ScalarField:
-    value = complex(value)
-    zero = None
+    def fn(q, value=complex(value)):
+        return value if q.ndim == 1 else np.full(len(q), value)
 
-    def zero_factory(axis: int) -> ScalarField:
-        nonlocal zero
-        if zero is None:
-            zero = constant(dim, 0.0)
-        return zero
-
-    return ScalarField(dim, lambda q: value if q.ndim == 1 else np.full(len(q), value), zero_factory)
+    return ScalarField(dim, fn, lambda orders: functools.partial(fn, value=0j))
 
 
 def from_expression(source: str | Expr, coordinates: Sequence[str]) -> ScalarField:
     """Build a scalar field with exact symbolic partials from an expression.
 
-    On a point array the field's values are those at the single points, bit
-    for bit (integer powers go through :func:`expressions.libm`).
+    Each mixed partial differentiates, once, the expression of the partial
+    one order lower along the last axis that still has a derivative.  On a
+    point array the field's values are those at the single points, bit for
+    bit (integer powers go through :func:`expressions.libm`).
     """
     coords = tuple(coordinates)
     expr = parse_expression(source, coords) if isinstance(source, str) else source
+    exprs = {(0,) * len(coords): expr}
 
-    def make(e: Expr) -> ScalarField:
-        def fn(q):
-            if q.ndim == 1:
-                return complex(e.eval(dict(zip(coords, q))))
-            out = np.empty(len(q), dtype=complex)
-            out[:] = e.eval(dict(zip(coords, q.T)))  # a constant expression gives one number
-            return out
+    def fn(q, e=expr):
+        if q.ndim == 1:
+            return complex(e.eval(dict(zip(coords, q))))
+        out = np.empty(len(q), dtype=complex)
+        out[:] = e.eval(dict(zip(coords, q.T)))  # a constant expression gives one number
+        return out
 
-        def partial_factory(axis: int) -> ScalarField:
-            return make(e.diff(coords[axis]))
+    def derive(orders: tuple[int, ...]) -> Callable[[np.ndarray], complex]:
+        if orders not in exprs:
+            last = max(i for i, n in enumerate(orders) if n)
+            lower = orders[:last] + (orders[last] - 1,) + orders[last + 1 :]
+            derive(lower)
+            exprs[orders] = exprs[lower].diff(coords[last])
+        return functools.partial(fn, e=exprs[orders])
 
-        return ScalarField(len(coords), fn, partial_factory)
-
-    return make(expr)
+    return ScalarField(len(coords), fn, derive)
 
 
 def from_callable(dim: int, fn: Callable[[np.ndarray], complex]) -> ScalarField:
-    """Wrap a plain callable; derivative chains accumulate into one mixed stencil.
+    """Wrap a plain callable; each mixed partial is one stencil of ``fn``.
 
     ``field.partial(a).partial(b)`` evaluates a single second-order stencil of
     ``fn`` rather than nesting first-order differences, which keeps the noise
@@ -118,25 +132,17 @@ def from_callable(dim: int, fn: Callable[[np.ndarray], complex]) -> ScalarField:
     """
     lifted = numdiff.pointwise(fn)
 
-    def make(orders: tuple[int, ...]) -> ScalarField:
-        if sum(orders) == 0:
-            value = numdiff.pointwise(lambda q: complex(fn(q)))
-        elif sum(orders) > numdiff.MAX_ORDER:
+    def derive(orders: tuple[int, ...]) -> Callable[[np.ndarray], complex]:
+        if sum(orders) > numdiff.MAX_ORDER:
             raise UnsupportedOrderError("finite-difference chain exceeds supported order")
-        else:
 
-            def value(q):
-                d = numdiff.partial_derivative(lifted, q, orders)
-                return complex(d) if q.ndim == 1 else d.astype(complex)
+        def value(q):
+            d = numdiff.partial_derivative(lifted, q, orders)
+            return complex(d) if q.ndim == 1 else d.astype(complex)
 
-        def partial_factory(axis: int) -> ScalarField:
-            bumped = list(orders)
-            bumped[axis] += 1
-            return make(tuple(bumped))
+        return value
 
-        return ScalarField(dim, value, partial_factory)
-
-    return make((0,) * dim)
+    return ScalarField(dim, numdiff.pointwise(lambda q: complex(fn(q))), derive)
 
 
 def scale(field: ScalarField, factor: complex) -> ScalarField:
@@ -144,29 +150,40 @@ def scale(field: ScalarField, factor: complex) -> ScalarField:
     if factor == 0:
         return constant(field.dim, 0.0)
 
-    def partial_factory(axis: int) -> ScalarField:
-        return scale(field.partial(axis), factor)
+    def value(f: ScalarField) -> Callable[[np.ndarray], complex]:
+        return lambda q: factor * f(q)
 
-    return ScalarField(field.dim, lambda q: factor * field(q), partial_factory)
+    return ScalarField(field.dim, value(field), lambda orders: value(field.derivative(orders)))
 
 
 def add(*fields: ScalarField) -> ScalarField:
-    fields = tuple(f for f in fields if f is not None)
     if not fields:
         raise ShapeError("add() needs at least one field")
-    dim = fields[0].dim
 
-    def partial_factory(axis: int) -> ScalarField:
-        return add(*[f.partial(axis) for f in fields])
+    def value(terms: Sequence[ScalarField]) -> Callable[[np.ndarray], complex]:
+        return lambda q: sum(f(q) for f in terms)
 
-    return ScalarField(dim, lambda q: sum(f(q) for f in fields), partial_factory)
+    return ScalarField(fields[0].dim, value(fields), lambda orders: value([f.derivative(orders) for f in fields]))
+
+
+@functools.cache
+def _leibniz_terms(orders: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
+    """``(binomial(orders, beta), beta, orders - beta)`` for every ``beta <= orders``,
+    the highest ``beta`` first (a first partial reads ``a' b + a b'``)."""
+    return tuple(
+        (math.prod(map(math.comb, orders, beta)), beta, tuple(n - b for n, b in zip(orders, beta)))
+        for beta in itertools.product(*[range(n, -1, -1) for n in orders])
+    )
 
 
 def multiply(a: ScalarField, b: ScalarField) -> ScalarField:
-    def partial_factory(axis: int) -> ScalarField:
-        return add(multiply(a.partial(axis), b), multiply(a, b.partial(axis)))
+    """The product ``a b``; its partials follow the Leibniz rule."""
 
-    return ScalarField(a.dim, lambda q: a(q) * b(q), partial_factory)
+    def derive(orders: tuple[int, ...]) -> Callable[[np.ndarray], complex]:
+        terms = [(c, a.derivative(beta), b.derivative(rest)) for c, beta, rest in _leibniz_terms(orders)]
+        return lambda q: sum(c * (fa(q) * fb(q)) for c, fa, fb in terms)
+
+    return ScalarField(a.dim, lambda q: a(q) * b(q), derive)
 
 
 class TensorField:
@@ -205,13 +222,10 @@ def evaluate(comps: np.ndarray, q: np.ndarray) -> np.ndarray:
 def tensor_from_fields(dim: int, rank: int, assign: Callable[[tuple[int, ...]], ScalarField]) -> TensorField:
     """Build a symmetric tensor field; ``assign`` is called once per sorted index."""
     comps = np.empty((dim,) * rank, dtype=object)
-    if rank == 0:
-        comps[()] = assign(())
-    else:
-        for idx in itertools.combinations_with_replacement(range(dim), rank):
-            field = assign(idx)
-            for perm in set(itertools.permutations(idx)):
-                comps[perm] = field
+    for idx in itertools.combinations_with_replacement(range(dim), rank):  # rank 0: the one index ()
+        field = assign(idx)
+        for perm in set(itertools.permutations(idx)):
+            comps[perm] = field
     return TensorField(dim, rank, comps)
 
 
@@ -219,17 +233,15 @@ def tensor_constant(dim: int, values: np.ndarray) -> TensorField:
     values = np.asarray(values, dtype=complex)
     rank = values.ndim
     values = numdiff.symmetrize(values)
-    return tensor_from_fields(dim, rank, lambda idx: constant(dim, values[idx] if rank else complex(values)))
+    return tensor_from_fields(dim, rank, lambda idx: constant(dim, values[idx]))
 
 
 def tensor_scalar(field: ScalarField) -> TensorField:
-    comps = np.empty((), dtype=object)
-    comps[()] = field
-    return TensorField(field.dim, 0, comps)
+    return tensor_from_fields(field.dim, 0, lambda idx: field)
 
 
 def tensor_scale(t: TensorField, factor: complex) -> TensorField:
-    return tensor_from_fields(t.dim, t.rank, lambda idx: scale(t.comps[idx] if t.rank else t.comps[()], factor))
+    return tensor_from_fields(t.dim, t.rank, lambda idx: scale(t.comps[idx], factor))
 
 
 def tensor_add(*tensors: TensorField) -> TensorField:
@@ -239,7 +251,7 @@ def tensor_add(*tensors: TensorField) -> TensorField:
     return tensor_from_fields(
         first.dim,
         first.rank,
-        lambda idx: add(*[(t.comps[idx] if t.rank else t.comps[()]) for t in tensors]),
+        lambda idx: add(*[t.comps[idx] for t in tensors]),
     )
 
 

@@ -8,13 +8,14 @@ are exact to round-off.  Only a model given by an opaque ``metric_fn`` falls
 back to finite differences (and Runge-Kutta geodesics without an ``exp_fn``).
 
 Covariant derivatives of component fields come from one builder,
-:func:`covariant_derivative_fields`, which the iterated derivatives of
-scalars and the divergence reuse.  Everything in normal coordinates comes
-from one source, :func:`normal_metric_series`, the Riemann-normal-coordinate
-expansion of the metric through fourth order with ``R``, ``nabla R`` and
-``nabla nabla R`` from the component fields: :func:`sqrt_g_jet` (volume
-density jets) and :func:`normal_christoffel_jets` (connection jets) are
-series algebra on it.  Geodesics and finite-difference jets of the
+:func:`covariant_derivative_fields`, which the divergence reuses; the levels
+``[T, nabla T, ..., nabla^n T]`` of scalars, coefficient tensors and the
+Riemann tensor all come from :func:`covariant_derivative_levels`.  Everything
+in normal coordinates comes from one source, :func:`normal_metric_series`,
+the Riemann-normal-coordinate expansion of the metric through fourth order
+with ``R``, ``nabla R`` and ``nabla nabla R`` from the component fields:
+:func:`sqrt_g_jet` (volume density jets) and :func:`normal_christoffel_jets`
+(connection jets) are series algebra on it.  Geodesics and finite-difference jets of the
 pulled-back density (``sqrt_g_jet(method="numeric")``, :func:`pullback_jet`)
 remain as independent references for checks.
 
@@ -51,6 +52,7 @@ from .fields import (
     scale,
     tensor_constant,
     tensor_from_fields,
+    tensor_scalar,
 )
 
 # Safety margin (in chart units) kept away from open chart boundaries.
@@ -154,7 +156,7 @@ class ManifoldModel:
     @cached_property
     def _riemann_fields(self) -> list[np.ndarray]:
         """Component fields of ``R``, ``nabla R``, ... (new index last), grown
-        by :func:`_covariant_riemann_fields` so that every caller shares them."""
+        by :func:`covariant_derivative_levels` so that every caller shares them."""
         return [self._fields["riemann"]]
 
 
@@ -267,14 +269,6 @@ def ricci_contraction(model: ManifoldModel, X: TensorField) -> TensorField:
     return contract(X, model._fields["ricci"])
 
 
-def _covariant_riemann_fields(model: ManifoldModel, n: int) -> np.ndarray:
-    """Component fields of ``nabla^n R``, built once per model."""
-    levels = model._riemann_fields
-    while len(levels) <= n:
-        levels.append(covariant_derivative_fields(model, levels[-1], 1))
-    return levels[n]
-
-
 def reciprocal_density_jet_fields(model: ManifoldModel, k: int) -> np.ndarray:
     """Fields whose symmetrization is, at each ``q``, the third or fourth jet
     of ``sqrt(g(q)) / sqrt(g(xi))`` in normal coordinates, chart axes (the
@@ -282,15 +276,15 @@ def reciprocal_density_jet_fields(model: ManifoldModel, k: int) -> np.ndarray:
     divergences to act on): ``(1/2) nabla_c Ric_ab`` at ``k = 3``, and
     ``(3/5) nabla_d nabla_c Ric_ab + (2/15) R^e_{afb} R^f_{ced} + (1/3) Ric_ab Ric_cd``
     at ``k = 4``."""
-    riem, first = model._fields["riemann"], _covariant_riemann_fields(model, 1)
+    riem, *nabla_riem = covariant_derivative_levels(model, model._riemann_fields, 1, k - 2)
     ric, span = model._fields["ricci"], range(model.dim)
     out = np.empty((model.dim,) * k, dtype=object)
     for a, b, *cd in np.ndindex(out.shape):
         if k == 3:
-            out[(a, b, *cd)] = scale(add(*[first[m, a, m, b, cd[0]] for m in span]), 0.5)
+            out[(a, b, *cd)] = scale(add(*[nabla_riem[0][m, a, m, b, cd[0]] for m in span]), 0.5)
         else:
             c, d = cd
-            dd_ric = add(*[_covariant_riemann_fields(model, 2)[m, a, m, b, c, d] for m in span])
+            dd_ric = add(*[nabla_riem[1][m, a, m, b, c, d] for m in span])
             quad = add(*[multiply(riem[e, a, f, b], riem[f, c, e, d]) for e in span for f in span])
             ric_ric = multiply(ric[a, b], ric[c, d])
             out[a, b, c, d] = add(scale(dd_ric, 0.6), scale(quad, 2.0 / 15.0), scale(ric_ric, 1.0 / 3.0))
@@ -390,9 +384,8 @@ def _frame_riemann(model: ManifoldModel, q: np.ndarray, count: int) -> list[np.n
     (the first ``count`` of them), axes ``[r, s, m, n]`` then derivative axes."""
     E = normal_frame(model, q)
     out = [np.einsum("ca,abgd,bB,gG,dD->cBGD", np.linalg.inv(E), riemann(model, q), E, E, E)]
-    for n in range(1, count):
-        out.append(frame_components(evaluate(_covariant_riemann_fields(model, n), q).real, E, 1))
-    return out
+    levels = covariant_derivative_levels(model, model._riemann_fields, 1, count - 1)
+    return out + [frame_components(evaluate(comps, q).real, E, 1) for comps in levels[1:count]]
 
 
 def normal_metric_series(model: ManifoldModel, q: np.ndarray, order: int) -> taylor.Series:
@@ -550,20 +543,18 @@ def covariant_derivative_fields(model: ManifoldModel, comps: np.ndarray, upper: 
     return out
 
 
-def iterated_covariant_derivative_fields(
-    model: ManifoldModel, psi: ScalarField, max_order: int
+def covariant_derivative_levels(
+    model: ManifoldModel, levels: list[np.ndarray], upper: int, n: int
 ) -> list[np.ndarray]:
-    """Component fields of the iterated covariant derivatives of a scalar.
+    """Grow ``levels = [T, nabla T, ...]`` in place through ``nabla^n T`` and return it.
 
-    Entry ``k`` is an object array of shape ``(dim,)*k`` whose
-    ``[a1, ..., ak]`` component field evaluates
-    ``nabla_{ak} ... nabla_{a1} psi`` (new index last, unsymmetrized).
+    Entry ``k`` holds the component fields of ``nabla_{ak} ... nabla_{a1} T``
+    (``upper`` contravariant axes first, the new indices last, unsymmetrized);
+    a caller that keeps the list, as a model does for its Riemann levels,
+    builds each level once.
     """
-    base = np.empty((), dtype=object)
-    base[()] = psi
-    levels = [base]
-    for _ in range(max_order):
-        levels.append(covariant_derivative_fields(model, levels[-1], 0))
+    while len(levels) <= n:
+        levels.append(covariant_derivative_fields(model, levels[-1], upper))
     return levels
 
 
@@ -572,7 +563,7 @@ def sym_cov_deriv(model: ManifoldModel, psi: ScalarField, q: np.ndarray, order: 
 
     Chart (lower) indices.  Order 0 returns the value itself.
     """
-    vals = evaluate(iterated_covariant_derivative_fields(model, psi, order)[order], q)
+    vals = evaluate(covariant_derivative_levels(model, [tensor_scalar(psi).comps], 0, order)[order], q)
     if order == 0:
         return vals
     if np.allclose(vals.imag, 0.0):
@@ -671,9 +662,9 @@ def _unwrap_angle(angle: np.ndarray, reference: float) -> np.ndarray:
 
 
 def sphere(radius: float = 1.0) -> ManifoldModel:
-    if radius <= 0:
-        raise ConfigError(f"sphere radius must be positive, got {radius}")
     a = float(radius)
+    if not (a > 0 and 0 < a * a < math.inf):  # also rejects nan
+        raise ConfigError(f"sphere radius must be positive with a finite nonzero square, got {radius}")
     a2 = repr(a * a)
 
     def embed(q):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -144,12 +145,10 @@ def operator_matrix(model: ManifoldModel, D: CovariantOperator, basis, K: int) -
     evaluated once per quadrature grid, on the whole point array.
     """
     fns = basis.fields(K)
-    levels = [
-        geometry.iterated_covariant_derivative_fields(model, f, D.max_order) for f in fns
-    ]
+    levels = [geometry.covariant_derivative_levels(model, [tensor_scalar(f).comps], 0, D.max_order) for f in fns]
 
     def assemble(nodes: int) -> np.ndarray:
-        points, weights = basis.quadrature(nodes)
+        points, weights = basis.quadrature(nodes, K)
         if model.connection_free:  # a constant metric has one density value
             vol = np.full(len(points), geometry.sqrt_g(model, points[0]))
         else:
@@ -344,10 +343,11 @@ def symbol_from_config(model: ManifoldModel, cfg) -> MomentumPolynomial:
     if not isinstance(coefficient, str):
         raise ConfigError(f"symbol coefficient must be a string, got {coefficient!r}")
     degree = cfg.get("degree", 1)
-    try:
-        scale_value = complex(cfg.get("scale", 1.0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"symbol scale must be a number, got {cfg.get('scale')!r}") from exc
+    scale_value = cfg.get("scale", 1.0)
+    real = isinstance(scale_value, (int, float)) and not isinstance(scale_value, bool)
+    if not (real and abs(scale_value) <= sys.float_info.max):  # exact for huge integers; nan fails it
+        raise ConfigError(f"symbol scale must be a finite real number, got {scale_value!r}")
+    scale_value = complex(scale_value)
     if not isinstance(degree, int) or not 0 <= degree <= MAX_DEGREE:
         raise ConfigError(f"symbol degree must be an integer in 0..{MAX_DEGREE}")
 
@@ -359,11 +359,8 @@ def symbol_from_config(model: ManifoldModel, cfg) -> MomentumPolynomial:
         if "theta" not in names:
             raise ConfigError("cos-theta symbols need a coordinate named theta")
         base = from_expression("cos(theta)", names)
-        if degree == 0:
-            tensor = tensor_scalar(scale(base, scale_value)) if scale_value != 1 else tensor_scalar(base)
-        else:
-            shared = scale(base, scale_value) if scale_value != 1 else base
-            tensor = tensor_from_fields(dim, degree, lambda idx: shared)
+        shared = scale(base, scale_value) if scale_value != 1 else base
+        tensor = tensor_from_fields(dim, degree, lambda idx: shared)
     elif coefficient == "inverse-metric":
         if degree != 2:
             raise ConfigError("inverse-metric symbols must have degree 2")
@@ -374,10 +371,7 @@ def symbol_from_config(model: ManifoldModel, cfg) -> MomentumPolynomial:
         expr = coefficient[len("custom:") :]
         base = from_expression(expr, model.coordinate_names)
         shared = scale(base, scale_value) if scale_value != 1 else base
-        if degree == 0:
-            tensor = tensor_scalar(shared)
-        else:
-            tensor = tensor_from_fields(dim, degree, lambda idx: shared)
+        tensor = tensor_from_fields(dim, degree, lambda idx: shared)
     else:
         raise ConfigError(f"unknown symbol coefficient {coefficient!r}")
     return MomentumPolynomial(dim, {degree: tensor})

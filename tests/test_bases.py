@@ -45,7 +45,7 @@ def test_hermite_polynomial_recurrence_start():
 def test_hermite_functions_orthonormal_on_the_line(hbar):
     basis = bases.HermiteBasis(hbar=hbar)
     fns = basis.fields(5)
-    points, weights = basis.quadrature(160)
+    points, weights = basis.quadrature(160, 5)
     vals = np.array([[f(x) for x in points] for f in fns])
     gram = np.einsum("i,ji,ki->jk", weights, np.conj(vals), vals)
     np.testing.assert_allclose(gram.real, np.eye(6), atol=1e-9)
@@ -77,7 +77,7 @@ def test_fourier_modes_orthonormal():
     basis = bases.FourierBasis()
     fns = basis.fields(3)
     assert len(fns) == 7
-    points, weights = basis.quadrature(64)
+    points, weights = basis.quadrature(64, 3)
     vals = np.array([[f(x) for x in points] for f in fns])
     gram = np.einsum("i,ji,ki->jk", weights, np.conj(vals), vals)
     np.testing.assert_allclose(gram, np.eye(7), atol=1e-12)

@@ -29,6 +29,75 @@ def test_partials_are_cached():
     assert f.partial(0) is f.partial(0)
 
 
+def _field_kinds():
+    f = fields.from_expression("sin(x)*y + y**3", ("x", "y"))
+    g = fields.from_expression("cos(x*y)", ("x", "y"))
+    return {
+        "expression": f,
+        "callable": fields.from_callable(2, lambda q: math.exp(0.3 * q[0]) * q[1]),
+        "constant": fields.constant(2, 1.5),
+        "scale": fields.scale(f, -2.0),
+        "add": fields.add(f, g),
+        "multiply": fields.multiply(f, g),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_field_kinds()))
+def test_mixed_partials_are_one_field(kind):
+    f = _field_kinds()[kind]
+    assert f.partial(0).partial(1) is f.partial(1).partial(0)
+    assert f.partial(0).partial(1) is f.derivative((1, 1))
+    assert f.partial(1).partial(0).partial(1) is f.partial(1).derivative((1, 1))
+    assert f.derivative((0, 0)) is f
+
+
+def _sin_derivative(k: float, m: float, orders: tuple[int, int], q: np.ndarray) -> float:
+    """``d^orders sin(k x + m y)``."""
+    i, j = orders
+    return k**i * m**j * math.sin(k * q[0] + m * q[1] + 0.5 * math.pi * (i + j))
+
+
+@pytest.mark.parametrize("orders", [(3, 0), (2, 1), (1, 2), (0, 3), (4, 0), (3, 1), (2, 2), (1, 3), (0, 4)])
+def test_high_mixed_partials_of_a_product(orders):
+    # sin(x + 2y) cos(3x - y) = (sin(4x + y) + sin(-2x + 3y)) / 2
+    a = fields.from_expression("sin(x + 2*y)", ("x", "y"))
+    prod = fields.multiply(a, fields.from_expression("cos(3*x - y)", ("x", "y")))
+    q = np.array([0.7, -0.4])
+    want = 0.5 * (_sin_derivative(4, 1, orders, q) + _sin_derivative(-2, 3, orders, q))
+    chained = prod
+    for axis in (0,) * orders[0] + (1,) * orders[1]:
+        chained = chained.partial(axis)
+    assert chained is prod.derivative(orders)
+    assert abs(chained(q) - want) < 1e-12
+
+
+def test_fourier_mode_derivative_chain_matches_closed_form():
+    root = f = bases.fourier_mode(3)
+    q = np.array([0.9])
+    for n in range(5):
+        assert f is root.derivative((n,))
+        want = (3j) ** n * np.exp(3j * 0.9) / math.sqrt(2.0 * math.pi)
+        assert abs(f(q) - want) < 1e-12 * 3**n
+        f = f.partial(0)
+
+
+@pytest.mark.parametrize("k, hbar", [(0, 1.0), (2, 1.0), (5, 0.7)])
+def test_hermite_derivative_chain_matches_closed_form(k, hbar):
+    # h_k(x) = hbar^(-1/4) H_k(u) exp(-u^2/2) / sqrt(2^k k! sqrt(pi)), u = x / sqrt(hbar),
+    # and d/dx (p(u) exp(-u^2/2)) = (p'(u) - u p(u)) exp(-u^2/2) / sqrt(hbar)
+    poly = np.polynomial.Hermite.basis(k).convert(kind=np.polynomial.Polynomial)
+    poly = poly / math.sqrt(2.0**k * math.factorial(k) * math.sqrt(math.pi))
+    u_poly = np.polynomial.Polynomial([0.0, 1.0])
+    f = bases.hermite_function(k, hbar)
+    for n in range(5):
+        for x in (-1.3, 0.2, 2.1):
+            u = x / math.sqrt(hbar)
+            want = hbar**-0.25 * hbar ** (-n / 2) * poly(u) * math.exp(-0.5 * u * u)
+            assert abs(f(np.array([x])) - want) < 1e-12 * max(1.0, abs(want))
+        poly = poly.deriv() - u_poly * poly
+        f = f.partial(0)
+
+
 def test_callable_field_merges_derivative_stencils():
     f = fields.from_callable(1, lambda q: math.exp(0.5 * q[0]))
     second = f.partial(0).partial(0)

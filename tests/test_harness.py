@@ -447,6 +447,13 @@ def test_cli_curved_defect_runs_on_a_nearly_flat_sphere(tmp_path, capsys):
     [
         {"coefficient": "constant", "degree": 2, "scale": "x"},
         {"coefficient": 5, "degree": 2},
+        # a scale that complex() would read as a number whose checks all read NaN
+        {"coefficient": "constant", "degree": 2, "scale": "nan"},
+        {"coefficient": "constant", "degree": 2, "scale": "1e400"},
+        {"coefficient": "constant", "degree": 2, "scale": math.nan},
+        {"coefficient": "constant", "degree": 2, "scale": math.inf},
+        {"coefficient": "constant", "degree": 2, "scale": True},
+        {"coefficient": "constant", "degree": 2, "scale": 10**400},
     ],
 )
 def test_cli_malformed_symbol_is_a_config_error(tmp_path, capsys, symbol):
@@ -454,6 +461,16 @@ def test_cli_malformed_symbol_is_a_config_error(tmp_path, capsys, symbol):
     config_path.write_text(json.dumps({"experiment": "curved-defect", "symbol": symbol}))
     assert run_cli("run", "--config", str(config_path), "--out", str(tmp_path / "out")) == 2
     assert "error: symbol" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("radius", ["1e-300", "1e200", "nan", "inf"])
+def test_cli_rejects_sphere_radius_without_finite_nonzero_square(tmp_path, capsys, radius):
+    # 1e-300 squares to 0 (a division by zero later), 1e200 to inf
+    config_path = tmp_path / "cd.json"
+    config_path.write_text(json.dumps({"experiment": "curved-defect", "manifold": f"sphere:{radius}"}))
+    assert run_cli("run", "--config", str(config_path), "--out", str(tmp_path / "out")) == 2
+    assert "error: sphere radius must be positive with a finite nonzero square" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -217,6 +217,18 @@ def test_operator_matrix_oscillator_in_hermite_basis():
     np.testing.assert_allclose(M, np.diag(np.arange(6) + 0.5), atol=1e-9)
 
 
+@pytest.mark.parametrize("hbar", [1.0, 0.6])
+def test_position_matrix_in_hermite_basis_at_K48(hbar):
+    # h_48 reaches its turning point at sqrt(97 hbar) and still has weight
+    # there, so the quadrature window must follow K; x = sqrt(hbar/2) (a + a^+)
+    model = geometry.euclidean_space(1)
+    x = from_expression("x", ("x",))
+    D = symbols.CovariantOperator(1, {0: tensor_from_fields(1, 0, lambda idx: x)})
+    M = operator_matrix(model, D, HermiteBasis(hbar), 48)
+    ladder = np.diag(np.sqrt(np.arange(1, 49) / 2.0), 1)
+    np.testing.assert_allclose(M, math.sqrt(hbar) * (ladder + ladder.T), atol=1e-10)
+
+
 # SHA-256 of the bytes of operator_matrix(circle, Weyl image of cos(theta) p^m,
 # FourierBasis(), 32), negative zeros folded to +0, recorded when every field
 # was still evaluated one quadrature node at a time.
@@ -249,7 +261,7 @@ def test_operator_matrix_weights_by_a_varying_density():
     coeff = from_expression("sin(theta)", ("theta",))
     D = symbols.CovariantOperator(1, {0: tensor_from_fields(1, 0, lambda idx: coeff)})
     M = operator_matrix(model, D, FourierBasis(), 3)
-    points, weights = FourierBasis().quadrature(2 * symbols.QUADRATURE_NODES)
+    points, weights = FourierBasis().quadrature(2 * symbols.QUADRATURE_NODES, 3)
     modes = FourierBasis().fields(3)
     want = [
         [
