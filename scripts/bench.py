@@ -19,7 +19,10 @@ checkout a round records:
   the flat-axioms weak-form pairing), and of ``curved.dequantize_curved`` on
   the unit sphere at the curved-defect point for cos(theta) p^m at m = 2,
   3 and 4 (each call builds the model and the Weyl image afresh, so no cache
-  carries over between calls), of the finite-difference density jet
+  carries over between calls), and at m = 3 on the same sphere given by an
+  opaque ``metric_fn`` (its curvature from finite differences of the metric
+  callable; the model is built afresh on every call too), of the
+  finite-difference density jet
   ``geometry.sqrt_g_jet(sphere, (1.1, 0.4), 2, method="numeric")``, and of
   the 20 ``symbols.flat_chart_delta_value`` calls of the point-transform
   experiment's polar-cartesian-agreement check (its symbol and points, with
@@ -87,7 +90,7 @@ def layer_timings(src: Path) -> dict:
     from phasequant.cylinder import CutoffFamily, pair_trace_smeared_cyl
     from phasequant.fields import from_expression, tensor_from_fields
     from phasequant.flat_weyl import quantize_gaussian_flat
-    from phasequant.geometry import circle, sphere
+    from phasequant.geometry import ManifoldModel, circle, sphere
     from phasequant.symbols import MomentumPolynomial, flat_chart_delta_value, operator_matrix, symbol_from_config
 
     if src.resolve() not in Path(harness.__file__).resolve().parents:
@@ -116,8 +119,10 @@ def layer_timings(src: Path) -> dict:
             times.append(time.perf_counter() - start)
         return 1e3 * statistics.median(times)
 
-    def sphere_dequantization(degree: int) -> complex:
+    def sphere_dequantization(degree: int, opaque: bool = False) -> complex:
         model = sphere(1.0)
+        if opaque:
+            model = ManifoldModel(name="sphere-opaque", dim=2, coords=model.coords, metric_fn=model.metric_fn)
         f = symbol_from_config(model, {"coefficient": "cos-theta", "degree": degree})
         return dequantize_curved(model, wue_weyl_image(model, f), np.array([0.3, -0.55]), np.array([1.1, 0.4]))
 
@@ -133,6 +138,7 @@ def layer_timings(src: Path) -> dict:
     layers["quantize_gaussian_flat_K32"] = lambda: quantize_gaussian_flat(0.4, -0.3, 0.9, 0.8, K=32)
     for degree in (2, 3, 4):
         layers[f"dequantize_curved_sphere_deg{degree}"] = lambda degree=degree: sphere_dequantization(degree)
+    layers["dequantize_curved_opaque_sphere_deg3"] = lambda: sphere_dequantization(3, opaque=True)
     layers["sqrt_g_jet_numeric_sphere"] = lambda: geometry.sqrt_g_jet(
         sphere(1.0), np.array([1.1, 0.4]), 2, method="numeric"
     )

@@ -12,10 +12,13 @@ one source, the normal-coordinate expansion of the metric in
 ``geometry``: density jets from ``geometry.sqrt_g_jet``, connection jets
 from ``geometry.normal_christoffel_jets``, and coefficient jets from
 covariant derivatives (``geometry.covariant_derivative_levels``) corrected by
-those connection jets along the radial geodesics.  Every operator order the
-package supports (up to 4) is exact in the curvature; flat models are the
-zero-curvature case of the same path.  A pairing evaluates each distinct
-field once, since a field remembers its value at the last point.
+those connection jets along the radial geodesics.  The image contracts the
+same density jets, as fields (``geometry.density_jet_fields``), that the
+pairing evaluates at a point.  Every operator order the package supports
+(up to 4) is exact in the curvature; flat models are the zero-curvature case
+of the same path, and a model with an opaque metric takes it too, with
+finite differences only at its metric callable.  A pairing evaluates each
+distinct field once, since a field remembers its value at the last point.
 
 The images here are also the package's flat-space images: on a flat model
 every volume-density jet beyond order zero vanishes, and both maps reduce to
@@ -59,21 +62,6 @@ def _binomial_weight(m: int, k: int, j: int) -> float:
 
 # ---------------------------------------------------------------------------
 # symbol-to-operator maps
-
-
-def _jet_contracted(model: ManifoldModel, X: TensorField, k: int) -> TensorField:
-    """The coefficient ``X`` with ``k`` slots eaten by reciprocal volume-density jets.
-
-    The jets are those of ``sqrt(g(q)) / sqrt(g(xi))`` in normal coordinates,
-    with chart derivative axes, as exact tensor fields of ``q``: ``Ric / 3``
-    for the second, and :func:`geometry.reciprocal_density_jet_fields` for
-    the third (``(1/2) sym nabla Ric``) and fourth.
-    """
-    if k == 0:
-        return X
-    if k == 2:
-        return tensor_scale(geometry.ricci_contraction(model, X), 1.0 / 3.0)
-    return contract(X, geometry.reciprocal_density_jet_fields(model, k))
 
 
 def wue_weyl_image(
@@ -125,7 +113,7 @@ def _image(
         for k in range(top_k + 1):
             if k == 1:
                 continue  # the first volume jet vanishes identically
-            Xt = _jet_contracted(model, X, k)
+            Xt = X if k == 0 else contract(X, geometry.density_jet_fields(model, k, -1.0))
             for j in range(m - k + 1 if divergences else 1):
                 if j:
                     Xt = geometry.covariant_divergence(model, Xt)

@@ -13,7 +13,9 @@ which are called point by point.  A field remembers its value at the last
 single point it was called on, so a field tree that shares subtrees evaluates
 each distinct field once per point without the caller doing anything; point
 arrays are never remembered (an operator matrix keeps its own per-grid
-table).  :func:`evaluate` evaluates an object array of fields.  All
+table).  :func:`evaluate` evaluates an object array of fields.  Fields add,
+subtract and multiply with ``+``, ``-`` and ``*`` (a number scales), so array
+formulas apply to object arrays of them.  All
 symbol/operator coefficient algebra in the package is expressed through these
 objects, which keeps forward and inverse maps numerically consistent.
 Covariant derivatives and divergences of these fields, the Cartesian ones
@@ -82,6 +84,17 @@ class ScalarField:
 
     def partial(self, axis: int) -> "ScalarField":
         return self.derivative([int(i == axis) for i in range(self.dim)])
+
+    def __add__(self, other: "ScalarField") -> "ScalarField":
+        return add(self, other)
+
+    def __sub__(self, other: "ScalarField") -> "ScalarField":
+        return add(self, scale(other, -1.0))
+
+    def __mul__(self, other: "ScalarField | complex") -> "ScalarField":
+        return multiply(self, other) if isinstance(other, ScalarField) else scale(self, other)
+
+    __rmul__ = __mul__
 
 
 def constant(dim: int, value: complex) -> ScalarField:

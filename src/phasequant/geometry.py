@@ -1,23 +1,27 @@
 """Chart-based Riemannian geometry for the configuration manifolds.
 
 A :class:`ManifoldModel` bundles a single chart (coordinate ranges), the
-metric in that chart, and optional closed-form geodesics.  Built-in models
-give the metric as expressions, from which the inverse metric, connection and
-curvature are derived symbolically, so they and all their partial derivatives
-are exact to round-off.  Only a model given by an opaque ``metric_fn`` falls
-back to finite differences (and Runge-Kutta geodesics without an ``exp_fn``).
+metric in that chart, and optional closed-form geodesics.  The inverse
+metric, connection and curvature come from one set of formulas applied to
+component arrays.  Built-in models give the metric as expressions, so these
+levels and all their partial derivatives are exact to round-off.  A model
+given by an opaque ``metric_fn`` gets the same formulas on fields of
+``metric_fn`` and of its inverse: finite differences apply only one level
+deep, at the callable (and Runge-Kutta geodesics stand in for an ``exp_fn``).
 
 Covariant derivatives of component fields come from one builder,
 :func:`covariant_derivative_fields`, which the divergence reuses; the levels
 ``[T, nabla T, ..., nabla^n T]`` of scalars, coefficient tensors and the
-Riemann tensor all come from :func:`covariant_derivative_levels`.  Everything
-in normal coordinates comes from one source, :func:`normal_metric_series`,
-the Riemann-normal-coordinate expansion of the metric through fourth order
-with ``R``, ``nabla R`` and ``nabla nabla R`` from the component fields:
-:func:`sqrt_g_jet` (volume density jets) and :func:`normal_christoffel_jets`
-(connection jets) are series algebra on it.  Geodesics and finite-difference jets of the
-pulled-back density (``sqrt_g_jet(method="numeric")``, :func:`pullback_jet`)
-remain as independent references for checks.
+Riemann tensor all come from :func:`covariant_derivative_levels`.  The
+normal-coordinate expansion of the metric through fourth order, with ``R``,
+``nabla R`` and ``nabla nabla R`` from the component fields, gives the
+connection jets (:func:`normal_metric_series`, :func:`normal_christoffel_jets`)
+and, as fields of the base point, the density jets
+(:func:`density_jet_fields`): the image contracts those fields and
+:func:`sqrt_g_jet` evaluates them at a point, so density jets have one
+source.  Geodesics and finite-difference jets of the pulled-back density
+(``sqrt_g_jet(method="numeric")``, :func:`pullback_jet`) remain as
+independent references for checks.
 
 Conventions:
 
@@ -78,7 +82,7 @@ class ManifoldModel:
     The metric is given either by ``metric_exprs``, a matrix of expressions in
     the coordinate names (``metric_fn`` is then built from it and also takes
     an ``(N, dim)`` point array), or by an opaque ``metric_fn`` of one point
-    alone, whose connection and curvature come from finite differences.
+    alone, whose connection and curvature take finite differences of it.
     ``exp_fn(q, v)`` maps a chart tangent vector at ``q`` to the geodesic
     endpoint, or an ``(N, dim)`` stack of them to ``(N, dim)`` endpoints, and
     must be continuous in ``v`` near the chart point (periodic coordinates
@@ -120,35 +124,27 @@ class ManifoldModel:
         arrays, derived from ``metric_exprs`` on first use (``None`` when opaque)."""
         if self.metric_exprs is None:
             return None
-        names = self.coordinate_names
-
-        def grad(exprs: np.ndarray) -> np.ndarray:  # [..., d] = d_d exprs[...]
-            out = np.array([[e.diff(x) for x in names] for e in exprs.flat], dtype=object)
-            return out.reshape(exprs.shape + (self.dim,))
-
-        g = np.array(self.metric_exprs, dtype=object)
-        g_inv = inverse_matrix(g)
-        gamma = _christoffel_from(g_inv, grad(g))
-        riem = _riemann_from(gamma, grad(gamma))
-        return {"g": g, "g_inv": g_inv, "gamma": gamma, "riemann": riem, "ricci": np.trace(riem, axis1=0, axis2=2)}
+        g, names = np.array(self.metric_exprs, dtype=object), self.coordinate_names
+        return _levels(g, inverse_matrix(g), lambda e, axis: e.diff(names[axis]))
 
     @cached_property
     def _fields(self) -> dict[str, np.ndarray]:
-        """Read-only component fields of every ``_derived`` level, shared by all
-        callers; for an opaque metric they wrap the finite-difference arrays
-        of every level but ``g``."""
-        out = {}
+        """Read-only component fields of every level of :func:`_levels`, shared
+        by all callers: the ``_derived`` expressions, with exact partials, or
+        for an opaque metric the same formulas on symmetric
+        :func:`from_callable` fields of ``metric_fn`` and of its inverse, so
+        finite differences act one level deep: every partial of every level
+        is built from single stencils of those two callables."""
         if self._derived is None:
-            for level, array_fn, rank in (
-                ("g_inv", inverse_metric, 2), ("gamma", christoffel, 3), ("riemann", riemann, 4), ("ricci", ricci, 2)
-            ):
-                out[level] = np.empty((self.dim,) * rank, dtype=object)
-                for idx in np.ndindex(out[level].shape):
-                    out[level][idx] = from_callable(self.dim, lambda x, _f=array_fn, _i=idx: _f(self, x)[_i])
+
+            def components(fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+                return tensor_from_fields(self.dim, 2, lambda idx: from_callable(self.dim, lambda x: fn(x)[idx])).comps
+
+            inverse = components(lambda x: np.linalg.inv(self.metric_fn(x)))
+            out = _levels(components(self.metric_fn), inverse, lambda f, axis: f.partial(axis))
         else:
-            for level, exprs in self._derived.items():
-                comps = np.array([from_expression(e, self.coordinate_names) for e in exprs.flat], dtype=object)
-                out[level] = comps.reshape(exprs.shape)
+            to_field = np.frompyfunc(lambda e: from_expression(e, self.coordinate_names), 1, 1)
+            out = {level: to_field(exprs) for level, exprs in self._derived.items()}
         for comps in out.values():
             comps.flags.writeable = False
         return out
@@ -161,7 +157,21 @@ class ManifoldModel:
 
 
 # ---------------------------------------------------------------------------
-# connection and curvature formulas, on float or expression arrays
+# connection and curvature formulas, on float, expression or field arrays
+
+
+def _levels(g: np.ndarray, g_inv: np.ndarray, partial: Callable[[object, int], object]) -> dict[str, np.ndarray]:
+    """The metric, its inverse, connection, curvature and Ricci tensor, keyed
+    ``g``, ``g_inv``, ``gamma``, ``riemann``, ``ricci``; the entries are
+    expressions or fields, and ``partial(entry, axis)`` differentiates one."""
+
+    def grad(arr: np.ndarray) -> np.ndarray:  # [..., d] = d_d arr[...]
+        out = np.array([[partial(e, axis) for axis in range(len(g))] for e in arr.flat], dtype=object)
+        return out.reshape(arr.shape + (len(g),))
+
+    gamma = _christoffel_from(g_inv, grad(g))
+    riem = _riemann_from(gamma, grad(gamma))
+    return {"g": g, "g_inv": g_inv, "gamma": gamma, "riemann": riem, "ricci": np.trace(riem, axis1=0, axis2=2)}
 
 
 def _christoffel_from(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
@@ -213,14 +223,13 @@ def metric(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
 
 
 def inverse_metric(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
-    if model._derived is not None:
-        return evaluate(model._fields["g_inv"], q).real
-    return np.linalg.inv(metric(model, q))
+    return evaluate(model._fields["g_inv"], q).real
 
 
 def inverse_metric_field(model: ManifoldModel) -> TensorField:
     """The inverse metric ``g^{ab}`` as a symmetric rank-2 tensor field: exact
-    partials for expression metrics, FD partials for an opaque ``metric_fn``."""
+    partials for expression metrics, and single finite-difference stencils of
+    the inverse of an opaque ``metric_fn``."""
     return tensor_from_fields(model.dim, 2, lambda idx: model._fields["g_inv"][idx])
 
 
@@ -231,64 +240,55 @@ def sqrt_g(model: ManifoldModel, q: np.ndarray) -> float:
 def christoffel(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
     """Christoffel symbols ``Gamma^c_{ab}`` indexed ``[c, a, b]``, at a chart
     point or at each row of an ``(N, dim)`` point array."""
-    q = np.asarray(q, dtype=float)
-    if model._derived is not None:
-        return evaluate(model._fields["gamma"], q).real
-    if q.ndim == 2:
-        return np.array([christoffel(model, x) for x in q])
-    g, dg = numdiff.jet(numdiff.pointwise(model.metric_fn), q, 1)  # dg[a, b, c] = d_c g_ab
-    return _christoffel_from(np.linalg.inv(g), dg)
+    return evaluate(model._fields["gamma"], q).real
 
 
 def riemann(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
     """Curvature tensor ``R^r_{s m n}`` indexed ``[r, s, m, n]``."""
-    q = np.asarray(q, dtype=float)
     if model.flat:
         return np.zeros((model.dim,) * 4)
-    if model._derived is not None:
-        return evaluate(model._fields["riemann"], q).real
-    gamma, dgamma = numdiff.jet(numdiff.pointwise(lambda x: christoffel(model, x)), q, 1)  # dgamma[c, a, b, d]
-    return _riemann_from(gamma, dgamma)
+    return evaluate(model._fields["riemann"], q).real
 
 
 def ricci(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
     """Ricci tensor ``Ric_{s n} = R^m_{s m n}``."""
-    q = np.asarray(q, dtype=float)
     if model.flat:
         return np.zeros((model.dim,) * 2)
-    if model._derived is not None:
-        return evaluate(model._fields["ricci"], q).real
-    return np.trace(riemann(model, q), axis1=0, axis2=2)
+    return evaluate(model._fields["ricci"], q).real
 
 
 def ricci_contraction(model: ManifoldModel, X: TensorField) -> TensorField:
-    """``Ric_{ab} X^{ab J}`` as a rank ``X.rank - 2`` field: exact Ricci fields
-    on expression metrics, FD-derived ones for an opaque ``metric_fn``."""
+    """``Ric_{ab} X^{ab J}`` as a rank ``X.rank - 2`` field, with partials as
+    exact as the model's Ricci fields (finite differences only at an opaque
+    ``metric_fn``, one level deep)."""
     if model.flat:
         return tensor_constant(model.dim, np.zeros((model.dim,) * (X.rank - 2)))
     return contract(X, model._fields["ricci"])
 
 
-def reciprocal_density_jet_fields(model: ManifoldModel, k: int) -> np.ndarray:
-    """Fields whose symmetrization is, at each ``q``, the third or fourth jet
-    of ``sqrt(g(q)) / sqrt(g(xi))`` in normal coordinates, chart axes (the
-    terms of :func:`sqrt_g_jet` at power -1 as fields, for covariant
-    divergences to act on): ``(1/2) nabla_c Ric_ab`` at ``k = 3``, and
-    ``(3/5) nabla_d nabla_c Ric_ab + (2/15) R^e_{afb} R^f_{ced} + (1/3) Ric_ab Ric_cd``
-    at ``k = 4``."""
+def density_jet_fields(model: ManifoldModel, k: int, power: float) -> np.ndarray:
+    """Fields whose symmetrization is, at each ``q``, the ``k``-th jet
+    (``k`` = 2, 3, 4) of the density power ``(sqrt g)**power`` in normal
+    coordinates at ``q``, chart axes.  This is the one source of density
+    jets: the image contracts them with coefficients (``power`` -1), and
+    :func:`sqrt_g_jet` evaluates them at a point.  With ``p = power``, from
+    the expansion of :func:`normal_metric_series`::
+
+        k = 2:  -(p/3) Ric_ab
+        k = 3:  -(p/2) nabla_c Ric_ab
+        k = 4:  -p ((3/5) nabla_d nabla_c Ric_ab + (2/15) R^e_{afb} R^f_{ced}) + (p^2/3) Ric_ab Ric_cd
+    """
+    if not 2 <= k <= 4:
+        raise UnsupportedOrderError(f"density jets are built for orders 2 to 4, got {k}")
     riem, *nabla_riem = covariant_derivative_levels(model, model._riemann_fields, 1, k - 2)
-    ric, span = model._fields["ricci"], range(model.dim)
-    out = np.empty((model.dim,) * k, dtype=object)
-    for a, b, *cd in np.ndindex(out.shape):
-        if k == 3:
-            out[(a, b, *cd)] = scale(add(*[nabla_riem[0][m, a, m, b, cd[0]] for m in span]), 0.5)
-        else:
-            c, d = cd
-            dd_ric = add(*[nabla_riem[1][m, a, m, b, c, d] for m in span])
-            quad = add(*[multiply(riem[e, a, f, b], riem[f, c, e, d]) for e in span for f in span])
-            ric_ric = multiply(ric[a, b], ric[c, d])
-            out[a, b, c, d] = add(scale(dd_ric, 0.6), scale(quad, 2.0 / 15.0), scale(ric_ric, 1.0 / 3.0))
-    return out
+    ric = model._fields["ricci"]
+    if k == 2:
+        return -power / 3.0 * ric
+    if k == 3:
+        return -power / 2.0 * np.trace(nabla_riem[0], axis1=0, axis2=2)
+    quad = np.tensordot(riem, riem, axes=([0, 2], [2, 0]))  # [a, b, c, d] = R^e_{afb} R^f_{ced}
+    dd_ric = np.trace(nabla_riem[1], axis1=0, axis2=2)
+    return -power * 0.6 * dd_ric + -power * 2.0 / 15.0 * quad + power * power / 3.0 * np.multiply.outer(ric, ric)
 
 
 def scalar_curvature(model: ManifoldModel, q: np.ndarray) -> float:
@@ -413,17 +413,6 @@ def normal_metric_series(model: ManifoldModel, q: np.ndarray, order: int) -> tay
     return taylor.Series(dim, order, 2, coeffs[: order + 1])
 
 
-def _power_sum(G: taylor.Series, coefficient: Callable[[int], float]) -> taylor.Series:
-    """``sum_n coefficient(n) A^n`` over the powers of ``A = G - 1`` that
-    survive truncation (``A`` starts at order 2)."""
-    A = taylor.add(G, taylor.constant(G.dim, G.order, -np.eye(G.dim)))
-    power, total = A, taylor.scale(A, coefficient(1))
-    for n in range(2, G.order // 2 + 1):
-        power = taylor.matmul(power, A)
-        total = taylor.add(total, taylor.scale(power, coefficient(n)))
-    return total
-
-
 def normal_christoffel_jets(model: ManifoldModel, q: np.ndarray, order: int) -> list[np.ndarray]:
     """Jets of the connection ``Gamma~^c_{ab}`` in normal coordinates at ``q``.
 
@@ -438,7 +427,14 @@ def normal_christoffel_jets(model: ManifoldModel, q: np.ndarray, order: int) -> 
     if order < 2:
         return jets
     G = normal_metric_series(model, q, order + 1)
-    g_inv = taylor.add(taylor.constant(dim, G.order, np.eye(dim)), _power_sum(G, lambda n: (-1.0) ** n))
+    # g^{-1} = 1 + sum_n (-A)^n over the powers of A = G - 1 that survive
+    # truncation (A starts at order 2)
+    A = taylor.add(G, taylor.constant(dim, G.order, -np.eye(dim)))
+    power, total = A, taylor.scale(A, -1.0)
+    for n in range(2, G.order // 2 + 1):
+        power = taylor.matmul(power, A)
+        total = taylor.add(total, taylor.scale(power, (-1.0) ** n))
+    g_inv = taylor.add(taylor.constant(dim, G.order, np.eye(dim)), total)
     # [d, a, b] = Gamma_{dab} from [a, b, e] = d_e g_ab
     lower = [0.5 * (c.swapaxes(1, 2) + c - np.moveaxis(c, 2, 0)) for c in taylor.derivative(G, 2).coeffs]
     return jets + taylor.matmul(g_inv, taylor.from_jets(dim, lower)).coeffs[2:]
@@ -460,13 +456,13 @@ def sqrt_g_jet(
     """Jets at 0 of a power ``(sqrt(det g))**power`` of the normal-coordinate
     volume density, derivative axes in the orthonormal frame.
 
-    This is the one source of density jets: the pairing uses ``power`` 1 and
-    -1/2, the image's jet corrections use -1.  ``method``:
+    The pairing uses ``power`` 1 and -1/2, the image's jet corrections -1.
+    ``method``:
 
-    * ``"curvature"`` - from the curvature: value 1, vanishing gradient,
-      Hessian ``-(power/3) Ric``, and the jets of orders 3 and 4 from
-      ``exp((power/2) tr log g)`` on :func:`normal_metric_series`.  On flat
-      models every jet beyond the value vanishes, at any order.
+    * ``"curvature"`` - value 1, vanishing gradient, and each higher jet the
+      symmetrized frame components of :func:`density_jet_fields` at ``q``, the
+      same fields the image contracts.  On flat models every jet beyond the
+      value vanishes, at any order.
     * ``"numeric"`` - finite-difference jets of the pulled-back density, the
       independent reference that checks compare the curvature form with.
     """
@@ -486,15 +482,11 @@ def sqrt_g_jet(
         return numdiff.jet(density, np.zeros(dim), max_order)
     if model.flat:
         return [np.ones(()) if k == 0 else np.zeros((dim,) * k) for k in range(max_order + 1)]
-    jets = [np.ones(()), np.zeros((dim,)), -power * ricci_in_frame(model, q) / 3.0]
-    if max_order > 2:
-        log_g = _power_sum(normal_metric_series(model, q, max_order), lambda n: (-1.0) ** (n + 1) / n)
-        exponent = taylor.scale(taylor.trace(log_g, 0, 1), power / 2.0)
-        term = density = taylor.constant(dim, max_order, np.ones(()))
-        for n in range(1, max_order // 2 + 1):
-            term = taylor.scale(taylor.mul(term, exponent), 1.0 / n)
-            density = taylor.add(density, term)
-        jets += density.coeffs[3:]
+    E = normal_frame(model, q)
+    jets = [np.ones(()), np.zeros((dim,))]
+    for k in range(2, max_order + 1):
+        values = evaluate(density_jet_fields(model, k, power), q).real
+        jets.append(numdiff.symmetrize(frame_components(values, E, 0)))
     return jets[: max_order + 1]
 
 

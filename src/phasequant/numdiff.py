@@ -45,18 +45,14 @@ _CENTRAL_STENCILS: dict[int, tuple[tuple[int, ...], tuple[float, ...]]] = {
 }
 
 
-def _stencil(orders: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+@functools.lru_cache(maxsize=None)
+def _stencil_table(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Tensor-product stencil for a mixed partial of per-axis ``orders``.
 
     Returns integer offset vectors of shape (#nodes, d) and weights such that
     sum_i w_i f(x + h*offset_i) / h^total approximates the mixed partial.
     Tables are built once per ``orders`` and shared read-only.
     """
-    return _stencil_table(tuple(orders))
-
-
-@functools.lru_cache(maxsize=None)
-def _stencil_table(orders: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     per_axis = [_CENTRAL_STENCILS[m] for m in orders]
     offsets = []
     weights = []
@@ -116,7 +112,7 @@ def partials(
             starts.append([(count, None)])
             count += 1
             continue
-        offsets = _stencil(orders)[0]
+        offsets = _stencil_table(orders)[0]
         starts.append([])
         for lvl in range(LEVELS + 1):
             h = step / 2**lvl
@@ -130,7 +126,7 @@ def partials(
         if not any(orders):
             result = values[:, levels[0][0]]
         else:
-            weights, total = _stencil(orders)[1], int(sum(orders))
+            weights, total = _stencil_table(orders)[1], int(sum(orders))
             samples = []
             for first, h in levels:
                 acc = None

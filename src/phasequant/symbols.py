@@ -130,7 +130,7 @@ def merge_terms(dim: int, *sources: dict[int, TensorField]) -> dict[int, TensorF
     return {d: (ts[0] if len(ts) == 1 else tensor_add(*ts)) for d, ts in buckets.items()}
 
 
-#: Nodes of the coarse quadrature in :func:`operator_matrix`; the fine one doubles them.
+#: Nodes of the coarse quadrature in :func:`operator_matrix`, or ``4 K`` if more; the fine one doubles them.
 QUADRATURE_NODES = 192
 #: Largest coarse/fine entry difference :func:`operator_matrix` accepts.
 QUADRATURE_TOLERANCE = 1e-8
@@ -172,8 +172,9 @@ def operator_matrix(model: ManifoldModel, D: CovariantOperator, basis, K: int) -
                     dphi[row] += cvals * on_grid(level[order][key])
         return np.einsum("i,ji,ki->jk", weights * vol, phi.conj(), dphi)
 
-    coarse = assemble(QUADRATURE_NODES)
-    fine = assemble(2 * QUADRATURE_NODES)
+    nodes = max(QUADRATURE_NODES, 4 * K)  # the basis functions oscillate faster as K grows
+    coarse = assemble(nodes)
+    fine = assemble(2 * nodes)
     err = float(np.max(np.abs(fine - coarse)))
     if err > QUADRATURE_TOLERANCE:
         raise QuadratureAccuracyError(err, QUADRATURE_TOLERANCE)

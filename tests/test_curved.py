@@ -279,26 +279,41 @@ def test_flat_polar_pairing_is_exact_at_third_order():
         assert abs(curved.dequantize_curved(model, D, P0, q) - f.evaluate(P0, q)) <= 1e-12
 
 
-def test_density_jet_fields_match_the_series_jets():
-    # The image contracts exact fields of q; the pairing reads the series at
-    # one point.  Both are the reciprocal density jet, with chart axes.
-    E = geometry.normal_frame(UNIT_SPHERE, Q0)
-    jets = geometry.sqrt_g_jet(UNIT_SPHERE, Q0, 4, power=-1.0)
-    for k in (3, 4):
-        weights = geometry.reciprocal_density_jet_fields(UNIT_SPHERE, k)
-        values = np.array([w(Q0) for w in weights.flat]).reshape(weights.shape).real
-        chart = numdiff.symmetrize(values)
-        for _ in range(k):
-            chart = np.tensordot(chart, E, axes=([0], [0]))
-        np.testing.assert_allclose(chart, jets[k], rtol=0, atol=1e-12)
+def opaque_unit_sphere():
+    return geometry.ManifoldModel(
+        name="sphere-opaque", dim=2, coords=UNIT_SPHERE.coords, metric_fn=UNIT_SPHERE.metric_fn
+    )
+
+
+def dequantized_cos_theta(model, degree):
+    return curved.dequantize_curved(model, curved.wue_weyl_image(model, cos_theta_symbol(model, degree)), P0, Q0)
 
 
 def test_opaque_metric_takes_the_same_path_with_finite_difference_curvature():
-    opaque = geometry.ManifoldModel(
-        name="sphere-opaque", dim=2, coords=UNIT_SPHERE.coords, metric_fn=UNIT_SPHERE.metric_fn
-    )
-    exact, numeric = (
-        curved.dequantize_curved(model, curved.wue_weyl_image(model, cos_theta_symbol(model, 3)), P0, Q0)
-        for model in (UNIT_SPHERE, opaque)
-    )
+    exact, numeric = (dequantized_cos_theta(model, 3) for model in (UNIT_SPHERE, opaque_unit_sphere()))
     assert abs(numeric - exact) <= 1e-8
+
+
+def test_opaque_metric_takes_finite_differences_one_level_deep(monkeypatch):
+    # Every partial of the opaque model's connection and curvature fields is
+    # a sum of products of single stencils of metric_fn; a finite difference
+    # taken of finite-difference values would nest calls of numdiff.partials.
+    depth = [0, 0]  # current, deepest
+    partials = numdiff.partials
+
+    def counted(*args, **kwargs):
+        depth[0] += 1
+        depth[1] = max(depth)
+        try:
+            return partials(*args, **kwargs)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(numdiff, "partials", counted)
+    dequantized_cos_theta(opaque_unit_sphere(), 3)
+    assert depth[1] == 1
+
+
+def test_opaque_metric_degree_four_pairing_matches_the_exact_one():
+    exact, numeric = (dequantized_cos_theta(model, 4) for model in (UNIT_SPHERE, opaque_unit_sphere()))
+    assert abs(numeric - exact) <= 2e-7

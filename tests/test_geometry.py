@@ -252,9 +252,9 @@ def test_connection_jets_vanish_along_rays():
 
 def test_normal_coordinate_series_match_integrated_geodesics():
     # An oracle independent of the curvature expansion: geodesics and their
-    # Jacobians from q are integrated to 1e-13, the metric, the density and a
-    # tensor are pulled back to normal coordinates, and their Taylor
-    # coefficients along rays are read off polynomial fits.
+    # Jacobians from q are integrated to 1e-13, the metric, three powers of
+    # the density and a tensor are pulled back to normal coordinates, and
+    # their Taylor coefficients along rays are read off polynomial fits.
     from numpy.polynomial import chebyshev
     from scipy.integrate import solve_ivp
 
@@ -272,7 +272,8 @@ def test_normal_coordinate_series_match_integrated_geodesics():
     entries = {(0, 0): "cos(theta)", (0, 1): "0.3*sin(phi)", (1, 1): "1 + phi"}
     X = tensor_from_fields(2, 2, lambda idx: from_expression(entries[idx], TORUS_NAMES))
     metric_series = geometry.normal_metric_series(TORUS, q, 4)
-    density = geometry.sqrt_g_jet(TORUS, q, 4, power=-0.5)
+    powers = (-0.5, 1.0, -1.0)
+    density = [geometry.sqrt_g_jet(TORUS, q, 4, power=power) for power in powers]
     coeff = curved._coeff_jets(TORUS, q, X, 4, geometry.normal_christoffel_jets(TORUS, q, 3))
     half = 0.35
     nodes = half * np.cos(np.pi * (np.arange(21) + 0.5) / 21)
@@ -286,15 +287,16 @@ def test_normal_coordinate_series_match_integrated_geodesics():
             g = J.T @ geometry.metric(TORUS, y[:2]) @ J
             Ji = np.linalg.inv(J)
             pulled = Ji @ X.evaluate(y[:2]).real @ Ji.T
-            samples.append(np.concatenate([g.ravel(), [np.linalg.det(g) ** -0.25], pulled.ravel()]))
+            densities = [np.linalg.det(g) ** (power / 2.0) for power in powers]
+            samples.append(np.concatenate([g.ravel(), densities, pulled.ravel()]))
         fits = chebyshev.chebfit(nodes / half, np.array(samples), 14)
         poly = np.array([np.pad(chebyshev.cheb2poly(fits[:, i]), (0, 4))[:5] for i in range(fits.shape[1])])
         for k in range(5):
-            along = [metric_series.coeffs[k], density[k], coeff[k]]
+            along = [metric_series.coeffs[k], *[jets[k] for jets in density], coeff[k]]
             for _ in range(k):
                 along = [a @ u for a in along]
             got = math.factorial(k) * poly[:, k] / half**k
-            want = np.concatenate([along[0].ravel(), [along[1]], along[2].real.ravel()])
+            want = np.concatenate([along[0].ravel(), along[1:4], along[4].real.ravel()])
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
 
 
@@ -482,8 +484,8 @@ def test_manifold_model_needs_a_metric():
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_connection_and_curvature_formulas_match_loop_reference(rng, dim):
-    # The opaque-metric path feeds finite-difference arrays to the same
-    # vectorized formulas the expression path uses; check them against loops.
+    # Expression arrays, and the field arrays of an opaque metric, go through
+    # these vectorized formulas; check them against loops on float arrays.
     g_inv, dg = rng.normal(size=(dim, dim)), rng.normal(size=(dim,) * 3)
     gamma, dgamma = rng.normal(size=(dim,) * 3), rng.normal(size=(dim,) * 4)
     gamma_want = np.zeros((dim,) * 3)

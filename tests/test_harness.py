@@ -392,6 +392,14 @@ def test_cli_run_overflowing_hbar_exit_code(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_orderings_passes_at_large_truncation(tmp_path, capsys):
+    # a fixed 192-node coarse rule no longer resolves the K = 64 Hermite basis
+    config_path = tmp_path / "orderings.json"
+    config_path.write_text(json.dumps({"experiment": "orderings", "truncation_K": 64}))
+    assert run_cli("run", "--config", str(config_path), "--out", str(tmp_path / "out")) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
+
+
 def test_cli_run_missing_file(tmp_path, capsys):
     assert run_cli("run", "--config", str(tmp_path / "absent.json")) == 2
     assert "error:" in capsys.readouterr().err

@@ -113,8 +113,8 @@ def test_symmetrize_partial_axes(rng):
 
 
 def test_stencil_tables_are_shared_and_read_only():
-    offsets, weights = numdiff._stencil([1, 2])
-    again = numdiff._stencil((1, 2))
+    offsets, weights = numdiff._stencil_table((1, 2))
+    again = numdiff._stencil_table((1, 2))
     assert again[0] is offsets and again[1] is weights
     assert not offsets.flags.writeable and not weights.flags.writeable
     assert offsets.shape == (6, 2) and weights.sum() == 0.0
