@@ -34,6 +34,9 @@ class FourierBasis:
     def fields(self, K: int) -> list[ScalarField]:
         return [fourier_mode(k) for k in self.indices(K)]
 
+    def resolving_nodes(self, K: int) -> int:
+        return 3 * K  # trapezoid-exact below frequency 3K: 2K from the modes, K for the coefficient
+
     def quadrature(self, nodes: int, K: int) -> tuple[np.ndarray, np.ndarray]:
         theta = -math.pi + 2.0 * math.pi * np.arange(nodes) / nodes
         weights = np.full(nodes, 2.0 * math.pi / nodes)
@@ -69,6 +72,9 @@ class HermiteBasis:
 
     def fields(self, K: int) -> list[ScalarField]:
         return [hermite_function(k, self.hbar) for k in range(K + 1)]
+
+    def resolving_nodes(self, K: int) -> int:
+        return 4 * K  # h_K has K zeros, in a window that widens with K
 
     def quadrature(self, nodes: int, K: int) -> tuple[np.ndarray, np.ndarray]:
         # Gauss-Legendre on a window past the turning point sqrt((2K + 1) hbar)

@@ -1,11 +1,11 @@
 """Phase-space quantizer on the cylinder (momentum line times a circle).
 
-The quantizer matrix in the Fourier basis is built from the cosine
-transform of a squared cutoff profile; its trace and its pairing with
-operator matrices realize the quantization/dequantization checks on the
-cylinder.  Because the cutoff is identically one on an inner plateau and
-supported strictly inside the fundamental angular domain, every full
-Fourier-index sum collapses onto the plateau (a Poisson-summation
+Every quantizer here is one kernel, ``(1/pi) e^{i(k'-k) theta} I(k + k' -
+2p/hbar)`` in the Fourier basis (:func:`_kernel`), ``I`` the cosine transform
+of a squared cutoff profile; smeared pair traces share one double sum
+(:func:`_smeared_sum`).  Because the cutoff is identically one on an inner
+plateau and supported strictly inside the fundamental angular domain, every
+full Fourier-index sum collapses onto the plateau (a Poisson-summation
 identity); `polynomial_reproduction_check` uses that collapse to complete
 the truncated trace, while the pair-trace diagnostics deliberately keep
 the raw truncated sums whose failure to approximate a delta pair is the
@@ -16,9 +16,9 @@ closed form; the smooth transition from plateau to support is integrated by
 one Gauss-Legendre rule for all frequencies at once, a nodes x frequencies
 cosine matrix (see :class:`CutoffFamily`).
 
-The discrete quantizer at momentum ``n * hbar`` is the closed-form limit
-of the continuous one along a mollifier ladder of cutoffs shrinking onto
-the indicator of ``[-pi/2, pi/2]``.
+The discrete quantizer at momentum ``n * hbar``, the kernel of the closed-form
+indicator transform (:func:`_discrete_transform`), is the limit of the
+continuous one along mollifiers shrinking onto the indicator of [-pi/2, pi/2].
 """
 
 from __future__ import annotations
@@ -194,17 +194,20 @@ def __getattr__(name: str):
 # continuous quantizer
 
 
+def _kernel(ivals: np.ndarray, theta: float, K: int) -> np.ndarray:
+    """``(1/pi) e^{i(k'-k) theta} I(k + k')``, |k|,|k'| <= K, from ``ivals = I(-2K..2K)``."""
+    ks = np.arange(-K, K + 1)
+    hankel = ivals[(ks[:, None] + ks[None, :]) + 2 * K]
+    phase = np.exp(1j * ks * theta)
+    return np.outer(np.conj(phase), phase) * hankel / math.pi
+
+
 def quantizer_matrix_cyl(
     p: float, theta: float, chi: CutoffFamily, K: int, hbar: float = 1.0
 ) -> np.ndarray:
     """Quantizer matrix ``(1/pi) e^{i(k'-k) theta} I(k + k' - 2p/hbar)``, |k|,|k'| <= K."""
     _check_truncation(K)
-    c = 2.0 * p / hbar
-    ks = np.arange(-K, K + 1)
-    ivals = chi.transform(np.arange(-2 * K, 2 * K + 1) - c)
-    hankel = ivals[(ks[:, None] + ks[None, :]) + 2 * K]
-    phase = np.exp(1j * ks * theta)
-    return np.outer(np.conj(phase), phase) * hankel / math.pi
+    return _kernel(chi.transform(np.arange(-2 * K, 2 * K + 1) - 2.0 * p / hbar), theta, K)
 
 
 def quantizer_trace_cyl(p: float, theta: float, chi: CutoffFamily, K: int, hbar: float = 1.0) -> float:
@@ -291,6 +294,14 @@ def _fourier_coefficients(t: Callable[[np.ndarray], np.ndarray], mmax: int, node
     return phases @ np.asarray(t(grid), dtype=complex) / nodes
 
 
+def _smeared_sum(ivals: np.ndarray, jvals: np.ndarray, tcoef: np.ndarray, theta: float, K: int) -> complex:
+    """``sum_{k,k'} e^{i(k'-k) theta} I(k + k') J(k + k') t_{k'-k}``, each from its values at ``-2K..2K``."""
+    ks = np.arange(-K, K + 1)
+    ksum = ks[:, None] + ks[None, :] + 2 * K
+    kdiff = ks[None, :] - ks[:, None]
+    return np.sum(np.exp(1j * kdiff * theta) * ivals[ksum] * jvals[ksum] * tcoef[kdiff + 2 * K])
+
+
 def pair_trace_smeared_cyl(
     p: float,
     theta: float,
@@ -312,28 +323,16 @@ def pair_trace_smeared_cyl(
     transform; the angle integral picks Fourier coefficients of ``t``.
     """
     _check_truncation(K)
-    c = 2.0 * p / hbar
-    cc = 2.0 * p_center / hbar
-    ks = np.arange(-K, K + 1)
-
     amplitude = p_width * math.sqrt(2.0 * math.pi)
 
     def envelope(xi: np.ndarray) -> np.ndarray:
         return amplitude * np.exp(-2.0 * (p_width * xi / hbar) ** 2)
 
     us = np.arange(-2 * K, 2 * K + 1)
-    ivals = chi.transform(us - c)
-    wvals = chi.weighted_transform(us - cc, envelope)
+    ivals = chi.transform(us - 2.0 * p / hbar)
+    wvals = chi.weighted_transform(us - 2.0 * p_center / hbar, envelope)
     tcoef = _fourier_coefficients(periodic_test_function(theta_center, theta_width), 2 * K)
-
-    ksum = ks[:, None] + ks[None, :]
-    kdiff = ks[None, :] - ks[:, None]
-    total = np.sum(
-        np.exp(1j * kdiff * theta)
-        * ivals[ksum + 2 * K]
-        * wvals[ksum + 2 * K]
-        * tcoef[kdiff + 2 * K]
-    )
+    total = _smeared_sum(ivals, wvals, tcoef, theta, K)
     return complex(total * 2.0 * math.pi / (2.0 * math.pi * hbar * math.pi**2))
 
 
@@ -356,10 +355,7 @@ def discrete_quantizer(n: int, theta: float, K: int) -> np.ndarray:
     _check_truncation(K)
     if not isinstance(n, (int, np.integer)):
         raise ConfigError(f"discrete mode requires an integer momentum index, got {n!r}")
-    ks = np.arange(-K, K + 1)
-    hankel = _discrete_transform((ks[:, None] + ks[None, :] - 2 * n).astype(float))
-    phase = np.exp(1j * ks * theta)
-    return np.outer(np.conj(phase), phase) * hankel / math.pi
+    return _kernel(_discrete_transform(np.arange(-2 * K, 2 * K + 1) - 2 * n), theta, K)
 
 
 def discrete_limit_check(n: int, theta: float, K: int) -> np.ndarray:
@@ -398,12 +394,9 @@ def discrete_pair_trace_smeared(
     ``theta``; for ``n != n2`` it decays with K.
     """
     _check_truncation(K)
-    ks = np.arange(-K, K + 1)
-    iv1 = _discrete_transform((ks[:, None] + ks[None, :] - 2 * n).astype(float))
-    iv2 = _discrete_transform((ks[:, None] + ks[None, :] - 2 * n2).astype(float))
+    us = np.arange(-2 * K, 2 * K + 1)
     tcoef = _fourier_coefficients(t, 2 * K)
-    kdiff = ks[None, :] - ks[:, None]
-    total = np.sum(np.exp(1j * kdiff * theta) * iv1 * iv2 * tcoef[kdiff + 2 * K])
+    total = _smeared_sum(_discrete_transform(us - 2 * n), _discrete_transform(us - 2 * n2), tcoef, theta, K)
     return complex(total * 2.0 * math.pi / math.pi**2)
 
 
@@ -424,9 +417,11 @@ def discrete_quantize(
     if N < 0:
         raise ConfigError(f"momentum cap must be >= 0, got {N}")
     M = max(4 * K + 4, 64)
-    grid = -math.pi + 2.0 * math.pi * np.arange(M) / M
+    grid, phases = _fourier_rule(2 * K, M)
     ks = np.arange(-K, K + 1)
+    ksum = ks[:, None] + ks[None, :] + 2 * K + 2 * N  # I(k + k' - 2n) sits at ksum - 2n
     kdiff = ks[None, :] - ks[:, None]
+    table = _discrete_transform(np.arange(-2 * K - 2 * N, 2 * K + 2 * N + 1))
 
     samples = np.array([[complex(f(n * hbar, th)) for th in grid] for n in range(-N, N + 1)])
     peak = float(np.max(np.abs(samples)))
@@ -442,10 +437,8 @@ def discrete_quantize(
             stacklevel=2,
         )
 
-    phases = np.exp(-1j * np.outer(np.arange(-2 * K, 2 * K + 1), grid))
     out = np.zeros((2 * K + 1, 2 * K + 1), dtype=complex)
     for row, n in enumerate(range(-N, N + 1)):
         coeffs = phases @ samples[row] / M
-        hankel = _discrete_transform((ks[:, None] + ks[None, :] - 2 * n).astype(float))
-        out += hankel * coeffs[-kdiff + 2 * K]
+        out += table[ksum - 2 * n] * coeffs[-kdiff + 2 * K]
     return out / math.pi

@@ -7,7 +7,7 @@ component arrays.  Built-in models give the metric as expressions, so these
 levels and all their partial derivatives are exact to round-off.  A model
 given by an opaque ``metric_fn`` gets the same formulas on fields of
 ``metric_fn`` and of its inverse: finite differences apply only one level
-deep, at the callable (and Runge-Kutta geodesics stand in for an ``exp_fn``).
+deep, at the callable.
 
 Covariant derivatives of component fields come from one builder,
 :func:`covariant_derivative_fields`, which the divergence reuses; the levels
@@ -19,9 +19,9 @@ connection jets (:func:`normal_metric_series`, :func:`normal_christoffel_jets`)
 and, as fields of the base point, the density jets
 (:func:`density_jet_fields`): the image contracts those fields and
 :func:`sqrt_g_jet` evaluates them at a point, so density jets have one
-source.  Geodesics and finite-difference jets of the pulled-back density
-(``sqrt_g_jet(method="numeric")``, :func:`pullback_jet`) remain as
-independent references for checks.
+source.  Closed-form geodesics (a model's ``exp_fn``) and finite-difference
+jets of pulled-back functions (``sqrt_g_jet(method="numeric")``,
+:func:`pullback_jet`) remain as independent references for checks.
 
 Conventions:
 
@@ -61,8 +61,6 @@ from .fields import (
 
 # Safety margin (in chart units) kept away from open chart boundaries.
 CHART_MARGIN = 0.1
-# RK4 stages of a numerically integrated geodesic (models without ``exp_fn``).
-GEODESIC_STEPS = 128
 
 
 @dataclass(frozen=True)
@@ -83,10 +81,10 @@ class ManifoldModel:
     the coordinate names (``metric_fn`` is then built from it and also takes
     an ``(N, dim)`` point array), or by an opaque ``metric_fn`` of one point
     alone, whose connection and curvature take finite differences of it.
-    ``exp_fn(q, v)`` maps a chart tangent vector at ``q`` to the geodesic
-    endpoint, or an ``(N, dim)`` stack of them to ``(N, dim)`` endpoints, and
-    must be continuous in ``v`` near the chart point (periodic coordinates
-    unwrap rather than jump).
+    ``exp_fn(q, v)``, a model's closed-form geodesics, maps a chart tangent
+    vector at ``q`` to the geodesic endpoint, or an ``(N, dim)`` stack of
+    them to ``(N, dim)`` endpoints, and must be continuous in ``v`` near the
+    chart point (periodic coordinates unwrap rather than jump).
     """
 
     name: str
@@ -300,34 +298,14 @@ def scalar_curvature(model: ManifoldModel, q: np.ndarray) -> float:
 
 
 def exp_map(model: ManifoldModel, q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Geodesic endpoint ``exp_q(v)`` in chart coordinates; ``v`` is one
-    tangent vector or an ``(N, dim)`` stack of them, giving ``(N, dim)``
-    endpoints equal to those of single calls.
-
-    Uses the model's closed form when available, otherwise integrates the
-    geodesic equation with classical RK4 in :data:`GEODESIC_STEPS` stages,
-    every vector of a stack stepped together.
+    """Geodesic endpoint ``exp_q(v)`` in chart coordinates from the model's
+    closed form; ``v`` is one tangent vector or an ``(N, dim)`` stack of them,
+    giving ``(N, dim)`` endpoints equal to those of single calls.  A model
+    without ``exp_fn`` raises :class:`ConfigError`.
     """
-    q = np.asarray(q, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if model.exp_fn is not None:
-        return np.asarray(model.exp_fn(q, v), dtype=float)
-
-    def rhs(state: np.ndarray) -> np.ndarray:
-        x, u = state[..., : model.dim], state[..., model.dim :]
-        gamma = christoffel(model, x)
-        acc = -np.einsum("...cab,...a,...b->...c", gamma, u, u)
-        return np.concatenate([u, acc], axis=-1)
-
-    state = np.concatenate([np.broadcast_to(q, v.shape), v], axis=-1)
-    h = 1.0 / GEODESIC_STEPS
-    for _ in range(GEODESIC_STEPS):
-        k1 = rhs(state)
-        k2 = rhs(state + 0.5 * h * k1)
-        k3 = rhs(state + 0.5 * h * k2)
-        k4 = rhs(state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return state[..., : model.dim]
+    if model.exp_fn is None:
+        raise ConfigError(f"manifold {model.name!r} has no closed-form geodesics")
+    return np.asarray(model.exp_fn(np.asarray(q, dtype=float), np.asarray(v, dtype=float)), dtype=float)
 
 
 def exp_jacobian(model: ManifoldModel, q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -503,8 +481,8 @@ def _covariant_derivative_terms(
     ``idx`` lists the existing indices (``upper`` contravariant ones first)
     followed by the new covariant index: the coordinate partial, then one
     connection term per dummy index and slot (``gamma`` is ``None`` on a
-    connection-free chart).  The term order is part of the result: finite
-    differences taken of these fields amplify a changed rounding of the sum.
+    connection-free chart).  The term order fixes the rounding of the sum,
+    so changing it moves report values in their last bits.
     """
     rest, e = idx[:-1], idx[-1]
     terms = [comps[rest].partial(e)]

@@ -454,15 +454,27 @@ def _polynomial_field(rng: np.random.Generator, var: str):
     return from_expression(source, (var,))
 
 
-def _random_flat_symbol(rng: np.random.Generator, max_degree: int = 3) -> MomentumPolynomial:
+def _random_flat_symbol(rng: np.random.Generator) -> MomentumPolynomial:
     terms = {}
-    for degree in range(max_degree + 1):
+    for degree in range(4):
         field = _polynomial_field(rng, "x")
-        if degree == 0:
-            terms[degree] = tensor_scalar(field)
-        else:
-            terms[degree] = tensor_from_fields(1, degree, lambda idx, f=field: f)
+        terms[degree] = tensor_from_fields(1, degree, lambda idx, f=field: f)
     return MomentumPolynomial(1, terms)
+
+
+def _round_trip_residual(rng: np.random.Generator, schemes: list[OrderingScheme], count: int, hbar: float) -> float:
+    """Worst ``|dequantize(quantize(f)) - f|`` over ``count`` random flat symbols, cycling through ``schemes``."""
+    model = geometry.euclidean_space(1)
+    worst = 0.0
+    for i in range(count):
+        f = _random_flat_symbol(rng)
+        scheme = schemes[i % len(schemes)]
+        D = flat_weyl.a_image_flat(scheme, f, model, hbar)
+        p = rng.uniform(-1.0, 1.0, size=1)
+        x = rng.uniform(-1.0, 1.0, size=1)
+        recovered = flat_weyl.dequantize_flat(scheme, D, p, x, hbar, model)
+        worst = max(worst, abs(recovered - f.evaluate(p, x)))
+    return worst
 
 
 def _operator_difference(first, second, points) -> float:
@@ -536,25 +548,12 @@ def _run_flat_axioms(cfg: ExperimentConfig, out: _Checks) -> None:
     reference = flat_weyl.gaussian_pair_integral(g1, g2) / (2.0 * math.pi * hbar)
     out.add("weak-form-pairing", traced, reference, 1e-2, "PAPER Eq 2.6", mode="rel")
 
-    def round_trips():
-        model = geometry.euclidean_space(1)
-        schemes = [
-            ordering_scheme("weyl"),
-            ordering_scheme("standard"),
-            OrderingScheme((1.0, 0.25, -0.125, 1.0 / 48.0, 0.0), name="real-demo"),
-        ]
-        worst = 0.0
-        for i in range(20):
-            f = _random_flat_symbol(rng)
-            scheme = schemes[i % len(schemes)]
-            D = flat_weyl.a_image_flat(scheme, f, model, hbar)
-            p = rng.uniform(-1.0, 1.0, size=1)
-            x = rng.uniform(-1.0, 1.0, size=1)
-            recovered = flat_weyl.dequantize_flat(scheme, D, p, x, hbar, model)
-            worst = max(worst, abs(recovered - f.evaluate(p, x)))
-        return worst
-
-    out.add("round-trip-residual", round_trips(), 0.0, 1e-12, "PAPER Eq 2.13")
+    schemes = [
+        ordering_scheme("weyl"),
+        ordering_scheme("standard"),
+        OrderingScheme((1.0, 0.25, -0.125, 1.0 / 48.0, 0.0), name="real-demo"),
+    ]
+    out.add("round-trip-residual", _round_trip_residual(rng, schemes, 20, hbar), 0.0, 1e-12, "PAPER Eq 2.13")
 
 
 def _run_orderings(cfg: ExperimentConfig, out: _Checks) -> None:
@@ -576,12 +575,7 @@ def _run_orderings(cfg: ExperimentConfig, out: _Checks) -> None:
         worst = 0.0
         for degree in range(4):
             field = _polynomial_field(rng, "x")
-            tensor = (
-                tensor_scalar(field)
-                if degree == 0
-                else tensor_from_fields(1, degree, lambda idx, f=field: f)
-            )
-            f = MomentumPolynomial(1, {degree: tensor})
+            f = MomentumPolynomial(1, {degree: tensor_from_fields(1, degree, lambda idx: field)})
             direct = curved.wue_standard_image(model, f, hbar)
             through = flat_weyl.a_image_flat(ordering_scheme("standard"), f, model, hbar)
             worst = max(worst, _operator_difference(direct, through, probes))
@@ -589,19 +583,8 @@ def _run_orderings(cfg: ExperimentConfig, out: _Checks) -> None:
 
     out.add("standard-preset-image", standard_image(), 0.0, 1e-13, "PAPER Eq 2.22")
 
-    def configured_roundtrip():
-        scheme = ordering_scheme(cfg.ordering, hbar)
-        worst = 0.0
-        for _ in range(5):
-            f = _random_flat_symbol(rng)
-            D = flat_weyl.a_image_flat(scheme, f, model, hbar)
-            p = rng.uniform(-1.0, 1.0, size=1)
-            x = rng.uniform(-1.0, 1.0, size=1)
-            recovered = flat_weyl.dequantize_flat(scheme, D, p, x, hbar, model)
-            worst = max(worst, abs(recovered - f.evaluate(p, x)))
-        return worst
-
-    out.add("configured-ordering-roundtrip", configured_roundtrip(), 0.0, 1e-12, "PAPER Eq 2.15")
+    configured = _round_trip_residual(rng, [ordering_scheme(cfg.ordering, hbar)], 5, hbar)
+    out.add("configured-ordering-roundtrip", configured, 0.0, 1e-12, "PAPER Eq 2.15")
 
     scheme = OrderingScheme((1.0, 0.35, -0.15, 0.05, 0.0), name="real-demo")
     X = from_expression("0.4 + 0.9*x + 0.25*x**2", ("x",))

@@ -98,9 +98,11 @@ def partials(
     tuple of per-axis derivative counts (all zeros give the value itself).
 
     ``f`` is called once, on the nodes of every requested stencil at every
-    Richardson level; each partial is then the weighted sum of its node
-    values in stencil order, divided by ``h**order``, per level.  ``f`` may
-    return scalars or arrays per point; derivatives apply elementwise.
+    Richardson level; where the stencils of a point share nodes, on each
+    bit-distinct node once, in order of first appearance.  Each partial is
+    then the weighted sum of its node values in stencil order, divided by
+    ``h**order``, per level.  ``f`` may return scalars or arrays per point;
+    derivatives apply elementwise.
     """
     x = np.asarray(x, dtype=float)
     stack = np.atleast_2d(x)
@@ -119,7 +121,14 @@ def partials(
             nodes.append(stack[:, None, :] + h * offsets)
             starts[-1].append((count, h))
             count += len(offsets)
-    values = np.asarray(f(np.concatenate(nodes, axis=1).reshape(-1, stack.shape[1])))
+    nodes = np.concatenate(nodes, axis=1).reshape(-1, stack.shape[1])
+    if len({node.tobytes() for node in nodes[:count]}) == count:  # the stencils at a point share no node
+        values = np.asarray(f(nodes))
+    else:  # compare bytes: -0.0 is not 0.0
+        first: dict[bytes, int] = {}  # each distinct node's first row
+        rows = [first.setdefault(node.tobytes(), i) for i, node in enumerate(nodes)]
+        distinct = list(first.values())
+        values = np.asarray(f(nodes[distinct]))[np.searchsorted(distinct, rows)]
     values = values.reshape((len(stack), count) + values.shape[1:])
     out = []
     for orders, levels in zip(requests, starts):

@@ -87,10 +87,6 @@ class MomentumPolynomial:
         self.dim = dim
         self.terms = _check_terms(dim, terms, "symbol")
 
-    @property
-    def max_degree(self) -> int:
-        return max(self.terms, default=0)
-
     def evaluate(self, p: np.ndarray, q: np.ndarray) -> complex | np.ndarray:
         """The value at one phase-space point, or at each row of ``(N, dim)``
         momentum and position arrays."""
@@ -130,7 +126,7 @@ def merge_terms(dim: int, *sources: dict[int, TensorField]) -> dict[int, TensorF
     return {d: (ts[0] if len(ts) == 1 else tensor_add(*ts)) for d, ts in buckets.items()}
 
 
-#: Nodes of the coarse quadrature in :func:`operator_matrix`, or ``4 K`` if more; the fine one doubles them.
+#: Least nodes of the coarse quadrature in :func:`operator_matrix` (a basis may ask for more); the fine one doubles them.
 QUADRATURE_NODES = 192
 #: Largest coarse/fine entry difference :func:`operator_matrix` accepts.
 QUADRATURE_TOLERANCE = 1e-8
@@ -166,13 +162,12 @@ def operator_matrix(model: ManifoldModel, D: CovariantOperator, basis, K: int) -
         dphi = np.zeros((len(fns), len(points)), dtype=complex)
         for order, tensor in D.terms.items():
             for idx in itertools.product(range(model.dim), repeat=order):
-                key = idx if order else ()
-                cvals = on_grid(tensor.comps[key])
+                cvals = on_grid(tensor.comps[idx])
                 for row, level in enumerate(levels):
-                    dphi[row] += cvals * on_grid(level[order][key])
+                    dphi[row] += cvals * on_grid(level[order][idx])
         return np.einsum("i,ji,ki->jk", weights * vol, phi.conj(), dphi)
 
-    nodes = max(QUADRATURE_NODES, 4 * K)  # the basis functions oscillate faster as K grows
+    nodes = max(QUADRATURE_NODES, basis.resolving_nodes(K))
     coarse = assemble(nodes)
     fine = assemble(2 * nodes)
     err = float(np.max(np.abs(fine - coarse)))
@@ -214,7 +209,7 @@ class OrderingScheme:
         return OrderingScheme(tuple(b), name=f"{self.name}-inverse")
 
 
-def ordering_scheme(name: str, hbar: float = 1.0, max_order: int = MAX_DEGREE) -> OrderingScheme:
+def ordering_scheme(name: str, hbar: float = 1.0) -> OrderingScheme:
     """Named ordering presets.
 
     ``weyl`` is the identity series.  ``standard`` produces operators with all
@@ -224,11 +219,11 @@ def ordering_scheme(name: str, hbar: float = 1.0, max_order: int = MAX_DEGREE) -
     """
     coeffs: list[complex]
     if name == "weyl":
-        coeffs = [1.0 + 0j] + [0j] * max_order
+        coeffs = [1.0 + 0j] + [0j] * MAX_DEGREE
     elif name == "standard":
-        coeffs = [(-0.5j) ** k / math.factorial(k) for k in range(max_order + 1)]
+        coeffs = [(-0.5j) ** k / math.factorial(k) for k in range(MAX_DEGREE + 1)]
     elif name == "standard-printed":
-        coeffs = [(0.5j * hbar) ** k / math.factorial(k) for k in range(max_order + 1)]
+        coeffs = [(0.5j * hbar) ** k / math.factorial(k) for k in range(MAX_DEGREE + 1)]
     else:
         raise ConfigError(f"unknown ordering scheme {name!r}")
     return OrderingScheme(tuple(coeffs), name=name)
@@ -299,10 +294,12 @@ def ordering_transform(
     f: MomentumPolynomial,
     hbar: float = 1.0,
 ) -> MomentumPolynomial:
-    """Apply ``A(Delta)`` to a symbol: ``f + sum_k A_k Delta^k f``."""
+    """Apply ``A(Delta)`` to a symbol: ``f + sum_k A_k Delta^k f``, taking
+    ``Delta`` no further than the last nonzero ``A_k``."""
     result = dict(f.terms)
     acc = f
-    for k in range(1, len(A.coefficients)):
+    last = max(k for k, ak in enumerate(A.coefficients) if ak != 0)
+    for k in range(1, last + 1):
         acc = delta_apply(model, acc, hbar)
         if not acc.terms:
             break
@@ -316,12 +313,6 @@ def ordering_transform(
 
 # ---------------------------------------------------------------------------
 # config-driven symbol construction
-
-
-def _isotropic_tensor(dim: int, degree: int, value: complex) -> np.ndarray:
-    if degree == 0:
-        return np.asarray(value)
-    return np.full((dim,) * degree, value)
 
 
 def symbol_from_config(model: ManifoldModel, cfg) -> MomentumPolynomial:
@@ -354,7 +345,7 @@ def symbol_from_config(model: ManifoldModel, cfg) -> MomentumPolynomial:
 
     dim = model.dim
     if coefficient == "constant":
-        tensor = tensor_constant(dim, _isotropic_tensor(dim, degree, scale_value))
+        tensor = tensor_constant(dim, np.full((dim,) * degree, scale_value))
     elif coefficient == "cos-theta":
         names = model.coordinate_names
         if "theta" not in names:

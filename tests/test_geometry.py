@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from phasequant import curved, geometry, numdiff
-from phasequant.errors import ChartDomainError, ConfigError, UnsupportedOrderError
+from phasequant.errors import ChartDomainError, ConfigError, PhasequantError, UnsupportedOrderError
 from phasequant.fields import from_callable, from_expression, tensor_from_fields
 
 
@@ -507,15 +507,21 @@ def test_connection_and_curvature_formulas_match_loop_reference(rng, dim):
 VECTORS = np.array([[0.0, 0.0], [0.3, -0.2], [-0.05, 0.4], [1e-3, 0.0], [0.7, 0.9]])
 
 
-@pytest.mark.parametrize("name", ["sphere:1.0", "sphere:2.0", "polar-plane", "euclidean:2"])
+@pytest.mark.parametrize("name", ["sphere:1.0", "sphere:2.0", "euclidean:2"])
 def test_exp_map_on_a_stack_equals_single_calls(name):
-    # the sphere's closed form, and RK4 on the polar plane, which has no exp_fn
     model = geometry.manifold(name)
     q = np.array([1.1, 0.4])
     for fn in (geometry.exp_map, geometry.exp_jacobian):
         stacked = fn(model, q, VECTORS)
         want = np.stack([fn(model, q, v) for v in VECTORS])
         assert stacked.shape == want.shape and stacked.tobytes() == want.tobytes()
+
+
+def test_exp_map_without_closed_form_geodesics_raises(sphere):
+    opaque = geometry.ManifoldModel(name="sphere-opaque", dim=2, coords=sphere.coords, metric_fn=sphere.metric_fn)
+    for model in (geometry.manifold("polar-plane"), opaque):
+        with pytest.raises(PhasequantError, match=model.name):
+            geometry.exp_map(model, np.array([1.1, 0.4]), VECTORS[1])
 
 
 def test_opaque_metric_on_a_point_stack_equals_single_calls(sphere):

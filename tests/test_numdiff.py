@@ -169,9 +169,25 @@ def test_jet_calls_its_integrand_once_on_every_node():
 
     numdiff.jet(f, np.array([0.3, 0.2]), 2)
     numdiff.jet(f, STACK[:4], 2)
-    # the value, then 3 Richardson levels of 2 + 2 first-order and 3 + 4 + 3 second-order nodes
-    nodes = 1 + 3 * (2 + 2 + 3 + 4 + 3)
+    # the value, then per Richardson level the 8 distinct nodes of the 2 + 2
+    # first-order and 3 + 4 + 3 second-order stencils: the base point and the
+    # +-h axis nodes recur in the second-order ones
+    nodes = 1 + 3 * 8
     assert calls == [(nodes, 2), (4 * nodes, 2)]
+
+
+def test_jet_keeps_negative_zero_apart_from_zero():
+    # arctan2(-0.0, -1) = -pi but arctan2(0.0, -1) = pi: the value node is the
+    # point itself, so it is not merged with the centre node x + 0.0 of the
+    # second-order stencils, which equals it only up to the sign of zero
+    seen = []
+
+    def f(z):
+        seen.append(len(z))
+        return np.arctan2(z[:, 1], z[:, 0] - 1.0)
+
+    assert numdiff.jet(f, np.array([0.0, -0.0]), 2)[0] == -math.pi
+    assert seen == [26]
 
 
 def test_pointwise_lift_hands_its_function_single_points():

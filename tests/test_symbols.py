@@ -44,7 +44,6 @@ def test_momentum_polynomial_evaluation():
     p, q = np.array([2.0, -1.0]), np.zeros(2)
     # 1.5 + p0^2 + 2*0.5*p0*p1
     assert f.evaluate(p, q) == pytest.approx(1.5 + 4.0 - 2.0)
-    assert f.max_degree == 2
 
 
 def test_momentum_polynomial_rejects_excess_degree():
@@ -165,6 +164,20 @@ def test_ordering_transform_with_identity_series_is_identity(symbol_factory):
     q = np.array([0.3])
     p = np.array([1.1])
     assert g.evaluate(p, q) == pytest.approx(f.evaluate(p, q), abs=1e-14)
+
+
+def test_ordering_transform_stops_after_the_last_nonzero_coefficient(monkeypatch, symbol_factory):
+    model = geometry.euclidean_space(1)
+    f = symbol_factory()  # a cubic: Delta^4 f is the first to vanish
+    calls = []
+    apply = symbols.delta_apply
+    monkeypatch.setattr(symbols, "delta_apply", lambda *args: calls.append(args) or apply(*args))
+    weyl = ordering_scheme("weyl")
+    for scheme in (weyl, weyl.inverse()):
+        assert ordering_transform(model, scheme, f).terms == f.terms
+    assert len(calls) == 0
+    ordering_transform(model, OrderingScheme((1.0, 0.35, -0.15, 0.05, 0.0)), f)
+    assert len(calls) == 3
 
 
 def test_ordering_transform_then_inverse_round_trips(symbol_factory):
