@@ -27,7 +27,11 @@ checkout a round records:
   the 20 ``symbols.flat_chart_delta_value`` calls of the point-transform
   experiment's polar-cartesian-agreement check (its symbol and points, with
   chart maps that take one point or an array of points, so packages that
-  call them either way are timed on the same work).  A first timed call
+  call them either way are timed on the same work), and of building a
+  Gauss-Legendre rule of 256, 512 and 1024 nodes with the package's rule
+  cache cleared before each call (the builder is looked up by name:
+  ``bases.gauss_legendre``, or ``cylinder._legendre_rule`` in checkouts that
+  predate it, so one script times both).  A first timed call
   sets the repeat count: enough calls to fill :data:`LAYER_SECONDS`,
   between :data:`MIN_REPEATS` and :data:`MAX_REPEATS`; the first call itself
   is not in the median;
@@ -143,6 +147,11 @@ def layer_timings(src: Path) -> dict:
         sphere(1.0), np.array([1.1, 0.4]), 2, method="numeric"
     )
     layers["flat_chart_delta_value_20"] = polar_chart_deltas(harness, flat_chart_delta_value)
+    from phasequant import bases, cylinder
+
+    build_rule = getattr(bases, "gauss_legendre", None) or cylinder._legendre_rule  # the latter predates it
+    for nodes in (256, 512, 1024):
+        layers[f"legendre_rule_{nodes}"] = lambda nodes=nodes: (build_rule.cache_clear(), build_rule(nodes))
     layers_ms = {name: median_ms(name, call) for name, call in layers.items()}
     return {
         "import_harness_s": import_s,

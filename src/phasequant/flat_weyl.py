@@ -125,7 +125,7 @@ def quantizer_matrix_flat(p: float, x: float, K: int, hbar: float = 1.0) -> np.n
     pm = hermite_polynomial_values(K, xt - u)  # (K+1, nodes)
     pp = hermite_polynomial_values(K, xt + u)
     phase = np.exp(-2j * p * u / s)
-    return 2.0 * math.exp(-xt * xt) * np.einsum("i,ji,ki->jk", w * phase, pm, pp)
+    return 2.0 * math.exp(-xt * xt) * ((pm * (w * phase)) @ pp.T)
 
 
 def quantizer_diag_flat(p: float, x: float, K: int, hbar: float = 1.0) -> np.ndarray:

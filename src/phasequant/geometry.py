@@ -35,6 +35,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -635,6 +636,19 @@ def sphere(radius: float = 1.0) -> ManifoldModel:
     a = float(radius)
     if not (a > 0 and 0 < a * a < math.inf):  # also rejects nan
         raise ConfigError(f"sphere radius must be positive with a finite nonzero square, got {radius}")
+    # The kinetic image differentiates 1/(a^2 sin^2 theta) twice, and each
+    # quotient-rule derivative squares its denominator, so its expressions
+    # hold a^8: the fourth powers of the curvature 1/a^2 and of a^2 must be
+    # normal floats, which keeps a within about [3.5e-39, 2.9e38].
+    try:
+        normal = all(sys.float_info.min <= x**4 < math.inf for x in (a * a, 1.0 / (a * a)))
+    except OverflowError:
+        normal = False
+    if not normal:
+        raise ConfigError(
+            f"sphere radius {radius} is out of range: the fourth powers of the curvature 1/a^2 "
+            "and of a^2 must be normal floats"
+        )
     a2 = repr(a * a)
 
     def embed(q):

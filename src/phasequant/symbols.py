@@ -165,7 +165,7 @@ def operator_matrix(model: ManifoldModel, D: CovariantOperator, basis, K: int) -
                 cvals = on_grid(tensor.comps[idx])
                 for row, level in enumerate(levels):
                     dphi[row] += cvals * on_grid(level[order][idx])
-        return np.einsum("i,ji,ki->jk", weights * vol, phi.conj(), dphi)
+        return (phi.conj() * (weights * vol)) @ dphi.T
 
     nodes = max(QUADRATURE_NODES, basis.resolving_nodes(K))
     coarse = assemble(nodes)

@@ -243,14 +243,19 @@ def test_position_matrix_in_hermite_basis_at_K48(hbar):
 
 
 # SHA-256 of the bytes of operator_matrix(circle, Weyl image of cos(theta) p^m,
-# FourierBasis(), 32), negative zeros folded to +0, recorded when every field
-# was still evaluated one quadrature node at a time.
+# FourierBasis(), 32), negative zeros folded to +0.  Re-recorded when the
+# quadrature sum became one matrix product, (phi^* w) @ (D phi)^T, in place of
+# a three-operand einsum: BLAS sums the nodes in an order of its own, which
+# moves the last bits of the entries, so the name of the pinning test below is
+# older than its digests.  test_operator_matrix_matches_a_pointwise_assembly
+# checks the same matrices against a node-by-node sum, so the pin is not the
+# only guard.
 COS_THETA_MATRIX_SHA256 = {
-    0: "23664d16b77d7eb9af38b23c9d37a63029a2a58949441f97eb86c76b2c9a825d",
-    1: "71b1cfb21a97dabc6969561e1fdf1ac2059fe3e88df02ad9118dac43981a7aa3",
-    2: "071e463f1e2f008c13b26767de559189cf5116769f50d5c860c12e5df42051d0",
-    3: "198bf0865f339ce143f966236bc98fdb7e7e97901f362eee100ebeab77477b18",
-    4: "0ae2f2e41aebf9bb6cdfec23ac40a2c9c22da895faf4af37b03db21d046e8bb6",
+    0: "e61af782641181d03d92eaeeccd6edb47e3e102aa01c8d5815cfadc1e8545e79",
+    1: "c5343aba51c4f86a28a85154e75d9108c2e42b50bb01ff9f08ece35856a77a3c",
+    2: "18a60301bec9cbf7c571dac7beca48a879b9feba1e9180961e92b47703cbe7b9",
+    3: "bdd81dfe429731bb671ff1861fdf806207d67a8961f01f1920cb6d19c7446164",
+    4: "4cf21241a01b9f4040c9e2cfbb2cf017852dc5ca067247c4303aa0cd7b17c1b9",
 }
 
 
@@ -263,6 +268,25 @@ def test_operator_matrix_is_bit_identical_to_pointwise_assembly(m):
     assert M.shape == (65, 65)
     digest = hashlib.sha256(np.ascontiguousarray(M + 0.0).tobytes()).hexdigest()
     assert digest == COS_THETA_MATRIX_SHA256[m]
+
+
+@pytest.mark.parametrize("m", range(5))
+def test_operator_matrix_matches_a_pointwise_assembly(m):
+    # the fine rule's sum taken one node at a time, with the modes and their
+    # derivatives (i k)^r exp(i k theta) / sqrt(2 pi) in closed form
+    model = geometry.circle()
+    X = from_expression("cos(theta)", ("theta",))
+    D = wue_weyl_image(model, momentum_power(1, m, X), 1.0)
+    M = operator_matrix(model, D, FourierBasis(), 32)
+    k = np.array(FourierBasis.indices(32))
+    nodes = 2 * max(symbols.QUADRATURE_NODES, FourierBasis().resolving_nodes(32))
+    points, weights = FourierBasis().quadrature(nodes, 32)
+    want = np.zeros((len(k), len(k)), dtype=complex)
+    for x, w in zip(points, weights):
+        phi = np.exp(1j * k * x[0]) / math.sqrt(2.0 * math.pi)
+        dphi = sum(complex(D.terms[r].comps[(0,) * r](x)) * (1j * k) ** r for r in D.terms) * phi
+        want += w * geometry.sqrt_g(model, x) * np.outer(phi.conj(), dphi)
+    assert np.max(np.abs(M - want)) <= 1e-14 * np.max(np.abs(M))
 
 
 def test_operator_matrix_weights_by_a_varying_density():
