@@ -31,7 +31,14 @@ checkout a round records:
   Gauss-Legendre rule of 256, 512 and 1024 nodes with the package's rule
   cache cleared before each call (the builder is looked up by name:
   ``bases.gauss_legendre``, or ``cylinder._legendre_rule`` in checkouts that
-  predate it, so one script times both).  A first timed call
+  predate it, so one script times both), and of building the 256-node
+  Gauss-Hermite rule ``bases.gauss_hermite`` with its cache cleared; of
+  ``symbols.operator_matrix`` for the oscillator ``-1/2 d^2 + x^2/2`` in the
+  Hermite basis at K = 16; and of the 257 trapezoid Fourier coefficients
+  (K = 64) of the smearing test function on its 512-node grid, with any cache
+  of ``cylinder`` cleared first (``cylinder._fourier_rule``, the phase table
+  of checkouts that predate the FFT, or ``cylinder._angle_grid`` and one FFT
+  after it).  A first timed call
   sets the repeat count: enough calls to fill :data:`LAYER_SECONDS`,
   between :data:`MIN_REPEATS` and :data:`MAX_REPEATS`; the first call itself
   is not in the median;
@@ -89,13 +96,19 @@ def layer_timings(src: Path) -> dict:
 
     scipy_import_s = time.perf_counter() - start
 
-    from phasequant.bases import FourierBasis
+    from phasequant.bases import FourierBasis, HermiteBasis
     from phasequant.curved import dequantize_curved, wue_weyl_image
     from phasequant.cylinder import CutoffFamily, pair_trace_smeared_cyl
-    from phasequant.fields import from_expression, tensor_from_fields
+    from phasequant.fields import from_expression, tensor_constant, tensor_from_fields
     from phasequant.flat_weyl import quantize_gaussian_flat
-    from phasequant.geometry import ManifoldModel, circle, sphere
-    from phasequant.symbols import MomentumPolynomial, flat_chart_delta_value, operator_matrix, symbol_from_config
+    from phasequant.geometry import ManifoldModel, circle, euclidean_space, sphere
+    from phasequant.symbols import (
+        CovariantOperator,
+        MomentumPolynomial,
+        flat_chart_delta_value,
+        operator_matrix,
+        symbol_from_config,
+    )
 
     if src.resolve() not in Path(harness.__file__).resolve().parents:
         raise SystemExit(f"imported phasequant from {harness.__file__}, not from the checkout")
@@ -152,6 +165,20 @@ def layer_timings(src: Path) -> dict:
     build_rule = getattr(bases, "gauss_legendre", None) or cylinder._legendre_rule  # the latter predates it
     for nodes in (256, 512, 1024):
         layers[f"legendre_rule_{nodes}"] = lambda nodes=nodes: (build_rule.cache_clear(), build_rule(nodes))
+    layers["gauss_hermite_256"] = lambda: (bases.gauss_hermite.cache_clear(), bases.gauss_hermite(256))
+    x2 = from_expression("0.5*x**2", ("x",))
+    oscillator = CovariantOperator(
+        1, {0: tensor_from_fields(1, 0, lambda idx: x2), 2: tensor_constant(1, np.full((1, 1), -0.5))}
+    )
+    layers["operator_matrix_hermite_K16"] = lambda: operator_matrix(euclidean_space(1), oscillator, HermiteBasis(), 16)
+    bump = cylinder.periodic_test_function(0.9, 0.4)
+    if hasattr(cylinder, "_fourier_rule"):  # a cached phase table: clear it, so each call builds it
+        layers["fourier_coefficients_K64"] = lambda: (
+            cylinder._fourier_rule.cache_clear(),
+            cylinder._fourier_coefficients(bump, 128),
+        )
+    else:
+        layers["fourier_coefficients_K64"] = lambda: cylinder._fourier_coefficients(bump(cylinder._angle_grid()), 128)
     layers_ms = {name: median_ms(name, call) for name, call in layers.items()}
     return {
         "import_harness_s": import_s,

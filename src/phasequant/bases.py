@@ -3,17 +3,19 @@
 Two families: Fourier modes on a periodic coordinate (trapezoid quadrature,
 spectrally exact for trigonometric integrands) and scaled Hermite functions
 on the line (Gauss-Legendre on a mapped interval for generic integrands,
-Gauss-Hermite for Gaussian-weighted kernels).  Basis functions are exposed as
-:class:`~phasequant.fields.ScalarField` objects with analytic derivatives so
-operator images stay at machine precision.
+Gauss-Hermite for Gaussian-weighted kernels).  A basis hands out one table
+per quadrature grid, ``table(points, K, order)``: every basis function and
+its derivatives up to ``order`` at every node, in closed form (Fourier) or
+by the ladder identity (Hermite), so operator matrices stay at machine
+precision.
 
-:func:`gauss_legendre` is the package's one source of Gauss-Legendre rules
-(the Hermite window here and the cutoff transforms of ``cylinder``).  It
-takes Newton steps on the Legendre three-term recurrence from asymptotic
-starting guesses, as in Hale & Townsend, SISC 35 (2013): O(n^2) numpy work
-vectorized over half the nodes, about 1 ms at 256 nodes, with no eigensolve
-(numpy's own Legendre rule solves the Golub-Welsch eigenproblem, O(n^3)
-through LAPACK).
+:func:`gauss_legendre` and :func:`gauss_hermite` are the package's one
+source of Gauss rules.  Both take Newton steps on the three-term recurrence
+from asymptotic starting guesses, as in Hale & Townsend, SISC 35 (2013), and
+Townsend, Trogdon & Olver, IMA J. Numer. Anal. 36 (2016): O(n^2) numpy work
+vectorized over half the nodes, with no eigensolve (numpy's own rules solve
+the Golub-Welsch eigenproblem, O(n^3) through LAPACK, and its Hermite rule's
+weights turn to NaN past about 360 nodes).
 """
 
 from __future__ import annotations
@@ -24,9 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import libm
-from .fields import ScalarField
-
 # Least half-width of the Hermite quadrature window, in units of sqrt(hbar).
 HERMITE_HALF_WIDTH = 10.0
 # Newton on the Legendre recurrence stops once no node moves by more than
@@ -34,6 +33,11 @@ HERMITE_HALF_WIDTH = 10.0
 # 32 to 2048 nodes and four below.
 NEWTON_TOLERANCE = 1e-14
 NEWTON_STEPS = 10
+# Newton on the Hermite recurrence stops once no node moves by more than
+# HERMITE_NEWTON_TOLERANCE: the next step would move a node x by about x dx^2
+# (Hermite's equation gives f''/2f' = x at a zero), below half an ulp of x.
+HERMITE_NEWTON_TOLERANCE = 1e-8
+HERMITE_RESCALE_STEPS = 32
 
 
 def _legendre_and_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -79,13 +83,66 @@ def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     # node instead, it would carry the node's rounding, amplified by
     # 1/(1 - x^2), into the weights next to x = +-1: at 512 nodes their
     # relative error would be 9e-13 instead of 1.3e-13.
-    w = 2.0 / ((s - 2.0 * root * dx) * dp * dp)
+    return _mirrored_rule(n, x, 2.0 / ((s - 2.0 * root * dx) * dp * dp), 2.0)
+
+
+def _mirrored_rule(n: int, x: np.ndarray, w: np.ndarray, total: float) -> tuple[np.ndarray, np.ndarray]:
+    """The symmetric rule of ``n`` nodes from its nonnegative nodes ``x``
+    (descending, an odd rule's 0.0 last) and their weights ``w``: mirrored,
+    the weights scaled to their exact sum ``total``, read-only."""
+    half = (n + 1) // 2
     u, weights = np.empty(n), np.empty(n)
     u[:half], u[n - half :] = -x, x[::-1]  # an odd rule's middle node is written last, as +0.0
     weights[:half], weights[n - half :] = w, w[::-1]
-    weights *= 2.0 / math.fsum(weights)
+    weights *= total / math.fsum(weights)
     u.flags.writeable = weights.flags.writeable = False
     return u, weights
+
+
+def _monic_hermite(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``H_{n-1}(x) / 2^(n-1)`` and ``H_n(x) / 2^n`` times ``2^-exponent``, and
+    ``exponent``: every :data:`HERMITE_RESCALE_STEPS` steps of the recurrence
+    the pair is divided, exactly, by the power of two next to its size, so
+    its growth like ``exp(x^2 / 2)`` never overflows."""
+    p0, p1 = np.ones_like(x), x
+    exponent = np.zeros(x.shape, dtype=int)
+    for k in range(1, n):
+        p0, p1 = p1, x * p1 - (0.5 * k) * p0
+        if k % HERMITE_RESCALE_STEPS == 0:
+            shift = np.frexp(np.abs(p0) + np.abs(p1))[1]
+            p0, p1, exponent = np.ldexp(p0, -shift), np.ldexp(p1, -shift), exponent + shift
+    return p0, p1, exponent
+
+
+@functools.cache
+def gauss_hermite(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes (ascending) and weights for ``integral exp(-u^2) g(u) du``.
+
+    As :func:`gauss_legendre`, from Tricomi's guesses for the positive zeros
+    of ``H_n`` (Gatteschi, J. Comput. Appl. Math. 144, 2002, eq. 2.1).  The
+    weights ``C / H_{n-1}(x)^2`` take the recurrence's powers of two last,
+    so one below the smallest double becomes 0.0, never NaN, and are scaled
+    by ``sqrt(pi)`` over their exact sum.
+    """
+    n, nu = nodes, 2 * nodes + 1
+    rhs = math.pi * (4 * np.arange(n // 2) + 3) / nu
+    t = np.full(n // 2, 0.5 * math.pi)
+    for _ in range(7):  # t - sin t = rhs
+        t -= (t - np.sin(t) - rhs) / (1.0 - np.cos(t))
+    c = np.cos(0.5 * t) ** 2
+    x = np.sqrt(nu * c - (5.0 / (4.0 * (1.0 - c) ** 2) - 1.0 / (1.0 - c) - 0.25) / (3.0 * nu))  # descending
+    if n % 2:
+        x = np.append(x, 0.0)
+    for _ in range(NEWTON_STEPS):
+        p0, p1, exponent = _monic_hermite(n, x)
+        dx = p1 / (n * p0)  # H_n' = 2n H_{n-1}
+        root, x = x, x - dx
+        if np.max(np.abs(dx), initial=0.0) <= HERMITE_NEWTON_TOLERANCE:
+            break
+    mantissa, shift = np.frexp(p0 * (1.0 - 2.0 * root * dx))
+    exponent += shift
+    w = np.ldexp(1.0 / (mantissa * mantissa), 2 * (np.min(exponent) - exponent))
+    return _mirrored_rule(n, x, w, math.sqrt(math.pi))
 
 
 @dataclass(frozen=True)
@@ -96,9 +153,6 @@ class FourierBasis:
     def indices(K: int) -> list[int]:
         return list(range(-K, K + 1))
 
-    def fields(self, K: int) -> list[ScalarField]:
-        return [fourier_mode(k) for k in self.indices(K)]
-
     def resolving_nodes(self, K: int) -> int:
         return 3 * K  # trapezoid-exact below frequency 3K: 2K from the modes, K for the coefficient
 
@@ -107,21 +161,12 @@ class FourierBasis:
         weights = np.full(nodes, 2.0 * math.pi / nodes)
         return theta.reshape(-1, 1), weights
 
-
-def fourier_mode(k: int) -> ScalarField:
-    """The mode ``exp(i k theta) / sqrt(2 pi)``; each derivative multiplies it by ``i k``."""
-    norm = 1.0 / math.sqrt(2.0 * math.pi)
-
-    def fn(q, prefactor=norm):
-        return prefactor * np.exp(1j * k * q[..., 0])
-
-    def derive(orders: tuple[int, ...]):
-        prefactor = norm
-        for _ in range(orders[0]):
-            prefactor = prefactor * 1j * k
-        return functools.partial(fn, prefactor=prefactor)
-
-    return ScalarField(1, fn, derive)
+    def table(self, points: np.ndarray, K: int, order: int) -> np.ndarray:
+        """``(i k)^r exp(i k theta) / sqrt(2 pi)`` at every ``(N, 1)`` point,
+        shape ``(order + 1, 2K + 1, N)``: one ``exp`` for all modes."""
+        k = np.array(self.indices(K))
+        modes = np.exp(1j * np.outer(k, points[:, 0])) / math.sqrt(2.0 * math.pi)
+        return np.vander(1j * k, order + 1, increasing=True).T[:, :, None] * modes
 
 
 @dataclass(frozen=True)
@@ -135,9 +180,6 @@ class HermiteBasis:
 
     hbar: float = 1.0
 
-    def fields(self, K: int) -> list[ScalarField]:
-        return [hermite_function(k, self.hbar) for k in range(K + 1)]
-
     def resolving_nodes(self, K: int) -> int:
         return 4 * K  # h_K has K zeros, in a window that widens with K
 
@@ -149,6 +191,25 @@ class HermiteBasis:
         u, w = gauss_legendre(nodes)
         half = max(HERMITE_HALF_WIDTH, math.sqrt(2 * K + 1) + 4.25) * math.sqrt(self.hbar)
         return (half * u).reshape(-1, 1), half * w
+
+    def table(self, points: np.ndarray, K: int, order: int) -> np.ndarray:
+        """``h_k^(r)`` at every ``(N, 1)`` point for k = 0..K and r = 0..order,
+        shape ``(order + 1, K + 1, N)``: one recurrence up to ``h_{K+order}``,
+        then per derivative the ladder identity
+        ``h_k' = (sqrt(k/2) h_{k-1} - sqrt((k+1)/2) h_{k+1}) / sqrt(hbar)``,
+        which loses the top index.
+        """
+        root_h = math.sqrt(self.hbar)
+        u = points[:, 0] / root_h
+        level = hermite_polynomial_values(K + order, u) * (self.hbar**-0.25 * np.exp(-0.5 * u * u))
+        out = [level[: K + 1]]
+        for _ in range(order):
+            k = np.arange(len(level) - 1)[:, None]
+            derivative = -np.sqrt((k + 1) / 2.0) * level[1:]
+            derivative[1:] += np.sqrt(k[1:] / 2.0) * level[:-2]
+            level = derivative / root_h
+            out.append(level[: K + 1])
+        return np.array(out)
 
 
 def hermite_polynomial_values(max_index: int, u: np.ndarray) -> np.ndarray:
@@ -165,44 +226,3 @@ def hermite_polynomial_values(max_index: int, u: np.ndarray) -> np.ndarray:
     for k in range(1, max_index):
         out[k + 1] = math.sqrt(2.0 / (k + 1)) * u * out[k] - math.sqrt(k / (k + 1)) * out[k - 1]
     return out
-
-
-def hermite_function(k: int, hbar: float = 1.0) -> ScalarField:
-    """The k-th scaled Hermite function as a field with exact derivatives.
-
-    Derivatives apply the ladder identity
-    ``h_k' = (sqrt(k/2) h_{k-1} - sqrt((k+1)/2) h_{k+1}) / sqrt(hbar)``
-    once per order, to a small linear combination of neighbors.
-    """
-    root_h = math.sqrt(hbar)
-
-    def fn(q, combo={k: 1.0}):
-        u = q[..., 0] / root_h
-        vals = hermite_polynomial_values(max(combo), u)
-        gauss = libm(math.exp, -0.5 * u * u)
-        total = sum(c * (vals[i] * gauss * hbar ** -0.25) for i, c in combo.items())
-        return complex(total) if q.ndim == 1 else total.astype(complex)
-
-    def derive(orders: tuple[int, ...]):
-        combo = {k: 1.0}
-        for _ in range(orders[0]):
-            new: dict[int, float] = {}
-            for i, c in combo.items():
-                if i >= 1:
-                    new[i - 1] = new.get(i - 1, 0.0) + c * math.sqrt(i / 2.0) / root_h
-                new[i + 1] = new.get(i + 1, 0.0) - c * math.sqrt((i + 1) / 2.0) / root_h
-            combo = new
-        return functools.partial(fn, combo=combo)
-
-    return ScalarField(1, fn, derive)
-
-
-@functools.cache
-def gauss_hermite(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Hermite rule for ``integral exp(-u^2) g(u) du``.
-
-    Computed once per node count; the node and weight arrays are read-only.
-    """
-    u, w = np.polynomial.hermite.hermgauss(nodes)
-    u.flags.writeable = w.flags.writeable = False
-    return u, w

@@ -9,7 +9,9 @@ full Fourier-index sum collapses onto the plateau (a Poisson-summation
 identity); `polynomial_reproduction_check` uses that collapse to complete
 the truncated trace, while the pair-trace diagnostics deliberately keep
 the raw truncated sums whose failure to approximate a delta pair is the
-point being measured.
+point being measured.  Angular Fourier coefficients (of smearing test
+functions and of symbols in :func:`discrete_quantize`) are trapezoid sums,
+taken by one FFT.
 
 Cutoff transforms take arrays of frequencies.  The plateau contributes in
 closed form; the smooth transition from plateau to support is integrated by
@@ -23,7 +25,6 @@ continuous one along mollifiers shrinking onto the indicator of [-pi/2, pi/2].
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -270,23 +271,20 @@ def periodic_test_function(center: float, width: float) -> Callable[[float], flo
     return t
 
 
-@functools.lru_cache(maxsize=8)
-def _fourier_rule(mmax: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Trapezoid grid on ``[-pi, pi)`` and the phases ``e^{-im theta}``, ``|m| <= mmax``.
-
-    Computed once per ``(mmax, nodes)``; both arrays are read-only.
-    """
-    grid = -math.pi + 2.0 * math.pi * np.arange(nodes) / nodes
-    ms = np.arange(-mmax, mmax + 1)
-    phases = np.exp(-1j * np.outer(ms, grid))
-    grid.flags.writeable = phases.flags.writeable = False
-    return grid, phases
+def _angle_grid(nodes: int = 512) -> np.ndarray:
+    """The trapezoid nodes ``theta_j = -pi + 2 pi j / nodes`` on ``[-pi, pi)``
+    (by default those for the Fourier coefficients of a smearing test function)."""
+    return -math.pi + 2.0 * math.pi * np.arange(nodes) / nodes
 
 
-def _fourier_coefficients(t: Callable[[np.ndarray], np.ndarray], mmax: int, nodes: int = 512) -> np.ndarray:
-    """Coefficients ``t_m = (1/2pi) int t e^{-im theta}`` for ``|m| <= mmax``."""
-    grid, phases = _fourier_rule(mmax, nodes)
-    return phases @ np.asarray(t(grid), dtype=complex) / nodes
+def _fourier_coefficients(samples: np.ndarray, mmax: int) -> np.ndarray:
+    """Coefficients ``t_m = (1/2pi) int t e^{-im theta}``, ``|m| <= mmax``, by
+    the trapezoid rule on samples of ``t`` at :func:`_angle_grid` (last axis):
+    one FFT, as ``e^{-im theta_j} = (-1)^m e^{-2 pi i m j / N}``."""
+    nodes = samples.shape[-1]
+    m = np.arange(-mmax, mmax + 1)
+    spectrum = np.fft.fft(samples, axis=-1)[..., m % nodes]
+    return np.where(m % 2, -1.0, 1.0) * spectrum / nodes
 
 
 def _smeared_sum(ivals: np.ndarray, jvals: np.ndarray, tcoef: np.ndarray, theta: float, K: int) -> complex:
@@ -326,7 +324,8 @@ def pair_trace_smeared_cyl(
     us = np.arange(-2 * K, 2 * K + 1)
     ivals = chi.transform(us - 2.0 * p / hbar)
     wvals = chi.weighted_transform(us - 2.0 * p_center / hbar, envelope)
-    tcoef = _fourier_coefficients(periodic_test_function(theta_center, theta_width), 2 * K)
+    t = periodic_test_function(theta_center, theta_width)
+    tcoef = _fourier_coefficients(t(_angle_grid()), 2 * K)
     total = _smeared_sum(ivals, wvals, tcoef, theta, K)
     return complex(total * 2.0 * math.pi / (2.0 * math.pi * hbar * math.pi**2))
 
@@ -390,7 +389,7 @@ def discrete_pair_trace_smeared(
     """
     _check_truncation(K)
     us = np.arange(-2 * K, 2 * K + 1)
-    tcoef = _fourier_coefficients(t, 2 * K)
+    tcoef = _fourier_coefficients(t(_angle_grid()), 2 * K)
     total = _smeared_sum(_discrete_transform(us - 2 * n), _discrete_transform(us - 2 * n2), tcoef, theta, K)
     return complex(total * 2.0 * math.pi / math.pi**2)
 
@@ -411,8 +410,7 @@ def discrete_quantize(
     _check_truncation(K)
     if N < 0:
         raise ConfigError(f"momentum cap must be >= 0, got {N}")
-    M = max(4 * K + 4, 64)
-    grid, phases = _fourier_rule(2 * K, M)
+    grid = _angle_grid(max(4 * K + 4, 64))
     ks = np.arange(-K, K + 1)
     ksum = ks[:, None] + ks[None, :] + 2 * K + 2 * N  # I(k + k' - 2n) sits at ksum - 2n
     kdiff = ks[None, :] - ks[:, None]
@@ -432,8 +430,8 @@ def discrete_quantize(
             stacklevel=2,
         )
 
+    coeffs = _fourier_coefficients(samples, 2 * K)
     out = np.zeros((2 * K + 1, 2 * K + 1), dtype=complex)
     for row, n in enumerate(range(-N, N + 1)):
-        coeffs = phases @ samples[row] / M
-        out += table[ksum - 2 * n] * coeffs[-kdiff + 2 * K]
+        out += table[ksum - 2 * n] * coeffs[row, -kdiff + 2 * K]
     return out / math.pi

@@ -6,7 +6,7 @@ jet beyond order zero vanishes).  This module keeps what is particular to
 flat space: the A-ordered image and its dequantization (through the exact
 inverse of the symmetric image), an explicit quantizer kernel in the scaled
 Hermite basis (with trace diagnostics), and the quantization of phase-space
-Gaussians with their exact overlaps, used in pairing checks.
+Gaussians through their Weyl position kernel, with their exact overlaps.
 """
 
 from __future__ import annotations
@@ -30,8 +30,6 @@ from .symbols import (
 
 #: Relative defect above which :func:`dequantize_flat` rejects an operator.
 INVERSION_TOLERANCE = 1e-9
-#: Position nodes per block in :func:`quantize_gaussian_flat`'s accumulation.
-GAUSSIAN_BLOCK_NODES = 32
 
 
 def a_image_flat(
@@ -112,32 +110,28 @@ def dequantize_flat(
 # explicit quantizer kernel in the scaled Hermite basis (one dimension)
 
 
-def quantizer_matrix_flat(p: float, x: float, K: int, hbar: float = 1.0) -> np.ndarray:
-    """Phase-space kernel matrix in Hermite functions 0..K at one point.
-
-    Entries are ``2 integral dxi exp(-2 i p xi / hbar) h_j(x - xi) h_k(x + xi)``
-    evaluated with Gauss-Hermite quadrature after pulling out the shared
-    Gaussian; node symmetry makes the result hermitian to rounding.
-    """
+def _kernel_factors(p: float, x: float, K: int, hbar: float) -> tuple[np.ndarray, np.ndarray, float]:
+    """``2 integral dxi exp(-2 i p xi / hbar) h_j(x - xi) h_k(x + xi)`` as
+    ``c * sum_i A[j, i] B[k, i]`` over Gauss-Hermite nodes in the scaled
+    offset, the shared Gaussian pulled out into ``c``: ``(A, B, c)``."""
     s = math.sqrt(hbar)
     xt = x / s
     u, w = gauss_hermite(max(4 * (K + 1), 32))
-    pm = hermite_polynomial_values(K, xt - u)  # (K+1, nodes)
-    pp = hermite_polynomial_values(K, xt + u)
-    phase = np.exp(-2j * p * u / s)
-    return 2.0 * math.exp(-xt * xt) * ((pm * (w * phase)) @ pp.T)
+    a = hermite_polynomial_values(K, xt - u) * (w * np.exp(-2j * p * u / s))
+    return a, hermite_polynomial_values(K, xt + u), 2.0 * math.exp(-xt * xt)
+
+
+def quantizer_matrix_flat(p: float, x: float, K: int, hbar: float = 1.0) -> np.ndarray:
+    """Phase-space kernel matrix in Hermite functions 0..K at one point;
+    node symmetry makes it hermitian to rounding."""
+    a, b, c = _kernel_factors(p, x, K, hbar)
+    return c * (a @ b.T)
 
 
 def quantizer_diag_flat(p: float, x: float, K: int, hbar: float = 1.0) -> np.ndarray:
     """Diagonal kernel entries ``<h_k | Omega(p, x) | h_k>`` for k = 0..K."""
-    nodes = max(4 * (K + 1), 32)
-    s = math.sqrt(hbar)
-    xt = x / s
-    u, w = gauss_hermite(nodes)
-    pm = hermite_polynomial_values(K, xt - u)
-    pp = hermite_polynomial_values(K, xt + u)
-    phase = np.exp(-2j * p * u / s)
-    return 2.0 * math.exp(-xt * xt) * np.einsum("i,ki,ki->k", w * phase, pm, pp)
+    a, b, c = _kernel_factors(p, x, K, hbar)
+    return c * np.einsum("ki,ki->k", a, b)
 
 
 def flat_trace(p: float, x: float, K: int, hbar: float = 1.0) -> complex:
@@ -167,38 +161,27 @@ def quantize_gaussian_flat(
     K: int,
     hbar: float = 1.0,
 ) -> np.ndarray:
-    """Quantize a phase-space Gaussian with the momentum integral done exactly.
+    """Quantize a phase-space Gaussian through its Weyl position kernel.
 
-    For ``f(p, x) = exp(-(p-p0)^2/2sp^2 - (x-x0)^2/2sx^2)`` the momentum
-    average of the kernel phase is a closed-form Gaussian, so the remaining
-    ``(x, xi)`` integral is smooth and one Gauss-Hermite rule, used for both
-    the scaled position ``v = x / s`` and the scaled offset ``u = xi / s``,
-    handles it to rounding.  Sampling ``f`` on a phase-space grid would need
-    far more nodes to resolve the kernel's oscillation at large ``K``.
-
-    The weight of node pair ``(v_i, u_j)`` factors as ``a_i b_j``, a real
-    position part times a complex offset part, so the sum over node pairs of
-    ``a_i b_j P_k(v_i - u_j) P_l(v_i + u_j)`` is a matrix product over the
-    pair index.  It is accumulated over blocks of
-    :data:`GAUSSIAN_BLOCK_NODES` position nodes: the Hermite values of all
-    ``nodes^2`` pairs at once would be two ``(K+1) x nodes x nodes`` arrays,
-    and a block keeps peak memory near that of the rest of the computation.
+    For ``f(p, x) = exp(-(p-p0)^2/2sp^2 - (x-x0)^2/2sx^2)`` the kernel
+    ``<y|Op(f)|z> = (2 pi hbar)^-1 integral f(p, (y+z)/2) e^{ip(y-z)/hbar} dp``
+    (Folland, *Harmonic Analysis in Phase Space*, 1989, ch. 2) is the phase
+    ``e^{i p0 (y-z)/hbar}`` times a real Gaussian ``G(y, z)``, in closed form.
+    The Hermite functions carry the weight ``exp(-(y^2 + z^2) / 2hbar)``, so
+    one Gauss-Hermite rule in ``y = sqrt(2 hbar) tau`` per axis takes the
+    ``(y, z)`` integral: with ``P`` the ``(K+1, n)`` table of
+    ``P_k(sqrt(2) tau)`` times weights and phase, the matrix is
+    ``c P G P^H`` on the ``n x n`` grid, O(n^2 K) work.
     """
     nodes = max(4 * (K + 1), 96)
-    s = math.sqrt(hbar)
-    u, w = gauss_hermite(nodes)
-    a = w * np.exp(-0.5 * ((s * u - x0) / sx) ** 2)  # position Gaussian
-    # exact  integral dp exp(-(p-p0)^2/2sp^2) exp(-2 i p xi / hbar)
-    b = w * np.exp(-2.0 * (sp * u / s) ** 2 - 2j * p0 * u / s)
-    out = np.zeros((K + 1, K + 1), dtype=complex)
-    for start in range(0, nodes, GAUSSIAN_BLOCK_NODES):
-        block = slice(start, start + GAUSSIAN_BLOCK_NODES)
-        v = u[block, None]
-        pm = hermite_polynomial_values(K, v - u).reshape(K + 1, -1)
-        pp = hermite_polynomial_values(K, v + u).reshape(K + 1, -1)
-        weight = (a[block, None] * b).reshape(-1)
-        out += (pm * weight.real) @ pp.T + 1j * ((pm * weight.imag) @ pp.T)
-    return out * (math.sqrt(2.0 * math.pi) * sp * s / (math.pi * hbar))
+    tau, w = gauss_hermite(nodes)
+    y = math.sqrt(2.0 * hbar) * tau
+    difference, middle = y[:, None] - y, 0.5 * (y[:, None] + y)
+    gauss = np.exp(-0.5 * (sp * difference / hbar) ** 2 - 0.5 * ((middle - x0) / sx) ** 2)
+    table = hermite_polynomial_values(K, math.sqrt(2.0) * tau) * (w * np.exp(1j * p0 * y / hbar))
+    # 2 sqrt(hbar) from dy dz and the Hermite functions' hbar^(-1/4) each
+    c = 2.0 * math.sqrt(hbar) * sp / (math.sqrt(2.0 * math.pi) * hbar)
+    return c * ((table @ gauss) @ table.conj().T)
 
 
 def gaussian_pair_integral(

@@ -34,7 +34,7 @@ from . import __version__, curved, cylinder, flat_weyl, geometry, numdiff
 from .bases import FourierBasis, HermiteBasis
 from .cylinder import CutoffFamily
 from .errors import ConfigError, ExperimentError, PhasequantError
-from .expressions import libm
+from .expressions import Const, Pow, Var, add, libm, mul
 from .fields import (
     add as field_add,
     constant as constant_field,
@@ -449,9 +449,10 @@ class _Checks:
 
 
 def _polynomial_field(rng: np.random.Generator, var: str):
-    coeffs = [float(c) for c in rng.uniform(-1.0, 1.0, size=4)]
-    source = " + ".join(f"({c!r})*{var}**{k}" for k, c in enumerate(coeffs))
-    return from_expression(source, (var,))
+    """``sum_k c_k var^k`` over k = 0..3 with uniform random ``c_k``, built
+    node by node as the parser builds ``(c0)*var**0 + ... + (c3)*var**3``."""
+    terms = (mul(Const(float(c)), Pow(Var(var), k)) for k, c in enumerate(rng.uniform(-1.0, 1.0, size=4)))
+    return from_expression(functools.reduce(add, terms), (var,))
 
 
 def _random_flat_symbol(rng: np.random.Generator) -> MomentumPolynomial:

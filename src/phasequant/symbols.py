@@ -9,7 +9,6 @@ through the point-transformation derivation ``delta_apply``.
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -25,7 +24,6 @@ from .fields import (
     tensor_add,
     tensor_constant,
     tensor_from_fields,
-    tensor_scalar,
     tensor_scale,
 )
 from .geometry import ManifoldModel
@@ -135,37 +133,35 @@ QUADRATURE_TOLERANCE = 1e-8
 def operator_matrix(model: ManifoldModel, D: CovariantOperator, basis, K: int) -> np.ndarray:
     """Matrix elements ``M[j, k] = <phi_j | D phi_k>`` in an orthonormal basis.
 
-    The quadrature rule comes from the basis object; the integral is repeated
-    at doubled resolution and must agree to :data:`QUADRATURE_TOLERANCE`,
-    otherwise :class:`QuadratureAccuracyError` is raised.  Every field is
-    evaluated once per quadrature grid, on the whole point array.
+    The basis gives the quadrature rule and, per grid, one table of its
+    functions and their derivatives (``basis.table``); ``D phi_k`` is the
+    coefficient values times that table, summed over orders in one pass.  The
+    integral is repeated at doubled resolution and must agree to
+    :data:`QUADRATURE_TOLERANCE`, otherwise :class:`QuadratureAccuracyError`
+    is raised.  The table holds partial derivatives, which are covariant ones
+    on a connection-free model, and up to order one on any model; a model
+    with a connection (each node weighted by its own ``sqrt(g)``) raises
+    :class:`UnsupportedOrderError` for operators of higher order.
     """
-    fns = basis.fields(K)
-    levels = [geometry.covariant_derivative_levels(model, [tensor_scalar(f).comps], 0, D.max_order) for f in fns]
+    order = D.max_order
+    if order > 1 and not model.connection_free:
+        raise UnsupportedOrderError(
+            f"operator matrices on {model.name!r}, which has a connection, take operators of order <= 1, "
+            f"got order {order}"
+        )
 
     def assemble(nodes: int) -> np.ndarray:
         points, weights = basis.quadrature(nodes, K)
+        table = basis.table(points, K, order)
         if model.connection_free:  # a constant metric has one density value
-            vol = np.full(len(points), geometry.sqrt_g(model, points[0]))
+            vol = geometry.sqrt_g(model, points[0])
         else:
             vol = np.array([geometry.sqrt_g(model, x) for x in points])
-        values: dict[int, np.ndarray] = {}  # symmetric slots share one field
-
-        def on_grid(field) -> np.ndarray:
-            if id(field) not in values:
-                values[id(field)] = field(points)
-            return values[id(field)]
-
-        phi = np.array([on_grid(f) for f in fns])
-        # Contract each coefficient component against the per-basis
-        # derivative values instead of assembling the image field per entry.
-        dphi = np.zeros((len(fns), len(points)), dtype=complex)
-        for order, tensor in D.terms.items():
-            for idx in itertools.product(range(model.dim), repeat=order):
-                cvals = on_grid(tensor.comps[idx])
-                for row, level in enumerate(levels):
-                    dphi[row] += cvals * on_grid(level[order][idx])
-        return (phi.conj() * (weights * vol)) @ dphi.T
+        coefficients = np.zeros((order + 1, len(points)), dtype=complex)
+        for r, tensor in D.terms.items():
+            coefficients[r] = tensor.comps[(0,) * r](points)
+        dphi = np.einsum("rn,rkn->kn", coefficients, table)
+        return (table[0].conj() * (weights * vol)) @ dphi.T
 
     nodes = max(QUADRATURE_NODES, basis.resolving_nodes(K))
     coarse = assemble(nodes)

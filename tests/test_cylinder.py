@@ -224,21 +224,21 @@ def test_periodic_test_function_properties():
         cylinder.periodic_test_function(0.0, 0.0)
 
 
-def test_fourier_rule_is_cached_and_read_only():
-    grid, phases = cylinder._fourier_rule(6, 64)
-    assert cylinder._fourier_rule(6, 64)[1] is phases
-    assert not grid.flags.writeable and not phases.flags.writeable
-    want_grid = -math.pi + 2.0 * math.pi * np.arange(64) / 64
-    np.testing.assert_array_equal(grid, want_grid)
-    np.testing.assert_array_equal(phases, np.exp(-1j * np.outer(np.arange(-6, 7), want_grid)))
-
-
-def test_fourier_coefficients_equal_the_uncached_product():
+@pytest.mark.parametrize("nodes, mmax", [(512, 20), (64, 26), (16, 10)])
+def test_fourier_coefficients_match_the_direct_trapezoid_sum(nodes, mmax):
+    # (16, 10) asks for more coefficients than the grid resolves: the FFT
+    # entries repeat with period 16, as the phases of the direct sum do
+    grid = -math.pi + 2.0 * math.pi * np.arange(nodes) / nodes
+    np.testing.assert_array_equal(cylinder._angle_grid(nodes), grid)
+    phases = np.exp(-1j * np.outer(np.arange(-mmax, mmax + 1), grid))
     t = cylinder.periodic_test_function(0.9, 0.4)
-    grid = -math.pi + 2.0 * math.pi * np.arange(512) / 512
-    want = np.exp(-1j * np.outer(np.arange(-20, 21), grid)) @ t(grid).astype(complex) / 512
-    for _ in range(2):  # computing the rule, then reading it from the cache
-        np.testing.assert_array_equal(cylinder._fourier_coefficients(t, 20), want)
+    rows = np.array([t(grid), np.cos(3.0 * grid) + 1j * np.sin(grid) ** 2])  # a real and a complex sample row
+    got = cylinder._fourier_coefficients(rows, mmax)
+    assert got.shape == (2, 2 * mmax + 1)
+    # the direct sum's phases e^{-i m theta} round at |m theta| up to 26 pi,
+    # which leaves about 1e-15 in its own entries
+    np.testing.assert_allclose(got, rows @ phases.T / nodes, rtol=0.0, atol=4e-15)
+    np.testing.assert_array_equal(cylinder._fourier_coefficients(rows[0], mmax), got[0])
 
 
 # ---------------------------------------------------------------------------

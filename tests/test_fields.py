@@ -71,14 +71,15 @@ def test_high_mixed_partials_of_a_product(orders):
     assert abs(chained(q) - want) < 1e-12
 
 
+# The basis tables hand operator matrices the derivatives of Fourier modes and
+# Hermite functions, as coefficient fields hand them their own.
+
+
 def test_fourier_mode_derivative_chain_matches_closed_form():
-    root = f = bases.fourier_mode(3)
-    q = np.array([0.9])
+    table = bases.FourierBasis().table(np.array([[0.9]]), 3, 4)
     for n in range(5):
-        assert f is root.derivative((n,))
         want = (3j) ** n * np.exp(3j * 0.9) / math.sqrt(2.0 * math.pi)
-        assert abs(f(q) - want) < 1e-12 * 3**n
-        f = f.partial(0)
+        assert abs(table[n, 6, 0] - want) < 1e-12 * 3**n  # row 6 holds k = 3
 
 
 @pytest.mark.parametrize("k, hbar", [(0, 1.0), (2, 1.0), (5, 0.7)])
@@ -88,14 +89,14 @@ def test_hermite_derivative_chain_matches_closed_form(k, hbar):
     poly = np.polynomial.Hermite.basis(k).convert(kind=np.polynomial.Polynomial)
     poly = poly / math.sqrt(2.0**k * math.factorial(k) * math.sqrt(math.pi))
     u_poly = np.polynomial.Polynomial([0.0, 1.0])
-    f = bases.hermite_function(k, hbar)
+    xs = np.array([-1.3, 0.2, 2.1])
+    table = bases.HermiteBasis(hbar).table(xs.reshape(-1, 1), k, 4)
     for n in range(5):
-        for x in (-1.3, 0.2, 2.1):
+        for x, got in zip(xs, table[n, k]):
             u = x / math.sqrt(hbar)
             want = hbar**-0.25 * hbar ** (-n / 2) * poly(u) * math.exp(-0.5 * u * u)
-            assert abs(f(np.array([x])) - want) < 1e-12 * max(1.0, abs(want))
+            assert abs(got - want) < 1e-12 * max(1.0, abs(want))
         poly = poly.deriv() - u_poly * poly
-        f = f.partial(0)
 
 
 def test_callable_field_merges_derivative_stencils():
@@ -306,20 +307,21 @@ def test_combinators_on_point_array():
         assert_array_equals_points(field.partial(0).partial(1), PLANE)
 
 
+def assert_table_columns_are_pointwise(basis, K, points):
+    """Each node's column of a basis table is, bit for bit, the table at that node alone."""
+    table = basis.table(points, K, 3)
+    for i, x in enumerate(points):
+        np.testing.assert_array_equal(table[:, :, i], basis.table(x[None], K, 3)[:, :, 0])
+
+
 @pytest.mark.parametrize("k", [-3, 0, 2])
 def test_fourier_mode_on_point_array(k):
-    field = bases.fourier_mode(k)
-    for _ in range(4):
-        assert_array_equals_points(field, LINE)
-        field = field.partial(0)
+    assert_table_columns_are_pointwise(bases.FourierBasis(), abs(k), LINE)
 
 
 @pytest.mark.parametrize("k, hbar", [(0, 1.0), (3, 0.7), (6, 1.3)])
 def test_hermite_function_on_point_array(k, hbar):
-    field = bases.hermite_function(k, hbar)
-    for _ in range(4):
-        assert_array_equals_points(field, LINE)
-        field = field.partial(0)
+    assert_table_columns_are_pointwise(bases.HermiteBasis(hbar), k, LINE)
 
 
 def test_callable_field_loops_over_point_array():

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -262,12 +263,19 @@ def quantize_flat_numeric(f, K, window, nodes):
     return out / (2.0 * math.pi)
 
 
-def quantize_gaussian_einsum(p0, x0, sp, sx, K, hbar=1.0):
-    """The Gaussian fast path as one three-operand einsum over all node pairs."""
-    nodes = max(4 * (K + 1), 96)
+@functools.cache
+def numpy_hermite_rule(nodes):
+    return np.polynomial.hermite.hermgauss(nodes)
+
+
+def quantize_gaussian_pair_rule(p0, x0, sp, sx, K, hbar=1.0):
+    """The Gaussian with its momentum integral done exactly, summed over every
+    node pair of numpy's 200-node Gauss-Hermite rule in the scaled position ``x / s``
+    and offset ``xi / s`` as one three-operand einsum: an independent rule
+    and an independent sum."""
     s = math.sqrt(hbar)
-    u, wu = np.polynomial.hermite.hermgauss(nodes)  # scaled offset xi / s
-    v, wv = np.polynomial.hermite.hermgauss(nodes)  # scaled position x / s
+    u, wu = numpy_hermite_rule(200)  # scaled offset xi / s
+    v, wv = u, wu  # scaled position x / s
     pm = hermite_polynomial_values(K, v[:, None] - u[None, :])  # (K+1, nv, nu)
     pp = hermite_polynomial_values(K, v[:, None] + u[None, :])
     xfac = np.exp(-0.5 * ((s * v - x0) / sx) ** 2)
@@ -295,26 +303,19 @@ def test_gaussian_quantization_is_hermitian():
     assert hermiticity_defect(A) < 1e-12
 
 
-# 4, 8 and 16 use 96 Gauss-Hermite nodes, three whole blocks; 24 uses 100,
-# so its last block is short.
-@pytest.mark.parametrize("K", [4, 8, 16, 24])
-def test_blocked_gaussian_quantization_matches_einsum(K):
+# The pair rule at its own node count, max(4 (K + 1), 96), misses the 200-node
+# pair rule by up to 7.7e-8 (hbar = 0.5, K = 24); the position-kernel rule
+# stays within 1e-14 of it at that node count.
+@pytest.mark.parametrize("K", [4, 8, 16, 24, 32])
+@pytest.mark.parametrize("hbar", [0.5, 0.7, 1.0, 2.0])
+def test_gaussian_quantization_matches_the_pair_rule_at_200_nodes(hbar, K):
     g = (0.4, -0.3, 0.9, 0.8)
     np.testing.assert_allclose(
-        flat_weyl.quantize_gaussian_flat(*g, K=K, hbar=0.7),
-        quantize_gaussian_einsum(*g, K=K, hbar=0.7),
+        flat_weyl.quantize_gaussian_flat(*g, K=K, hbar=hbar),
+        quantize_gaussian_pair_rule(*g, K=K, hbar=hbar),
         rtol=0.0,
         atol=1e-14,
     )
-
-
-@pytest.mark.parametrize("block", [1, 7, 200])
-def test_gaussian_quantization_does_not_depend_on_the_block_size(block, monkeypatch):
-    """A block of one node, a block that leaves a remainder, and one block past the end."""
-    g = (-0.2, 0.5, 1.1, 0.7)
-    want = flat_weyl.quantize_gaussian_flat(*g, K=12)
-    monkeypatch.setattr(flat_weyl, "GAUSSIAN_BLOCK_NODES", block)
-    np.testing.assert_allclose(flat_weyl.quantize_gaussian_flat(*g, K=12), want, rtol=0.0, atol=1e-14)
 
 
 def test_gaussian_pair_integral_closed_form():

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import math
@@ -11,6 +12,7 @@ import pytest
 
 from phasequant import cli, curved, harness
 from phasequant.errors import ConfigError, ExperimentError, QuadratureAccuracyError
+from phasequant.fields import from_expression
 
 EXPERIMENTS = [entry.name for entry in harness.list_experiments()]
 
@@ -188,6 +190,26 @@ def test_config_file_parse_error_names_position(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# random symbols
+
+
+def test_polynomial_field_is_bit_identical_to_its_parsed_source():
+    # the field is built node by node in the order the parser builds
+    # "(c0)*x**0 + (c1)*x**1 + (c2)*x**2 + (c3)*x**3", so its values and
+    # partials agree bit for bit with those of the parsed text
+    rng = np.random.default_rng(20260814)
+    points = np.linspace(-1.7, 1.9, 23).reshape(-1, 1)
+    for _ in range(20):
+        coeffs = copy.deepcopy(rng).uniform(-1.0, 1.0, size=4)
+        field = harness._polynomial_field(rng, "x")
+        parsed = from_expression(" + ".join(f"({float(c)!r})*x**{k}" for k, c in enumerate(coeffs)), ("x",))
+        for order in range(4):
+            got, want = field.derivative((order,)), parsed.derivative((order,))
+            assert got(points).tobytes() == want(points).tobytes()
+            assert complex(got(points[5])) == complex(want(points[5]))
+
+
+# ---------------------------------------------------------------------------
 # reports
 
 
@@ -249,29 +271,30 @@ def test_report_files_written(tmp_path, reports):
 # SHA-256 of every default report file, the JSON timestamp line removed.  A
 # change that moves any report value, or the layout of a report, changes one
 # of these; such a change re-pins them and says which values moved.  The
-# cylinder-axioms, flat-axioms and orderings files were last re-recorded when
-# Gauss-Legendre rules came from Newton steps on the Legendre recurrence (no
-# eigensolve) and operator and Hermite kernel matrices from one matrix product
-# (no three-operand einsum): both move values at rounding level only.
+# cylinder-axioms, discrete-orthogonality, flat-axioms and orderings files were
+# last re-recorded when Gauss-Hermite rules came from Newton steps on the
+# Hermite recurrence, operator matrices from one basis table per grid and
+# trapezoid Fourier coefficients from one FFT: all move values at rounding
+# level only.
 REPORT_SHA256 = {
     "curved-defect-defect_vs_p.csv": "46e41d2e8b5d69398cac653df6e10a5f3eb456afaf7c86996dba271612b4492c",
     "curved-defect-records.csv": "2fe304952487976da61f1d56b8efd2293c1c3f2128e3dae353fb601cc4318e0c",
     "curved-defect.json": "8a4e1294a5bc071b87abe116c275609ddbc2b607d7de7d60f3b64db09cc3600a",
-    "cylinder-axioms-records.csv": "cdb2fff6d89ff10d2f59b56ec8b948a6c01e782d7c7510cf30721248537222f5",
-    "cylinder-axioms-reproduction_vs_m.csv": "05c925dc1a0453b5e698f1ed4ad646123033d07196ba22ed3af5fa8ffa805408",
-    "cylinder-axioms-smeared_trace_vs_K.csv": "3fb96236a046468a2e39eaef529752b4fbbefe340bb21546b066ac5b16de4704",
-    "cylinder-axioms.json": "fb9b3a4e924917dd4469644c5aa08af9989db1bcd8de3c7bb1404be96199e0fc",
+    "cylinder-axioms-records.csv": "88abddef3160824f56e69900b583348c6bc2380ee98e4a849a264db57c892cbc",
+    "cylinder-axioms-reproduction_vs_m.csv": "173ee0ae2e6aa9b859e4327102400e5db0d231b274fdd5e40ca0ede9681feb90",
+    "cylinder-axioms-smeared_trace_vs_K.csv": "dd22b7ff4c957de51002cb1ec38dd17c748049b9236865b16eb689fa698fc5e8",
+    "cylinder-axioms.json": "4457911c9f78c00cd8fde2ef0776b6ce74658c7d4f04aed59f65263048778451",
     "discrete-limit-limit_error_vs_j.csv": "3828bfe54a7252f0b4cf81ab8304d2494950ba07c1dd5272fcfacce2d93b52ed",
     "discrete-limit-records.csv": "1acefef31c31c3b6e32f550656c6716347b648175726c3d7c5555730723786f7",
     "discrete-limit.json": "3712894bf1d5fb4016c0f3f8cd5372e2363baa262537537f8ed49789f353b263",
-    "discrete-orthogonality-orthogonality_vs_K.csv": "cfe280b9142e7bf3df293a8277fe04fe2c6cb89969dd973ebd8ad5e50ea4a50d",
-    "discrete-orthogonality-records.csv": "898ceab9fe1a6091382d8fd1aa101beed36987e817071de96b50f721f7b2a19e",
-    "discrete-orthogonality.json": "dc656687950a88aeecff08e91b357531fcc33241ee6d081b907efd99357a6660",
-    "flat-axioms-records.csv": "d9c5b450958930bc0a1405bec7e480af7d24bcb474a11fe4c1034c6b4ea176aa",
-    "flat-axioms-trace_vs_K.csv": "f82aa3bcc069fb28fd495d09a266aefe2a27e6fae919b38b4ef558cfcf296061",
-    "flat-axioms.json": "37e9730f4b95be2aabfd428adffb5240d99eca39d141236b050b562c36d2968a",
-    "orderings-records.csv": "a8e7e12c14950b404ba0c9098207489a6d4c95f41d024a8c47d601bb061aa771",
-    "orderings.json": "eca674010fd55edb0f8d431dcb14187593f65fb51c5620381130c99d2e5d36d4",
+    "discrete-orthogonality-orthogonality_vs_K.csv": "2f1d1d22a361f43a1c5090a4b2df849f66a1d480825fe7dbe577df717a768ada",
+    "discrete-orthogonality-records.csv": "ee0c46d511215ec07100ed78258f389a25ae4c22df825110f4b947edfef92ddb",
+    "discrete-orthogonality.json": "0404e9f478eb2190ca40e3114aa9a8738ec12991444cb3818c8357af4de8c71f",
+    "flat-axioms-records.csv": "6341eee9f26f7e5f99222382c8e9fa10a12e96f66cc3e289cd58b56959bf6246",
+    "flat-axioms-trace_vs_K.csv": "b5b558e57fcb249d457b2ab770ca387c9682ec4fa1d5b2236fb6a1fd8f3c19f0",
+    "flat-axioms.json": "bb274db64c4ffe8ce41369c4dc3d66dc2c4677da9ba323971b60d17a8d6ff85b",
+    "orderings-records.csv": "9f568ef636200aa32ccd981e6e46962f6ceb9250421a64dcea3981c7d951f1ea",
+    "orderings.json": "fd579ede998a5d7ca95fd4974a95a7448eaae9d281f98011811125b5f7972b1b",
     "point-transform-records.csv": "92880e32ce32a031e237da1d72fc909633a82a7cdfe2f2f327fead5bf8dec2c0",
     "point-transform-shift_vs_r.csv": "bfd233898d828bb467d0d02874745eb1ddd3599941110d18abd6e7d79baee874",
     "point-transform.json": "b3b5d3697596083885e9f5f2651d39ac844bb1afe3e4f70e12a364133af0ede8",
@@ -444,6 +467,16 @@ def test_cli_orderings_passes_at_large_truncation(tmp_path, capsys):
     assert "[FAIL]" not in capsys.readouterr().out
 
 
+def test_cli_flat_axioms_passes_at_truncation_100(tmp_path, capsys):
+    # 404 Gauss-Hermite nodes: the outermost weights lie below the smallest
+    # double; an eigensolver rule that divides by the underflowed values
+    # turns them into NaN, and weak-form-pairing read nan
+    config_path = tmp_path / "flat.json"
+    config_path.write_text(json.dumps({"experiment": "flat-axioms", "truncation_K": 100}))
+    assert run_cli("run", "--config", str(config_path), "--out", str(tmp_path / "out")) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
+
+
 def test_cli_run_missing_file(tmp_path, capsys):
     assert run_cli("run", "--config", str(tmp_path / "absent.json")) == 2
     assert "error:" in capsys.readouterr().err
@@ -570,6 +603,21 @@ def test_harness_and_cylinder_import_without_scipy():
     code = (
         "import sys, phasequant.harness, phasequant.cylinder; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_flat_suite_runs_without_numpy_polynomial_or_scipy():
+    # every quadrature rule of the five experiments comes from bases' Newton rules
+    code = (
+        "import sys\n"
+        "from phasequant import harness\n"
+        "for name in ('flat-axioms', 'orderings', 'point-transform', 'discrete-limit', 'discrete-orthogonality'):\n"
+        "    harness.run_experiment(harness.ExperimentConfig.from_dict(harness.default_config(name)))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)

@@ -7,7 +7,7 @@ import pytest
 from phasequant import geometry, harness, numdiff, symbols
 from phasequant.curved import wue_weyl_image
 from phasequant.bases import FourierBasis, HermiteBasis
-from phasequant.errors import ConfigError
+from phasequant.errors import ConfigError, UnsupportedOrderError
 from phasequant.expressions import libm, parse_expression
 from phasequant.fields import constant, from_expression, tensor_constant, tensor_from_fields
 from phasequant.symbols import (
@@ -243,24 +243,25 @@ def test_position_matrix_in_hermite_basis_at_K48(hbar):
 
 
 # SHA-256 of the bytes of operator_matrix(circle, Weyl image of cos(theta) p^m,
-# FourierBasis(), 32), negative zeros folded to +0.  Re-recorded when the
-# quadrature sum became one matrix product, (phi^* w) @ (D phi)^T, in place of
-# a three-operand einsum: BLAS sums the nodes in an order of its own, which
-# moves the last bits of the entries, so the name of the pinning test below is
-# older than its digests.  test_operator_matrix_matches_a_pointwise_assembly
+# FourierBasis(), 32), negative zeros folded to +0.  Re-recorded for m >= 1
+# when the derivatives of the modes came from one table per grid,
+# (i k)^r * (exp(i k theta) / sqrt(2 pi)), summed against the coefficient
+# values in one pass: the products round in another order than the old
+# per-mode fields' (i k)^r / sqrt(2 pi) * exp(i k theta).  m = 0 takes no
+# derivative and kept its digest.  test_operator_matrix_matches_a_pointwise_assembly
 # checks the same matrices against a node-by-node sum, so the pin is not the
 # only guard.
 COS_THETA_MATRIX_SHA256 = {
     0: "e61af782641181d03d92eaeeccd6edb47e3e102aa01c8d5815cfadc1e8545e79",
-    1: "c5343aba51c4f86a28a85154e75d9108c2e42b50bb01ff9f08ece35856a77a3c",
-    2: "18a60301bec9cbf7c571dac7beca48a879b9feba1e9180961e92b47703cbe7b9",
-    3: "bdd81dfe429731bb671ff1861fdf806207d67a8961f01f1920cb6d19c7446164",
-    4: "4cf21241a01b9f4040c9e2cfbb2cf017852dc5ca067247c4303aa0cd7b17c1b9",
+    1: "beeb677e0ee6a88ea723ba873eea2016f2ac51a771857007c00715867047bbde",
+    2: "612595e7c07a8d40dce3a168db3d434041f09f99b4881aad8f220c78e3ba444f",
+    3: "8630e3e297beec4c75d5488b4238f58e74c5ce66c3e613ee05ed3b6e04de0e2d",
+    4: "78c24ddb36926ce6cb4166b95970809beb86fba19de67927787f37bf3e5e5dd0",
 }
 
 
 @pytest.mark.parametrize("m", range(5))
-def test_operator_matrix_is_bit_identical_to_pointwise_assembly(m):
+def test_operator_matrix_digests_are_pinned(m):
     model = geometry.circle()
     X = from_expression("cos(theta)", ("theta",))
     D = wue_weyl_image(model, momentum_power(1, m, X), 1.0)
@@ -299,15 +300,22 @@ def test_operator_matrix_weights_by_a_varying_density():
     D = symbols.CovariantOperator(1, {0: tensor_from_fields(1, 0, lambda idx: coeff)})
     M = operator_matrix(model, D, FourierBasis(), 3)
     points, weights = FourierBasis().quadrature(2 * symbols.QUADRATURE_NODES, 3)
-    modes = FourierBasis().fields(3)
-    want = [
-        [
-            sum(w * geometry.sqrt_g(model, x) * np.conj(fj(x)) * coeff(x) * fk(x) for x, w in zip(points, weights))
-            for fk in modes
-        ]
-        for fj in modes
-    ]
+    k = np.arange(-3, 4)
+    want = np.zeros((7, 7), dtype=complex)
+    for x, w in zip(points, weights):
+        phi = np.exp(1j * k * x[0]) / math.sqrt(2.0 * math.pi)
+        want += w * geometry.sqrt_g(model, x) * complex(coeff(x)) * np.outer(phi.conj(), phi)
     np.testing.assert_allclose(M, want, atol=1e-13)
+
+
+def test_operator_matrix_rejects_second_order_operators_on_a_model_with_a_connection():
+    # the table holds partial derivatives only; nabla nabla carries Christoffel terms
+    theta = geometry.CoordSpec("theta", -math.pi, math.pi, periodic=True)
+    metric = parse_expression("1 + 0.5*cos(theta)*cos(theta)", ("theta",))
+    model = geometry.ManifoldModel("wavy-circle", 1, (theta,), metric_exprs=((metric,),))
+    D = symbols.CovariantOperator(1, {2: tensor_constant(1, np.ones((1, 1)))})
+    with pytest.raises(UnsupportedOrderError):
+        operator_matrix(model, D, FourierBasis(), 3)
 
 
 def test_hermiticity_defect_measures_max_deviation():
