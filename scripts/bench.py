@@ -38,10 +38,14 @@ checkout a round records:
   (K = 64) of the smearing test function on its 512-node grid, with any cache
   of ``cylinder`` cleared first (``cylinder._fourier_rule``, the phase table
   of checkouts that predate the FFT, or ``cylinder._angle_grid`` and one FFT
-  after it).  A first timed call
-  sets the repeat count: enough calls to fill :data:`LAYER_SECONDS`,
-  between :data:`MIN_REPEATS` and :data:`MAX_REPEATS`; the first call itself
-  is not in the median;
+  after it).  A first call warms each layer up and is not timed; the
+  layer is then called until its calls fill :data:`LAYER_SECONDS`, with
+  perfbench's ``SpeedProbe`` (loaded from ``perfbench/child.py`` next to
+  this script, so every checkout is scaled by the same probe) sampling the
+  CPU's speed on a timer meanwhile.  Each call's time less the probe's
+  samples inside it is its raw time; the layer's median raw time goes in
+  ``layers_raw_ms`` and, scaled to the probe's reference speed as perfbench
+  scales a pass, in ``layers_ms``;
 - the end-to-end medians of ``perfbench/run.py --workload all`` of that
   checkout, with ``--seconds`` and the round's seed (``--seed`` + round).
 
@@ -55,6 +59,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib.metadata
+import importlib.util
 import json
 import math
 import os
@@ -73,12 +78,19 @@ PINNED = {
     "NUMEXPR_NUM_THREADS": "1",
     "PYTHONHASHSEED": "0",
 }
-# Each layer is timed for about this long after a first call that sets the
-# repeat count: a handful of calls cannot resolve changes of a few tens of
-# percent on the fast layers.
+# Each layer is called for at least this long after its warm-up call: a
+# handful of calls cannot resolve changes of a few tens of percent on the fast
+# layers, and the probe needs samples spread over the layer's calls.
 LAYER_SECONDS = 1.0
-MIN_REPEATS = 3
-MAX_REPEATS = 200
+PERFBENCH_CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
+
+
+def load_perfbench_child():
+    """perfbench's child module, for its ``SpeedProbe`` and sample minimum."""
+    spec = importlib.util.spec_from_file_location("perfbench_child", PERFBENCH_CHILD)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def layer_timings(src: Path) -> dict:
@@ -122,19 +134,28 @@ def layer_timings(src: Path) -> dict:
         passed += sum(record.passed for record in report.records)
         total += len(report.records)
 
-    repeats = {}
+    child = load_perfbench_child()
+    repeats, raw_ms = {}, {}
 
     def median_ms(name, call) -> float:
-        start = time.perf_counter()
+        """The median call time in ms scaled to the probe's reference speed;
+        the raw median goes in ``raw_ms``."""
         call()
-        first = time.perf_counter() - start
-        repeats[name] = min(MAX_REPEATS, max(MIN_REPEATS, math.ceil(LAYER_SECONDS / max(first, 1e-9))))
-        times = []
-        for _ in range(repeats[name]):
+        probe = child.SpeedProbe()
+        spans = []
+        probe.start()
+        begin = time.perf_counter()
+        while not spans or spans[-1][1] - begin < LAYER_SECONDS:
             start = time.perf_counter()
             call()
-            times.append(time.perf_counter() - start)
-        return 1e3 * statistics.median(times)
+            spans.append((start, time.perf_counter()))
+        probe.stop()
+        for _ in range(child.MIN_PASS_SAMPLES - len(probe.samples)):
+            probe.sample()
+        repeats[name] = len(spans)
+        raw = statistics.median(probe.own(start, end) for start, end in spans)
+        raw_ms[name] = 1e3 * raw
+        return 1e3 * raw * probe.scale(begin)
 
     def sphere_dequantization(degree: int, opaque: bool = False) -> complex:
         model = sphere(1.0)
@@ -187,6 +208,7 @@ def layer_timings(src: Path) -> dict:
         "run_all_total_s": sum(run_all_s.values()),
         "checks_passed": f"{passed}/{total}",
         "layers_ms": layers_ms,
+        "layers_raw_ms": raw_ms,
         "layer_repeats": repeats,
         "numpy": np.__version__,
     }

@@ -11,14 +11,15 @@ The pairing reads its ingredients as jets in normal coordinates, all from
 one source, the normal-coordinate expansion of the metric in
 ``geometry``: density jets from ``geometry.sqrt_g_jet``, connection jets
 from ``geometry.normal_christoffel_jets``, and coefficient jets from
-covariant derivatives (``geometry.covariant_derivative_levels``) corrected by
-those connection jets along the radial geodesics.  The image contracts the
-same density jets, as fields (``geometry.density_jet_fields``), that the
-pairing evaluates at a point.  Every operator order the package supports
-(up to 4) is exact in the curvature; flat models are the zero-curvature case
-of the same path, and a model with an opaque metric takes it too, with
-finite differences only at its metric callable.  A pairing evaluates each
-distinct field once, since a field remembers its value at the last point.
+covariant derivatives (``geometry.covariant_jets``) corrected by those
+connection jets along the radial geodesics.  The image contracts the same
+density jets, as fields (``geometry.density_jet_fields``), that the pairing
+evaluates at a point.  Every operator order the package supports (up to 4)
+is exact in the curvature; flat models are the zero-curvature case of the
+same path, and a model with an opaque metric takes it too, with finite
+differences only at its metric callable, one call per stencil node.  A
+pairing computes each distinct field's jet once, since a field remembers its
+jet at the last point.
 
 The images here are also the package's flat-space images: on a flat model
 every volume-density jet beyond order zero vanishes, and both maps reduce to
@@ -38,9 +39,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import geometry, numdiff, taylor
+from . import fields, geometry, numdiff, taylor
 from .errors import ConfigError
-from .fields import TensorField, contract, evaluate, tensor_add, tensor_scale
+from .fields import TensorField, contract, tensor_add, tensor_scale
 from .geometry import ManifoldModel
 from .symbols import CovariantOperator, MomentumPolynomial, merge_terms
 
@@ -196,8 +197,8 @@ def _coeff_jets(
     rank = tensor.rank
     E = geometry.normal_frame(model, q)
     jets: list[np.ndarray] = []
-    for k, comps in enumerate(geometry.covariant_derivative_levels(model, [tensor.comps], rank, order)):
-        jet = geometry.frame_components(evaluate(comps, q), E, rank)
+    for k, level in enumerate(geometry.covariant_jets(model, tensor.comps, rank, q, 0, order)):
+        jet = geometry.frame_components(level[..., 0], E, rank)
         if k >= 2 and rank and not model.flat:
             jet = jet - _ray_correction(gamma_jets, jets, rank, k)
         jets.append(numdiff.symmetrize(jet, axes=range(rank, rank + k)))
@@ -211,6 +212,8 @@ def _pairing_data(model: ManifoldModel, q: np.ndarray, D: CovariantOperator, ord
     pad it), the order-k coefficient through order k: it meets monomials of
     rank at most k, and the trace pairing of rank r reads order r."""
     dim = model.dim
+    # no jet read here needs the metric past ``order``: one remembered opaque metric_fn jet serves all
+    fields.jets(model._fields["g"], q, order)
     gamma_jets = geometry.normal_christoffel_jets(model, q, max(order - 1, 0))
     coeff = {k: taylor.from_jets(dim, _coeff_jets(model, q, t, k, gamma_jets)) for k, t in D.terms.items()}
     h = taylor.from_jets(dim, geometry.sqrt_g_jet(model, q, order, power=-0.5))
@@ -253,7 +256,7 @@ def _momentum_polynomial_series(
         nxt: dict[int, taylor.Series] = {}
         for r, S in level.items():
             if S.order >= 1:
-                accumulate(nxt, r, taylor.derivative(S, r))
+                accumulate(nxt, r, taylor.gradient(S, r))
             accumulate(nxt, r + 1, taylor.identity_pair(S, r, r + 1))
             for t in range(k):
                 prod = taylor.outer(gamma, S)  # base [c a b] + [s r] + [cov k]

@@ -1,89 +1,66 @@
 """Scalar and symmetric tensor coefficient fields on a chart.
 
-Fields wrap point evaluations together with partial-derivative access.  When
-a field is built from the expression grammar (or another analytic source) its
-partials are exact; otherwise they fall back to the shared finite-difference
-engine.  A field and its partials share one table of them keyed by per-axis
-derivative orders, and a partial of a sum or product reads its children's
-tables (the Leibniz rule) rather than building a field tree.  A field called
-on one chart point, shape ``(dim,)``, returns a complex number; called on an
-``(N, dim)`` array of points it returns the N values as one array, computed
-with array arithmetic except for opaque callables (:func:`from_callable`),
-which are called point by point.  A field remembers its value at the last
-single point it was called on, so a field tree that shares subtrees evaluates
-each distinct field once per point without the caller doing anything; point
-arrays are never remembered (an operator matrix keeps its own per-grid
-table).  :func:`evaluate` evaluates an object array of fields.  Fields add,
-subtract and multiply with ``+``, ``-`` and ``*`` (a number scales), so array
-formulas apply to object arrays of them.  All
-symbol/operator coefficient algebra in the package is expressed through these
-objects, which keeps forward and inverse maps numerically consistent.
-Covariant derivatives and divergences of these fields, the Cartesian ones
-included, are built in ``geometry``.
+A field's one derivative primitive is ``field.jet(q, order)``: its partials
+through ``order`` at a point or at each row of an ``(N, dim)`` point array,
+along a last axis over :func:`numdiff.multi_indices`.  An expression fills it
+from its symbolic partials, a callable from one finite-difference jet, sums
+and products from their parts' jets (the Leibniz rule), a partial from its
+parent's jet shifted down an order, and a :func:`component` from one jet that
+all components of a tensor share.  The value is the order-0 entry, on a point
+array bit for bit those at the single points.  A field remembers its jet at
+the last single point, so a tree that shares subtrees computes each distinct
+jet once per point.  Fields combine with ``+``, ``-`` and ``*`` (a number
+scales), so array formulas apply to object arrays of them.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-import math
-import operator
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import numdiff
+from . import numdiff, taylor
 from .errors import ShapeError, UnsupportedOrderError
 from .expressions import Expr, parse_expression
 
-
 class ScalarField:
-    """A complex-valued function of chart coordinates with partial derivatives.
+    """A complex-valued function of chart coordinates with all its partials.
 
-    ``fn`` takes a point of shape ``(dim,)`` and returns a complex number, or
-    an ``(N, dim)`` point array and returns the N values; ``derive(orders)``
-    returns such a function for the partial with ``orders[i]`` derivatives
-    along axis ``i``, which is one field however its axes are ordered.  The
-    value at the last single point is remembered and returned, unchanged,
-    when the field is called there again.
+    ``cap``, when set, is the highest order a finite-difference source gives; a
+    chain of partials past it raises at once.  A field whose jet has component
+    axes first is the shared source of :func:`component` fields.
     """
 
-    __slots__ = ("dim", "_fn", "_derive", "_orders", "_family", "_last")
+    __slots__ = ("dim", "cap", "_jet", "_last")
 
-    def __init__(
-        self,
-        dim: int,
-        fn: Callable[[np.ndarray], complex],
-        derive: Callable[[tuple[int, ...]], Callable[[np.ndarray], complex]],
-    ):
+    def __init__(self, dim: int, jet: Callable[[np.ndarray, int], np.ndarray], cap: int | None = None):
         self.dim = dim
-        self._fn = fn
-        self._derive = derive
-        self._orders: tuple[int, ...] | None = None  # derivative counts from the table's root
-        self._family: dict[tuple[int, ...], ScalarField] | None = None
-        self._last: tuple = (None, None)  # (point bytes, value), replaced as one
+        self.cap = cap
+        self._jet = jet
+        self._last: tuple = (None, -1, None)  # (point bytes, order, read-only jet), replaced as one
+
+    def jet(self, q: np.ndarray, order: int) -> np.ndarray:
+        """Every partial through ``order`` at ``q``, along the last axis."""
+        q = np.asarray(q, dtype=float)
+        if q.ndim != 1:
+            return self._jet(q, order)
+        key, (last, known, jet) = q.tobytes(), self._last
+        if key != last or known < order:
+            jet, known = self._jet(q, order), order
+            jet.flags.writeable = False
+            self._last = (key, order, jet)
+        return jet if known == order else jet[..., : len(numdiff.multi_indices(self.dim, order))]
 
     def __call__(self, q: np.ndarray) -> complex | np.ndarray:
         q = np.asarray(q, dtype=float)
-        if q.ndim != 1:
-            return self._fn(q)
-        key, last = q.tobytes(), self._last
-        if last[0] != key:
-            last = self._last = (key, self._fn(q))
-        return last[1]
-
-    def derivative(self, orders: Sequence[int]) -> "ScalarField":
-        """The mixed partial with ``orders[i]`` derivatives along axis ``i``."""
-        total = tuple(orders if self._orders is None else map(operator.add, self._orders, orders))
-        if self._family is None:  # made on first use: most fields are never differentiated
-            self._family = {(0,) * self.dim: self}
-        if total not in self._family:
-            field = self._family[total] = ScalarField(self.dim, self._derive(total), self._derive)
-            field._orders, field._family = total, self._family
-        return self._family[total]
+        return complex(self.jet(q, 0)[0]) if q.ndim == 1 else self._jet(q, 0)[..., 0]
 
     def partial(self, axis: int) -> "ScalarField":
-        return self.derivative([int(i == axis) for i in range(self.dim)])
+        if self.cap == 0:
+            raise UnsupportedOrderError("finite-difference chain exceeds supported order")
+        cap = None if self.cap is None else self.cap - 1
+        return ScalarField(self.dim, lambda q, n: taylor.jet_shift(self.jet(q, n + 1), self.dim, n, axis), cap)
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
         return add(self, other)
@@ -98,10 +75,14 @@ class ScalarField:
 
 
 def constant(dim: int, value: complex) -> ScalarField:
-    def fn(q, value=complex(value)):
-        return value if q.ndim == 1 else np.full(len(q), value)
+    value = complex(value)
 
-    return ScalarField(dim, fn, lambda orders: functools.partial(fn, value=0j))
+    def jet(q, order):
+        out = np.zeros(q.shape[:-1] + (len(numdiff.multi_indices(dim, order)),), dtype=complex)
+        out[..., 0] = value
+        return out
+
+    return ScalarField(dim, jet)
 
 
 def from_expression(source: str | Expr, coordinates: Sequence[str]) -> ScalarField:
@@ -113,90 +94,68 @@ def from_expression(source: str | Expr, coordinates: Sequence[str]) -> ScalarFie
     bit (integer powers go through :func:`expressions.libm`).
     """
     coords = tuple(coordinates)
-    expr = parse_expression(source, coords) if isinstance(source, str) else source
-    exprs = {(0,) * len(coords): expr}
+    dim = len(coords)
+    exprs = [parse_expression(source, coords) if isinstance(source, str) else source]
 
-    def fn(q, e=expr):
-        if q.ndim == 1:
-            return complex(e.eval(dict(zip(coords, q))))
-        out = np.empty(len(q), dtype=complex)
-        out[:] = e.eval(dict(zip(coords, q.T)))  # a constant expression gives one number
+    def jet(q, order):
+        indices = numdiff.multi_indices(dim, order)
+        for alpha in indices[len(exprs) :]:
+            last = max(i for i, n in enumerate(alpha) if n)
+            lower = indices.index(alpha[:last] + (alpha[last] - 1,) + alpha[last + 1 :])
+            exprs.append(exprs[lower].diff(coords[last]))
+        env = dict(zip(coords, q.T))
+        out = np.empty(q.shape[:-1] + (len(indices),), dtype=complex)
+        for i in range(len(indices)):
+            out[..., i] = exprs[i].eval(env)  # a constant expression gives one number
         return out
 
-    def derive(orders: tuple[int, ...]) -> Callable[[np.ndarray], complex]:
-        if orders not in exprs:
-            last = max(i for i, n in enumerate(orders) if n)
-            lower = orders[:last] + (orders[last] - 1,) + orders[last + 1 :]
-            derive(lower)
-            exprs[orders] = exprs[lower].diff(coords[last])
-        return functools.partial(fn, e=exprs[orders])
-
-    return ScalarField(len(coords), fn, derive)
+    return ScalarField(dim, jet)
 
 
 def from_callable(dim: int, fn: Callable[[np.ndarray], complex]) -> ScalarField:
-    """Wrap a plain callable; each mixed partial is one stencil of ``fn``.
-
-    ``field.partial(a).partial(b)`` evaluates a single second-order stencil of
-    ``fn`` rather than nesting first-order differences, which keeps the noise
-    floor near the Richardson accuracy of the base function.  ``fn`` takes one
-    point; on a point array the field calls it at each point in turn, and a
-    partial evaluates every stencil node of every point in one pass.
+    """Wrap a plain callable of one point; its jet is one :func:`numdiff.jet`, each
+    mixed partial a single stencil (the noise floor stays near the Richardson
+    accuracy of ``fn``).  An array-valued ``fn`` is a :func:`component` source.
     """
     lifted = numdiff.pointwise(fn)
 
-    def derive(orders: tuple[int, ...]) -> Callable[[np.ndarray], complex]:
-        if sum(orders) > numdiff.MAX_ORDER:
-            raise UnsupportedOrderError("finite-difference chain exceeds supported order")
+    def jet(q, order):
+        flat = numdiff.compress(numdiff.jet(lifted, q, order), dim).astype(complex)
+        return flat if q.ndim == 1 else np.moveaxis(flat, 0, -2)  # the point axis just before the jet's
 
-        def value(q):
-            d = numdiff.partial_derivative(lifted, q, orders)
-            return complex(d) if q.ndim == 1 else d.astype(complex)
+    return ScalarField(dim, jet, numdiff.MAX_ORDER)
 
-        return value
 
-    return ScalarField(dim, numdiff.pointwise(lambda q: complex(fn(q))), derive)
+def component(source: ScalarField, idx: tuple[int, ...]) -> ScalarField:
+    """The field of entry ``idx`` of a tensor-valued ``source``, whose jet at a
+    point is computed once for all its components."""
+    return ScalarField(source.dim, lambda q, order: source.jet(q, order)[idx], source.cap)
 
 
 def scale(field: ScalarField, factor: complex) -> ScalarField:
     factor = complex(factor)
     if factor == 0:
         return constant(field.dim, 0.0)
-
-    def value(f: ScalarField) -> Callable[[np.ndarray], complex]:
-        return lambda q: factor * f(q)
-
-    return ScalarField(field.dim, value(field), lambda orders: value(field.derivative(orders)))
+    return ScalarField(field.dim, lambda q, order: factor * field.jet(q, order), field.cap)
 
 
 def add(*fields: ScalarField) -> ScalarField:
     if not fields:
         raise ShapeError("add() needs at least one field")
 
-    def value(terms: Sequence[ScalarField]) -> Callable[[np.ndarray], complex]:
-        return lambda q: sum(f(q) for f in terms)
+    def jet(q, order):
+        total = fields[0].jet(q, order)
+        for f in fields[1:]:
+            total = total + f.jet(q, order)
+        return total
 
-    return ScalarField(fields[0].dim, value(fields), lambda orders: value([f.derivative(orders) for f in fields]))
-
-
-@functools.cache
-def _leibniz_terms(orders: tuple[int, ...]) -> tuple[tuple[int, tuple[int, ...], tuple[int, ...]], ...]:
-    """``(binomial(orders, beta), beta, orders - beta)`` for every ``beta <= orders``,
-    the highest ``beta`` first (a first partial reads ``a' b + a b'``)."""
-    return tuple(
-        (math.prod(map(math.comb, orders, beta)), beta, tuple(n - b for n, b in zip(orders, beta)))
-        for beta in itertools.product(*[range(n, -1, -1) for n in orders])
-    )
+    return ScalarField(fields[0].dim, jet)
 
 
 def multiply(a: ScalarField, b: ScalarField) -> ScalarField:
     """The product ``a b``; its partials follow the Leibniz rule."""
-
-    def derive(orders: tuple[int, ...]) -> Callable[[np.ndarray], complex]:
-        terms = [(c, a.derivative(beta), b.derivative(rest)) for c, beta, rest in _leibniz_terms(orders)]
-        return lambda q: sum(c * (fa(q) * fb(q)) for c, fa, fb in terms)
-
-    return ScalarField(a.dim, lambda q: a(q) * b(q), derive)
+    dim = a.dim
+    return ScalarField(dim, lambda q, order: taylor.jet_product(a.jet(q, order), b.jet(q, order), dim, order))
 
 
 class TensorField:
@@ -225,11 +184,16 @@ def evaluate(comps: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Values of an object array of fields at one point, or at each row of an
     ``(N, dim)`` point array (shape ``(N,) + comps.shape``, the point axis first)."""
     q = np.asarray(q, dtype=float)
-    out = np.empty(q.shape[:-1] + comps.shape, dtype=complex)
-    flat = out.reshape(q.shape[:-1] + (-1,))
-    for i, field in enumerate(comps.flat):
-        flat[..., i] = field(q)
-    return out
+    values = np.array([field(q) for field in comps.flat], dtype=complex)
+    return np.ascontiguousarray(values.T).reshape(q.shape[:-1] + comps.shape)  # C order, as tensordot reads it
+
+
+def jets(comps: np.ndarray, q: np.ndarray, order: int) -> np.ndarray:
+    """The jets of an object array of fields, component axes first, then the
+    point axis of a point array, then the multi-index axis."""
+    q = np.asarray(q, dtype=float)
+    stacked = np.array([field.jet(q, order) for field in comps.flat])
+    return stacked.reshape(comps.shape + stacked.shape[1:])
 
 
 def tensor_from_fields(dim: int, rank: int, assign: Callable[[tuple[int, ...]], ScalarField]) -> TensorField:

@@ -109,6 +109,10 @@ def dequantize_flat(
 # ---------------------------------------------------------------------------
 # explicit quantizer kernel in the scaled Hermite basis (one dimension)
 
+#: Largest K of :func:`quantize_gaussian_flat`: from 323 on, at any hbar, its
+#: ``P_k(sqrt(2) tau)`` table overflows at the outermost nodes and reads NaN.
+MAX_TRUNCATION = 322
+
 
 def _kernel_factors(p: float, x: float, K: int, hbar: float) -> tuple[np.ndarray, np.ndarray, float]:
     """``2 integral dxi exp(-2 i p xi / hbar) h_j(x - xi) h_k(x + xi)`` as
@@ -171,7 +175,8 @@ def quantize_gaussian_flat(
     one Gauss-Hermite rule in ``y = sqrt(2 hbar) tau`` per axis takes the
     ``(y, z)`` integral: with ``P`` the ``(K+1, n)`` table of
     ``P_k(sqrt(2) tau)`` times weights and phase, the matrix is
-    ``c P G P^H`` on the ``n x n`` grid, O(n^2 K) work.
+    ``c P G P^H`` on the ``n x n`` grid, O(n^2 K) work, finite for ``K`` up
+    to :data:`MAX_TRUNCATION`.
     """
     nodes = max(4 * (K + 1), 96)
     tau, w = gauss_hermite(nodes)

@@ -5,23 +5,21 @@ metric in that chart, and optional closed-form geodesics.  The inverse
 metric, connection and curvature come from one set of formulas applied to
 component arrays.  Built-in models give the metric as expressions, so these
 levels and all their partial derivatives are exact to round-off.  A model
-given by an opaque ``metric_fn`` gets the same formulas on fields of
-``metric_fn`` and of its inverse: finite differences apply only one level
-deep, at the callable.
+given by an opaque ``metric_fn`` gets the same formulas on the components of
+one finite-difference jet of ``metric_fn`` and its inverse at the same nodes:
+finite differences apply only one level deep, at the callable.
 
-Covariant derivatives of component fields come from one builder,
-:func:`covariant_derivative_fields`, which the divergence reuses; the levels
-``[T, nabla T, ..., nabla^n T]`` of scalars, coefficient tensors and the
-Riemann tensor all come from :func:`covariant_derivative_levels`.  The
-normal-coordinate expansion of the metric through fourth order, with ``R``,
-``nabla R`` and ``nabla nabla R`` from the component fields, gives the
+The covariant derivative is one operation on jets, :func:`covariant_jets`,
+which the pairing's coefficient jets, the frame curvature ``R``, ``nabla R``
+and ``nabla nabla R``, divergences and density jets all read.  The
+normal-coordinate expansion of the metric through fourth order gives the
 connection jets (:func:`normal_metric_series`, :func:`normal_christoffel_jets`)
-and, as fields of the base point, the density jets
-(:func:`density_jet_fields`): the image contracts those fields and
-:func:`sqrt_g_jet` evaluates them at a point, so density jets have one
-source.  Closed-form geodesics (a model's ``exp_fn``) and finite-difference
-jets of pulled-back functions (``sqrt_g_jet(method="numeric")``,
-:func:`pullback_jet`) remain as independent references for checks.
+and, as fields of the base point, the density jets (:func:`density_jet_fields`):
+the image contracts those fields and :func:`sqrt_g_jet` evaluates them at a
+point, so density jets have one source.  Closed-form geodesics (a model's
+``exp_fn``) and finite-difference jets of pulled-back functions
+(``sqrt_g_jet(method="numeric")``, :func:`pullback_jet`) remain as
+independent references for checks.
 
 Conventions:
 
@@ -48,13 +46,12 @@ from .expressions import Const, Expr, inverse_matrix, libm, parse_expression
 from .fields import (
     ScalarField,
     TensorField,
-    add,
+    component,
     contract,
     evaluate,
     from_callable,
     from_expression,
-    multiply,
-    scale,
+    jets,
     tensor_constant,
     tensor_from_fields,
     tensor_scalar,
@@ -105,7 +102,9 @@ class ManifoldModel:
                 const = np.array([e.value for e in g.flat], dtype=float).reshape(g.shape)
                 object.__setattr__(self, "metric_fn", lambda q: np.broadcast_to(const, np.shape(q)[:-1] + const.shape))
             else:
-                object.__setattr__(self, "metric_fn", lambda q: evaluate(self._fields["g"], q).real)
+                names = self.coordinate_names
+                comps = np.frompyfunc(lambda e: from_expression(e, names), 1, 1)(g)
+                object.__setattr__(self, "metric_fn", lambda q: evaluate(comps, q).real)
 
     @property
     def coordinate_names(self) -> tuple[str, ...]:
@@ -130,29 +129,27 @@ class ManifoldModel:
     def _fields(self) -> dict[str, np.ndarray]:
         """Read-only component fields of every level of :func:`_levels`, shared
         by all callers: the ``_derived`` expressions, with exact partials, or
-        for an opaque metric the same formulas on symmetric
-        :func:`from_callable` fields of ``metric_fn`` and of its inverse, so
-        finite differences act one level deep: every partial of every level
-        is built from single stencils of those two callables."""
+        for an opaque metric the same formulas on the components of one
+        finite-difference jet of ``metric_fn`` and its inverse at the same
+        nodes, so finite differences act one level deep."""
         if self._derived is None:
+            metric_fn = self.metric_fn
 
-            def components(fn: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-                return tensor_from_fields(self.dim, 2, lambda idx: from_callable(self.dim, lambda x: fn(x)[idx])).comps
+            def pair(x: np.ndarray) -> np.ndarray:  # g and g^-1 at one node
+                g = np.asarray(metric_fn(x), dtype=float)
+                return np.stack([g, np.linalg.inv(g)])
 
-            inverse = components(lambda x: np.linalg.inv(self.metric_fn(x)))
-            out = _levels(components(self.metric_fn), inverse, lambda f, axis: f.partial(axis))
+            source = from_callable(self.dim, pair)
+            g, g_inv = (
+                tensor_from_fields(self.dim, 2, lambda idx, i=i: component(source, (i,) + idx)).comps for i in (0, 1)
+            )
+            out = _levels(g, g_inv, lambda f, axis: f.partial(axis))
         else:
             to_field = np.frompyfunc(lambda e: from_expression(e, self.coordinate_names), 1, 1)
             out = {level: to_field(exprs) for level, exprs in self._derived.items()}
         for comps in out.values():
             comps.flags.writeable = False
         return out
-
-    @cached_property
-    def _riemann_fields(self) -> list[np.ndarray]:
-        """Component fields of ``R``, ``nabla R``, ... (new index last), grown
-        by :func:`covariant_derivative_levels` so that every caller shares them."""
-        return [self._fields["riemann"]]
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +214,10 @@ def check_point(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
 
 def metric(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
     """``g_ab`` at a chart point, or at each row of an ``(N, dim)`` point array."""
-    fn = model.metric_fn if model.metric_exprs is not None else numdiff.pointwise(model.metric_fn)
-    return np.asarray(fn(np.asarray(q, dtype=float)), dtype=float)
+    q = np.asarray(q, dtype=float)
+    if model.metric_exprs is None and q.ndim == 1:  # an opaque metric_fn through the jet g^-1 shares
+        return evaluate(model._fields["g"], q).real
+    return np.asarray((model.metric_fn if model.metric_exprs else numdiff.pointwise(model.metric_fn))(q), dtype=float)
 
 
 def inverse_metric(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
@@ -279,15 +278,19 @@ def density_jet_fields(model: ManifoldModel, k: int, power: float) -> np.ndarray
     """
     if not 2 <= k <= 4:
         raise UnsupportedOrderError(f"density jets are built for orders 2 to 4, got {k}")
-    riem, *nabla_riem = covariant_derivative_levels(model, model._riemann_fields, 1, k - 2)
-    ric = model._fields["ricci"]
+    riem, ric = model._fields["riemann"], model._fields["ricci"]
     if k == 2:
         return -power / 3.0 * ric
+
+    # nabla^(k-2) Ric_ab, new indices last
+    source = ScalarField(model.dim, lambda q, n: covariant_jets(model, riem, 1, q, n, k - 2)[-1].trace(0, 0, 2))
+    nabla_ric = np.empty((model.dim,) * k, dtype=object)
+    for idx in np.ndindex(nabla_ric.shape):
+        nabla_ric[idx] = component(source, idx)
     if k == 3:
-        return -power / 2.0 * np.trace(nabla_riem[0], axis1=0, axis2=2)
+        return -power / 2.0 * nabla_ric
     quad = np.tensordot(riem, riem, axes=([0, 2], [2, 0]))  # [a, b, c, d] = R^e_{afb} R^f_{ced}
-    dd_ric = np.trace(nabla_riem[1], axis1=0, axis2=2)
-    return -power * 0.6 * dd_ric + -power * 2.0 / 15.0 * quad + power * power / 3.0 * np.multiply.outer(ric, ric)
+    return -power * 0.6 * nabla_ric + -power * 2.0 / 15.0 * quad + power * power / 3.0 * np.multiply.outer(ric, ric)
 
 
 def scalar_curvature(model: ManifoldModel, q: np.ndarray) -> float:
@@ -362,9 +365,10 @@ def _frame_riemann(model: ManifoldModel, q: np.ndarray, count: int) -> list[np.n
     """Frame components of ``R``, ``nabla R`` and ``nabla nabla R`` at ``q``
     (the first ``count`` of them), axes ``[r, s, m, n]`` then derivative axes."""
     E = normal_frame(model, q)
-    out = [np.einsum("ca,abgd,bB,gG,dD->cBGD", np.linalg.inv(E), riemann(model, q), E, E, E)]
-    levels = covariant_derivative_levels(model, model._riemann_fields, 1, count - 1)
-    return out + [frame_components(evaluate(comps, q).real, E, 1) for comps in levels[1:count]]
+    levels = covariant_jets(model, model._fields["riemann"], 1, q, 0, count - 1)
+    riem, *levels = [level[..., 0].real for level in levels]
+    out = [np.einsum("ca,abgd,bB,gG,dD->cBGD", np.linalg.inv(E), riem, E, E, E)]
+    return out + [frame_components(values, E, 1) for values in levels]
 
 
 def normal_metric_series(model: ManifoldModel, q: np.ndarray, order: int) -> taylor.Series:
@@ -415,7 +419,7 @@ def normal_christoffel_jets(model: ManifoldModel, q: np.ndarray, order: int) -> 
         total = taylor.add(total, taylor.scale(power, (-1.0) ** n))
     g_inv = taylor.add(taylor.constant(dim, G.order, np.eye(dim)), total)
     # [d, a, b] = Gamma_{dab} from [a, b, e] = d_e g_ab
-    lower = [0.5 * (c.swapaxes(1, 2) + c - np.moveaxis(c, 2, 0)) for c in taylor.derivative(G, 2).coeffs]
+    lower = [0.5 * (c.swapaxes(1, 2) + c - np.moveaxis(c, 2, 0)) for c in taylor.gradient(G, 2).coeffs]
     return jets + taylor.matmul(g_inv, taylor.from_jets(dim, lower)).coeffs[2:]
 
 
@@ -473,59 +477,41 @@ def sqrt_g_jet(
 # covariant derivatives and normal-coordinate pullbacks
 
 
-def _covariant_derivative_terms(
-    gamma: np.ndarray | None, comps: np.ndarray, upper: int, idx: tuple[int, ...]
-) -> list[ScalarField]:
-    """Summands of component ``idx`` of the covariant derivative of ``comps``;
-    the only code that builds connection terms.
+def _nabla(T: np.ndarray, rank: int, upper: int, gamma: np.ndarray | None, dim: int, order: int) -> np.ndarray:
+    """The jet through ``order`` of nabla T, new index ``e`` last among the
+    ``rank`` component axes, from T's jet through ``order + 1`` (``upper``
+    contravariant axes first) and the connection's (``None``: no connection).
 
-    ``idx`` lists the existing indices (``upper`` contravariant ones first)
-    followed by the new covariant index: the coordinate partial, then one
-    connection term per dummy index and slot (``gamma`` is ``None`` on a
-    connection-free chart).  The term order fixes the rounding of the sum,
-    so changing it moves report values in their last bits.
+    The only code that builds connection terms: the partial along ``e``, then
+    per dummy index ``g`` and slot ``+ Gamma^r_{e g} T^{..g..}`` or
+    ``- Gamma^g_{e r} T_{..g..}``, an order that fixes the sum's rounding.
     """
-    rest, e = idx[:-1], idx[-1]
-    terms = [comps[rest].partial(e)]
+    out = taylor.jet_shift(T, dim, order, slice(None))  # [.., e, M], after the point axis of a point array
+    out = out if out.ndim == rank + 2 else out.swapaxes(-3, -2)
     if gamma is None:
-        return terms
-    for g in range(gamma.shape[0]):
-        for i, r in enumerate(rest):
-            swapped = comps[rest[:i] + (g,) + rest[i + 1 :]]
-            if i < upper:  # + Gamma^r_{e g} T^{..g..}
-                terms.append(multiply(gamma[r, e, g], swapped))
-            else:  # - Gamma^g_{e r} T_{..g..}
-                terms.append(scale(multiply(gamma[g, e, r], swapped), -1.0))
-    return terms
-
-
-def covariant_derivative_fields(model: ManifoldModel, comps: np.ndarray, upper: int) -> np.ndarray:
-    """Component fields of the covariant derivative of a mixed tensor.
-
-    ``comps`` is an object array of component fields with ``upper``
-    contravariant axes first and covariant axes after them; the result has one
-    more axis, the new covariant index, last.
-    """
-    gamma = None if model.connection_free else model._fields["gamma"]
-    out = np.empty(comps.shape + (model.dim,), dtype=object)
-    for idx in np.ndindex(out.shape):
-        terms = _covariant_derivative_terms(gamma, comps, upper, idx)
-        out[idx] = terms[0] if len(terms) == 1 else add(*terms)
+        return out
+    for g in range(dim):
+        for i in range(rank):
+            slot = T[(slice(None),) * i + (None, g) + (slice(None),) * (rank - 1 - i) + (None,)]  # T^{..g..}
+            G = gamma[:, :, g] if i < upper else gamma[g].swapaxes(0, 1)  # [r, e] + jet axes
+            G = G.reshape((1,) * i + (dim,) + (1,) * (rank - 1 - i) + G.shape[1:])
+            term = taylor.jet_product(G, slot, dim, order)
+            out = out + term if i < upper else out - term
     return out
 
 
-def covariant_derivative_levels(
-    model: ManifoldModel, levels: list[np.ndarray], upper: int, n: int
+def covariant_jets(
+    model: ManifoldModel, comps: np.ndarray, upper: int, q: np.ndarray, order: int, n: int
 ) -> list[np.ndarray]:
-    """Grow ``levels = [T, nabla T, ...]`` in place through ``nabla^n T`` and return it.
-
-    Entry ``k`` holds the component fields of ``nabla_{ak} ... nabla_{a1} T``
-    (``upper`` contravariant axes first, the new indices last, unsymmetrized);
-    a caller that keeps the list, as a model does for its Riemann levels,
-    builds each level once.
-    """
-    while len(levels) <= n:
-        levels.append(covariant_derivative_fields(model, levels[-1], upper))
+    """Flat jets through ``order`` of ``T, nabla T, ..., nabla^n T`` at a point or point
+    array ``q``, for component fields ``comps`` with ``upper`` contravariant axes first;
+    entry ``k`` adds the new covariant indices last among its component axes
+    (unsymmetrized), before any point axis and the multi-index axis (value first)."""
+    top = order + n
+    gamma = None if model.connection_free or n == 0 else jets(model._fields["gamma"], q, top - 1)
+    levels = [jets(comps, q, top)]
+    for k in range(1, n + 1):
+        levels.append(_nabla(levels[-1], comps.ndim + k - 1, upper, gamma, model.dim, top - k))
     return levels
 
 
@@ -534,7 +520,7 @@ def sym_cov_deriv(model: ManifoldModel, psi: ScalarField, q: np.ndarray, order: 
 
     Chart (lower) indices.  Order 0 returns the value itself.
     """
-    vals = evaluate(covariant_derivative_levels(model, [tensor_scalar(psi).comps], 0, order)[order], q)
+    vals = covariant_jets(model, tensor_scalar(psi).comps, 0, q, 0, order)[order][..., 0]
     if order == 0:
         return vals
     if np.allclose(vals.imag, 0.0):
@@ -562,19 +548,9 @@ def covariant_divergence(model: ManifoldModel, tensor: TensorField) -> TensorFie
     """
     if tensor.rank == 0:
         raise ShapeError("cannot take the divergence of a rank-0 tensor")
-    dim = model.dim
-    gamma = None if model.connection_free else model._fields["gamma"]
-
-    def assign(idx: tuple[int, ...]) -> ScalarField:
-        return add(
-            *[
-                term
-                for b in range(dim)
-                for term in _covariant_derivative_terms(gamma, tensor.comps, tensor.rank, (b,) + idx + (b,))
-            ]
-        )
-
-    return tensor_from_fields(dim, tensor.rank - 1, assign)
+    comps, rank = tensor.comps, tensor.rank  # trace the first slot with the new index
+    source = ScalarField(model.dim, lambda q, n: covariant_jets(model, comps, rank, q, n, 1)[1].trace(0, 0, rank))
+    return tensor_from_fields(model.dim, rank - 1, lambda idx: component(source, idx))
 
 
 def pullback_jet(

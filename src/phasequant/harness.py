@@ -102,7 +102,9 @@ def list_experiments() -> tuple[Experiment, ...]:
 # configuration
 
 
-_CYLINDER_EXPERIMENTS = ("cylinder-axioms", "discrete-limit", "discrete-orthogonality")
+# the largest truncation_K at which each experiment's kernels stay finite
+_TRUNCATION_CAPS = {"flat-axioms": flat_weyl.MAX_TRUNCATION, "cylinder-axioms": cylinder.MAX_TRUNCATION}
+_TRUNCATION_CAPS |= dict.fromkeys(("discrete-limit", "discrete-orthogonality"), cylinder.MAX_TRUNCATION)
 
 _DEFAULT_CUTOFF = {"profile": "smoothstep", "plateau": 0.8, "support": 2.8}
 
@@ -115,7 +117,8 @@ _COMMENTS = {
     "ordering": "weyl | standard | standard-printed",
     "cutoff": "momentum cutoff: {profile, plateau, support} or {profile, mollifier: j}; "
     "profile in smoothstep | classic-bump | indicator",
-    "truncation_K": f"basis/lattice index cap (cylinder kernels cap at {cylinder.MAX_TRUNCATION})",
+    "truncation_K": f"basis/lattice index cap (cylinder kernels cap at {cylinder.MAX_TRUNCATION}, "
+    f"flat-axioms at {flat_weyl.MAX_TRUNCATION})",
     "truncation_N": "lattice momentum index n of the smeared pair traces (n, n) and (n, n + 3)",
     "tolerances": "optional per-check overrides; valid names: ",
     "output_dir": "report directory used when the CLI --out flag is absent",
@@ -158,10 +161,9 @@ class ExperimentConfig:
                 continue
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                 raise ConfigError(f"{key} must be a positive integer")
-        if self.experiment in _CYLINDER_EXPERIMENTS and self.truncation_K > cylinder.MAX_TRUNCATION:
-            raise ConfigError(
-                f"truncation_K for {self.experiment} is capped at {cylinder.MAX_TRUNCATION}"
-            )
+        cap = _TRUNCATION_CAPS.get(self.experiment)
+        if cap is not None and self.truncation_K > cap:
+            raise ConfigError(f"truncation_K for {self.experiment} is capped at {cap}")
         if "manifold" in settings:
             if not isinstance(self.manifold, str):
                 raise ConfigError("manifold must be a builder string such as 'sphere:1.0'")

@@ -158,13 +158,37 @@ def partial_derivative(
     return partials(f, x, [orders], step)[0]
 
 
-def _multi_index_orders(dim: int, order: int):
-    """Yield (orders tuple, representative index tuple) for all distinct partials."""
-    for idx in itertools.combinations_with_replacement(range(dim), order):
-        orders = [0] * dim
-        for i in idx:
-            orders[i] += 1
-        yield tuple(orders), idx
+@functools.cache
+def multi_indices(dim: int, order: int) -> tuple[tuple[int, ...], ...]:
+    """Per-axis counts of each distinct partial through ``order``, order 0 first:
+    the last axis of a flat jet, so a lower-order jet is a prefix."""
+    return tuple(
+        tuple(idx.count(axis) for axis in range(dim))
+        for k in range(order + 1)
+        for idx in itertools.combinations_with_replacement(range(dim), k)
+    )
+
+
+@functools.cache
+def _full_positions(dim: int, k: int) -> np.ndarray:
+    """Flat position of the partial at each entry of a ``(dim,)*k`` derivative array."""
+    position = {alpha: i for i, alpha in enumerate(multi_indices(dim, k))}
+    entries = itertools.product(range(dim), repeat=k)
+    return np.array([position[tuple(idx.count(axis) for axis in range(dim))] for idx in entries]).reshape((dim,) * k)
+
+
+def expand(flat: np.ndarray, dim: int, order: int) -> list[np.ndarray]:
+    """Symmetric derivative arrays of a flat jet, ``(dim,)*k`` axes appended for order k."""
+    return [flat[..., _full_positions(dim, k)] for k in range(order + 1)]
+
+
+def compress(jets: Sequence[np.ndarray], dim: int) -> np.ndarray:
+    """The flat jet of symmetric derivative arrays, the inverse of :func:`expand`."""
+    columns = []
+    for k, arr in enumerate(jets):
+        first = np.unique(_full_positions(dim, k), return_index=True)[1]  # each partial's sorted index tuple
+        columns.append(arr.reshape(arr.shape[: arr.ndim - k] + (-1,))[..., first])
+    return np.concatenate(columns, axis=-1)
 
 
 def jet(
@@ -179,22 +203,11 @@ def jet(
     ``x`` with ``(dim,)*k`` derivative axes appended, filled symmetrically
     (a stack of points keeps its leading axis).
     """
-    if max_order > 4:
-        raise UnsupportedOrderError(f"jet order {max_order} exceeds the supported cap of 4")
+    if max_order > MAX_ORDER:
+        raise UnsupportedOrderError(f"jet order {max_order} exceeds the supported cap of {MAX_ORDER}")
     x = np.asarray(x, dtype=float)
     dim = x.shape[-1]
-    multi = [list(_multi_index_orders(dim, order)) for order in range(1, max_order + 1)]
-    base, *values = partials(f, x, [(0,) * dim] + [orders for level in multi for orders, _ in level], step)
-    base, derivatives = np.asarray(base), iter(values)
-    out: list[np.ndarray] = [base]
-    dtype = complex if np.iscomplexobj(base) else float
-    for order, level in enumerate(multi, start=1):
-        arr = np.zeros(base.shape + (dim,) * order, dtype=dtype)
-        for (_, idx), val in zip(level, derivatives):
-            for perm in set(itertools.permutations(idx)):
-                arr[(Ellipsis,) + perm] = val
-        out.append(arr)
-    return out
+    return expand(np.stack(partials(f, x, multi_indices(dim, max_order), step), axis=-1), dim, max_order)
 
 
 def jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, step: float = 1e-3) -> np.ndarray:

@@ -9,23 +9,25 @@ The product, contraction, and re-basing operations here implement the jet
 calculus needed for delta-family trace pairings: derivative arrays multiply
 by the Leibniz rule with binomial weights, and one derivative axis can be
 promoted into the base to represent an explicit gradient.
+
+Fields keep flat jets instead, each distinct partial once along the last
+axis (:func:`numdiff.multi_indices`), so mixed partials are symmetric by
+construction; :func:`jet_shift` and :func:`jet_product` act on them, with
+leading axes (components, points) broadcast.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numdiff
 from .errors import ShapeError
-
-
-def _sym_last(arr: np.ndarray, k: int) -> np.ndarray:
-    if k < 2:
-        return arr
-    return numdiff.symmetrize(arr, axes=range(arr.ndim - k, arr.ndim))
 
 
 @dataclass
@@ -80,29 +82,14 @@ def add(s1: Series, s2: Series) -> Series:
 
 
 def outer(s1: Series, s2: Series) -> Series:
-    """Tensor product of two series; base shapes concatenate.
-
-    Derivative axes merge Leibniz-style: order-k output collects
-    ``C(k, j) * sym(d^j s1 (x) d^(k-j) s2)``.
-    """
+    """Tensor product of two series; base shapes concatenate, and the
+    derivative arrays multiply by the Leibniz rule (:func:`jet_product`)."""
     if s1.dim != s2.dim:
         raise ShapeError("series dimensions differ")
-    order = min(s1.order, s2.order)
-    b1, b2 = s1.base_rank, s2.base_rank
-    coeffs = []
-    for k in range(order + 1):
-        total = None
-        for j in range(k + 1):
-            a = s1.coeffs[j]
-            b = s2.coeffs[k - j]
-            prod = np.multiply.outer(a, b)
-            # axes: (base1, j derivs, base2, k-j derivs) -> move the j axes
-            # to sit after base2.
-            prod = np.moveaxis(prod, range(b1, b1 + j), range(b1 + b2, b1 + b2 + j))
-            term = math.comb(k, j) * prod
-            total = term if total is None else total + term
-        coeffs.append(_sym_last(total, k))
-    return Series(s1.dim, order, b1 + b2, coeffs)
+    dim, order = s1.dim, min(s1.order, s2.order)
+    a, b = (numdiff.compress(s.coeffs[: order + 1], dim) for s in (s1, s2))
+    prod = jet_product(a.reshape(s1.base_shape + (1,) * s2.base_rank + a.shape[-1:]), b, dim, order)
+    return Series(dim, order, s1.base_rank + s2.base_rank, numdiff.expand(prod, dim, order))
 
 
 def mul(scalar: Series, tensor: Series) -> Series:
@@ -131,7 +118,7 @@ def negate_argument(s: Series) -> Series:
     return Series(s.dim, s.order, s.base_rank, coeffs)
 
 
-def derivative(s: Series, base_position: int) -> Series:
+def gradient(s: Series, base_position: int) -> Series:
     """Promote one derivative axis into the base at ``base_position``.
 
     Returns the gradient of ``s``: order drops by one, base rank grows by one,
@@ -180,3 +167,52 @@ def delta_pairing(w: Series, p: Series) -> complex:
         # contract first remaining base axis with first remaining derivative axis
         arr = np.trace(arr, axis1=0, axis2=arr.ndim // 2)
     return complex((-0.5) ** rank * arr)
+
+
+# ---------------------------------------------------------------------------
+# flat jets
+
+
+@functools.cache
+def _shift_positions(dim: int, order: int) -> np.ndarray:
+    """``[axis, alpha]``: the position of ``alpha + e_axis`` in the jet through ``order + 1``."""
+    position = {alpha: i for i, alpha in enumerate(numdiff.multi_indices(dim, order + 1))}
+    lower = numdiff.multi_indices(dim, order)
+    return np.array([[position[a[:e] + (a[e] + 1,) + a[e + 1 :]] for a in lower] for e in range(dim)])
+
+
+def jet_shift(jet: np.ndarray, dim: int, order: int, axis: int | slice) -> np.ndarray:
+    """The jet through ``order`` of the partial along ``axis`` (a slice: one per axis, before the jet's axis)."""
+    return jet[..., _shift_positions(dim, order)[axis]]
+
+
+@functools.cache
+def _leibniz_table(dim: int, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(L, M)`` positions of ``beta`` and ``alpha - beta`` and ``C(alpha, beta)``:
+    the Leibniz terms of each ``alpha``, highest ``beta`` first, zero-padded."""
+    indices = numdiff.multi_indices(dim, order)
+    position = {alpha: i for i, alpha in enumerate(indices)}
+    columns = [
+        [
+            (position[beta], position[tuple(map(operator.sub, alpha, beta))], math.prod(map(math.comb, alpha, beta)))
+            for beta in itertools.product(*[range(n, -1, -1) for n in alpha])
+        ]
+        for alpha in indices
+    ]
+    table = np.zeros((3, max(map(len, columns)), len(indices)))
+    for i, terms in enumerate(columns):
+        table[:, : len(terms), i] = np.transpose(terms)
+    return table[0].astype(np.intp), table[1].astype(np.intp), table[2]
+
+
+def jet_product(a: np.ndarray, b: np.ndarray, dim: int, order: int) -> np.ndarray:
+    """The flat jet through ``order`` of a product, adding its Leibniz terms one
+    at a time, so a stack of points gives its single points' jets bit for bit."""
+    if order == 0:  # the one term, a b
+        return a[..., :1] * b[..., :1]
+    first, second, weights = _leibniz_table(dim, order)
+    terms = weights * (a[..., first] * b[..., second])
+    total = terms[..., 0, :]
+    for row in range(1, len(weights)):
+        total = total + terms[..., row, :]
+    return total

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -317,3 +318,39 @@ def test_opaque_metric_takes_finite_differences_one_level_deep(monkeypatch):
 def test_opaque_metric_degree_four_pairing_matches_the_exact_one():
     exact, numeric = (dequantized_cos_theta(model, 4) for model in (UNIT_SPHERE, opaque_unit_sphere()))
     assert abs(numeric - exact) <= 2e-7
+
+
+def test_opaque_metric_is_called_once_per_stencil_node():
+    # g and g^-1 are components of one jet of (metric_fn, inv(metric_fn)); the
+    # pairing reads it at q at the top order first, so every later jet of the
+    # metric, its inverse, connection and curvature reads the same nodes
+    nodes = []
+
+    def metric_fn(x):
+        nodes.append(np.asarray(x, dtype=float).tobytes())
+        return UNIT_SPHERE.metric_fn(x)
+
+    model = geometry.ManifoldModel(name="sphere-opaque", dim=2, coords=UNIT_SPHERE.coords, metric_fn=metric_fn)
+    value = dequantized_cos_theta(model, 3)
+    assert abs(value - dequantized_cos_theta(UNIT_SPHERE, 3)) <= 1e-8
+    assert len(nodes) == len(set(nodes)) == 29  # the stencil nodes of a third-order jet in two dimensions
+    # the values themselves are metric_fn and its inverse at q, bit for bit
+    g = np.asarray(UNIT_SPHERE.metric_fn(Q0), dtype=float)
+    assert geometry.metric(model, Q0).tobytes() == g.tobytes()
+    assert geometry.inverse_metric(model, Q0).tobytes() == np.linalg.inv(g).tobytes()
+
+
+def test_pairing_leaves_little_cyclic_garbage():
+    # fields hold no reference cycles, so a run frees its field trees by
+    # reference counting alone
+    from phasequant import harness
+
+    gc.collect()
+    gc.disable()
+    try:
+        harness.run_experiment(harness.ExperimentConfig.from_dict(harness.default_config("flat-axioms")))
+        dequantized_cos_theta(geometry.sphere(1.0), 4)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found <= 300

@@ -42,7 +42,7 @@ CASES = {
     "taylor-outer-dims": lambda: taylor.outer(SCALAR, taylor.constant(3, 1, ONE)),
     "taylor-mul-base": lambda: taylor.mul(VECTOR, SCALAR),
     "taylor-trace-axes": lambda: taylor.trace(VECTOR, 0, 0),
-    "taylor-derivative-order": lambda: taylor.derivative(taylor.constant(2, 0, ONE), 0),
+    "taylor-derivative-order": lambda: taylor.gradient(taylor.constant(2, 0, ONE), 0),
     "taylor-pairing-weight": lambda: taylor.delta_pairing(VECTOR, SCALAR),
     "taylor-pairing-order": lambda: taylor.delta_pairing(SCALAR, taylor.constant(2, 1, np.ones((2, 2)))),
     "geometry-divergence-rank": lambda: geometry.covariant_divergence(

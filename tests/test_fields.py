@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasequant import bases, fields, geometry
+from phasequant import bases, fields, geometry, numdiff
 
 
 def test_constant_field_and_zero_derivative():
@@ -24,11 +25,6 @@ def test_expression_field_has_exact_partials():
     assert f.partial(0).partial(1)(q) == pytest.approx(math.cos(0.7), abs=1e-14)
 
 
-def test_partials_are_cached():
-    f = fields.from_expression("x**2", ("x",))
-    assert f.partial(0) is f.partial(0)
-
-
 def _field_kinds():
     f = fields.from_expression("sin(x)*y + y**3", ("x", "y"))
     g = fields.from_expression("cos(x*y)", ("x", "y"))
@@ -43,12 +39,16 @@ def _field_kinds():
 
 
 @pytest.mark.parametrize("kind", sorted(_field_kinds()))
-def test_mixed_partials_are_one_field(kind):
+def test_mixed_partials_are_symmetric_by_construction(kind):
+    # a jet stores each mixed partial once, so every order of the same
+    # partials reads the same number
     f = _field_kinds()[kind]
-    assert f.partial(0).partial(1) is f.partial(1).partial(0)
-    assert f.partial(0).partial(1) is f.derivative((1, 1))
-    assert f.partial(1).partial(0).partial(1) is f.partial(1).derivative((1, 1))
-    assert f.derivative((0, 0)) is f
+    q = np.array([0.7, -0.4])
+    assert f.partial(0).partial(1)(q) == f.partial(1).partial(0)(q)
+    assert f.partial(1).partial(0).partial(1)(q) == f.partial(0).partial(1).partial(1)(q)
+    for k, arr in enumerate(numdiff.expand(f.jet(q, 3), 2, 3)):
+        for perm in itertools.permutations(range(k)):
+            assert np.array_equal(arr, arr.transpose(perm))
 
 
 def _sin_derivative(k: float, m: float, orders: tuple[int, int], q: np.ndarray) -> float:
@@ -67,7 +67,6 @@ def test_high_mixed_partials_of_a_product(orders):
     chained = prod
     for axis in (0,) * orders[0] + (1,) * orders[1]:
         chained = chained.partial(axis)
-    assert chained is prod.derivative(orders)
     assert abs(chained(q) - want) < 1e-12
 
 
@@ -247,8 +246,9 @@ def test_field_remembers_its_value_at_the_last_point():
 
 
 def test_evaluate_on_a_stack_matches_single_points():
+    # the fourth density jet reads nabla nabla R through the connection's jets
     sphere = geometry.sphere()
-    comps = geometry.covariant_derivative_fields(sphere, sphere._fields["gamma"], 1)
+    comps = geometry.density_jet_fields(sphere, 4, -1.0)
     points = np.column_stack([np.linspace(0.4, 2.7, 11), np.linspace(-3.0, 3.0, 11)])
     got = fields.evaluate(comps, points)
     want = np.array([fields.evaluate(comps, x) for x in points])
@@ -335,3 +335,60 @@ def test_callable_field_loops_over_point_array():
     assert_array_equals_points(f, PLANE)
     assert set(calls) == {(2,)}  # the opaque callable only ever sees single points
     assert_array_equals_points(f.partial(0), PLANE[:5])
+
+
+# ---------------------------------------------------------------------------
+# jets
+
+SPHERE_POINT = np.array([1.1, 0.4])
+
+
+def symbolic_partial(expr, names, alpha):
+    """The partial of ``alpha`` differentiated along the first axis first, the
+    reverse of the order the jet takes."""
+    for axis, count in enumerate(alpha):
+        for _ in range(count):
+            expr = expr.diff(names[axis])
+    return expr
+
+
+@pytest.mark.parametrize("level", ["gamma", "g_inv"])
+def test_expression_jet_matches_the_symbolic_partials(level):
+    sphere = geometry.sphere()
+    names = sphere.coordinate_names
+    env = dict(zip(names, SPHERE_POINT))
+    for field, expr in zip(sphere._fields[level].flat, sphere._derived[level].flat):
+        jet = field.jet(SPHERE_POINT, 4)
+        for i, alpha in enumerate(numdiff.multi_indices(2, 4)):
+            want = complex(symbolic_partial(expr, names, alpha).eval(env))
+            assert abs(jet[i] - want) <= 1e-13 * max(1.0, abs(want))
+
+
+def test_callable_jet_is_the_stencil_partials():
+    def fn(q):
+        return math.exp(0.3 * q[0]) * math.sin(q[1])
+
+    jet = fields.from_callable(2, fn).jet(SPHERE_POINT, 4)
+    for i, alpha in enumerate(numdiff.multi_indices(2, 4)):
+        assert jet[i] == numdiff.partial_derivative(numdiff.pointwise(fn), SPHERE_POINT, alpha)
+
+
+def test_jet_on_a_point_array_is_the_jets_at_its_points():
+    sphere = geometry.sphere()
+    callable_field = fields.from_callable(2, lambda q: math.exp(0.3 * q[0]) * math.sin(q[1]))
+    tree = fields.multiply(sphere._fields["gamma"][1, 0, 1], callable_field).partial(0) + sphere._fields["g_inv"][1, 1]
+    points = np.column_stack([np.linspace(0.6, 2.4, 5), np.linspace(-2.0, 1.5, 5)])
+    for field in (sphere._fields["gamma"][0, 1, 1], sphere._fields["g_inv"][1, 1], callable_field, tree):
+        got = field.jet(points, 3)
+        assert got.shape == (5, len(numdiff.multi_indices(2, 3)))
+        assert got.tobytes() == np.array([field.jet(x, 3) for x in points]).tobytes()
+
+
+def test_a_lower_order_jet_is_a_prefix_of_the_remembered_one():
+    calls = []
+    f = fields.from_callable(1, lambda q: calls.append(1) or math.cos(q[0]))
+    q = np.array([0.3])
+    high = f.jet(q, 3).copy()
+    count = len(calls)
+    assert f.jet(q, 1).tobytes() == high[:2].tobytes()
+    assert len(calls) == count

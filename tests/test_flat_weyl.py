@@ -303,6 +303,13 @@ def test_gaussian_quantization_is_hermitian():
     assert hermiticity_defect(A) < 1e-12
 
 
+def test_gaussian_quantization_is_finite_exactly_up_to_its_cap():
+    assert np.isfinite(flat_weyl.quantize_gaussian_flat(0.4, -0.3, 0.9, 0.8, K=flat_weyl.MAX_TRUNCATION)).all()
+    with np.errstate(over="ignore", invalid="ignore"):
+        beyond = flat_weyl.quantize_gaussian_flat(0.4, -0.3, 0.9, 0.8, K=flat_weyl.MAX_TRUNCATION + 1)
+    assert not np.isfinite(beyond).all()
+
+
 # The pair rule at its own node count, max(4 (K + 1), 96), misses the 200-node
 # pair rule by up to 7.7e-8 (hbar = 0.5, K = 24); the position-kernel rule
 # stays within 1e-14 of it at that node count.
