@@ -49,6 +49,10 @@ checkout a round records:
 - the end-to-end medians of ``perfbench/run.py --workload all`` of that
   checkout, with ``--seconds`` and the round's seed (``--seed`` + round).
 
+Per checkout the output also records its commit, a digest of
+``src/phasequant/*.py`` and the line count of each of those files and their
+total.
+
 Everything runs in child processes with BLAS and OpenMP pinned to one thread
 and the checkout's ``src`` first on ``PYTHONPATH``.  The output holds every
 round, the per-checkout medians over rounds, and the machine facts.
@@ -283,15 +287,20 @@ def medians(runs: list[dict]) -> dict:
 
 
 def source_facts(root: Path) -> dict:
+    """The checkout's commit, a digest of its package source and the line count of each module."""
     digest = hashlib.sha256()
+    lines = {}
     for path in sorted((root / "src" / "phasequant").glob("*.py")):
-        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+        source = path.read_bytes()
+        digest.update(path.name.encode() + b"\0" + source)
+        lines[path.name] = source.count(b"\n")
     commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True)
     status = subprocess.run(["git", "status", "--porcelain", "src"], cwd=root, capture_output=True, text=True)
     return {
         "commit": commit.stdout.strip() if commit.returncode == 0 else None,
         "src_uncommitted_changes": bool(status.stdout.strip()) if status.returncode == 0 else None,
         "src_sha256": digest.hexdigest()[:16],
+        "src_lines": {**lines, "total": sum(lines.values())},
     }
 
 

@@ -19,7 +19,8 @@ is exact in the curvature; flat models are the zero-curvature case of the
 same path, and a model with an opaque metric takes it too, with finite
 differences only at its metric callable, one call per stencil node.  A
 pairing computes each distinct field's jet once, since a field remembers its
-jet at the last point.
+jet at the last point.  Its Taylor algebra holds flat jets, as fields do:
+each ingredient's derivative arrays enter once, through ``taylor.from_jets``.
 
 The images here are also the package's flat-space images: on a flat model
 every volume-density jet beyond order zero vanishes, and both maps reduce to
@@ -152,10 +153,10 @@ def kinetic_symbol(model: ManifoldModel, hbar: float = 1.0) -> MomentumPolynomia
 
 def _phase_series(dim: int, order: int, p_frame: np.ndarray, hbar: float) -> taylor.Series:
     v = (-2j / hbar) * np.asarray(p_frame, dtype=complex)
-    coeffs: list[np.ndarray] = [np.ones((), dtype=complex)]
-    for k in range(1, order + 1):
-        coeffs.append(np.multiply.outer(coeffs[-1], v))
-    return taylor.Series(dim, order, 0, coeffs)
+    arrays = [np.ones((), dtype=complex)]
+    for _ in range(order):
+        arrays.append(np.multiply.outer(arrays[-1], v))
+    return taylor.from_jets(dim, arrays)
 
 
 def _ray_correction(G: list[np.ndarray], f: list[np.ndarray], rank: int, n: int) -> np.ndarray:
@@ -263,8 +264,7 @@ def _momentum_polynomial_series(
                 tr = taylor.trace(prod, 0, 3 + r + t)  # contract c into cov slot t
                 # remaining [a b] + [s r] + [cov k-1]: a becomes the new front
                 # cov index, b refills slot t (one position later, after a)
-                coeffs = [np.moveaxis(c, [0, 1], [r, r + 1 + t]) for c in tr.coeffs]
-                moved = taylor.Series(tr.dim, tr.order, tr.base_rank, coeffs)
+                moved = taylor.Series(tr.dim, tr.order, np.moveaxis(tr.jet, [0, 1], [r, r + 1 + t]))
                 accumulate(nxt, r, taylor.scale(moved, -1.0))
         level = nxt
     return collected

@@ -113,14 +113,15 @@ def from_expression(source: str | Expr, coordinates: Sequence[str]) -> ScalarFie
 
 
 def from_callable(dim: int, fn: Callable[[np.ndarray], complex]) -> ScalarField:
-    """Wrap a plain callable of one point; its jet is one :func:`numdiff.jet`, each
-    mixed partial a single stencil (the noise floor stays near the Richardson
-    accuracy of ``fn``).  An array-valued ``fn`` is a :func:`component` source.
+    """Wrap a plain callable of one point; its jet is one :func:`numdiff.jet`, taken
+    as it comes (the same flat layout), each mixed partial a single stencil (the
+    noise floor stays near the Richardson accuracy of ``fn``).  An array-valued
+    ``fn`` is a :func:`component` source.
     """
     lifted = numdiff.pointwise(fn)
 
     def jet(q, order):
-        flat = numdiff.compress(numdiff.jet(lifted, q, order), dim).astype(complex)
+        flat = numdiff.jet(lifted, q, order).astype(complex)
         return flat if q.ndim == 1 else np.moveaxis(flat, 0, -2)  # the point axis just before the jet's
 
     return ScalarField(dim, jet, numdiff.MAX_ORDER)

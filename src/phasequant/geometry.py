@@ -19,7 +19,9 @@ the image contracts those fields and :func:`sqrt_g_jet` evaluates them at a
 point, so density jets have one source.  Closed-form geodesics (a model's
 ``exp_fn``) and finite-difference jets of pulled-back functions
 (``sqrt_g_jet(method="numeric")``, :func:`pullback_jet`) remain as
-independent references for checks.
+independent references for checks.  The metric series is a flat jet
+(``taylor.Series``); connection, density and pullback jets are returned as
+symmetric derivative arrays, one per order.
 
 Conventions:
 
@@ -393,7 +395,7 @@ def normal_metric_series(model: ManifoldModel, q: np.ndarray, order: int) -> tay
         R = curvature[0]
         terms[4] = terms[4] + (2.0 / 45.0) * np.einsum("acgd,begf->abcdef", R, R)
     coeffs = [math.factorial(k) * numdiff.symmetrize(t, axes=range(2, 2 + k)) for k, t in enumerate(terms)]
-    return taylor.Series(dim, order, 2, coeffs[: order + 1])
+    return taylor.from_jets(dim, coeffs[: order + 1])
 
 
 def normal_christoffel_jets(model: ManifoldModel, q: np.ndarray, order: int) -> list[np.ndarray]:
@@ -419,8 +421,9 @@ def normal_christoffel_jets(model: ManifoldModel, q: np.ndarray, order: int) -> 
         total = taylor.add(total, taylor.scale(power, (-1.0) ** n))
     g_inv = taylor.add(taylor.constant(dim, G.order, np.eye(dim)), total)
     # [d, a, b] = Gamma_{dab} from [a, b, e] = d_e g_ab
-    lower = [0.5 * (c.swapaxes(1, 2) + c - np.moveaxis(c, 2, 0)) for c in taylor.gradient(G, 2).coeffs]
-    return jets + taylor.matmul(g_inv, taylor.from_jets(dim, lower)).coeffs[2:]
+    c = taylor.gradient(G, 2).jet
+    lower = taylor.Series(dim, order, 0.5 * (c.swapaxes(1, 2) + c - np.moveaxis(c, 2, 0)))
+    return jets + numdiff.expand(taylor.matmul(g_inv, lower).jet, dim, order)[2:]
 
 
 def ricci_in_frame(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
@@ -462,7 +465,7 @@ def sqrt_g_jet(
             G = np.matmul(np.matmul(J.transpose(0, 2, 1), metric(model, exp_map(model, q, v))), J)
             return libm(pow, np.sqrt(np.linalg.det(G)), power)
 
-        return numdiff.jet(density, np.zeros(dim), max_order)
+        return numdiff.expand(numdiff.jet(density, np.zeros(dim), max_order), dim, max_order)
     if model.flat:
         return [np.ones(()) if k == 0 else np.zeros((dim,) * k) for k in range(max_order + 1)]
     E = normal_frame(model, q)
@@ -566,7 +569,8 @@ def pullback_jet(
     """
     q = np.asarray(q, dtype=float)
     E = normal_frame(model, q)
-    return numdiff.jet(lambda xi: psi(exp_map(model, q, _frame_vectors(E, xi))), np.zeros(model.dim), max_order)
+    pulled = numdiff.jet(lambda xi: psi(exp_map(model, q, _frame_vectors(E, xi))), np.zeros(model.dim), max_order)
+    return numdiff.expand(pulled, model.dim, max_order)
 
 
 # ---------------------------------------------------------------------------

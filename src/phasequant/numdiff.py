@@ -10,13 +10,17 @@ returned values are O(h^6) accurate for smooth inputs (:data:`LEVELS` = 2).
 
 Integrands take node arrays: ``f`` is called on an ``(N, dim)`` array of
 points and returns the ``N`` values stacked along a leading axis.  A call of
-:func:`partials`, :func:`partial_derivative`, :func:`jet` or
-:func:`jacobian` collects every node it needs (all stencil offsets, at all
-Richardson levels, for every requested partial) and calls ``f`` once.  ``x``
-is one point, shape ``(dim,)``, or a stack of ``M`` points, shape
-``(M, dim)``, whose results stack along a leading axis and equal, bit for
-bit, those of ``M`` single-point calls.  A function of one point is lifted
-to node arrays with :func:`pointwise`.
+:func:`partials`, :func:`jet` or :func:`jacobian` collects every node it
+needs (all stencil offsets, at all Richardson levels, for every requested
+partial) and calls ``f`` once.  ``x`` is one point, shape ``(dim,)``, or a
+stack of ``M`` points, shape ``(M, dim)``, whose results stack along a
+leading axis and equal, bit for bit, those of ``M`` single-point calls.  A
+function of one point is lifted to node arrays with :func:`pointwise`.
+
+A jet is flat: one entry per distinct partial along a last axis over
+:func:`multi_indices`, the layout of field jets and of ``taylor.Series``.
+:func:`expand` gives its symmetric derivative arrays, one per order, and
+:func:`compress` takes them back.
 """
 
 from __future__ import annotations
@@ -148,16 +152,6 @@ def partials(
     return out
 
 
-def partial_derivative(
-    f: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    orders: Sequence[int],
-    step: float = DEFAULT_STEP,
-):
-    """Mixed partial of ``f`` at ``x``; ``orders[i]`` counts derivatives in axis i."""
-    return partials(f, x, [orders], step)[0]
-
-
 @functools.cache
 def multi_indices(dim: int, order: int) -> tuple[tuple[int, ...], ...]:
     """Per-axis counts of each distinct partial through ``order``, order 0 first:
@@ -182,12 +176,17 @@ def expand(flat: np.ndarray, dim: int, order: int) -> list[np.ndarray]:
     return [flat[..., _full_positions(dim, k)] for k in range(order + 1)]
 
 
+@functools.cache
+def _first_positions(dim: int, k: int) -> np.ndarray:
+    """Each order-``k`` partial's first entry in a flattened ``(dim,)*k`` derivative array: its sorted index tuple."""
+    return np.unique(_full_positions(dim, k), return_index=True)[1]
+
+
 def compress(jets: Sequence[np.ndarray], dim: int) -> np.ndarray:
     """The flat jet of symmetric derivative arrays, the inverse of :func:`expand`."""
     columns = []
-    for k, arr in enumerate(jets):
-        first = np.unique(_full_positions(dim, k), return_index=True)[1]  # each partial's sorted index tuple
-        columns.append(arr.reshape(arr.shape[: arr.ndim - k] + (-1,))[..., first])
+    for k, arr in enumerate(map(np.asarray, jets)):
+        columns.append(arr.reshape(arr.shape[: arr.ndim - k] + (-1,))[..., _first_positions(dim, k)])
     return np.concatenate(columns, axis=-1)
 
 
@@ -196,18 +195,17 @@ def jet(
     x: np.ndarray,
     max_order: int,
     step: float = DEFAULT_STEP,
-) -> list[np.ndarray]:
-    """All partial derivatives of ``f`` at ``x`` up to ``max_order``.
+) -> np.ndarray:
+    """All partial derivatives of ``f`` at ``x`` up to ``max_order``, as a flat jet.
 
-    Returns a list indexed by order; entry k has the shape of the value at
-    ``x`` with ``(dim,)*k`` derivative axes appended, filled symmetrically
-    (a stack of points keeps its leading axis).
+    The value's axes come first (after the leading axis of a stack of
+    points), then one axis over ``multi_indices(dim, max_order)``;
+    :func:`expand` gives the symmetric derivative arrays.
     """
     if max_order > MAX_ORDER:
         raise UnsupportedOrderError(f"jet order {max_order} exceeds the supported cap of {MAX_ORDER}")
     x = np.asarray(x, dtype=float)
-    dim = x.shape[-1]
-    return expand(np.stack(partials(f, x, multi_indices(dim, max_order), step), axis=-1), dim, max_order)
+    return np.stack(partials(f, x, multi_indices(x.shape[-1], max_order), step), axis=-1)
 
 
 def jacobian(f: Callable[[np.ndarray], np.ndarray], x: np.ndarray, step: float = 1e-3) -> np.ndarray:

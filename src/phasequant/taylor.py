@@ -1,19 +1,16 @@
-"""Truncated multivariate Taylor algebra on derivative arrays.
+"""Truncated multivariate Taylor algebra on flat jets.
 
-A :class:`Series` stores the derivative arrays of a tensor-valued function of
-a ``dim``-dimensional argument at a single point: ``coeffs[k]`` has shape
-``base_shape + (dim,)*k`` and is symmetric in the trailing ``k`` derivative
-axes (these are raw partial derivatives, not divided by k!).
+A :class:`Series` is the jet of a tensor-valued function of ``dim`` variables
+at a point, in the layout of field jets: base (tensor) axes, then one axis
+over :func:`numdiff.multi_indices` through ``order``, each distinct raw
+partial once.  Symmetric derivative arrays come in only through
+:func:`from_jets`; :func:`numdiff.expand` gives them back.
 
-The product, contraction, and re-basing operations here implement the jet
-calculus needed for delta-family trace pairings: derivative arrays multiply
-by the Leibniz rule with binomial weights, and one derivative axis can be
-promoted into the base to represent an explicit gradient.
-
-Fields keep flat jets instead, each distinct partial once along the last
-axis (:func:`numdiff.multi_indices`), so mixed partials are symmetric by
-construction; :func:`jet_shift` and :func:`jet_product` act on them, with
-leading axes (components, points) broadcast.
+The operations implement the jet calculus of delta-family trace pairings:
+products are the Leibniz rule (:func:`jet_product`), contractions act on base
+axes, and :func:`gradient` promotes a derivative into the base
+(:func:`jet_shift`).  Both primitives act on field jets too, with leading
+axes (components, points) broadcast.
 """
 
 from __future__ import annotations
@@ -32,64 +29,61 @@ from .errors import ShapeError
 
 @dataclass
 class Series:
-    """Derivative arrays of a tensor-valued function at a point."""
+    """The flat jet through ``order`` of a tensor-valued function at a point:
+    base axes first, then one axis over ``numdiff.multi_indices(dim, order)``."""
 
     dim: int
     order: int
-    base_rank: int
-    coeffs: list[np.ndarray]
+    jet: np.ndarray
 
     def __post_init__(self):
-        if len(self.coeffs) != self.order + 1:
-            raise ShapeError("need one coefficient array per order 0..order")
-        self.coeffs = [np.asarray(c) for c in self.coeffs]
-        base = self.coeffs[0].shape
-        if len(base) != self.base_rank:
-            raise ShapeError(f"base rank {self.base_rank} != leading shape {base}")
-        for k, c in enumerate(self.coeffs):
-            if c.shape != base + (self.dim,) * k:
-                raise ShapeError(f"order-{k} coefficient has shape {c.shape}")
+        self.jet = np.asarray(self.jet)
+        if self.jet.shape[-1:] != (len(numdiff.multi_indices(self.dim, self.order)),):
+            raise ShapeError(f"a jet through order {self.order} in {self.dim} variables has shape {self.jet.shape}")
+
+    @property
+    def base_rank(self) -> int:
+        return self.jet.ndim - 1
 
     @property
     def base_shape(self) -> tuple[int, ...]:
-        return self.coeffs[0].shape
+        return self.jet.shape[:-1]
 
 
 def constant(dim: int, order: int, value: np.ndarray) -> Series:
     value = np.asarray(value)
-    coeffs = [value] + [
-        np.zeros(value.shape + (dim,) * k, dtype=value.dtype) for k in range(1, order + 1)
-    ]
-    return Series(dim, order, value.ndim, coeffs)
+    jet = np.zeros(value.shape + (len(numdiff.multi_indices(dim, order)),), dtype=value.dtype)
+    jet[..., 0] = value
+    return Series(dim, order, jet)
 
 
 def from_jets(dim: int, jets: list[np.ndarray]) -> Series:
-    jets = [np.asarray(j) for j in jets]
-    return Series(dim, len(jets) - 1, jets[0].ndim, jets)
+    """The series of symmetric derivative arrays, one per order 0, 1, ...:
+    order k has ``(dim,)*k`` derivative axes after the base axes."""
+    return Series(dim, len(jets) - 1, numdiff.compress(jets, dim))
 
 
 def scale(s: Series, factor: complex) -> Series:
-    return Series(s.dim, s.order, s.base_rank, [factor * c for c in s.coeffs])
+    return Series(s.dim, s.order, factor * s.jet)
 
 
 def add(s1: Series, s2: Series) -> Series:
     if s1.base_shape != s2.base_shape:
         raise ShapeError("series base shapes differ")
     order = min(s1.order, s2.order)
-    return Series(
-        s1.dim, order, s1.base_rank, [s1.coeffs[k] + s2.coeffs[k] for k in range(order + 1)]
-    )
+    n = len(numdiff.multi_indices(s1.dim, order))  # a lower-order jet is a prefix
+    return Series(s1.dim, order, s1.jet[..., :n] + s2.jet[..., :n])
 
 
 def outer(s1: Series, s2: Series) -> Series:
-    """Tensor product of two series; base shapes concatenate, and the
-    derivative arrays multiply by the Leibniz rule (:func:`jet_product`)."""
+    """Tensor product of two series; base shapes concatenate, and the jets
+    multiply by the Leibniz rule (:func:`jet_product`)."""
     if s1.dim != s2.dim:
         raise ShapeError("series dimensions differ")
     dim, order = s1.dim, min(s1.order, s2.order)
-    a, b = (numdiff.compress(s.coeffs[: order + 1], dim) for s in (s1, s2))
-    prod = jet_product(a.reshape(s1.base_shape + (1,) * s2.base_rank + a.shape[-1:]), b, dim, order)
-    return Series(dim, order, s1.base_rank + s2.base_rank, numdiff.expand(prod, dim, order))
+    n = len(numdiff.multi_indices(dim, order))
+    a = s1.jet[..., :n].reshape(s1.base_shape + (1,) * s2.base_rank + (n,))
+    return Series(dim, order, jet_product(a, s2.jet[..., :n], dim, order))
 
 
 def mul(scalar: Series, tensor: Series) -> Series:
@@ -100,11 +94,10 @@ def mul(scalar: Series, tensor: Series) -> Series:
 
 
 def trace(s: Series, axis1: int, axis2: int) -> Series:
-    """Contract two base axes of every coefficient array."""
+    """Contract two base axes."""
     if axis1 == axis2 or max(axis1, axis2) >= s.base_rank:
         raise ShapeError("trace axes must be distinct base axes")
-    coeffs = [np.trace(c, axis1=axis1, axis2=axis2) for c in s.coeffs]
-    return Series(s.dim, s.order, s.base_rank - 2, coeffs)
+    return Series(s.dim, s.order, np.trace(s.jet, axis1=axis1, axis2=axis2))
 
 
 def matmul(s1: Series, s2: Series) -> Series:
@@ -113,26 +106,21 @@ def matmul(s1: Series, s2: Series) -> Series:
 
 
 def negate_argument(s: Series) -> Series:
-    """The series of xi -> f(-xi)."""
-    coeffs = [(-1.0) ** k * s.coeffs[k] for k in range(s.order + 1)]
-    return Series(s.dim, s.order, s.base_rank, coeffs)
+    """The series of xi -> f(-xi): each partial times ``(-1)^|alpha|``."""
+    signs = [(-1.0) ** sum(alpha) for alpha in numdiff.multi_indices(s.dim, s.order)]
+    return Series(s.dim, s.order, np.asarray(signs) * s.jet)
 
 
 def gradient(s: Series, base_position: int) -> Series:
     """Promote one derivative axis into the base at ``base_position``.
 
-    Returns the gradient of ``s``: order drops by one, base rank grows by one,
-    and ``result.coeffs[k][a, ...] = d_a (s)``-th derivative arrays.
+    Returns the gradient of ``s``: order drops by one, and the new base axis
+    ``a`` holds the jet of ``d_a s``.
     """
     if s.order == 0:
         raise ShapeError("cannot differentiate an order-0 series")
-    coeffs = []
-    for k in range(s.order):
-        src = s.coeffs[k + 1]
-        # first derivative axis sits right after the base; move it into the base
-        arr = np.moveaxis(src, s.base_rank, base_position)
-        coeffs.append(arr)
-    return Series(s.dim, s.order - 1, s.base_rank + 1, coeffs)
+    shifted = jet_shift(s.jet, s.dim, s.order - 1, slice(None))  # base + [a, jet]
+    return Series(s.dim, s.order - 1, np.moveaxis(shifted, -2, base_position))
 
 
 def identity_pair(s: Series, pos_a: int, pos_b: int) -> Series:
@@ -142,18 +130,16 @@ def identity_pair(s: Series, pos_a: int, pos_b: int) -> Series:
     slot: the Kronecker delta links the two roles without committing to an
     index value.
     """
-    ident = constant(s.dim, s.order, np.eye(s.dim))
-    prod = outer(ident, s)  # base: (a, b, old base...)
-    coeffs = [np.moveaxis(c, [0, 1], [pos_a, pos_b]) for c in prod.coeffs]
-    return Series(s.dim, prod.order, prod.base_rank, coeffs)
+    prod = outer(constant(s.dim, s.order, np.eye(s.dim)), s)  # base: (a, b, old base...)
+    return Series(s.dim, prod.order, np.moveaxis(prod.jet, [0, 1], [pos_a, pos_b]))
 
 
 def delta_pairing(w: Series, p: Series) -> complex:
     """Evaluate ``(-1/2)^r d^r_{a1..ar}[(w * p)^{a1..ar}](0)`` with r = base rank.
 
     ``w`` is a scalar series, ``p`` a series whose base axes all contract
-    pairwise with the derivative axes of the order-``r`` coefficient of the
-    product. This is the delta-family trace pairing used to turn operator
+    pairwise with the derivative axes of the order-``r`` derivative array of
+    the product. This is the delta-family trace pairing used to turn operator
     jets back into symbol values.
     """
     rank = p.base_rank
@@ -161,8 +147,7 @@ def delta_pairing(w: Series, p: Series) -> complex:
         raise ShapeError("weight series must have scalar base")
     if min(w.order, p.order) < rank:
         raise ShapeError("series order too low for the pairing rank")
-    prod = mul(w, p)
-    arr = prod.coeffs[rank]
+    arr = numdiff.expand(mul(w, p).jet, p.dim, rank)[rank]
     for _ in range(rank):
         # contract first remaining base axis with first remaining derivative axis
         arr = np.trace(arr, axis1=0, axis2=arr.ndim // 2)
@@ -170,7 +155,7 @@ def delta_pairing(w: Series, p: Series) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# flat jets
+# flat-jet primitives
 
 
 @functools.cache

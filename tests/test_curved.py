@@ -201,7 +201,7 @@ def test_defect_vanishes_on_flat_polar_chart(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("finite differences on a flat expression-built chart")
 
-    monkeypatch.setattr(numdiff, "partial_derivative", forbidden)
+    monkeypatch.setattr(numdiff, "partials", forbidden)
     model = geometry.polar_plane()
     for q in (np.array([1.2, 0.5]), np.array([0.7, -2.1])):
         d = curved.axiom_defect(model, kinetic_energy(model), P0, q)
@@ -235,7 +235,7 @@ def test_sphere_defect_takes_no_finite_differences(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("finite differences on an expression-built model")
 
-    monkeypatch.setattr(numdiff, "partial_derivative", forbidden)
+    monkeypatch.setattr(numdiff, "partials", forbidden)
     model = geometry.manifold("sphere:1.0")
     d = curved.axiom_defect(model, kinetic_energy(model), P0, Q0)
     assert abs(d - 2.0 / 3.0) <= 1e-15
@@ -262,7 +262,7 @@ def test_higher_order_curved_pairing_takes_no_finite_differences(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("finite differences or geodesics on an expression-built model")
 
-    for name in ("partial_derivative", "jet", "jacobian"):
+    for name in ("partials", "jet", "jacobian"):
         monkeypatch.setattr(numdiff, name, forbidden)
     monkeypatch.setattr(geometry, "exp_map", forbidden)
     monkeypatch.setattr(geometry, "exp_jacobian", forbidden)
@@ -318,6 +318,21 @@ def test_opaque_metric_takes_finite_differences_one_level_deep(monkeypatch):
 def test_opaque_metric_degree_four_pairing_matches_the_exact_one():
     exact, numeric = (dequantized_cos_theta(model, 4) for model in (UNIT_SPHERE, opaque_unit_sphere()))
     assert abs(numeric - exact) <= 2e-7
+
+
+@pytest.mark.parametrize(
+    "opaque, degree, want",
+    [
+        (False, 2, -0.24293860716396415 + 5.551115123125783e-17j),
+        (False, 3, 0.19637883416752233 + 6.661338147750939e-16j),
+        (False, 4, 0.5815017430772369 + 2.220446049250313e-15j),
+        (True, 3, 0.1963788341692425 + 2.144140420767826e-10j),
+    ],
+)
+def test_cos_theta_pairing_is_pinned_bit_for_bit(opaque, degree, want):
+    # refactors of the series algebra keep every bit of the pairing
+    model = opaque_unit_sphere() if opaque else UNIT_SPHERE
+    assert dequantized_cos_theta(model, degree) == want
 
 
 def test_opaque_metric_is_called_once_per_stencil_node():

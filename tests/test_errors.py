@@ -35,9 +35,7 @@ CASES = {
     "fields-tensor-add-rank": lambda: fields.tensor_add(
         fields.tensor_constant(2, np.ones(2)), fields.tensor_scalar(fields.constant(2, 1.0))
     ),
-    "taylor-coefficient-count": lambda: taylor.Series(2, 1, 0, [ONE]),
-    "taylor-base-rank": lambda: taylor.Series(2, 0, 1, [ONE]),
-    "taylor-coefficient-shape": lambda: taylor.Series(2, 1, 0, [ONE, np.ones(3)]),
+    "taylor-coefficient-shape": lambda: taylor.Series(2, 1, np.ones(4)),
     "taylor-add-shapes": lambda: taylor.add(SCALAR, VECTOR),
     "taylor-outer-dims": lambda: taylor.outer(SCALAR, taylor.constant(3, 1, ONE)),
     "taylor-mul-base": lambda: taylor.mul(VECTOR, SCALAR),

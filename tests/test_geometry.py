@@ -292,7 +292,7 @@ def test_normal_coordinate_series_match_integrated_geodesics():
         fits = chebyshev.chebfit(nodes / half, np.array(samples), 14)
         poly = np.array([np.pad(chebyshev.cheb2poly(fits[:, i]), (0, 4))[:5] for i in range(fits.shape[1])])
         for k in range(5):
-            along = [metric_series.coeffs[k], *[jets[k] for jets in density], coeff[k]]
+            along = [numdiff.expand(metric_series.jet, 2, 4)[k], *[jets[k] for jets in density], coeff[k]]
             for _ in range(k):
                 along = [a @ u for a in along]
             got = math.factorial(k) * poly[:, k] / half**k

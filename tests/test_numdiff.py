@@ -35,13 +35,13 @@ def test_richardson_passes_through_single_sample():
 def test_mixed_partials_of_separable_product(orders, expected, tol):
     f = lambda z: math.sin(z[0]) * math.cos(z[1])
     point = np.array([0.4, -1.2])
-    got = float(numdiff.partial_derivative(numdiff.pointwise(f), point, orders))
+    got = float(numdiff.partials(numdiff.pointwise(f), point, [orders])[0])
     assert got == pytest.approx(expected(*point), abs=tol)
 
 
 def test_partial_derivative_elementwise_on_arrays():
     f = lambda z: np.array([z[0] ** 2, math.sin(z[0])])
-    got = numdiff.partial_derivative(numdiff.pointwise(f), np.array([0.3]), (1,))
+    got = numdiff.partials(numdiff.pointwise(f), np.array([0.3]), [(1,)])[0]
     np.testing.assert_allclose(got, [0.6, math.cos(0.3)], atol=1e-9)
 
 
@@ -54,20 +54,26 @@ def test_cubic_first_derivative_matches_closed_form(coeffs, x0):
     a, b, c, d = coeffs
     f = lambda z: a + b * z[0] + c * z[0] ** 2 + d * z[0] ** 3
     want = b + 2 * c * x0 + 3 * d * x0**2
-    got = float(numdiff.partial_derivative(numdiff.pointwise(f), np.array([x0]), (1,)))
+    got = float(numdiff.partials(numdiff.pointwise(f), np.array([x0]), [(1,)])[0])
     assert abs(got - want) < 1e-6 * (1.0 + abs(want))
 
 
 def test_jet_orders_and_symmetry():
     f = lambda z: math.exp(0.3 * z[0]) * math.cos(0.7 * z[1])
-    jets = numdiff.jet(numdiff.pointwise(f), np.array([0.2, -0.4]), 3)
-    assert len(jets) == 4
-    assert jets[2].shape == (2, 2)
-    assert jets[3].shape == (2, 2, 2)
-    np.testing.assert_allclose(jets[2], jets[2].T, atol=1e-12)
-    # all permutations of a third-order index agree
-    assert jets[3][0, 1, 1] == pytest.approx(jets[3][1, 0, 1], abs=1e-12)
-    assert jets[3][0, 1, 1] == pytest.approx(jets[3][1, 1, 0], abs=1e-12)
+    x, y = 0.2, -0.4
+    jet = numdiff.jet(numdiff.pointwise(f), np.array([x, y]), 3)
+    # one entry per distinct partial through order 3, order 0 first
+    indices = numdiff.multi_indices(2, 3)
+    assert jet.shape == (len(indices),) == (10,)
+    assert indices[0] == (0, 0) and set(indices) == {(i, j) for i in range(4) for j in range(4 - i)}
+    d_xyy = 0.3 * math.exp(0.3 * x) * -0.49 * math.cos(0.7 * y)
+    assert jet[indices.index((1, 2))] == pytest.approx(d_xyy, abs=1e-6)
+    # expanded, every permutation of a mixed index reads the same entry
+    arrays = numdiff.expand(jet, 2, 3)
+    assert [a.shape for a in arrays] == [(), (2,), (2, 2), (2, 2, 2)]
+    np.testing.assert_array_equal(arrays[2], arrays[2].T)
+    assert arrays[3][0, 1, 1] == arrays[3][1, 0, 1] == arrays[3][1, 1, 0] == jet[indices.index((1, 2))]
+    assert numdiff.compress(arrays, 2).tobytes() == jet.tobytes()
 
 
 def test_jet_order_cap():
@@ -141,16 +147,15 @@ def _assert_stack_equals_single_calls(stacked, singles):
 
 @pytest.mark.parametrize("orders", [(1, 0), (0, 2), (2, 1), (1, 3)])
 def test_partial_derivative_on_a_stack_equals_single_calls(orders):
-    stacked = numdiff.partial_derivative(_matrix_integrand, STACK, orders)
-    singles = [numdiff.partial_derivative(_matrix_integrand, x, orders) for x in STACK]
+    stacked = numdiff.partials(_matrix_integrand, STACK, [orders])[0]
+    singles = [numdiff.partials(_matrix_integrand, x, [orders])[0] for x in STACK]
     _assert_stack_equals_single_calls(stacked, singles)
 
 
 def test_jet_on_a_stack_equals_single_calls():
     stacked = numdiff.jet(_matrix_integrand, STACK, 3)
-    singles = [numdiff.jet(_matrix_integrand, x, 3) for x in STACK]
-    for k in range(4):
-        _assert_stack_equals_single_calls(stacked[k], [jets[k] for jets in singles])
+    assert stacked.shape == (len(STACK), 2, 3, len(numdiff.multi_indices(2, 3)))
+    _assert_stack_equals_single_calls(stacked, [numdiff.jet(_matrix_integrand, x, 3) for x in STACK])
 
 
 def test_jacobian_on_a_stack_equals_single_calls():
