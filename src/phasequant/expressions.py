@@ -2,41 +2,21 @@
 
 Supports ``+ - * /``, integer powers, ``sin``/``cos``, numeric literals and
 coordinate names.  Expressions are parsed from Python syntax via ``ast`` into
-a small closed node set, evaluate on coordinate values (numbers, or arrays of
-values at many points at once, bit for bit the values at the single points),
-and differentiate symbolically, so coefficient fields declared this way have
-exact partial derivatives.
+a small closed node set, evaluate by the same numpy operations on numbers and
+on arrays of values at many points at once (an integer power is a product of
+its base), so arrays give the single points' values bit for bit, and
+differentiate symbolically: fields declared this way have exact partials.
 """
 
 from __future__ import annotations
 
 import ast
-import cmath
 import math
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
-
-
-def libm(fn: Callable[..., float], *args) -> float | np.ndarray:
-    """The scalar function ``fn`` (``math.exp``, ``math.atan2``, ``pow``, ...)
-    at every entry of its broadcast float arguments.
-
-    numpy's vectorized ``exp``, ``arccos``, ``arctan2``, ``hypot`` and
-    ``power`` may differ from the scalar C library functions in the last bit.
-    Finite differences, nested as they are in the density and chart
-    references, amplify such a bit by up to 1e8, so values computed on a point
-    array go through the scalar functions and stay bit-identical to those
-    computed one point at a time.
-    """
-    arrays = [np.asarray(a, dtype=float) for a in args]
-    shape = np.broadcast_shapes(*(a.shape for a in arrays))
-    if not shape:
-        return fn(*(float(a) for a in arrays))
-    columns = (np.broadcast_to(a, shape).ravel().tolist() for a in arrays)
-    return np.fromiter(map(fn, *columns), dtype=float, count=math.prod(shape)).reshape(shape)
 
 
 class Expr:
@@ -160,15 +140,16 @@ class Pow(Expr):
 
     def eval(self, env):
         v = self.base.eval(env)
-        if isinstance(v, np.ndarray) and v.dtype == float:
-            return libm(pow, v, self.exponent)
-        return v**self.exponent
+        out = v if self.exponent else np.ones(np.shape(v))
+        for _ in range(self.exponent - 1):  # left to right, on points and arrays alike
+            out = out * v
+        return out
 
     def diff(self, var):
         n = self.exponent
         if n == 0:
             return Const(0.0)
-        return mul(mul(Const(float(n)), Pow(self.base, n - 1)), self.base.diff(var))
+        return mul(mul(Const(float(n)), power(self.base, n - 1)), self.base.diff(var))
 
 
 class Sin(Expr):
@@ -178,10 +159,7 @@ class Sin(Expr):
         self.arg = arg
 
     def eval(self, env):
-        v = self.arg.eval(env)
-        if isinstance(v, float):
-            return math.sin(v)
-        return np.sin(v) if isinstance(v, np.ndarray) else cmath.sin(v)
+        return np.sin(self.arg.eval(env))
 
     def diff(self, var):
         return mul(Cos(self.arg), self.arg.diff(var))
@@ -194,10 +172,7 @@ class Cos(Expr):
         self.arg = arg
 
     def eval(self, env):
-        v = self.arg.eval(env)
-        if isinstance(v, float):
-            return math.cos(v)
-        return np.cos(v) if isinstance(v, np.ndarray) else cmath.cos(v)
+        return np.cos(self.arg.eval(env))
 
     def diff(self, var):
         return mul(Const(-1.0), mul(Sin(self.arg), self.arg.diff(var)))
@@ -233,6 +208,10 @@ def div(a: Expr, b: Expr) -> Expr:
     if _is_const(b, 1.0):
         return a
     return Div(a, b)
+
+
+def power(base: Expr, n: int) -> Expr:
+    return Const(1.0) if n == 0 else base if n == 1 else Pow(base, n)
 
 
 def inverse_matrix(m):

@@ -7,10 +7,10 @@ from its symbolic partials, a callable from one finite-difference jet, sums
 and products from their parts' jets (the Leibniz rule), a partial from its
 parent's jet shifted down an order, and a :func:`component` from one jet that
 all components of a tensor share.  The value is the order-0 entry, on a point
-array bit for bit those at the single points.  A field remembers its jet at
-the last single point, so a tree that shares subtrees computes each distinct
-jet once per point.  Fields combine with ``+``, ``-`` and ``*`` (a number
-scales), so array formulas apply to object arrays of them.
+array bit for bit those at the single points (the same numpy operations run
+on both).  A field remembers its jet at the last single point, so shared
+subtrees compute each distinct jet once per point.  Fields combine with ``+``,
+``-`` and ``*`` (a number scales), so array formulas apply to object arrays.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ def from_expression(source: str | Expr, coordinates: Sequence[str]) -> ScalarFie
     Each mixed partial differentiates, once, the expression of the partial
     one order lower along the last axis that still has a derivative.  On a
     point array the field's values are those at the single points, bit for
-    bit (integer powers go through :func:`expressions.libm`).
+    bit, since an expression runs the same numpy operations on both.
     """
     coords = tuple(coordinates)
     dim = len(coords)
@@ -186,7 +186,8 @@ def evaluate(comps: np.ndarray, q: np.ndarray) -> np.ndarray:
     ``(N, dim)`` point array (shape ``(N,) + comps.shape``, the point axis first)."""
     q = np.asarray(q, dtype=float)
     values = np.array([field(q) for field in comps.flat], dtype=complex)
-    return np.ascontiguousarray(values.T).reshape(q.shape[:-1] + comps.shape)  # C order, as tensordot reads it
+    # C order: matmul sums a strided stack by another kernel, moving symbol values' last bits
+    return np.ascontiguousarray(values.T).reshape(q.shape[:-1] + comps.shape)
 
 
 def jets(comps: np.ndarray, q: np.ndarray, order: int) -> np.ndarray:

@@ -44,7 +44,7 @@ import numpy as np
 
 from . import numdiff, taylor
 from .errors import ChartDomainError, ConfigError, ShapeError, UnsupportedOrderError
-from .expressions import Const, Expr, inverse_matrix, libm, parse_expression
+from .expressions import Const, Expr, inverse_matrix, parse_expression
 from .fields import (
     ScalarField,
     TensorField,
@@ -306,8 +306,8 @@ def scalar_curvature(model: ManifoldModel, q: np.ndarray) -> float:
 def exp_map(model: ManifoldModel, q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Geodesic endpoint ``exp_q(v)`` in chart coordinates from the model's
     closed form; ``v`` is one tangent vector or an ``(N, dim)`` stack of them,
-    giving ``(N, dim)`` endpoints equal to those of single calls.  A model
-    without ``exp_fn`` raises :class:`ConfigError`.
+    giving ``(N, dim)`` endpoints (the references call it on stencil node
+    arrays).  A model without ``exp_fn`` raises :class:`ConfigError`.
     """
     if model.exp_fn is None:
         raise ConfigError(f"manifold {model.name!r} has no closed-form geodesics")
@@ -325,9 +325,8 @@ def exp_jacobian(model: ManifoldModel, q: np.ndarray, v: np.ndarray) -> np.ndarr
 
 def _frame_vectors(E: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Chart vectors ``E @ xi`` for each row of an ``(N, dim)`` array of frame
-    components, each by the same matrix-vector product as ``E @ xi`` at one
-    row, so the values are bit-identical to it."""
-    return np.matmul(E, xi[:, :, None])[:, :, 0]
+    components."""
+    return xi @ E.T
 
 
 def normal_frame(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
@@ -463,7 +462,7 @@ def sqrt_g_jet(
             v = _frame_vectors(E, xi)
             J = np.matmul(exp_jacobian(model, q, v), E)
             G = np.matmul(np.matmul(J.transpose(0, 2, 1), metric(model, exp_map(model, q, v))), J)
-            return libm(pow, np.sqrt(np.linalg.det(G)), power)
+            return np.sqrt(np.linalg.det(G)) ** power
 
         return numdiff.expand(numdiff.jet(density, np.zeros(dim), max_order), dim, max_order)
     if model.flat:
@@ -608,7 +607,7 @@ def circle() -> ManifoldModel:
 
 def _unwrap_angle(angle: np.ndarray, reference: float) -> np.ndarray:
     """Shift each ``angle`` by multiples of 2 pi so it lands nearest ``reference``."""
-    turns = np.round((reference - angle) / (2.0 * math.pi)) + 0.0  # no -0.0 turns, as with round()
+    turns = np.round((reference - angle) / (2.0 * math.pi))
     return angle + 2.0 * math.pi * turns
 
 
@@ -650,15 +649,14 @@ def sphere(radius: float = 1.0) -> ManifoldModel:
         vs = np.atleast_2d(v)
         p = embed(q)
         t = tangent(q, vs)
-        # |t| as np.linalg.norm takes it of one vector, a dot product per row
-        speed = np.sqrt(np.matmul(t[:, None, :], t[:, :, None])[:, 0, 0]) / a
+        speed = np.linalg.norm(t, axis=-1) / a
         moving = speed >= 1e-300
         s = np.where(moving, speed, 1.0)
         # |t| = a * speed, so sin(speed)/speed * t has length a sin(speed).
         endpoint = np.cos(s)[:, None] * p + (np.sin(s) / s)[:, None] * t
         z = np.clip(endpoint[:, 2] / a, -1.0, 1.0)
-        theta = libm(math.acos, z)
-        phi = libm(math.atan2, endpoint[:, 1], endpoint[:, 0])
+        theta = np.arccos(z)
+        phi = np.arctan2(endpoint[:, 1], endpoint[:, 0])
         out = np.where(moving[:, None], np.stack([theta, _unwrap_angle(phi, q[1])], axis=-1), q)
         return out if v.ndim == 2 else out[0]
 

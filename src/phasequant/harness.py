@@ -34,7 +34,7 @@ from . import __version__, curved, cylinder, flat_weyl, geometry, numdiff
 from .bases import FourierBasis, HermiteBasis
 from .cylinder import CutoffFamily
 from .errors import ConfigError, ExperimentError, PhasequantError
-from .expressions import Const, Pow, Var, add, libm, mul
+from .expressions import Const, Pow, Var, add, mul
 from .fields import (
     add as field_add,
     constant as constant_field,
@@ -733,7 +733,7 @@ def _run_point_transform(cfg: ExperimentConfig, out: _Checks) -> None:
         return np.stack([q[:, 0] * np.cos(q[:, 1]), q[:, 0] * np.sin(q[:, 1])], axis=-1)
 
     def from_cartesian(xy):  # (N, 2) Cartesian points
-        return np.stack([libm(math.hypot, xy[:, 0], xy[:, 1]), libm(math.atan2, xy[:, 1], xy[:, 0])], axis=-1)
+        return np.stack([np.hypot(xy[:, 0], xy[:, 1]), np.arctan2(xy[:, 1], xy[:, 0])], axis=-1)
 
     def cartesian_reduction():
         names = euclid.coordinate_names

@@ -52,23 +52,16 @@ def _check_terms(dim: int, terms: dict[int, TensorField], kind: str) -> dict[int
 
 
 def _contract_full(vals: np.ndarray, p: np.ndarray, m: int) -> complex | np.ndarray:
-    """``X^{a1..am} p_{a1} .. p_{am}``, contracted one axis at a time as
-    ``np.tensordot`` does it at one point.  On a stack (``vals`` of shape
-    ``(N,) + (dim,)*m``, ``p`` of shape ``(N, dim)``) every row goes through a
-    matrix-vector product with the memory layout tensordot gives it at one
-    point, so the values agree bit for bit (a summation order of its own, as
-    an ``einsum`` takes, moves them in the last bit)."""
-    out = np.asarray(vals, dtype=complex)
-    if p.ndim == 1:
-        for _ in range(m):
-            out = np.tensordot(out, p, axes=([0], [0]))
-        return complex(out)
-    column = p.astype(complex)[:, :, None]
+    """``X^{a1..am} p_{a1} .. p_{am}`` on a stack (``vals`` of shape ``(N,) +
+    (dim,)*m``, ``p`` of shape ``(N, dim)``), one axis at a time, each row by a
+    matrix-vector product; a point goes through as a one-row stack."""
+    dim = p.shape[-1]
+    out = np.asarray(vals, dtype=complex).reshape((-1,) + (dim,) * m)
+    column = p.astype(complex).reshape(-1, dim, 1)
     for _ in range(m):
-        rest = out.shape[2:]
-        rows = np.moveaxis(out, 1, -1).reshape(len(out), -1, out.shape[1])  # tensordot's (rest, dim) matrix
-        out = np.matmul(rows, column).reshape((len(out),) + rest)
-    return out
+        rows = np.moveaxis(out, 1, -1).reshape(len(out), -1, dim)
+        out = np.matmul(rows, column).reshape(out.shape[:1] + out.shape[2:])
+    return complex(out[0]) if p.ndim == 1 else out
 
 
 class MomentumPolynomial:
@@ -135,12 +128,12 @@ def operator_matrix(model: ManifoldModel, D: CovariantOperator, basis, K: int) -
 
     The basis gives the quadrature rule and, per grid, one table of its
     functions and their derivatives (``basis.table``); ``D phi_k`` is the
-    coefficient values times that table, summed over orders in one pass.  The
-    integral is repeated at doubled resolution and must agree to
-    :data:`QUADRATURE_TOLERANCE`, otherwise :class:`QuadratureAccuracyError`
-    is raised.  The table holds partial derivatives, which are covariant ones
-    on a connection-free model, and up to order one on any model; a model
-    with a connection (each node weighted by its own ``sqrt(g)``) raises
+    coefficient values times that table, summed over orders in one pass, and
+    each node weighs by its own ``sqrt(g)``.  The integral is repeated at
+    doubled resolution and must agree to :data:`QUADRATURE_TOLERANCE`,
+    otherwise :class:`QuadratureAccuracyError` is raised.  The table holds
+    partial derivatives, which are covariant ones on a connection-free model,
+    and up to order one on any model; a model with a connection raises
     :class:`UnsupportedOrderError` for operators of higher order.
     """
     order = D.max_order
@@ -153,10 +146,7 @@ def operator_matrix(model: ManifoldModel, D: CovariantOperator, basis, K: int) -
     def assemble(nodes: int) -> np.ndarray:
         points, weights = basis.quadrature(nodes, K)
         table = basis.table(points, K, order)
-        if model.connection_free:  # a constant metric has one density value
-            vol = geometry.sqrt_g(model, points[0])
-        else:
-            vol = np.array([geometry.sqrt_g(model, x) for x in points])
+        vol = np.sqrt(np.linalg.det(geometry.metric(model, points)))
         coefficients = np.zeros((order + 1, len(points)), dtype=complex)
         for r, tensor in D.terms.items():
             coefficients[r] = tensor.comps[(0,) * r](points)

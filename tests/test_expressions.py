@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasequant.errors import ConfigError
-from phasequant.expressions import Const, inverse_matrix, libm, parse_expression
+from phasequant.expressions import Const, inverse_matrix, parse_expression
 
 
 def ev(source, **values):
@@ -124,21 +124,17 @@ def test_inverse_matrix_diagonal_and_adjugate():
     np.testing.assert_allclose(got @ m, np.eye(2), atol=1e-14)
 
 
-def test_libm_applies_the_scalar_function_per_entry():
-    rng = np.random.default_rng(5)
-    x, y = rng.uniform(-3.0, 3.0, size=(2, 400))
-    for fn, args in ((math.exp, (x,)), (math.atan2, (y, x)), (math.hypot, (x, y)), (pow, (x, 3))):
-        got = libm(fn, *args)
-        want = [fn(*vals) for vals in zip(*[np.broadcast_to(a, x.shape).tolist() for a in args])]
-        assert got.shape == x.shape and got.tobytes() == np.array(want).tobytes()
-    assert libm(math.acos, x.reshape(20, 20) / 3.0).shape == (20, 20)
-    assert type(libm(math.exp, 0.5)) is float
-
-
 def test_integer_powers_on_arrays_equal_those_at_single_points():
-    expr = parse_expression("x**2 + (1 + 0.5*cos(y))**3 - x**4/y**2", ("x", "y"))
     rng = np.random.default_rng(6)
     points = rng.uniform(0.2, 3.0, size=(500, 2))
-    got = expr.eval({"x": points[:, 0], "y": points[:, 1]})
-    want = np.array([expr.eval({"x": x, "y": y}) for x, y in points.tolist()])
-    assert got.tobytes() == want.tobytes()
+    for source in ("x**2 + (1 + 0.5*cos(y))**3 - x**4/y**2", "x**0", "x**1", "x**5", "sin(x)**3*cos(y)"):
+        expr = parse_expression(source, ("x", "y"))
+        got = expr.eval({"x": points[:, 0], "y": points[:, 1]})
+        want = np.array([expr.eval({"x": x, "y": y}) for x, y in points.tolist()])
+        assert got.shape == (500,) and got.tobytes() == want.tobytes(), source
+    one = parse_expression("x**0", ("x",))
+    assert one.eval({"x": points[:, 0]}).tolist() == [1.0] * 500 and one.eval({"x": 0.7}) == 1.0
+    assert np.shape(one.eval({"x": points[:, :1]})) == (500, 1) and np.shape(one.eval({"x": 0.7})) == ()
+    x = points[:, 0]
+    for source, product in (("x**1", x), ("x**5", x * x * x * x * x)):  # the product, left to right
+        assert parse_expression(source, ("x",)).eval({"x": x}).tobytes() == product.tobytes()

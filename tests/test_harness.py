@@ -273,11 +273,13 @@ def test_report_files_written(tmp_path, reports):
 # last re-recorded when Gauss-Hermite rules came from Newton steps on the
 # Hermite recurrence, operator matrices from one basis table per grid and
 # trapezoid Fourier coefficients from one FFT: all move values at rounding
-# level only.
+# level only.  The curved-defect files were last re-recorded when the
+# finite-difference density reference took numpy's vector functions, which
+# moved density-jet-ricci at rounding level.
 REPORT_SHA256 = {
     "curved-defect-defect_vs_p.csv": "46e41d2e8b5d69398cac653df6e10a5f3eb456afaf7c86996dba271612b4492c",
-    "curved-defect-records.csv": "2fe304952487976da61f1d56b8efd2293c1c3f2128e3dae353fb601cc4318e0c",
-    "curved-defect.json": "8a4e1294a5bc071b87abe116c275609ddbc2b607d7de7d60f3b64db09cc3600a",
+    "curved-defect-records.csv": "067d51846132f23b3db453bf3f48e1e986ac6cb19ebd4544a799ba86fbf7da48",
+    "curved-defect.json": "8774ddbe82e8529c952ef70d7df8bd86751d62cc4de92019e9b53b0c767b86cf",
     "cylinder-axioms-records.csv": "88abddef3160824f56e69900b583348c6bc2380ee98e4a849a264db57c892cbc",
     "cylinder-axioms-reproduction_vs_m.csv": "173ee0ae2e6aa9b859e4327102400e5db0d231b274fdd5e40ca0ede9681feb90",
     "cylinder-axioms-smeared_trace_vs_K.csv": "dd22b7ff4c957de51002cb1ec38dd17c748049b9236865b16eb689fa698fc5e8",
