@@ -7,8 +7,13 @@
 Each round measures every checkout once, in alternating order.  For one
 checkout a round records:
 
+- the median wall time of :data:`COLD_RUNS` cold runs of each cataloged
+  experiment at its default config, each ``python -m phasequant run`` in a
+  fresh process (start-up and imports included);
 - the time to import ``phasequant.harness`` in a fresh process, and then
-  ``scipy.integrate`` (which the older harness imported at module level);
+  ``scipy.integrate`` (which the ``entry-oracle`` of older checkouts imports
+  when cylinder-axioms runs; loading it first keeps it out of every
+  checkout's in-process times);
 - the wall time of each cataloged experiment at its default config, one
   in-process run each in catalog order (as ``scripts/run_all.py`` runs them,
   but with scipy already loaded), and how many checks passed;
@@ -71,6 +76,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -86,6 +92,8 @@ PINNED = {
 # handful of calls cannot resolve changes of a few tens of percent on the fast
 # layers, and the probe needs samples spread over the layer's calls.
 LAYER_SECONDS = 1.0
+# Cold CLI runs of each experiment per round; the round records their median.
+COLD_RUNS = 5
 PERFBENCH_CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
 
 
@@ -105,8 +113,8 @@ def layer_timings(src: Path) -> dict:
     from phasequant import harness
 
     import_s = time.perf_counter() - start
-    # The entry-oracle's quadrature; loaded before the experiments are timed,
-    # whether or not importing the harness loaded it already.
+    # The entry-oracle's quadrature in older checkouts; loaded before the
+    # experiments are timed, whether or not the checkout needs it.
     start = time.perf_counter()
     import scipy.integrate  # noqa: F401
 
@@ -206,6 +214,7 @@ def layer_timings(src: Path) -> dict:
         layers["fourier_coefficients_K64"] = lambda: cylinder._fourier_coefficients(bump(cylinder._angle_grid()), 128)
     layers_ms = {name: median_ms(name, call) for name, call in layers.items()}
     return {
+        "default_configs": {entry.name: harness.default_config(entry.name) for entry in harness.list_experiments()},
         "import_harness_s": import_s,
         "then_import_scipy_integrate_s": scipy_import_s,
         "run_all_s": run_all_s,
@@ -253,6 +262,26 @@ def last_json_line(proc: subprocess.CompletedProcess, what: str) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def cold_run_s(root: Path, configs: dict) -> dict:
+    """Per experiment, the median wall time of :data:`COLD_RUNS` runs of
+    ``python -m phasequant run`` on its config, each in a fresh process."""
+    out = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, config in configs.items():
+            path = Path(tmp) / f"{name}-config.json"  # the reports go to tmp/reports
+            path.write_text(json.dumps(config))
+            command = [sys.executable, "-m", "phasequant", "run", "--config", str(path), "--out", f"{tmp}/reports"]
+            times = []
+            for _ in range(COLD_RUNS):
+                start = time.perf_counter()
+                proc = subprocess.run(command, cwd=tmp, env=child_env(root), capture_output=True, text=True)
+                times.append(time.perf_counter() - start)
+                if proc.returncode not in (0, 1):  # 1: a check failed, the run is still timed
+                    raise SystemExit(f"cold run of {name} in {root.name} exited {proc.returncode}: {proc.stderr[-2000:]}")
+            out[name] = statistics.median(times)
+    return out
+
+
 def measure(root: Path, seed: int, seconds: int) -> dict:
     proc = subprocess.run(
         [sys.executable, __file__, "--child", str(root / "src")],
@@ -261,6 +290,7 @@ def measure(root: Path, seed: int, seconds: int) -> dict:
         text=True,
     )
     result = last_json_line(proc, f"layer child of {root.name}")
+    result["cold_run_s"] = cold_run_s(root, result.pop("default_configs"))
     proc = subprocess.run(
         [sys.executable, str(root / "perfbench" / "run.py"), "--workload", "all"]
         + ["--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -347,7 +377,7 @@ def main(argv=None) -> int:
             result = measure(checkouts[label], args.seed + round_index, args.seconds)
             runs[label].append(result)
             print(f"round {round_index} {label}: run_all {result['run_all_total_s']:.2f} s, "
-                  f"layers {json.dumps(result['layers_ms'])}", flush=True)
+                  f"cold {json.dumps(result['cold_run_s'])}, layers {json.dumps(result['layers_ms'])}", flush=True)
 
     report = {
         "command": "python3 scripts/bench.py " + " ".join(

@@ -176,9 +176,9 @@ class CutoffFamily:
 
 
 def __getattr__(name: str):
-    # Nothing here calls ``quad``, but the perfbench tracer looks it up on
-    # this module by name to count its calls, so the name resolves; scipy is
-    # imported on that first access only.
+    # The perfbench tracer looks ``quad`` up here by name to count its calls,
+    # so the name resolves.  This shim and harness's are the only scipy imports
+    # in the package (scipy is a test dependency); nothing here calls ``quad``.
     if name == "quad":
         from scipy.integrate import quad
 

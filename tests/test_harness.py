@@ -5,12 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from phasequant import cli, curved, flat_weyl, harness
+from phasequant import cli, curved, cylinder, flat_weyl, harness
 from phasequant.errors import ConfigError, ExperimentError, QuadratureAccuracyError
 from phasequant.fields import from_expression
 
@@ -269,21 +270,23 @@ def test_report_files_written(tmp_path, reports):
 # SHA-256 of every default report file, the JSON timestamp line removed.  A
 # change that moves any report value, or the layout of a report, changes one
 # of these; such a change re-pins them and says which values moved.  The
-# cylinder-axioms, discrete-orthogonality, flat-axioms and orderings files were
-# last re-recorded when Gauss-Hermite rules came from Newton steps on the
-# Hermite recurrence, operator matrices from one basis table per grid and
+# discrete-orthogonality, flat-axioms and orderings files and the cylinder-axioms
+# series were last re-recorded when Gauss-Hermite rules came from Newton steps
+# on the Hermite recurrence, operator matrices from one basis table per grid and
 # trapezoid Fourier coefficients from one FFT: all move values at rounding
-# level only.  The curved-defect files were last re-recorded when the
+# level only.  The cylinder-axioms JSON and records were last re-recorded when
+# the entry-oracle's reference became a tanh-sinh rule, which moved it from
+# 1.1e-16 to 2.2e-16.  The curved-defect files were last re-recorded when the
 # finite-difference density reference took numpy's vector functions, which
 # moved density-jet-ricci at rounding level.
 REPORT_SHA256 = {
     "curved-defect-defect_vs_p.csv": "46e41d2e8b5d69398cac653df6e10a5f3eb456afaf7c86996dba271612b4492c",
     "curved-defect-records.csv": "067d51846132f23b3db453bf3f48e1e986ac6cb19ebd4544a799ba86fbf7da48",
     "curved-defect.json": "8774ddbe82e8529c952ef70d7df8bd86751d62cc4de92019e9b53b0c767b86cf",
-    "cylinder-axioms-records.csv": "88abddef3160824f56e69900b583348c6bc2380ee98e4a849a264db57c892cbc",
+    "cylinder-axioms-records.csv": "38d6b5803f44bba499196650585480bbb248d6c578f7062a63fad597fe1aabcb",
     "cylinder-axioms-reproduction_vs_m.csv": "173ee0ae2e6aa9b859e4327102400e5db0d231b274fdd5e40ca0ede9681feb90",
     "cylinder-axioms-smeared_trace_vs_K.csv": "dd22b7ff4c957de51002cb1ec38dd17c748049b9236865b16eb689fa698fc5e8",
-    "cylinder-axioms.json": "4457911c9f78c00cd8fde2ef0776b6ce74658c7d4f04aed59f65263048778451",
+    "cylinder-axioms.json": "c40990624a2292ff6aa2d33b888f89aca1bd2d46a8d566c25eb47ff71d07660a",
     "discrete-limit-limit_error_vs_j.csv": "3828bfe54a7252f0b4cf81ab8304d2494950ba07c1dd5272fcfacce2d93b52ed",
     "discrete-limit-records.csv": "1acefef31c31c3b6e32f550656c6716347b648175726c3d7c5555730723786f7",
     "discrete-limit.json": "3712894bf1d5fb4016c0f3f8cd5372e2363baa262537537f8ed49789f353b263",
@@ -388,6 +391,58 @@ def test_hbar_override_is_echoed_and_scales_defect():
     record = {r.name: r for r in report.records}["defect-value"]
     assert record.passed
     assert record.measured == pytest.approx(2.0 / 3.0 * 0.25, rel=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# entry-oracle
+
+ORACLE_CUTOFFS = {
+    **{f"default-{profile}": cylinder.CutoffFamily(0.8, 2.8, profile) for profile in ("smoothstep", "classic-bump")},
+    **{
+        f"mollifier-{j}-{profile}": cylinder.CutoffFamily.mollifier(j, profile)
+        for j in range(1, 5)
+        for profile in ("smoothstep", "classic-bump")
+    },
+}
+
+
+@pytest.mark.parametrize("chi", ORACLE_CUTOFFS.values(), ids=ORACLE_CUTOFFS.keys())
+def test_tanh_sinh_oracle_matches_scipy_quad(chi):
+    from scipy.integrate import IntegrationWarning, quad
+
+    for s in range(17):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IntegrationWarning)
+            want, _ = quad(
+                lambda x: 2.0 * chi.value(x) ** 2 * math.cos(s * x),
+                0.0,
+                chi.support,
+                points=(chi.plateau,),
+                limit=400,
+                epsabs=1e-14,
+                epsrel=1e-14,
+            )
+        assert harness._tanh_sinh_cosine(chi, float(s)) == pytest.approx(want, abs=1e-13), s
+
+
+def test_tanh_sinh_oracle_skips_the_empty_transition_and_raises_when_unresolved():
+    indicator = cylinder.CutoffFamily(1.3, 1.3, "indicator")
+    for s in (0.0, 1.0, 7.0):
+        want = 2.0 * 1.3 if s == 0.0 else 2.0 * math.sin(1.3 * s) / s
+        assert harness._tanh_sinh_cosine(indicator, s) == pytest.approx(want, abs=1e-15)
+    with pytest.raises(QuadratureAccuracyError):
+        harness._tanh_sinh_cosine(indicator, 1e4)
+
+
+def test_entry_oracle_fails_when_the_transform_is_perturbed(monkeypatch, reports):
+    def record(report):
+        return {r.name: r for r in report.records}["entry-oracle"]
+
+    assert record(reports["cylinder-axioms"]).passed
+    integral = cylinder._cosine_integral
+    monkeypatch.setattr(cylinder, "_cosine_integral", lambda *args: integral(*args) * (1.0 + 1e-9))
+    perturbed = record(harness.run_experiment(harness.ExperimentConfig.from_dict({"experiment": "cylinder-axioms"})))
+    assert not perturbed.passed
 
 
 # ---------------------------------------------------------------------------
@@ -620,18 +675,24 @@ def test_harness_and_cylinder_import_without_scipy():
 
 
 def test_flat_suite_runs_without_numpy_polynomial_or_scipy():
-    # every quadrature rule of the five experiments comes from bases' Newton rules
+    # every quadrature rule of the five flat experiments comes from bases'
+    # Newton rules (cylinder-axioms fits with numpy.polynomial), and the
+    # entry-oracle's tanh-sinh rule keeps all seven free of scipy
     code = (
         "import sys\n"
         "from phasequant import harness\n"
-        "for name in ('flat-axioms', 'orderings', 'point-transform', 'discrete-limit', 'discrete-orthogonality'):\n"
-        "    harness.run_experiment(harness.ExperimentConfig.from_dict(harness.default_config(name)))\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')))"
+        "def run(*names):\n"
+        "    for name in names:\n"
+        "        harness.run_experiment(harness.ExperimentConfig.from_dict(harness.default_config(name)))\n"
+        "run('flat-axioms', 'orderings', 'point-transform', 'discrete-limit', 'discrete-orthogonality')\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n"
+        "run('curved-defect', 'cylinder-axioms')\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split() == ["[]", "[]"]
 
 
 def test_quad_still_resolves_on_harness_and_cylinder():
