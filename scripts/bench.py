@@ -10,13 +10,10 @@ checkout a round records:
 - the median wall time of :data:`COLD_RUNS` cold runs of each cataloged
   experiment at its default config, each ``python -m phasequant run`` in a
   fresh process (start-up and imports included);
-- the time to import ``phasequant.harness`` in a fresh process, and then
-  ``scipy.integrate`` (which the ``entry-oracle`` of older checkouts imports
-  when cylinder-axioms runs; loading it first keeps it out of every
-  checkout's in-process times);
+- the time to import ``phasequant.harness`` in a fresh process;
 - the wall time of each cataloged experiment at its default config, one
-  in-process run each in catalog order (as ``scripts/run_all.py`` runs them,
-  but with scipy already loaded), and how many checks passed;
+  in-process run each in catalog order (as ``scripts/run_all.py`` runs them),
+  and how many checks passed;
 - the median time of repeated calls of ``symbols.operator_matrix`` (circle,
   Weyl image of cos(theta) p^2, Fourier basis) at K = 32 and K = 64, of
   ``cylinder.pair_trace_smeared_cyl`` at K = 64 with a fresh default cutoff,
@@ -25,29 +22,27 @@ checkout a round records:
   the unit sphere at the curved-defect point for cos(theta) p^m at m = 2,
   3 and 4 (each call builds the model and the Weyl image afresh, so no cache
   carries over between calls), and at m = 3 on the same sphere given by an
-  opaque ``metric_fn`` (its curvature from finite differences of the metric
-  callable; the model is built afresh on every call too), of the
-  finite-difference density jet
-  ``geometry.sqrt_g_jet(sphere, (1.1, 0.4), 2, method="numeric")``, and of
-  the 20 ``symbols.flat_chart_delta_value`` calls of the point-transform
-  experiment's polar-cartesian-agreement check (its symbol and points, with
-  chart maps that take one point or an array of points, so packages that
-  call them either way are timed on the same work), and of building a
-  Gauss-Legendre rule of 256, 512 and 1024 nodes with the package's rule
-  cache cleared before each call (the builder is looked up by name:
-  ``bases.gauss_legendre``, or ``cylinder._legendre_rule`` in checkouts that
-  predate it, so one script times both), and of building the 256-node
-  Gauss-Hermite rule ``bases.gauss_hermite`` with its cache cleared; of
+  opaque ``metric_fn``, the callable ``x -> geometry.metric(sphere, x)`` (its
+  curvature from finite differences of the metric callable; the model is
+  built afresh on every call too), of the finite-difference density jet
+  ``geometry.sqrt_g_jet(sphere, (1.1, 0.4), 2, method="numeric")``, of one
+  flat-axioms round trip (``flat_weyl.a_image_flat`` then
+  ``flat_weyl.dequantize_flat``, standard ordering, hbar = 1) of a random
+  degree-3 symbol with cubic coefficients, drawn afresh from one seed on
+  every call, of the 20 ``symbols.flat_chart_delta_value`` calls of the
+  point-transform experiment's polar-cartesian-agreement check (its symbol
+  and points, with chart maps that take one point or an array of points),
+  and of building the Gauss-Legendre rules ``bases.gauss_legendre`` of 256,
+  512 and 1024 nodes and the 256-node Gauss-Hermite rule
+  ``bases.gauss_hermite``, each with its cache cleared first; of
   ``symbols.operator_matrix`` for the oscillator ``-1/2 d^2 + x^2/2`` in the
   Hermite basis at K = 16; and of the 257 trapezoid Fourier coefficients
-  (K = 64) of the smearing test function on its 512-node grid, with any cache
-  of ``cylinder`` cleared first (``cylinder._fourier_rule``, the phase table
-  of checkouts that predate the FFT, or ``cylinder._angle_grid`` and one FFT
-  after it).  A first call warms each layer up and is not timed; the
-  layer is then called until its calls fill :data:`LAYER_SECONDS`, with
-  perfbench's ``SpeedProbe`` (loaded from ``perfbench/child.py`` next to
-  this script, so every checkout is scaled by the same probe) sampling the
-  CPU's speed on a timer meanwhile.  Each call's time less the probe's
+  (K = 64) of the smearing test function on its 512-node grid
+  (``cylinder._angle_grid`` and one FFT).  A first call warms each layer up
+  and is not timed; the layer is then called until its calls fill
+  :data:`LAYER_SECONDS`, with perfbench's ``SpeedProbe`` (loaded from
+  ``perfbench/child.py`` next to this script, so every checkout is scaled by
+  the same probe) sampling the CPU's speed on a timer meanwhile.  Each call's time less the probe's
   samples inside it is its raw time; the layer's median raw time goes in
   ``layers_raw_ms`` and, scaled to the probe's reference speed as perfbench
   scales a pass, in ``layers_ms``;
@@ -113,24 +108,19 @@ def layer_timings(src: Path) -> dict:
     from phasequant import harness
 
     import_s = time.perf_counter() - start
-    # The entry-oracle's quadrature in older checkouts; loaded before the
-    # experiments are timed, whether or not the checkout needs it.
-    start = time.perf_counter()
-    import scipy.integrate  # noqa: F401
-
-    scipy_import_s = time.perf_counter() - start
 
     from phasequant.bases import FourierBasis, HermiteBasis
     from phasequant.curved import dequantize_curved, wue_weyl_image
     from phasequant.cylinder import CutoffFamily, pair_trace_smeared_cyl
     from phasequant.fields import from_expression, tensor_constant, tensor_from_fields
-    from phasequant.flat_weyl import quantize_gaussian_flat
+    from phasequant.flat_weyl import a_image_flat, dequantize_flat, quantize_gaussian_flat
     from phasequant.geometry import ManifoldModel, circle, euclidean_space, sphere
     from phasequant.symbols import (
         CovariantOperator,
         MomentumPolynomial,
         flat_chart_delta_value,
         operator_matrix,
+        ordering_scheme,
         symbol_from_config,
     )
 
@@ -169,14 +159,23 @@ def layer_timings(src: Path) -> dict:
         raw_ms[name] = 1e3 * raw
         return 1e3 * raw * probe.scale(begin)
 
+    from phasequant import geometry
+
     def sphere_dequantization(degree: int, opaque: bool = False) -> complex:
         model = sphere(1.0)
         if opaque:
-            model = ManifoldModel(name="sphere-opaque", dim=2, coords=model.coords, metric_fn=model.metric_fn)
+            exact = model
+            model = ManifoldModel(
+                name="sphere-opaque", dim=2, coords=model.coords, metric_fn=lambda x: geometry.metric(exact, x)
+            )
         f = symbol_from_config(model, {"coefficient": "cos-theta", "degree": degree})
         return dequantize_curved(model, wue_weyl_image(model, f), np.array([0.3, -0.55]), np.array([1.1, 0.4]))
 
-    from phasequant import geometry
+    def flat_round_trip() -> complex:
+        line, standard = euclidean_space(1), ordering_scheme("standard")
+        f = harness._random_flat_symbol(np.random.default_rng(20260814))
+        D = a_image_flat(standard, f, line, 1.0)
+        return dequantize_flat(standard, D, np.array([0.3]), np.array([-0.4]), 1.0, line)
 
     model = circle()
     cos_theta = from_expression("cos(theta)", ("theta",))
@@ -192,12 +191,15 @@ def layer_timings(src: Path) -> dict:
     layers["sqrt_g_jet_numeric_sphere"] = lambda: geometry.sqrt_g_jet(
         sphere(1.0), np.array([1.1, 0.4]), 2, method="numeric"
     )
+    layers["dequantize_flat_cubic"] = flat_round_trip
     layers["flat_chart_delta_value_20"] = polar_chart_deltas(harness, flat_chart_delta_value)
     from phasequant import bases, cylinder
 
-    build_rule = getattr(bases, "gauss_legendre", None) or cylinder._legendre_rule  # the latter predates it
     for nodes in (256, 512, 1024):
-        layers[f"legendre_rule_{nodes}"] = lambda nodes=nodes: (build_rule.cache_clear(), build_rule(nodes))
+        layers[f"legendre_rule_{nodes}"] = lambda nodes=nodes: (
+            bases.gauss_legendre.cache_clear(),
+            bases.gauss_legendre(nodes),
+        )
     layers["gauss_hermite_256"] = lambda: (bases.gauss_hermite.cache_clear(), bases.gauss_hermite(256))
     x2 = from_expression("0.5*x**2", ("x",))
     oscillator = CovariantOperator(
@@ -205,18 +207,11 @@ def layer_timings(src: Path) -> dict:
     )
     layers["operator_matrix_hermite_K16"] = lambda: operator_matrix(euclidean_space(1), oscillator, HermiteBasis(), 16)
     bump = cylinder.periodic_test_function(0.9, 0.4)
-    if hasattr(cylinder, "_fourier_rule"):  # a cached phase table: clear it, so each call builds it
-        layers["fourier_coefficients_K64"] = lambda: (
-            cylinder._fourier_rule.cache_clear(),
-            cylinder._fourier_coefficients(bump, 128),
-        )
-    else:
-        layers["fourier_coefficients_K64"] = lambda: cylinder._fourier_coefficients(bump(cylinder._angle_grid()), 128)
+    layers["fourier_coefficients_K64"] = lambda: cylinder._fourier_coefficients(bump(cylinder._angle_grid()), 128)
     layers_ms = {name: median_ms(name, call) for name, call in layers.items()}
     return {
         "default_configs": {entry.name: harness.default_config(entry.name) for entry in harness.list_experiments()},
         "import_harness_s": import_s,
-        "then_import_scipy_integrate_s": scipy_import_s,
         "run_all_s": run_all_s,
         "run_all_total_s": sum(run_all_s.values()),
         "checks_passed": f"{passed}/{total}",

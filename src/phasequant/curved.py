@@ -42,9 +42,9 @@ import numpy as np
 
 from . import fields, geometry, numdiff, taylor
 from .errors import ConfigError
-from .fields import TensorField, contract, tensor_add, tensor_scale
+from .fields import TensorField, contract, tensor_scale
 from .geometry import ManifoldModel
-from .symbols import CovariantOperator, MomentumPolynomial, merge_terms
+from .symbols import CovariantOperator, MomentumPolynomial, merge_terms, ordering_scheme, ordering_transform
 
 MEASURE_VARIANTS = ("paper", "emmrich")
 
@@ -126,25 +126,15 @@ def _image(
 def kinetic_symbol(model: ManifoldModel, hbar: float = 1.0) -> MomentumPolynomial:
     """The symbol whose symmetric image is exactly ``(hbar/i)^2 g^{ab} nabla_a nabla_b``.
 
-    ``|p|_g^2 + i hbar (nabla . g^{-1}) p - (hbar^2/4) nabla.nabla.g^{-1}
-    + (hbar^2/12) g^{ab} R_{ab}``; on a metric-compatible connection the two
-    divergence pieces vanish and the symbol is kinetic energy plus a scalar
-    curvature shift.
+    The standard ordering transform of ``|p|_g^2`` plus ``(hbar^2/12) g^{ab}
+    R_{ab}``: the transform's divergence terms vanish on a metric-compatible
+    connection, leaving kinetic energy plus a scalar curvature shift.
     """
-    dim = model.dim
     X = geometry.inverse_metric_field(model)
-    div1 = geometry.covariant_divergence(model, X)
-    div2 = geometry.covariant_divergence(model, div1)
-    ricci_term = geometry.ricci_contraction(model, X)
-    terms = {
-        2: X,
-        1: tensor_scale(div1, 1j * hbar),
-        0: tensor_add(
-            tensor_scale(div2, -0.25 * hbar * hbar),
-            tensor_scale(ricci_term, hbar * hbar / 12.0),
-        ),
-    }
-    return MomentumPolynomial(dim, terms)
+    kinetic = MomentumPolynomial(model.dim, {2: X})
+    standard = ordering_transform(model, ordering_scheme("standard", hbar), kinetic, hbar)
+    shift = {0: tensor_scale(geometry.ricci_contraction(model, X), hbar * hbar / 12.0)}
+    return MomentumPolynomial(model.dim, merge_terms(model.dim, standard.terms, shift))
 
 
 # ---------------------------------------------------------------------------

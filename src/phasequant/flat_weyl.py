@@ -3,10 +3,12 @@
 The symbol-to-operator map itself is the flat case of the covariant image
 (:func:`curved.wue_weyl_image` on a flat model, where every volume-density
 jet beyond order zero vanishes).  This module keeps what is particular to
-flat space: the A-ordered image and its dequantization (through the exact
-inverse of the symmetric image), an explicit quantizer kernel in the scaled
-Hermite basis (with trace diagnostics), and the quantization of phase-space
-Gaussians through their Weyl position kernel, with their exact overlaps.
+flat space: the A-ordered image and its dequantization (an operator's
+symmetric symbol is the standard ordering transform of the symbol read off
+its coefficients, through the same ``A(Delta)`` series), an explicit
+quantizer kernel in the scaled Hermite basis (with trace diagnostics), and
+the quantization of phase-space Gaussians through their Weyl position
+kernel, with their exact overlaps.
 """
 
 from __future__ import annotations
@@ -17,14 +19,15 @@ import numpy as np
 
 from . import geometry
 from .bases import gauss_hermite, hermite_polynomial_values
-from .curved import _binomial_weight, wue_weyl_image
+from .curved import wue_weyl_image
 from .errors import InversionError
-from .fields import TensorField, tensor_add, tensor_scale
+from .fields import tensor_scale
 from .geometry import ManifoldModel
 from .symbols import (
     CovariantOperator,
     MomentumPolynomial,
     OrderingScheme,
+    ordering_scheme,
     ordering_transform,
 )
 
@@ -44,30 +47,15 @@ def a_image_flat(
 
 
 def _weyl_symbol(model: ManifoldModel, D: CovariantOperator, hbar: float) -> MomentumPolynomial:
-    """Exact inverse of the symmetric image on a flat ``model`` by
-    descending-order elimination.
+    """Exact inverse of the symmetric image on a flat ``model``.
 
-    The top-order coefficient fixes the top symbol term; each lower order is
-    the operator coefficient minus the divergence cascade of the higher terms.
+    On flat space ``D = sum_k D_k nabla^k`` is the standard image of the
+    read-off symbol ``sum_k (i/hbar)^k D_k p^k``, and the standard image is
+    the symmetric image after the standard ordering series, so the symmetric
+    symbol is the standard transform of the read-off one.
     """
-    recovered: dict[int, TensorField] = {}
-    divergences: dict[int, list[TensorField]] = {}  # [recovered[m2], its divergence, ...]
-    for m in range(D.max_order, -1, -1):
-        pieces: list[TensorField] = []
-        if m in D.terms:
-            pieces.append(D.terms[m])
-        for m2 in range(m + 1, D.max_order + 1):
-            if m2 not in recovered:
-                continue
-            divs = divergences.setdefault(m2, [recovered[m2]])
-            divs.append(geometry.covariant_divergence(model, divs[-1]))  # the (m2 - m)-th
-            weight = (-1j * hbar) ** m2 * _binomial_weight(m2, 0, m2 - m)
-            pieces.append(tensor_scale(divs[m2 - m], -weight))
-        if not pieces:
-            continue
-        combined = pieces[0] if len(pieces) == 1 else tensor_add(*pieces)
-        recovered[m] = tensor_scale(combined, (1j / hbar) ** m)
-    return MomentumPolynomial(D.dim, recovered)
+    read_off = MomentumPolynomial(D.dim, {k: tensor_scale(t, (1j / hbar) ** k) for k, t in D.terms.items()})
+    return ordering_transform(model, ordering_scheme("standard", hbar), read_off, hbar)
 
 
 def dequantize_flat(

@@ -77,10 +77,12 @@ class CoordSpec:
 class ManifoldModel:
     """A Riemannian manifold presented in a single chart.
 
-    The metric is given either by ``metric_exprs``, a matrix of expressions in
-    the coordinate names (``metric_fn`` is then built from it and also takes
-    an ``(N, dim)`` point array), or by an opaque ``metric_fn`` of one point
-    alone, whose connection and curvature take finite differences of it.
+    The metric is given by exactly one of ``metric_exprs``, a matrix of
+    expressions in the coordinate names, and an opaque ``metric_fn`` of one
+    point, whose connection and curvature take finite differences of it;
+    ``metric_fn`` is set only for opaque models.  Either way the metric is the
+    ``g`` fields of ``_fields``, which only an opaque model's point arrays
+    bypass, a ``metric_fn`` call per row.
     ``exp_fn(q, v)``, a model's closed-form geodesics, maps a chart tangent
     vector at ``q`` to the geodesic endpoint, or an ``(N, dim)`` stack of
     them to ``(N, dim)`` endpoints, and must be continuous in ``v`` near the
@@ -96,17 +98,8 @@ class ManifoldModel:
     exp_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
-        if self.metric_fn is None:
-            if self.metric_exprs is None:
-                raise ConfigError(f"manifold {self.name!r} needs metric_fn or metric_exprs")
-            g = np.array(self.metric_exprs, dtype=object)
-            if all(isinstance(e, Const) for e in g.flat):
-                const = np.array([e.value for e in g.flat], dtype=float).reshape(g.shape)
-                object.__setattr__(self, "metric_fn", lambda q: np.broadcast_to(const, np.shape(q)[:-1] + const.shape))
-            else:
-                names = self.coordinate_names
-                comps = np.frompyfunc(lambda e: from_expression(e, names), 1, 1)(g)
-                object.__setattr__(self, "metric_fn", lambda q: evaluate(comps, q).real)
+        if (self.metric_fn is None) == (self.metric_exprs is None):
+            raise ConfigError(f"manifold {self.name!r} needs exactly one of metric_fn and metric_exprs")
 
     @property
     def coordinate_names(self) -> tuple[str, ...]:
@@ -217,9 +210,9 @@ def check_point(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
 def metric(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
     """``g_ab`` at a chart point, or at each row of an ``(N, dim)`` point array."""
     q = np.asarray(q, dtype=float)
-    if model.metric_exprs is None and q.ndim == 1:  # an opaque metric_fn through the jet g^-1 shares
-        return evaluate(model._fields["g"], q).real
-    return np.asarray((model.metric_fn if model.metric_exprs else numdiff.pointwise(model.metric_fn))(q), dtype=float)
+    if model.metric_exprs is None and q.ndim == 2:  # an opaque metric_fn takes one point at a time
+        return np.asarray(numdiff.pointwise(model.metric_fn)(q), dtype=float)
+    return evaluate(model._fields["g"], q).real
 
 
 def inverse_metric(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
@@ -231,10 +224,6 @@ def inverse_metric_field(model: ManifoldModel) -> TensorField:
     partials for expression metrics, and single finite-difference stencils of
     the inverse of an opaque ``metric_fn``."""
     return tensor_from_fields(model.dim, 2, lambda idx: model._fields["g_inv"][idx])
-
-
-def sqrt_g(model: ManifoldModel, q: np.ndarray) -> float:
-    return float(math.sqrt(np.linalg.det(metric(model, q))))
 
 
 def christoffel(model: ManifoldModel, q: np.ndarray) -> np.ndarray:

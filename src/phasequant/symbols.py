@@ -185,13 +185,12 @@ class OrderingScheme:
         object.__setattr__(self, "coefficients", coeffs)
 
     def inverse(self) -> "OrderingScheme":
-        """The formal inverse series ``B`` with ``B(Delta) A(Delta) = 1``."""
-        a = self.coefficients
-        n = len(a)
-        b = [0j] * n
-        b[0] = 1.0 + 0j
-        for k in range(1, n):
-            b[k] = -sum(a[j] * b[k - j] for j in range(1, k + 1) if j < n)
+        """The formal inverse series ``B`` with ``B(Delta) A(Delta) = 1``,
+        through ``Delta^MAX_DEGREE`` at least, however short ``A`` is."""
+        a = self.coefficients + (0j,) * (MAX_DEGREE + 1 - len(self.coefficients))
+        b = [1.0 + 0j]
+        for k in range(1, len(a)):
+            b.append(-sum(a[j] * b[k - j] for j in range(1, k + 1)))
         return OrderingScheme(tuple(b), name=f"{self.name}-inverse")
 
 

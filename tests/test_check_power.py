@@ -1,0 +1,54 @@
+"""Power tests: each check passes on the code as it is and fails under a
+small, named perturbation of the code it checks."""
+
+from phasequant import cylinder, flat_weyl, geometry, harness
+from phasequant.fields import tensor_scale
+from phasequant.symbols import MomentumPolynomial
+
+
+def record(report, name):
+    return {r.name: r for r in report.records}[name]
+
+
+def rerun(experiment):
+    return harness.run_experiment(harness.ExperimentConfig.from_dict({"experiment": experiment}))
+
+
+def scale_recovered_symbol(monkeypatch, factor):
+    # below INVERSION_TOLERANCE, so the re-quantized operator still matches
+    # and the round trip returns a wrong value instead of raising
+    assert factor - 1.0 < flat_weyl.INVERSION_TOLERANCE
+    weyl_symbol = flat_weyl._weyl_symbol
+
+    def scaled(*args):
+        g = weyl_symbol(*args)
+        return MomentumPolynomial(g.dim, {k: tensor_scale(t, factor) for k, t in g.terms.items()})
+
+    monkeypatch.setattr(flat_weyl, "_weyl_symbol", scaled)
+
+
+def test_entry_oracle_fails_when_the_transform_is_perturbed(monkeypatch, reports):
+    assert record(reports["cylinder-axioms"], "entry-oracle").passed
+    integral = cylinder._cosine_integral
+    monkeypatch.setattr(cylinder, "_cosine_integral", lambda *args: integral(*args) * (1.0 + 1e-9))
+    assert not record(rerun("cylinder-axioms"), "entry-oracle").passed
+
+
+def test_round_trip_residual_fails_when_the_recovered_symbol_is_scaled(monkeypatch, reports):
+    assert record(reports["flat-axioms"], "round-trip-residual").passed
+    scale_recovered_symbol(monkeypatch, 1.0 + 1e-10)
+    assert not record(rerun("flat-axioms"), "round-trip-residual").passed
+
+
+def test_configured_ordering_roundtrip_fails_when_the_recovered_symbol_is_scaled(monkeypatch, reports):
+    assert record(reports["orderings"], "configured-ordering-roundtrip").passed
+    scale_recovered_symbol(monkeypatch, 1.0 + 1e-10)
+    assert not record(rerun("orderings"), "configured-ordering-roundtrip").passed
+
+
+def test_kinetic_image_residual_fails_when_the_curvature_shift_is_scaled(monkeypatch, reports):
+    # the Ricci contraction is the R/12 term of the kinetic symbol alone
+    assert record(reports["curved-defect"], "kinetic-image-residual").passed
+    contraction = geometry.ricci_contraction
+    monkeypatch.setattr(geometry, "ricci_contraction", lambda *args: tensor_scale(contraction(*args), 1.0 + 1e-6))
+    assert not record(rerun("curved-defect"), "kinetic-image-residual").passed

@@ -127,16 +127,17 @@ def test_kinetic_symbol_contains_curvature_shift():
 
 def test_kinetic_symbol_image_is_pure_laplacian():
     """The image of the shifted kinetic symbol is exactly (hbar/i)^2 g der der."""
-    hbar = 1.0
-    f = curved.kinetic_symbol(UNIT_SPHERE, hbar)
-    D = curved.wue_weyl_image(UNIT_SPHERE, f, hbar)
-    np.testing.assert_allclose(
-        coefficient_values(D, 2, Q0),
-        -hbar * hbar * geometry.inverse_metric(UNIT_SPHERE, Q0),
-        atol=1e-8,
-    )
-    np.testing.assert_allclose(coefficient_values(D, 1, Q0), 0.0, atol=1e-8)
-    assert abs(complex(coefficient_values(D, 0, Q0))) < 1e-8
+    for model in (UNIT_SPHERE, geometry.polar_plane()):
+        for hbar in (1.0, 0.37):
+            f = curved.kinetic_symbol(model, hbar)
+            D = curved.wue_weyl_image(model, f, hbar)
+            np.testing.assert_allclose(
+                coefficient_values(D, 2, Q0),
+                -hbar * hbar * geometry.inverse_metric(model, Q0),
+                atol=1e-8,
+            )
+            np.testing.assert_allclose(coefficient_values(D, 1, Q0), 0.0, atol=1e-8)
+            assert abs(complex(coefficient_values(D, 0, Q0))) < 1e-8
 
 
 def test_kinetic_image_order_zero_carries_ricci_twelfth():
@@ -282,7 +283,7 @@ def test_flat_polar_pairing_is_exact_at_third_order():
 
 def opaque_unit_sphere():
     return geometry.ManifoldModel(
-        name="sphere-opaque", dim=2, coords=UNIT_SPHERE.coords, metric_fn=UNIT_SPHERE.metric_fn
+        name="sphere-opaque", dim=2, coords=UNIT_SPHERE.coords, metric_fn=lambda x: geometry.metric(UNIT_SPHERE, x)
     )
 
 
@@ -343,14 +344,14 @@ def test_opaque_metric_is_called_once_per_stencil_node():
 
     def metric_fn(x):
         nodes.append(np.asarray(x, dtype=float).tobytes())
-        return UNIT_SPHERE.metric_fn(x)
+        return geometry.metric(UNIT_SPHERE, x)
 
     model = geometry.ManifoldModel(name="sphere-opaque", dim=2, coords=UNIT_SPHERE.coords, metric_fn=metric_fn)
     value = dequantized_cos_theta(model, 3)
     assert abs(value - dequantized_cos_theta(UNIT_SPHERE, 3)) <= 1e-8
     assert len(nodes) == len(set(nodes)) == 29  # the stencil nodes of a third-order jet in two dimensions
     # the values themselves are metric_fn and its inverse at q, bit for bit
-    g = np.asarray(UNIT_SPHERE.metric_fn(Q0), dtype=float)
+    g = geometry.metric(UNIT_SPHERE, Q0)
     assert geometry.metric(model, Q0).tobytes() == g.tobytes()
     assert geometry.inverse_metric(model, Q0).tobytes() == np.linalg.inv(g).tobytes()
 

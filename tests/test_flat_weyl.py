@@ -115,13 +115,15 @@ def test_standard_preset_image_equals_direct_standard_map(symbol_factory):
 
 
 def test_symbol_recovery_inverts_the_image(symbol_factory):
-    f = symbol_factory()
-    g = flat_weyl._weyl_symbol(LINE, curved.wue_weyl_image(LINE, f), 1.0)
-    for p in (0.0, 0.9, -1.4):
-        for x in (-0.5, 0.6):
-            assert g.evaluate(np.array([p]), np.array([x])) == pytest.approx(
-                f.evaluate(np.array([p]), np.array([x])), abs=1e-12
-            )
+    for degree in (3, 4):
+        for hbar in (1.0, 0.3):
+            f = symbol_factory(degree)
+            g = flat_weyl._weyl_symbol(LINE, curved.wue_weyl_image(LINE, f, hbar), hbar)
+            for p in (0.0, 0.9, -1.4):
+                for x in (-0.5, 0.6):
+                    assert g.evaluate(np.array([p]), np.array([x])) == pytest.approx(
+                        f.evaluate(np.array([p]), np.array([x])), abs=1e-12
+                    )
 
 
 @pytest.mark.parametrize(
@@ -130,8 +132,13 @@ def test_symbol_recovery_inverts_the_image(symbol_factory):
         ordering_scheme("weyl"),
         ordering_scheme("standard"),
         OrderingScheme((1.0, 0.25, -0.125, 1.0 / 48.0, 0.0), name="real-demo"),
+        # schemes shorter than MAX_DEGREE + 1 terms, whose formal inverse must
+        # still reach every power of Delta a cubic needs
+        OrderingScheme((1.0,)),
+        OrderingScheme((1.0, 0.25)),
+        OrderingScheme((1.0, 0.3j, 0.1)),
     ],
-    ids=["weyl", "standard", "real-demo"],
+    ids=["weyl", "standard", "real-demo", "short-1", "short-2", "short-3"],
 )
 def test_dequantize_round_trip(scheme, rng):
     f = random_symbol(rng)

@@ -21,6 +21,13 @@ def polar():
     return geometry.polar_plane()
 
 
+def opaque_sphere(sphere):
+    """The same metric as an opaque callable of one point."""
+    return geometry.ManifoldModel(
+        name="sphere-opaque", dim=2, coords=sphere.coords, metric_fn=lambda x: geometry.metric(sphere, x)
+    )
+
+
 # ---------------------------------------------------------------------------
 # model construction and charts
 
@@ -74,7 +81,7 @@ def test_sphere_metric_components(sphere):
     np.testing.assert_allclose(g, np.diag([1.0, math.sin(1.1) ** 2]), atol=1e-12)
     ginv = geometry.inverse_metric(sphere, q)
     np.testing.assert_allclose(g @ ginv, np.eye(2), atol=1e-12)
-    assert geometry.sqrt_g(sphere, q) == pytest.approx(math.sin(1.1))
+    assert math.sqrt(np.linalg.det(g)) == pytest.approx(math.sin(1.1))
 
 
 def test_sphere_christoffel_closed_form(sphere):
@@ -313,7 +320,7 @@ def test_second_covariant_derivative_of_scalar_is_symmetric(sphere):
 
 def test_covariant_divergence_of_inverse_metric_vanishes(sphere):
     # finite-difference partials of g^{-1}, from the same metric given opaquely
-    opaque = geometry.ManifoldModel(name="sphere-opaque", dim=2, coords=sphere.coords, metric_fn=sphere.metric_fn)
+    opaque = opaque_sphere(sphere)
     ginv = geometry.inverse_metric_field(opaque)
     div = geometry.covariant_divergence(sphere, ginv)
     for q in (np.array([1.1, 0.4]), np.array([2.0, -0.9])):
@@ -463,9 +470,7 @@ def test_non_diagonal_expression_metric():
 
 
 def test_opaque_metric_falls_back_to_finite_differences(sphere):
-    opaque = geometry.ManifoldModel(
-        name="sphere-opaque", dim=2, coords=sphere.coords, metric_fn=sphere.metric_fn
-    )
+    opaque = opaque_sphere(sphere)
     assert opaque.metric_exprs is None
     for q in (np.array([1.1, 0.4]), np.array([2.0, -1.3])):
         for quantity in (geometry.inverse_metric, geometry.christoffel, geometry.ricci, geometry.riemann):
@@ -475,9 +480,11 @@ def test_opaque_metric_falls_back_to_finite_differences(sphere):
         assert abs(ginv_fd - ginv_exact) < 1e-6
 
 
-def test_manifold_model_needs_a_metric():
+def test_manifold_model_needs_a_metric(sphere):
     with pytest.raises(ConfigError):
         geometry.ManifoldModel(name="empty", dim=1, coords=(geometry.CoordSpec("x"),))
+    with pytest.raises(ConfigError, match="exactly one"):
+        dataclasses.replace(sphere, metric_fn=lambda x: geometry.metric(sphere, x))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -516,14 +523,14 @@ def test_exp_map_on_a_stack_equals_single_calls(name):
 
 
 def test_exp_map_without_closed_form_geodesics_raises(sphere):
-    opaque = geometry.ManifoldModel(name="sphere-opaque", dim=2, coords=sphere.coords, metric_fn=sphere.metric_fn)
+    opaque = opaque_sphere(sphere)
     for model in (geometry.manifold("polar-plane"), opaque):
         with pytest.raises(PhasequantError, match=model.name):
             geometry.exp_map(model, np.array([1.1, 0.4]), VECTORS[1])
 
 
 def test_opaque_metric_on_a_point_stack_equals_single_calls(sphere):
-    opaque = geometry.ManifoldModel(name="sphere-opaque", dim=2, coords=sphere.coords, metric_fn=sphere.metric_fn)
+    opaque = opaque_sphere(sphere)
     points = np.array([[1.1, 0.4], [2.0, -1.3], [0.7, 0.2]])
     for model in (opaque, sphere, geometry.manifold("euclidean:2")):
         for fn in (geometry.metric, geometry.christoffel):

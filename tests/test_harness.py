@@ -270,11 +270,15 @@ def test_report_files_written(tmp_path, reports):
 # SHA-256 of every default report file, the JSON timestamp line removed.  A
 # change that moves any report value, or the layout of a report, changes one
 # of these; such a change re-pins them and says which values moved.  The
-# discrete-orthogonality, flat-axioms and orderings files and the cylinder-axioms
-# series were last re-recorded when Gauss-Hermite rules came from Newton steps
+# discrete-orthogonality files and the flat-axioms and cylinder-axioms series
+# were last re-recorded when Gauss-Hermite rules came from Newton steps
 # on the Hermite recurrence, operator matrices from one basis table per grid and
 # trapezoid Fourier coefficients from one FFT: all move values at rounding
-# level only.  The cylinder-axioms JSON and records were last re-recorded when
+# level only.  The flat-axioms and orderings JSON and records were last
+# re-recorded when the flat inverse image became the standard ordering
+# transform of the operator's read-off symbol, which moved round-trip-residual
+# from 4.4e-16 to 3.9e-16 and configured-ordering-roundtrip from 2.2e-16 to
+# 5.6e-17.  The cylinder-axioms JSON and records were last re-recorded when
 # the entry-oracle's reference became a tanh-sinh rule, which moved it from
 # 1.1e-16 to 2.2e-16.  The curved-defect files were last re-recorded when the
 # finite-difference density reference took numpy's vector functions, which
@@ -293,11 +297,11 @@ REPORT_SHA256 = {
     "discrete-orthogonality-orthogonality_vs_K.csv": "2f1d1d22a361f43a1c5090a4b2df849f66a1d480825fe7dbe577df717a768ada",
     "discrete-orthogonality-records.csv": "ee0c46d511215ec07100ed78258f389a25ae4c22df825110f4b947edfef92ddb",
     "discrete-orthogonality.json": "0404e9f478eb2190ca40e3114aa9a8738ec12991444cb3818c8357af4de8c71f",
-    "flat-axioms-records.csv": "6341eee9f26f7e5f99222382c8e9fa10a12e96f66cc3e289cd58b56959bf6246",
+    "flat-axioms-records.csv": "615f4319e5d38244e4d32e32ad349ae274ed70ce98fc87e382a085b69b63fdee",
     "flat-axioms-trace_vs_K.csv": "b5b558e57fcb249d457b2ab770ca387c9682ec4fa1d5b2236fb6a1fd8f3c19f0",
-    "flat-axioms.json": "bb274db64c4ffe8ce41369c4dc3d66dc2c4677da9ba323971b60d17a8d6ff85b",
-    "orderings-records.csv": "9f568ef636200aa32ccd981e6e46962f6ceb9250421a64dcea3981c7d951f1ea",
-    "orderings.json": "fd579ede998a5d7ca95fd4974a95a7448eaae9d281f98011811125b5f7972b1b",
+    "flat-axioms.json": "53121500d0281bcd5dd1843c67799a4fc39ed2d43ecccf1ac934bcb8ca09f715",
+    "orderings-records.csv": "67b6fb7699be4fc13eaf10fbd1db871b7e1dd35ed442302eb340b5f5607b98c2",
+    "orderings.json": "84a3376175f8007288dc1b268eb630d8d37d7e34915d297759cc8cfed2e0e938",
     "point-transform-records.csv": "92880e32ce32a031e237da1d72fc909633a82a7cdfe2f2f327fead5bf8dec2c0",
     "point-transform-shift_vs_r.csv": "bfd233898d828bb467d0d02874745eb1ddd3599941110d18abd6e7d79baee874",
     "point-transform.json": "b3b5d3697596083885e9f5f2651d39ac844bb1afe3e4f70e12a364133af0ede8",
@@ -432,17 +436,6 @@ def test_tanh_sinh_oracle_skips_the_empty_transition_and_raises_when_unresolved(
         assert harness._tanh_sinh_cosine(indicator, s) == pytest.approx(want, abs=1e-15)
     with pytest.raises(QuadratureAccuracyError):
         harness._tanh_sinh_cosine(indicator, 1e4)
-
-
-def test_entry_oracle_fails_when_the_transform_is_perturbed(monkeypatch, reports):
-    def record(report):
-        return {r.name: r for r in report.records}["entry-oracle"]
-
-    assert record(reports["cylinder-axioms"]).passed
-    integral = cylinder._cosine_integral
-    monkeypatch.setattr(cylinder, "_cosine_integral", lambda *args: integral(*args) * (1.0 + 1e-9))
-    perturbed = record(harness.run_experiment(harness.ExperimentConfig.from_dict({"experiment": "cylinder-axioms"})))
-    assert not perturbed.passed
 
 
 # ---------------------------------------------------------------------------
