@@ -34,7 +34,11 @@ checkout a round records:
   and points, with chart maps that take one point or an array of points),
   and of building the Gauss-Legendre rules ``bases.gauss_legendre`` of 256,
   512 and 1024 nodes and the 256-node Gauss-Hermite rule
-  ``bases.gauss_hermite``, each with its cache cleared first; of
+  ``bases.gauss_hermite``, each with its cache cleared first; of the
+  default cutoff's transform at the 257 frequencies of a K = 64 quantizer
+  matrix at p = 0.4 (``CutoffFamily(0.8, 2.8).transform``) with the cache of
+  every cached rule in ``bases`` cleared first, so it pays for building its
+  rules as a fresh process does, whichever rules the checkout takes; of
   ``symbols.operator_matrix`` for the oscillator ``-1/2 d^2 + x^2/2`` in the
   Hermite basis at K = 16; and of the 257 trapezoid Fourier coefficients
   (K = 64) of the smearing test function on its 512-node grid
@@ -201,6 +205,14 @@ def layer_timings(src: Path) -> dict:
             bases.gauss_legendre(nodes),
         )
     layers["gauss_hermite_256"] = lambda: (bases.gauss_hermite.cache_clear(), bases.gauss_hermite(256))
+    cached_rules = [rule for rule in vars(bases).values() if hasattr(rule, "cache_clear")]
+
+    def cold_cutoff_transform():
+        for rule in cached_rules:
+            rule.cache_clear()
+        return CutoffFamily(0.8, 2.8).transform(np.arange(-128, 129) - 0.8)
+
+    layers["cutoff_transform_K64_cold"] = cold_cutoff_transform
     x2 = from_expression("0.5*x**2", ("x",))
     oscillator = CovariantOperator(
         1, {0: tensor_from_fields(1, 0, lambda idx: x2), 2: tensor_constant(1, np.full((1, 1), -0.5))}

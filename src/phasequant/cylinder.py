@@ -15,8 +15,9 @@ taken by one FFT.
 
 Cutoff transforms take arrays of frequencies.  The plateau contributes in
 closed form; the smooth transition from plateau to support is integrated by
-one Gauss-Legendre rule for all frequencies at once, a nodes x frequencies
-cosine matrix (see :class:`CutoffFamily`).
+a nested pair of Clenshaw-Curtis rules for all frequencies at once, one
+nodes x frequencies cosine matrix at the fine rule's nodes, which hold the
+coarse rule's (see :class:`CutoffFamily`).
 
 The discrete quantizer at momentum ``n * hbar``, the kernel of the closed-form
 indicator transform (:func:`_discrete_transform`), is the limit of the
@@ -32,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bases import FourierBasis, gauss_legendre
+from .bases import FourierBasis, clenshaw_curtis
 from .curved import wue_weyl_image
 from .errors import ConfigError, QuadratureAccuracyError
 from .fields import ScalarField, tensor_from_fields
@@ -42,11 +43,11 @@ from .symbols import MomentumPolynomial, operator_matrix
 MAX_TRUNCATION = 64
 PROFILES = ("smoothstep", "classic-bump", "indicator")
 
-#: Largest gap between the coarse and the fine Gauss-Legendre value of a cutoff transform.
+#: Largest gap between the coarse and the fine Clenshaw-Curtis value of a cutoff transform.
 QUAD_TOLERANCE = 1e-11
-#: Coarse Gauss-Legendre rules have a multiple of this many nodes; the fine rule doubles them.
+#: Coarse Clenshaw-Curtis rules have a multiple of this many intervals; the fine rule doubles them.
 RULE_NODE_STEP = 64
-#: Most nodes of a coarse rule; a transform that would need more raises.
+#: Most intervals of a coarse rule; a transform that would need more raises.
 MAX_RULE_NODES = 1024
 # Mollifier-ladder members j = 1..LADDER_STEPS compared by discrete_limit_check.
 LADDER_STEPS = 4
@@ -60,10 +61,12 @@ def _check_truncation(K: int) -> None:
 def _cosine_integral(weight: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, s: np.ndarray) -> np.ndarray:
     """``int_lo^hi weight(x) cos(s x) dx`` at every frequency of ``s``.
 
-    The coarse rule has ``RULE_NODE_STEP + ceil((hi - lo) * max|s| / 2)``
-    nodes rounded up to a multiple of ``RULE_NODE_STEP``; the fine rule has
-    twice as many.  The fine values are returned when the two agree to
-    :data:`QUAD_TOLERANCE`.
+    The coarse Clenshaw-Curtis rule has ``n = RULE_NODE_STEP + ceil((hi - lo)
+    * max|s| / 2)`` intervals rounded up to a multiple of ``RULE_NODE_STEP``;
+    the fine rule has ``2n``, and its ``2n + 1`` nodes hold the coarse
+    rule's, so one cosine table at the fine nodes serves both rules and one
+    matmul takes both sums.  The fine values are returned when the two agree
+    to :data:`QUAD_TOLERANCE`.
     """
     s_max = float(np.max(s, initial=0.0))
     half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
@@ -72,15 +75,14 @@ def _cosine_integral(weight: Callable[[np.ndarray], np.ndarray], lo: float, hi: 
         raise QuadratureAccuracyError(
             math.inf,
             QUAD_TOLERANCE,
-            f"cutoff transform at frequency {s_max:.6g} needs {nodes} Gauss-Legendre nodes, "
+            f"cutoff transform at frequency {s_max:.6g} needs a Clenshaw-Curtis rule of {nodes} intervals, "
             f"more than the cap of {MAX_RULE_NODES}",
         )
-    values = []
-    for count in (nodes, 2 * nodes):
-        u, w = gauss_legendre(count)
-        x = mid + half * u
-        values.append((half * w * weight(x)) @ np.cos(np.outer(x, s.reshape(-1))))
-    coarse, fine = values
+    u, fine_weights = clenshaw_curtis(2 * nodes)
+    weights = np.zeros((2, 2 * nodes + 1))
+    weights[0, ::2], weights[1] = clenshaw_curtis(nodes)[1], fine_weights
+    x = mid + half * u
+    coarse, fine = (half * weight(x) * weights) @ np.cos(np.outer(x, s.reshape(-1)))
     gap = float(np.max(np.abs(fine - coarse), initial=0.0))
     if gap > QUAD_TOLERANCE:
         raise QuadratureAccuracyError(gap, QUAD_TOLERANCE)
@@ -100,15 +102,16 @@ class CutoffFamily:
     ``value``, ``transform`` and ``weighted_transform`` accept a number or an
     array (a number gives a float).  A transform integrates the transition
     ``[plateau, support]`` (and, for ``weighted_transform``, the plateau)
-    with one Gauss-Legendre rule for every frequency at once.  Its node count
-    grows with the interval length times the largest frequency (see
+    with one Clenshaw-Curtis rule for every frequency at once.  Its interval
+    count grows with the interval length times the largest frequency (see
     ``_cosine_integral``) and is capped at :data:`MAX_RULE_NODES`, beyond
-    which :class:`QuadratureAccuracyError` is raised; the rule is repeated
-    with twice the nodes, and a gap between the two above
-    :data:`QUAD_TOLERANCE` raises the same error.  The rules come from
-    :func:`~phasequant.bases.gauss_legendre`, cached per node count: Newton
-    on the Legendre recurrence, O(n^2) numpy work, about 0.5, 1 and 2.6 ms
-    the first time at 128, 256 and 512 nodes.
+    which :class:`QuadratureAccuracyError` is raised; the rule with twice the
+    intervals reuses its nodes and its cosines, and a gap between the two
+    above :data:`QUAD_TOLERANCE` raises the same error.  So one transform
+    takes ``2n + 1`` cosines per frequency for a coarse rule of ``n``
+    intervals.  The rules come from
+    :func:`~phasequant.bases.clenshaw_curtis`, cached per interval count:
+    closed-form nodes and one FFT for the weights.
     """
 
     plateau: float
@@ -249,8 +252,8 @@ def polynomial_reproduction_check(
         lo, hi = -K + max(0, -d), K - max(0, d)
         r = sorted(abs(k) for k in range(lo, hi + 1))[min(m, hi - lo)]
         first, last = max(lo, -r), min(hi, r)
-        coeffs = np.polynomial.polynomial.polyfit(np.arange(first, last + 1), band[first - lo : last - lo + 1], m)
-        completed += np.exp(1j * d * theta) * np.polynomial.polynomial.polyval((c - d) / 2.0, coeffs)
+        coeffs = np.polyfit(np.arange(first, last + 1), band[first - lo : last - lo + 1], m)
+        completed += np.exp(1j * d * theta) * np.polyval(coeffs, (c - d) / 2.0)
 
     exact = complex(X(np.array([theta]))) * p**m
     return abs(complex(completed) - exact)

@@ -801,7 +801,9 @@ def _run_point_transform(cfg: ExperimentConfig, out: _Checks) -> None:
 def _tanh_sinh_cosine(chi: CutoffFamily, s: float) -> float:
     """``int_0^support 2 chi(xi)^2 cos(s xi) dxi`` by the tanh-sinh rule of Takahasi
     & Mori (Publ. RIMS 9, 1974) on [0, plateau] and [plateau, support] (an empty one
-    gets zero weights): steps 2^-k on [-4, 4], halved until two levels agree to 1e-15."""
+    gets zero weights): steps 2^-k on [-4, 4], halved until two levels agree to 1e-15.
+    It takes no rule from ``bases``, so it checks the Clenshaw-Curtis transforms
+    of ``cylinder`` sharing only ``CutoffFamily.value`` with them."""
     lo, half = np.array([[0.0], [chi.plateau]]), 0.5 * np.array([[chi.plateau], [chi.support - chi.plateau]])
     previous = math.inf
     for level in range(12):
@@ -845,7 +847,7 @@ def _run_cylinder_axioms(cfg: ExperimentConfig, out: _Checks) -> None:
 
     matrix = cylinder.quantizer_matrix_cyl(0.0, 0.0, chi, 8, hbar)
     # M[8, 9] is I(1)/pi.  The oracle's tanh-sinh rule shares only chi.value
-    # with the Gauss-Legendre transform under test.
+    # with the nested Clenshaw-Curtis transform under test.
     entry = _tanh_sinh_cosine(chi, 1.0)
     out.add("entry-oracle", abs(matrix[8, 9] - entry / math.pi), 0.0, 1e-12, "DERIVED oracle")
 

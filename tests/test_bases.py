@@ -59,6 +59,53 @@ def test_gauss_legendre_rule_is_cached_and_read_only():
         w[0] = 0.0
 
 
+CLENSHAW_CURTIS_SIZES = (1, 2, 3, 16, 64, 65, 512)
+
+
+@pytest.mark.parametrize("n", CLENSHAW_CURTIS_SIZES)
+def test_clenshaw_curtis_rule_nests_in_the_rule_of_twice_the_intervals(n):
+    # the cutoff transforms take one cosine table at the fine nodes for both rules
+    assert np.array_equal(bases.clenshaw_curtis(2 * n)[0][::2], bases.clenshaw_curtis(n)[0])
+
+
+@pytest.mark.parametrize("n", CLENSHAW_CURTIS_SIZES)
+def test_clenshaw_curtis_rule_is_symmetric_and_integrates_polynomials(n):
+    u, w = bases.clenshaw_curtis(n)
+    assert u.shape == w.shape == (n + 1,)
+    assert u[0] == -1.0 and u[-1] == 1.0 and np.all(np.diff(u) > 0)
+    assert np.array_equal(u, -u[::-1]) and np.array_equal(w, w[::-1])
+    if n % 2 == 0:
+        assert u[n // 2] == 0.0
+    assert np.all(w > 0.0)
+    assert abs(math.fsum(w) - 2.0) <= 4.5e-16  # within one ulp of 2
+    for k in range(n + 1):
+        exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
+        assert abs(w @ u**k - exact) <= 1e-15, k
+
+
+def test_clenshaw_curtis_weights_match_the_closed_form():
+    # Trefethen, Spectral Methods in MATLAB (SIAM 2000), clencurt: O(n^2) cosine sums
+    n = 16
+    theta = math.pi * np.arange(n + 1) / n
+    interior = np.ones(n - 1)
+    for k in range(1, n // 2):
+        interior -= 2.0 * np.cos(2 * k * theta[1:-1]) / (4 * k * k - 1)
+    interior -= np.cos(n * theta[1:-1]) / (n * n - 1)
+    want = np.concatenate([[1.0 / (n * n - 1)], 2.0 * interior / n, [1.0 / (n * n - 1)]])
+    u, w = bases.clenshaw_curtis(n)
+    np.testing.assert_allclose(u, -np.cos(theta), rtol=0.0, atol=4e-16)
+    np.testing.assert_allclose(w, want, rtol=0.0, atol=4e-16)
+
+
+def test_clenshaw_curtis_rule_is_cached_and_read_only():
+    u, w = bases.clenshaw_curtis(128)
+    again = bases.clenshaw_curtis(128)
+    assert again[0] is u and again[1] is w
+    assert not u.flags.writeable and not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+
+
 HERMITE_SIZES = (1, 2, 3, 24, 33, 132, 404)
 
 
@@ -177,6 +224,21 @@ def test_fourier_modes_orthonormal():
     assert vals.shape == (7, 64)
     gram = np.einsum("i,ji,ki->jk", weights, np.conj(vals), vals)
     np.testing.assert_allclose(gram, np.eye(7), atol=1e-12)
+
+
+def test_fourier_table_matches_direct_exponentials():
+    # the modes are running powers of exp(i theta); at K = 64 they stay within
+    # a few ulps of exp(i k theta), whose own argument k theta rounds
+    basis, K = bases.FourierBasis(), 64
+    points, _ = basis.quadrature(768, K)
+    k = np.arange(-K, K + 1)
+    direct = np.exp(1j * np.outer(k, points[:, 0])) / math.sqrt(2.0 * math.pi)
+    values = basis.table(points, K, 3)
+    for r in range(4):
+        np.testing.assert_allclose(values[r], (1j * k[:, None]) ** r * direct, rtol=2e-14, atol=0.0)
+    if np.finfo(np.longdouble).eps < 1e-18:  # an extended long double gives the exact modes
+        exact = np.exp(1j * np.outer(k.astype(np.longdouble), points[:, 0].astype(np.longdouble)))
+        assert np.max(np.abs(values[0] * math.sqrt(2.0 * math.pi) - exact)) <= 1e-14
 
 
 def test_fourier_mode_derivative_chain():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import IntegrationWarning, quad
 
-from phasequant import cylinder
+from phasequant import bases, cylinder
 from phasequant.errors import ConfigError, QuadratureAccuracyError
 from phasequant.fields import constant, from_expression
 from phasequant.symbols import hermiticity_defect
@@ -117,6 +117,28 @@ def test_transform_matches_plain_quadrature_on_integer_frequencies(family):
     s = np.arange(261)
     want = [plain_quad_transform(family, float(v)) for v in s]
     np.testing.assert_allclose(family.transform(s), want, rtol=0.0, atol=1e-12)
+
+
+def gauss_legendre_transform(chi, s, nodes):
+    """The transform with the transition integrated by a Gauss-Legendre rule
+    of ``nodes`` nodes, an independent rule from the Clenshaw-Curtis pair."""
+    a, b = chi.plateau, chi.support
+    u, w = bases.gauss_legendre(nodes)
+    x = 0.5 * (a + b) + 0.5 * (b - a) * u
+    tail = (0.5 * (b - a) * w * 2.0 * chi.value(x) ** 2) @ np.cos(np.outer(x, s))
+    return 2.0 * np.sin(s * a) / s + tail
+
+
+@pytest.mark.parametrize(
+    "family", [cylinder.CutoffFamily(0.8, 2.8), cylinder.CutoffFamily.mollifier(4)], ids=["default", "mollifier-4"]
+)
+def test_transform_matches_gauss_legendre_at_four_times_the_nodes(family):
+    # the frequencies of a K = 64 quantizer matrix at p = 0.4, hbar = 1
+    s = np.arange(-128, 129) - 0.8
+    half = 0.5 * (family.support - family.plateau)
+    nodes = cylinder.RULE_NODE_STEP * (1 + math.ceil(half * np.max(np.abs(s)) / cylinder.RULE_NODE_STEP))
+    want = gauss_legendre_transform(family, np.abs(s), 4 * nodes)
+    np.testing.assert_allclose(family.transform(s), want, rtol=0.0, atol=1e-14)
 
 
 def test_scalar_arguments_give_floats_and_arrays_give_arrays(chi):

@@ -270,27 +270,30 @@ def test_report_files_written(tmp_path, reports):
 # SHA-256 of every default report file, the JSON timestamp line removed.  A
 # change that moves any report value, or the layout of a report, changes one
 # of these; such a change re-pins them and says which values moved.  The
-# discrete-orthogonality files and the flat-axioms and cylinder-axioms series
-# were last re-recorded when Gauss-Hermite rules came from Newton steps
-# on the Hermite recurrence, operator matrices from one basis table per grid and
-# trapezoid Fourier coefficients from one FFT: all move values at rounding
-# level only.  The flat-axioms and orderings JSON and records were last
-# re-recorded when the flat inverse image became the standard ordering
-# transform of the operator's read-off symbol, which moved round-trip-residual
-# from 4.4e-16 to 3.9e-16 and configured-ordering-roundtrip from 2.2e-16 to
-# 5.6e-17.  The cylinder-axioms JSON and records were last re-recorded when
-# the entry-oracle's reference became a tanh-sinh rule, which moved it from
-# 1.1e-16 to 2.2e-16.  The curved-defect files were last re-recorded when the
+# discrete-orthogonality files and the flat-axioms series were last
+# re-recorded when Gauss-Hermite rules came from Newton steps on the Hermite
+# recurrence, operator matrices from one basis table per grid and trapezoid
+# Fourier coefficients from one FFT: all move values at rounding level only.
+# The flat-axioms JSON and records were last re-recorded when the flat inverse
+# image became the standard ordering transform of the operator's read-off
+# symbol, which moved round-trip-residual from 4.4e-16 to 3.9e-16 and
+# configured-ordering-roundtrip from 2.2e-16 to 5.6e-17.  The cylinder-axioms
+# and orderings files were last re-recorded when cutoff transforms took a
+# nested Clenshaw-Curtis pair, Fourier modes became running powers of
+# exp(i theta) and the cylinder's band fits took np.polyfit: every moved value
+# moved at rounding level, polynomial-reproduction from 1.07e-14 to 3.0e-14
+# (the fit) and orderings' standard-defect-value from 0.5000000000000018 to
+# 0.5000000000000027.  The curved-defect files were last re-recorded when the
 # finite-difference density reference took numpy's vector functions, which
 # moved density-jet-ricci at rounding level.
 REPORT_SHA256 = {
     "curved-defect-defect_vs_p.csv": "46e41d2e8b5d69398cac653df6e10a5f3eb456afaf7c86996dba271612b4492c",
     "curved-defect-records.csv": "067d51846132f23b3db453bf3f48e1e986ac6cb19ebd4544a799ba86fbf7da48",
     "curved-defect.json": "8774ddbe82e8529c952ef70d7df8bd86751d62cc4de92019e9b53b0c767b86cf",
-    "cylinder-axioms-records.csv": "38d6b5803f44bba499196650585480bbb248d6c578f7062a63fad597fe1aabcb",
-    "cylinder-axioms-reproduction_vs_m.csv": "173ee0ae2e6aa9b859e4327102400e5db0d231b274fdd5e40ca0ede9681feb90",
-    "cylinder-axioms-smeared_trace_vs_K.csv": "dd22b7ff4c957de51002cb1ec38dd17c748049b9236865b16eb689fa698fc5e8",
-    "cylinder-axioms.json": "c40990624a2292ff6aa2d33b888f89aca1bd2d46a8d566c25eb47ff71d07660a",
+    "cylinder-axioms-records.csv": "d4bdb661d86bcb50f174fda8bb2c86ab914c1d542d6cd552803bccc6d5bc0d17",
+    "cylinder-axioms-reproduction_vs_m.csv": "1f35d5a2decb51284ccf8b508b004aa3bb5e6dc4d47c2056f68988019ccf43d0",
+    "cylinder-axioms-smeared_trace_vs_K.csv": "bb8f307f471fdd63893f525aff510453be136e45e65ff747186c3b72a58480fb",
+    "cylinder-axioms.json": "0c49500aa2ce46a91c835aeb56d47abd0f1f66f0b7b67083fbb0082ea1e3ec39",
     "discrete-limit-limit_error_vs_j.csv": "3828bfe54a7252f0b4cf81ab8304d2494950ba07c1dd5272fcfacce2d93b52ed",
     "discrete-limit-records.csv": "1acefef31c31c3b6e32f550656c6716347b648175726c3d7c5555730723786f7",
     "discrete-limit.json": "3712894bf1d5fb4016c0f3f8cd5372e2363baa262537537f8ed49789f353b263",
@@ -300,8 +303,8 @@ REPORT_SHA256 = {
     "flat-axioms-records.csv": "615f4319e5d38244e4d32e32ad349ae274ed70ce98fc87e382a085b69b63fdee",
     "flat-axioms-trace_vs_K.csv": "b5b558e57fcb249d457b2ab770ca387c9682ec4fa1d5b2236fb6a1fd8f3c19f0",
     "flat-axioms.json": "53121500d0281bcd5dd1843c67799a4fc39ed2d43ecccf1ac934bcb8ca09f715",
-    "orderings-records.csv": "67b6fb7699be4fc13eaf10fbd1db871b7e1dd35ed442302eb340b5f5607b98c2",
-    "orderings.json": "84a3376175f8007288dc1b268eb630d8d37d7e34915d297759cc8cfed2e0e938",
+    "orderings-records.csv": "95d0c70b50e1ea61e73f32a14f5f7b953ec46e1d7824f3a625ab8e0df14afaf8",
+    "orderings.json": "e562818498cce0d361a7a62a17523597e2fca7f2304339530973826c9cacda0d",
     "point-transform-records.csv": "92880e32ce32a031e237da1d72fc909633a82a7cdfe2f2f327fead5bf8dec2c0",
     "point-transform-shift_vs_r.csv": "bfd233898d828bb467d0d02874745eb1ddd3599941110d18abd6e7d79baee874",
     "point-transform.json": "b3b5d3697596083885e9f5f2651d39ac844bb1afe3e4f70e12a364133af0ede8",
@@ -668,18 +671,16 @@ def test_harness_and_cylinder_import_without_scipy():
 
 
 def test_flat_suite_runs_without_numpy_polynomial_or_scipy():
-    # every quadrature rule of the five flat experiments comes from bases'
-    # Newton rules (cylinder-axioms fits with numpy.polynomial), and the
-    # entry-oracle's tanh-sinh rule keeps all seven free of scipy
+    # every quadrature rule comes from bases, the cylinder's polynomial fits
+    # take np.polyfit, and the entry-oracle's tanh-sinh rule keeps all seven
+    # experiments free of scipy
     code = (
         "import sys\n"
         "from phasequant import harness\n"
-        "def run(*names):\n"
-        "    for name in names:\n"
-        "        harness.run_experiment(harness.ExperimentConfig.from_dict(harness.default_config(name)))\n"
-        "run('flat-axioms', 'orderings', 'point-transform', 'discrete-limit', 'discrete-orthogonality')\n"
+        "for name in ('flat-axioms', 'orderings', 'point-transform', 'discrete-limit', 'discrete-orthogonality',\n"
+        "             'curved-defect', 'cylinder-axioms'):\n"
+        "    harness.run_experiment(harness.ExperimentConfig.from_dict(harness.default_config(name)))\n"
         "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n"
-        "run('curved-defect', 'cylinder-axioms')\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))

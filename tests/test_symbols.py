@@ -243,20 +243,18 @@ def test_position_matrix_in_hermite_basis_at_K48(hbar):
 
 
 # SHA-256 of the bytes of operator_matrix(circle, Weyl image of cos(theta) p^m,
-# FourierBasis(), 32), negative zeros folded to +0.  Re-recorded for m >= 1
-# when the derivatives of the modes came from one table per grid,
-# (i k)^r * (exp(i k theta) / sqrt(2 pi)), summed against the coefficient
-# values in one pass: the products round in another order than the old
-# per-mode fields' (i k)^r / sqrt(2 pi) * exp(i k theta).  m = 0 takes no
-# derivative and kept its digest.  test_operator_matrix_matches_a_pointwise_assembly
-# checks the same matrices against a node-by-node sum, so the pin is not the
-# only guard.
+# FourierBasis(), 32), negative zeros folded to +0.  Re-recorded for every m
+# when the modes became running powers of exp(i theta) (np.cumprod) instead of
+# one exp(i k theta) per mode and node: the powers round differently, within
+# a few ulps of the exact modes.  test_operator_matrix_matches_a_pointwise_assembly
+# checks the same matrices against a node-by-node sum with the modes in
+# closed form, so the pin is not the only guard.
 COS_THETA_MATRIX_SHA256 = {
-    0: "e61af782641181d03d92eaeeccd6edb47e3e102aa01c8d5815cfadc1e8545e79",
-    1: "beeb677e0ee6a88ea723ba873eea2016f2ac51a771857007c00715867047bbde",
-    2: "612595e7c07a8d40dce3a168db3d434041f09f99b4881aad8f220c78e3ba444f",
-    3: "8630e3e297beec4c75d5488b4238f58e74c5ce66c3e613ee05ed3b6e04de0e2d",
-    4: "78c24ddb36926ce6cb4166b95970809beb86fba19de67927787f37bf3e5e5dd0",
+    0: "5b432f79bf22d76c589cdbad4a46356369b956f4aff282463d9ba92dbf4b0743",
+    1: "b8e1e183f5c06cf1a4b96a1c8ace6034632fc020b9a78768b6ce62362f5799a3",
+    2: "116f724c9331ef584b284540944d7203f75e1242c31103c04841cdaf773b924d",
+    3: "790fb03a0a93b68b192b13b5fb45db069f2e1dd029903ef3319194c1d2c61cf1",
+    4: "a93502bba6f95adfd6b7a928006cea4f6fe22f51976b1ff5bad3a9d650b36dd0",
 }
 
 
