@@ -11,9 +11,11 @@ checkout a round records:
   experiment at its default config, each ``python -m phasequant run`` in a
   fresh process (start-up and imports included);
 - the time to import ``phasequant.harness`` in a fresh process;
-- the wall time of each cataloged experiment at its default config, one
-  in-process run each in catalog order (as ``scripts/run_all.py`` runs them),
-  and how many checks passed;
+- the time of each cataloged experiment at its default config, one
+  in-process run each in catalog order (as ``scripts/run_all.py`` runs them)
+  under perfbench's ``SpeedProbe``, and how many checks passed: the run's
+  wall time less the probe's samples inside it goes in ``run_all_raw_s`` and,
+  scaled to the probe's reference speed as the layers are, in ``run_all_s``;
 - the median time of repeated calls of ``symbols.operator_matrix`` (circle,
   Weyl image of cos(theta) p^2, Fourier basis) at K = 32 and K = 64, of
   ``cylinder.pair_trace_smeared_cyl`` at K = 64 with a fresh default cutoff,
@@ -65,6 +67,7 @@ round, the per-checkout medians over rounds, and the machine facts.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import importlib.metadata
 import importlib.util
@@ -104,6 +107,20 @@ def load_perfbench_child():
     return module
 
 
+@contextlib.contextmanager
+def probing(child):
+    """perfbench's ``SpeedProbe`` sampling on its timer through the ``with``
+    body, then topped up to the samples perfbench takes a scale from."""
+    probe = child.SpeedProbe()
+    probe.start()
+    try:
+        yield probe
+    finally:
+        probe.stop()
+    for _ in range(child.MIN_PASS_SAMPLES - len(probe.samples)):
+        probe.sample()
+
+
 def layer_timings(src: Path) -> dict:
     """Run in a child: time the experiments and layers of the package under ``src``."""
     import numpy as np
@@ -131,33 +148,32 @@ def layer_timings(src: Path) -> dict:
     if src.resolve() not in Path(harness.__file__).resolve().parents:
         raise SystemExit(f"imported phasequant from {harness.__file__}, not from the checkout")
 
-    run_all_s, passed, total = {}, 0, 0
+    child = load_perfbench_child()
+    run_all_s, run_all_raw_s, passed, total = {}, {}, 0, 0
     for entry in harness.list_experiments():
         config = harness.ExperimentConfig.from_dict(harness.default_config(entry.name))
-        start = time.perf_counter()
-        report = harness.run_experiment(config)
-        run_all_s[entry.name] = time.perf_counter() - start
+        with probing(child) as probe:
+            start = time.perf_counter()
+            report = harness.run_experiment(config)
+            end = time.perf_counter()
+        run_all_raw_s[entry.name] = probe.own(start, end)
+        run_all_s[entry.name] = probe.own(start, end) * probe.scale(start)
         passed += sum(record.passed for record in report.records)
         total += len(report.records)
 
-    child = load_perfbench_child()
     repeats, raw_ms = {}, {}
 
     def median_ms(name, call) -> float:
         """The median call time in ms scaled to the probe's reference speed;
         the raw median goes in ``raw_ms``."""
         call()
-        probe = child.SpeedProbe()
         spans = []
-        probe.start()
-        begin = time.perf_counter()
-        while not spans or spans[-1][1] - begin < LAYER_SECONDS:
-            start = time.perf_counter()
-            call()
-            spans.append((start, time.perf_counter()))
-        probe.stop()
-        for _ in range(child.MIN_PASS_SAMPLES - len(probe.samples)):
-            probe.sample()
+        with probing(child) as probe:
+            begin = time.perf_counter()
+            while not spans or spans[-1][1] - begin < LAYER_SECONDS:
+                start = time.perf_counter()
+                call()
+                spans.append((start, time.perf_counter()))
         repeats[name] = len(spans)
         raw = statistics.median(probe.own(start, end) for start, end in spans)
         raw_ms[name] = 1e3 * raw
@@ -225,6 +241,7 @@ def layer_timings(src: Path) -> dict:
         "default_configs": {entry.name: harness.default_config(entry.name) for entry in harness.list_experiments()},
         "import_harness_s": import_s,
         "run_all_s": run_all_s,
+        "run_all_raw_s": run_all_raw_s,
         "run_all_total_s": sum(run_all_s.values()),
         "checks_passed": f"{passed}/{total}",
         "layers_ms": layers_ms,

@@ -5,15 +5,19 @@ calculus: flat kernel axioms, ordering families, curvature defects, chart
 covariance, the cylinder kernel, and the discrete momentum lattice.  The
 ``CATALOG`` table at the end of this module describes every experiment once:
 its name, description and anchor, the config settings its runner reads (with
-their defaults), its checks in report order, and the runner.  A config may
-set only the settings its experiment reads; validation builds the manifold,
-symbol and ordering it names, so an accepted config runs.
+their defaults), its checks, and the runner.  A config may set only the
+settings its experiment reads; validation builds the manifold, symbol and
+ordering it names, so an accepted config runs.
 
-A check compares one measured number against a reference value that carries
-a provenance tag, at a tolerance that can be overridden per run.  Reports
-serialize to JSON plus plot-ready CSV series; re-running the same
-configuration with the same package version reproduces the report bytes
-exactly, apart from the timestamp field.
+A check is declared once, as a ``Check`` row of its experiment's table: its
+name (also its tolerance-override key), default tolerance, provenance tag and
+comparison mode, in report order.  A runner is a generator that yields one
+value per row, in table order: the measured number, or ``(measured,
+reference)`` when the reference is not 0.  It stores its plot series in a
+dict it is handed.  ``run_experiment`` pairs each value with its row and
+builds the record.  Reports serialize to JSON plus plot-ready CSV series;
+re-running the same configuration with the same package version reproduces
+the report bytes exactly, apart from the timestamp field.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import datetime
 import functools
 import json
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from pathlib import Path
 
 import numpy as np
@@ -70,21 +74,64 @@ def __getattr__(name: str):
 # catalog
 
 
+_MODES = ("abs", "rel", "min")
+
+
+@dataclasses.dataclass(frozen=True)
+class Check:
+    """One declared check: its name, default tolerance, provenance tag and mode.
+
+    The name is also the check's tolerance-override key.  ``tolerance`` is a
+    number, or a function of the config for a threshold that scales with it.
+    ``mode`` is ``abs`` (absolute difference within tolerance), ``rel``
+    (difference within tolerance times the reference magnitude), or ``min``
+    (measured must strictly exceed the threshold echoed in ``reference``).
+    """
+
+    name: str
+    tolerance: float | Callable[[ExperimentConfig], float]
+    provenance: str
+    mode: str = "abs"
+
+    def __post_init__(self):
+        if self.mode not in _MODES:
+            raise ConfigError(f"unknown comparison mode {self.mode!r}; expected one of {', '.join(_MODES)}")
+
+    def record(self, value, config: ExperimentConfig, tolerance_scale: float) -> CheckRecord:
+        """The record of a runner's ``value``: ``measured`` or ``(measured, reference)``."""
+        measured, reference = value if isinstance(value, tuple) else (value, 0.0)
+        default = self.tolerance(config) if callable(self.tolerance) else self.tolerance
+        tol = float(config.tolerances.get(self.name, default))
+        measured = float(np.real(measured))
+        if self.mode == "min":
+            # lower-bound checks are thresholds, not error budgets: the
+            # tolerance scale does not apply.
+            return CheckRecord(self.name, measured, tol, tol, self.mode, self.provenance, measured > tol)
+        reference = float(reference)
+        effective = tol * float(tolerance_scale)
+        bound = effective if self.mode == "abs" else effective * abs(reference)
+        passed = abs(measured - reference) <= bound
+        return CheckRecord(self.name, measured, reference, effective, self.mode, self.provenance, passed)
+
+
 @dataclasses.dataclass(frozen=True)
 class Experiment:
     """One experiment: what it verifies, the settings it reads, its checks, its runner.
 
     ``settings`` maps each config key the runner reads to its default, in
-    template order.  ``checks`` names the checks in report order; they are
-    also the accepted tolerance-override keys.
+    template order.  ``checks`` holds one ``Check`` row per check, in report
+    order.  ``run(config, series)`` is a generator that yields one value per
+    row, in that order (``measured``, or ``(measured, reference)`` when the
+    reference is not 0), and stores each plot series as
+    ``series[name] = (columns, rows)``.
     """
 
     name: str
     description: str
     anchor: str
     settings: dict
-    checks: tuple[str, ...]
-    run: Callable[[ExperimentConfig, _Checks], None]
+    checks: tuple[Check, ...]
+    run: Callable[[ExperimentConfig, dict], Iterator]
 
 
 def _experiment(name) -> Experiment:
@@ -192,11 +239,12 @@ class ExperimentConfig:
             _cutoff_from_config(self.cutoff)
         if not isinstance(self.tolerances, dict):
             raise ConfigError("tolerances must be a mapping of check name to positive number")
+        names = CHECK_NAMES[self.experiment]
         for name, tol in self.tolerances.items():
-            if name not in experiment.checks:
+            if name not in names:
                 raise ConfigError(
                     f"unknown tolerance key {name!r} for {self.experiment}; "
-                    f"valid names: {', '.join(sorted(experiment.checks))}"
+                    f"valid names: {', '.join(sorted(names))}"
                 )
             if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not tol > 0:
                 raise ConfigError(f"tolerance {name!r} must be a positive number")
@@ -249,7 +297,7 @@ def default_config(name: str) -> dict:
     }
     comments = {key: _COMMENTS[key] for key in template}
     comments["experiment"] += ", ".join(EXPERIMENT_NAMES)
-    comments["tolerances"] += ", ".join(experiment.checks)
+    comments["tolerances"] += ", ".join(CHECK_NAMES[name])
     template["_comments"] = comments
     return template
 
@@ -276,12 +324,8 @@ def _cutoff_from_config(spec: dict) -> CutoffFamily:
 
 @dataclasses.dataclass(frozen=True)
 class CheckRecord:
-    """One measured/reference comparison with its provenance tag.
-
-    ``mode`` is ``abs`` (absolute difference within tolerance), ``rel``
-    (difference within tolerance times the reference magnitude), or ``min``
-    (measured must strictly exceed the threshold echoed in ``reference``).
-    """
+    """One measured/reference comparison with its provenance tag; ``mode`` is
+    the declaring ``Check``'s, and ``tolerance`` the one applied."""
 
     name: str
     measured: float
@@ -388,65 +432,6 @@ def _finite_json(value):
     return value
 
 
-class _Checks:
-    """Accumulates records and series for one run, applying overrides.
-
-    Records arrive in the experiment's declared check order, so ``pending``
-    names the check being evaluated.
-    """
-
-    def __init__(self, config: ExperimentConfig, names: tuple[str, ...], tolerance_scale: float):
-        self._config = config
-        self._names = names
-        self._scale = float(tolerance_scale)
-        self.records: list[CheckRecord] = []
-        self.series: dict[str, dict] = {}
-
-    @property
-    def pending(self) -> str | None:
-        """The next declared check, or None once every check is recorded."""
-        done = len(self.records)
-        return self._names[done] if done < len(self._names) else None
-
-    def add(
-        self,
-        name: str,
-        measured: float,
-        reference: float,
-        tolerance: float,
-        provenance: str,
-        mode: str = "abs",
-    ) -> None:
-        if name != self.pending:
-            raise ExperimentError(f"check {name!r} recorded out of order; expected {self.pending!r}")
-        tol = float(self._config.tolerances.get(name, tolerance))
-        measured = float(np.real(measured))
-        reference = float(reference)
-        if mode == "abs":
-            effective = tol * self._scale
-            passed = abs(measured - reference) <= effective
-        elif mode == "rel":
-            effective = tol * self._scale
-            passed = abs(measured - reference) <= effective * abs(reference)
-        elif mode == "min":
-            # lower-bound checks are thresholds, not error budgets: the
-            # tolerance scale does not apply.
-            effective = tol
-            reference = tol
-            passed = measured > tol
-        else:
-            raise ConfigError(f"unknown comparison mode {mode!r}")
-        self.records.append(
-            CheckRecord(name, measured, reference, effective, mode, provenance, passed)
-        )
-
-    def add_series(self, name: str, columns, rows) -> None:
-        self.series[name] = {
-            "columns": list(columns),
-            "rows": [[float(v) if isinstance(v, (int, float, np.floating)) else v for v in row] for row in rows],
-        }
-
-
 # ---------------------------------------------------------------------------
 # shared symbol builders
 
@@ -513,104 +498,83 @@ def _random_chart_symbol(rng: np.random.Generator, names: tuple[str, ...]) -> Mo
 # experiment runners
 
 
-def _run_flat_axioms(cfg: ExperimentConfig, out: _Checks) -> None:
+def _run_flat_axioms(cfg: ExperimentConfig, series: dict) -> Iterator:
     hbar = cfg.hbar
     s = math.sqrt(hbar)
     rng = np.random.default_rng(20260814)
 
-    peak = flat_weyl.quantizer_diag_flat(0.0, 0.0, 2, hbar)[0]
-    out.add("ground-state-peak", peak.real, 2.0, 1e-12, "DERIVED oracle")
+    yield flat_weyl.quantizer_diag_flat(0.0, 0.0, 2, hbar)[0].real, 2.0
 
     p0, x0 = 0.7 * s, -0.4 * s
     value = flat_weyl.quantizer_diag_flat(p0, x0, 2, hbar)[0]
-    oracle = 2.0 * math.exp(-(p0 * p0 + x0 * x0) / hbar)
-    out.add("ground-state-gaussian", value.real, oracle, 1e-12, "DERIVED oracle")
+    yield value.real, 2.0 * math.exp(-(p0 * p0 + x0 * x0) / hbar)
 
-    def worst_hermiticity():
-        worst = 0.0
-        for _ in range(3):
-            p, x = (s * float(v) for v in rng.uniform(-1.5, 1.5, size=2))
-            worst = max(worst, hermiticity_defect(flat_weyl.quantizer_matrix_flat(p, x, 16, hbar)))
-        return worst
+    worst = 0.0
+    for _ in range(3):
+        p, x = (s * float(v) for v in rng.uniform(-1.5, 1.5, size=2))
+        worst = max(worst, hermiticity_defect(flat_weyl.quantizer_matrix_flat(p, x, 16, hbar)))
+    yield worst
 
-    out.add("kernel-hermiticity", worst_hermiticity(), 0.0, 1e-8, "PAPER Eq 2.4")
-
-    deviation = abs(flat_weyl.flat_trace(0.0, 0.0, 8, hbar) - 1.0)
-    out.add("kernel-trace", deviation, 0.0, 2e-3, "PAPER Eq 2.5")
+    yield abs(flat_weyl.flat_trace(0.0, 0.0, 8, hbar) - 1.0)
 
     sizes = [4, 8, 16, 32]
     ladder = flat_weyl.trace_ladder(0.3 * s, -0.2 * s, sizes, hbar)
-    decreases = [ladder[i] - ladder[i + 1] for i in range(len(ladder) - 1)]
-    out.add("trace-ladder-monotone", min(decreases), 0.0, 0.0, "PAPER Eq 2.5", mode="min")
-    out.add_series("trace_vs_K", ["K", "deviation"], list(zip(sizes, ladder)))
+    series["trace_vs_K"] = (["K", "deviation"], list(zip(sizes, ladder)))
+    yield min(ladder[i] - ladder[i + 1] for i in range(len(ladder) - 1))
 
     g1 = (0.4 * s, -0.3 * s, 0.9 * s, 0.8 * s)
     g2 = (-0.2 * s, 0.5 * s, 1.1 * s, 0.7 * s)
     A = flat_weyl.quantize_gaussian_flat(*g1, K=cfg.truncation_K, hbar=hbar)
     B = flat_weyl.quantize_gaussian_flat(*g2, K=cfg.truncation_K, hbar=hbar)
-    traced = complex(np.sum(A * B.T)).real
-    reference = flat_weyl.gaussian_pair_integral(g1, g2) / (2.0 * math.pi * hbar)
-    out.add("weak-form-pairing", traced, reference, 1e-2, "PAPER Eq 2.6", mode="rel")
+    yield complex(np.sum(A * B.T)).real, flat_weyl.gaussian_pair_integral(g1, g2) / (2.0 * math.pi * hbar)
 
     schemes = [
         ordering_scheme("weyl"),
         ordering_scheme("standard"),
         OrderingScheme((1.0, 0.25, -0.125, 1.0 / 48.0, 0.0), name="real-demo"),
     ]
-    out.add("round-trip-residual", _round_trip_residual(rng, schemes, 20, hbar), 0.0, 1e-12, "PAPER Eq 2.13")
+    yield _round_trip_residual(rng, schemes, 20, hbar)
 
 
-def _run_orderings(cfg: ExperimentConfig, out: _Checks) -> None:
+def _run_orderings(cfg: ExperimentConfig, series: dict) -> Iterator:
     hbar = cfg.hbar
     model = geometry.euclidean_space(1)
     circle = geometry.circle()
     rng = np.random.default_rng(31415)
     probes = [np.array([v]) for v in (-0.8, 0.1, 0.7)]
 
-    def weyl_identity():
-        f = _random_flat_symbol(rng)
-        direct = curved.wue_weyl_image(model, f, hbar)
-        through = flat_weyl.a_image_flat(ordering_scheme("weyl"), f, model, hbar)
-        return _operator_difference(direct, through, probes)
+    f = _random_flat_symbol(rng)
+    direct = curved.wue_weyl_image(model, f, hbar)
+    yield _operator_difference(direct, flat_weyl.a_image_flat(ordering_scheme("weyl"), f, model, hbar), probes)
 
-    out.add("weyl-preset-identity", weyl_identity(), 0.0, 1e-15, "TRIVIAL")
+    worst = 0.0
+    for degree in range(4):
+        field = _polynomial_field(rng, "x")
+        f = MomentumPolynomial(1, {degree: tensor_from_fields(1, degree, lambda idx: field)})
+        direct = curved.wue_standard_image(model, f, hbar)
+        through = flat_weyl.a_image_flat(ordering_scheme("standard"), f, model, hbar)
+        worst = max(worst, _operator_difference(direct, through, probes))
+    yield worst
 
-    def standard_image():
-        worst = 0.0
-        for degree in range(4):
-            field = _polynomial_field(rng, "x")
-            f = MomentumPolynomial(1, {degree: tensor_from_fields(1, degree, lambda idx: field)})
-            direct = curved.wue_standard_image(model, f, hbar)
-            through = flat_weyl.a_image_flat(ordering_scheme("standard"), f, model, hbar)
-            worst = max(worst, _operator_difference(direct, through, probes))
-        return worst
-
-    out.add("standard-preset-image", standard_image(), 0.0, 1e-13, "PAPER Eq 2.22")
-
-    configured = _round_trip_residual(rng, [ordering_scheme(cfg.ordering, hbar)], 5, hbar)
-    out.add("configured-ordering-roundtrip", configured, 0.0, 1e-12, "PAPER Eq 2.15")
+    yield _round_trip_residual(rng, [ordering_scheme(cfg.ordering, hbar)], 5, hbar)
 
     scheme = OrderingScheme((1.0, 0.35, -0.15, 0.05, 0.0), name="real-demo")
     X = from_expression("0.4 + 0.9*x + 0.25*x**2", ("x",))
     f = MomentumPolynomial(1, {1: tensor_from_fields(1, 1, lambda idx: X)})
     D = flat_weyl.a_image_flat(scheme, f, model, hbar)
-    real_defect = hermiticity_defect(
-        operator_matrix(model, D, HermiteBasis(hbar=hbar), cfg.truncation_K)
-    )
-    out.add("real-ordering-hermiticity", real_defect, 0.0, 1e-9, "PAPER Eq 2.23")
+    yield hermiticity_defect(operator_matrix(model, D, HermiteBasis(hbar=hbar), cfg.truncation_K))
 
     cos_p = symbol_from_config(circle, {"coefficient": "cos-theta", "degree": 1})
     D = curved.wue_weyl_image(circle, cos_p, hbar)
-    weyl_defect = hermiticity_defect(operator_matrix(circle, D, FourierBasis(), cfg.truncation_K))
-    out.add("circle-weyl-hermiticity", weyl_defect, 0.0, 1e-10, "PAPER Eq 2.23")
+    yield hermiticity_defect(operator_matrix(circle, D, FourierBasis(), cfg.truncation_K))
 
     D = curved.wue_standard_image(circle, cos_p, hbar)
     defect = hermiticity_defect(operator_matrix(circle, D, FourierBasis(), cfg.truncation_K))
-    out.add("standard-defect-positive", defect, 0.0, 1e-6, "DERIVED oracle", mode="min")
-    out.add("standard-defect-value", defect, 0.5 * hbar, 1e-9, "DERIVED oracle")
+    yield defect
+    yield defect, 0.5 * hbar
 
 
-def _run_curved_defect(cfg: ExperimentConfig, out: _Checks) -> None:
+def _run_curved_defect(cfg: ExperimentConfig, series: dict) -> Iterator:
     hbar = cfg.hbar
     model = geometry.manifold(cfg.manifold)
     if model.dim == 1:
@@ -635,7 +599,7 @@ def _run_curved_defect(cfg: ExperimentConfig, out: _Checks) -> None:
                 worst = max(worst, float(np.max(np.abs(values - want))))
         return worst
 
-    out.add("kinetic-image-residual", kinetic_residual(), 0.0, 1e-8, "PAPER Eq 2.39")
+    yield kinetic_residual()
 
     scalar_curv = float(
         np.tensordot(geometry.inverse_metric(model, q0), geometry.ricci(model, q0), 2)
@@ -644,8 +608,7 @@ def _run_curved_defect(cfg: ExperimentConfig, out: _Checks) -> None:
         2, {2: symbol_from_config(model, {"coefficient": "inverse-metric", "degree": 2}).terms[2]}
     )
     term0 = complex(np.asarray(curved.wue_weyl_image(model, f2, hbar).terms[0].evaluate(q0)))
-    ricci_coefficient = -term0.real / (hbar * hbar * scalar_curv)
-    out.add("ricci-coefficient", ricci_coefficient, 1.0 / 12.0, 1e-6, "PAPER Eq 2.36")
+    yield -term0.real / (hbar * hbar * scalar_curv), 1.0 / 12.0
 
     f_sym = symbol_from_config(model, cfg.symbol)
 
@@ -654,21 +617,15 @@ def _run_curved_defect(cfg: ExperimentConfig, out: _Checks) -> None:
         contraction = float(np.real(np.tensordot(X, geometry.ricci(mdl, q), 2)))
         return hbar * hbar * contraction / 3.0
 
-    defect0 = curved.axiom_defect(model, f_sym, p_base, q0, hbar).real
-    out.add("defect-value", defect0, defect_oracle(model, f_sym, q0), 1e-4, "PAPER Eq 2.46", mode="rel")
+    yield curved.axiom_defect(model, f_sym, p_base, q0, hbar).real, defect_oracle(model, f_sym, q0)
 
     scales = [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75]
     values = [curved.axiom_defect(model, f_sym, t * p_base, q0, hbar).real for t in scales]
     rows = [(t, v, defect_oracle(model, f_sym, q0)) for t, v in zip(scales, values)]
-    out.add(
-        "defect-p-independence", max(values) - min(values), 0.0, 1e-6, "PAPER Eq 2.46"
-    )
-    out.add_series("defect_vs_p", ["p_scale", "defect", "reference"], rows)
+    series["defect_vs_p"] = (["p_scale", "defect", "reference"], rows)
+    yield max(values) - min(values)
 
-    coefficient = curved.defect_curvature_coefficient(model, f_sym, probes, p_base, hbar)
-    out.add(
-        "defect-curvature-coefficient", coefficient, 1.0 / 3.0, 1e-4, "PAPER Eq 2.46", mode="rel"
-    )
+    yield curved.defect_curvature_coefficient(model, f_sym, probes, p_base, hbar), 1.0 / 3.0
 
     def radius_pair():
         results = []
@@ -681,7 +638,7 @@ def _run_curved_defect(cfg: ExperimentConfig, out: _Checks) -> None:
         return results
 
     d1, d2 = radius_pair()
-    out.add("radius-scaling", d2, d1 / 4.0, 1e-3, "DERIVED oracle", mode="rel")
+    yield d2, d1 / 4.0
 
     def flat_defect(name: str):
         flat_model = geometry.manifold(name)
@@ -689,23 +646,20 @@ def _run_curved_defect(cfg: ExperimentConfig, out: _Checks) -> None:
         q = np.array([0.3, -0.8]) if name.startswith("euclidean") else np.array([1.2, 0.5])
         return abs(curved.axiom_defect(flat_model, f, np.array([0.7, 0.2]), q, hbar))
 
-    out.add("flat-defect-euclidean", flat_defect("euclidean:2"), 0.0, 1e-8, "TRIVIAL")
-    out.add("flat-defect-polar", flat_defect("polar-plane"), 0.0, 1e-8, "TRIVIAL")
+    yield flat_defect("euclidean:2")
+    yield flat_defect("polar-plane")
 
-    emmrich = abs(curved.axiom_defect(model, f_sym, p_base, q0, hbar, measure_variant="emmrich"))
-    out.add("emmrich-defect", emmrich, 0.0, 0.1 * hbar * hbar, "PAPER Eq 2.28", mode="min")
+    yield abs(curved.axiom_defect(model, f_sym, p_base, q0, hbar, measure_variant="emmrich"))
 
     unit = geometry.manifold("sphere:1.0")
-    ricci_residual = max(
+    yield max(
         float(np.max(np.abs(geometry.ricci(unit, q) - geometry.metric(unit, q))))
         for q in (np.array([1.1, 0.4]), np.array([2.0, -1.3]))
     )
-    out.add("ricci-convention", ricci_residual, 0.0, 1e-6, "PAPER Eq 2.37")
 
     jets = geometry.sqrt_g_jet(model, q0, 2, method="numeric")
     want = -geometry.ricci_in_frame(model, q0) / 3.0
-    jet_residual = float(np.max(np.abs(jets[2] - want)))
-    out.add("density-jet-ricci", jet_residual, 0.0, 1e-5, "DERIVED oracle")
+    yield float(np.max(np.abs(jets[2] - want)))
 
     def pullback_agreement():
         names = model.coordinate_names
@@ -721,10 +675,10 @@ def _run_curved_defect(cfg: ExperimentConfig, out: _Checks) -> None:
             worst = max(worst, float(np.max(np.abs(jets[k] - frame_deriv))))
         return worst
 
-    out.add("pullback-vs-covariant", pullback_agreement(), 0.0, 1e-5, "PAPER Eq 2.31")
+    yield pullback_agreement()
 
 
-def _run_point_transform(cfg: ExperimentConfig, out: _Checks) -> None:
+def _run_point_transform(cfg: ExperimentConfig, series: dict) -> Iterator:
     hbar = cfg.hbar
     polar = geometry.polar_plane()
     euclid = geometry.euclidean_space(2)
@@ -755,7 +709,7 @@ def _run_point_transform(cfg: ExperimentConfig, out: _Checks) -> None:
             worst = max(worst, abs(derived.evaluate(p, q) - (-hbar) * total))
         return worst
 
-    out.add("cartesian-reduction", cartesian_reduction(), 0.0, 1e-8, "PAPER Eq 2.49")
+    yield cartesian_reduction()
 
     def polar_agreement():
         f = _random_chart_symbol(rng, polar.coordinate_names)
@@ -769,7 +723,7 @@ def _run_point_transform(cfg: ExperimentConfig, out: _Checks) -> None:
             worst = max(worst, abs(direct - conjugated))
         return worst
 
-    out.add("polar-cartesian-agreement", polar_agreement(), 0.0, 1e-6, "PAPER Eq 2.48")
+    yield polar_agreement()
 
     radial = MomentumPolynomial(2, {1: tensor_constant(2, np.array([1.0, 0.0]))})
     shifted = delta_apply(polar, radial, hbar)
@@ -779,8 +733,8 @@ def _run_point_transform(cfg: ExperimentConfig, out: _Checks) -> None:
 
     worst_shift = max(abs(shift_at(r) + hbar / r) for r in (0.5, 1.0, 2.0))
     rows = [(float(r), shift_at(float(r)), -hbar / float(r)) for r in np.linspace(0.5, 2.0, 7)]
-    out.add("radial-momentum-shift", worst_shift, 0.0, 1e-8, "PAPER Eq 2.49")
-    out.add_series("shift_vs_r", ["r", "measured", "reference"], rows)
+    series["shift_vs_r"] = (["r", "measured", "reference"], rows)
+    yield worst_shift
 
     def divergence_identity():
         names = polar.coordinate_names
@@ -795,7 +749,7 @@ def _run_point_transform(cfg: ExperimentConfig, out: _Checks) -> None:
             worst = max(worst, abs(value - want))
         return worst
 
-    out.add("divergence-identity", divergence_identity(), 0.0, 1e-8, "DERIVED oracle")
+    yield divergence_identity()
 
 
 def _tanh_sinh_cosine(chi: CutoffFamily, s: float) -> float:
@@ -818,15 +772,14 @@ def _tanh_sinh_cosine(chi: CutoffFamily, s: float) -> float:
     raise QuadratureAccuracyError(gap, 1e-15)
 
 
-def _run_cylinder_axioms(cfg: ExperimentConfig, out: _Checks) -> None:
+def _run_cylinder_axioms(cfg: ExperimentConfig, series: dict) -> Iterator:
     hbar = cfg.hbar
     chi = _cutoff_from_config(cfg.cutoff)
     rng = np.random.default_rng(16180)
     one = constant_field(1, 1.0)
     cos_theta = from_expression("cos(theta)", ("theta",))
 
-    completed = cylinder.polynomial_reproduction_check(one, 0, 0.77 * hbar, 0.3, chi, 32, hbar)
-    out.add("kernel-trace", completed, 0.0, 1e-8, "PAPER Eq 3.4")
+    yield cylinder.polynomial_reproduction_check(one, 0, 0.77 * hbar, 0.3, chi, 32, hbar)
 
     def raw_trace():
         wide = CutoffFamily(0.8, 2.8)
@@ -838,32 +791,29 @@ def _run_cylinder_axioms(cfg: ExperimentConfig, out: _Checks) -> None:
             worst = max(worst, abs(trace - 1.0))
         return worst
 
-    out.add("raw-kernel-trace", raw_trace(), 0.0, 1e-8, "PAPER Eq 3.4")
+    yield raw_trace()
 
     continuum = cylinder.quantizer_matrix_cyl(0.6 * hbar, 1.1, chi, 16, hbar)
     discrete = cylinder.discrete_quantizer(2, 0.7, 16)
-    hermiticity = max(hermiticity_defect(continuum), hermiticity_defect(discrete))
-    out.add("kernel-hermiticity", hermiticity, 0.0, 1e-10, "PAPER Eq 3.3")
+    yield max(hermiticity_defect(continuum), hermiticity_defect(discrete))
 
     matrix = cylinder.quantizer_matrix_cyl(0.0, 0.0, chi, 8, hbar)
     # M[8, 9] is I(1)/pi.  The oracle's tanh-sinh rule shares only chi.value
     # with the nested Clenshaw-Curtis transform under test.
     entry = _tanh_sinh_cosine(chi, 1.0)
-    out.add("entry-oracle", abs(matrix[8, 9] - entry / math.pi), 0.0, 1e-12, "DERIVED oracle")
+    yield abs(matrix[8, 9] - entry / math.pi)
 
     residuals = [
         cylinder.polynomial_reproduction_check(cos_theta, m, 2.0 * hbar, 0.7, chi, 32, hbar)
         for m in range(5)
     ]
-    out.add("polynomial-reproduction", max(residuals), 0.0, 1e-6, "PAPER Eq 3.6")
-    out.add_series(
-        "reproduction_vs_m", ["m", "residual"], list(zip(range(5), residuals))
-    )
+    series["reproduction_vs_m"] = (["m", "residual"], list(zip(range(5), residuals)))
+    yield max(residuals)
 
     other = CutoffFamily.mollifier(2)
     res_a = cylinder.polynomial_reproduction_check(cos_theta, 2, 2.0 * hbar, 0.7, chi, 32, hbar)
     res_b = cylinder.polynomial_reproduction_check(cos_theta, 2, 2.0 * hbar, 0.7, other, 32, hbar)
-    out.add("cutoff-independence", abs(res_a - res_b), 0.0, 1e-6, "PAPER Eq 3.6")
+    yield abs(res_a - res_b)
 
     theta0, p0 = 0.9, 0.4 * hbar
     theta_width, p_width = 0.4, 0.8 * hbar
@@ -888,81 +838,47 @@ def _run_cylinder_axioms(cfg: ExperimentConfig, out: _Checks) -> None:
     antipodal = smeared(math.pi, K)
     ks = [16, 32, 48, 64]
     trace_rows = [(k, smeared(0.0, k), abs(smeared(math.pi / 2.0, k) / smeared(0.0, k))) for k in ks]
-    out.add(
-        "smeared-quarter-ratio",
-        abs(quarter) / abs(coincident),
-        0.0,
-        0.05,
-        "PAPER Eq 3.7",
-    )
-    out.add(
-        "antipodal-vs-quarter",
-        abs(antipodal) / abs(quarter),
-        0.0,
-        2.0,
-        "PAPER Eq 3.7",
-        mode="min",
-    )
+    series["smeared_trace_vs_K"] = (["K", "coincident", "quarter_ratio"], trace_rows)
+    yield abs(quarter) / abs(coincident)
+    yield abs(antipodal) / abs(quarter)
     # A true double-delta trace would follow the smearing profile; at the
     # antipode that profile is exp((cos(pi) - 1) / width^2) of the coincident
     # value, while the kernel keeps genuine support there.
     delta_prediction = math.exp((math.cos(math.pi) - 1.0) / theta_width**2)
-    mismatch = abs(antipodal / coincident - delta_prediction)
-    out.add(
-        "delta-model-mismatch",
-        mismatch,
-        0.0,
-        10.0 * cylinder.QUAD_TOLERANCE,
-        "PAPER Eq 3.7",
-        mode="min",
-    )
-    out.add_series("smeared_trace_vs_K", ["K", "coincident", "quarter_ratio"], trace_rows)
+    yield abs(antipodal / coincident - delta_prediction)
 
 
-def _run_discrete_limit(cfg: ExperimentConfig, out: _Checks) -> None:
+def _run_discrete_limit(cfg: ExperimentConfig, series: dict) -> Iterator:
     n0, theta0 = 3, 1.1
 
     errors = cylinder.discrete_limit_check(n0, theta0, cfg.truncation_K)
-    decreases = [errors[i] - errors[i + 1] for i in range(len(errors) - 1)]
-    out.add("mollifier-ladder", min(decreases), 0.0, 0.0, "PAPER Eq 3.9", mode="min")
-    out.add_series(
-        "limit_error_vs_j",
-        ["j", "error"],
-        [(j + 1, float(e)) for j, e in enumerate(errors)],
-    )
+    series["limit_error_vs_j"] = (["j", "error"], [(j + 1, float(e)) for j, e in enumerate(errors)])
+    yield min(errors[i] - errors[i + 1] for i in range(len(errors) - 1))
 
     sharp = CutoffFamily(math.pi / 2.0, math.pi / 2.0, "indicator")
     continuum = cylinder.quantizer_matrix_cyl(float(n0), theta0, sharp, 16, 1.0)
     discrete = cylinder.discrete_quantizer(n0, theta0, 16)
-    indicator_gap = float(np.max(np.abs(continuum - discrete)))
-    out.add("indicator-matches-discrete", indicator_gap, 0.0, 1e-12, "DERIVED oracle")
+    yield float(np.max(np.abs(continuum - discrete)))
 
     matrix = cylinder.discrete_quantizer(2, 0.7, 16)
     diag = np.real(np.diag(matrix))
     want = np.zeros_like(diag)
     want[16 + 2] = 1.0
-    out.add("discrete-diagonal", float(np.max(np.abs(diag - want))), 0.0, 1e-12, "PAPER Eq 3.10")
-    out.add("discrete-trace", abs(complex(np.trace(matrix)) - 1.0), 0.0, 1e-12, "PAPER Eq 3.10")
+    yield float(np.max(np.abs(diag - want)))
+    yield abs(complex(np.trace(matrix)) - 1.0)
     first_band = matrix[16 + 2, 16 + 3]
     oracle = (2.0 / math.pi) * complex(math.cos(0.7), math.sin(0.7))
-    out.add("discrete-first-band", abs(first_band - oracle), 0.0, 1e-12, "PAPER Eq 3.10")
+    yield abs(first_band - oracle)
 
 
-def _run_discrete_orthogonality(cfg: ExperimentConfig, out: _Checks) -> None:
+def _run_discrete_orthogonality(cfg: ExperimentConfig, series: dict) -> Iterator:
     K = cfg.truncation_K
     n0 = cfg.truncation_N
     theta0 = 1.3
     t = cylinder.periodic_test_function(0.9, 0.5)
 
     diagonal = cylinder.discrete_pair_trace_smeared(n0, n0, theta0, t, K).real
-    out.add(
-        "diagonal-smeared-trace",
-        diagonal,
-        2.0 * math.pi * t(theta0),
-        1e-2,
-        "PAPER Eq 3.11",
-        mode="rel",
-    )
+    yield diagonal, 2.0 * math.pi * t(theta0)
 
     off = abs(cylinder.discrete_pair_trace_smeared(n0, n0 + 3, theta0, t, K))
     rows = []
@@ -970,19 +886,19 @@ def _run_discrete_orthogonality(cfg: ExperimentConfig, out: _Checks) -> None:
         d = cylinder.discrete_pair_trace_smeared(n0, n0, theta0, t, k).real
         o = abs(cylinder.discrete_pair_trace_smeared(n0, n0 + 3, theta0, t, k))
         rows.append((k, d, o))
-    out.add("offdiagonal-suppression", off / abs(diagonal), 0.0, 0.05, "PAPER Eq 3.11")
-    out.add_series("orthogonality_vs_K", ["K", "diagonal", "offdiagonal"], rows)
+    series["orthogonality_vs_K"] = (["K", "diagonal", "offdiagonal"], rows)
+    yield off / abs(diagonal)
 
     flat_value = cylinder.discrete_pair_trace_smeared(
         n0, n0, theta0, lambda angles: np.ones_like(angles, dtype=float), K
     ).real
-    out.add("flat-test-function", flat_value, 2.0 * math.pi, 1e-6, "DERIVED oracle")
+    yield flat_value, 2.0 * math.pi
 
     k1, k2 = 16, 32
     t1 = cylinder.discrete_pair_trace(n0, n0, theta0, theta0, k1).real
     t2 = cylinder.discrete_pair_trace(n0, n0, theta0, theta0, k2).real
     expected = (2.0 * k2 + 1.0) / (2.0 * k1 + 1.0)
-    out.add("unsmeared-growth", abs(t2 / t1 / expected - 1.0), 0.0, 0.2, "TRIVIAL")
+    yield abs(t2 / t1 / expected - 1.0)
 
     hbar = cfg.hbar
     worst_off = 0.0
@@ -995,8 +911,8 @@ def _run_discrete_orthogonality(cfg: ExperimentConfig, out: _Checks) -> None:
         worst_diag = max(worst_diag, float(np.max(np.abs(diag - want))))
         off_diag = matrix - np.diag(diag)
         worst_off = max(worst_off, float(np.max(np.abs(off_diag))))
-    out.add("momentum-diagonality", worst_off, 0.0, 1e-12, "PAPER Sec 3")
-    out.add("momentum-spectrum", worst_diag, 0.0, 1e-12, "PAPER Sec 3")
+    yield worst_off
+    yield worst_diag
 
 
 # ---------------------------------------------------------------------------
@@ -1010,13 +926,13 @@ CATALOG: tuple[Experiment, ...] = (
         "Eqs 2.3-2.13",
         {"hbar": 1.0, "truncation_K": 32},
         (
-            "ground-state-peak",
-            "ground-state-gaussian",
-            "kernel-hermiticity",
-            "kernel-trace",
-            "trace-ladder-monotone",
-            "weak-form-pairing",
-            "round-trip-residual",
+            Check("ground-state-peak", 1e-12, "DERIVED oracle"),
+            Check("ground-state-gaussian", 1e-12, "DERIVED oracle"),
+            Check("kernel-hermiticity", 1e-8, "PAPER Eq 2.4"),
+            Check("kernel-trace", 2e-3, "PAPER Eq 2.5"),
+            Check("trace-ladder-monotone", 0.0, "PAPER Eq 2.5", "min"),
+            Check("weak-form-pairing", 1e-2, "PAPER Eq 2.6", "rel"),
+            Check("round-trip-residual", 1e-12, "PAPER Eq 2.13"),
         ),
         _run_flat_axioms,
     ),
@@ -1026,13 +942,13 @@ CATALOG: tuple[Experiment, ...] = (
         "Eqs 2.15-2.23",
         {"hbar": 1.0, "ordering": "standard", "truncation_K": 16},
         (
-            "weyl-preset-identity",
-            "standard-preset-image",
-            "configured-ordering-roundtrip",
-            "real-ordering-hermiticity",
-            "circle-weyl-hermiticity",
-            "standard-defect-positive",
-            "standard-defect-value",
+            Check("weyl-preset-identity", 1e-15, "TRIVIAL"),
+            Check("standard-preset-image", 1e-13, "PAPER Eq 2.22"),
+            Check("configured-ordering-roundtrip", 1e-12, "PAPER Eq 2.15"),
+            Check("real-ordering-hermiticity", 1e-9, "PAPER Eq 2.23"),
+            Check("circle-weyl-hermiticity", 1e-10, "PAPER Eq 2.23"),
+            Check("standard-defect-positive", 1e-6, "DERIVED oracle", "min"),
+            Check("standard-defect-value", 1e-9, "DERIVED oracle"),
         ),
         _run_orderings,
     ),
@@ -1046,18 +962,18 @@ CATALOG: tuple[Experiment, ...] = (
             "symbol": {"coefficient": "inverse-metric", "degree": 2},
         },
         (
-            "kinetic-image-residual",
-            "ricci-coefficient",
-            "defect-value",
-            "defect-p-independence",
-            "defect-curvature-coefficient",
-            "radius-scaling",
-            "flat-defect-euclidean",
-            "flat-defect-polar",
-            "emmrich-defect",
-            "ricci-convention",
-            "density-jet-ricci",
-            "pullback-vs-covariant",
+            Check("kinetic-image-residual", 1e-8, "PAPER Eq 2.39"),
+            Check("ricci-coefficient", 1e-6, "PAPER Eq 2.36"),
+            Check("defect-value", 1e-4, "PAPER Eq 2.46", "rel"),
+            Check("defect-p-independence", 1e-6, "PAPER Eq 2.46"),
+            Check("defect-curvature-coefficient", 1e-4, "PAPER Eq 2.46", "rel"),
+            Check("radius-scaling", 1e-3, "DERIVED oracle", "rel"),
+            Check("flat-defect-euclidean", 1e-8, "TRIVIAL"),
+            Check("flat-defect-polar", 1e-8, "TRIVIAL"),
+            Check("emmrich-defect", lambda cfg: 0.1 * cfg.hbar * cfg.hbar, "PAPER Eq 2.28", "min"),
+            Check("ricci-convention", 1e-6, "PAPER Eq 2.37"),
+            Check("density-jet-ricci", 1e-5, "DERIVED oracle"),
+            Check("pullback-vs-covariant", 1e-5, "PAPER Eq 2.31"),
         ),
         _run_curved_defect,
     ),
@@ -1067,10 +983,10 @@ CATALOG: tuple[Experiment, ...] = (
         "Eqs 2.48-2.49",
         {"hbar": 1.0},
         (
-            "cartesian-reduction",
-            "polar-cartesian-agreement",
-            "radial-momentum-shift",
-            "divergence-identity",
+            Check("cartesian-reduction", 1e-8, "PAPER Eq 2.49"),
+            Check("polar-cartesian-agreement", 1e-6, "PAPER Eq 2.48"),
+            Check("radial-momentum-shift", 1e-8, "PAPER Eq 2.49"),
+            Check("divergence-identity", 1e-8, "DERIVED oracle"),
         ),
         _run_point_transform,
     ),
@@ -1080,15 +996,15 @@ CATALOG: tuple[Experiment, ...] = (
         "Eqs 3.3-3.7",
         {"hbar": 1.0, "cutoff": _DEFAULT_CUTOFF, "truncation_K": 64},
         (
-            "kernel-trace",
-            "raw-kernel-trace",
-            "kernel-hermiticity",
-            "entry-oracle",
-            "polynomial-reproduction",
-            "cutoff-independence",
-            "smeared-quarter-ratio",
-            "antipodal-vs-quarter",
-            "delta-model-mismatch",
+            Check("kernel-trace", 1e-8, "PAPER Eq 3.4"),
+            Check("raw-kernel-trace", 1e-8, "PAPER Eq 3.4"),
+            Check("kernel-hermiticity", 1e-10, "PAPER Eq 3.3"),
+            Check("entry-oracle", 1e-12, "DERIVED oracle"),
+            Check("polynomial-reproduction", 1e-6, "PAPER Eq 3.6"),
+            Check("cutoff-independence", 1e-6, "PAPER Eq 3.6"),
+            Check("smeared-quarter-ratio", 0.05, "PAPER Eq 3.7"),
+            Check("antipodal-vs-quarter", 2.0, "PAPER Eq 3.7", "min"),
+            Check("delta-model-mismatch", 10.0 * cylinder.QUAD_TOLERANCE, "PAPER Eq 3.7", "min"),
         ),
         _run_cylinder_axioms,
     ),
@@ -1098,11 +1014,11 @@ CATALOG: tuple[Experiment, ...] = (
         "Eqs 3.8-3.10",
         {"truncation_K": 32},
         (
-            "mollifier-ladder",
-            "indicator-matches-discrete",
-            "discrete-diagonal",
-            "discrete-trace",
-            "discrete-first-band",
+            Check("mollifier-ladder", 0.0, "PAPER Eq 3.9", "min"),
+            Check("indicator-matches-discrete", 1e-12, "DERIVED oracle"),
+            Check("discrete-diagonal", 1e-12, "PAPER Eq 3.10"),
+            Check("discrete-trace", 1e-12, "PAPER Eq 3.10"),
+            Check("discrete-first-band", 1e-12, "PAPER Eq 3.10"),
         ),
         _run_discrete_limit,
     ),
@@ -1112,12 +1028,12 @@ CATALOG: tuple[Experiment, ...] = (
         "Eqs 3.10-3.11",
         {"hbar": 1.0, "truncation_K": 64, "truncation_N": 3},
         (
-            "diagonal-smeared-trace",
-            "offdiagonal-suppression",
-            "flat-test-function",
-            "unsmeared-growth",
-            "momentum-diagonality",
-            "momentum-spectrum",
+            Check("diagonal-smeared-trace", 1e-2, "PAPER Eq 3.11", "rel"),
+            Check("offdiagonal-suppression", 0.05, "PAPER Eq 3.11"),
+            Check("flat-test-function", 1e-6, "DERIVED oracle"),
+            Check("unsmeared-growth", 0.2, "TRIVIAL"),
+            Check("momentum-diagonality", 1e-12, "PAPER Sec 3"),
+            Check("momentum-spectrum", 1e-12, "PAPER Sec 3"),
         ),
         _run_discrete_orthogonality,
     ),
@@ -1126,7 +1042,10 @@ CATALOG: tuple[Experiment, ...] = (
 EXPERIMENT_NAMES: tuple[str, ...] = tuple(entry.name for entry in CATALOG)
 
 #: Valid per-experiment check names (also the accepted tolerance-override keys).
-CHECK_NAMES: dict[str, tuple[str, ...]] = {entry.name: entry.checks for entry in CATALOG}
+CHECK_NAMES: dict[str, tuple[str, ...]] = {entry.name: tuple(c.name for c in entry.checks) for entry in CATALOG}
+
+
+_END = object()  # what ``next`` returns once a runner has stopped
 
 
 def run_experiment(config: ExperimentConfig, tolerance_scale: float = 1.0) -> Report:
@@ -1134,25 +1053,48 @@ def run_experiment(config: ExperimentConfig, tolerance_scale: float = 1.0) -> Re
 
     ``tolerance_scale`` multiplies every ``abs``/``rel`` tolerance (lower-bound
     ``min`` thresholds are left untouched); values above 1 loosen the checks,
-    values below 1 tighten them.  A library error raised while a check is
-    evaluated becomes an ``ExperimentError`` naming that check, and so does
-    an ``ArithmeticError`` (e.g. an ``OverflowError`` at an extreme
-    ``hbar``); a ``ConfigError`` passes through unchanged.
+    values below 1 tighten them.  The runner's values pair with the declared
+    checks in order; a runner that yields too few or too many raises
+    ``ExperimentError``.  A library error raised while a check is evaluated
+    becomes an ``ExperimentError`` naming that check, and so does an
+    ``ArithmeticError`` (e.g. an ``OverflowError`` at an extreme ``hbar``); a
+    ``ConfigError`` passes through unchanged.
     """
     if not tolerance_scale > 0:
         raise ConfigError("tolerance scale must be positive")
     config.validate()
     experiment = _experiment(config.experiment)
-    checks = _Checks(config, experiment.checks, tolerance_scale)
+    series: dict[str, tuple] = {}
+    values = experiment.run(config, series)
+    records, evaluating = [], None  # the name of the check being evaluated
     try:
-        experiment.run(config, checks)
+        for check in experiment.checks:
+            evaluating = check.name
+            value = next(values, _END)
+            if value is _END:
+                break
+            records.append(check.record(value, config, tolerance_scale))
+        evaluating = None
+        extra = next(values, _END)  # runs the runner to its end, so its trailing series get written
     except ConfigError:
         raise
     except (PhasequantError, ArithmeticError) as exc:
-        raise ExperimentError(f"check {checks.pending!r} could not be evaluated: {exc}") from exc
+        raise ExperimentError(f"check {evaluating!r} could not be evaluated: {exc}") from exc
+    if len(records) < len(experiment.checks) or extra is not _END:
+        raise ExperimentError(
+            f"{experiment.name} yields {'fewer' if extra is _END else 'more'} values "
+            f"than its {len(experiment.checks)} declared checks"
+        )
     environment = {"version": __version__}
     environment.update((key, getattr(config, key)) for key in experiment.settings)
     if "hbar" in environment:
         environment["hbar"] = float(environment["hbar"])
     timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
-    return Report(config.experiment, environment, checks.records, checks.series, timestamp)
+    plots = {
+        name: {
+            "columns": list(columns),
+            "rows": [[float(v) if isinstance(v, (int, float, np.floating)) else v for v in row] for row in rows],
+        }
+        for name, (columns, rows) in series.items()
+    }
+    return Report(config.experiment, environment, records, plots, timestamp)

@@ -131,7 +131,7 @@ def operator_matrix(model: ManifoldModel, D: CovariantOperator, basis, K: int) -
     coefficient values times that table, summed over orders in one pass, and
     each node weighs by its own ``sqrt(g)``.  The integral is repeated at
     doubled resolution and must agree to :data:`QUADRATURE_TOLERANCE`,
-    otherwise :class:`QuadratureAccuracyError` is raised.  The table holds
+    otherwise (a NaN entry included) :class:`QuadratureAccuracyError` is raised.  The table holds
     partial derivatives, which are covariant ones on a connection-free model,
     and up to order one on any model; a model with a connection raises
     :class:`UnsupportedOrderError` for operators of higher order.
@@ -157,7 +157,7 @@ def operator_matrix(model: ManifoldModel, D: CovariantOperator, basis, K: int) -
     coarse = assemble(nodes)
     fine = assemble(2 * nodes)
     err = float(np.max(np.abs(fine - coarse)))
-    if err > QUADRATURE_TOLERANCE:
+    if not err <= QUADRATURE_TOLERANCE:  # a NaN difference fails too
         raise QuadratureAccuracyError(err, QUADRATURE_TOLERANCE)
     return fine
 

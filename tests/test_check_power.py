@@ -52,3 +52,37 @@ def test_kinetic_image_residual_fails_when_the_curvature_shift_is_scaled(monkeyp
     contraction = geometry.ricci_contraction
     monkeypatch.setattr(geometry, "ricci_contraction", lambda *args: tensor_scale(contraction(*args), 1.0 + 1e-6))
     assert not record(rerun("curved-defect"), "kinetic-image-residual").passed
+
+
+def scale_discrete_transform(monkeypatch, factor):
+    transform = cylinder._discrete_transform
+    monkeypatch.setattr(cylinder, "_discrete_transform", lambda *args: transform(*args) * factor)
+
+
+def scale_covariant_divergence(monkeypatch, factor):
+    divergence = geometry.covariant_divergence
+    monkeypatch.setattr(geometry, "covariant_divergence", lambda *args: tensor_scale(divergence(*args), factor))
+
+
+def test_indicator_matches_discrete_fails_when_the_discrete_transform_is_scaled(monkeypatch, reports):
+    assert record(reports["discrete-limit"], "indicator-matches-discrete").passed
+    scale_discrete_transform(monkeypatch, 1.0 + 1e-9)
+    assert not record(rerun("discrete-limit"), "indicator-matches-discrete").passed
+
+
+def test_discrete_first_band_fails_when_the_discrete_transform_is_scaled(monkeypatch, reports):
+    assert record(reports["discrete-limit"], "discrete-first-band").passed
+    scale_discrete_transform(monkeypatch, 1.0 + 1e-9)
+    assert not record(rerun("discrete-limit"), "discrete-first-band").passed
+
+
+def test_radial_momentum_shift_fails_when_the_divergence_is_scaled(monkeypatch, reports):
+    assert record(reports["point-transform"], "radial-momentum-shift").passed
+    scale_covariant_divergence(monkeypatch, 1.0 + 1e-6)
+    assert not record(rerun("point-transform"), "radial-momentum-shift").passed
+
+
+def test_cartesian_reduction_fails_when_the_divergence_is_scaled(monkeypatch, reports):
+    assert record(reports["point-transform"], "cartesian-reduction").passed
+    scale_covariant_divergence(monkeypatch, 1.0 + 1e-6)
+    assert not record(rerun("point-transform"), "cartesian-reduction").passed

@@ -1,7 +1,7 @@
 """Library code raises only the package's own error types.
 
 Each case below is one ``raise`` site in ``numdiff``, ``fields``, ``taylor``,
-``geometry.covariant_divergence`` and the harness check recorder; every one
+``geometry.covariant_divergence`` and the harness check declaration; every one
 raises a :class:`PhasequantError` that is still a ``ValueError``.
 """
 
@@ -20,11 +20,6 @@ def fifth_callable_partial():
     field = fields.from_callable(1, lambda q: q[0] ** 2)
     for _ in range(5):
         field = field.partial(0)
-
-
-def unknown_comparison_mode():
-    config = harness.ExperimentConfig.from_dict(harness.default_config("orderings"))
-    harness._Checks(config, ("only",), 1.0).add("only", 0.0, 0.0, 1.0, "TRIVIAL", mode="sideways")
 
 
 CASES = {
@@ -46,7 +41,7 @@ CASES = {
     "geometry-divergence-rank": lambda: geometry.covariant_divergence(
         geometry.euclidean_space(2), fields.tensor_scalar(fields.constant(2, 1.0))
     ),
-    "harness-comparison-mode": unknown_comparison_mode,
+    "harness-comparison-mode": lambda: harness.Check("only", 1.0, "TRIVIAL", mode="sideways"),
 }
 
 

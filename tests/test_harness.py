@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import json
 import math
@@ -346,13 +347,25 @@ def test_non_finite_values_serialize_as_strict_json(tmp_path):
     assert (tmp_path / "probe-curve.csv").read_text().splitlines()[1:] == ["1.0,inf", "2.0,-inf"]
 
 
-def test_checks_must_arrive_in_declared_order():
+def test_a_runner_yields_one_value_per_declared_check(monkeypatch):
+    def use_runner(count):  # point-transform declares four checks
+        def run(cfg, series):
+            yield from [0.0] * count
+            series["tail"] = (["x"], [(1,)])
+
+        entries = tuple(dataclasses.replace(e, run=run) if e.name == "point-transform" else e for e in harness.CATALOG)
+        monkeypatch.setattr(harness, "CATALOG", entries)
+
     cfg = harness.ExperimentConfig.from_dict({"experiment": "point-transform"})
-    checks = harness._Checks(cfg, ("first", "second"), 1.0)
-    with pytest.raises(ExperimentError, match="'second'"):
-        checks.add("second", 0.0, 0.0, 1e-8, "TRIVIAL")
-    checks.add("first", 0.0, 0.0, 1e-8, "TRIVIAL")
-    assert checks.pending == "second"
+    for count, word in ((3, "fewer"), (5, "more")):
+        use_runner(count)
+        with pytest.raises(ExperimentError, match=f"point-transform yields {word} values than its 4 declared checks"):
+            harness.run_experiment(cfg)
+    use_runner(4)
+    report = harness.run_experiment(cfg)
+    assert [r.name for r in report.records] == list(harness.CHECK_NAMES["point-transform"])
+    # a series stored after the last value is written
+    assert report.series == {"tail": {"columns": ["x"], "rows": [[1.0]]}}
 
 
 def test_library_error_names_the_pending_check(tmp_path, capsys, monkeypatch):
@@ -398,6 +411,8 @@ def test_hbar_override_is_echoed_and_scales_defect():
     record = {r.name: r for r in report.records}["defect-value"]
     assert record.passed
     assert record.measured == pytest.approx(2.0 / 3.0 * 0.25, rel=1e-4)
+    # the emmrich-defect threshold is declared as 0.1 hbar^2
+    assert {r.name: r for r in report.records}["emmrich-defect"].tolerance == 0.1 * 0.5 * 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +523,17 @@ def test_cli_run_overflowing_hbar_exit_code(tmp_path, capsys):
     assert run_cli("run", "--config", str(config_path), "--out", str(tmp_path / "out")) == 2
     assert "could not be evaluated" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_overflowing_hermite_basis_exit_code(tmp_path, capsys):
+    """From K = 604 the Hermite recurrence overflows and the operator matrix
+    is NaN: a runtime error, not a failed check."""
+    config_path = tmp_path / "big-K.json"
+    config_path.write_text(json.dumps({"experiment": "orderings", "truncation_K": 604}))
+    with np.errstate(all="ignore"):
+        code = run_cli("run", "--config", str(config_path), "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert "check 'real-ordering-hermiticity' could not be evaluated" in capsys.readouterr().err
 
 
 def test_cli_orderings_passes_at_large_truncation(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from phasequant import geometry, harness, numdiff, symbols
 from phasequant.curved import wue_weyl_image
 from phasequant.bases import FourierBasis, HermiteBasis
-from phasequant.errors import ConfigError, UnsupportedOrderError
+from phasequant.errors import ConfigError, QuadratureAccuracyError, UnsupportedOrderError
 from phasequant.expressions import parse_expression
 from phasequant.fields import constant, from_expression, tensor_constant, tensor_from_fields
 from phasequant.symbols import (
@@ -304,6 +304,23 @@ def test_operator_matrix_weights_by_a_varying_density():
         phi = np.exp(1j * k * x[0]) / math.sqrt(2.0 * math.pi)
         want += w * math.sqrt(np.linalg.det(geometry.metric(model, x))) * complex(coeff(x)) * np.outer(phi.conj(), phi)
     np.testing.assert_allclose(M, want, atol=1e-13)
+
+
+class NaNFourierBasis(FourierBasis):
+    """Fourier modes whose table holds one NaN, as an overflowing recurrence leaves it."""
+
+    def table(self, points, K, order):
+        out = super().table(points, K, order)
+        out[0, 0, 0] = np.nan
+        return out
+
+
+def test_operator_matrix_rejects_a_nan_matrix():
+    # a NaN coarse/fine difference is no accuracy estimate
+    coeff = from_expression("cos(theta)", ("theta",))
+    D = symbols.CovariantOperator(1, {0: tensor_from_fields(1, 0, lambda idx: coeff)})
+    with pytest.raises(QuadratureAccuracyError):
+        operator_matrix(geometry.circle(), D, NaNFourierBasis(), 3)
 
 
 def test_operator_matrix_rejects_second_order_operators_on_a_model_with_a_connection():
