@@ -44,7 +44,9 @@ checkout a round records:
   ``symbols.operator_matrix`` for the oscillator ``-1/2 d^2 + x^2/2`` in the
   Hermite basis at K = 16; and of the 257 trapezoid Fourier coefficients
   (K = 64) of the smearing test function on its 512-node grid
-  (``cylinder._angle_grid`` and one FFT).  A first call warms each layer up
+  (``bases.angle_grid`` and ``bases.fourier_coefficients``, one FFT; in
+  ``cylinder`` as ``_angle_grid`` and ``_fourier_coefficients`` on older
+  checkouts).  A first call warms each layer up
   and is not timed; the layer is then called until its calls fill
   :data:`LAYER_SECONDS`, with perfbench's ``SpeedProbe`` (loaded from
   ``perfbench/child.py`` next to this script, so every checkout is scaled by
@@ -235,7 +237,10 @@ def layer_timings(src: Path) -> dict:
     )
     layers["operator_matrix_hermite_K16"] = lambda: operator_matrix(euclidean_space(1), oscillator, HermiteBasis(), 16)
     bump = cylinder.periodic_test_function(0.9, 0.4)
-    layers["fourier_coefficients_K64"] = lambda: cylinder._fourier_coefficients(bump(cylinder._angle_grid()), 128)
+    # the trapezoid FFT moved from cylinder to bases; older checkouts keep it in cylinder
+    coefficients = getattr(bases, "fourier_coefficients", None) or cylinder._fourier_coefficients
+    grid = getattr(bases, "angle_grid", None) or cylinder._angle_grid
+    layers["fourier_coefficients_K64"] = lambda: coefficients(bump(grid(512)), 128)
     layers_ms = {name: median_ms(name, call) for name, call in layers.items()}
     return {
         "default_configs": {entry.name: harness.default_config(entry.name) for entry in harness.list_experiments()},

@@ -3,11 +3,11 @@
 Two families: Fourier modes on a periodic coordinate (trapezoid quadrature,
 spectrally exact for trigonometric integrands) and scaled Hermite functions
 on the line (Gauss-Legendre on a mapped interval for generic integrands,
-Gauss-Hermite for Gaussian-weighted kernels).  A basis hands out one table
-per quadrature grid, ``table(points, K, order)``: every basis function and
-its derivatives up to ``order`` at every node, as powers of one phase per
-node (Fourier) or by the ladder identity (Hermite), so operator matrices
-stay at machine precision.
+Gauss-Hermite for Gaussian-weighted kernels).  A basis takes the Galerkin
+sum of an operator matrix from coefficient values at its own nodes,
+``galerkin(points, values, weights, K)``: per derivative order a Toeplitz
+matrix from one trapezoid FFT (Fourier, :func:`fourier_coefficients`), or one
+table of functions and derivatives by the ladder identity (Hermite).
 
 This module is the package's one source of quadrature rules on an interval
 or the line.  :func:`gauss_legendre` and :func:`gauss_hermite` take Newton
@@ -173,6 +173,21 @@ def clenshaw_curtis(n: int) -> tuple[np.ndarray, np.ndarray]:
     return _mirrored_rule(n + 1, np.sin(math.pi * (n - 2 * j) / (2 * n)), w, 2.0)
 
 
+def angle_grid(nodes: int) -> np.ndarray:
+    """The trapezoid nodes ``theta_j = -pi + 2 pi j / nodes`` on ``[-pi, pi)``."""
+    return -math.pi + 2.0 * math.pi * np.arange(nodes) / nodes
+
+
+def fourier_coefficients(samples: np.ndarray, mmax: int) -> np.ndarray:
+    """Coefficients ``t_m = (1/2pi) int t e^{-im theta}``, ``|m| <= mmax``, by
+    the trapezoid rule on samples of ``t`` at :func:`angle_grid` (last axis):
+    one FFT, as ``e^{-im theta_j} = (-1)^m e^{-2 pi i m j / N}``."""
+    nodes = samples.shape[-1]
+    m = np.arange(-mmax, mmax + 1)
+    spectrum = np.fft.fft(samples, axis=-1)[..., m % nodes]
+    return np.where(m % 2, -1.0, 1.0) * spectrum / nodes
+
+
 @dataclass(frozen=True)
 class FourierBasis:
     """Orthonormal Fourier modes ``exp(i k theta) / sqrt(2 pi)``, |k| <= K."""
@@ -185,22 +200,23 @@ class FourierBasis:
         return 3 * K  # trapezoid-exact below frequency 3K: 2K from the modes, K for the coefficient
 
     def quadrature(self, nodes: int, K: int) -> tuple[np.ndarray, np.ndarray]:
-        theta = -math.pi + 2.0 * math.pi * np.arange(nodes) / nodes
-        weights = np.full(nodes, 2.0 * math.pi / nodes)
-        return theta.reshape(-1, 1), weights
+        return angle_grid(nodes).reshape(-1, 1), np.full(nodes, 2.0 * math.pi / nodes)
 
-    def table(self, points: np.ndarray, K: int, order: int) -> np.ndarray:
-        """``(i k)^r exp(i k theta) / sqrt(2 pi)`` at every ``(N, 1)`` point,
-        shape ``(order + 1, 2K + 1, N)``: one ``exp(i theta)`` per node, whose
-        running powers (``np.cumprod``) give the modes k = 1..K and their
-        conjugates k = -1..-K.  The powers drift from the exact mode by a few
-        ulps over K = 64, less than ``exp(i k theta)`` takes from the rounding
-        of ``k theta``."""
-        k = np.array(self.indices(K))
-        phase = np.exp(1j * points[:, 0])
-        powers = np.cumprod(np.broadcast_to(phase, (K, len(phase))), axis=0)
-        modes = np.concatenate([powers[::-1].conj(), np.ones((1, len(phase))), powers]) / math.sqrt(2.0 * math.pi)
-        return np.vander(1j * k, order + 1, increasing=True).T[:, :, None] * modes
+    def galerkin(self, points: np.ndarray, values: np.ndarray, weights: np.ndarray, K: int) -> np.ndarray:
+        """``M[j, k] = sum_n weights_n conj(phi_j) sum_r values[r, n] phi_k^(r)``
+        over the nodes ``points`` of :meth:`quadrature`, |j|, |k| <= K, is
+        ``sum_r (i k)^r c_r[j - k]``, ``c_r`` the Fourier coefficients of
+        ``values[r] * weights / (2 pi / N)``: one FFT per order, read into a
+        Toeplitz matrix (Boyd, *Chebyshev and Fourier Spectral Methods*, 2001)."""
+        k = np.arange(-K, K + 1)
+        spectra = fourier_coefficients(values * (weights * (len(weights) / (2.0 * math.pi))), 2 * K)
+        powers = np.vander(1j * k, len(values), increasing=True).T
+        return np.einsum("rjk,rk->jk", spectra[:, k[:, None] - k + 2 * K], powers)
+
+
+#: Largest K of a Hermite operator matrix of order 1 or 2: from K = 604 on, at any
+#: hbar, ``h_{K+1}``'s recurrence overflows at the outermost nodes and reads NaN.
+MAX_HERMITE_TRUNCATION = 603
 
 
 @dataclass(frozen=True)
@@ -225,6 +241,12 @@ class HermiteBasis:
         u, w = gauss_legendre(nodes)
         half = max(HERMITE_HALF_WIDTH, math.sqrt(2 * K + 1) + 4.25) * math.sqrt(self.hbar)
         return (half * u).reshape(-1, 1), half * w
+
+    def galerkin(self, points: np.ndarray, values: np.ndarray, weights: np.ndarray, K: int) -> np.ndarray:
+        """``M[j, k] = sum_n weights_n h_j sum_r values[r, n] h_k^(r)`` over the
+        nodes ``points``, 0 <= j, k <= K, from one :meth:`table`."""
+        table = self.table(points, K, len(values) - 1)
+        return (table[0] * weights) @ np.einsum("rn,rkn->kn", values, table).T
 
     def table(self, points: np.ndarray, K: int, order: int) -> np.ndarray:
         """``h_k^(r)`` at every ``(N, 1)`` point for k = 0..K and r = 0..order,

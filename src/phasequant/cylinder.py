@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bases import FourierBasis, clenshaw_curtis
+from .bases import FourierBasis, angle_grid, clenshaw_curtis, fourier_coefficients
 from .curved import wue_weyl_image
 from .errors import ConfigError, QuadratureAccuracyError
 from .fields import ScalarField, tensor_from_fields
@@ -51,6 +51,8 @@ RULE_NODE_STEP = 64
 MAX_RULE_NODES = 1024
 # Mollifier-ladder members j = 1..LADDER_STEPS compared by discrete_limit_check.
 LADDER_STEPS = 4
+# Trapezoid nodes of the Fourier coefficients of a smearing test function.
+SMEARING_NODES = 512
 
 
 def _check_truncation(K: int) -> None:
@@ -242,12 +244,12 @@ def polynomial_reproduction_check(
     F = operator_matrix(model, D, FourierBasis(), K)
     c = 2.0 * p / hbar
 
-    scale = np.max(np.abs(F))
+    # the peak of |F[k + d, k]| for every band d in one gather, |F| padded by 2K zero rows
+    magnitude, bands, columns = np.abs(F), np.arange(-2 * K, 2 * K + 1), np.arange(2 * K + 1)
+    peaks = np.max(np.pad(magnitude, ((2 * K, 2 * K), (0, 0)))[columns + bands[:, None] + 2 * K, columns], axis=1)
     completed = 0.0 + 0.0j
-    for d in range(-2 * K, 2 * K + 1):
+    for d in bands[peaks > 1e-11 * (1.0 + np.max(magnitude))].tolist():
         band = np.diagonal(F, -d)  # F[k + d, k], Fourier index k
-        if np.max(np.abs(band)) <= 1e-11 * (1.0 + scale):
-            continue
         # fit the centered samples: every k within the smallest radius that holds m + 1 of them
         lo, hi = -K + max(0, -d), K - max(0, d)
         r = sorted(abs(k) for k in range(lo, hi + 1))[min(m, hi - lo)]
@@ -272,22 +274,6 @@ def periodic_test_function(center: float, width: float) -> Callable[[float], flo
         return np.exp((np.cos(theta - center) - 1.0) / (width * width))
 
     return t
-
-
-def _angle_grid(nodes: int = 512) -> np.ndarray:
-    """The trapezoid nodes ``theta_j = -pi + 2 pi j / nodes`` on ``[-pi, pi)``
-    (by default those for the Fourier coefficients of a smearing test function)."""
-    return -math.pi + 2.0 * math.pi * np.arange(nodes) / nodes
-
-
-def _fourier_coefficients(samples: np.ndarray, mmax: int) -> np.ndarray:
-    """Coefficients ``t_m = (1/2pi) int t e^{-im theta}``, ``|m| <= mmax``, by
-    the trapezoid rule on samples of ``t`` at :func:`_angle_grid` (last axis):
-    one FFT, as ``e^{-im theta_j} = (-1)^m e^{-2 pi i m j / N}``."""
-    nodes = samples.shape[-1]
-    m = np.arange(-mmax, mmax + 1)
-    spectrum = np.fft.fft(samples, axis=-1)[..., m % nodes]
-    return np.where(m % 2, -1.0, 1.0) * spectrum / nodes
 
 
 def _smeared_sum(ivals: np.ndarray, jvals: np.ndarray, tcoef: np.ndarray, theta: float, K: int) -> complex:
@@ -328,7 +314,7 @@ def pair_trace_smeared_cyl(
     ivals = chi.transform(us - 2.0 * p / hbar)
     wvals = chi.weighted_transform(us - 2.0 * p_center / hbar, envelope)
     t = periodic_test_function(theta_center, theta_width)
-    tcoef = _fourier_coefficients(t(_angle_grid()), 2 * K)
+    tcoef = fourier_coefficients(t(angle_grid(SMEARING_NODES)), 2 * K)
     total = _smeared_sum(ivals, wvals, tcoef, theta, K)
     return complex(total * 2.0 * math.pi / (2.0 * math.pi * hbar * math.pi**2))
 
@@ -392,7 +378,7 @@ def discrete_pair_trace_smeared(
     """
     _check_truncation(K)
     us = np.arange(-2 * K, 2 * K + 1)
-    tcoef = _fourier_coefficients(t(_angle_grid()), 2 * K)
+    tcoef = fourier_coefficients(t(angle_grid(SMEARING_NODES)), 2 * K)
     total = _smeared_sum(_discrete_transform(us - 2 * n), _discrete_transform(us - 2 * n2), tcoef, theta, K)
     return complex(total * 2.0 * math.pi / math.pi**2)
 
@@ -413,7 +399,7 @@ def discrete_quantize(
     _check_truncation(K)
     if N < 0:
         raise ConfigError(f"momentum cap must be >= 0, got {N}")
-    grid = _angle_grid(max(4 * K + 4, 64))
+    grid = angle_grid(max(4 * K + 4, 64))
     ks = np.arange(-K, K + 1)
     ksum = ks[:, None] + ks[None, :] + 2 * K + 2 * N  # I(k + k' - 2n) sits at ksum - 2n
     kdiff = ks[None, :] - ks[:, None]
@@ -433,7 +419,7 @@ def discrete_quantize(
             stacklevel=2,
         )
 
-    coeffs = _fourier_coefficients(samples, 2 * K)
+    coeffs = fourier_coefficients(samples, 2 * K)
     out = np.zeros((2 * K + 1, 2 * K + 1), dtype=complex)
     for row, n in enumerate(range(-N, N + 1)):
         out += table[ksum - 2 * n] * coeffs[row, -kdiff + 2 * K]

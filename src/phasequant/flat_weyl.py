@@ -164,7 +164,8 @@ def quantize_gaussian_flat(
     ``(y, z)`` integral: with ``P`` the ``(K+1, n)`` table of
     ``P_k(sqrt(2) tau)`` times weights and phase, the matrix is
     ``c P G P^H`` on the ``n x n`` grid, O(n^2 K) work, finite for ``K`` up
-    to :data:`MAX_TRUNCATION`.
+    to :data:`MAX_TRUNCATION`.  Both products are real ``np.einsum`` sums, not
+    BLAS ones, which from about K = 32 round differently on one thread and on two.
     """
     nodes = max(4 * (K + 1), 96)
     tau, w = gauss_hermite(nodes)
@@ -174,7 +175,9 @@ def quantize_gaussian_flat(
     table = hermite_polynomial_values(K, math.sqrt(2.0) * tau) * (w * np.exp(1j * p0 * y / hbar))
     # 2 sqrt(hbar) from dy dz and the Hermite functions' hbar^(-1/4) each
     c = 2.0 * math.sqrt(hbar) * sp / (math.sqrt(2.0 * math.pi) * hbar)
-    return c * ((table @ gauss) @ table.conj().T)
+    parts = np.concatenate([table.real, table.imag])  # P = P_re + i P_im, stacked
+    block = np.einsum("kn,jn->kj", np.einsum("kn,nm->km", parts, gauss), parts).reshape(2, K + 1, 2, K + 1)
+    return c * ((block[0, :, 0] + block[1, :, 1]) + 1j * (block[1, :, 0] - block[0, :, 1]))
 
 
 def gaussian_pair_integral(

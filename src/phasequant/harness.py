@@ -35,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, curved, cylinder, flat_weyl, geometry, numdiff
-from .bases import FourierBasis, HermiteBasis
+from .bases import MAX_HERMITE_TRUNCATION, FourierBasis, HermiteBasis
 from .cylinder import CutoffFamily
 from .errors import ConfigError, ExperimentError, PhasequantError, QuadratureAccuracyError
 from .expressions import Const, Pow, Var, add, mul
@@ -153,6 +153,7 @@ def list_experiments() -> tuple[Experiment, ...]:
 # the largest truncation_K at which each experiment's kernels stay finite
 _TRUNCATION_CAPS = {"flat-axioms": flat_weyl.MAX_TRUNCATION, "cylinder-axioms": cylinder.MAX_TRUNCATION}
 _TRUNCATION_CAPS |= dict.fromkeys(("discrete-limit", "discrete-orthogonality"), cylinder.MAX_TRUNCATION)
+_TRUNCATION_CAPS["orderings"] = MAX_HERMITE_TRUNCATION
 
 _DEFAULT_CUTOFF = {"profile": "smoothstep", "plateau": 0.8, "support": 2.8}
 
@@ -166,7 +167,7 @@ _COMMENTS = {
     "cutoff": "momentum cutoff: {profile, plateau, support} or {profile, mollifier: j}; "
     "profile in smoothstep | classic-bump | indicator",
     "truncation_K": f"basis/lattice index cap (cylinder kernels cap at {cylinder.MAX_TRUNCATION}, "
-    f"flat-axioms at {flat_weyl.MAX_TRUNCATION})",
+    f"flat-axioms at {flat_weyl.MAX_TRUNCATION}, orderings at {MAX_HERMITE_TRUNCATION})",
     "truncation_N": "lattice momentum index n of the smeared pair traces (n, n) and (n, n + 3)",
     "tolerances": "optional per-check overrides; valid names: ",
     "output_dir": "report directory used when the CLI --out flag is absent",

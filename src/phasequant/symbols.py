@@ -126,14 +126,13 @@ QUADRATURE_TOLERANCE = 1e-8
 def operator_matrix(model: ManifoldModel, D: CovariantOperator, basis, K: int) -> np.ndarray:
     """Matrix elements ``M[j, k] = <phi_j | D phi_k>`` in an orthonormal basis.
 
-    The basis gives the quadrature rule and, per grid, one table of its
-    functions and their derivatives (``basis.table``); ``D phi_k`` is the
-    coefficient values times that table, summed over orders in one pass, and
-    each node weighs by its own ``sqrt(g)``.  The integral is repeated at
+    The basis gives the quadrature rule and takes the Galerkin sum
+    (``basis.galerkin``) from the coefficient values of every order and the
+    weights times ``sqrt(g)`` at its nodes.  The integral is repeated at
     doubled resolution and must agree to :data:`QUADRATURE_TOLERANCE`,
-    otherwise (a NaN entry included) :class:`QuadratureAccuracyError` is raised.  The table holds
-    partial derivatives, which are covariant ones on a connection-free model,
-    and up to order one on any model; a model with a connection raises
+    otherwise (a NaN entry included) :class:`QuadratureAccuracyError` is raised.
+    Bases take partial derivatives, which are covariant ones on a connection-free
+    model, and up to order one on any model; a model with a connection raises
     :class:`UnsupportedOrderError` for operators of higher order.
     """
     order = D.max_order
@@ -145,13 +144,11 @@ def operator_matrix(model: ManifoldModel, D: CovariantOperator, basis, K: int) -
 
     def assemble(nodes: int) -> np.ndarray:
         points, weights = basis.quadrature(nodes, K)
-        table = basis.table(points, K, order)
         vol = np.sqrt(np.linalg.det(geometry.metric(model, points)))
         coefficients = np.zeros((order + 1, len(points)), dtype=complex)
         for r, tensor in D.terms.items():
             coefficients[r] = tensor.comps[(0,) * r](points)
-        dphi = np.einsum("rn,rkn->kn", coefficients, table)
-        return (table[0].conj() * (weights * vol)) @ dphi.T
+        return basis.galerkin(points, coefficients, weights * vol, K)
 
     nodes = max(QUADRATURE_NODES, basis.resolving_nodes(K))
     coarse = assemble(nodes)

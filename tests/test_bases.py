@@ -207,6 +207,15 @@ def test_hermite_ladder_derivative_matches_finite_difference():
     np.testing.assert_allclose(values[1, :, 1], fd, rtol=0.0, atol=1e-8)
 
 
+@pytest.mark.parametrize("K, finite", [(bases.MAX_HERMITE_TRUNCATION, True), (bases.MAX_HERMITE_TRUNCATION + 1, False)])
+def test_hermite_table_is_finite_up_to_its_cap(K, finite):
+    # a first-order operator matrix reads h_0..h_{K+1} at the 8K nodes of its fine rule
+    basis = bases.HermiteBasis()
+    points, _ = basis.quadrature(8 * K, K)
+    with np.errstate(all="ignore"):
+        assert np.all(np.isfinite(basis.table(points, K, 1))) == finite
+
+
 def test_hermite_oscillator_eigenvalues():
     """-hbar^2/2 h_k'' + x^2/2 h_k = hbar (k + 1/2) h_k pointwise."""
     hbar = 1.0
@@ -218,34 +227,41 @@ def test_hermite_oscillator_eigenvalues():
 
 
 def test_fourier_modes_orthonormal():
+    # the Galerkin matrix of the coefficient 1 is the Gram matrix of the modes
     basis = bases.FourierBasis()
     points, weights = basis.quadrature(64, 3)
-    vals = basis.table(points, 3, 0)[0]
-    assert vals.shape == (7, 64)
-    gram = np.einsum("i,ji,ki->jk", weights, np.conj(vals), vals)
-    np.testing.assert_allclose(gram, np.eye(7), atol=1e-12)
+    gram = basis.galerkin(points, np.ones((1, 64)), weights, 3)
+    assert gram.shape == (7, 7)
+    np.testing.assert_allclose(gram, np.eye(7), rtol=0.0, atol=1e-15)
 
 
-def test_fourier_table_matches_direct_exponentials():
-    # the modes are running powers of exp(i theta); at K = 64 they stay within
-    # a few ulps of exp(i k theta), whose own argument k theta rounds
-    basis, K = bases.FourierBasis(), 64
-    points, _ = basis.quadrature(768, K)
+def test_fourier_galerkin_matches_direct_exponentials():
+    # one FFT per order against the node-by-node sum of conj(phi_j) values[r]
+    # (i k)^r phi_k, with every coefficient harmonic up to the grid's Nyquist
+    # frequency present, so the Toeplitz read-out aliases as the sum does
+    basis, K, nodes = bases.FourierBasis(), 64, 768
+    points, weights = basis.quadrature(nodes, K)
+    theta = points[:, 0]
+    values = np.array([np.exp(np.cos(theta + r)) * (1.0 + 0.5j * np.sin(3 * theta)) for r in range(4)])
+    got = basis.galerkin(points, values, weights, K)
     k = np.arange(-K, K + 1)
-    direct = np.exp(1j * np.outer(k, points[:, 0])) / math.sqrt(2.0 * math.pi)
-    values = basis.table(points, K, 3)
-    for r in range(4):
-        np.testing.assert_allclose(values[r], (1j * k[:, None]) ** r * direct, rtol=2e-14, atol=0.0)
-    if np.finfo(np.longdouble).eps < 1e-18:  # an extended long double gives the exact modes
-        exact = np.exp(1j * np.outer(k.astype(np.longdouble), points[:, 0].astype(np.longdouble)))
-        assert np.max(np.abs(values[0] * math.sqrt(2.0 * math.pi) - exact)) <= 1e-14
+    if np.finfo(np.longdouble).eps < 1e-18:  # an extended long double gives the modes past double rounding
+        k, theta, values = k.astype(np.longdouble), theta.astype(np.longdouble), values.astype(np.clongdouble)
+    modes = np.exp(1j * np.outer(k, theta)) / np.sqrt(2.0 * np.pi)
+    dphi = sum(values[r] * (1j * k[:, None]) ** r * modes for r in range(4))
+    want = (modes.conj() * (2.0 * np.pi / nodes)) @ dphi.T
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_fourier_mode_derivative_chain():
-    values = bases.FourierBasis().table(np.array([[0.9]]), 2, 3)
-    k = np.arange(-2, 3)[:, None]
-    for r in range(3):
-        np.testing.assert_allclose(values[r + 1], 1j * k * values[r], rtol=0.0, atol=1e-14)
+    # (-i d)^r has the matrix diag(k^r)
+    basis, K = bases.FourierBasis(), 5
+    points, weights = basis.quadrature(32, K)
+    k = np.arange(-K, K + 1)
+    for r in range(5):
+        values = np.zeros((r + 1, 32), dtype=complex)
+        values[r] = (-1j) ** r
+        np.testing.assert_allclose(basis.galerkin(points, values, weights, K), np.diag(k**r), rtol=0.0, atol=1e-13)
 
 
 def test_fourier_indices_run_symmetrically():

@@ -1,7 +1,9 @@
 """Power tests: each check passes on the code as it is and fails under a
 small, named perturbation of the code it checks."""
 
-from phasequant import cylinder, flat_weyl, geometry, harness
+import numpy as np
+
+from phasequant import bases, cylinder, flat_weyl, geometry, harness
 from phasequant.fields import tensor_scale
 from phasequant.symbols import MomentumPolynomial
 
@@ -86,3 +88,28 @@ def test_cartesian_reduction_fails_when_the_divergence_is_scaled(monkeypatch, re
     assert record(reports["point-transform"], "cartesian-reduction").passed
     scale_covariant_divergence(monkeypatch, 1.0 + 1e-6)
     assert not record(rerun("point-transform"), "cartesian-reduction").passed
+
+
+def perturb_fourier_galerkin(monkeypatch, perturbation):
+    galerkin = bases.FourierBasis.galerkin
+    monkeypatch.setattr(bases.FourierBasis, "galerkin", lambda *args: perturbation(galerkin(*args)))
+
+
+def test_kernel_trace_fails_when_the_fourier_matrix_is_scaled(monkeypatch, reports):
+    # the constant symbol's matrix is the identity, so a uniform scale moves the trace
+    assert record(reports["cylinder-axioms"], "kernel-trace").passed
+    perturb_fourier_galerkin(monkeypatch, lambda M: M * (1.0 + 1e-7))
+    assert not record(rerun("cylinder-axioms"), "kernel-trace").passed
+
+
+def test_polynomial_reproduction_fails_when_the_fourier_matrix_is_scaled(monkeypatch, reports):
+    assert record(reports["cylinder-axioms"], "polynomial-reproduction").passed
+    perturb_fourier_galerkin(monkeypatch, lambda M: M * (1.0 + 1e-6))
+    assert not record(rerun("cylinder-axioms"), "polynomial-reproduction").passed
+
+
+def test_circle_weyl_hermiticity_fails_when_the_fourier_matrix_is_skewed(monkeypatch, reports):
+    # the strict upper triangle scaled alone leaves the matrix non-hermitian
+    assert record(reports["orderings"], "circle-weyl-hermiticity").passed
+    perturb_fourier_galerkin(monkeypatch, lambda M: M + np.triu(M, 1) * 1e-10)
+    assert not record(rerun("orderings"), "circle-weyl-hermiticity").passed

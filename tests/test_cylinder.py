@@ -251,16 +251,16 @@ def test_fourier_coefficients_match_the_direct_trapezoid_sum(nodes, mmax):
     # (16, 10) asks for more coefficients than the grid resolves: the FFT
     # entries repeat with period 16, as the phases of the direct sum do
     grid = -math.pi + 2.0 * math.pi * np.arange(nodes) / nodes
-    np.testing.assert_array_equal(cylinder._angle_grid(nodes), grid)
+    np.testing.assert_array_equal(bases.angle_grid(nodes), grid)
     phases = np.exp(-1j * np.outer(np.arange(-mmax, mmax + 1), grid))
     t = cylinder.periodic_test_function(0.9, 0.4)
     rows = np.array([t(grid), np.cos(3.0 * grid) + 1j * np.sin(grid) ** 2])  # a real and a complex sample row
-    got = cylinder._fourier_coefficients(rows, mmax)
+    got = bases.fourier_coefficients(rows, mmax)
     assert got.shape == (2, 2 * mmax + 1)
     # the direct sum's phases e^{-i m theta} round at |m theta| up to 26 pi,
     # which leaves about 1e-15 in its own entries
     np.testing.assert_allclose(got, rows @ phases.T / nodes, rtol=0.0, atol=4e-15)
-    np.testing.assert_array_equal(cylinder._fourier_coefficients(rows[0], mmax), got[0])
+    np.testing.assert_array_equal(bases.fourier_coefficients(rows[0], mmax), got[0])
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from phasequant import cli, curved, cylinder, flat_weyl, harness
+from phasequant.bases import MAX_HERMITE_TRUNCATION
 from phasequant.errors import ConfigError, ExperimentError, QuadratureAccuracyError
 from phasequant.fields import from_expression
 
@@ -150,6 +151,13 @@ def test_cylinder_truncation_cap():
         )
 
 
+def test_orderings_truncation_cap():
+    # the Hermite recurrence of the real-ordering operator matrix overflows from K = 604
+    assert harness.ExperimentConfig.from_dict({"experiment": "orderings", "truncation_K": 603}).truncation_K == 603
+    with pytest.raises(ConfigError, match="capped at 603"):
+        harness.ExperimentConfig.from_dict({"experiment": "orderings", "truncation_K": 604})
+
+
 def test_partial_cutoff_merges_over_defaults():
     # A partial spec fills in the remaining knobs from the defaults, so this
     # parses and builds fine.
@@ -275,52 +283,79 @@ def test_report_files_written(tmp_path, reports):
 # re-recorded when Gauss-Hermite rules came from Newton steps on the Hermite
 # recurrence, operator matrices from one basis table per grid and trapezoid
 # Fourier coefficients from one FFT: all move values at rounding level only.
-# The flat-axioms JSON and records were last re-recorded when the flat inverse
-# image became the standard ordering transform of the operator's read-off
-# symbol, which moved round-trip-residual from 4.4e-16 to 3.9e-16 and
-# configured-ordering-roundtrip from 2.2e-16 to 5.6e-17.  The cylinder-axioms
-# and orderings files were last re-recorded when cutoff transforms took a
-# nested Clenshaw-Curtis pair, Fourier modes became running powers of
-# exp(i theta) and the cylinder's band fits took np.polyfit: every moved value
-# moved at rounding level, polynomial-reproduction from 1.07e-14 to 3.0e-14
-# (the fit) and orderings' standard-defect-value from 0.5000000000000018 to
-# 0.5000000000000027.  The curved-defect files were last re-recorded when the
+# The flat-axioms JSON and records were last re-recorded when the products of
+# the Gaussian quantizer became real einsum sums, which round the same on any
+# number of BLAS threads: weak-form-pairing moved from 0.25288481900321036
+# (the two-thread value; one thread gave ...103) to 0.2528848190032103.  The
+# cylinder-axioms and orderings files were last re-recorded when Fourier
+# operator matrices became Toeplitz matrices of one FFT per derivative order:
+# kernel-trace moved from 6.7e-16 to 2.2e-16, polynomial-reproduction from
+# 3.0e-14 to 2.3e-14, circle-weyl-hermiticity from 8.1e-15 to 9.6e-16 and
+# standard-defect-value from 0.5000000000000027 to 0.5000000000000009.  The
+# cylinder's smeared-trace series is unchanged.  The curved-defect files were last re-recorded when the
 # finite-difference density reference took numpy's vector functions, which
 # moved density-jet-ricci at rounding level.
 REPORT_SHA256 = {
     "curved-defect-defect_vs_p.csv": "46e41d2e8b5d69398cac653df6e10a5f3eb456afaf7c86996dba271612b4492c",
     "curved-defect-records.csv": "067d51846132f23b3db453bf3f48e1e986ac6cb19ebd4544a799ba86fbf7da48",
     "curved-defect.json": "8774ddbe82e8529c952ef70d7df8bd86751d62cc4de92019e9b53b0c767b86cf",
-    "cylinder-axioms-records.csv": "d4bdb661d86bcb50f174fda8bb2c86ab914c1d542d6cd552803bccc6d5bc0d17",
-    "cylinder-axioms-reproduction_vs_m.csv": "1f35d5a2decb51284ccf8b508b004aa3bb5e6dc4d47c2056f68988019ccf43d0",
+    "cylinder-axioms-records.csv": "688dee3c59622faeae9c7f9f64b76be86e483b50efe6c3caa77e91d86f1ed9fe",
+    "cylinder-axioms-reproduction_vs_m.csv": "a9acbf799ee464a72dcf57c3af330539fc6d58c2de2cee114f6ac869e62f2a86",
     "cylinder-axioms-smeared_trace_vs_K.csv": "bb8f307f471fdd63893f525aff510453be136e45e65ff747186c3b72a58480fb",
-    "cylinder-axioms.json": "0c49500aa2ce46a91c835aeb56d47abd0f1f66f0b7b67083fbb0082ea1e3ec39",
+    "cylinder-axioms.json": "3b63c9413b4be007c1cbb9ae035d4d29e166a5eae90ab95035aa812720527da7",
     "discrete-limit-limit_error_vs_j.csv": "3828bfe54a7252f0b4cf81ab8304d2494950ba07c1dd5272fcfacce2d93b52ed",
     "discrete-limit-records.csv": "1acefef31c31c3b6e32f550656c6716347b648175726c3d7c5555730723786f7",
     "discrete-limit.json": "3712894bf1d5fb4016c0f3f8cd5372e2363baa262537537f8ed49789f353b263",
     "discrete-orthogonality-orthogonality_vs_K.csv": "2f1d1d22a361f43a1c5090a4b2df849f66a1d480825fe7dbe577df717a768ada",
     "discrete-orthogonality-records.csv": "ee0c46d511215ec07100ed78258f389a25ae4c22df825110f4b947edfef92ddb",
     "discrete-orthogonality.json": "0404e9f478eb2190ca40e3114aa9a8738ec12991444cb3818c8357af4de8c71f",
-    "flat-axioms-records.csv": "615f4319e5d38244e4d32e32ad349ae274ed70ce98fc87e382a085b69b63fdee",
+    "flat-axioms-records.csv": "3720a498925d2e7cf078dadeb1683c62296dde3cbe0c434edb12f9b93ab0decf",
     "flat-axioms-trace_vs_K.csv": "b5b558e57fcb249d457b2ab770ca387c9682ec4fa1d5b2236fb6a1fd8f3c19f0",
-    "flat-axioms.json": "53121500d0281bcd5dd1843c67799a4fc39ed2d43ecccf1ac934bcb8ca09f715",
-    "orderings-records.csv": "95d0c70b50e1ea61e73f32a14f5f7b953ec46e1d7824f3a625ab8e0df14afaf8",
-    "orderings.json": "e562818498cce0d361a7a62a17523597e2fca7f2304339530973826c9cacda0d",
+    "flat-axioms.json": "59ee143f6efbe6390e7e6a40c421dc763aad077fcd776f32d93a5cbb6fc14994",
+    "orderings-records.csv": "996c9d79a1c9bf94e18d71b77fad3ec69c0decbc21da5552f078a1308d8953d0",
+    "orderings.json": "0c11150220bc112f6ee309021bb3796a48d9a6b89222b93782e4f0a5ff2d5ec7",
     "point-transform-records.csv": "92880e32ce32a031e237da1d72fc909633a82a7cdfe2f2f327fead5bf8dec2c0",
     "point-transform-shift_vs_r.csv": "bfd233898d828bb467d0d02874745eb1ddd3599941110d18abd6e7d79baee874",
     "point-transform.json": "b3b5d3697596083885e9f5f2651d39ac844bb1afe3e4f70e12a364133af0ede8",
 }
 
 
-def test_default_reports_match_their_pinned_digests(tmp_path, reports):
-    for report in reports.values():
-        report.write(tmp_path)
+def report_digests(directory: Path) -> dict[str, str]:
     digests = {}
-    for path in sorted(tmp_path.iterdir()):
+    for path in sorted(directory.iterdir()):
         lines = path.read_bytes().splitlines(keepends=True)
         kept = [line for line in lines if not line.lstrip().startswith(b'"timestamp"')]
         digests[path.name] = hashlib.sha256(b"".join(kept)).hexdigest()
-    assert digests == REPORT_SHA256
+    return digests
+
+
+def test_default_reports_match_their_pinned_digests(tmp_path, reports):
+    for report in reports.values():
+        report.write(tmp_path)
+    assert report_digests(tmp_path) == REPORT_SHA256
+
+
+def test_default_reports_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # a complex BLAS product rounds differently on one thread and on two;
+    # perfbench runs its children on one
+    code = (
+        "import sys\n"
+        "from phasequant import harness\n"
+        "for entry in harness.list_experiments():\n"
+        "    config = harness.ExperimentConfig.from_dict({'experiment': entry.name})\n"
+        "    harness.run_experiment(config).write(sys.argv[1])\n"
+    )
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        env |= dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), threads)
+        out = tmp_path / threads
+        command = [sys.executable, "-c", code, str(out)]
+        proc = subprocess.run(command, env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(report_digests(out))
+    assert len(digests[0]) == len(REPORT_SHA256)
+    assert digests[0] == digests[1]
 
 
 def test_report_format_filter(tmp_path, reports):
@@ -527,13 +562,15 @@ def test_cli_run_overflowing_hbar_exit_code(tmp_path, capsys):
 
 def test_cli_run_overflowing_hermite_basis_exit_code(tmp_path, capsys):
     """From K = 604 the Hermite recurrence overflows and the operator matrix
-    is NaN: a runtime error, not a failed check."""
+    would be NaN: validation rejects the config before any check runs."""
     config_path = tmp_path / "big-K.json"
     config_path.write_text(json.dumps({"experiment": "orderings", "truncation_K": 604}))
-    with np.errstate(all="ignore"):
-        code = run_cli("run", "--config", str(config_path), "--out", str(tmp_path / "out"))
+    code = run_cli("run", "--config", str(config_path), "--out", str(tmp_path / "out"))
     assert code == 2
-    assert "check 'real-ordering-hermiticity' could not be evaluated" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"capped at {MAX_HERMITE_TRUNCATION}" in err
+    assert "could not be evaluated" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_orderings_passes_at_large_truncation(tmp_path, capsys):

@@ -244,17 +244,18 @@ def test_position_matrix_in_hermite_basis_at_K48(hbar):
 
 # SHA-256 of the bytes of operator_matrix(circle, Weyl image of cos(theta) p^m,
 # FourierBasis(), 32), negative zeros folded to +0.  Re-recorded for every m
-# when the modes became running powers of exp(i theta) (np.cumprod) instead of
-# one exp(i k theta) per mode and node: the powers round differently, within
-# a few ulps of the exact modes.  test_operator_matrix_matches_a_pointwise_assembly
-# checks the same matrices against a node-by-node sum with the modes in
-# closed form, so the pin is not the only guard.
+# when FourierBasis.galerkin took each derivative order's matrix as a Toeplitz
+# matrix of the coefficient's trapezoid Fourier coefficients (one FFT per
+# order) instead of summing a table of modes node by node: the FFT rounds
+# differently.  test_operator_matrix_matches_a_pointwise_assembly checks the
+# same matrices against a node-by-node sum with the modes in closed form, so
+# the pin is not the only guard.
 COS_THETA_MATRIX_SHA256 = {
-    0: "5b432f79bf22d76c589cdbad4a46356369b956f4aff282463d9ba92dbf4b0743",
-    1: "b8e1e183f5c06cf1a4b96a1c8ace6034632fc020b9a78768b6ce62362f5799a3",
-    2: "116f724c9331ef584b284540944d7203f75e1242c31103c04841cdaf773b924d",
-    3: "790fb03a0a93b68b192b13b5fb45db069f2e1dd029903ef3319194c1d2c61cf1",
-    4: "a93502bba6f95adfd6b7a928006cea4f6fe22f51976b1ff5bad3a9d650b36dd0",
+    0: "1cd703ec9036841c5d1085561f4c3366b6d72197a3ec42b98004b3ac4a8b86f3",
+    1: "6039a355a0f01d0ea69e9cce701d4a806b0df81c0669e5763d83c2a9fe2a6d46",
+    2: "1e323851aa99b63e86aad0641522a93fcf2ad230776a6ba58b23862251570f6f",
+    3: "ed45b0e8ed37f0df4a0cc97fe0c7821a36e2c242fe708b8116e55d6f8eb2bcdd",
+    4: "340424fa3a7ee095328144c9389bc72886cdfb2dc64b46d7ba58dfdaaee1861e",
 }
 
 
@@ -307,11 +308,11 @@ def test_operator_matrix_weights_by_a_varying_density():
 
 
 class NaNFourierBasis(FourierBasis):
-    """Fourier modes whose table holds one NaN, as an overflowing recurrence leaves it."""
+    """Fourier Galerkin sums with one NaN entry, as an overflowing recurrence leaves them."""
 
-    def table(self, points, K, order):
-        out = super().table(points, K, order)
-        out[0, 0, 0] = np.nan
+    def galerkin(self, points, values, weights, K):
+        out = super().galerkin(points, values, weights, K)
+        out[0, 0] = np.nan
         return out
 
 
@@ -324,7 +325,7 @@ def test_operator_matrix_rejects_a_nan_matrix():
 
 
 def test_operator_matrix_rejects_second_order_operators_on_a_model_with_a_connection():
-    # the table holds partial derivatives only; nabla nabla carries Christoffel terms
+    # the bases take partial derivatives only; nabla nabla carries Christoffel terms
     theta = geometry.CoordSpec("theta", -math.pi, math.pi, periodic=True)
     metric = parse_expression("1 + 0.5*cos(theta)*cos(theta)", ("theta",))
     model = geometry.ManifoldModel("wavy-circle", 1, (theta,), metric_exprs=((metric,),))
