@@ -215,7 +215,7 @@ class FourierBasis:
 
 
 #: Largest K of a Hermite operator matrix of order 1 or 2: from K = 604 on, at any
-#: hbar, ``h_{K+1}``'s recurrence overflows at the outermost nodes and reads NaN.
+#: hbar, the recurrence overflows at the outermost nodes and the table reads NaN.
 MAX_HERMITE_TRUNCATION = 603
 
 
