@@ -192,10 +192,6 @@ def fourier_coefficients(samples: np.ndarray, mmax: int) -> np.ndarray:
 class FourierBasis:
     """Orthonormal Fourier modes ``exp(i k theta) / sqrt(2 pi)``, |k| <= K."""
 
-    @staticmethod
-    def indices(K: int) -> list[int]:
-        return list(range(-K, K + 1))
-
     def resolving_nodes(self, K: int) -> int:
         return 3 * K  # trapezoid-exact below frequency 3K: 2K from the modes, K for the coefficient
 

@@ -15,9 +15,10 @@ taken by one FFT.
 
 Cutoff transforms take arrays of frequencies.  The plateau contributes in
 closed form; the smooth transition from plateau to support is integrated by
-a nested pair of Clenshaw-Curtis rules for all frequencies at once, one
-nodes x frequencies cosine matrix at the fine rule's nodes, which hold the
-coarse rule's (see :class:`CutoffFamily`).
+a nested pair of Clenshaw-Curtis rules for all frequencies at once, with
+exact phases at one anchor per block of 16 integer frequencies and two real
+matmuls for the rest, never a nodes x frequencies table (see
+:func:`_cosine_integral`).
 
 The discrete quantizer at momentum ``n * hbar``, the kernel of the closed-form
 indicator transform (:func:`_discrete_transform`), is the limit of the
@@ -49,6 +50,8 @@ QUAD_TOLERANCE = 1e-11
 RULE_NODE_STEP = 64
 #: Most intervals of a coarse rule; a transform that would need more raises.
 MAX_RULE_NODES = 1024
+# Integer frequencies that share one exact anchor phase in _cosine_integral.
+_PHASE_BLOCK = 16
 # Mollifier-ladder members j = 1..LADDER_STEPS compared by discrete_limit_check.
 LADDER_STEPS = 4
 # Trapezoid nodes of the Fourier coefficients of a smearing test function.
@@ -65,12 +68,20 @@ def _cosine_integral(weight: Callable[[np.ndarray], np.ndarray], lo: float, hi: 
 
     The coarse Clenshaw-Curtis rule has ``n = RULE_NODE_STEP + ceil((hi - lo)
     * max|s| / 2)`` intervals rounded up to a multiple of ``RULE_NODE_STEP``;
-    the fine rule has ``2n``, and its ``2n + 1`` nodes hold the coarse
-    rule's, so one cosine table at the fine nodes serves both rules and one
-    matmul takes both sums.  The fine values are returned when the two agree
-    to :data:`QUAD_TOLERANCE`.
+    the fine rule has ``2n``, and its ``2n + 1`` nodes hold the coarse rule's.
+    No nodes x frequencies table is formed: with ``s = a + r + eps``, ``r`` the
+    place in a block of ``_PHASE_BLOCK`` integers and ``a`` the block's first
+    integer plus the fractional part of ``s`` rounded to 1e-9 (shared by a
+    shifted integer lattice), ``sum_n w_n cos(s x_n) = Re T_w(a, r) - eps
+    Im T_{wx}(a, r) + O((eps x)^2)`` with ``T_v(a, r) = sum_n v_n e^{i a x_n}
+    e^{i r x_n}``: exact phases at the anchors and the steps (Van Loan,
+    *Computational Frameworks for the FFT*, 1992, 1.4), two real matmuls for
+    both rules.  The fine values are returned when the two agree to
+    :data:`QUAD_TOLERANCE`.
     """
-    s_max = float(np.max(s, initial=0.0))
+    s_max = float(np.max(np.abs(s), initial=0.0))
+    if not math.isfinite(s_max):
+        raise QuadratureAccuracyError(math.inf, QUAD_TOLERANCE, f"cutoff transform at non-finite frequency {s_max}")
     half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
     nodes = RULE_NODE_STEP * (1 + math.ceil(half * s_max / RULE_NODE_STEP))
     if nodes > MAX_RULE_NODES:
@@ -84,7 +95,23 @@ def _cosine_integral(weight: Callable[[np.ndarray], np.ndarray], lo: float, hi: 
     weights = np.zeros((2, 2 * nodes + 1))
     weights[0, ::2], weights[1] = clenshaw_curtis(nodes)[1], fine_weights
     x = mid + half * u
-    coarse, fine = (half * weight(x) * weights) @ np.cos(np.outer(x, s.reshape(-1)))
+    v = half * weight(x) * weights
+    v = np.stack([v, v * x])[:, :, None]  # (w, w x) x (coarse, fine) x 1 x nodes
+    freq = s.reshape(-1)
+    whole = np.floor(freq)
+    block = _PHASE_BLOCK * np.floor(whole / _PHASE_BLOCK)
+    key = block + np.round(freq - whole, 9)
+    starts = np.diff(key, prepend=np.nan) != 0  # runs of equal keys share an anchor (np.unique's sort adds RSS)
+    anchors, group = key[starts], np.cumsum(starts) - 1
+    step = (whole - block).astype(int)
+    eps = freq - key - step
+    ax, rx = np.outer(anchors, x), np.outer(np.arange(_PHASE_BLOCK), x)
+    cos_r, sin_r = np.cos(rx), np.sin(rx)
+    # Re T_w = sum w (cos ax cos rx - sin ax sin rx), Im T_wx = sum w x (sin ax cos rx + cos ax sin rx)
+    t = (v * np.stack([cos_r, sin_r])[:, None]).reshape(-1, x.size) @ np.cos(ax).T
+    t += (v * np.stack([-sin_r, cos_r])[:, None]).reshape(-1, x.size) @ np.sin(ax).T
+    re_w, im_wx = t.reshape(2, 2, _PHASE_BLOCK, anchors.size)[:, :, step, group]
+    coarse, fine = re_w - eps * im_wx
     gap = float(np.max(np.abs(fine - coarse), initial=0.0))
     if gap > QUAD_TOLERANCE:
         raise QuadratureAccuracyError(gap, QUAD_TOLERANCE)
@@ -107,11 +134,12 @@ class CutoffFamily:
     with one Clenshaw-Curtis rule for every frequency at once.  Its interval
     count grows with the interval length times the largest frequency (see
     ``_cosine_integral``) and is capped at :data:`MAX_RULE_NODES`, beyond
-    which :class:`QuadratureAccuracyError` is raised; the rule with twice the
-    intervals reuses its nodes and its cosines, and a gap between the two
-    above :data:`QUAD_TOLERANCE` raises the same error.  So one transform
-    takes ``2n + 1`` cosines per frequency for a coarse rule of ``n``
-    intervals.  The rules come from
+    which :class:`QuadratureAccuracyError` is raised, as for a non-finite
+    frequency; the rule with twice the intervals reuses its nodes and
+    phases, and a gap between the two above :data:`QUAD_TOLERANCE` raises the
+    same error.  A shifted integer lattice costs exact cosines and sines at
+    16 steps and one anchor per block of 16 over the ``2n + 1`` fine nodes of
+    a coarse rule of ``n`` intervals.  The rules come from
     :func:`~phasequant.bases.clenshaw_curtis`, cached per interval count:
     closed-form nodes and one FFT for the weights.
     """
@@ -156,7 +184,7 @@ class CutoffFamily:
 
     def transform(self, s: float | np.ndarray) -> float | np.ndarray:
         """Cosine transform ``int chi^2(xi) exp(i s xi) dxi`` (real and even in s)."""
-        s = np.abs(np.asarray(s, dtype=float))
+        s = np.asarray(s, dtype=float)
         a, b = self.plateau, self.support
         with np.errstate(divide="ignore", invalid="ignore"):
             total = np.where(s == 0.0, 2.0 * a, 2.0 * np.sin(s * a) / s)
@@ -172,7 +200,7 @@ class CutoffFamily:
         ``envelope`` is called on arrays of quadrature nodes and must return
         the array of its values.
         """
-        s = np.abs(np.asarray(s, dtype=float))
+        s = np.asarray(s, dtype=float)
         total = np.zeros(s.shape)
         for lo, hi in ((0.0, self.plateau), (self.plateau, self.support)):
             if hi > lo:

@@ -262,7 +262,3 @@ def test_fourier_mode_derivative_chain():
         values = np.zeros((r + 1, 32), dtype=complex)
         values[r] = (-1j) ** r
         np.testing.assert_allclose(basis.galerkin(points, values, weights, K), np.diag(k**r), rtol=0.0, atol=1e-13)
-
-
-def test_fourier_indices_run_symmetrically():
-    assert bases.FourierBasis.indices(2) == [-2, -1, 0, 1, 2]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -139,6 +140,68 @@ def test_transform_matches_gauss_legendre_at_four_times_the_nodes(family):
     nodes = cylinder.RULE_NODE_STEP * (1 + math.ceil(half * np.max(np.abs(s)) / cylinder.RULE_NODE_STEP))
     want = gauss_legendre_transform(family, np.abs(s), 4 * nodes)
     np.testing.assert_allclose(family.transform(s), want, rtol=0.0, atol=1e-14)
+
+
+def direct_cosine_integral(weight, lo, hi, s):
+    """``_cosine_integral``'s fine sum from one nodes x frequencies cosine table
+    on the same fine Clenshaw-Curtis rule."""
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    nodes = cylinder.RULE_NODE_STEP * (1 + math.ceil(half * np.max(np.abs(s)) / cylinder.RULE_NODE_STEP))
+    u, w = bases.clenshaw_curtis(2 * nodes)
+    x = mid + half * u
+    return ((half * weight(x) * w) @ np.cos(np.outer(x, s.reshape(-1)))).reshape(s.shape)
+
+
+_rng = np.random.default_rng(24)
+COSINE_INTEGRAL_FREQUENCIES = {
+    "K64-lattice": np.arange(-128, 129) - 0.8,  # a K = 64 quantizer matrix at p = 0.4
+    "K64-lattice-folded": np.abs(np.arange(-128, 129) - 0.8),
+    "trace-lattice": 2 * np.arange(-64, 65) - 0.8,  # quantizer_trace_cyl at K = 64, p = 0.4
+    "mixed": np.array([0.0, 1.4, -3.0, 17.5]),
+    "jittered-lattice": np.arange(-25, 25) + 0.3 + _rng.uniform(-1e-13, 1e-13, 50),  # remainders far above an ulp
+    "single": np.array(37.25),
+    "random": _rng.uniform(-200.0, 200.0, 40),
+}
+
+
+@pytest.mark.parametrize("frequencies", list(COSINE_INTEGRAL_FREQUENCIES))
+def test_cosine_integral_matches_the_direct_cosine_table(chi, frequencies):
+    s = COSINE_INTEGRAL_FREQUENCIES[frequencies]
+    for weight, lo, hi in (
+        (lambda x: 2.0 * chi.value(x) ** 2, chi.plateau, chi.support),
+        (lambda x: 2.0 * np.exp(-2.0 * (0.8 * x) ** 2), 0.0, chi.plateau),
+    ):
+        got = cylinder._cosine_integral(weight, lo, hi, s)
+        assert got.shape == s.shape
+        np.testing.assert_allclose(got, direct_cosine_integral(weight, lo, hi, s), rtol=0.0, atol=1e-14)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_frequencies_raise_before_any_rule_is_built(chi, bad, monkeypatch):
+    def no_rule(n):
+        raise AssertionError("a rule was built")
+
+    with pytest.raises(QuadratureAccuracyError, match="non-finite"):
+        cylinder.pair_trace_smeared_cyl(0.4, 0.0, chi, 8, theta_center=0.0, p_center=bad)
+    monkeypatch.setattr(cylinder, "clenshaw_curtis", no_rule)
+    with pytest.raises(QuadratureAccuracyError, match="non-finite"):
+        chi.transform(bad)
+    with pytest.raises(QuadratureAccuracyError, match="non-finite"):
+        chi.weighted_transform(np.array([0.0, bad]), np.cos)
+    with pytest.raises(QuadratureAccuracyError, match="non-finite"):
+        cylinder.quantizer_matrix_cyl(bad, 0.0, chi, 8)
+
+
+def test_transform_peak_memory_stays_below_one_cosine_table(chi):
+    s = np.arange(-128, 129) - 0.8  # 513 fine nodes
+    chi.transform(s)  # builds and caches the rules
+    tracemalloc.start()
+    try:
+        chi.transform(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 513 * s.size * np.dtype(float).itemsize
 
 
 def test_scalar_arguments_give_floats_and_arrays_give_arrays(chi):

@@ -292,17 +292,22 @@ def test_report_files_written(tmp_path, reports):
 # kernel-trace moved from 6.7e-16 to 2.2e-16, polynomial-reproduction from
 # 3.0e-14 to 2.3e-14, circle-weyl-hermiticity from 8.1e-15 to 9.6e-16 and
 # standard-defect-value from 0.5000000000000027 to 0.5000000000000009.  The
-# cylinder's smeared-trace series is unchanged.  The curved-defect files were last re-recorded when the
+# cylinder-axioms JSON, records and smeared-trace series were last re-recorded
+# when cutoff transforms took their phases from exact anchors every 16 integer
+# frequencies and two real matmuls, in place of one nodes x frequencies cosine
+# table: raw-kernel-trace moved from 3.576983e-11 to 3.577050e-11, entry-oracle
+# from 2.2e-16 to 1.1e-16, and the smeared-trace values by at most 6.3e-14
+# relative.  The curved-defect files were last re-recorded when the
 # finite-difference density reference took numpy's vector functions, which
 # moved density-jet-ricci at rounding level.
 REPORT_SHA256 = {
     "curved-defect-defect_vs_p.csv": "46e41d2e8b5d69398cac653df6e10a5f3eb456afaf7c86996dba271612b4492c",
     "curved-defect-records.csv": "067d51846132f23b3db453bf3f48e1e986ac6cb19ebd4544a799ba86fbf7da48",
     "curved-defect.json": "8774ddbe82e8529c952ef70d7df8bd86751d62cc4de92019e9b53b0c767b86cf",
-    "cylinder-axioms-records.csv": "688dee3c59622faeae9c7f9f64b76be86e483b50efe6c3caa77e91d86f1ed9fe",
+    "cylinder-axioms-records.csv": "a6f1d39b15b5d588de36aa246490b8ee2ce9dc06e061ebffe69fb5f1fa0465e0",
     "cylinder-axioms-reproduction_vs_m.csv": "a9acbf799ee464a72dcf57c3af330539fc6d58c2de2cee114f6ac869e62f2a86",
-    "cylinder-axioms-smeared_trace_vs_K.csv": "bb8f307f471fdd63893f525aff510453be136e45e65ff747186c3b72a58480fb",
-    "cylinder-axioms.json": "3b63c9413b4be007c1cbb9ae035d4d29e166a5eae90ab95035aa812720527da7",
+    "cylinder-axioms-smeared_trace_vs_K.csv": "88797e7c3b3943db262dcac1ce3e49c0b2fa1114506ba6c8f2a37d4f7b88cd89",
+    "cylinder-axioms.json": "e98b2011f51e9a1ed726c433e6bbc1bd912eca4aeb3f6cba46bbcf6484ada9b6",
     "discrete-limit-limit_error_vs_j.csv": "3828bfe54a7252f0b4cf81ab8304d2494950ba07c1dd5272fcfacce2d93b52ed",
     "discrete-limit-records.csv": "1acefef31c31c3b6e32f550656c6716347b648175726c3d7c5555730723786f7",
     "discrete-limit.json": "3712894bf1d5fb4016c0f3f8cd5372e2363baa262537537f8ed49789f353b263",

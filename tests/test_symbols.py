@@ -278,7 +278,7 @@ def test_operator_matrix_matches_a_pointwise_assembly(m):
     X = from_expression("cos(theta)", ("theta",))
     D = wue_weyl_image(model, momentum_power(1, m, X), 1.0)
     M = operator_matrix(model, D, FourierBasis(), 32)
-    k = np.array(FourierBasis.indices(32))
+    k = np.arange(-32, 33)
     nodes = 2 * max(symbols.QUADRATURE_NODES, FourierBasis().resolving_nodes(32))
     points, weights = FourierBasis().quadrature(nodes, 32)
     want = np.zeros((len(k), len(k)), dtype=complex)
