@@ -108,7 +108,7 @@ def _image(
 ) -> CovariantOperator:
     """The jet cascade of both images, with the divergence cascade of the symmetric one."""
     _check_variant(measure_variant)
-    terms: dict[int, TensorField] = {}
+    pieces: list[dict[int, TensorField]] = []
     for m, X in f.terms.items():
         front = (-1j * hbar) ** m
         top_k = 0 if measure_variant == "emmrich" or model.flat else m
@@ -119,8 +119,8 @@ def _image(
             for j in range(m - k + 1 if divergences else 1):
                 if j:
                     Xt = geometry.covariant_divergence(model, Xt)
-                terms = merge_terms(f.dim, terms, {m - k - j: tensor_scale(Xt, front * _binomial_weight(m, k, j))})
-    return CovariantOperator(f.dim, terms)
+                pieces.append({m - k - j: tensor_scale(Xt, front * _binomial_weight(m, k, j))})
+    return CovariantOperator(f.dim, merge_terms(f.dim, *pieces))
 
 
 def kinetic_symbol(model: ManifoldModel, hbar: float = 1.0) -> MomentumPolynomial:

@@ -63,6 +63,14 @@ def _check_truncation(K: int) -> None:
         raise ConfigError(f"Fourier truncation must be an integer in [1, {MAX_TRUNCATION}], got {K}")
 
 
+def _largest_frequency(s: np.ndarray) -> float:
+    """``max |s|`` (0 for no frequency); a non-finite frequency raises :class:`QuadratureAccuracyError`."""
+    s_max = float(np.max(np.abs(s), initial=0.0))
+    if not math.isfinite(s_max):
+        raise QuadratureAccuracyError(math.inf, QUAD_TOLERANCE, f"cutoff transform at non-finite frequency {s_max}")
+    return s_max
+
+
 def _cosine_integral(weight: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, s: np.ndarray) -> np.ndarray:
     """``int_lo^hi weight(x) cos(s x) dx`` at every frequency of ``s``.
 
@@ -79,9 +87,7 @@ def _cosine_integral(weight: Callable[[np.ndarray], np.ndarray], lo: float, hi: 
     both rules.  The fine values are returned when the two agree to
     :data:`QUAD_TOLERANCE`.
     """
-    s_max = float(np.max(np.abs(s), initial=0.0))
-    if not math.isfinite(s_max):
-        raise QuadratureAccuracyError(math.inf, QUAD_TOLERANCE, f"cutoff transform at non-finite frequency {s_max}")
+    s_max = _largest_frequency(s)
     half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
     nodes = RULE_NODE_STEP * (1 + math.ceil(half * s_max / RULE_NODE_STEP))
     if nodes > MAX_RULE_NODES:
@@ -183,8 +189,10 @@ class CutoffFamily:
         return float(out) if out.ndim == 0 else out
 
     def transform(self, s: float | np.ndarray) -> float | np.ndarray:
-        """Cosine transform ``int chi^2(xi) exp(i s xi) dxi`` (real and even in s)."""
+        """Cosine transform ``int chi^2(xi) exp(i s xi) dxi`` (real and even in s);
+        a non-finite frequency raises on every profile, the closed-form indicator's too."""
         s = np.asarray(s, dtype=float)
+        _largest_frequency(s)
         a, b = self.plateau, self.support
         with np.errstate(divide="ignore", invalid="ignore"):
             total = np.where(s == 0.0, 2.0 * a, 2.0 * np.sin(s * a) / s)

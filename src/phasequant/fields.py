@@ -15,6 +15,7 @@ subtrees compute each distinct jet once per point.  Fields combine with ``+``,
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, Sequence
 
@@ -198,12 +199,21 @@ def jets(comps: np.ndarray, q: np.ndarray, order: int) -> np.ndarray:
     return stacked.reshape(comps.shape + stacked.shape[1:])
 
 
+@functools.cache
+def _orbits(dim: int, rank: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
+    """Each sorted index of a ``(dim,)*rank`` array with its distinct permutations."""
+    return tuple(
+        (idx, tuple(set(itertools.permutations(idx))))
+        for idx in itertools.combinations_with_replacement(range(dim), rank)  # rank 0: the one index ()
+    )
+
+
 def tensor_from_fields(dim: int, rank: int, assign: Callable[[tuple[int, ...]], ScalarField]) -> TensorField:
     """Build a symmetric tensor field; ``assign`` is called once per sorted index."""
     comps = np.empty((dim,) * rank, dtype=object)
-    for idx in itertools.combinations_with_replacement(range(dim), rank):  # rank 0: the one index ()
+    for idx, perms in _orbits(dim, rank):
         field = assign(idx)
-        for perm in set(itertools.permutations(idx)):
+        for perm in perms:
             comps[perm] = field
     return TensorField(dim, rank, comps)
 

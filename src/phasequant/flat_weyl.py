@@ -73,21 +73,21 @@ def dequantize_flat(
     against the input operator at ``x``; a relative mismatch above
     :data:`INVERSION_TOLERANCE` raises :class:`InversionError` (it flags
     operators outside the image of the polynomial calculus, e.g.
-    non-symmetric coefficient data).
+    non-symmetric coefficient data), and so does a NaN coefficient at ``x``.
     """
     model = model or geometry.euclidean_space(D.dim)
     g = _weyl_symbol(model, D, hbar)
     f = ordering_transform(model, A.inverse(), g, hbar)
     x_arr = np.asarray(x, dtype=float)
     redone = a_image_flat(A, f, model, hbar)
-    scale_ref = 1.0
-    worst = 0.0
+    defects, magnitudes = [0.0], [1.0]
     for order in set(D.terms) | set(redone.terms):
-        want = D.terms[order].evaluate(x_arr) if order in D.terms else 0.0
-        got = redone.terms[order].evaluate(x_arr) if order in redone.terms else 0.0
-        worst = max(worst, float(np.max(np.abs(np.asarray(want) - np.asarray(got)))))
-        scale_ref = max(scale_ref, float(np.max(np.abs(np.asarray(want)))))
-    if worst > INVERSION_TOLERANCE * scale_ref:
+        want = np.asarray(D.terms[order].evaluate(x_arr) if order in D.terms else 0.0)
+        got = np.asarray(redone.terms[order].evaluate(x_arr) if order in redone.terms else 0.0)
+        defects.append(np.max(np.abs(want - got)))
+        magnitudes.append(np.max(np.abs(want)))
+    worst, scale_ref = float(np.max(defects)), float(np.max(magnitudes))  # a NaN in either propagates
+    if not worst <= INVERSION_TOLERANCE * scale_ref:  # so a NaN fails
         raise InversionError(
             f"operator is not reproduced by its recovered symbol (defect {worst:.3e})"
         )

@@ -433,6 +433,12 @@ def _finite_json(value):
     return value
 
 
+def _worst(values) -> float:
+    """The largest of ``values``, or NaN if any of them is NaN, where a running
+    ``max`` would keep what it had and let a check pass on a NaN."""
+    return float(np.max(np.fromiter(values, dtype=float)))
+
+
 # ---------------------------------------------------------------------------
 # shared symbol builders
 
@@ -455,7 +461,7 @@ def _random_flat_symbol(rng: np.random.Generator) -> MomentumPolynomial:
 def _round_trip_residual(rng: np.random.Generator, schemes: list[OrderingScheme], count: int, hbar: float) -> float:
     """Worst ``|dequantize(quantize(f)) - f|`` over ``count`` random flat symbols, cycling through ``schemes``."""
     model = geometry.euclidean_space(1)
-    worst = 0.0
+    errors = []
     for i in range(count):
         f = _random_flat_symbol(rng)
         scheme = schemes[i % len(schemes)]
@@ -463,18 +469,18 @@ def _round_trip_residual(rng: np.random.Generator, schemes: list[OrderingScheme]
         p = rng.uniform(-1.0, 1.0, size=1)
         x = rng.uniform(-1.0, 1.0, size=1)
         recovered = flat_weyl.dequantize_flat(scheme, D, p, x, hbar, model)
-        worst = max(worst, abs(recovered - f.evaluate(p, x)))
-    return worst
+        errors.append(abs(recovered - f.evaluate(p, x)))
+    return _worst(errors)
 
 
-def _operator_difference(first, second, points) -> float:
-    worst = 0.0
-    for q in points:
-        for order in set(first.terms) | set(second.terms):
-            a = np.asarray(first.terms[order].evaluate(q)) if order in first.terms else 0.0
-            b = np.asarray(second.terms[order].evaluate(q)) if order in second.terms else 0.0
-            worst = max(worst, float(np.max(np.abs(a - b))))
-    return worst
+def _operator_difference(first, second, points: np.ndarray) -> float:
+    """The largest coefficient difference of two operators over an ``(N, dim)`` point array."""
+    differences = []
+    for order in set(first.terms) | set(second.terms):
+        a = first.terms[order].evaluate(points) if order in first.terms else 0.0
+        b = second.terms[order].evaluate(points) if order in second.terms else 0.0
+        differences.append(float(np.max(np.abs(a - b))))
+    return _worst(differences)
 
 
 def _smooth_coefficient_field(rng: np.random.Generator, names: tuple[str, ...]):
@@ -510,11 +516,11 @@ def _run_flat_axioms(cfg: ExperimentConfig, series: dict) -> Iterator:
     value = flat_weyl.quantizer_diag_flat(p0, x0, 2, hbar)[0]
     yield value.real, 2.0 * math.exp(-(p0 * p0 + x0 * x0) / hbar)
 
-    worst = 0.0
+    defects = []
     for _ in range(3):
         p, x = (s * float(v) for v in rng.uniform(-1.5, 1.5, size=2))
-        worst = max(worst, hermiticity_defect(flat_weyl.quantizer_matrix_flat(p, x, 16, hbar)))
-    yield worst
+        defects.append(hermiticity_defect(flat_weyl.quantizer_matrix_flat(p, x, 16, hbar)))
+    yield _worst(defects)
 
     yield abs(flat_weyl.flat_trace(0.0, 0.0, 8, hbar) - 1.0)
 
@@ -542,20 +548,20 @@ def _run_orderings(cfg: ExperimentConfig, series: dict) -> Iterator:
     model = geometry.euclidean_space(1)
     circle = geometry.circle()
     rng = np.random.default_rng(31415)
-    probes = [np.array([v]) for v in (-0.8, 0.1, 0.7)]
+    probes = np.array([[-0.8], [0.1], [0.7]])
 
     f = _random_flat_symbol(rng)
     direct = curved.wue_weyl_image(model, f, hbar)
     yield _operator_difference(direct, flat_weyl.a_image_flat(ordering_scheme("weyl"), f, model, hbar), probes)
 
-    worst = 0.0
+    differences = []
     for degree in range(4):
         field = _polynomial_field(rng, "x")
         f = MomentumPolynomial(1, {degree: tensor_from_fields(1, degree, lambda idx: field)})
         direct = curved.wue_standard_image(model, f, hbar)
         through = flat_weyl.a_image_flat(ordering_scheme("standard"), f, model, hbar)
-        worst = max(worst, _operator_difference(direct, through, probes))
-    yield worst
+        differences.append(_operator_difference(direct, through, probes))
+    yield _worst(differences)
 
     yield _round_trip_residual(rng, [ordering_scheme(cfg.ordering, hbar)], 5, hbar)
 
@@ -589,7 +595,7 @@ def _run_curved_defect(cfg: ExperimentConfig, series: dict) -> Iterator:
     def kinetic_residual():
         f = curved.kinetic_symbol(model, hbar)
         D = curved.wue_weyl_image(model, f, hbar)
-        worst = 0.0
+        residuals = []
         for q in probes:
             for order, tensor in D.terms.items():
                 values = np.asarray(tensor.evaluate(q))
@@ -597,8 +603,8 @@ def _run_curved_defect(cfg: ExperimentConfig, series: dict) -> Iterator:
                     want = -hbar * hbar * geometry.inverse_metric(model, q)
                 else:
                     want = np.zeros_like(values)
-                worst = max(worst, float(np.max(np.abs(values - want))))
-        return worst
+                residuals.append(float(np.max(np.abs(values - want))))
+        return _worst(residuals)
 
     yield kinetic_residual()
 
@@ -653,7 +659,7 @@ def _run_curved_defect(cfg: ExperimentConfig, series: dict) -> Iterator:
     yield abs(curved.axiom_defect(model, f_sym, p_base, q0, hbar, measure_variant="emmrich"))
 
     unit = geometry.manifold("sphere:1.0")
-    yield max(
+    yield _worst(
         float(np.max(np.abs(geometry.ricci(unit, q) - geometry.metric(unit, q))))
         for q in (np.array([1.1, 0.4]), np.array([2.0, -1.3]))
     )
@@ -670,11 +676,9 @@ def _run_curved_defect(cfg: ExperimentConfig, series: dict) -> Iterator:
             source = f"sin({names[0]})*cos({names[1]}) + 0.3*cos({names[0]})"
         psi = from_expression(source, names)
         jets = geometry.pullback_jet(model, psi, q0, 3)
-        worst = 0.0
-        for k in range(4):
-            frame_deriv = geometry.sym_cov_deriv_in_frame(model, psi, q0, k)
-            worst = max(worst, float(np.max(np.abs(jets[k] - frame_deriv))))
-        return worst
+        return _worst(
+            float(np.max(np.abs(jets[k] - geometry.sym_cov_deriv_in_frame(model, psi, q0, k)))) for k in range(4)
+        )
 
     yield pullback_agreement()
 
@@ -696,46 +700,43 @@ def _run_point_transform(cfg: ExperimentConfig, series: dict) -> Iterator:
         field = from_expression(f"0.4*{names[0]}**2 + 0.9*{names[1]}", names)
         f = MomentumPolynomial(2, {1: tensor_from_fields(2, 1, lambda idx: field)})
         derived = delta_apply(euclid, f, hbar)
-        worst = 0.0
-        for _ in range(5):
-            q = rng.uniform(-1.0, 1.0, size=2)
-            p = rng.uniform(-1.0, 1.0, size=2)
+        q, p = np.empty((2, 5, 2))
+        for i in range(5):
+            q[i] = rng.uniform(-1.0, 1.0, size=2)
+            p[i] = rng.uniform(-1.0, 1.0, size=2)
 
-            def plain(z):  # (N, 4) phase-space nodes
-                return f.evaluate(z[:, :2], z[:, 2:])
+        def plain(z):  # (N, 4) phase-space nodes
+            return f.evaluate(z[:, :2], z[:, 2:])
 
-            total = 0.0 + 0.0j
-            for value in numdiff.partials(plain, np.concatenate([p, q]), [(1, 0, 1, 0), (0, 1, 0, 1)]):
-                total += complex(value)
-            worst = max(worst, abs(derived.evaluate(p, q) - (-hbar) * total))
-        return worst
+        total = 0.0 + 0.0j
+        for value in numdiff.partials(plain, np.concatenate([p, q], axis=1), [(1, 0, 1, 0), (0, 1, 0, 1)]):
+            total = total + value
+        # Python's complex abs, as at one point: numpy's rounds some moduli differently
+        return _worst(abs(d) for d in (derived.evaluate(p, q) - (-hbar) * total).tolist())
 
     yield cartesian_reduction()
 
     def polar_agreement():
         f = _random_chart_symbol(rng, polar.coordinate_names)
         derived = delta_apply(polar, f, hbar)
-        worst = 0.0
-        for _ in range(20):
-            q = np.array([rng.uniform(0.6, 1.8), rng.uniform(-2.5, 2.5)])
-            p = rng.uniform(-1.2, 1.2, size=2)
-            direct = derived.evaluate(p, q)
-            conjugated = flat_chart_delta_value(f, to_cartesian, from_cartesian, p, q, hbar)
-            worst = max(worst, abs(direct - conjugated))
-        return worst
+        q, p = np.empty((2, 20, 2))
+        for i in range(20):
+            q[i] = rng.uniform(0.6, 1.8), rng.uniform(-2.5, 2.5)
+            p[i] = rng.uniform(-1.2, 1.2, size=2)
+        difference = derived.evaluate(p, q) - flat_chart_delta_value(f, to_cartesian, from_cartesian, p, q, hbar)
+        return _worst(abs(d) for d in difference.tolist())
 
     yield polar_agreement()
 
     radial = MomentumPolynomial(2, {1: tensor_constant(2, np.array([1.0, 0.0]))})
     shifted = delta_apply(polar, radial, hbar)
 
-    def shift_at(r: float) -> float:
-        return shifted.evaluate(np.array([0.3, -0.7]), np.array([r, 0.4])).real
-
-    worst_shift = max(abs(shift_at(r) + hbar / r) for r in (0.5, 1.0, 2.0))
-    rows = [(float(r), shift_at(float(r)), -hbar / float(r)) for r in np.linspace(0.5, 2.0, 7)]
+    radii = [0.5, 1.0, 2.0] + np.linspace(0.5, 2.0, 7).tolist()
+    points = np.stack([radii, np.full(len(radii), 0.4)], axis=1)
+    shifts = shifted.evaluate(np.tile([0.3, -0.7], (len(radii), 1)), points).real.tolist()
+    rows = [(r, shift, -hbar / r) for r, shift in zip(radii[3:], shifts[3:])]
     series["shift_vs_r"] = (["r", "measured", "reference"], rows)
-    yield worst_shift
+    yield _worst(abs(shift + hbar / r) for r, shift in zip(radii[:3], shifts[:3]))
 
     def divergence_identity():
         names = polar.coordinate_names
@@ -743,12 +744,10 @@ def _run_point_transform(cfg: ExperimentConfig, series: dict) -> Iterator:
         f = MomentumPolynomial(2, {1: X})
         derived = delta_apply(polar, f, hbar)
         divergence = geometry.covariant_divergence(polar, X)
-        worst = 0.0
-        for q in (np.array([0.8, 0.3]), np.array([1.6, -1.1])):
-            value = derived.evaluate(np.array([0.2, 0.4]), q)
-            want = -hbar * complex(np.asarray(divergence.evaluate(q)))
-            worst = max(worst, abs(value - want))
-        return worst
+        return _worst(
+            abs(derived.evaluate(np.array([0.2, 0.4]), q) - (-hbar * complex(np.asarray(divergence.evaluate(q)))))
+            for q in (np.array([0.8, 0.3]), np.array([1.6, -1.1]))
+        )
 
     yield divergence_identity()
 
@@ -784,19 +783,19 @@ def _run_cylinder_axioms(cfg: ExperimentConfig, series: dict) -> Iterator:
 
     def raw_trace():
         wide = CutoffFamily(0.8, 2.8)
-        worst = 0.0
+        deviations = []
         for _ in range(5):
             p = hbar * float(rng.uniform(-2.0, 2.0))
             theta = float(rng.uniform(-math.pi, math.pi))
             trace = cylinder.quantizer_trace_cyl(p, theta, wide, cylinder.MAX_TRUNCATION, hbar)
-            worst = max(worst, abs(trace - 1.0))
-        return worst
+            deviations.append(abs(trace - 1.0))
+        return _worst(deviations)
 
     yield raw_trace()
 
     continuum = cylinder.quantizer_matrix_cyl(0.6 * hbar, 1.1, chi, 16, hbar)
     discrete = cylinder.discrete_quantizer(2, 0.7, 16)
-    yield max(hermiticity_defect(continuum), hermiticity_defect(discrete))
+    yield _worst([hermiticity_defect(continuum), hermiticity_defect(discrete)])
 
     matrix = cylinder.quantizer_matrix_cyl(0.0, 0.0, chi, 8, hbar)
     # M[8, 9] is I(1)/pi.  The oracle's tanh-sinh rule shares only chi.value
@@ -809,7 +808,7 @@ def _run_cylinder_axioms(cfg: ExperimentConfig, series: dict) -> Iterator:
         for m in range(5)
     ]
     series["reproduction_vs_m"] = (["m", "residual"], list(zip(range(5), residuals)))
-    yield max(residuals)
+    yield _worst(residuals)
 
     other = CutoffFamily.mollifier(2)
     res_a = cylinder.polynomial_reproduction_check(cos_theta, 2, 2.0 * hbar, 0.7, chi, 32, hbar)
@@ -902,18 +901,16 @@ def _run_discrete_orthogonality(cfg: ExperimentConfig, series: dict) -> Iterator
     yield abs(t2 / t1 / expected - 1.0)
 
     hbar = cfg.hbar
-    worst_off = 0.0
-    worst_diag = 0.0
+    off_errors, diag_errors = [], []
     for fn in (lambda p, theta: p, lambda p, theta: p * p):
         matrix = cylinder.discrete_quantize(fn, 16, 12, hbar)
         ks = np.arange(-12, 13)
         diag = np.diag(matrix)
         want = np.array([fn(k * hbar, 0.0) for k in ks], dtype=complex)
-        worst_diag = max(worst_diag, float(np.max(np.abs(diag - want))))
-        off_diag = matrix - np.diag(diag)
-        worst_off = max(worst_off, float(np.max(np.abs(off_diag))))
-    yield worst_off
-    yield worst_diag
+        diag_errors.append(float(np.max(np.abs(diag - want))))
+        off_errors.append(float(np.max(np.abs(matrix - np.diag(diag)))))
+    yield _worst(off_errors)
+    yield _worst(diag_errors)
 
 
 # ---------------------------------------------------------------------------

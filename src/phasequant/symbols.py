@@ -109,7 +109,9 @@ class CovariantOperator:
 
 
 def merge_terms(dim: int, *sources: dict[int, TensorField]) -> dict[int, TensorField]:
-    """Add term dictionaries degree by degree."""
+    """Add term dictionaries degree by degree: each degree, in order of first
+    appearance, is one :func:`tensor_add` of its tensors in source order, which
+    sums left to right as nested pairwise sums would."""
     buckets: dict[int, list[TensorField]] = {}
     for terms in sources:
         for degree, tensor in terms.items():
@@ -218,13 +220,11 @@ def delta_apply(model: ManifoldModel, f: MomentumPolynomial, hbar: float = 1.0) 
     degree ``m - 1`` term ``-hbar * m * (nabla . X)``; constants are
     annihilated.
     """
-    out: dict[int, TensorField] = {}
-    for m, tensor in f.terms.items():
-        if m == 0:
-            continue
-        div = geometry.covariant_divergence(model, tensor)
-        piece = tensor_scale(div, -hbar * m)
-        out = merge_terms(f.dim, out, {m - 1: piece})
+    out = {
+        m - 1: tensor_scale(geometry.covariant_divergence(model, tensor), -hbar * m)
+        for m, tensor in f.terms.items()
+        if m
+    }
     return MomentumPolynomial(f.dim, out)
 
 
@@ -235,7 +235,7 @@ def flat_chart_delta_value(
     p: np.ndarray,
     q: np.ndarray,
     hbar: float = 1.0,
-) -> complex:
+) -> complex | np.ndarray:
     """Evaluate the ordering generator of ``f`` through a Cartesian chart.
 
     For a flat metric written in a curvilinear chart, the generator applied
@@ -245,12 +245,20 @@ def flat_chart_delta_value(
     read the value back at the matching phase-space point.  ``to_cartesian``
     and ``from_cartesian`` map ``(N, dim)`` arrays of points both ways (lift
     maps of one point with :func:`numdiff.pointwise`); momenta transform with
-    the Jacobian of ``to_cartesian``.  The symbol is evaluated once, on the
-    stencil nodes of all ``dim`` mixed partials together.
+    the Jacobian of ``to_cartesian``.
+
+    ``p`` and ``q`` are one phase-space point, shape ``(dim,)`` each, which
+    gives one complex value, or a stack of ``M`` points, shape ``(M, dim)``
+    each, which gives the ``M`` values, each bit for bit its point's alone.
+    A stack takes one Jacobian of all its points, one batched solve for their
+    Cartesian momenta, and one :func:`numdiff.partials` call, which evaluates
+    the symbol once, on the stencil nodes of every point and every one of the
+    ``dim`` mixed partials together.
     """
-    p = np.atleast_1d(np.asarray(p, dtype=float))
     q = np.asarray(q, dtype=float)
-    dim = q.size
+    qs = np.atleast_2d(q)
+    ps = np.asarray(p, dtype=float).reshape(qs.shape)
+    dim = qs.shape[1]
 
     def jacobian(qq: np.ndarray) -> np.ndarray:
         return numdiff.jacobian(to_cartesian, qq, step=numdiff.DEFAULT_STEP)
@@ -260,14 +268,15 @@ def flat_chart_delta_value(
         qq = np.asarray(from_cartesian(xc), dtype=float)
         return f.evaluate(np.matmul(jacobian(qq).transpose(0, 2, 1), pc[:, :, None])[:, :, 0], qq)
 
-    x_c = np.asarray(to_cartesian(q[None]), dtype=float)[0]
-    p_c = np.linalg.solve(jacobian(q).T, p)
-    z0 = np.concatenate([p_c, x_c])
+    x_c = np.asarray(to_cartesian(qs), dtype=float)
+    p_c = np.linalg.solve(jacobian(qs).transpose(0, 2, 1), ps[..., None])[..., 0]
+    z0 = np.concatenate([p_c, x_c], axis=1)
     mixed = [tuple(int(i in (alpha, dim + alpha)) for i in range(2 * dim)) for alpha in range(dim)]
     total = 0.0 + 0.0j
     for value in numdiff.partials(symbol_in_cartesian, z0, mixed):
-        total += complex(value)
-    return -hbar * total
+        total = total + value
+    values = -hbar * total
+    return complex(values[0]) if q.ndim == 1 else values
 
 
 def ordering_transform(
@@ -278,7 +287,7 @@ def ordering_transform(
 ) -> MomentumPolynomial:
     """Apply ``A(Delta)`` to a symbol: ``f + sum_k A_k Delta^k f``, taking
     ``Delta`` no further than the last nonzero ``A_k``."""
-    result = dict(f.terms)
+    sources = [f.terms]
     acc = f
     last = max(k for k, ak in enumerate(A.coefficients) if ak != 0)
     for k in range(1, last + 1):
@@ -286,11 +295,9 @@ def ordering_transform(
         if not acc.terms:
             break
         ak = A.coefficients[k]
-        if ak == 0:
-            continue
-        scaled = {d: tensor_scale(t, ak) for d, t in acc.terms.items()}
-        result = merge_terms(f.dim, result, scaled)
-    return MomentumPolynomial(f.dim, result)
+        if ak != 0:
+            sources.append({d: tensor_scale(t, ak) for d, t in acc.terms.items()})
+    return MomentumPolynomial(f.dim, merge_terms(f.dim, *sources))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """Power tests: each check passes on the code as it is and fails under a
 small, named perturbation of the code it checks."""
 
+import math
+
 import numpy as np
 
 from phasequant import bases, cylinder, flat_weyl, geometry, harness
@@ -113,3 +115,22 @@ def test_circle_weyl_hermiticity_fails_when_the_fourier_matrix_is_skewed(monkeyp
     assert record(reports["orderings"], "circle-weyl-hermiticity").passed
     perturb_fourier_galerkin(monkeypatch, lambda M: M + np.triu(M, 1) * 1e-10)
     assert not record(rerun("orderings"), "circle-weyl-hermiticity").passed
+
+
+# A running ``max(worst, value)`` keeps ``worst`` when ``value`` is NaN, so a
+# check fed NaN used to read 0.0 and pass.
+
+
+def test_round_trip_residual_fails_on_a_nan_recovered_value(monkeypatch):
+    monkeypatch.setattr(flat_weyl, "dequantize_flat", lambda *args: complex(math.nan, math.nan))
+    check = record(rerun("flat-axioms"), "round-trip-residual")
+    assert math.isnan(check.measured) and not check.passed
+
+
+def test_polar_cartesian_agreement_fails_on_nan_chart_values(monkeypatch):
+    def nan_values(f, to_cartesian, from_cartesian, p, q, hbar):
+        return np.full(np.shape(q)[:-1], complex(math.nan, math.nan))
+
+    monkeypatch.setattr(harness, "flat_chart_delta_value", nan_values)
+    check = record(rerun("point-transform"), "polar-cartesian-agreement")
+    assert math.isnan(check.measured) and not check.passed

@@ -192,6 +192,17 @@ def test_non_finite_frequencies_raise_before_any_rule_is_built(chi, bad, monkeyp
         cylinder.quantizer_matrix_cyl(bad, 0.0, chi, 8)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_indicator_transform_rejects_non_finite_frequencies(bad):
+    # the closed form never reaches _cosine_integral, so the guard sits in transform
+    sharp = cylinder.CutoffFamily(1.0, 1.0, "indicator")
+    for s in (bad, np.array([0.0, 2.0, bad])):
+        with pytest.raises(QuadratureAccuracyError, match="non-finite"):
+            sharp.transform(s)
+    with pytest.raises(QuadratureAccuracyError, match="non-finite"):
+        cylinder.quantizer_matrix_cyl(bad, 0.0, sharp, 2)
+
+
 def test_transform_peak_memory_stays_below_one_cosine_table(chi):
     s = np.arange(-128, 129) - 0.8  # 513 fine nodes
     chi.transform(s)  # builds and caches the rules

@@ -392,3 +392,21 @@ def test_a_lower_order_jet_is_a_prefix_of_the_remembered_one():
     count = len(calls)
     assert f.jet(q, 1).tobytes() == high[:2].tobytes()
     assert len(calls) == count
+
+
+def test_n_ary_tensor_add_equals_nested_pairwise_sums_bit_for_bit():
+    names = ("x", "y")
+
+    def tensor(source):
+        def assign(idx):
+            return fields.from_expression(f"({source})*(1 + {sum(idx)}*x)", names)
+
+        return fields.tensor_from_fields(2, 2, assign)
+
+    a, b, c = tensor("sin(x)*y + y**3"), tensor("cos(x*y) - 0.3*x"), tensor("cos(0.2*x)*y**2 + 0.7")
+    flat, nested = fields.tensor_add(a, b, c), fields.tensor_add(fields.tensor_add(a, b), c)
+    points = np.random.default_rng(3).uniform(-1.0, 1.0, size=(9, 2))
+    for q in (points[4], points):
+        assert flat.evaluate(q).tobytes() == nested.evaluate(q).tobytes()
+        for idx in np.ndindex(2, 2):
+            assert flat.comps[idx].jet(q, 3).tobytes() == nested.comps[idx].jet(q, 3).tobytes()

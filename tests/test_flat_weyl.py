@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from phasequant import curved, flat_weyl, geometry
 from phasequant.bases import hermite_polynomial_values
-from phasequant.fields import from_expression, tensor_constant, tensor_from_fields
+from phasequant.errors import InversionError
+from phasequant.fields import from_callable, from_expression, tensor_constant, tensor_from_fields, tensor_scalar
 from phasequant.symbols import (
+    CovariantOperator,
     MomentumPolynomial,
     OrderingScheme,
     hermiticity_defect,
@@ -170,6 +172,16 @@ def test_round_trip_property_quadratic_symbols(c0, c1, c2, p, x):
     got = flat_weyl.dequantize_flat(A, D, np.array([p]), np.array([x]))
     want = f.evaluate(np.array([p]), np.array([x]))
     assert abs(got - want) < 1e-10 * (1.0 + abs(want))
+
+
+def test_dequantize_rejects_a_coefficient_that_is_nan_at_x():
+    # NaN on the right half-line only: the operator is fine at x = -0.5
+    coefficient = from_callable(1, lambda x: math.nan if x[0] > 0.0 else 1.0)
+    D = CovariantOperator(1, {0: tensor_scalar(coefficient)})
+    standard = ordering_scheme("standard")
+    assert flat_weyl.dequantize_flat(standard, D, [0.3], [-0.5]) == 1.0
+    with pytest.raises(InversionError):
+        flat_weyl.dequantize_flat(standard, D, [0.3], [0.5])
 
 
 def test_round_trip_two_dimensions(rng):

@@ -768,3 +768,9 @@ def test_quad_still_resolves_on_harness_and_cylinder():
         cylinder.no_such_name
     with pytest.raises(AttributeError):
         harness.no_such_name
+
+
+def test_worst_propagates_nan_wherever_it_comes():
+    assert harness._worst([0.25, 1e-17, 0.5, 0.0]) == 0.5
+    for values in ([math.nan, 0.5], [0.5, math.nan], [0.1, math.nan, 0.2]):
+        assert math.isnan(harness._worst(iter(values)))

@@ -9,7 +9,7 @@ from phasequant.curved import wue_weyl_image
 from phasequant.bases import FourierBasis, HermiteBasis
 from phasequant.errors import ConfigError, QuadratureAccuracyError, UnsupportedOrderError
 from phasequant.expressions import parse_expression
-from phasequant.fields import constant, from_expression, tensor_constant, tensor_from_fields
+from phasequant.fields import constant, from_expression, tensor_constant, tensor_from_fields, tensor_scale
 from phasequant.symbols import (
     MomentumPolynomial,
     OrderingScheme,
@@ -164,6 +164,30 @@ def test_ordering_transform_with_identity_series_is_identity(symbol_factory):
     q = np.array([0.3])
     p = np.array([1.1])
     assert g.evaluate(p, q) == pytest.approx(f.evaluate(p, q), abs=1e-14)
+
+
+def test_ordering_transform_sums_each_degree_once_in_first_seen_order(rng):
+    # the terms as pairwise merges after every step would build them
+    names = ("x", "y")
+    fields = {}
+
+    def assign(idx):
+        c = [float(v) for v in rng.uniform(-1.0, 1.0, size=3)]
+        return fields.setdefault(idx, from_expression(f"({c[0]!r}) + ({c[1]!r})*sin(y) + ({c[2]!r})*x**2*y", names))
+
+    model = geometry.euclidean_space(2)
+    f = MomentumPolynomial(2, {3: tensor_from_fields(2, 3, assign), 1: tensor_from_fields(2, 1, assign)})
+    A = OrderingScheme((1.0, 0.3, -0.2, 0.1), name="demo")
+    nested, acc = dict(f.terms), f
+    for k in range(1, 4):
+        acc = delta_apply(model, acc)
+        nested = symbols.merge_terms(2, nested, {d: tensor_scale(t, A.coefficients[k]) for d, t in acc.terms.items()})
+    got = ordering_transform(model, A, f)
+    assert list(got.terms) == list(nested) == [3, 1, 2, 0]
+    points = rng.uniform(-1.0, 1.0, size=(7, 2))
+    for d, tensor in got.terms.items():
+        for q in (points[0], points):
+            assert tensor.evaluate(q).tobytes() == nested[d].evaluate(q).tobytes()
 
 
 def test_ordering_transform_stops_after_the_last_nonzero_coefficient(monkeypatch, symbol_factory):
@@ -436,13 +460,19 @@ def test_flat_chart_delta_values_are_bit_identical_to_pointwise_evaluation():
     def from_cartesian(xy):
         return np.stack([np.hypot(xy[:, 0], xy[:, 1]), np.arctan2(xy[:, 1], xy[:, 0])], axis=-1)
 
-    values = []
+    values, points = [], []
     for _ in range(20):
         q = np.array([rng.uniform(0.6, 1.8), rng.uniform(-2.5, 2.5)])
         p = rng.uniform(-1.2, 1.2, size=2)
         values.append(flat_chart_delta_value(f, to_cartesian, from_cartesian, p, q, 1.0))
+        points.append((p, q))
     digest = hashlib.sha256(np.ascontiguousarray(np.array(values) + 0.0).tobytes()).hexdigest()
     assert digest == POLAR_CHART_DELTA_SHA256
+    # one call on the (20, 2) stacks gives the same values
+    ps, qs = (np.array(stack) for stack in zip(*points))
+    stacked = flat_chart_delta_value(f, to_cartesian, from_cartesian, ps, qs, 1.0)
+    assert stacked.shape == (20,)
+    assert hashlib.sha256(np.ascontiguousarray(stacked + 0.0).tobytes()).hexdigest() == POLAR_CHART_DELTA_SHA256
     # maps of one point, lifted, give the same value
     to_one = lambda q: np.array([q[0] * math.cos(q[1]), q[0] * math.sin(q[1])])
     from_one = lambda xy: np.array([math.hypot(xy[0], xy[1]), math.atan2(xy[1], xy[0])])
