@@ -118,7 +118,7 @@ def test_circle_weyl_hermiticity_fails_when_the_fourier_matrix_is_skewed(monkeyp
 
 
 # A running ``max(worst, value)`` keeps ``worst`` when ``value`` is NaN, so a
-# check fed NaN used to read 0.0 and pass.
+# check that took its worst value that way would read 0.0 and pass on NaN.
 
 
 def test_round_trip_residual_fails_on_a_nan_recovered_value(monkeypatch):
