@@ -111,20 +111,18 @@ def partials(
     x = np.asarray(x, dtype=float)
     stack = np.atleast_2d(x)
     requests = [tuple(orders) for orders in requests]
-    nodes, starts, count = [], [], 0  # starts[r]: (first node, step) per level
+    nodes, starts, count = [], [], 0  # starts[r]: the first node and the step per level (None for a value)
     for orders in requests:
         if not any(orders):
             nodes.append(stack[:, None, :])
-            starts.append([(count, None)])
+            starts.append((count, None))
             count += 1
             continue
         offsets = _stencil_table(orders)[0]
-        starts.append([])
-        for lvl in range(LEVELS + 1):
-            h = step / 2**lvl
-            nodes.append(stack[:, None, :] + h * offsets)
-            starts[-1].append((count, h))
-            count += len(offsets)
+        steps = [step / 2**lvl for lvl in range(LEVELS + 1)]
+        nodes.extend(stack[:, None, :] + h * offsets for h in steps)
+        starts.append((count, steps))
+        count += len(steps) * len(offsets)
     nodes = np.concatenate(nodes, axis=1).reshape(-1, stack.shape[1])
     if len({node.tobytes() for node in nodes[:count]}) == count:  # the stencils at a point share no node
         values = np.asarray(f(nodes))
@@ -135,19 +133,20 @@ def partials(
         values = np.asarray(f(nodes[distinct]))[np.searchsorted(distinct, rows)]
     values = values.reshape((len(stack), count) + values.shape[1:])
     out = []
-    for orders, levels in zip(requests, starts):
-        if not any(orders):
-            result = values[:, levels[0][0]]
+    for orders, (first, steps) in zip(requests, starts):
+        if steps is None:
+            result = values[:, first]
         else:
+            # one pass over the stencil for every level at once: each element
+            # sees the same products and sums, in the same order, as per level
             weights, total = _stencil_table(orders)[1], int(sum(orders))
-            samples = []
-            for first, h in levels:
-                acc = None
-                for i, w in enumerate(weights):
-                    term = w * values[:, first + i]
-                    acc = term if acc is None else acc + term
-                samples.append(acc / h**total)
-            result = richardson(samples)
+            stencils = values[:, first : first + len(steps) * len(weights)]
+            stencils = stencils.reshape((len(stack), len(steps), len(weights)) + values.shape[2:]).swapaxes(0, 1)
+            acc = weights[0] * stencils[:, :, 0]
+            for i in range(1, len(weights)):
+                acc = acc + weights[i] * stencils[:, :, i]
+            divisors = np.array([h**total for h in steps]).reshape((len(steps),) + (1,) * (acc.ndim - 1))
+            result = richardson(acc / divisors)
         out.append(result if x.ndim == 2 else result[0])
     return out
 

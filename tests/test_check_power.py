@@ -1,11 +1,16 @@
 """Power tests: each check passes on the code as it is and fails under a
-small, named perturbation of the code it checks."""
+small, named perturbation of the code it checks.
+
+``POWER``, ``VACUOUS`` and ``BACKLOG`` at the end of this module register
+every check of ``harness.CHECK_NAMES``, keyed by ``(experiment, check)``: its
+power test, the reason it cannot fail, or its place on the list of checks
+still without a power test."""
 
 import math
 
 import numpy as np
 
-from phasequant import bases, cylinder, flat_weyl, geometry, harness
+from phasequant import bases, curved, cylinder, flat_weyl, geometry, harness
 from phasequant.fields import tensor_scale
 from phasequant.symbols import MomentumPolynomial
 
@@ -134,3 +139,128 @@ def test_polar_cartesian_agreement_fails_on_nan_chart_values(monkeypatch):
     monkeypatch.setattr(harness, "flat_chart_delta_value", nan_values)
     check = record(rerun("point-transform"), "polar-cartesian-agreement")
     assert math.isnan(check.measured) and not check.passed
+
+
+# A ladder's least step and a scan's spread are reduced by the check rows too.
+
+
+def test_trace_ladder_monotone_fails_on_a_nan_rung(monkeypatch, reports):
+    assert record(reports["flat-axioms"], "trace-ladder-monotone").passed
+    monkeypatch.setattr(flat_weyl, "trace_ladder", lambda *args: [0.4, 0.3, math.nan, 0.1])
+    check = record(rerun("flat-axioms"), "trace-ladder-monotone")
+    assert math.isnan(check.measured) and not check.passed
+
+
+def test_mollifier_ladder_fails_on_a_nan_rung(monkeypatch, reports):
+    assert record(reports["discrete-limit"], "mollifier-ladder").passed
+    limit_check = cylinder.discrete_limit_check
+
+    def nan_rung(*args):
+        errors = limit_check(*args).copy()
+        errors[2] = math.nan
+        return errors
+
+    monkeypatch.setattr(cylinder, "discrete_limit_check", nan_rung)
+    check = record(rerun("discrete-limit"), "mollifier-ladder")
+    assert math.isnan(check.measured) and not check.passed
+
+
+def test_defect_p_independence_fails_on_a_nan_scale(monkeypatch, reports):
+    # the p-scan's second scale, 0.5 times the runner's sphere momentum
+    assert record(reports["curved-defect"], "defect-p-independence").passed
+    axiom_defect, nan_momentum = curved.axiom_defect, 0.5 * np.array([0.3, -0.55])
+
+    def nan_at_one_scale(model, f, p, *args, **kwargs):
+        if np.array_equal(p, nan_momentum):
+            return complex(math.nan, math.nan)
+        return axiom_defect(model, f, p, *args, **kwargs)
+
+    monkeypatch.setattr(curved, "axiom_defect", nan_at_one_scale)
+    check = record(rerun("curved-defect"), "defect-p-independence")
+    assert math.isnan(check.measured) and not check.passed
+
+
+# ---------------------------------------------------------------------------
+# the registry
+
+POWER = {
+    ("flat-axioms", "trace-ladder-monotone"): test_trace_ladder_monotone_fails_on_a_nan_rung,
+    ("flat-axioms", "round-trip-residual"): test_round_trip_residual_fails_when_the_recovered_symbol_is_scaled,
+    ("orderings", "configured-ordering-roundtrip"): (
+        test_configured_ordering_roundtrip_fails_when_the_recovered_symbol_is_scaled
+    ),
+    ("orderings", "circle-weyl-hermiticity"): test_circle_weyl_hermiticity_fails_when_the_fourier_matrix_is_skewed,
+    ("curved-defect", "kinetic-image-residual"): test_kinetic_image_residual_fails_when_the_curvature_shift_is_scaled,
+    ("curved-defect", "defect-p-independence"): test_defect_p_independence_fails_on_a_nan_scale,
+    ("point-transform", "cartesian-reduction"): test_cartesian_reduction_fails_when_the_divergence_is_scaled,
+    ("point-transform", "polar-cartesian-agreement"): test_polar_cartesian_agreement_fails_on_nan_chart_values,
+    ("point-transform", "radial-momentum-shift"): test_radial_momentum_shift_fails_when_the_divergence_is_scaled,
+    ("cylinder-axioms", "kernel-trace"): test_kernel_trace_fails_when_the_fourier_matrix_is_scaled,
+    ("cylinder-axioms", "entry-oracle"): test_entry_oracle_fails_when_the_transform_is_perturbed,
+    ("cylinder-axioms", "polynomial-reproduction"): (
+        test_polynomial_reproduction_fails_when_the_fourier_matrix_is_scaled
+    ),
+    ("discrete-limit", "mollifier-ladder"): test_mollifier_ladder_fails_on_a_nan_rung,
+    ("discrete-limit", "indicator-matches-discrete"): (
+        test_indicator_matches_discrete_fails_when_the_discrete_transform_is_scaled
+    ),
+    ("discrete-limit", "discrete-first-band"): test_discrete_first_band_fails_when_the_discrete_transform_is_scaled,
+}
+
+VACUOUS = {
+    ("orderings", "weyl-preset-identity"): (
+        "the Weyl transform returns the symbol's own term tensors, so flat_weyl.a_image_flat under the Weyl "
+        "preset is curved.wue_weyl_image of the same tensors the check compares it with"
+    ),
+    ("point-transform", "divergence-identity"): (
+        "symbols.delta_apply builds its degree-0 term from geometry.covariant_divergence, the function the "
+        "reference calls; scaling it leaves the check at 0 while the other point-transform checks fail"
+    ),
+    ("cylinder-axioms", "cutoff-independence"): (
+        "cylinder.polynomial_reproduction_check takes chi but never reads it, so the two residuals the "
+        "check subtracts are one computation"
+    ),
+}
+
+BACKLOG = [
+    ("flat-axioms", "ground-state-peak"),
+    ("flat-axioms", "ground-state-gaussian"),
+    ("flat-axioms", "kernel-hermiticity"),
+    ("flat-axioms", "kernel-trace"),
+    ("flat-axioms", "weak-form-pairing"),
+    ("orderings", "standard-preset-image"),
+    ("orderings", "real-ordering-hermiticity"),
+    ("orderings", "standard-defect-positive"),
+    ("orderings", "standard-defect-value"),
+    ("curved-defect", "ricci-coefficient"),
+    ("curved-defect", "defect-value"),
+    ("curved-defect", "defect-curvature-coefficient"),
+    ("curved-defect", "radius-scaling"),
+    ("curved-defect", "flat-defect-euclidean"),
+    ("curved-defect", "flat-defect-polar"),
+    ("curved-defect", "emmrich-defect"),
+    ("curved-defect", "ricci-convention"),
+    ("curved-defect", "density-jet-ricci"),
+    ("curved-defect", "pullback-vs-covariant"),
+    ("cylinder-axioms", "raw-kernel-trace"),
+    ("cylinder-axioms", "kernel-hermiticity"),
+    ("cylinder-axioms", "smeared-quarter-ratio"),
+    ("cylinder-axioms", "antipodal-vs-quarter"),
+    ("cylinder-axioms", "delta-model-mismatch"),
+    ("discrete-limit", "discrete-diagonal"),
+    ("discrete-limit", "discrete-trace"),
+    ("discrete-orthogonality", "diagonal-smeared-trace"),
+    ("discrete-orthogonality", "offdiagonal-suppression"),
+    ("discrete-orthogonality", "flat-test-function"),
+    ("discrete-orthogonality", "unsmeared-growth"),
+    ("discrete-orthogonality", "momentum-diagonality"),
+    ("discrete-orthogonality", "momentum-spectrum"),
+]
+
+
+def test_every_check_has_a_power_test_a_vacuity_reason_or_a_backlog_entry():
+    checks = {(experiment, name) for experiment, names in harness.CHECK_NAMES.items() for name in names}
+    power, vacuous, backlog = set(POWER), set(VACUOUS), set(BACKLOG)
+    assert len(backlog) == len(BACKLOG)
+    assert not (power & vacuous or power & backlog or vacuous & backlog)
+    assert power | vacuous | backlog == checks

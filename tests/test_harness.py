@@ -770,7 +770,18 @@ def test_quad_still_resolves_on_harness_and_cylinder():
         harness.no_such_name
 
 
-def test_worst_propagates_nan_wherever_it_comes():
-    assert harness._worst([0.25, 1e-17, 0.5, 0.0]) == 0.5
-    for values in ([math.nan, 0.5], [0.5, math.nan], [0.1, math.nan, 0.2]):
-        assert math.isnan(harness._worst(iter(values)))
+def test_each_reduction_propagates_nan_wherever_it_comes():
+    # a running min or max keeps what it had when a later value is NaN, so a
+    # check reduced that way would pass on a NaN sample
+    reductions = {check.reduce for entry in harness.CATALOG for check in entry.checks} - {np.real}
+    assert reductions == {np.max, harness._least_step, np.ptp}
+    ladder = [0.4, 0.3, 1e-17, 0.0]
+    # on finite samples each selects the floats that hand-written min and max give
+    assert np.max(np.array(ladder)) == max(ladder)
+    assert harness._least_step(np.array(ladder)) == min(a - b for a, b in zip(ladder, ladder[1:]))
+    assert np.ptp(np.array(ladder)) == max(ladder) - min(ladder)
+    for reduce in reductions:
+        for i in range(len(ladder)):
+            samples = np.array(ladder)
+            samples[i] = math.nan
+            assert math.isnan(reduce(samples))
