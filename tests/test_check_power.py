@@ -141,7 +141,8 @@ def test_polar_cartesian_agreement_fails_on_nan_chart_values(monkeypatch):
     assert math.isnan(check.measured) and not check.passed
 
 
-# A ladder's least step and a scan's spread are reduced by the check rows too.
+# The same holds for a ladder's least step and a scan's spread taken with
+# Python's ``min`` and ``max``, which skip a NaN that does not come first.
 
 
 def test_trace_ladder_monotone_fails_on_a_nan_rung(monkeypatch, reports):
