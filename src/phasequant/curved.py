@@ -310,36 +310,3 @@ def axiom_defect(
     value = dequantize_curved(model, D, p, q, hbar, measure_variant)
     return f.evaluate(np.atleast_1d(np.asarray(p, dtype=float)), np.asarray(q, dtype=float)) - value
 
-
-def defect_curvature_coefficient(
-    model: ManifoldModel,
-    f: MomentumPolynomial,
-    points: list[np.ndarray],
-    p: np.ndarray,
-    hbar: float = 1.0,
-    measure_variant: str = "paper",
-) -> float:
-    """Least-squares coefficient of the defect against the curvature contraction.
-
-    Fits ``defect(q_i) = c * hbar^2 * (X^{ab} R_{ab})(q_i)`` over sample
-    points using the degree-2 coefficient of ``f`` and returns ``c``.
-    """
-    X = f.terms.get(2)
-    if X is None:
-        raise ConfigError("curvature-coefficient extraction needs a degree-2 term")
-    defects = []
-    weights = []
-    for q in points:
-        q = np.asarray(q, dtype=float)
-        d = axiom_defect(model, f, p, q, hbar, measure_variant)
-        contraction = complex(
-            np.tensordot(X.evaluate(q), geometry.ricci(model, q), axes=([0, 1], [0, 1]))
-        )
-        defects.append(d.real)
-        weights.append(hbar * hbar * contraction.real)
-    weights_arr = np.asarray(weights)
-    defects_arr = np.asarray(defects)
-    denom = float(weights_arr @ weights_arr)
-    if denom == 0.0:
-        raise ConfigError("curvature contraction vanishes at every sample point")
-    return float(weights_arr @ defects_arr / denom)

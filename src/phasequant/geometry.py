@@ -226,12 +226,6 @@ def inverse_metric_field(model: ManifoldModel) -> TensorField:
     return tensor_from_fields(model.dim, 2, lambda idx: model._fields["g_inv"][idx])
 
 
-def christoffel(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
-    """Christoffel symbols ``Gamma^c_{ab}`` indexed ``[c, a, b]``, at a chart
-    point or at each row of an ``(N, dim)`` point array."""
-    return evaluate(model._fields["gamma"], q).real
-
-
 def riemann(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
     """Curvature tensor ``R^r_{s m n}`` indexed ``[r, s, m, n]``."""
     if model.flat:

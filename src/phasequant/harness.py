@@ -32,6 +32,7 @@ import datetime
 import functools
 import json
 import math
+import sys
 from collections.abc import Callable, Iterator
 from pathlib import Path
 
@@ -187,6 +188,11 @@ _COMMENTS = {
 }
 
 
+def _positive_finite(value) -> bool:
+    """A number (not a bool) above 0 whose float is finite: no NaN, no inf, no int past the float range."""
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and 0 < value <= sys.float_info.max
+
+
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     """Validated inputs of one experiment run; build it with ``from_dict``.
@@ -195,7 +201,7 @@ class ExperimentConfig:
     settings its experiment reads; the other settings stay ``None``.  Any
     other key is rejected on parse; ``_comments`` entries (as emitted by
     config templates) are allowed and ignored.  Tolerance overrides are keyed
-    by check name and must be positive.
+    by check name and must be positive and finite.
     """
 
     experiment: str
@@ -212,11 +218,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         experiment = _experiment(self.experiment)
         settings = experiment.settings
-        if "hbar" in settings:
-            if isinstance(self.hbar, bool) or not isinstance(self.hbar, (int, float)):
-                raise ConfigError("hbar must be a positive number")
-            if not self.hbar > 0:
-                raise ConfigError("hbar must be a positive number")
+        if "hbar" in settings and not _positive_finite(self.hbar):
+            raise ConfigError("hbar must be a positive finite number")
         for key in ("truncation_K", "truncation_N"):
             value = getattr(self, key)
             if key not in settings:
@@ -252,7 +255,7 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown cutoff keys {unknown_cutoff}")
             _cutoff_from_config(self.cutoff)
         if not isinstance(self.tolerances, dict):
-            raise ConfigError("tolerances must be a mapping of check name to positive number")
+            raise ConfigError("tolerances must be a mapping of check name to positive finite number")
         names = CHECK_NAMES[self.experiment]
         for name, tol in self.tolerances.items():
             if name not in names:
@@ -260,8 +263,8 @@ class ExperimentConfig:
                     f"unknown tolerance key {name!r} for {self.experiment}; "
                     f"valid names: {', '.join(sorted(names))}"
                 )
-            if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not tol > 0:
-                raise ConfigError(f"tolerance {name!r} must be a positive number")
+            if not _positive_finite(tol):
+                raise ConfigError(f"tolerance {name!r} must be a positive finite number")
         if self.output_dir is not None and not isinstance(self.output_dir, str):
             raise ConfigError("output_dir must be a string or null")
 
@@ -591,12 +594,8 @@ def _run_orderings(cfg: ExperimentConfig, series: dict) -> Iterator:
 def _run_curved_defect(cfg: ExperimentConfig, series: dict) -> Iterator:
     hbar = cfg.hbar
     model = geometry.manifold(cfg.manifold)
-    if model.dim == 1:
-        probes = [np.array([0.6]), np.array([-1.0])]
-        p_base = np.array([0.45])
-    else:
-        probes = [np.array([1.1, 0.4]), np.array([1.9, -0.9])]
-        p_base = np.array([0.3, -0.55])
+    probes = [np.array([1.1, 0.4]), np.array([1.9, -0.9])]
+    p_base = np.array([0.3, -0.55])
     q0 = probes[0]
 
     def kinetic_residual():
@@ -614,28 +613,31 @@ def _run_curved_defect(cfg: ExperimentConfig, series: dict) -> Iterator:
     scalar_curv = float(
         np.tensordot(geometry.inverse_metric(model, q0), geometry.ricci(model, q0), 2)
     )
-    f2 = MomentumPolynomial(
-        2, {2: symbol_from_config(model, {"coefficient": "inverse-metric", "degree": 2}).terms[2]}
-    )
+    f2 = symbol_from_config(model, {"coefficient": "inverse-metric", "degree": 2})
     term0 = complex(np.asarray(curved.wue_weyl_image(model, f2, hbar).terms[0].evaluate(q0)))
     yield -term0.real / (hbar * hbar * scalar_curv), 1.0 / 12.0
 
     f_sym = symbol_from_config(model, cfg.symbol)
 
-    def defect_oracle(mdl, f, q):
-        X = f.terms[2].evaluate(q)
-        contraction = float(np.real(np.tensordot(X, geometry.ricci(mdl, q), 2)))
-        return hbar * hbar * contraction / 3.0
+    def curvature_weight(q):  # hbar^2 X^{ab} R_{ab}, the defect is a third of it
+        X = f_sym.terms[2].evaluate(q)
+        return hbar * hbar * float(np.real(np.tensordot(X, geometry.ricci(model, q), 2)))
 
-    yield curved.axiom_defect(model, f_sym, p_base, q0, hbar).real, defect_oracle(model, f_sym, q0)
-
+    # the p-scan holds the q0, p_base defect as its scale 1.0 (1.0 * p_base is p_base bit for bit)
     scales = [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75]
     values = [curved.axiom_defect(model, f_sym, t * p_base, q0, hbar).real for t in scales]
-    rows = [(t, v, defect_oracle(model, f_sym, q0)) for t, v in zip(scales, values)]
-    series["defect_vs_p"] = (["p_scale", "defect", "reference"], rows)
+    oracle = curvature_weight(q0) / 3.0
+    series["defect_vs_p"] = (["p_scale", "defect", "reference"], [(t, v, oracle) for t, v in zip(scales, values)])
+    defect_q0 = values[scales.index(1.0)]
+    yield defect_q0, oracle
     yield np.array(values)
 
-    yield curved.defect_curvature_coefficient(model, f_sym, probes, p_base, hbar), 1.0 / 3.0
+    # least-squares c in defect(q) = c * hbar^2 X^{ab} R_{ab}(q) over the two probes
+    w = np.array([curvature_weight(q) for q in probes])
+    d = np.array([defect_q0, curved.axiom_defect(model, f_sym, p_base, probes[1], hbar).real])
+    if w @ w == 0.0:
+        raise ConfigError("curvature contraction vanishes at every sample point")
+    yield float(w @ d / (w @ w)), 1.0 / 3.0
 
     def radius_pair():
         results = []
@@ -671,11 +673,7 @@ def _run_curved_defect(cfg: ExperimentConfig, series: dict) -> Iterator:
 
     def pullback_agreement():
         names = model.coordinate_names
-        if model.dim == 1:
-            source = f"sin({names[0]})"
-        else:
-            source = f"sin({names[0]})*cos({names[1]}) + 0.3*cos({names[0]})"
-        psi = from_expression(source, names)
+        psi = from_expression(f"sin({names[0]})*cos({names[1]}) + 0.3*cos({names[0]})", names)
         jets = geometry.pullback_jet(model, psi, q0, 3)
         return np.concatenate(
             [np.ravel(np.abs(jets[k] - geometry.sym_cov_deriv_in_frame(model, psi, q0, k))) for k in range(4)]
@@ -1040,17 +1038,18 @@ _END = object()  # what ``next`` returns once a runner has stopped
 def run_experiment(config: ExperimentConfig, tolerance_scale: float = 1.0) -> Report:
     """Run one experiment and return its report.
 
-    ``tolerance_scale`` multiplies every ``abs``/``rel`` tolerance (lower-bound
-    ``min`` thresholds are left untouched); values above 1 loosen the checks,
-    values below 1 tighten them.  The runner's values pair with the declared
-    checks in order; a runner that yields too few or too many raises
-    ``ExperimentError``.  A library error raised while a check is evaluated
-    becomes an ``ExperimentError`` naming that check, and so does an
-    ``ArithmeticError`` (e.g. an ``OverflowError`` at an extreme ``hbar``); a
-    ``ConfigError`` passes through unchanged.
+    ``tolerance_scale``, a positive finite number, multiplies every
+    ``abs``/``rel`` tolerance (lower-bound ``min`` thresholds are left
+    untouched); values above 1 loosen the checks, values below 1 tighten
+    them.  The runner's values pair with the declared checks in order; a
+    runner that yields too few or too many raises ``ExperimentError``.  A
+    library error raised while a check is evaluated becomes an
+    ``ExperimentError`` naming that check, and so does an ``ArithmeticError``
+    (e.g. an ``OverflowError`` at an extreme ``hbar``); a ``ConfigError``
+    passes through unchanged.
     """
-    if not tolerance_scale > 0:
-        raise ConfigError("tolerance scale must be positive")
+    if not _positive_finite(tolerance_scale):
+        raise ConfigError("tolerance scale must be positive and finite")
     config.validate()
     experiment = _experiment(config.experiment)
     series: dict[str, tuple] = {}

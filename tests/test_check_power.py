@@ -63,6 +63,36 @@ def test_kinetic_image_residual_fails_when_the_curvature_shift_is_scaled(monkeyp
     assert not record(rerun("curved-defect"), "kinetic-image-residual").passed
 
 
+def shift_dequantized_values(monkeypatch, where):
+    # adds 1e-3 hbar^2 to the curved dequantization at the points q that ``where`` selects,
+    # so the defect there drops by as much
+    dequantize = curved.dequantize_curved
+
+    def shifted(model, D, p, q, hbar=1.0, measure_variant="paper"):
+        value = dequantize(model, D, p, q, hbar, measure_variant)
+        return value + 1e-3 * hbar * hbar if where(q) else value
+
+    monkeypatch.setattr(curved, "dequantize_curved", shifted)
+
+
+def test_defect_value_fails_when_every_dequantized_value_is_shifted(monkeypatch, reports):
+    assert record(reports["curved-defect"], "defect-value").passed
+    shift_dequantized_values(monkeypatch, lambda q: True)
+    assert not record(rerun("curved-defect"), "defect-value").passed
+
+
+def test_defect_curvature_coefficient_fails_when_the_second_probe_is_shifted(monkeypatch, reports):
+    # both probes weigh hbar^2 R = 2 on the unit sphere, so the fit's c moves by
+    # 2 delta / (2^2 + 2^2) = delta / 4 = 2.5e-4, against a bound of 1e-4 / 3;
+    # the checks read at the first probe alone hold
+    assert record(reports["curved-defect"], "defect-curvature-coefficient").passed
+    second_probe = np.array([1.9, -0.9])
+    shift_dequantized_values(monkeypatch, lambda q: np.array_equal(q, second_probe))
+    report = rerun("curved-defect")
+    assert record(report, "defect-value").passed and record(report, "defect-p-independence").passed
+    assert not record(report, "defect-curvature-coefficient").passed
+
+
 def scale_discrete_transform(monkeypatch, factor):
     transform = cylinder._discrete_transform
     monkeypatch.setattr(cylinder, "_discrete_transform", lambda *args: transform(*args) * factor)
@@ -192,7 +222,11 @@ POWER = {
     ),
     ("orderings", "circle-weyl-hermiticity"): test_circle_weyl_hermiticity_fails_when_the_fourier_matrix_is_skewed,
     ("curved-defect", "kinetic-image-residual"): test_kinetic_image_residual_fails_when_the_curvature_shift_is_scaled,
+    ("curved-defect", "defect-value"): test_defect_value_fails_when_every_dequantized_value_is_shifted,
     ("curved-defect", "defect-p-independence"): test_defect_p_independence_fails_on_a_nan_scale,
+    ("curved-defect", "defect-curvature-coefficient"): (
+        test_defect_curvature_coefficient_fails_when_the_second_probe_is_shifted
+    ),
     ("point-transform", "cartesian-reduction"): test_cartesian_reduction_fails_when_the_divergence_is_scaled,
     ("point-transform", "polar-cartesian-agreement"): test_polar_cartesian_agreement_fails_on_nan_chart_values,
     ("point-transform", "radial-momentum-shift"): test_radial_momentum_shift_fails_when_the_divergence_is_scaled,
@@ -234,8 +268,6 @@ BACKLOG = [
     ("orderings", "standard-defect-positive"),
     ("orderings", "standard-defect-value"),
     ("curved-defect", "ricci-coefficient"),
-    ("curved-defect", "defect-value"),
-    ("curved-defect", "defect-curvature-coefficient"),
     ("curved-defect", "radius-scaling"),
     ("curved-defect", "flat-defect-euclidean"),
     ("curved-defect", "flat-defect-polar"),

@@ -216,20 +216,6 @@ def test_emmrich_defect_also_two_thirds_for_kinetic_symbol():
     assert abs(d) > 0.1
 
 
-def test_defect_curvature_coefficient_extraction():
-    points = [Q0, np.array([1.9, -0.9])]
-    c = curved.defect_curvature_coefficient(
-        UNIT_SPHERE, kinetic_energy(UNIT_SPHERE), points, P0
-    )
-    assert c == pytest.approx(1.0 / 3.0, rel=1e-4)
-
-
-def test_defect_coefficient_needs_momentum_squared():
-    f = MomentumPolynomial(2, {0: tensor_from_fields(2, 0, lambda idx: from_expression("1 + 0*theta", ("theta", "phi")))})
-    with pytest.raises(ConfigError):
-        curved.defect_curvature_coefficient(UNIT_SPHERE, f, [Q0], P0)
-
-
 def test_sphere_defect_takes_no_finite_differences(monkeypatch):
     # Expression-built geometry differentiates symbolically all the way down;
     # finite differences are left to opaque metrics.

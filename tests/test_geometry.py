@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from phasequant import curved, geometry, numdiff
+from phasequant import curved, fields, geometry, numdiff
 from phasequant.errors import ChartDomainError, ConfigError, PhasequantError, UnsupportedOrderError
 from phasequant.fields import from_callable, from_expression, tensor_from_fields
 
@@ -19,6 +19,11 @@ def sphere():
 @pytest.fixture(scope="module")
 def polar():
     return geometry.polar_plane()
+
+
+def christoffel(model, q):
+    """``Gamma^c_{ab}`` indexed ``[c, a, b]``, at a point or at each row of a point array."""
+    return fields.evaluate(model._fields["gamma"], q).real
 
 
 def opaque_sphere(sphere):
@@ -86,7 +91,7 @@ def test_sphere_metric_components(sphere):
 
 def test_sphere_christoffel_closed_form(sphere):
     theta = 1.1
-    gamma = geometry.christoffel(sphere, np.array([theta, 0.4]))
+    gamma = christoffel(sphere, np.array([theta, 0.4]))
     assert gamma[0, 1, 1] == pytest.approx(-math.sin(theta) * math.cos(theta), abs=1e-9)
     assert gamma[1, 0, 1] == pytest.approx(1.0 / math.tan(theta), abs=1e-9)
     assert gamma[1, 1, 0] == pytest.approx(1.0 / math.tan(theta), abs=1e-9)
@@ -95,7 +100,7 @@ def test_sphere_christoffel_closed_form(sphere):
 
 def test_polar_christoffel_closed_form(polar):
     r = 1.3
-    gamma = geometry.christoffel(polar, np.array([r, 0.6]))
+    gamma = christoffel(polar, np.array([r, 0.6]))
     assert gamma[0, 1, 1] == pytest.approx(-r, abs=1e-9)
     assert gamma[1, 0, 1] == pytest.approx(1.0 / r, abs=1e-9)
 
@@ -339,7 +344,7 @@ def test_covariant_derivative_index_order(sphere):
     W = from_expression("cos(theta) + phi", ("theta", "phi"))
     comps = np.array([V, W], dtype=object)
     q = np.array([1.2, -0.6])
-    gamma = geometry.christoffel(sphere, q)
+    gamma = christoffel(sphere, q)
     vec = np.array([V(q), W(q)])
     partials = np.array([[c.partial(e)(q) for e in range(2)] for c in comps])
     want = partials + np.einsum("aeg,g->ae", gamma, vec)
@@ -429,7 +434,7 @@ def test_expression_geometry_matches_closed_forms(name, q, closed):
     # curvature formula's signs: its terms cancel only when they are right.
     model = dataclasses.replace(geometry.manifold(name), flat=False)
     q = np.array(q)
-    got = [f(model, q) for f in (geometry.inverse_metric, geometry.christoffel, geometry.riemann, geometry.ricci)]
+    got = [f(model, q) for f in (geometry.inverse_metric, christoffel, geometry.riemann, geometry.ricci)]
     for value, want in zip(got, closed(q)):
         np.testing.assert_allclose(value, want, rtol=0, atol=1e-13)
 
@@ -465,7 +470,7 @@ def test_non_diagonal_expression_metric():
         v = q[1]
         np.testing.assert_allclose(geometry.metric(model, q), [[1.0, v], [v, 1.0 + v * v]], atol=0)
         np.testing.assert_allclose(geometry.inverse_metric(model, q), [[1.0 + v * v, -v], [-v, 1.0]], atol=1e-13)
-        np.testing.assert_allclose(geometry.christoffel(model, q), gamma_want, atol=1e-13)
+        np.testing.assert_allclose(christoffel(model, q), gamma_want, atol=1e-13)
         np.testing.assert_allclose(geometry.riemann(model, q), 0.0, atol=1e-13)
 
 
@@ -473,7 +478,7 @@ def test_opaque_metric_falls_back_to_finite_differences(sphere):
     opaque = opaque_sphere(sphere)
     assert opaque.metric_exprs is None
     for q in (np.array([1.1, 0.4]), np.array([2.0, -1.3])):
-        for quantity in (geometry.inverse_metric, geometry.christoffel, geometry.ricci, geometry.riemann):
+        for quantity in (geometry.inverse_metric, christoffel, geometry.ricci, geometry.riemann):
             np.testing.assert_allclose(quantity(opaque, q), quantity(sphere, q), rtol=0, atol=1e-6)
         ginv_fd = geometry.inverse_metric_field(opaque).comps[1, 1].partial(0)(q)
         ginv_exact = geometry.inverse_metric_field(sphere).comps[1, 1].partial(0)(q)
@@ -533,7 +538,7 @@ def test_opaque_metric_on_a_point_stack_equals_single_calls(sphere):
     opaque = opaque_sphere(sphere)
     points = np.array([[1.1, 0.4], [2.0, -1.3], [0.7, 0.2]])
     for model in (opaque, sphere, geometry.manifold("euclidean:2")):
-        for fn in (geometry.metric, geometry.christoffel):
+        for fn in (geometry.metric, christoffel):
             stacked = fn(model, points)
             want = np.stack([fn(model, x) for x in points])
             assert stacked.shape == want.shape and stacked.tobytes() == want.tobytes()

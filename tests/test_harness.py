@@ -96,6 +96,11 @@ def test_unknown_experiment_error_lists_valid_names():
             "cutoff": {"profile": "smoothstep", "plateau": 0.8, "support": 2.8, "x": 1},
         },
         {"experiment": "cylinder-axioms", "cutoff": "wide"},
+        {"hbar": math.inf},
+        {"hbar": math.nan},
+        {"hbar": 10**400},
+        {"tolerances": {"kernel-trace": math.inf}},
+        {"tolerances": {"kernel-trace": math.nan}},
     ],
 )
 def test_invalid_configs_rejected(overrides):
@@ -438,8 +443,9 @@ def test_tolerance_scale_loosens_and_tightens():
     assert not strict.passed
     loose = harness.run_experiment(cfg, tolerance_scale=1e6)
     assert loose.passed
-    with pytest.raises(ConfigError):
-        harness.run_experiment(cfg, tolerance_scale=0.0)
+    for bad in (0.0, math.inf, math.nan):
+        with pytest.raises(ConfigError):
+            harness.run_experiment(cfg, tolerance_scale=bad)
 
 
 def test_hbar_override_is_echoed_and_scales_defect():
@@ -565,6 +571,23 @@ def test_cli_run_overflowing_hbar_exit_code(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "text, flags",
+    [
+        # JSON reads 1e999 as inf: the run used to exit 1, or pass with tol=inf
+        ('{"experiment": "point-transform", "hbar": 1e999}', ()),
+        ('{"experiment": "point-transform", "tolerances": {"cartesian-reduction": 1e999}}', ()),
+        ('{"experiment": "point-transform"}', ("--tolerance-scale", "inf")),
+    ],
+)
+def test_cli_run_non_finite_number_exit_code(tmp_path, capsys, text, flags):
+    config_path = tmp_path / "inf.json"
+    config_path.write_text(text)
+    assert run_cli("run", "--config", str(config_path), "--out", str(tmp_path / "out"), *flags) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_run_overflowing_hermite_basis_exit_code(tmp_path, capsys):
     """From K = 604 the Hermite recurrence overflows and the operator matrix
     would be NaN: validation rejects the config before any check runs."""
@@ -630,6 +653,23 @@ def test_cli_curved_defect_rejects_symbol_without_degree_two(tmp_path, capsys):
     )
     assert run_cli("run", "--config", str(config_path), "--out", str(tmp_path / "out")) == 2
     assert "degree 2" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# X = 0: the defect and its curvature weight vanish at both probes, so there is no coefficient to fit
+ZERO_SYMBOL = {"experiment": "curved-defect", "symbol": {"coefficient": "constant", "degree": 2, "scale": 0}}
+
+
+def test_curved_defect_without_curvature_weight_is_a_config_error():
+    with pytest.raises(ConfigError, match="curvature contraction vanishes"):
+        harness.run_experiment(harness.ExperimentConfig.from_dict(ZERO_SYMBOL))
+
+
+def test_cli_curved_defect_without_curvature_weight_exit_code(tmp_path, capsys):
+    config_path = tmp_path / "cd.json"
+    config_path.write_text(json.dumps(ZERO_SYMBOL))
+    assert run_cli("run", "--config", str(config_path), "--out", str(tmp_path / "out")) == 2
+    assert "curvature contraction vanishes" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
