@@ -35,6 +35,7 @@ configuration vocabulary.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -57,6 +58,7 @@ def _check_variant(measure_variant: str) -> str:
     return measure_variant
 
 
+@functools.cache
 def _binomial_weight(m: int, k: int, j: int) -> float:
     """Exact dyadic weight ``C(m,k) C(m-k,j) / 2^(k+j)``."""
     return float(Fraction(math.comb(m, k) * math.comb(m - k, j), 2 ** (k + j)))
@@ -188,7 +190,7 @@ def _coeff_jets(
     rank = tensor.rank
     E = geometry.normal_frame(model, q)
     jets: list[np.ndarray] = []
-    for k, level in enumerate(geometry.covariant_jets(model, tensor.comps, rank, q, 0, order)):
+    for k, level in enumerate(geometry.covariant_jets(model, tensor, rank, q, 0, order)):
         jet = geometry.frame_components(level[..., 0], E, rank)
         if k >= 2 and rank and not model.flat:
             jet = jet - _ray_correction(gamma_jets, jets, rank, k)

@@ -4,18 +4,20 @@ A field's one derivative primitive is ``field.jet(q, order)``: its partials
 through ``order`` at a point or at each row of an ``(N, dim)`` point array,
 along a last axis over :func:`numdiff.multi_indices`.  An expression fills it
 from its symbolic partials, a callable from one finite-difference jet, sums
-and products from their parts' jets (the Leibniz rule), a partial from its
-parent's jet shifted down an order, and a :func:`component` from one jet that
-all components of a tensor share.  The value is the order-0 entry, on a point
-array bit for bit those at the single points (the same numpy operations run
-on both).  A field remembers its jet at the last single point, so shared
-subtrees compute each distinct jet once per point.  Fields combine with ``+``,
-``-`` and ``*`` (a number scales), so array formulas apply to object arrays.
+and products from their parts' jets (the Leibniz rule), and a partial from its
+parent's jet shifted down an order.  A tensor field is one such node, its
+components stacked on leading axes: scaling, sums, contractions (one Leibniz
+product per weight slot) and divergences act on the whole stack, and a
+:func:`component` reads one entry of it.  The value is the order-0 entry, on
+a point array bit for bit those at the single points (the same numpy
+operations run on both).  A field remembers its jet, read-only, at the last
+single point, so shared subtrees compute each distinct jet once per point.
+Fields combine with ``+``, ``-`` and ``*`` (a number scales), so array
+formulas apply to object arrays.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 from typing import Callable, Sequence
 
@@ -161,25 +163,38 @@ def multiply(a: ScalarField, b: ScalarField) -> ScalarField:
 
 
 class TensorField:
-    """A totally symmetric contravariant tensor field, stored componentwise.
+    """A totally symmetric contravariant tensor field: one jet node, ``source``,
+    with the ``rank`` component axes first.  ``comps``, a read-only object array
+    of shape ``(dim,)*rank``, holds the fields it is built from or the
+    :func:`component` fields of ``source``; symmetric slots share one object."""
 
-    ``comps`` is an object array of shape ``(dim,)*rank`` whose entries are
-    ScalarField instances; symmetric slots share the same object.
-    """
-
-    __slots__ = ("dim", "rank", "comps")
+    __slots__ = ("dim", "rank", "source", "_comps")
 
     def __init__(self, dim: int, rank: int, comps: np.ndarray):
-        self.dim = dim
-        self.rank = rank
-        comps = np.asarray(comps, dtype=object)
+        comps = np.array(comps, dtype=object)
         if comps.shape != (dim,) * rank:
             raise ShapeError(f"component array shape {comps.shape} != {(dim,) * rank}")
-        self.comps = comps
+        comps.flags.writeable = False
+        self.dim, self.rank, self._comps = dim, rank, comps
+        self.source = ScalarField(dim, lambda q, order: jets(comps, q, order))
+
+    @classmethod
+    def from_source(cls, dim: int, rank: int, source: ScalarField) -> "TensorField":
+        """The tensor whose stacked jet is ``source``'s."""
+        t = cls.__new__(cls)
+        t.dim, t.rank, t.source, t._comps = dim, rank, source, None
+        return t
+
+    @property
+    def comps(self) -> np.ndarray:
+        if self._comps is None:
+            self._comps = tensor_from_fields(self.dim, self.rank, lambda idx: component(self.source, idx)).comps
+        return self._comps
 
     def evaluate(self, q: np.ndarray) -> np.ndarray:
-        """Components at one point or on a point array (:func:`evaluate`)."""
-        return evaluate(self.comps, q)
+        """Components at one point or on a point array, the point axis first (:func:`evaluate`)."""
+        values = self.source.jet(q, 0)[..., 0]  # the component axes, then a point array's
+        return np.array(values.transpose(-1, *range(self.rank)) if values.ndim > self.rank else values, order="C")
 
 
 def evaluate(comps: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -199,22 +214,20 @@ def jets(comps: np.ndarray, q: np.ndarray, order: int) -> np.ndarray:
     return stacked.reshape(comps.shape + stacked.shape[1:])
 
 
-@functools.cache
-def _orbits(dim: int, rank: int) -> tuple[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], ...]:
-    """Each sorted index of a ``(dim,)*rank`` array with its distinct permutations."""
-    return tuple(
-        (idx, tuple(set(itertools.permutations(idx))))
-        for idx in itertools.combinations_with_replacement(range(dim), rank)  # rank 0: the one index ()
-    )
+def sorted_entries(jet: np.ndarray, dim: int, rank: int) -> np.ndarray:
+    """``jet`` with each entry of its ``rank`` leading component axes read at the
+    sorted index: symmetric slots hold one entry's bits, as shared components do."""
+    flat = np.arange(dim**rank).reshape((dim,) * rank)
+    positions = [flat[tuple(sorted(idx))] for idx in np.ndindex(flat.shape)]
+    return jet.reshape((dim**rank,) + jet.shape[rank:])[positions].reshape(jet.shape)
 
 
 def tensor_from_fields(dim: int, rank: int, assign: Callable[[tuple[int, ...]], ScalarField]) -> TensorField:
     """Build a symmetric tensor field; ``assign`` is called once per sorted index."""
+    shared = {idx: assign(idx) for idx in itertools.combinations_with_replacement(range(dim), rank)}
     comps = np.empty((dim,) * rank, dtype=object)
-    for idx, perms in _orbits(dim, rank):
-        field = assign(idx)
-        for perm in perms:
-            comps[perm] = field
+    for idx in np.ndindex(comps.shape):
+        comps[idx] = shared[tuple(sorted(idx))]
     return TensorField(dim, rank, comps)
 
 
@@ -230,18 +243,16 @@ def tensor_scalar(field: ScalarField) -> TensorField:
 
 
 def tensor_scale(t: TensorField, factor: complex) -> TensorField:
-    return tensor_from_fields(t.dim, t.rank, lambda idx: scale(t.comps[idx], factor))
+    if complex(factor) == 0:
+        return tensor_constant(t.dim, np.zeros((t.dim,) * t.rank))
+    return TensorField.from_source(t.dim, t.rank, scale(t.source, factor))
 
 
 def tensor_add(*tensors: TensorField) -> TensorField:
     first = tensors[0]
     if any(t.rank != first.rank or t.dim != first.dim for t in tensors):
         raise ShapeError("tensor_add() requires matching rank and dimension")
-    return tensor_from_fields(
-        first.dim,
-        first.rank,
-        lambda idx: add(*[t.comps[idx] for t in tensors]),
-    )
+    return TensorField.from_source(first.dim, first.rank, add(*[t.source for t in tensors]))
 
 
 def contract(t: TensorField, weights: np.ndarray) -> TensorField:
@@ -249,7 +260,12 @@ def contract(t: TensorField, weights: np.ndarray) -> TensorField:
     shape ``(dim,)*k``: a rank ``t.rank - k`` field with partials as exact as
     those of ``W`` and ``t``.  Only the symmetric part of ``W`` contributes."""
 
-    def assign(idx: tuple[int, ...]) -> ScalarField:
-        return add(*[multiply(weights[s], t.comps[s + idx]) for s in np.ndindex(weights.shape)])
+    def jet(q, order):
+        T = t.source.jet(q, order)
+        total = None
+        for s in np.ndindex(weights.shape):
+            term = taylor.jet_product(weights[s].jet(q, order), T[s], t.dim, order)
+            total = term if total is None else total + term
+        return total
 
-    return tensor_from_fields(t.dim, t.rank - weights.ndim, assign)
+    return TensorField.from_source(t.dim, t.rank - weights.ndim, ScalarField(t.dim, jet))

@@ -54,6 +54,7 @@ from .fields import (
     from_callable,
     from_expression,
     jets,
+    sorted_entries,
     tensor_constant,
     tensor_from_fields,
     tensor_scalar,
@@ -486,17 +487,18 @@ def _nabla(T: np.ndarray, rank: int, upper: int, gamma: np.ndarray | None, dim: 
 
 
 def covariant_jets(
-    model: ManifoldModel, comps: np.ndarray, upper: int, q: np.ndarray, order: int, n: int
+    model: ManifoldModel, tensor: TensorField | np.ndarray, upper: int, q: np.ndarray, order: int, n: int
 ) -> list[np.ndarray]:
     """Flat jets through ``order`` of ``T, nabla T, ..., nabla^n T`` at a point or point
-    array ``q``, for component fields ``comps`` with ``upper`` contravariant axes first;
-    entry ``k`` adds the new covariant indices last among its component axes
-    (unsymmetrized), before any point axis and the multi-index axis (value first)."""
+    array ``q``, for a tensor field or an object array of component fields with ``upper``
+    contravariant axes first; entry ``k`` adds the new covariant indices last among its
+    component axes (unsymmetrized), before any point axis and the multi-index axis (value first)."""
     top = order + n
     gamma = None if model.connection_free or n == 0 else jets(model._fields["gamma"], q, top - 1)
-    levels = [jets(comps, q, top)]
+    levels = [tensor.source.jet(q, top) if isinstance(tensor, TensorField) else jets(tensor, q, top)]
+    rank = levels[0].ndim - np.ndim(q)  # the component axes
     for k in range(1, n + 1):
-        levels.append(_nabla(levels[-1], comps.ndim + k - 1, upper, gamma, model.dim, top - k))
+        levels.append(_nabla(levels[-1], rank + k - 1, upper, gamma, model.dim, top - k))
     return levels
 
 
@@ -505,7 +507,7 @@ def sym_cov_deriv(model: ManifoldModel, psi: ScalarField, q: np.ndarray, order: 
 
     Chart (lower) indices.  Order 0 returns the value itself.
     """
-    vals = covariant_jets(model, tensor_scalar(psi).comps, 0, q, 0, order)[order][..., 0]
+    vals = covariant_jets(model, tensor_scalar(psi), 0, q, 0, order)[order][..., 0]
     if order == 0:
         return vals
     if np.allclose(vals.imag, 0.0):
@@ -528,14 +530,18 @@ def covariant_divergence(model: ManifoldModel, tensor: TensorField) -> TensorFie
     """Covariant divergence of a symmetric contravariant tensor field.
 
     ``(nabla . X)^{J} = nabla_b X^{bJ}``: the trace of the first slot of the
-    covariant derivative with its new index, built only for the traced
-    components.  Returns a rank ``tensor.rank - 1`` tensor field.
+    covariant derivative with its new index, each ``J`` read at its sorted
+    index.  Returns a rank ``tensor.rank - 1`` tensor field.
     """
     if tensor.rank == 0:
         raise ShapeError("cannot take the divergence of a rank-0 tensor")
-    comps, rank = tensor.comps, tensor.rank  # trace the first slot with the new index
-    source = ScalarField(model.dim, lambda q, n: covariant_jets(model, comps, rank, q, n, 1)[1].trace(0, 0, rank))
-    return tensor_from_fields(model.dim, rank - 1, lambda idx: component(source, idx))
+    rank = tensor.rank
+
+    def jet(q, n):  # trace the first slot with the new index; connection terms come in slot order
+        out = covariant_jets(model, tensor, rank, q, n, 1)[1].trace(0, 0, rank)
+        return out if model.connection_free else sorted_entries(out, model.dim, rank - 1)
+
+    return TensorField.from_source(model.dim, rank - 1, ScalarField(model.dim, jet))
 
 
 def pullback_jet(

@@ -146,10 +146,11 @@ def operator_matrix(model: ManifoldModel, D: CovariantOperator, basis, K: int) -
 
     def assemble(nodes: int) -> np.ndarray:
         points, weights = basis.quadrature(nodes, K)
-        vol = np.sqrt(np.linalg.det(geometry.metric(model, points)))
+        # a constant metric has one determinant, broadcast over the nodes
+        vol = np.sqrt(np.linalg.det(geometry.metric(model, points[:1] if model.connection_free else points)))
         coefficients = np.zeros((order + 1, len(points)), dtype=complex)
         for r, tensor in D.terms.items():
-            coefficients[r] = tensor.comps[(0,) * r](points)
+            coefficients[r] = tensor.evaluate(points)[(slice(None),) + (0,) * r]
         return basis.galerkin(points, coefficients, weights * vol, K)
 
     nodes = max(QUADRATURE_NODES, basis.resolving_nodes(K))

@@ -12,7 +12,7 @@ import numpy as np
 
 from phasequant import bases, curved, cylinder, flat_weyl, geometry, harness
 from phasequant.fields import tensor_scale
-from phasequant.symbols import MomentumPolynomial
+from phasequant.symbols import CovariantOperator, MomentumPolynomial
 
 
 def record(report, name):
@@ -53,6 +53,23 @@ def test_configured_ordering_roundtrip_fails_when_the_recovered_symbol_is_scaled
     assert record(reports["orderings"], "configured-ordering-roundtrip").passed
     scale_recovered_symbol(monkeypatch, 1.0 + 1e-10)
     assert not record(rerun("orderings"), "configured-ordering-roundtrip").passed
+
+
+def test_standard_preset_image_fails_when_the_top_order_term_is_scaled(monkeypatch, reports):
+    # the circle's standard image scales too, and a real multiple keeps its matrix's hermiticity
+    assert record(reports["orderings"], "standard-preset-image").passed
+    image = curved.wue_standard_image
+
+    def scaled(*args):
+        D = image(*args)
+        return CovariantOperator(
+            D.dim, {k: tensor_scale(t, 1.0 + 1e-9) if k == D.max_order else t for k, t in D.terms.items()}
+        )
+
+    monkeypatch.setattr(curved, "wue_standard_image", scaled)
+    report = rerun("orderings")
+    assert not record(report, "standard-preset-image").passed
+    assert all(r.passed for r in report.records if r.name != "standard-preset-image")
 
 
 def test_kinetic_image_residual_fails_when_the_curvature_shift_is_scaled(monkeypatch, reports):
@@ -220,6 +237,7 @@ POWER = {
     ("orderings", "configured-ordering-roundtrip"): (
         test_configured_ordering_roundtrip_fails_when_the_recovered_symbol_is_scaled
     ),
+    ("orderings", "standard-preset-image"): test_standard_preset_image_fails_when_the_top_order_term_is_scaled,
     ("orderings", "circle-weyl-hermiticity"): test_circle_weyl_hermiticity_fails_when_the_fourier_matrix_is_skewed,
     ("curved-defect", "kinetic-image-residual"): test_kinetic_image_residual_fails_when_the_curvature_shift_is_scaled,
     ("curved-defect", "defect-value"): test_defect_value_fails_when_every_dequantized_value_is_shifted,
@@ -263,7 +281,6 @@ BACKLOG = [
     ("flat-axioms", "kernel-hermiticity"),
     ("flat-axioms", "kernel-trace"),
     ("flat-axioms", "weak-form-pairing"),
-    ("orderings", "standard-preset-image"),
     ("orderings", "real-ordering-hermiticity"),
     ("orderings", "standard-defect-positive"),
     ("orderings", "standard-defect-value"),

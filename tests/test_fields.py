@@ -410,3 +410,83 @@ def test_n_ary_tensor_add_equals_nested_pairwise_sums_bit_for_bit():
         assert flat.evaluate(q).tobytes() == nested.evaluate(q).tobytes()
         for idx in np.ndindex(2, 2):
             assert flat.comps[idx].jet(q, 3).tobytes() == nested.comps[idx].jet(q, 3).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# tensor nodes: one jet, the component axes first
+
+# a metric whose connection has every kind of entry, so the slot terms of a
+# divergence add in a different order for each permutation of its indices
+SKEW = geometry.ManifoldModel(
+    name="skew",
+    dim=2,
+    coords=(geometry.CoordSpec("x"), geometry.CoordSpec("y")),
+    metric_exprs=geometry._metric_exprs(
+        ("x", "y"), [["1 + 0.3*x*x + 0.1*y", "0.2*sin(y) + 0.1*x"], ["0.2*sin(y) + 0.1*x", "2 + cos(x)*y"]]
+    ),
+)
+
+
+def _expression_tensor(model, rank):
+    sources = ["sin({a})*cos({b})", "cos({a}) + 0.3*{b}", "{a}*{a}*sin({b})", "0.7 + cos(2*{a})*{b}", "{a}*{b} + 0.1"]
+    a, b = names = model.coordinate_names
+    return fields.tensor_from_fields(
+        model.dim, rank, lambda idx: fields.from_expression(sources[sum(idx)].format(a=a, b=b), names)
+    )
+
+
+def _tensor_operations(model, rank):
+    X = _expression_tensor(model, rank)
+    names = model.coordinate_names
+    vector = np.array([fields.from_expression(e, names) for e in (f"0.5 + 0.1*{names[0]}", "0.2")], dtype=object)
+    operations = {
+        "scale": fields.tensor_scale(X, 0.3 - 1.7j),
+        "add": fields.tensor_add(X, fields.tensor_scale(X, 2.0), X),
+        "contract": fields.contract(X, vector),
+        "divergence": geometry.covariant_divergence(model, X),
+        "divergence-of-sum": geometry.covariant_divergence(model, fields.tensor_add(X, fields.tensor_scale(X, 0.5))),
+    }
+    if rank == 2:
+        operations["contract-metric"] = fields.contract(X, model._fields["g_inv"])
+    return operations
+
+
+@pytest.mark.parametrize("name", ["polar-plane", "sphere:1"])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_tensor_operations_on_a_point_array_match_single_points(name, rank):
+    model = geometry.manifold(name)
+    assert not model.connection_free
+    points = np.column_stack([np.linspace(0.4, 2.6, 7), np.linspace(-3.0, 3.0, 7)])
+    for label, t in _tensor_operations(model, rank).items():
+        got = t.source.jet(points, 3)
+        want = np.stack([t.source.jet(x, 3) for x in points], axis=-2)
+        assert got.shape == (model.dim,) * t.rank + want.shape[-2:], label
+        assert got.tobytes() == want.tobytes(), label
+        assert t.evaluate(points).tobytes() == np.array([t.evaluate(x) for x in points]).tobytes(), label
+
+
+def test_a_memoized_stacked_jet_is_read_only():
+    X = _expression_tensor(SKEW, 2)
+    q = np.array([0.3, 0.4])
+    for t in (X, fields.tensor_scale(X, 2.0), geometry.covariant_divergence(SKEW, _expression_tensor(SKEW, 3))):
+        jet = t.source.jet(q, 2)
+        assert not jet.flags.writeable
+        assert t.source.jet(q, 2) is jet
+        with pytest.raises(ValueError):
+            jet[(0,) * t.rank] = 1.0
+        assert not t.comps.flags.writeable
+        assert not t.comps[(1,) + (0,) * (t.rank - 1)].jet(q, 2).flags.writeable
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_a_divergence_holds_symmetric_slots_bit_for_bit(rank):
+    # nabla_b X^{bJ} adds one connection term per slot of J in slot order, so its
+    # permuted entries would round differently; each reads its sorted index
+    div = geometry.covariant_divergence(SKEW, _expression_tensor(SKEW, rank))
+    q = np.array([0.3, 0.4])
+    for points in (q, np.array([q, [0.5, -0.2]])):
+        jet = div.source.jet(points, 2)
+        for idx in np.ndindex(jet.shape[: rank - 1]):
+            assert jet[idx].tobytes() == jet[tuple(sorted(idx))].tobytes()
+    for idx in np.ndindex(div.comps.shape):
+        assert div.comps[idx] is div.comps[tuple(sorted(idx))]
