@@ -11,11 +11,13 @@ checkout a round records:
   experiment at its default config, each ``python -m phasequant run`` in a
   fresh process (start-up and imports included);
 - the time to import ``phasequant.harness`` in a fresh process;
-- the time of each cataloged experiment at its default config, one
-  in-process run each in catalog order (as ``scripts/run_all.py`` runs them)
-  under perfbench's ``SpeedProbe``, and how many checks passed: the run's
-  wall time less the probe's samples inside it goes in ``run_all_raw_s`` and,
-  scaled to the probe's reference speed as the layers are, in ``run_all_s``;
+- the warm time of each cataloged experiment at its default config, in
+  catalog order (as ``scripts/run_all.py`` runs them): one untimed
+  in-process run, then :data:`WARM_RUNS` timed ones, each under perfbench's
+  ``SpeedProbe``, and how many checks the last one passed.  A timed run's
+  wall time less the probe's samples inside it is its raw time; the median
+  raw time goes in ``run_all_raw_s`` and the median time scaled to the
+  probe's reference speed, as the layers are, in ``run_all_s``;
 - the median time of repeated calls of ``symbols.operator_matrix`` (circle,
   Weyl image of cos(theta) p^2, Fourier basis) at K = 32 and K = 64, of
   ``cylinder.pair_trace_smeared_cyl`` at K = 64 with a fresh default cutoff,
@@ -98,6 +100,9 @@ PINNED = {
 LAYER_SECONDS = 1.0
 # Cold CLI runs of each experiment per round; the round records their median.
 COLD_RUNS = 5
+# Timed in-process runs of each experiment per round, after an untimed one; the
+# round records their median (one run moves by about 10% on unchanged code).
+WARM_RUNS = 5
 PERFBENCH_CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
 
 
@@ -154,12 +159,17 @@ def layer_timings(src: Path) -> dict:
     run_all_s, run_all_raw_s, passed, total = {}, {}, 0, 0
     for entry in harness.list_experiments():
         config = harness.ExperimentConfig.from_dict(harness.default_config(entry.name))
-        with probing(child) as probe:
-            start = time.perf_counter()
-            report = harness.run_experiment(config)
-            end = time.perf_counter()
-        run_all_raw_s[entry.name] = probe.own(start, end)
-        run_all_s[entry.name] = probe.own(start, end) * probe.scale(start)
+        harness.run_experiment(config)
+        raw, scaled = [], []
+        for _ in range(WARM_RUNS):
+            with probing(child) as probe:
+                start = time.perf_counter()
+                report = harness.run_experiment(config)
+                end = time.perf_counter()
+            raw.append(probe.own(start, end))
+            scaled.append(raw[-1] * probe.scale(start))
+        run_all_raw_s[entry.name] = statistics.median(raw)
+        run_all_s[entry.name] = statistics.median(scaled)
         passed += sum(record.passed for record in report.records)
         total += len(report.records)
 

@@ -13,7 +13,7 @@ one source, the normal-coordinate expansion of the metric in
 from ``geometry.normal_christoffel_jets``, and coefficient jets from
 covariant derivatives (``geometry.covariant_jets``) corrected by those
 connection jets along the radial geodesics.  The image contracts the same
-density jets, as fields (``geometry.density_jet_fields``), that the pairing
+density jets, as nodes (``geometry.density_jet_fields``), that the pairing
 evaluates at a point.  Every operator order the package supports (up to 4)
 is exact in the curvature; flat models are the zero-curvature case of the
 same path, and a model with an opaque metric takes it too, with finite
@@ -41,7 +41,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import fields, geometry, numdiff, taylor
+from . import geometry, numdiff, taylor
 from .errors import ConfigError
 from .fields import TensorField, contract, tensor_scale
 from .geometry import ManifoldModel
@@ -206,7 +206,7 @@ def _pairing_data(model: ManifoldModel, q: np.ndarray, D: CovariantOperator, ord
     rank at most k, and the trace pairing of rank r reads order r."""
     dim = model.dim
     # no jet read here needs the metric past ``order``: one remembered opaque metric_fn jet serves all
-    fields.jets(model._fields["g"], q, order)
+    model._fields["g"].source.jet(q, order)
     gamma_jets = geometry.normal_christoffel_jets(model, q, max(order - 1, 0))
     coeff = {k: taylor.from_jets(dim, _coeff_jets(model, q, t, k, gamma_jets)) for k, t in D.terms.items()}
     h = taylor.from_jets(dim, geometry.sqrt_g_jet(model, q, order, power=-0.5))

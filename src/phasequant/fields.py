@@ -1,23 +1,25 @@
-"""Scalar and symmetric tensor coefficient fields on a chart.
+"""Scalar and tensor coefficient fields on a chart.
 
 A field's one derivative primitive is ``field.jet(q, order)``: its partials
 through ``order`` at a point or at each row of an ``(N, dim)`` point array,
 along a last axis over :func:`numdiff.multi_indices`.  An expression fills it
 from its symbolic partials, a callable from one finite-difference jet, sums
 and products from their parts' jets (the Leibniz rule), and a partial from its
-parent's jet shifted down an order.  A tensor field is one such node, its
-components stacked on leading axes: scaling, sums, contractions (one Leibniz
-product per weight slot) and divergences act on the whole stack, and a
-:func:`component` reads one entry of it.  The value is the order-0 entry, on
-a point array bit for bit those at the single points (the same numpy
-operations run on both).  A field remembers its jet, read-only, at the last
-single point, so shared subtrees compute each distinct jet once per point.
-Fields combine with ``+``, ``-`` and ``*`` (a number scales), so array
-formulas apply to object arrays.
+parent's jet shifted down an order.  A tensor field, a symbol coefficient or a
+level of a manifold's geometry alike, is one such node with its component axes
+first: scaling, sums, contractions (one Leibniz product per weight slot) and
+divergences act on the whole stack, and a :func:`component` reads one entry of
+it.  The value is the order-0 entry, on a point array bit for bit those at the
+single points (the same numpy operations run on both).  A field remembers its
+jet, read-only, at the last single point, so shared subtrees compute each
+distinct jet once per point.  Fields combine with ``+``, ``-`` and ``*`` (a
+number scales), so array formulas apply to object arrays of component fields
+before they are stacked.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, Sequence
 
@@ -163,55 +165,36 @@ def multiply(a: ScalarField, b: ScalarField) -> ScalarField:
 
 
 class TensorField:
-    """A totally symmetric contravariant tensor field: one jet node, ``source``,
-    with the ``rank`` component axes first.  ``comps``, a read-only object array
-    of shape ``(dim,)*rank``, holds the fields it is built from or the
-    :func:`component` fields of ``source``; symmetric slots share one object."""
+    """A tensor field, its component axes first: one jet node, ``source``, whose
+    jet holds ``rank`` component axes of length ``dim`` before any point axis and
+    the multi-index axis.  Built from an object array of component fields of shape
+    ``(dim,)*rank``, the node stacks their jets; :func:`component` reads one entry."""
 
-    __slots__ = ("dim", "rank", "source", "_comps")
+    __slots__ = ("dim", "rank", "source")
 
     def __init__(self, dim: int, rank: int, comps: np.ndarray):
         comps = np.array(comps, dtype=object)
         if comps.shape != (dim,) * rank:
             raise ShapeError(f"component array shape {comps.shape} != {(dim,) * rank}")
-        comps.flags.writeable = False
-        self.dim, self.rank, self._comps = dim, rank, comps
-        self.source = ScalarField(dim, lambda q, order: jets(comps, q, order))
+
+        def jet(q, order):
+            stacked = np.array([field.jet(q, order) for field in comps.flat])
+            return stacked.reshape(comps.shape + stacked.shape[1:])
+
+        self.dim, self.rank, self.source = dim, rank, ScalarField(dim, jet)
 
     @classmethod
     def from_source(cls, dim: int, rank: int, source: ScalarField) -> "TensorField":
         """The tensor whose stacked jet is ``source``'s."""
         t = cls.__new__(cls)
-        t.dim, t.rank, t.source, t._comps = dim, rank, source, None
+        t.dim, t.rank, t.source = dim, rank, source
         return t
 
-    @property
-    def comps(self) -> np.ndarray:
-        if self._comps is None:
-            self._comps = tensor_from_fields(self.dim, self.rank, lambda idx: component(self.source, idx)).comps
-        return self._comps
-
     def evaluate(self, q: np.ndarray) -> np.ndarray:
-        """Components at one point or on a point array, the point axis first (:func:`evaluate`)."""
+        """Components at one point or on a point array, the point axis first, in C order:
+        matmul sums a strided stack by another kernel, moving symbol values' last bits."""
         values = self.source.jet(q, 0)[..., 0]  # the component axes, then a point array's
         return np.array(values.transpose(-1, *range(self.rank)) if values.ndim > self.rank else values, order="C")
-
-
-def evaluate(comps: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Values of an object array of fields at one point, or at each row of an
-    ``(N, dim)`` point array (shape ``(N,) + comps.shape``, the point axis first)."""
-    q = np.asarray(q, dtype=float)
-    values = np.array([field(q) for field in comps.flat], dtype=complex)
-    # C order: matmul sums a strided stack by another kernel, moving symbol values' last bits
-    return np.ascontiguousarray(values.T).reshape(q.shape[:-1] + comps.shape)
-
-
-def jets(comps: np.ndarray, q: np.ndarray, order: int) -> np.ndarray:
-    """The jets of an object array of fields, component axes first, then the
-    point axis of a point array, then the multi-index axis."""
-    q = np.asarray(q, dtype=float)
-    stacked = np.array([field.jet(q, order) for field in comps.flat])
-    return stacked.reshape(comps.shape + stacked.shape[1:])
 
 
 def sorted_entries(jet: np.ndarray, dim: int, rank: int) -> np.ndarray:
@@ -225,10 +208,8 @@ def sorted_entries(jet: np.ndarray, dim: int, rank: int) -> np.ndarray:
 def tensor_from_fields(dim: int, rank: int, assign: Callable[[tuple[int, ...]], ScalarField]) -> TensorField:
     """Build a symmetric tensor field; ``assign`` is called once per sorted index."""
     shared = {idx: assign(idx) for idx in itertools.combinations_with_replacement(range(dim), rank)}
-    comps = np.empty((dim,) * rank, dtype=object)
-    for idx in np.ndindex(comps.shape):
-        comps[idx] = shared[tuple(sorted(idx))]
-    return TensorField(dim, rank, comps)
+    comps = [shared[tuple(sorted(idx))] for idx in np.ndindex((dim,) * rank)]
+    return TensorField(dim, rank, np.array(comps, dtype=object).reshape((dim,) * rank))
 
 
 def tensor_constant(dim: int, values: np.ndarray) -> TensorField:
@@ -255,17 +236,14 @@ def tensor_add(*tensors: TensorField) -> TensorField:
     return TensorField.from_source(first.dim, first.rank, add(*[t.source for t in tensors]))
 
 
-def contract(t: TensorField, weights: np.ndarray) -> TensorField:
-    """``W_{a1..ak} T^{a1..ak J}`` for an object array ``W`` of weight fields,
-    shape ``(dim,)*k``: a rank ``t.rank - k`` field with partials as exact as
-    those of ``W`` and ``t``.  Only the symmetric part of ``W`` contributes."""
+def contract(t: TensorField, weights: TensorField) -> TensorField:
+    """``W_{a1..ak} T^{a1..ak J}`` for a rank-k weight tensor field ``W``: a rank
+    ``t.rank - k`` field with partials as exact as those of ``W`` and ``t``, one
+    Leibniz product per slot added in slot order.  Only the symmetric part of ``W`` contributes."""
 
     def jet(q, order):
-        T = t.source.jet(q, order)
-        total = None
-        for s in np.ndindex(weights.shape):
-            term = taylor.jet_product(weights[s].jet(q, order), T[s], t.dim, order)
-            total = term if total is None else total + term
-        return total
+        T, W = t.source.jet(q, order), weights.source.jet(q, order)
+        slots = np.ndindex((t.dim,) * weights.rank)
+        return functools.reduce(np.add, [taylor.jet_product(W[s], T[s], t.dim, order) for s in slots])
 
-    return TensorField.from_source(t.dim, t.rank - weights.ndim, ScalarField(t.dim, jet))
+    return TensorField.from_source(t.dim, t.rank - weights.rank, ScalarField(t.dim, jet))

@@ -3,25 +3,27 @@
 A :class:`ManifoldModel` bundles a single chart (coordinate ranges), the
 metric in that chart, and optional closed-form geodesics.  The inverse
 metric, connection and curvature come from one set of formulas applied to
-component arrays.  Built-in models give the metric as expressions, so these
-levels and all their partial derivatives are exact to round-off.  A model
-given by an opaque ``metric_fn`` gets the same formulas on the components of
-one finite-difference jet of ``metric_fn`` and its inverse at the same nodes:
-finite differences apply only one level deep, at the callable.
+component arrays, and each of these levels is then one tensor node, its
+component axes first, that every reader takes whole.  Built-in models give
+the metric as expressions, so the levels and all their partial derivatives
+are exact to round-off.  A model given by an opaque ``metric_fn`` gets the
+same formulas on the components of one finite-difference jet of ``metric_fn``
+and its inverse at the same nodes: finite differences apply only one level
+deep, at the callable.
 
 The covariant derivative is one operation on jets, :func:`covariant_jets`,
 which the pairing's coefficient jets, the frame curvature ``R``, ``nabla R``
 and ``nabla nabla R``, divergences and density jets all read.  The
 normal-coordinate expansion of the metric through fourth order gives the
 connection jets (:func:`normal_metric_series`, :func:`normal_christoffel_jets`)
-and, as fields of the base point, the density jets (:func:`density_jet_fields`):
-the image contracts those fields and :func:`sqrt_g_jet` evaluates them at a
-point, so density jets have one source.  Closed-form geodesics (a model's
-``exp_fn``) and finite-difference jets of pulled-back functions
-(``sqrt_g_jet(method="numeric")``, :func:`pullback_jet`) remain as
-independent references for checks.  The metric series is a flat jet
-(``taylor.Series``); connection, density and pullback jets are returned as
-symmetric derivative arrays, one per order.
+and, as one tensor node per order over the base point, the density jets
+(:func:`density_jet_fields`): the image contracts that node and
+:func:`sqrt_g_jet` evaluates it at a point, so density jets have one source.
+Closed-form geodesics (a model's ``exp_fn``) and finite-difference jets of
+pulled-back functions (``sqrt_g_jet(method="numeric")``, :func:`pullback_jet`)
+remain as independent references for checks.  The metric series is a flat
+jet (``taylor.Series``); connection, density and pullback jets are returned
+as symmetric derivative arrays, one per order.
 
 Conventions:
 
@@ -37,7 +39,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable
 
 import numpy as np
@@ -50,14 +52,13 @@ from .fields import (
     TensorField,
     component,
     contract,
-    evaluate,
     from_callable,
     from_expression,
-    jets,
     sorted_entries,
+    tensor_add,
     tensor_constant,
-    tensor_from_fields,
     tensor_scalar,
+    tensor_scale,
 )
 
 # Safety margin (in chart units) kept away from open chart boundaries.
@@ -82,8 +83,7 @@ class ManifoldModel:
     expressions in the coordinate names, and an opaque ``metric_fn`` of one
     point, whose connection and curvature take finite differences of it;
     ``metric_fn`` is set only for opaque models.  Either way the metric is the
-    ``g`` fields of ``_fields``, which only an opaque model's point arrays
-    bypass, a ``metric_fn`` call per row.
+    ``g`` node of ``_fields``.
     ``exp_fn(q, v)``, a model's closed-form geodesics, maps a chart tangent
     vector at ``q`` to the geodesic endpoint, or an ``(N, dim)`` stack of
     them to ``(N, dim)`` endpoints, and must be continuous in ``v`` near the
@@ -122,12 +122,13 @@ class ManifoldModel:
         return _levels(g, inverse_matrix(g), lambda e, axis: e.diff(names[axis]))
 
     @cached_property
-    def _fields(self) -> dict[str, np.ndarray]:
-        """Read-only component fields of every level of :func:`_levels`, shared
-        by all callers: the ``_derived`` expressions, with exact partials, or
-        for an opaque metric the same formulas on the components of one
-        finite-difference jet of ``metric_fn`` and its inverse at the same
-        nodes, so finite differences act one level deep."""
+    def _fields(self) -> dict[str, TensorField]:
+        """Every level of :func:`_levels` as one tensor node, its component axes
+        first, shared by all callers: the fields of the ``_derived`` expressions,
+        with exact partials, or for an opaque metric the same formulas on the
+        components of one finite-difference jet of ``metric_fn`` and its inverse
+        at the same nodes, so finite differences act one level deep."""
+        dim = self.dim
         if self._derived is None:
             metric_fn = self.metric_fn
 
@@ -135,17 +136,15 @@ class ManifoldModel:
                 g = np.asarray(metric_fn(x), dtype=float)
                 return np.stack([g, np.linalg.inv(g)])
 
-            source = from_callable(self.dim, pair)
-            g, g_inv = (
-                tensor_from_fields(self.dim, 2, lambda idx, i=i: component(source, (i,) + idx)).comps for i in (0, 1)
-            )
+            source = from_callable(dim, pair)
+            # each entry reads its sorted index, as inv(g) need not be symmetric to the last bit
+            entries = [(min(idx), max(idx)) for idx in np.ndindex(dim, dim)]
+            g, g_inv = (np.array([component(source, (i, *ab)) for ab in entries]).reshape(dim, dim) for i in (0, 1))
             out = _levels(g, g_inv, lambda f, axis: f.partial(axis))
         else:
             to_field = np.frompyfunc(lambda e: from_expression(e, self.coordinate_names), 1, 1)
             out = {level: to_field(exprs) for level, exprs in self._derived.items()}
-        for comps in out.values():
-            comps.flags.writeable = False
-        return out
+        return {level: TensorField(dim, comps.ndim, comps) for level, comps in out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -209,53 +208,51 @@ def check_point(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
 
 
 def metric(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
-    """``g_ab`` at a chart point, or at each row of an ``(N, dim)`` point array."""
-    q = np.asarray(q, dtype=float)
-    if model.metric_exprs is None and q.ndim == 2:  # an opaque metric_fn takes one point at a time
-        return np.asarray(numdiff.pointwise(model.metric_fn)(q), dtype=float)
-    return evaluate(model._fields["g"], q).real
+    """``g_ab`` at a chart point, or at each row of an ``(N, dim)`` point array:
+    the ``g`` node's values, for an opaque model ``metric_fn``'s bit for bit."""
+    return model._fields["g"].evaluate(q).real
 
 
 def inverse_metric(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
-    return evaluate(model._fields["g_inv"], q).real
+    return model._fields["g_inv"].evaluate(q).real
 
 
 def inverse_metric_field(model: ManifoldModel) -> TensorField:
-    """The inverse metric ``g^{ab}`` as a symmetric rank-2 tensor field: exact
-    partials for expression metrics, and single finite-difference stencils of
-    the inverse of an opaque ``metric_fn``."""
-    return tensor_from_fields(model.dim, 2, lambda idx: model._fields["g_inv"][idx])
+    """The inverse metric ``g^{ab}`` as a rank-2 tensor field, the model's own
+    ``g_inv`` node: exact partials for expression metrics, and single
+    finite-difference stencils of the inverse of an opaque ``metric_fn``."""
+    return model._fields["g_inv"]
 
 
 def riemann(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
     """Curvature tensor ``R^r_{s m n}`` indexed ``[r, s, m, n]``."""
     if model.flat:
         return np.zeros((model.dim,) * 4)
-    return evaluate(model._fields["riemann"], q).real
+    return model._fields["riemann"].evaluate(q).real
 
 
 def ricci(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
     """Ricci tensor ``Ric_{s n} = R^m_{s m n}``."""
     if model.flat:
         return np.zeros((model.dim,) * 2)
-    return evaluate(model._fields["ricci"], q).real
+    return model._fields["ricci"].evaluate(q).real
 
 
 def ricci_contraction(model: ManifoldModel, X: TensorField) -> TensorField:
     """``Ric_{ab} X^{ab J}`` as a rank ``X.rank - 2`` field, with partials as
-    exact as the model's Ricci fields (finite differences only at an opaque
+    exact as the model's Ricci node (finite differences only at an opaque
     ``metric_fn``, one level deep)."""
     if model.flat:
         return tensor_constant(model.dim, np.zeros((model.dim,) * (X.rank - 2)))
     return contract(X, model._fields["ricci"])
 
 
-def density_jet_fields(model: ManifoldModel, k: int, power: float) -> np.ndarray:
-    """Fields whose symmetrization is, at each ``q``, the ``k``-th jet
+def density_jet_fields(model: ManifoldModel, k: int, power: float) -> TensorField:
+    """The rank-``k`` tensor field whose symmetrization is, at each ``q``, the ``k``-th jet
     (``k`` = 2, 3, 4) of the density power ``(sqrt g)**power`` in normal
     coordinates at ``q``, chart axes.  This is the one source of density
-    jets: the image contracts them with coefficients (``power`` -1), and
-    :func:`sqrt_g_jet` evaluates them at a point.  With ``p = power``, from
+    jets: the image contracts it with coefficients (``power`` -1), and
+    :func:`sqrt_g_jet` evaluates it at a point.  With ``p = power``, from
     the expansion of :func:`normal_metric_series`::
 
         k = 2:  -(p/3) Ric_ab
@@ -264,19 +261,29 @@ def density_jet_fields(model: ManifoldModel, k: int, power: float) -> np.ndarray
     """
     if not 2 <= k <= 4:
         raise UnsupportedOrderError(f"density jets are built for orders 2 to 4, got {k}")
-    riem, ric = model._fields["riemann"], model._fields["ricci"]
+    dim, riem, ric = model.dim, model._fields["riemann"], model._fields["ricci"]
     if k == 2:
-        return -power / 3.0 * ric
+        return tensor_scale(ric, -power / 3.0)
+
+    def node(jet: Callable[[np.ndarray, int], np.ndarray]) -> TensorField:
+        return TensorField.from_source(dim, k, ScalarField(dim, jet))
 
     # nabla^(k-2) Ric_ab, new indices last
-    source = ScalarField(model.dim, lambda q, n: covariant_jets(model, riem, 1, q, n, k - 2)[-1].trace(0, 0, 2))
-    nabla_ric = np.empty((model.dim,) * k, dtype=object)
-    for idx in np.ndindex(nabla_ric.shape):
-        nabla_ric[idx] = component(source, idx)
+    nabla_ric = node(lambda q, n: covariant_jets(model, riem, 1, q, n, k - 2)[-1].trace(0, 0, 2))
     if k == 3:
-        return -power / 2.0 * nabla_ric
-    quad = np.tensordot(riem, riem, axes=([0, 2], [2, 0]))  # [a, b, c, d] = R^e_{afb} R^f_{ced}
-    return -power * 0.6 * nabla_ric + -power * 2.0 / 15.0 * quad + power * power / 3.0 * np.multiply.outer(ric, ric)
+        return tensor_scale(nabla_ric, -power / 2.0)
+
+    def quad(q, n):  # [a, b, c, d] = R^e_{afb} R^f_{ced}, the (e, f) terms added in index order
+        R = riem.source.jet(q, n)
+        factors = [(R[e, :, f, :, None, None], R[f, None, None, :, e]) for e, f in np.ndindex(dim, dim)]
+        return reduce(np.add, [taylor.jet_product(a, b, dim, n) for a, b in factors])
+
+    def ric_ric(q, n):  # [a, b, c, d] = Ric_ab Ric_cd
+        jet = ric.source.jet(q, n)
+        return taylor.jet_product(jet[:, :, None, None], jet[None, None], dim, n)
+
+    terms = [(nabla_ric, -power * 0.6), (node(quad), -power * 2.0 / 15.0), (node(ric_ric), power * power / 3.0)]
+    return tensor_add(*[tensor_scale(t, factor) for t, factor in terms])
 
 
 def scalar_curvature(model: ManifoldModel, q: np.ndarray) -> float:
@@ -364,7 +371,7 @@ def normal_metric_series(model: ManifoldModel, q: np.ndarray, order: int) -> tay
         g_ab = delta_ab - (1/3) R_acbd x^c x^d - (1/6) nabla_e R_acbd x^c x^d x^e
                + (-(1/20) nabla_f nabla_e R_acbd + (2/45) R_acgd R_begf) x^c x^d x^e x^f
 
-    with the curvature from the model's component fields; the identity on flat models.
+    with the curvature from the model's Riemann node; the identity on flat models.
     """
     dim = model.dim
     if model.flat:
@@ -430,7 +437,7 @@ def sqrt_g_jet(
 
     * ``"curvature"`` - value 1, vanishing gradient, and each higher jet the
       symmetrized frame components of :func:`density_jet_fields` at ``q``, the
-      same fields the image contracts.  On flat models every jet beyond the
+      same node the image contracts.  On flat models every jet beyond the
       value vanishes, at any order.
     * ``"numeric"`` - finite-difference jets of the pulled-back density, the
       independent reference that checks compare the curvature form with.
@@ -454,7 +461,7 @@ def sqrt_g_jet(
     E = normal_frame(model, q)
     jets = [np.ones(()), np.zeros((dim,))]
     for k in range(2, max_order + 1):
-        values = evaluate(density_jet_fields(model, k, power), q).real
+        values = density_jet_fields(model, k, power).evaluate(q).real
         jets.append(numdiff.symmetrize(frame_components(values, E, 0)))
     return jets[: max_order + 1]
 
@@ -487,18 +494,17 @@ def _nabla(T: np.ndarray, rank: int, upper: int, gamma: np.ndarray | None, dim: 
 
 
 def covariant_jets(
-    model: ManifoldModel, tensor: TensorField | np.ndarray, upper: int, q: np.ndarray, order: int, n: int
+    model: ManifoldModel, tensor: TensorField, upper: int, q: np.ndarray, order: int, n: int
 ) -> list[np.ndarray]:
     """Flat jets through ``order`` of ``T, nabla T, ..., nabla^n T`` at a point or point
-    array ``q``, for a tensor field or an object array of component fields with ``upper``
+    array ``q``, for a tensor field (a coefficient or a level of the model) with ``upper``
     contravariant axes first; entry ``k`` adds the new covariant indices last among its
     component axes (unsymmetrized), before any point axis and the multi-index axis (value first)."""
     top = order + n
-    gamma = None if model.connection_free or n == 0 else jets(model._fields["gamma"], q, top - 1)
-    levels = [tensor.source.jet(q, top) if isinstance(tensor, TensorField) else jets(tensor, q, top)]
-    rank = levels[0].ndim - np.ndim(q)  # the component axes
+    gamma = None if model.connection_free or n == 0 else model._fields["gamma"].source.jet(q, top - 1)
+    levels = [tensor.source.jet(q, top)]
     for k in range(1, n + 1):
-        levels.append(_nabla(levels[-1], rank + k - 1, upper, gamma, model.dim, top - k))
+        levels.append(_nabla(levels[-1], tensor.rank + k - 1, upper, gamma, model.dim, top - k))
     return levels
 
 

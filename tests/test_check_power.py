@@ -80,6 +80,40 @@ def test_kinetic_image_residual_fails_when_the_curvature_shift_is_scaled(monkeyp
     assert not record(rerun("curved-defect"), "kinetic-image-residual").passed
 
 
+def test_ricci_convention_fails_when_ricci_is_scaled(monkeypatch, reports):
+    # Ric = g on the unit sphere; a 1e-5 relative change reads 1e-5 against 1e-6
+    assert record(reports["curved-defect"], "ricci-convention").passed
+    ricci = geometry.ricci
+    monkeypatch.setattr(geometry, "ricci", lambda *args: ricci(*args) * (1.0 + 1e-5))
+    report = rerun("curved-defect")
+    assert not record(report, "ricci-convention").passed
+    assert all(r.passed for r in report.records if r.name != "ricci-convention")
+
+
+def test_density_jet_ricci_fails_when_the_frame_ricci_is_scaled(monkeypatch, reports):
+    # the numeric sqrt(g) jet against -Ric/3 in the frame reads 3.3e-5 against 1e-5
+    assert record(reports["curved-defect"], "density-jet-ricci").passed
+    ricci_in_frame = geometry.ricci_in_frame
+    monkeypatch.setattr(geometry, "ricci_in_frame", lambda *args: ricci_in_frame(*args) * (1.0 + 1e-4))
+    report = rerun("curved-defect")
+    assert not record(report, "density-jet-ricci").passed
+    assert all(r.passed for r in report.records if r.name != "density-jet-ricci")
+
+
+def test_ricci_coefficient_fails_when_the_second_density_jet_is_scaled(monkeypatch, reports):
+    # the image's scalar term is -hbar^2 R/12 through the k = 2 density jet, so
+    # the coefficient reads 0.0833417 against 1/12 with a tolerance of 1e-6
+    assert record(reports["curved-defect"], "ricci-coefficient").passed
+    density_jet_fields = geometry.density_jet_fields
+
+    def scaled(model, k, power):
+        node = density_jet_fields(model, k, power)
+        return tensor_scale(node, 1.0 + 1e-4) if k == 2 else node
+
+    monkeypatch.setattr(geometry, "density_jet_fields", scaled)
+    assert not record(rerun("curved-defect"), "ricci-coefficient").passed
+
+
 def shift_dequantized_values(monkeypatch, where):
     # adds 1e-3 hbar^2 to the curved dequantization at the points q that ``where`` selects,
     # so the defect there drops by as much
@@ -245,6 +279,9 @@ POWER = {
     ("curved-defect", "defect-curvature-coefficient"): (
         test_defect_curvature_coefficient_fails_when_the_second_probe_is_shifted
     ),
+    ("curved-defect", "ricci-coefficient"): test_ricci_coefficient_fails_when_the_second_density_jet_is_scaled,
+    ("curved-defect", "ricci-convention"): test_ricci_convention_fails_when_ricci_is_scaled,
+    ("curved-defect", "density-jet-ricci"): test_density_jet_ricci_fails_when_the_frame_ricci_is_scaled,
     ("point-transform", "cartesian-reduction"): test_cartesian_reduction_fails_when_the_divergence_is_scaled,
     ("point-transform", "polar-cartesian-agreement"): test_polar_cartesian_agreement_fails_on_nan_chart_values,
     ("point-transform", "radial-momentum-shift"): test_radial_momentum_shift_fails_when_the_divergence_is_scaled,
@@ -284,13 +321,10 @@ BACKLOG = [
     ("orderings", "real-ordering-hermiticity"),
     ("orderings", "standard-defect-positive"),
     ("orderings", "standard-defect-value"),
-    ("curved-defect", "ricci-coefficient"),
     ("curved-defect", "radius-scaling"),
     ("curved-defect", "flat-defect-euclidean"),
     ("curved-defect", "flat-defect-polar"),
     ("curved-defect", "emmrich-defect"),
-    ("curved-defect", "ricci-convention"),
-    ("curved-defect", "density-jet-ricci"),
     ("curved-defect", "pullback-vs-covariant"),
     ("cylinder-axioms", "raw-kernel-trace"),
     ("cylinder-axioms", "kernel-hermiticity"),

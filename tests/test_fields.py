@@ -169,10 +169,11 @@ def test_tensor_shape_validation():
 
 
 def test_tensor_from_fields_shares_symmetric_slots():
+    assigned = []
     t = fields.tensor_from_fields(
-        2, 2, lambda idx: fields.constant(2, float(sum(idx)))
+        2, 2, lambda idx: assigned.append(idx) or fields.constant(2, float(sum(idx)))
     )
-    assert t.comps[0, 1] is t.comps[1, 0]
+    assert assigned == [(0, 0), (0, 1), (1, 1)]  # one field per sorted index
     vals = t.evaluate(np.zeros(2))
     np.testing.assert_allclose(vals.real, [[0.0, 1.0], [1.0, 2.0]])
 
@@ -202,27 +203,24 @@ def test_contract_against_manual(rng):
     t = fields.tensor_from_fields(
         2, 3, lambda idx: fields.from_expression(["x*y", "sin(x)", "y**2", "cos(y) + x"][sum(idx)], names)
     )
-    weights = np.array(
-        [[fields.from_expression(e, names) for e in row] for row in (["0.5", "x - y"], ["x*x", "2"])], dtype=object
-    )
-    contracted = fields.contract(t, weights)
+    entries = [[fields.from_expression(e, names) for e in row] for row in (["0.5", "x - y"], ["x*x", "2"])]
+    contracted = fields.contract(t, fields.TensorField(2, 2, entries))
     assert contracted.rank == 1
     q = rng.uniform(-1, 1, size=2)
-    w = np.array([[f(q) for f in row] for row in weights])
+    w = np.array([[f(q) for f in row] for row in entries])
     manual = np.tensordot(w, t.evaluate(q), axes=([0, 1], [0, 1]))
     np.testing.assert_allclose(contracted.evaluate(q), manual, rtol=0, atol=1e-14)
     # the partials are exact: product rule over the weight and tensor fields
-    dw = np.array([[f.partial(0)(q) for f in row] for row in weights])
-    dt = np.array([c.partial(0)(q) for c in t.comps.flat]).reshape(t.comps.shape)
+    dw = np.array([[f.partial(0)(q) for f in row] for row in entries])
+    dt = np.array([fields.component(t.source, idx).partial(0)(q) for idx in np.ndindex((2,) * 3)]).reshape((2,) * 3)
     want = np.tensordot(dw, t.evaluate(q), axes=([0, 1], [0, 1])) + np.tensordot(w, dt, axes=([0, 1], [0, 1]))
-    got = np.array([c.partial(0)(q) for c in contracted.comps])
+    got = np.array([fields.component(contracted.source, (i,)).partial(0)(q) for i in range(2)])
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 def test_contract_with_no_slots_scales():
     t = fields.tensor_constant(2, np.array([1.0, 2.0]))
-    weight = np.empty((), dtype=object)
-    weight[()] = fields.constant(2, 3.0)
+    weight = fields.tensor_scalar(fields.constant(2, 3.0))
     np.testing.assert_array_equal(fields.contract(t, weight).evaluate(np.zeros(2)), [3.0, 6.0])
 
 
@@ -251,14 +249,23 @@ def test_field_remembers_its_value_at_the_last_point():
 
 
 def test_evaluate_on_a_stack_matches_single_points():
-    # the fourth density jet reads nabla nabla R through the connection's jets
+    # every level of an expression and of an opaque model, and the fourth
+    # density jet, which reads nabla nabla R through the connection's jets
     sphere = geometry.sphere()
-    comps = geometry.density_jet_fields(sphere, 4, -1.0)
+    opaque = geometry.ManifoldModel(
+        name="sphere-opaque", dim=2, coords=sphere.coords, metric_fn=lambda x: geometry.metric(sphere, x)
+    )
     points = np.column_stack([np.linspace(0.4, 2.7, 11), np.linspace(-3.0, 3.0, 11)])
-    got = fields.evaluate(comps, points)
-    want = np.array([fields.evaluate(comps, x) for x in points])
-    assert got.shape == (11,) + comps.shape
-    assert got.tobytes() == want.tobytes()
+    # a point array is never remembered, so an opaque level recomputes its
+    # finite-difference jet per component: two points keep that affordable
+    cases = [(f"{model.name} {level}", node, rows) for model, rows in ((sphere, points), (opaque, points[[2, 7]]))
+             for level, node in model._fields.items()]
+    cases.append(("density k=4", geometry.density_jet_fields(sphere, 4, -1.0), points))
+    for label, node, rows in cases:
+        got = node.evaluate(rows)
+        want = np.array([node.evaluate(x) for x in rows])
+        assert got.shape == (len(rows),) + (2,) * node.rank, label
+        assert got.tobytes() == want.tobytes(), label
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +364,8 @@ def test_expression_jet_matches_the_symbolic_partials(level):
     sphere = geometry.sphere()
     names = sphere.coordinate_names
     env = dict(zip(names, SPHERE_POINT))
-    for field, expr in zip(sphere._fields[level].flat, sphere._derived[level].flat):
-        jet = field.jet(SPHERE_POINT, 4)
+    for idx, expr in np.ndenumerate(sphere._derived[level]):
+        jet = fields.component(sphere._fields[level].source, idx).jet(SPHERE_POINT, 4)
         for i, alpha in enumerate(numdiff.multi_indices(2, 4)):
             want = complex(symbolic_partial(expr, names, alpha).eval(env))
             assert abs(jet[i] - want) <= 1e-13 * max(1.0, abs(want))
@@ -376,9 +383,11 @@ def test_callable_jet_is_the_stencil_partials():
 def test_jet_on_a_point_array_is_the_jets_at_its_points():
     sphere = geometry.sphere()
     callable_field = fields.from_callable(2, lambda q: math.exp(0.3 * q[0]) * math.sin(q[1]))
-    tree = fields.multiply(sphere._fields["gamma"][1, 0, 1], callable_field).partial(0) + sphere._fields["g_inv"][1, 1]
+    gamma, g_inv = sphere._fields["gamma"].source, sphere._fields["g_inv"].source
+    tree = fields.multiply(fields.component(gamma, (1, 0, 1)), callable_field).partial(0)
+    tree = tree + fields.component(g_inv, (1, 1))
     points = np.column_stack([np.linspace(0.6, 2.4, 5), np.linspace(-2.0, 1.5, 5)])
-    for field in (sphere._fields["gamma"][0, 1, 1], sphere._fields["g_inv"][1, 1], callable_field, tree):
+    for field in (fields.component(gamma, (0, 1, 1)), fields.component(g_inv, (1, 1)), callable_field, tree):
         got = field.jet(points, 3)
         assert got.shape == (5, len(numdiff.multi_indices(2, 3)))
         assert got.tobytes() == np.array([field.jet(x, 3) for x in points]).tobytes()
@@ -408,8 +417,7 @@ def test_n_ary_tensor_add_equals_nested_pairwise_sums_bit_for_bit():
     points = np.random.default_rng(3).uniform(-1.0, 1.0, size=(9, 2))
     for q in (points[4], points):
         assert flat.evaluate(q).tobytes() == nested.evaluate(q).tobytes()
-        for idx in np.ndindex(2, 2):
-            assert flat.comps[idx].jet(q, 3).tobytes() == nested.comps[idx].jet(q, 3).tobytes()
+        assert flat.source.jet(q, 3).tobytes() == nested.source.jet(q, 3).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +446,7 @@ def _expression_tensor(model, rank):
 def _tensor_operations(model, rank):
     X = _expression_tensor(model, rank)
     names = model.coordinate_names
-    vector = np.array([fields.from_expression(e, names) for e in (f"0.5 + 0.1*{names[0]}", "0.2")], dtype=object)
+    vector = fields.TensorField(2, 1, [fields.from_expression(e, names) for e in (f"0.5 + 0.1*{names[0]}", "0.2")])
     operations = {
         "scale": fields.tensor_scale(X, 0.3 - 1.7j),
         "add": fields.tensor_add(X, fields.tensor_scale(X, 2.0), X),
@@ -474,8 +482,7 @@ def test_a_memoized_stacked_jet_is_read_only():
         assert t.source.jet(q, 2) is jet
         with pytest.raises(ValueError):
             jet[(0,) * t.rank] = 1.0
-        assert not t.comps.flags.writeable
-        assert not t.comps[(1,) + (0,) * (t.rank - 1)].jet(q, 2).flags.writeable
+        assert not fields.component(t.source, (1,) + (0,) * (t.rank - 1)).jet(q, 2).flags.writeable
 
 
 @pytest.mark.parametrize("rank", [3, 4])
@@ -488,5 +495,51 @@ def test_a_divergence_holds_symmetric_slots_bit_for_bit(rank):
         jet = div.source.jet(points, 2)
         for idx in np.ndindex(jet.shape[: rank - 1]):
             assert jet[idx].tobytes() == jet[tuple(sorted(idx))].tobytes()
-    for idx in np.ndindex(div.comps.shape):
-        assert div.comps[idx] is div.comps[tuple(sorted(idx))]
+
+
+def _per_entry_density_jet(model, power):
+    """The fourth density jet as an object array of fields, one per entry, built
+    by field arithmetic on component views of the model's levels."""
+
+    def entries(source, rank):
+        out = np.empty((model.dim,) * rank, dtype=object)
+        for idx in np.ndindex(out.shape):
+            out[idx] = fields.component(source, idx)
+        return out
+
+    riem, ric = (entries(model._fields[level].source, rank) for level, rank in (("riemann", 4), ("ricci", 2)))
+    riemann = model._fields["riemann"]
+    nabla = fields.ScalarField(
+        model.dim, lambda q, n: geometry.covariant_jets(model, riemann, 1, q, n, 2)[-1].trace(0, 0, 2)
+    )
+    nabla_ric = entries(nabla, 4)
+    quad = np.tensordot(riem, riem, axes=([0, 2], [2, 0]))  # [a, b, c, d] = R^e_{afb} R^f_{ced}
+    return -power * 0.6 * nabla_ric + -power * 2.0 / 15.0 * quad + power * power / 3.0 * np.multiply.outer(ric, ric)
+
+
+# In two dimensions R^e_{afb} R^f_{ced} has one nonzero (e, f) term per entry,
+# so only a third dimension makes the order of the quadratic term's sum show.
+WARPED = geometry.ManifoldModel(
+    name="warped",
+    dim=3,
+    coords=tuple(geometry.CoordSpec(n) for n in "xyz"),
+    metric_exprs=geometry._metric_exprs(
+        tuple("xyz"), [["1 + 0.3*y*y", "0", "0"], ["0", "2 + cos(x)*z", "0"], ["0", "0", "1 + 0.2*x*y"]]
+    ),
+)
+
+
+# the skew and warped metrics' partials grow fast with the order (the skew
+# metric's fourth density jet through order 1 takes seconds), so they are read at order 0
+@pytest.mark.parametrize("name, order", [("skew", 0), ("warped", 0), ("sphere:1", 2)])
+@pytest.mark.parametrize("power", [-1.0, 1.0, -0.5])
+def test_fourth_density_jet_node_equals_the_per_entry_construction_bit_for_bit(name, order, power):
+    # the stacked quadratic term sums its (e, f) pairs in np.ndindex order, as
+    # tensordot sums an object array's products
+    model = {"skew": SKEW, "warped": WARPED}.get(name) or geometry.manifold(name)
+    node = geometry.density_jet_fields(model, 4, power)
+    reference = _per_entry_density_jet(model, power)
+    for x in ([0.9, 0.4, 0.7], [1.3, -0.2, 0.5]):
+        q = np.array(x[: model.dim])
+        want = np.array([field.jet(q, order) for field in reference.flat])
+        assert node.source.jet(q, order).tobytes() == want.reshape(reference.shape + want.shape[1:]).tobytes()

@@ -23,7 +23,7 @@ def polar():
 
 def christoffel(model, q):
     """``Gamma^c_{ab}`` indexed ``[c, a, b]``, at a point or at each row of a point array."""
-    return fields.evaluate(model._fields["gamma"], q).real
+    return model._fields["gamma"].evaluate(q).real
 
 
 def opaque_sphere(sphere):
@@ -271,13 +271,12 @@ def test_normal_coordinate_series_match_integrated_geodesics():
     from scipy.integrate import solve_ivp
 
     q = np.array([1.1, 0.4])
-    gamma = TORUS._fields["gamma"]
+    gamma = TORUS._fields["gamma"].source
     E = geometry.normal_frame(TORUS, q)
 
     def rhs(t, y):
         x, u, J, K = y[:2], y[2:4], y[4:8].reshape(2, 2), y[8:].reshape(2, 2)
-        G = np.array([f(x) for f in gamma.flat]).real.reshape(gamma.shape)
-        dG = np.array([[f.partial(e)(x) for e in range(2)] for f in gamma.flat]).real.reshape(gamma.shape + (2,))
+        G, dG = (level.real for level in numdiff.expand(gamma.jet(x, 1), 2, 1))  # dG[c, a, b, e] = d_e G[c, a, b]
         dK = -np.einsum("cabe,a,b,ej->cj", dG, u, u, J) - 2.0 * np.einsum("cab,a,bj->cj", G, u, K)
         return np.concatenate([u, -np.einsum("cab,a,b->c", G, u, u), K.ravel(), dK.ravel()])
 
@@ -332,7 +331,7 @@ def test_covariant_divergence_of_inverse_metric_vanishes(sphere):
         np.testing.assert_allclose(div.evaluate(q), 0.0, atol=1e-7)
     # metric compatibility, exactly: every component of nabla g^{-1} vanishes
     for q in (np.array([1.1, 0.4]), np.array([2.0, -0.9])):
-        full = geometry.covariant_jets(sphere, geometry.inverse_metric_field(sphere).comps, 2, q, 0, 1)[1]
+        full = geometry.covariant_jets(sphere, geometry.inverse_metric_field(sphere), 2, q, 0, 1)[1]
         assert full.shape == (2, 2, 2, 1)
         np.testing.assert_allclose(full, 0.0, atol=1e-13)
 
@@ -342,15 +341,16 @@ def test_covariant_derivative_index_order(sphere):
     # is its trace
     V = from_expression("sin(theta)*cos(phi)", ("theta", "phi"))
     W = from_expression("cos(theta) + phi", ("theta", "phi"))
-    comps = np.array([V, W], dtype=object)
+    comps = (V, W)
     q = np.array([1.2, -0.6])
     gamma = christoffel(sphere, q)
     vec = np.array([V(q), W(q)])
     partials = np.array([[c.partial(e)(q) for e in range(2)] for c in comps])
     want = partials + np.einsum("aeg,g->ae", gamma, vec)
-    got = geometry.covariant_jets(sphere, comps, 1, q, 0, 1)[1][..., 0]
+    vector = tensor_from_fields(2, 1, lambda idx: comps[idx[0]])
+    got = geometry.covariant_jets(sphere, vector, 1, q, 0, 1)[1][..., 0]
     np.testing.assert_allclose(got, want, atol=1e-14)
-    div = geometry.covariant_divergence(sphere, tensor_from_fields(2, 1, lambda idx: comps[idx]))
+    div = geometry.covariant_divergence(sphere, vector)
     assert complex(div.evaluate(q)) == pytest.approx(np.trace(got), abs=1e-14)
 
 
@@ -440,7 +440,9 @@ def test_expression_geometry_matches_closed_forms(name, q, closed):
 
 
 def test_christoffel_field_partials_are_exact(sphere):
-    gamma = sphere._fields["gamma"]
+    gamma = np.empty((2, 2, 2), dtype=object)
+    for idx in np.ndindex(gamma.shape):
+        gamma[idx] = fields.component(sphere._fields["gamma"].source, idx)
     for theta in (0.6, 1.1, 2.3):
         q = np.array([theta, 0.4])
         # d/dtheta (-sin cos) = -cos(2 theta); d/dtheta cot = -1/sin^2
@@ -480,8 +482,8 @@ def test_opaque_metric_falls_back_to_finite_differences(sphere):
     for q in (np.array([1.1, 0.4]), np.array([2.0, -1.3])):
         for quantity in (geometry.inverse_metric, christoffel, geometry.ricci, geometry.riemann):
             np.testing.assert_allclose(quantity(opaque, q), quantity(sphere, q), rtol=0, atol=1e-6)
-        ginv_fd = geometry.inverse_metric_field(opaque).comps[1, 1].partial(0)(q)
-        ginv_exact = geometry.inverse_metric_field(sphere).comps[1, 1].partial(0)(q)
+        ginv_fd = fields.component(geometry.inverse_metric_field(opaque).source, (1, 1)).partial(0)(q)
+        ginv_exact = fields.component(geometry.inverse_metric_field(sphere).source, (1, 1)).partial(0)(q)
         assert abs(ginv_fd - ginv_exact) < 1e-6
 
 
@@ -537,6 +539,8 @@ def test_exp_map_without_closed_form_geodesics_raises(sphere):
 def test_opaque_metric_on_a_point_stack_equals_single_calls(sphere):
     opaque = opaque_sphere(sphere)
     points = np.array([[1.1, 0.4], [2.0, -1.3], [0.7, 0.2]])
+    # the g node of an opaque model holds metric_fn's values, bit for bit
+    assert geometry.metric(opaque, points).tobytes() == np.array([opaque.metric_fn(x) for x in points]).tobytes()
     for model in (opaque, sphere, geometry.manifold("euclidean:2")):
         for fn in (geometry.metric, christoffel):
             stacked = fn(model, points)

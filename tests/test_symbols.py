@@ -308,7 +308,7 @@ def test_operator_matrix_matches_a_pointwise_assembly(m):
     want = np.zeros((len(k), len(k)), dtype=complex)
     for x, w in zip(points, weights):
         phi = np.exp(1j * k * x[0]) / math.sqrt(2.0 * math.pi)
-        dphi = sum(complex(D.terms[r].comps[(0,) * r](x)) * (1j * k) ** r for r in D.terms) * phi
+        dphi = sum(complex(D.terms[r].evaluate(x)[(0,) * r]) * (1j * k) ** r for r in D.terms) * phi
         want += w * math.sqrt(np.linalg.det(geometry.metric(model, x))) * np.outer(phi.conj(), dphi)
     assert np.max(np.abs(M - want)) <= 1e-14 * np.max(np.abs(M))
 
