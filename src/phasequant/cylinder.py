@@ -313,11 +313,13 @@ def periodic_test_function(center: float, width: float) -> Callable[[float], flo
 
 
 def _smeared_sum(ivals: np.ndarray, jvals: np.ndarray, tcoef: np.ndarray, theta: float, K: int) -> complex:
-    """``sum_{k,k'} e^{i(k'-k) theta} I(k + k') J(k + k') t_{k'-k}``, each from its values at ``-2K..2K``."""
+    """``sum_{k,k'} e^{i(k'-k) theta} I(k + k') J(k + k') t_{k'-k}``, each from its values at ``-2K..2K``,
+    the phase taken once per difference."""
     ks = np.arange(-K, K + 1)
     ksum = ks[:, None] + ks[None, :] + 2 * K
-    kdiff = ks[None, :] - ks[:, None]
-    return np.sum(np.exp(1j * kdiff * theta) * ivals[ksum] * jvals[ksum] * tcoef[kdiff + 2 * K])
+    kdiff = ks[None, :] - ks[:, None] + 2 * K
+    phases = np.exp(1j * np.arange(-2 * K, 2 * K + 1) * theta)
+    return np.sum(phases[kdiff] * ivals[ksum] * jvals[ksum] * tcoef[kdiff])
 
 
 def pair_trace_smeared_cyl(

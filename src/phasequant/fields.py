@@ -11,10 +11,11 @@ first: scaling, sums, contractions (one Leibniz product per weight slot) and
 divergences act on the whole stack, and a :func:`component` reads one entry of
 it.  The value is the order-0 entry, on a point array bit for bit those at the
 single points (the same numpy operations run on both).  A field remembers its
-jet, read-only, at the last single point, so shared subtrees compute each
-distinct jet once per point.  Fields combine with ``+``, ``-`` and ``*`` (a
-number scales), so array formulas apply to object arrays of component fields
-before they are stacked.
+jet, read-only, at the last point or point array (keyed by shape and bytes, so
+a point and a one-row array are apart), so shared subtrees compute each
+distinct jet once per point or point array.  Fields combine with ``+``, ``-``
+and ``*`` (a number scales), so array formulas apply to object arrays of
+component fields before they are stacked.
 """
 
 from __future__ import annotations
@@ -43,14 +44,12 @@ class ScalarField:
         self.dim = dim
         self.cap = cap
         self._jet = jet
-        self._last: tuple = (None, -1, None)  # (point bytes, order, read-only jet), replaced as one
+        self._last: tuple = (None, -1, None)  # ((shape, bytes) of q, order, read-only jet), replaced as one
 
     def jet(self, q: np.ndarray, order: int) -> np.ndarray:
         """Every partial through ``order`` at ``q``, along the last axis."""
         q = np.asarray(q, dtype=float)
-        if q.ndim != 1:
-            return self._jet(q, order)
-        key, (last, known, jet) = q.tobytes(), self._last
+        key, (last, known, jet) = (q.shape, q.tobytes()), self._last
         if key != last or known < order:
             jet, known = self._jet(q, order), order
             jet.flags.writeable = False
@@ -59,7 +58,8 @@ class ScalarField:
 
     def __call__(self, q: np.ndarray) -> complex | np.ndarray:
         q = np.asarray(q, dtype=float)
-        return complex(self.jet(q, 0)[0]) if q.ndim == 1 else self._jet(q, 0)[..., 0]
+        jet = self.jet(q, 0)
+        return complex(jet[0]) if q.ndim == 1 else jet[..., 0]
 
     def partial(self, axis: int) -> "ScalarField":
         if self.cap == 0:

@@ -65,31 +65,41 @@ def dequantize_flat(
     x: np.ndarray,
     hbar: float = 1.0,
     model: ManifoldModel | None = None,
-) -> complex:
+) -> complex | np.ndarray:
     """Recover the ``A``-ordered symbol value of a flat-space operator.
 
     Inverts the symmetric image exactly, then unwinds the ordering with the
     formal inverse series.  The recovered symbol is re-quantized and compared
     against the input operator at ``x``; a relative mismatch above
     :data:`INVERSION_TOLERANCE` raises :class:`InversionError` (it flags
-    operators outside the image of the polynomial calculus, e.g.
-    non-symmetric coefficient data), and so does a NaN coefficient at ``x``.
+    operators outside the image of the polynomial calculus, e.g. a
+    coefficient with a jump at ``x``, whose finite-difference partials do
+    not cancel), and so does a NaN coefficient at ``x``.
+
+    ``p`` and ``x`` are one phase-space point, shape ``(dim,)`` each, which
+    gives one complex value, or a stack of ``N`` points, shape ``(N, dim)``
+    each, which gives the ``N`` values, each bit for bit its point's alone.
+    A stack is checked row by row: each row's defect is held against that
+    row's own magnitude, so a bad row cannot hide behind a larger one.
     """
     model = model or geometry.euclidean_space(D.dim)
     g = _weyl_symbol(model, D, hbar)
     f = ordering_transform(model, A.inverse(), g, hbar)
     x_arr = np.asarray(x, dtype=float)
+    rows = len(x_arr) if x_arr.ndim > 1 else 1
     redone = a_image_flat(A, f, model, hbar)
-    defects, magnitudes = [0.0], [1.0]
+    defects, magnitudes = [np.zeros(rows)], [np.ones(rows)]
     for order in set(D.terms) | set(redone.terms):
         want = np.asarray(D.terms[order].evaluate(x_arr) if order in D.terms else 0.0)
         got = np.asarray(redone.terms[order].evaluate(x_arr) if order in redone.terms else 0.0)
-        defects.append(np.max(np.abs(want - got)))
-        magnitudes.append(np.max(np.abs(want)))
-    worst, scale_ref = float(np.max(defects)), float(np.max(magnitudes))  # a NaN in either propagates
-    if not worst <= INVERSION_TOLERANCE * scale_ref:  # so a NaN fails
+        defect, magnitude = np.broadcast_arrays(np.abs(want - got), np.abs(want))
+        defects.append(np.max(defect.reshape(rows, -1), axis=1))
+        magnitudes.append(np.max(magnitude.reshape(rows, -1), axis=1))
+    worst, scale_ref = np.max(defects, axis=0), np.max(magnitudes, axis=0)  # a NaN in either propagates
+    failed = ~(worst <= INVERSION_TOLERANCE * scale_ref)  # so a NaN fails
+    if np.any(failed):
         raise InversionError(
-            f"operator is not reproduced by its recovered symbol (defect {worst:.3e})"
+            f"operator is not reproduced by its recovered symbol (defect {worst[np.argmax(failed)]:.3e})"
         )
     return f.evaluate(np.atleast_1d(np.asarray(p, dtype=float)), x_arr)
 

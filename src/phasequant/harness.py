@@ -44,6 +44,8 @@ from .cylinder import CutoffFamily
 from .errors import ConfigError, ExperimentError, PhasequantError, QuadratureAccuracyError
 from .expressions import Const, Pow, Var, add, mul
 from .fields import (
+    ScalarField,
+    TensorField,
     add as field_add,
     constant as constant_field,
     from_expression,
@@ -468,19 +470,40 @@ def _random_flat_symbol(rng: np.random.Generator) -> MomentumPolynomial:
     return MomentumPolynomial(1, terms)
 
 
+def _row_symbol(symbols: list[MomentumPolynomial]) -> MomentumPolynomial:
+    """The symbol whose coefficients at row i of an ``(N, dim)`` point array
+    are those of ``symbols[i]`` at that row's point, each row's jet taken at its
+    single point, so every row keeps the bits of its own symbol."""
+    dim = symbols[0].dim
+
+    def rows(tensors: list[TensorField], rank: int) -> TensorField:
+        def jet(q, order):  # the point axis after the component axes
+            return np.stack([t.source.jet(x, order) for t, x in zip(tensors, q)], axis=rank)
+
+        return TensorField.from_source(dim, rank, ScalarField(dim, jet))
+
+    return MomentumPolynomial(dim, {m: rows([f.terms[m] for f in symbols], m) for m in symbols[0].terms})
+
+
 def _round_trip_residual(rng: np.random.Generator, schemes: list[OrderingScheme], count: int, hbar: float):
-    """``|dequantize(quantize(f)) - f|`` of ``count`` random flat symbols, cycling through ``schemes``."""
+    """``|dequantize(quantize(f)) - f|`` of ``count`` random flat symbols, cycling through ``schemes``.
+
+    The trips of one scheme run as one stack: one image, one dequantization
+    and one evaluation of their :func:`_row_symbol` on the stacked points."""
     model = geometry.euclidean_space(1)
-    errors = []
+    groups: list[list] = [[] for _ in schemes[:count]]
     for i in range(count):
-        f = _random_flat_symbol(rng)
-        scheme = schemes[i % len(schemes)]
+        symbol = _random_flat_symbol(rng)
+        groups[i % len(schemes)].append((symbol, rng.uniform(-1.0, 1.0, size=1), rng.uniform(-1.0, 1.0, size=1)))
+    errors = np.empty(count)
+    for first, scheme in enumerate(schemes[:count]):
+        symbols, ps, xs = zip(*groups[first])
+        groups[first] = []  # a group's symbols and their derivatives go once it has run
+        f, p, x = _row_symbol(list(symbols)), np.array(ps), np.array(xs)
         D = flat_weyl.a_image_flat(scheme, f, model, hbar)
-        p = rng.uniform(-1.0, 1.0, size=1)
-        x = rng.uniform(-1.0, 1.0, size=1)
         recovered = flat_weyl.dequantize_flat(scheme, D, p, x, hbar, model)
-        errors.append(abs(recovered - f.evaluate(p, x)))
-    return np.array(errors)
+        errors[first :: len(schemes)] = [abs(complex(r) - complex(e)) for r, e in zip(recovered, f.evaluate(p, x))]
+    return errors
 
 
 def _operator_difference(first, second, points: np.ndarray) -> np.ndarray:

@@ -208,7 +208,10 @@ def test_circle_weyl_hermiticity_fails_when_the_fourier_matrix_is_skewed(monkeyp
 
 
 def test_round_trip_residual_fails_on_a_nan_recovered_value(monkeypatch):
-    monkeypatch.setattr(flat_weyl, "dequantize_flat", lambda *args: complex(math.nan, math.nan))
+    def nan_values(A, D, p, x, hbar, model):
+        return np.full(np.shape(x)[:-1], complex(math.nan, math.nan))
+
+    monkeypatch.setattr(flat_weyl, "dequantize_flat", nan_values)
     check = record(rerun("flat-axioms"), "round-trip-residual")
     assert math.isnan(check.measured) and not check.passed
 

@@ -244,8 +244,14 @@ def test_field_remembers_its_value_at_the_last_point():
     points = np.array([q, q2])
     tree(points)
     tree(points)
-    # point arrays are never remembered: three uses of ``base`` per tree, twice
-    assert calls == [(0.3, -0.7), (0.1, 0.2)] * 6
+    # a point array is remembered as a point is: one call of ``base`` per row
+    assert calls == [(0.3, -0.7), (0.1, 0.2)]
+    calls.clear()
+    # a point and a one-row array with the same bytes are separate keys
+    tree(q)
+    tree(q[None, :])
+    tree(q[None, :])
+    assert calls == [(0.3, -0.7)] * 2
 
 
 def test_evaluate_on_a_stack_matches_single_points():
@@ -256,15 +262,12 @@ def test_evaluate_on_a_stack_matches_single_points():
         name="sphere-opaque", dim=2, coords=sphere.coords, metric_fn=lambda x: geometry.metric(sphere, x)
     )
     points = np.column_stack([np.linspace(0.4, 2.7, 11), np.linspace(-3.0, 3.0, 11)])
-    # a point array is never remembered, so an opaque level recomputes its
-    # finite-difference jet per component: two points keep that affordable
-    cases = [(f"{model.name} {level}", node, rows) for model, rows in ((sphere, points), (opaque, points[[2, 7]]))
-             for level, node in model._fields.items()]
-    cases.append(("density k=4", geometry.density_jet_fields(sphere, 4, -1.0), points))
-    for label, node, rows in cases:
-        got = node.evaluate(rows)
-        want = np.array([node.evaluate(x) for x in rows])
-        assert got.shape == (len(rows),) + (2,) * node.rank, label
+    cases = [(f"{model.name} {level}", node) for model in (sphere, opaque) for level, node in model._fields.items()]
+    cases.append(("density k=4", geometry.density_jet_fields(sphere, 4, -1.0)))
+    for label, node in cases:
+        got = node.evaluate(points)
+        want = np.array([node.evaluate(x) for x in points])
+        assert got.shape == (len(points),) + (2,) * node.rank, label
         assert got.tobytes() == want.tobytes(), label
 
 
