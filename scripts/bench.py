@@ -33,7 +33,11 @@ checkout a round records:
   flat-axioms round trip (``flat_weyl.a_image_flat`` then
   ``flat_weyl.dequantize_flat``, standard ordering, hbar = 1) of a random
   degree-3 symbol with cubic coefficients, drawn afresh from one seed on
-  every call, of the 20 ``symbols.flat_chart_delta_value`` calls of the
+  every call (the single-point reference), of the 20 stacked round trips of
+  the flat-axioms round-trip-residual check (``harness._round_trip_residual``
+  with the Weyl, standard and real-demo schemes at hbar = 1, its generator
+  seeded afresh on every call and advanced past the experiment's three
+  earlier draws), of the 20 ``symbols.flat_chart_delta_value`` calls of the
   point-transform experiment's polar-cartesian-agreement check (its symbol
   and points, with chart maps that take one point or an array of points),
   and of building the Gauss-Legendre rules ``bases.gauss_legendre`` of 256,
@@ -46,10 +50,9 @@ checkout a round records:
   ``symbols.operator_matrix`` for the oscillator ``-1/2 d^2 + x^2/2`` in the
   Hermite basis at K = 16; and of the 257 trapezoid Fourier coefficients
   (K = 64) of the smearing test function on its 512-node grid
-  (``bases.angle_grid`` and ``bases.fourier_coefficients``, one FFT; in
-  ``cylinder`` as ``_angle_grid`` and ``_fourier_coefficients`` on older
-  checkouts).  A first call warms each layer up
-  and is not timed; the layer is then called until its calls fill
+  (``bases.angle_grid`` and ``bases.fourier_coefficients``, one FFT).  A
+  first call warms each layer up and is not timed; the layer is then called
+  until its calls fill
   :data:`LAYER_SECONDS`, with perfbench's ``SpeedProbe`` (loaded from
   ``perfbench/child.py`` next to this script, so every checkout is scaled by
   the same probe) sampling the CPU's speed on a timer meanwhile.  Each call's time less the probe's
@@ -140,12 +143,13 @@ def layer_timings(src: Path) -> dict:
     from phasequant.bases import FourierBasis, HermiteBasis
     from phasequant.curved import dequantize_curved, wue_weyl_image
     from phasequant.cylinder import CutoffFamily, pair_trace_smeared_cyl
-    from phasequant.fields import from_expression, tensor_constant, tensor_from_fields
+    from phasequant.fields import constant, from_expression, tensor_from_fields
     from phasequant.flat_weyl import a_image_flat, dequantize_flat, quantize_gaussian_flat
     from phasequant.geometry import ManifoldModel, circle, euclidean_space, sphere
     from phasequant.symbols import (
         CovariantOperator,
         MomentumPolynomial,
+        OrderingScheme,
         flat_chart_delta_value,
         operator_matrix,
         ordering_scheme,
@@ -209,6 +213,18 @@ def layer_timings(src: Path) -> dict:
         D = a_image_flat(standard, f, line, 1.0)
         return dequantize_flat(standard, D, np.array([0.3]), np.array([-0.4]), 1.0, line)
 
+    round_trip_schemes = [
+        ordering_scheme("weyl"),
+        ordering_scheme("standard"),
+        OrderingScheme((1.0, 0.25, -0.125, 1.0 / 48.0, 0.0), name="real-demo"),
+    ]
+
+    def stacked_round_trips():
+        rng = np.random.default_rng(20260814)
+        for _ in range(3):  # the flat-axioms hermiticity draws come first
+            rng.uniform(-1.5, 1.5, size=2)
+        return harness._round_trip_residual(rng, round_trip_schemes, 20, 1.0)
+
     model = circle()
     cos_theta = from_expression("cos(theta)", ("theta",))
     D = wue_weyl_image(model, MomentumPolynomial(1, {2: tensor_from_fields(1, 2, lambda idx: cos_theta)}), 1.0)
@@ -224,6 +240,7 @@ def layer_timings(src: Path) -> dict:
         sphere(1.0), np.array([1.1, 0.4]), 2, method="numeric"
     )
     layers["dequantize_flat_cubic"] = flat_round_trip
+    layers["round_trip_residual_20"] = stacked_round_trips
     layers["flat_chart_delta_value_20"] = polar_chart_deltas(harness, flat_chart_delta_value)
     from phasequant import bases, cylinder
 
@@ -243,14 +260,11 @@ def layer_timings(src: Path) -> dict:
     layers["cutoff_transform_K64_cold"] = cold_cutoff_transform
     x2 = from_expression("0.5*x**2", ("x",))
     oscillator = CovariantOperator(
-        1, {0: tensor_from_fields(1, 0, lambda idx: x2), 2: tensor_constant(1, np.full((1, 1), -0.5))}
+        1, {0: tensor_from_fields(1, 0, lambda idx: x2), 2: tensor_from_fields(1, 2, lambda idx: constant(1, -0.5))}
     )
     layers["operator_matrix_hermite_K16"] = lambda: operator_matrix(euclidean_space(1), oscillator, HermiteBasis(), 16)
     bump = cylinder.periodic_test_function(0.9, 0.4)
-    # the trapezoid FFT moved from cylinder to bases; older checkouts keep it in cylinder
-    coefficients = getattr(bases, "fourier_coefficients", None) or cylinder._fourier_coefficients
-    grid = getattr(bases, "angle_grid", None) or cylinder._angle_grid
-    layers["fourier_coefficients_K64"] = lambda: coefficients(bump(grid(512)), 128)
+    layers["fourier_coefficients_K64"] = lambda: bases.fourier_coefficients(bump(bases.angle_grid(512)), 128)
     layers_ms = {name: median_ms(name, call) for name, call in layers.items()}
     return {
         "default_configs": {entry.name: harness.default_config(entry.name) for entry in harness.list_experiments()},

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import geometry, numdiff, taylor
 from .errors import ConfigError
-from .fields import TensorField, contract, tensor_scale
+from .fields import TensorField, contract, scale
 from .geometry import ManifoldModel
 from .symbols import CovariantOperator, MomentumPolynomial, merge_terms, ordering_scheme, ordering_transform
 
@@ -121,7 +121,7 @@ def _image(
             for j in range(m - k + 1 if divergences else 1):
                 if j:
                     Xt = geometry.covariant_divergence(model, Xt)
-                pieces.append({m - k - j: tensor_scale(Xt, front * _binomial_weight(m, k, j))})
+                pieces.append({m - k - j: scale(Xt, front * _binomial_weight(m, k, j))})
     return CovariantOperator(f.dim, merge_terms(f.dim, *pieces))
 
 
@@ -135,7 +135,7 @@ def kinetic_symbol(model: ManifoldModel, hbar: float = 1.0) -> MomentumPolynomia
     X = geometry.inverse_metric_field(model)
     kinetic = MomentumPolynomial(model.dim, {2: X})
     standard = ordering_transform(model, ordering_scheme("standard", hbar), kinetic, hbar)
-    shift = {0: tensor_scale(geometry.ricci_contraction(model, X), hbar * hbar / 12.0)}
+    shift = {0: scale(geometry.ricci_contraction(model, X), hbar * hbar / 12.0)}
     return MomentumPolynomial(model.dim, merge_terms(model.dim, standard.terms, shift))
 
 
@@ -206,7 +206,7 @@ def _pairing_data(model: ManifoldModel, q: np.ndarray, D: CovariantOperator, ord
     rank at most k, and the trace pairing of rank r reads order r."""
     dim = model.dim
     # no jet read here needs the metric past ``order``: one remembered opaque metric_fn jet serves all
-    model._fields["g"].source.jet(q, order)
+    model._fields["g"].jet(q, order)
     gamma_jets = geometry.normal_christoffel_jets(model, q, max(order - 1, 0))
     coeff = {k: taylor.from_jets(dim, _coeff_jets(model, q, t, k, gamma_jets)) for k, t in D.terms.items()}
     h = taylor.from_jets(dim, geometry.sqrt_g_jet(model, q, order, power=-0.5))

@@ -37,7 +37,7 @@ import numpy as np
 from .bases import FourierBasis, angle_grid, clenshaw_curtis, fourier_coefficients
 from .curved import wue_weyl_image
 from .errors import ConfigError, QuadratureAccuracyError
-from .fields import ScalarField, tensor_from_fields
+from .fields import TensorField, tensor_from_fields
 from .geometry import circle
 from .symbols import MomentumPolynomial, operator_matrix
 
@@ -255,7 +255,7 @@ def quantizer_trace_cyl(p: float, theta: float, chi: CutoffFamily, K: int, hbar:
 
 
 def polynomial_reproduction_check(
-    X: ScalarField,
+    X: TensorField,
     m: int,
     p: float,
     theta: float,

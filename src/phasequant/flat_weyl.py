@@ -21,7 +21,7 @@ from . import geometry
 from .bases import gauss_hermite, hermite_polynomial_values
 from .curved import wue_weyl_image
 from .errors import InversionError
-from .fields import tensor_scale
+from .fields import scale
 from .geometry import ManifoldModel
 from .symbols import (
     CovariantOperator,
@@ -54,7 +54,7 @@ def _weyl_symbol(model: ManifoldModel, D: CovariantOperator, hbar: float) -> Mom
     the symmetric image after the standard ordering series, so the symmetric
     symbol is the standard transform of the read-off one.
     """
-    read_off = MomentumPolynomial(D.dim, {k: tensor_scale(t, (1j / hbar) ** k) for k, t in D.terms.items()})
+    read_off = MomentumPolynomial(D.dim, {k: scale(t, (1j / hbar) ** k) for k, t in D.terms.items()})
     return ordering_transform(model, ordering_scheme("standard", hbar), read_off, hbar)
 
 

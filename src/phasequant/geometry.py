@@ -48,17 +48,16 @@ from . import numdiff, taylor
 from .errors import ChartDomainError, ConfigError, ShapeError, UnsupportedOrderError
 from .expressions import Const, Expr, inverse_matrix, parse_expression
 from .fields import (
-    ScalarField,
     TensorField,
+    add,
     component,
+    constant,
     contract,
     from_callable,
     from_expression,
+    scale,
     sorted_entries,
-    tensor_add,
-    tensor_constant,
-    tensor_scalar,
-    tensor_scale,
+    stack,
 )
 
 # Safety margin (in chart units) kept away from open chart boundaries.
@@ -144,7 +143,7 @@ class ManifoldModel:
         else:
             to_field = np.frompyfunc(lambda e: from_expression(e, self.coordinate_names), 1, 1)
             out = {level: to_field(exprs) for level, exprs in self._derived.items()}
-        return {level: TensorField(dim, comps.ndim, comps) for level, comps in out.items()}
+        return {level: stack(dim, comps.ndim, comps) for level, comps in out.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +242,7 @@ def ricci_contraction(model: ManifoldModel, X: TensorField) -> TensorField:
     exact as the model's Ricci node (finite differences only at an opaque
     ``metric_fn``, one level deep)."""
     if model.flat:
-        return tensor_constant(model.dim, np.zeros((model.dim,) * (X.rank - 2)))
+        return constant(model.dim, np.zeros((model.dim,) * (X.rank - 2)))
     return contract(X, model._fields["ricci"])
 
 
@@ -263,27 +262,24 @@ def density_jet_fields(model: ManifoldModel, k: int, power: float) -> TensorFiel
         raise UnsupportedOrderError(f"density jets are built for orders 2 to 4, got {k}")
     dim, riem, ric = model.dim, model._fields["riemann"], model._fields["ricci"]
     if k == 2:
-        return tensor_scale(ric, -power / 3.0)
-
-    def node(jet: Callable[[np.ndarray, int], np.ndarray]) -> TensorField:
-        return TensorField.from_source(dim, k, ScalarField(dim, jet))
-
+        return scale(ric, -power / 3.0)
     # nabla^(k-2) Ric_ab, new indices last
-    nabla_ric = node(lambda q, n: covariant_jets(model, riem, 1, q, n, k - 2)[-1].trace(0, 0, 2))
+    nabla_ric = TensorField(dim, k, lambda q, n: covariant_jets(model, riem, 1, q, n, k - 2)[-1].trace(0, 0, 2))
     if k == 3:
-        return tensor_scale(nabla_ric, -power / 2.0)
+        return scale(nabla_ric, -power / 2.0)
 
     def quad(q, n):  # [a, b, c, d] = R^e_{afb} R^f_{ced}, the (e, f) terms added in index order
-        R = riem.source.jet(q, n)
+        R = riem.jet(q, n)
         factors = [(R[e, :, f, :, None, None], R[f, None, None, :, e]) for e, f in np.ndindex(dim, dim)]
         return reduce(np.add, [taylor.jet_product(a, b, dim, n) for a, b in factors])
 
     def ric_ric(q, n):  # [a, b, c, d] = Ric_ab Ric_cd
-        jet = ric.source.jet(q, n)
+        jet = ric.jet(q, n)
         return taylor.jet_product(jet[:, :, None, None], jet[None, None], dim, n)
 
-    terms = [(nabla_ric, -power * 0.6), (node(quad), -power * 2.0 / 15.0), (node(ric_ric), power * power / 3.0)]
-    return tensor_add(*[tensor_scale(t, factor) for t, factor in terms])
+    quad_term, ric_ric_term = TensorField(dim, k, quad), TensorField(dim, k, ric_ric)
+    terms = [(nabla_ric, -power * 0.6), (quad_term, -power * 2.0 / 15.0), (ric_ric_term, power * power / 3.0)]
+    return add(*[scale(t, factor) for t, factor in terms])
 
 
 def scalar_curvature(model: ManifoldModel, q: np.ndarray) -> float:
@@ -501,19 +497,19 @@ def covariant_jets(
     contravariant axes first; entry ``k`` adds the new covariant indices last among its
     component axes (unsymmetrized), before any point axis and the multi-index axis (value first)."""
     top = order + n
-    gamma = None if model.connection_free or n == 0 else model._fields["gamma"].source.jet(q, top - 1)
-    levels = [tensor.source.jet(q, top)]
+    gamma = None if model.connection_free or n == 0 else model._fields["gamma"].jet(q, top - 1)
+    levels = [tensor.jet(q, top)]
     for k in range(1, n + 1):
         levels.append(_nabla(levels[-1], tensor.rank + k - 1, upper, gamma, model.dim, top - k))
     return levels
 
 
-def sym_cov_deriv(model: ManifoldModel, psi: ScalarField, q: np.ndarray, order: int) -> np.ndarray:
+def sym_cov_deriv(model: ManifoldModel, psi: TensorField, q: np.ndarray, order: int) -> np.ndarray:
     """Symmetrized ``order``-th covariant derivative of a scalar at ``q``.
 
     Chart (lower) indices.  Order 0 returns the value itself.
     """
-    vals = covariant_jets(model, tensor_scalar(psi), 0, q, 0, order)[order][..., 0]
+    vals = covariant_jets(model, psi, 0, q, 0, order)[order][..., 0]
     if order == 0:
         return vals
     if np.allclose(vals.imag, 0.0):
@@ -522,7 +518,7 @@ def sym_cov_deriv(model: ManifoldModel, psi: ScalarField, q: np.ndarray, order: 
 
 
 def sym_cov_deriv_in_frame(
-    model: ManifoldModel, psi: ScalarField, q: np.ndarray, order: int
+    model: ManifoldModel, psi: TensorField, q: np.ndarray, order: int
 ) -> np.ndarray:
     """Symmetrized covariant derivative contracted with the normal frame."""
     vals = sym_cov_deriv(model, psi, q, order)
@@ -547,12 +543,12 @@ def covariant_divergence(model: ManifoldModel, tensor: TensorField) -> TensorFie
         out = covariant_jets(model, tensor, rank, q, n, 1)[1].trace(0, 0, rank)
         return out if model.connection_free else sorted_entries(out, model.dim, rank - 1)
 
-    return TensorField.from_source(model.dim, rank - 1, ScalarField(model.dim, jet))
+    return TensorField(model.dim, rank - 1, jet)
 
 
 def pullback_jet(
     model: ManifoldModel,
-    psi: ScalarField,
+    psi: TensorField,
     q: np.ndarray,
     max_order: int,
 ) -> list[np.ndarray]:

@@ -17,15 +17,7 @@ import numpy as np
 
 from . import geometry, numdiff
 from .errors import ConfigError, QuadratureAccuracyError, UnsupportedOrderError
-from .fields import (
-    TensorField,
-    from_expression,
-    scale,
-    tensor_add,
-    tensor_constant,
-    tensor_from_fields,
-    tensor_scale,
-)
+from .fields import TensorField, add, constant, from_expression, scale, tensor_from_fields
 from .geometry import ManifoldModel
 
 #: Highest momentum degree / operator order supported by the package.
@@ -110,13 +102,13 @@ class CovariantOperator:
 
 def merge_terms(dim: int, *sources: dict[int, TensorField]) -> dict[int, TensorField]:
     """Add term dictionaries degree by degree: each degree, in order of first
-    appearance, is one :func:`tensor_add` of its tensors in source order, which
+    appearance, is one :func:`fields.add` of its tensors in source order, which
     sums left to right as nested pairwise sums would."""
     buckets: dict[int, list[TensorField]] = {}
     for terms in sources:
         for degree, tensor in terms.items():
             buckets.setdefault(degree, []).append(tensor)
-    return {d: (ts[0] if len(ts) == 1 else tensor_add(*ts)) for d, ts in buckets.items()}
+    return {d: (ts[0] if len(ts) == 1 else add(*ts)) for d, ts in buckets.items()}
 
 
 #: Least nodes of the coarse quadrature in :func:`operator_matrix` (a basis may ask for more); the fine one doubles them.
@@ -222,7 +214,7 @@ def delta_apply(model: ManifoldModel, f: MomentumPolynomial, hbar: float = 1.0) 
     annihilated.
     """
     out = {
-        m - 1: tensor_scale(geometry.covariant_divergence(model, tensor), -hbar * m)
+        m - 1: scale(geometry.covariant_divergence(model, tensor), -hbar * m)
         for m, tensor in f.terms.items()
         if m
     }
@@ -297,7 +289,7 @@ def ordering_transform(
             break
         ak = A.coefficients[k]
         if ak != 0:
-            sources.append({d: tensor_scale(t, ak) for d, t in acc.terms.items()})
+            sources.append({d: scale(t, ak) for d, t in acc.terms.items()})
     return MomentumPolynomial(f.dim, merge_terms(f.dim, *sources))
 
 
@@ -334,21 +326,18 @@ def symbol_from_config(model: ManifoldModel, cfg) -> MomentumPolynomial:
         raise ConfigError(f"symbol degree must be an integer in 0..{MAX_DEGREE}")
 
     dim = model.dim
-    if coefficient == "constant":
-        tensor = tensor_constant(dim, np.full((dim,) * degree, scale_value))
-    elif coefficient == "cos-theta":
-        names = model.coordinate_names
-        if "theta" not in names:
+    if coefficient == "cos-theta":
+        if "theta" not in model.coordinate_names:
             raise ConfigError("cos-theta symbols need a coordinate named theta")
-        base = from_expression("cos(theta)", names)
-        shared = scale(base, scale_value) if scale_value != 1 else base
-        tensor = tensor_from_fields(dim, degree, lambda idx: shared)
+        coefficient = "custom:cos(theta)"
+    if coefficient == "constant":
+        tensor = constant(dim, np.full((dim,) * degree, scale_value))
     elif coefficient == "inverse-metric":
         if degree != 2:
             raise ConfigError("inverse-metric symbols must have degree 2")
         tensor = geometry.inverse_metric_field(model)
         if scale_value != 1:
-            tensor = tensor_scale(tensor, scale_value)
+            tensor = scale(tensor, scale_value)
     elif coefficient.startswith("custom:"):
         expr = coefficient[len("custom:") :]
         base = from_expression(expr, model.coordinate_names)

@@ -19,9 +19,7 @@ from phasequant.fields import (
     add as field_add,
     constant as constant_field,
     from_expression,
-    tensor_constant,
     tensor_from_fields,
-    tensor_scalar,
 )
 from phasequant.symbols import (
     MomentumPolynomial,
@@ -68,11 +66,7 @@ def test_01_flat_symmetric_image_and_inverse():
     worst_coeff = 0.0
     for m in range(4):
         field, poly = _cubic(rng)
-        tensor = (
-            tensor_scalar(field)
-            if m == 0
-            else tensor_from_fields(1, m, lambda idx, f=field: f)
-        )
+        tensor = tensor_from_fields(1, m, lambda idx, f=field: f)
         D = curved.wue_weyl_image(model, MomentumPolynomial(1, {m: tensor}))
         for k in range(m + 1):
             weight = (-1j) ** m * math.comb(m, k) * 0.5**k
@@ -121,11 +115,7 @@ def test_02_ordering_family_consistency():
     standard_gap = 0.0
     for degree in range(4):
         field, _ = _cubic(rng)
-        tensor = (
-            tensor_scalar(field)
-            if degree == 0
-            else tensor_from_fields(1, degree, lambda idx, f=field: f)
-        )
+        tensor = tensor_from_fields(1, degree, lambda idx, f=field: f)
         f = MomentumPolynomial(1, {degree: tensor})
         standard_gap = max(
             standard_gap,
@@ -257,7 +247,7 @@ def test_05_chart_covariance_of_momentum_shift():
     f = MomentumPolynomial(
         2,
         {
-            0: tensor_scalar(smooth()),
+            0: smooth(),
             1: tensor_from_fields(2, 1, lambda idx: smooth()),
             2: tensor_from_fields(2, 2, lambda idx: field_add(raw[idx[0]][idx[1]], raw[idx[1]][idx[0]])),
         },
@@ -278,7 +268,7 @@ def test_05_chart_covariance_of_momentum_shift():
         conjugated = flat_chart_delta_value(f, numdiff.pointwise(to_cartesian), numdiff.pointwise(from_cartesian), p, q)
         chart_gap = max(chart_gap, abs(direct - conjugated))
 
-    radial = MomentumPolynomial(2, {1: tensor_constant(2, np.array([1.0, 0.0]))})
+    radial = MomentumPolynomial(2, {1: constant_field(2, np.array([1.0, 0.0]))})
     shifted = delta_apply(polar, radial)
     shift_gap = max(
         abs(shifted.evaluate(np.array([0.3, -0.7]), np.array([rad, 0.4])).real + 1.0 / rad)

@@ -11,7 +11,7 @@ import math
 import numpy as np
 
 from phasequant import bases, curved, cylinder, flat_weyl, geometry, harness
-from phasequant.fields import tensor_scale
+from phasequant.fields import scale
 from phasequant.symbols import CovariantOperator, MomentumPolynomial
 
 
@@ -31,7 +31,7 @@ def scale_recovered_symbol(monkeypatch, factor):
 
     def scaled(*args):
         g = weyl_symbol(*args)
-        return MomentumPolynomial(g.dim, {k: tensor_scale(t, factor) for k, t in g.terms.items()})
+        return MomentumPolynomial(g.dim, {k: scale(t, factor) for k, t in g.terms.items()})
 
     monkeypatch.setattr(flat_weyl, "_weyl_symbol", scaled)
 
@@ -63,7 +63,7 @@ def test_standard_preset_image_fails_when_the_top_order_term_is_scaled(monkeypat
     def scaled(*args):
         D = image(*args)
         return CovariantOperator(
-            D.dim, {k: tensor_scale(t, 1.0 + 1e-9) if k == D.max_order else t for k, t in D.terms.items()}
+            D.dim, {k: scale(t, 1.0 + 1e-9) if k == D.max_order else t for k, t in D.terms.items()}
         )
 
     monkeypatch.setattr(curved, "wue_standard_image", scaled)
@@ -76,7 +76,7 @@ def test_kinetic_image_residual_fails_when_the_curvature_shift_is_scaled(monkeyp
     # the Ricci contraction is the R/12 term of the kinetic symbol alone
     assert record(reports["curved-defect"], "kinetic-image-residual").passed
     contraction = geometry.ricci_contraction
-    monkeypatch.setattr(geometry, "ricci_contraction", lambda *args: tensor_scale(contraction(*args), 1.0 + 1e-6))
+    monkeypatch.setattr(geometry, "ricci_contraction", lambda *args: scale(contraction(*args), 1.0 + 1e-6))
     assert not record(rerun("curved-defect"), "kinetic-image-residual").passed
 
 
@@ -108,7 +108,7 @@ def test_ricci_coefficient_fails_when_the_second_density_jet_is_scaled(monkeypat
 
     def scaled(model, k, power):
         node = density_jet_fields(model, k, power)
-        return tensor_scale(node, 1.0 + 1e-4) if k == 2 else node
+        return scale(node, 1.0 + 1e-4) if k == 2 else node
 
     monkeypatch.setattr(geometry, "density_jet_fields", scaled)
     assert not record(rerun("curved-defect"), "ricci-coefficient").passed
@@ -151,7 +151,7 @@ def scale_discrete_transform(monkeypatch, factor):
 
 def scale_covariant_divergence(monkeypatch, factor):
     divergence = geometry.covariant_divergence
-    monkeypatch.setattr(geometry, "covariant_divergence", lambda *args: tensor_scale(divergence(*args), factor))
+    monkeypatch.setattr(geometry, "covariant_divergence", lambda *args: scale(divergence(*args), factor))
 
 
 def test_indicator_matches_discrete_fails_when_the_discrete_transform_is_scaled(monkeypatch, reports):

@@ -26,10 +26,8 @@ CASES = {
     "numdiff-jet-order": lambda: numdiff.jet(numdiff.pointwise(lambda x: x[0]), np.zeros(1), 5),
     "fields-callable-order": fifth_callable_partial,
     "fields-add-empty": lambda: fields.add(),
-    "fields-component-shape": lambda: fields.TensorField(2, 2, np.empty((2,), dtype=object)),
-    "fields-tensor-add-rank": lambda: fields.tensor_add(
-        fields.tensor_constant(2, np.ones(2)), fields.tensor_scalar(fields.constant(2, 1.0))
-    ),
+    "fields-component-shape": lambda: fields.stack(2, 2, np.empty((2,), dtype=object)),
+    "fields-tensor-add-rank": lambda: fields.add(fields.constant(2, np.ones(2)), fields.constant(2, 1.0)),
     "taylor-coefficient-shape": lambda: taylor.Series(2, 1, np.ones(4)),
     "taylor-add-shapes": lambda: taylor.add(SCALAR, VECTOR),
     "taylor-outer-dims": lambda: taylor.outer(SCALAR, taylor.constant(3, 1, ONE)),
@@ -39,7 +37,7 @@ CASES = {
     "taylor-pairing-weight": lambda: taylor.delta_pairing(VECTOR, SCALAR),
     "taylor-pairing-order": lambda: taylor.delta_pairing(SCALAR, taylor.constant(2, 1, np.ones((2, 2)))),
     "geometry-divergence-rank": lambda: geometry.covariant_divergence(
-        geometry.euclidean_space(2), fields.tensor_scalar(fields.constant(2, 1.0))
+        geometry.euclidean_space(2), fields.constant(2, 1.0)
     ),
     "harness-comparison-mode": lambda: harness.Check("only", 1.0, "TRIVIAL", mode="sideways"),
 }

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasequant import bases, fields, geometry, numdiff
+from phasequant import bases, fields, geometry, numdiff, symbols
 
 
 def test_constant_field_and_zero_derivative():
@@ -165,7 +165,7 @@ def test_tensor_shape_validation():
     comps = np.empty((2,), dtype=object)
     comps[:] = [fields.constant(2, 1.0)] * 2
     with pytest.raises(ValueError):
-        fields.TensorField(2, 2, comps)
+        fields.stack(2, 2, comps)
 
 
 def test_tensor_from_fields_shares_symmetric_slots():
@@ -179,23 +179,50 @@ def test_tensor_from_fields_shares_symmetric_slots():
 
 
 def test_tensor_constant_symmetrizes_input():
-    t = fields.tensor_constant(2, np.array([[0.0, 2.0], [0.0, 0.0]]))
+    t = fields.constant(2, np.array([[0.0, 2.0], [0.0, 0.0]]))
     np.testing.assert_allclose(t.evaluate(np.zeros(2)).real, [[0.0, 1.0], [1.0, 0.0]])
 
 
+def test_rank_three_constant_reads_each_entry_at_its_sorted_index():
+    # the symmetrization adds its six permutations in a different order for
+    # some permuted entries, so their last bits differ before the read
+    values = 0.1 * np.arange(8.0).reshape(2, 2, 2)
+    symmetric = numdiff.symmetrize(values.astype(complex))
+    assert any(symmetric[idx].tobytes() != symmetric[tuple(sorted(idx))].tobytes() for idx in np.ndindex(2, 2, 2))
+    t = fields.constant(2, values)
+    assert t.rank == 3
+    for q in (PLANE[3], PLANE[:5]):
+        jet = t.jet(q, 2)
+        for idx in np.ndindex(2, 2, 2):
+            assert jet[idx].tobytes() == jet[tuple(sorted(idx))].tobytes()
+    at_point = t.evaluate(PLANE[3])
+    assert all(row.tobytes() == at_point.tobytes() for row in t.evaluate(PLANE[:5]))
+    assert at_point[0, 0, 1] == symmetric[0, 0, 1]
+
+
+def test_a_bare_scalar_field_is_a_symbol_term():
+    f = fields.from_expression("sin(x)*y", ("x", "y"))
+    symbol = symbols.MomentumPolynomial(2, {0: f, 1: fields.constant(2, np.array([1.0, -2.0]))})
+    p = np.array([0.3, 0.5])
+    assert symbol.evaluate(p, PLANE[3]) == pytest.approx(f(PLANE[3]) - 0.7, abs=1e-15)
+    values = symbol.evaluate(np.tile(p, (len(PLANE), 1)), PLANE)
+    assert values.tobytes() == np.array([symbol.evaluate(p, x) for x in PLANE]).tobytes()
+    assert symbols.CovariantOperator(2, {0: f}).terms[0] is f
+
+
 def test_tensor_scalar_rank_zero():
-    t = fields.tensor_scalar(fields.constant(3, 7.0))
+    t = fields.constant(3, 7.0)
     assert t.rank == 0
     assert complex(t.evaluate(np.zeros(3))) == 7.0
 
 
 def test_tensor_add_and_scale():
-    a = fields.tensor_constant(2, np.array([1.0, -1.0]))
-    b = fields.tensor_constant(2, np.array([0.5, 0.5]))
-    total = fields.tensor_add(a, fields.tensor_scale(b, 2.0))
+    a = fields.constant(2, np.array([1.0, -1.0]))
+    b = fields.constant(2, np.array([0.5, 0.5]))
+    total = fields.add(a, fields.scale(b, 2.0))
     np.testing.assert_allclose(total.evaluate(np.zeros(2)).real, [2.0, 0.0])
     with pytest.raises(ValueError):
-        fields.tensor_add(a, fields.tensor_scalar(fields.constant(2, 1.0)))
+        fields.add(a, fields.constant(2, 1.0))
 
 
 def test_contract_against_manual(rng):
@@ -204,7 +231,7 @@ def test_contract_against_manual(rng):
         2, 3, lambda idx: fields.from_expression(["x*y", "sin(x)", "y**2", "cos(y) + x"][sum(idx)], names)
     )
     entries = [[fields.from_expression(e, names) for e in row] for row in (["0.5", "x - y"], ["x*x", "2"])]
-    contracted = fields.contract(t, fields.TensorField(2, 2, entries))
+    contracted = fields.contract(t, fields.stack(2, 2, entries))
     assert contracted.rank == 1
     q = rng.uniform(-1, 1, size=2)
     w = np.array([[f(q) for f in row] for row in entries])
@@ -212,15 +239,15 @@ def test_contract_against_manual(rng):
     np.testing.assert_allclose(contracted.evaluate(q), manual, rtol=0, atol=1e-14)
     # the partials are exact: product rule over the weight and tensor fields
     dw = np.array([[f.partial(0)(q) for f in row] for row in entries])
-    dt = np.array([fields.component(t.source, idx).partial(0)(q) for idx in np.ndindex((2,) * 3)]).reshape((2,) * 3)
+    dt = np.array([fields.component(t, idx).partial(0)(q) for idx in np.ndindex((2,) * 3)]).reshape((2,) * 3)
     want = np.tensordot(dw, t.evaluate(q), axes=([0, 1], [0, 1])) + np.tensordot(w, dt, axes=([0, 1], [0, 1]))
-    got = np.array([fields.component(contracted.source, (i,)).partial(0)(q) for i in range(2)])
+    got = np.array([fields.component(contracted, (i,)).partial(0)(q) for i in range(2)])
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
 def test_contract_with_no_slots_scales():
-    t = fields.tensor_constant(2, np.array([1.0, 2.0]))
-    weight = fields.tensor_scalar(fields.constant(2, 3.0))
+    t = fields.constant(2, np.array([1.0, 2.0]))
+    weight = fields.constant(2, 3.0)
     np.testing.assert_array_equal(fields.contract(t, weight).evaluate(np.zeros(2)), [3.0, 6.0])
 
 
@@ -368,7 +395,7 @@ def test_expression_jet_matches_the_symbolic_partials(level):
     names = sphere.coordinate_names
     env = dict(zip(names, SPHERE_POINT))
     for idx, expr in np.ndenumerate(sphere._derived[level]):
-        jet = fields.component(sphere._fields[level].source, idx).jet(SPHERE_POINT, 4)
+        jet = fields.component(sphere._fields[level], idx).jet(SPHERE_POINT, 4)
         for i, alpha in enumerate(numdiff.multi_indices(2, 4)):
             want = complex(symbolic_partial(expr, names, alpha).eval(env))
             assert abs(jet[i] - want) <= 1e-13 * max(1.0, abs(want))
@@ -386,7 +413,7 @@ def test_callable_jet_is_the_stencil_partials():
 def test_jet_on_a_point_array_is_the_jets_at_its_points():
     sphere = geometry.sphere()
     callable_field = fields.from_callable(2, lambda q: math.exp(0.3 * q[0]) * math.sin(q[1]))
-    gamma, g_inv = sphere._fields["gamma"].source, sphere._fields["g_inv"].source
+    gamma, g_inv = sphere._fields["gamma"], sphere._fields["g_inv"]
     tree = fields.multiply(fields.component(gamma, (1, 0, 1)), callable_field).partial(0)
     tree = tree + fields.component(g_inv, (1, 1))
     points = np.column_stack([np.linspace(0.6, 2.4, 5), np.linspace(-2.0, 1.5, 5)])
@@ -416,11 +443,11 @@ def test_n_ary_tensor_add_equals_nested_pairwise_sums_bit_for_bit():
         return fields.tensor_from_fields(2, 2, assign)
 
     a, b, c = tensor("sin(x)*y + y**3"), tensor("cos(x*y) - 0.3*x"), tensor("cos(0.2*x)*y**2 + 0.7")
-    flat, nested = fields.tensor_add(a, b, c), fields.tensor_add(fields.tensor_add(a, b), c)
+    flat, nested = fields.add(a, b, c), fields.add(fields.add(a, b), c)
     points = np.random.default_rng(3).uniform(-1.0, 1.0, size=(9, 2))
     for q in (points[4], points):
         assert flat.evaluate(q).tobytes() == nested.evaluate(q).tobytes()
-        assert flat.source.jet(q, 3).tobytes() == nested.source.jet(q, 3).tobytes()
+        assert flat.jet(q, 3).tobytes() == nested.jet(q, 3).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -449,13 +476,13 @@ def _expression_tensor(model, rank):
 def _tensor_operations(model, rank):
     X = _expression_tensor(model, rank)
     names = model.coordinate_names
-    vector = fields.TensorField(2, 1, [fields.from_expression(e, names) for e in (f"0.5 + 0.1*{names[0]}", "0.2")])
+    vector = fields.stack(2, 1, [fields.from_expression(e, names) for e in (f"0.5 + 0.1*{names[0]}", "0.2")])
     operations = {
-        "scale": fields.tensor_scale(X, 0.3 - 1.7j),
-        "add": fields.tensor_add(X, fields.tensor_scale(X, 2.0), X),
+        "scale": fields.scale(X, 0.3 - 1.7j),
+        "add": fields.add(X, fields.scale(X, 2.0), X),
         "contract": fields.contract(X, vector),
         "divergence": geometry.covariant_divergence(model, X),
-        "divergence-of-sum": geometry.covariant_divergence(model, fields.tensor_add(X, fields.tensor_scale(X, 0.5))),
+        "divergence-of-sum": geometry.covariant_divergence(model, fields.add(X, fields.scale(X, 0.5))),
     }
     if rank == 2:
         operations["contract-metric"] = fields.contract(X, model._fields["g_inv"])
@@ -469,8 +496,8 @@ def test_tensor_operations_on_a_point_array_match_single_points(name, rank):
     assert not model.connection_free
     points = np.column_stack([np.linspace(0.4, 2.6, 7), np.linspace(-3.0, 3.0, 7)])
     for label, t in _tensor_operations(model, rank).items():
-        got = t.source.jet(points, 3)
-        want = np.stack([t.source.jet(x, 3) for x in points], axis=-2)
+        got = t.jet(points, 3)
+        want = np.stack([t.jet(x, 3) for x in points], axis=-2)
         assert got.shape == (model.dim,) * t.rank + want.shape[-2:], label
         assert got.tobytes() == want.tobytes(), label
         assert t.evaluate(points).tobytes() == np.array([t.evaluate(x) for x in points]).tobytes(), label
@@ -479,13 +506,13 @@ def test_tensor_operations_on_a_point_array_match_single_points(name, rank):
 def test_a_memoized_stacked_jet_is_read_only():
     X = _expression_tensor(SKEW, 2)
     q = np.array([0.3, 0.4])
-    for t in (X, fields.tensor_scale(X, 2.0), geometry.covariant_divergence(SKEW, _expression_tensor(SKEW, 3))):
-        jet = t.source.jet(q, 2)
+    for t in (X, fields.scale(X, 2.0), geometry.covariant_divergence(SKEW, _expression_tensor(SKEW, 3))):
+        jet = t.jet(q, 2)
         assert not jet.flags.writeable
-        assert t.source.jet(q, 2) is jet
+        assert t.jet(q, 2) is jet
         with pytest.raises(ValueError):
             jet[(0,) * t.rank] = 1.0
-        assert not fields.component(t.source, (1,) + (0,) * (t.rank - 1)).jet(q, 2).flags.writeable
+        assert not fields.component(t, (1,) + (0,) * (t.rank - 1)).jet(q, 2).flags.writeable
 
 
 @pytest.mark.parametrize("rank", [3, 4])
@@ -495,7 +522,7 @@ def test_a_divergence_holds_symmetric_slots_bit_for_bit(rank):
     div = geometry.covariant_divergence(SKEW, _expression_tensor(SKEW, rank))
     q = np.array([0.3, 0.4])
     for points in (q, np.array([q, [0.5, -0.2]])):
-        jet = div.source.jet(points, 2)
+        jet = div.jet(points, 2)
         for idx in np.ndindex(jet.shape[: rank - 1]):
             assert jet[idx].tobytes() == jet[tuple(sorted(idx))].tobytes()
 
@@ -510,10 +537,10 @@ def _per_entry_density_jet(model, power):
             out[idx] = fields.component(source, idx)
         return out
 
-    riem, ric = (entries(model._fields[level].source, rank) for level, rank in (("riemann", 4), ("ricci", 2)))
+    riem, ric = (entries(model._fields[level], rank) for level, rank in (("riemann", 4), ("ricci", 2)))
     riemann = model._fields["riemann"]
-    nabla = fields.ScalarField(
-        model.dim, lambda q, n: geometry.covariant_jets(model, riemann, 1, q, n, 2)[-1].trace(0, 0, 2)
+    nabla = fields.TensorField(
+        model.dim, 4, lambda q, n: geometry.covariant_jets(model, riemann, 1, q, n, 2)[-1].trace(0, 0, 2)
     )
     nabla_ric = entries(nabla, 4)
     quad = np.tensordot(riem, riem, axes=([0, 2], [2, 0]))  # [a, b, c, d] = R^e_{afb} R^f_{ced}
@@ -545,4 +572,4 @@ def test_fourth_density_jet_node_equals_the_per_entry_construction_bit_for_bit(n
     for x in ([0.9, 0.4, 0.7], [1.3, -0.2, 0.5]):
         q = np.array(x[: model.dim])
         want = np.array([field.jet(q, order) for field in reference.flat])
-        assert node.source.jet(q, order).tobytes() == want.reshape(reference.shape + want.shape[1:]).tobytes()
+        assert node.jet(q, order).tobytes() == want.reshape(reference.shape + want.shape[1:]).tobytes()

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from phasequant import curved, flat_weyl, geometry
 from phasequant.bases import hermite_polynomial_values
 from phasequant.errors import InversionError
-from phasequant.fields import from_callable, from_expression, tensor_constant, tensor_from_fields, tensor_scalar
+from phasequant.fields import constant, from_callable, from_expression, tensor_from_fields
 from phasequant.symbols import (
     CovariantOperator,
     MomentumPolynomial,
@@ -73,7 +73,7 @@ def test_weyl_image_cubic_term_coefficients():
 
 
 def test_weyl_image_scales_with_hbar_power():
-    f = MomentumPolynomial(1, {2: tensor_constant(1, np.ones((1, 1)))})
+    f = MomentumPolynomial(1, {2: constant(1, np.ones((1, 1)))})
     D = curved.wue_weyl_image(LINE, f, hbar=0.5)
     assert complex(coefficient_values(D, 2, 0.0)[0, 0]) == pytest.approx(-0.25)
 
@@ -177,7 +177,7 @@ def test_round_trip_property_quadratic_symbols(c0, c1, c2, p, x):
 def test_dequantize_rejects_a_coefficient_that_is_nan_at_x():
     # NaN on the right half-line only: the operator is fine at x = -0.5
     coefficient = from_callable(1, lambda x: math.nan if x[0] > 0.0 else 1.0)
-    D = CovariantOperator(1, {0: tensor_scalar(coefficient)})
+    D = CovariantOperator(1, {0: coefficient})
     standard = ordering_scheme("standard")
     assert flat_weyl.dequantize_flat(standard, D, [0.3], [-0.5]) == 1.0
     with pytest.raises(InversionError):
@@ -209,7 +209,7 @@ def test_dequantize_checks_a_stack_row_by_row():
     # of about 3e-6, while the degree-0 term is 1.6e5 at x = 0.3
     jump = from_callable(1, lambda x: float(x[0] > 0.7))
     large = from_expression("1e6*(x - 0.7)**2", ("x",))
-    D = CovariantOperator(1, {0: tensor_scalar(large), 4: tensor_from_fields(1, 4, lambda idx: jump)})
+    D = CovariantOperator(1, {0: large, 4: tensor_from_fields(1, 4, lambda idx: jump)})
     standard = ordering_scheme("standard")
     p = np.array([[0.3], [0.2]])
     assert np.isfinite(flat_weyl.dequantize_flat(standard, D, p[:1], np.array([[0.3]]))).all()
@@ -223,8 +223,8 @@ def test_round_trip_two_dimensions(rng):
     f = MomentumPolynomial(
         2,
         {
-            1: tensor_constant(2, rng.uniform(-1, 1, size=2)),
-            2: tensor_constant(2, coeffs + coeffs.T),
+            1: constant(2, rng.uniform(-1, 1, size=2)),
+            2: constant(2, coeffs + coeffs.T),
         },
     )
     A = ordering_scheme("standard")

@@ -9,7 +9,7 @@ from phasequant.curved import wue_weyl_image
 from phasequant.bases import FourierBasis, HermiteBasis
 from phasequant.errors import ConfigError, QuadratureAccuracyError, UnsupportedOrderError
 from phasequant.expressions import parse_expression
-from phasequant.fields import constant, from_expression, tensor_constant, tensor_from_fields, tensor_scale
+from phasequant.fields import constant, from_expression, scale, tensor_from_fields
 from phasequant.symbols import (
     MomentumPolynomial,
     OrderingScheme,
@@ -37,8 +37,8 @@ def test_momentum_polynomial_evaluation():
     f = MomentumPolynomial(
         2,
         {
-            0: tensor_constant(2, np.asarray(1.5)),
-            2: tensor_constant(2, np.array([[1.0, 0.5], [0.5, 0.0]])),
+            0: constant(2, np.asarray(1.5)),
+            2: constant(2, np.array([[1.0, 0.5], [0.5, 0.0]])),
         },
     )
     p, q = np.array([2.0, -1.0]), np.zeros(2)
@@ -50,7 +50,7 @@ def test_momentum_polynomial_rejects_excess_degree():
     from phasequant.errors import UnsupportedOrderError
 
     with pytest.raises(UnsupportedOrderError):
-        MomentumPolynomial(1, {symbols.MAX_DEGREE + 1: tensor_constant(1, np.zeros((1,) * 5))})
+        MomentumPolynomial(1, {symbols.MAX_DEGREE + 1: constant(1, np.zeros((1,) * 5))})
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +115,7 @@ def test_generator_lowers_degree_by_one():
 
 def test_generator_annihilates_constants():
     model = geometry.euclidean_space(1)
-    f = MomentumPolynomial(1, {0: tensor_constant(1, np.asarray(2.0))})
+    f = MomentumPolynomial(1, {0: constant(1, np.asarray(2.0))})
     assert delta_apply(model, f).terms == {}
 
 
@@ -125,7 +125,7 @@ def test_generator_radial_momentum_on_polar_chart(r):
     model = geometry.polar_plane()
     p_r = MomentumPolynomial(
         2,
-        {1: tensor_constant(2, np.array([1.0, 0.0]))},
+        {1: constant(2, np.array([1.0, 0.0]))},
     )
     out = delta_apply(model, p_r, hbar=1.0)
     got = complex(out.terms[0].evaluate(np.array([r, 0.4])))
@@ -134,7 +134,7 @@ def test_generator_radial_momentum_on_polar_chart(r):
 
 def test_generator_scales_linearly_with_hbar():
     model = geometry.polar_plane()
-    p_r = MomentumPolynomial(2, {1: tensor_constant(2, np.array([1.0, 0.0]))})
+    p_r = MomentumPolynomial(2, {1: constant(2, np.array([1.0, 0.0]))})
     half = delta_apply(model, p_r, hbar=0.5)
     assert complex(half.terms[0].evaluate(np.array([2.0, 0.0]))) == pytest.approx(-0.25)
 
@@ -181,7 +181,7 @@ def test_ordering_transform_sums_each_degree_once_in_first_seen_order(rng):
     nested, acc = dict(f.terms), f
     for k in range(1, 4):
         acc = delta_apply(model, acc)
-        nested = symbols.merge_terms(2, nested, {d: tensor_scale(t, A.coefficients[k]) for d, t in acc.terms.items()})
+        nested = symbols.merge_terms(2, nested, {d: scale(t, A.coefficients[k]) for d, t in acc.terms.items()})
     got = ordering_transform(model, A, f)
     assert list(got.terms) == list(nested) == [3, 1, 2, 0]
     points = rng.uniform(-1.0, 1.0, size=(7, 2))
@@ -233,7 +233,7 @@ def test_operator_matrix_of_multiplication_operator_is_hermitian():
 def test_operator_matrix_momentum_on_circle_is_diagonal():
     model = geometry.circle()
     f = momentum_power(1, 1)
-    D = symbols.CovariantOperator(1, {1: tensor_constant(1, -1j * np.ones(1))})
+    D = symbols.CovariantOperator(1, {1: constant(1, -1j * np.ones(1))})
     del f
     M = operator_matrix(model, D, FourierBasis(), 3)
     np.testing.assert_allclose(M, np.diag(np.arange(-3, 4, dtype=float)), atol=1e-12)
@@ -247,7 +247,7 @@ def test_operator_matrix_oscillator_in_hermite_basis():
         1,
         {
             0: tensor_from_fields(1, 0, lambda idx: x2),
-            2: tensor_constant(1, np.full((1, 1), -0.5)),
+            2: constant(1, np.full((1, 1), -0.5)),
         },
     )
     M = operator_matrix(model, D, HermiteBasis(), 5)
@@ -353,7 +353,7 @@ def test_operator_matrix_rejects_second_order_operators_on_a_model_with_a_connec
     theta = geometry.CoordSpec("theta", -math.pi, math.pi, periodic=True)
     metric = parse_expression("1 + 0.5*cos(theta)*cos(theta)", ("theta",))
     model = geometry.ManifoldModel("wavy-circle", 1, (theta,), metric_exprs=((metric,),))
-    D = symbols.CovariantOperator(1, {2: tensor_constant(1, np.ones((1, 1)))})
+    D = symbols.CovariantOperator(1, {2: constant(1, np.ones((1, 1)))})
     with pytest.raises(UnsupportedOrderError):
         operator_matrix(model, D, FourierBasis(), 3)
 
