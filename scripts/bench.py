@@ -18,6 +18,11 @@ checkout a round records:
   wall time less the probe's samples inside it is its raw time; the median
   raw time goes in ``run_all_raw_s`` and the median time scaled to the
   probe's reference speed, as the layers are, in ``run_all_s``;
+- the calls each cataloged experiment makes in one more, untimed in-process
+  run, counted by a ``sys.setprofile`` hook: Python calls (generator resumes
+  included) in ``run_all_py_calls`` and calls of C functions, numpy's
+  included, in ``run_all_c_calls``.  Counts are exact where times drift with
+  the host, so a time that moves while its counts stay is host noise;
 - the median time of repeated calls of ``symbols.operator_matrix`` (circle,
   Weyl image of cos(theta) p^2, Fourier basis) at K = 32 and K = 64, of
   ``cylinder.pair_trace_smeared_cyl`` at K = 64 with a fresh default cutoff,
@@ -160,7 +165,7 @@ def layer_timings(src: Path) -> dict:
         raise SystemExit(f"imported phasequant from {harness.__file__}, not from the checkout")
 
     child = load_perfbench_child()
-    run_all_s, run_all_raw_s, passed, total = {}, {}, 0, 0
+    run_all_s, run_all_raw_s, py_calls, c_calls, passed, total = {}, {}, {}, {}, 0, 0
     for entry in harness.list_experiments():
         config = harness.ExperimentConfig.from_dict(harness.default_config(entry.name))
         harness.run_experiment(config)
@@ -174,6 +179,7 @@ def layer_timings(src: Path) -> dict:
             scaled.append(raw[-1] * probe.scale(start))
         run_all_raw_s[entry.name] = statistics.median(raw)
         run_all_s[entry.name] = statistics.median(scaled)
+        py_calls[entry.name], c_calls[entry.name] = call_counts(lambda: harness.run_experiment(config))
         passed += sum(record.passed for record in report.records)
         total += len(report.records)
 
@@ -272,12 +278,30 @@ def layer_timings(src: Path) -> dict:
         "run_all_s": run_all_s,
         "run_all_raw_s": run_all_raw_s,
         "run_all_total_s": sum(run_all_s.values()),
+        "run_all_py_calls": py_calls,
+        "run_all_c_calls": c_calls,
         "checks_passed": f"{passed}/{total}",
         "layers_ms": layers_ms,
         "layers_raw_ms": raw_ms,
         "layer_repeats": repeats,
         "numpy": np.__version__,
     }
+
+
+def call_counts(run) -> tuple[int, int]:
+    """The Python and the C calls that ``run()`` makes, from ``sys.setprofile`` events."""
+    counts = {"call": 0, "c_call": 0}
+
+    def hook(frame, event, arg):
+        if event in counts:
+            counts[event] += 1
+
+    sys.setprofile(hook)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    return counts["call"], counts["c_call"]
 
 
 def polar_chart_deltas(harness, flat_chart_delta_value):

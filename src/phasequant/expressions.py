@@ -6,6 +6,9 @@ a small closed node set, evaluate by the same numpy operations on numbers and
 on arrays of values at many points at once (an integer power is a product of
 its base), so arrays give the single points' values bit for bit, and
 differentiate symbolically: fields declared this way have exact partials.
+A manifold's metric expressions are the only ones a model derives from: its
+inverse comes from :func:`inverse_matrix`, its connection and curvature from
+the jets of the metric and the inverse.
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from .errors import ConfigError
 
 
 class Expr:
-    """Base node.  Arithmetic operators build simplified trees, so derived
-    quantities (inverse metrics, connections, curvature) can be written with
-    the same formulas as their numeric counterparts."""
+    """Base node.  Trees are built by :func:`parse_expression` and by the
+    simplifying constructors :func:`add`, :func:`mul` and :func:`div`, which
+    fold constants and drop zero terms and unit factors."""
 
     def eval(self, env: Mapping[str, float | np.ndarray]) -> complex | np.ndarray:  # pragma: no cover - interface
         """The value at one point, or elementwise values when ``env`` holds arrays."""
@@ -30,27 +33,6 @@ class Expr:
 
     def diff(self, var: str) -> "Expr":  # pragma: no cover - interface
         raise NotImplementedError
-
-    def __add__(self, other):
-        return add(self, _lift(other))
-
-    def __sub__(self, other):
-        return add(self, mul(Const(-1.0), _lift(other)))
-
-    def __neg__(self):
-        return mul(Const(-1.0), self)
-
-    def __mul__(self, other):
-        return mul(self, _lift(other))
-
-    def __rmul__(self, other):
-        return mul(_lift(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _lift(other))
-
-    def __rtruediv__(self, other):
-        return div(_lift(other), self)
 
 
 class Const(Expr):
@@ -219,16 +201,13 @@ def inverse_matrix(m):
     reciprocals when it is diagonal, else the 2x2 adjugate over the determinant."""
     if all(_is_const(m[i, j], 0.0) for i, j in np.ndindex(m.shape) if i != j):
         inv = np.full(m.shape, Const(0.0), dtype=object)
-        np.fill_diagonal(inv, [1.0 / e for e in np.diagonal(m)])
+        np.fill_diagonal(inv, [div(Const(1.0), e) for e in np.diagonal(m)])
         return inv
     if len(m) != 2:
         raise ConfigError("non-diagonal expression matrices can be inverted in two dimensions only")
-    adjugate = np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]], dtype=object)
-    return adjugate / (m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0])
-
-
-def _lift(value) -> Expr:
-    return value if isinstance(value, Expr) else Const(value)
+    det = add(mul(m[0, 0], m[1, 1]), mul(Const(-1.0), mul(m[0, 1], m[1, 0])))
+    adjugate = [[m[1, 1], mul(Const(-1.0), m[0, 1])], [mul(Const(-1.0), m[1, 0]), m[0, 0]]]
+    return np.array([[div(e, det) for e in row] for row in adjugate], dtype=object)
 
 
 _FUNCTIONS = {"sin": Sin, "cos": Cos}

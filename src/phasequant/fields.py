@@ -9,15 +9,13 @@ last axis over :func:`numdiff.multi_indices`.  An expression fills it from its
 symbolic partials, a callable from one finite-difference jet, sums and
 products from their parts' jets (the Leibniz rule), and a partial from its
 parent's jet shifted down an order.  Scaling, sums, contractions (one Leibniz
-product per weight slot) and divergences act on the whole node, :func:`stack`
-makes one node of an object array of scalar fields, and :func:`component`
-reads one entry.  The value is the order-0 entry, on a point array bit for bit
+product per weight slot; a rank-0 weight makes a product) and divergences act
+on the whole node, and :func:`stack` makes one node of an object array of
+scalar fields.  The value is the order-0 entry, on a point array bit for bit
 those at the single points (the same numpy operations run on both).  A field
 remembers its jet, read-only, at the last point or point array (keyed by shape
 and bytes, so a point and a one-row array are apart), so shared subtrees
-compute each distinct jet once per point or point array.  Fields combine with
-``+``, ``-`` and ``*`` (a number scales), so array formulas apply to object
-arrays of component fields before they are stacked.
+compute each distinct jet once per point or point array.
 """
 
 from __future__ import annotations
@@ -81,17 +79,6 @@ class TensorField:
             self.dim, self.rank, lambda q, n: taylor.jet_shift(self.jet(q, n + 1), self.dim, n, axis), cap
         )
 
-    def __add__(self, other: "TensorField") -> "TensorField":
-        return add(self, other)
-
-    def __sub__(self, other: "TensorField") -> "TensorField":
-        return add(self, scale(other, -1.0))
-
-    def __mul__(self, other: "TensorField | complex") -> "TensorField":
-        return multiply(self, other) if isinstance(other, TensorField) else scale(self, other)
-
-    __rmul__ = __mul__
-
 
 def sorted_entries(jet: np.ndarray, dim: int, rank: int) -> np.ndarray:
     """``jet`` with each entry of its ``rank`` leading component axes read at the
@@ -146,8 +133,8 @@ def from_expression(source: str | Expr, coordinates: Sequence[str]) -> TensorFie
 def from_callable(dim: int, fn: Callable[[np.ndarray], complex]) -> TensorField:
     """Wrap a plain callable of one point; its jet is one :func:`numdiff.jet`, taken
     as it comes (the same flat layout), each mixed partial a single stencil (the
-    noise floor stays near the Richardson accuracy of ``fn``).  An array-valued
-    ``fn`` is a :func:`component` source: its jet holds the value's axes first.
+    noise floor stays near the Richardson accuracy of ``fn``).  The jet of an
+    array-valued ``fn`` holds the value's axes first.
     """
     lifted = numdiff.pointwise(fn)
 
@@ -156,12 +143,6 @@ def from_callable(dim: int, fn: Callable[[np.ndarray], complex]) -> TensorField:
         return flat if q.ndim == 1 else np.moveaxis(flat, 0, -2)  # the point axis just before the jet's
 
     return TensorField(dim, 0, jet, numdiff.MAX_ORDER)
-
-
-def component(source: TensorField, idx: tuple[int, ...]) -> TensorField:
-    """The scalar field of entry ``idx`` of ``source``, whose jet at a point is
-    computed once for all its components."""
-    return TensorField(source.dim, 0, lambda q, order: source.jet(q, order)[idx], source.cap)
 
 
 def stack(dim: int, rank: int, comps: np.ndarray) -> TensorField:
@@ -211,12 +192,6 @@ def add(*fields: TensorField) -> TensorField:
         return total
 
     return TensorField(first.dim, first.rank, jet)
-
-
-def multiply(a: TensorField, b: TensorField) -> TensorField:
-    """The product ``a b`` of two scalar fields; its partials follow the Leibniz rule."""
-    dim = a.dim
-    return TensorField(dim, 0, lambda q, order: taylor.jet_product(a.jet(q, order), b.jet(q, order), dim, order))
 
 
 def contract(t: TensorField, weights: TensorField) -> TensorField:

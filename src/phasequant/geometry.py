@@ -1,15 +1,17 @@
 """Chart-based Riemannian geometry for the configuration manifolds.
 
 A :class:`ManifoldModel` bundles a single chart (coordinate ranges), the
-metric in that chart, and optional closed-form geodesics.  The inverse
-metric, connection and curvature come from one set of formulas applied to
-component arrays, and each of these levels is then one tensor node, its
-component axes first, that every reader takes whole.  Built-in models give
-the metric as expressions, so the levels and all their partial derivatives
-are exact to round-off.  A model given by an opaque ``metric_fn`` gets the
-same formulas on the components of one finite-difference jet of ``metric_fn``
-and its inverse at the same nodes: finite differences apply only one level
-deep, at the callable.
+metric in that chart, and optional closed-form geodesics.  Each level of a
+model (the metric, its inverse, connection, curvature and Ricci tensor) is
+one tensor node, its component axes first, that every reader takes whole.
+Only the metric and inverse jets depend on how the metric is given: built-in
+models give it as expressions, whose symbolic partials are exact, and a model
+given by an opaque ``metric_fn`` reads both from one finite-difference jet of
+``metric_fn`` and its inverse at the same nodes, so finite differences apply
+only one level deep, at the callable.  The connection and curvature take
+their jets from the jets of the level below by the Leibniz rule (Taylor-mode
+propagation, Griewank and Walther, *Evaluating Derivatives*, ch. 13), one
+code path for every model.
 
 The covariant derivative is one operation on jets, :func:`covariant_jets`,
 which the pairing's coefficient jets, the frame curvature ``R``, ``nabla R``
@@ -47,18 +49,7 @@ import numpy as np
 from . import numdiff, taylor
 from .errors import ChartDomainError, ConfigError, ShapeError, UnsupportedOrderError
 from .expressions import Const, Expr, inverse_matrix, parse_expression
-from .fields import (
-    TensorField,
-    add,
-    component,
-    constant,
-    contract,
-    from_callable,
-    from_expression,
-    scale,
-    sorted_entries,
-    stack,
-)
+from .fields import TensorField, add, constant, contract, from_callable, from_expression, scale, sorted_entries, stack
 
 # Safety margin (in chart units) kept away from open chart boundaries.
 CHART_MARGIN = 0.1
@@ -81,8 +72,9 @@ class ManifoldModel:
     The metric is given by exactly one of ``metric_exprs``, a matrix of
     expressions in the coordinate names, and an opaque ``metric_fn`` of one
     point, whose connection and curvature take finite differences of it;
-    ``metric_fn`` is set only for opaque models.  Either way the metric is the
-    ``g`` node of ``_fields``.
+    ``metric_fn`` is set only for opaque models.  Either way the metric and its
+    inverse are the ``g`` and ``g_inv`` nodes of ``_fields``, and the levels
+    above them are computed from their jets alike.
     ``exp_fn(q, v)``, a model's closed-form geodesics, maps a chart tangent
     vector at ``q`` to the geodesic endpoint, or an ``(N, dim)`` stack of
     them to ``(N, dim)`` endpoints, and must be continuous in ``v`` near the
@@ -107,28 +99,26 @@ class ManifoldModel:
 
     @cached_property
     def connection_free(self) -> bool:
-        """Whether every Christoffel symbol vanishes identically (a constant metric)."""
-        derived = self._derived
-        return derived is not None and all(isinstance(e, Const) and e.value == 0 for e in derived["gamma"].flat)
-
-    @cached_property
-    def _derived(self) -> dict[str, np.ndarray] | None:
-        """The metric, its inverse, connection and curvature as expression
-        arrays, derived from ``metric_exprs`` on first use (``None`` when opaque)."""
+        """Whether every Christoffel symbol vanishes identically: every partial of
+        every metric expression is the constant 0 (an opaque metric never is)."""
         if self.metric_exprs is None:
-            return None
-        g, names = np.array(self.metric_exprs, dtype=object), self.coordinate_names
-        return _levels(g, inverse_matrix(g), lambda e, axis: e.diff(names[axis]))
+            return False
+        partials = [e.diff(name) for row in self.metric_exprs for e in row for name in self.coordinate_names]
+        return all(isinstance(d, Const) and d.value == 0 for d in partials)
 
     @cached_property
     def _fields(self) -> dict[str, TensorField]:
-        """Every level of :func:`_levels` as one tensor node, its component axes
-        first, shared by all callers: the fields of the ``_derived`` expressions,
-        with exact partials, or for an opaque metric the same formulas on the
-        components of one finite-difference jet of ``metric_fn`` and its inverse
-        at the same nodes, so finite differences act one level deep."""
+        """The model's levels, keyed ``g``, ``g_inv``, ``gamma``, ``riemann`` and
+        ``ricci``, each one tensor node, its component axes first, shared by all
+        callers.  Only the ``g`` and ``g_inv`` jets depend on how the metric is
+        given: the stacked fields of ``metric_exprs`` and of their closed-form
+        inverse, with exact partials, or the entries, each read at its sorted
+        index, of one finite-difference jet of ``metric_fn`` and its inverse at the
+        same nodes, so finite differences act one level deep.  Each higher level's
+        jet comes from the jets of the level below (:func:`_christoffel_from`,
+        :func:`_riemann_from`, then the trace ``Ric_{sn} = R^m_{smn}`` in index order)."""
         dim = self.dim
-        if self._derived is None:
+        if self.metric_exprs is None:
             metric_fn = self.metric_fn
 
             def pair(x: np.ndarray) -> np.ndarray:  # g and g^-1 at one node
@@ -137,45 +127,63 @@ class ManifoldModel:
 
             source = from_callable(dim, pair)
             # each entry reads its sorted index, as inv(g) need not be symmetric to the last bit
-            entries = [(min(idx), max(idx)) for idx in np.ndindex(dim, dim)]
-            g, g_inv = (np.array([component(source, (i, *ab)) for ab in entries]).reshape(dim, dim) for i in (0, 1))
-            out = _levels(g, g_inv, lambda f, axis: f.partial(axis))
+            g, g_inv = (
+                TensorField(dim, 2, lambda q, n, i=i: sorted_entries(source.jet(q, n)[i], dim, 2)) for i in (0, 1)
+            )
         else:
+            exprs = np.array(self.metric_exprs, dtype=object)
             to_field = np.frompyfunc(lambda e: from_expression(e, self.coordinate_names), 1, 1)
-            out = {level: to_field(exprs) for level, exprs in self._derived.items()}
-        return {level: stack(dim, comps.ndim, comps) for level, comps in out.items()}
+            g, g_inv = (stack(dim, 2, to_field(m)) for m in (exprs, inverse_matrix(exprs)))
+        # g first: an opaque metric's jet through n + 1 then serves g^-1's through n
+        gamma = TensorField(dim, 3, lambda q, n: _christoffel_from(g.jet(q, n + 1), g_inv.jet(q, n), dim, n))
+        riemann = TensorField(dim, 4, lambda q, n: _riemann_from(gamma.jet(q, n + 1), dim, n))
+
+        def ricci(q, n):
+            R = riemann.jet(q, n)
+            return reduce(np.add, [R[m, :, m] for m in range(dim)])
+
+        return {"g": g, "g_inv": g_inv, "gamma": gamma, "riemann": riemann, "ricci": TensorField(dim, 2, ricci)}
 
 
 # ---------------------------------------------------------------------------
-# connection and curvature formulas, on float, expression or field arrays
+# connection and curvature formulas on jets
+
+# the levels' operation order: ``a - b`` is ``a + _MINUS * b``, and 1/2 a complex factor, as fields.scale takes one
+_MINUS, _HALF = complex(-1.0), complex(0.5)
 
 
-def _levels(g: np.ndarray, g_inv: np.ndarray, partial: Callable[[object, int], object]) -> dict[str, np.ndarray]:
-    """The metric, its inverse, connection, curvature and Ricci tensor, keyed
-    ``g``, ``g_inv``, ``gamma``, ``riemann``, ``ricci``; the entries are
-    expressions or fields, and ``partial(entry, axis)`` differentiates one."""
-
-    def grad(arr: np.ndarray) -> np.ndarray:  # [..., d] = d_d arr[...]
-        out = np.array([[partial(e, axis) for axis in range(len(g))] for e in arr.flat], dtype=object)
-        return out.reshape(arr.shape + (len(g),))
-
-    gamma = _christoffel_from(g_inv, grad(g))
-    riem = _riemann_from(gamma, grad(gamma))
-    return {"g": g, "g_inv": g_inv, "gamma": gamma, "riemann": riem, "ricci": np.trace(riem, axis1=0, axis2=2)}
+def _axes(jet: np.ndarray, *order: int) -> np.ndarray:
+    """``jet`` with its leading component axes permuted to ``order``; any point axis and the jet's stay last."""
+    return jet.transpose(order + tuple(range(len(order), jet.ndim)))
 
 
-def _christoffel_from(g_inv: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """``Gamma^c_{ab} = 1/2 g^{cd} (d_a g_db + d_b g_da - d_d g_ab)`` indexed
-    ``[c, a, b]``, from ``dg[a, b, c] = d_c g_ab``."""
-    return 0.5 * np.tensordot(g_inv, dg.transpose(0, 2, 1) + dg - dg.transpose(2, 0, 1), axes=1)
+def _grad(jet: np.ndarray, rank: int, dim: int, order: int) -> np.ndarray:
+    """The jet through ``order`` of each partial ``d_e`` of a rank-``rank`` field, from
+    its jet through ``order + 1``: the new index ``e`` last among the component axes."""
+    out = taylor.jet_shift(jet, dim, order, slice(None))  # [.., e, M], after the point axis of a point array
+    return out if out.ndim == rank + 2 else out.swapaxes(-3, -2)
 
 
-def _riemann_from(gamma: np.ndarray, dgamma: np.ndarray) -> np.ndarray:
-    """``R^r_{s m n}`` from ``Gamma^c_{ab}`` and ``dgamma[c, a, b, d] = d_d Gamma^c_{ab}``."""
-    gg = np.tensordot(gamma, gamma, axes=1)  # [r, m, n, s] = Gamma^r_{ml} Gamma^l_{ns}
+def _christoffel_from(g: np.ndarray, g_inv: np.ndarray, dim: int, order: int) -> np.ndarray:
+    """The jet through ``order`` of ``Gamma^c_{ab} = 1/2 g^{cd} (d_a g_db + d_b g_da - d_d g_ab)``,
+    indexed ``[c, a, b]``, from the metric's jet through ``order + 1`` and the
+    inverse's through ``order``; the sum over ``d`` runs in index order."""
+    dg = _grad(g, 2, dim, order)  # [a, b, c] = d_c g_ab
+    lowered = _axes(dg, 0, 2, 1) + dg + _MINUS * _axes(dg, 2, 0, 1)  # [d, a, b]
+    terms = [taylor.jet_product(g_inv[:, d, None, None], lowered[d][None], dim, order) for d in range(dim)]
+    return _HALF * reduce(np.add, terms)
+
+
+def _riemann_from(gamma: np.ndarray, dim: int, order: int) -> np.ndarray:
+    """The jet through ``order`` of ``R^r_{s m n}``, indexed ``[r, s, m, n]``, from the
+    connection's jet through ``order + 1``; each sum over ``l`` runs in index order."""
+    dgamma = _grad(gamma, 3, dim, order)  # [c, a, b, d] = d_d Gamma^c_{ab}
+    # [r, m, n, s] = Gamma^r_{ml} Gamma^l_{ns}; a jet through order + 1 holds the one through order as a prefix
+    terms = [taylor.jet_product(gamma[:, :, l, None, None], gamma[l][None, None], dim, order) for l in range(dim)]
+    gg = reduce(np.add, terms)
     return (
-        dgamma.transpose(0, 2, 3, 1) - dgamma.transpose(0, 2, 1, 3)
-        + gg.transpose(0, 3, 1, 2) - gg.transpose(0, 3, 2, 1)
+        _axes(dgamma, 0, 2, 3, 1) + _MINUS * _axes(dgamma, 0, 2, 1, 3)
+        + _axes(gg, 0, 3, 1, 2) + _MINUS * _axes(gg, 0, 3, 2, 1)
     )
 
 
@@ -310,12 +318,6 @@ def exp_jacobian(model: ManifoldModel, q: np.ndarray, v: np.ndarray) -> np.ndarr
     return numdiff.jacobian(lambda u: exp_map(model, q, u), v)
 
 
-def _frame_vectors(E: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """Chart vectors ``E @ xi`` for each row of an ``(N, dim)`` array of frame
-    components."""
-    return xi @ E.T
-
-
 def normal_frame(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
     """Orthonormal frame at ``q`` as a matrix ``E`` with ``E[:, a] = e_a``.
 
@@ -354,9 +356,7 @@ def _frame_riemann(model: ManifoldModel, q: np.ndarray, count: int) -> list[np.n
     (the first ``count`` of them), axes ``[r, s, m, n]`` then derivative axes."""
     E = normal_frame(model, q)
     levels = covariant_jets(model, model._fields["riemann"], 1, q, 0, count - 1)
-    riem, *levels = [level[..., 0].real for level in levels]
-    out = [np.einsum("ca,abgd,bB,gG,dD->cBGD", np.linalg.inv(E), riem, E, E, E)]
-    return out + [frame_components(values, E, 1) for values in levels]
+    return [frame_components(level[..., 0].real, E, 1) for level in levels]
 
 
 def normal_metric_series(model: ManifoldModel, q: np.ndarray, order: int) -> taylor.Series:
@@ -414,8 +414,7 @@ def normal_christoffel_jets(model: ManifoldModel, q: np.ndarray, order: int) -> 
 
 def ricci_in_frame(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
     """Ricci tensor contracted into the orthonormal normal frame."""
-    E = normal_frame(model, q)
-    return E.T @ ricci(model, q) @ E
+    return frame_components(ricci(model, q), normal_frame(model, q), 0)
 
 
 def sqrt_g_jet(
@@ -446,7 +445,7 @@ def sqrt_g_jet(
         E = normal_frame(model, q)
 
         def density(xi: np.ndarray) -> np.ndarray:  # the metric pulled back along geodesics, per node
-            v = _frame_vectors(E, xi)
+            v = xi @ E.T  # the chart vector of each node's frame components
             J = np.matmul(exp_jacobian(model, q, v), E)
             G = np.matmul(np.matmul(J.transpose(0, 2, 1), metric(model, exp_map(model, q, v))), J)
             return np.sqrt(np.linalg.det(G)) ** power
@@ -475,8 +474,7 @@ def _nabla(T: np.ndarray, rank: int, upper: int, gamma: np.ndarray | None, dim: 
     per dummy index ``g`` and slot ``+ Gamma^r_{e g} T^{..g..}`` or
     ``- Gamma^g_{e r} T_{..g..}``, an order that fixes the sum's rounding.
     """
-    out = taylor.jet_shift(T, dim, order, slice(None))  # [.., e, M], after the point axis of a point array
-    out = out if out.ndim == rank + 2 else out.swapaxes(-3, -2)
+    out = _grad(T, rank, dim, order)
     if gamma is None:
         return out
     for g in range(dim):
@@ -521,11 +519,7 @@ def sym_cov_deriv_in_frame(
     model: ManifoldModel, psi: TensorField, q: np.ndarray, order: int
 ) -> np.ndarray:
     """Symmetrized covariant derivative contracted with the normal frame."""
-    vals = sym_cov_deriv(model, psi, q, order)
-    E = normal_frame(model, q)
-    for _ in range(order):
-        vals = np.tensordot(vals, E, axes=([0], [0]))
-    return vals
+    return frame_components(sym_cov_deriv(model, psi, q, order), normal_frame(model, q), 0)
 
 
 def covariant_divergence(model: ManifoldModel, tensor: TensorField) -> TensorField:
@@ -559,7 +553,7 @@ def pullback_jet(
     """
     q = np.asarray(q, dtype=float)
     E = normal_frame(model, q)
-    pulled = numdiff.jet(lambda xi: psi(exp_map(model, q, _frame_vectors(E, xi))), np.zeros(model.dim), max_order)
+    pulled = numdiff.jet(lambda xi: psi(exp_map(model, q, xi @ E.T)), np.zeros(model.dim), max_order)
     return numdiff.expand(pulled, model.dim, max_order)
 
 

@@ -624,9 +624,7 @@ def _run_curved_defect(cfg: ExperimentConfig, series: dict) -> Iterator:
 
     yield kinetic_residual()
 
-    scalar_curv = float(
-        np.tensordot(geometry.inverse_metric(model, q0), geometry.ricci(model, q0), 2)
-    )
+    scalar_curv = geometry.scalar_curvature(model, q0)
     f2 = symbol_from_config(model, {"coefficient": "inverse-metric", "degree": 2})
     term0 = complex(np.asarray(curved.wue_weyl_image(model, f2, hbar).terms[0].evaluate(q0)))
     yield -term0.real / (hbar * hbar * scalar_curv), 1.0 / 12.0

@@ -1,8 +1,12 @@
+import functools
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from phasequant import harness
+from phasequant import harness, numdiff
+from phasequant.expressions import Const, add, inverse_matrix, mul
 from phasequant.fields import constant, from_expression, tensor_from_fields
 from phasequant.symbols import MomentumPolynomial
 
@@ -42,6 +46,50 @@ def symbol_factory(rng):
         return random_symbol(rng, max_degree)
 
     return build
+
+
+def symbolic_levels(model):
+    """The inverse metric, connection, curvature and Ricci tensor of an
+    expression model as expression arrays, built by loops over symbolic partials
+    of its metric expressions."""
+    names, r, shape = model.coordinate_names, range(model.dim), (model.dim,)
+    g = np.array(model.metric_exprs, dtype=object)
+    g_inv = inverse_matrix(g)
+
+    def d(e, axis):
+        return e.diff(names[axis])
+
+    def minus(e):
+        return mul(Const(-1.0), e)
+
+    gamma, riemann, ricci = (np.empty(shape * rank, dtype=object) for rank in (3, 4, 2))
+    for c, a, b in itertools.product(r, repeat=3):
+        lowered = [add(add(d(g[e, b], a), d(g[e, a], b)), minus(d(g[a, b], e))) for e in r]
+        gamma[c, a, b] = mul(Const(0.5), functools.reduce(add, [mul(g_inv[c, e], lowered[e]) for e in r]))
+    for i, s, m, n in itertools.product(r, repeat=4):
+        quadratic = [add(mul(gamma[i, m, l], gamma[l, n, s]), minus(mul(gamma[i, n, l], gamma[l, m, s]))) for l in r]
+        riemann[i, s, m, n] = add(add(d(gamma[i, n, s], m), minus(d(gamma[i, m, s], n))), functools.reduce(add, quadratic))
+    for s, n in itertools.product(r, repeat=2):
+        ricci[s, n] = functools.reduce(add, [riemann[m, s, m, n] for m in r])
+    return {"g_inv": g_inv, "gamma": gamma, "riemann": riemann, "ricci": ricci}
+
+
+def symbolic_jet(exprs, names, q, order):
+    """The flat jets through ``order`` at ``q`` of an array of expressions, each
+    partial differentiated symbolically from the one an order lower."""
+    env = dict(zip(names, q))
+    out = np.empty(exprs.shape + (len(numdiff.multi_indices(len(names), order)),), dtype=complex)
+    for idx, expr in np.ndenumerate(exprs):
+        partials = {}
+        for i, alpha in enumerate(numdiff.multi_indices(len(names), order)):
+            axis = next((axis for axis, count in enumerate(alpha) if count), None)
+            if axis is None:
+                partials[alpha] = expr
+            else:
+                lower = alpha[:axis] + (alpha[axis] - 1,) + alpha[axis + 1 :]
+                partials[alpha] = partials[lower].diff(names[axis])
+            out[idx + (i,)] = partials[alpha].eval(env)
+    return out
 
 
 @pytest.fixture

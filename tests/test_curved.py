@@ -312,7 +312,7 @@ def test_opaque_metric_degree_four_pairing_matches_the_exact_one():
     [
         (False, 2, -0.24293860716396415 + 5.551115123125783e-17j),
         (False, 3, 0.19637883416752233 + 6.661338147750939e-16j),
-        (False, 4, 0.5815017430772369 + 2.220446049250313e-15j),
+        (False, 4, 0.5815017430772351 + 2.220446049250313e-15j),
         (True, 3, 0.1963788341692425 + 2.144140420767826e-10j),
     ],
 )

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phasequant.errors import ConfigError
-from phasequant.expressions import Const, inverse_matrix, parse_expression
+from phasequant.expressions import Const, add, div, inverse_matrix, mul, parse_expression
 
 
 def ev(source, **values):
@@ -101,12 +101,17 @@ def test_constant_folding_keeps_value():
 
 
 def test_operators_build_simplified_differentiable_trees():
+    # the constructors add, mul and div: 2 x x - 1/x + (x - x) 0
     x = parse_expression("x", ("x",))
-    e = 2.0 * x * x - 1 / x + (x - x) * 0
+
+    def minus(e):
+        return mul(Const(-1.0), e)
+
+    e = add(add(mul(mul(Const(2.0), x), x), minus(div(Const(1.0), x))), mul(add(x, minus(x)), Const(0.0)))
     assert e.eval({"x": 1.5}) == pytest.approx(2.0 * 2.25 - 1 / 1.5)
     assert e.diff("x").eval({"x": 1.5}) == pytest.approx(4.0 * 1.5 + 1 / 2.25)
-    assert isinstance(Const(3.0) / Const(2.0), Const) and (x * 1.0) is x and (x / 1.0) is x
-    assert isinstance(0.0 * x, Const) and (-x).eval({"x": 2.0}) == -2.0
+    assert isinstance(div(Const(3.0), Const(2.0)), Const) and mul(x, Const(1.0)) is x and div(x, Const(1.0)) is x
+    assert isinstance(mul(Const(0.0), x), Const) and minus(x).eval({"x": 2.0}) == -2.0
 
 
 def test_inverse_matrix_diagonal_and_adjugate():

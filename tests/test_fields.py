@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phasequant import bases, fields, geometry, numdiff, symbols
+from conftest import symbolic_jet, symbolic_levels
+from phasequant import bases, fields, geometry, numdiff, symbols, taylor
 
 
 def test_constant_field_and_zero_derivative():
@@ -34,7 +36,7 @@ def _field_kinds():
         "constant": fields.constant(2, 1.5),
         "scale": fields.scale(f, -2.0),
         "add": fields.add(f, g),
-        "multiply": fields.multiply(f, g),
+        "multiply": fields.contract(g, f),  # a rank-0 weight: the product f g
     }
 
 
@@ -61,7 +63,7 @@ def _sin_derivative(k: float, m: float, orders: tuple[int, int], q: np.ndarray) 
 def test_high_mixed_partials_of_a_product(orders):
     # sin(x + 2y) cos(3x - y) = (sin(4x + y) + sin(-2x + 3y)) / 2
     a = fields.from_expression("sin(x + 2*y)", ("x", "y"))
-    prod = fields.multiply(a, fields.from_expression("cos(3*x - y)", ("x", "y")))
+    prod = fields.contract(fields.from_expression("cos(3*x - y)", ("x", "y")), a)
     q = np.array([0.7, -0.4])
     want = 0.5 * (_sin_derivative(4, 1, orders, q) + _sin_derivative(-2, 3, orders, q))
     chained = prod
@@ -130,7 +132,7 @@ def test_combinators_obey_calculus(rng):
     assert total(q) == pytest.approx(math.sin(x) - 2 * (x * x + 1))
     assert total.partial(0)(q) == pytest.approx(math.cos(x) - 4 * x, abs=1e-13)
 
-    prod = fields.multiply(f, g)
+    prod = fields.contract(g, f)
     want = math.cos(x) * (x * x + 1) + math.sin(x) * 2 * x
     assert prod.partial(0)(q) == pytest.approx(want, abs=1e-13)
 
@@ -152,7 +154,7 @@ def test_add_requires_an_argument():
 def test_product_rule_property(x, a, b):
     f = fields.from_expression(f"{a!r}*x + 1", ("x",))
     g = fields.from_expression(f"x**2 + {b!r}", ("x",))
-    got = fields.multiply(f, g).partial(0)(np.array([x]))
+    got = fields.contract(g, f).partial(0)(np.array([x]))
     want = a * (x * x + b) + (a * x + 1) * 2 * x
     assert got == pytest.approx(want, abs=1e-9, rel=1e-9)
 
@@ -239,9 +241,9 @@ def test_contract_against_manual(rng):
     np.testing.assert_allclose(contracted.evaluate(q), manual, rtol=0, atol=1e-14)
     # the partials are exact: product rule over the weight and tensor fields
     dw = np.array([[f.partial(0)(q) for f in row] for row in entries])
-    dt = np.array([fields.component(t, idx).partial(0)(q) for idx in np.ndindex((2,) * 3)]).reshape((2,) * 3)
+    dt = t.partial(0).evaluate(q)
     want = np.tensordot(dw, t.evaluate(q), axes=([0, 1], [0, 1])) + np.tensordot(w, dt, axes=([0, 1], [0, 1]))
-    got = np.array([fields.component(contracted, (i,)).partial(0)(q) for i in range(2)])
+    got = contracted.partial(0).evaluate(q)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
 
 
@@ -259,7 +261,7 @@ def test_field_remembers_its_value_at_the_last_point():
         return q[0] * q[1]
 
     base = fields.from_callable(2, counted)
-    tree = fields.add(fields.multiply(base, base), fields.scale(base, 2.0))
+    tree = fields.add(fields.contract(base, base), fields.scale(base, 2.0))
     q, q2 = np.array([0.3, -0.7]), np.array([0.1, 0.2])
     value = tree(q)
     assert tree(q) == value
@@ -341,8 +343,8 @@ def test_combinators_on_point_array():
     combos = [
         fields.scale(f, 0.3 - 1.7j),
         fields.add(f, g, one),
-        fields.multiply(fields.scale(f, 1j), g),
-        fields.multiply(fields.add(f, one), fields.scale(g, -2.0)),
+        fields.contract(g, fields.scale(f, 1j)),
+        fields.contract(fields.scale(g, -2.0), fields.add(f, one)),
     ]
     for field in combos:
         assert_array_equals_points(field, PLANE)
@@ -380,25 +382,18 @@ def test_callable_field_loops_over_point_array():
 SPHERE_POINT = np.array([1.1, 0.4])
 
 
-def symbolic_partial(expr, names, alpha):
-    """The partial of ``alpha`` differentiated along the first axis first, the
-    reverse of the order the jet takes."""
-    for axis, count in enumerate(alpha):
-        for _ in range(count):
-            expr = expr.diff(names[axis])
-    return expr
-
-
 @pytest.mark.parametrize("level", ["gamma", "g_inv"])
 def test_expression_jet_matches_the_symbolic_partials(level):
+    # the reference differentiates each entry's expression, built by loops on
+    # the metric expressions, along the first axis last: the reverse of the
+    # order the jet of an expression takes
     sphere = geometry.sphere()
-    names = sphere.coordinate_names
-    env = dict(zip(names, SPHERE_POINT))
-    for idx, expr in np.ndenumerate(sphere._derived[level]):
-        jet = fields.component(sphere._fields[level], idx).jet(SPHERE_POINT, 4)
-        for i, alpha in enumerate(numdiff.multi_indices(2, 4)):
-            want = complex(symbolic_partial(expr, names, alpha).eval(env))
-            assert abs(jet[i] - want) <= 1e-13 * max(1.0, abs(want))
+    exprs = symbolic_levels(sphere)[level]
+    want = symbolic_jet(exprs, sphere.coordinate_names, SPHERE_POINT, 4)
+    jet = sphere._fields[level].jet(SPHERE_POINT, 4)
+    assert jet.shape == want.shape
+    for idx in np.ndindex(want.shape):
+        assert abs(jet[idx] - want[idx]) <= 1e-13 * max(1.0, abs(want[idx]))
 
 
 def test_callable_jet_is_the_stencil_partials():
@@ -410,14 +405,18 @@ def test_callable_jet_is_the_stencil_partials():
         assert jet[i] == numdiff.partials(numdiff.pointwise(fn), SPHERE_POINT, [alpha])[0]
 
 
+def entry(source, idx):
+    """The scalar field of entry ``idx`` of a tensor node."""
+    return fields.TensorField(source.dim, 0, lambda q, order: source.jet(q, order)[idx])
+
+
 def test_jet_on_a_point_array_is_the_jets_at_its_points():
     sphere = geometry.sphere()
     callable_field = fields.from_callable(2, lambda q: math.exp(0.3 * q[0]) * math.sin(q[1]))
-    gamma, g_inv = sphere._fields["gamma"], sphere._fields["g_inv"]
-    tree = fields.multiply(fields.component(gamma, (1, 0, 1)), callable_field).partial(0)
-    tree = tree + fields.component(g_inv, (1, 1))
+    gamma, g_inv = (entry(sphere._fields[level], idx) for level, idx in (("gamma", (1, 0, 1)), ("g_inv", (1, 1))))
+    tree = fields.add(fields.contract(callable_field, gamma).partial(0), g_inv)
     points = np.column_stack([np.linspace(0.6, 2.4, 5), np.linspace(-2.0, 1.5, 5)])
-    for field in (fields.component(gamma, (0, 1, 1)), fields.component(g_inv, (1, 1)), callable_field, tree):
+    for field in (entry(sphere._fields["gamma"], (0, 1, 1)), g_inv, callable_field, tree):
         got = field.jet(points, 3)
         assert got.shape == (5, len(numdiff.multi_indices(2, 3)))
         assert got.tobytes() == np.array([field.jet(x, 3) for x in points]).tobytes()
@@ -512,7 +511,7 @@ def test_a_memoized_stacked_jet_is_read_only():
         assert t.jet(q, 2) is jet
         with pytest.raises(ValueError):
             jet[(0,) * t.rank] = 1.0
-        assert not fields.component(t, (1,) + (0,) * (t.rank - 1)).jet(q, 2).flags.writeable
+        assert not jet[(1,) + (0,) * (t.rank - 1)].flags.writeable
 
 
 @pytest.mark.parametrize("rank", [3, 4])
@@ -527,24 +526,24 @@ def test_a_divergence_holds_symmetric_slots_bit_for_bit(rank):
             assert jet[idx].tobytes() == jet[tuple(sorted(idx))].tobytes()
 
 
-def _per_entry_density_jet(model, power):
-    """The fourth density jet as an object array of fields, one per entry, built
-    by field arithmetic on component views of the model's levels."""
-
-    def entries(source, rank):
-        out = np.empty((model.dim,) * rank, dtype=object)
-        for idx in np.ndindex(out.shape):
-            out[idx] = fields.component(source, idx)
-        return out
-
-    riem, ric = (entries(model._fields[level], rank) for level, rank in (("riemann", 4), ("ricci", 2)))
+def _per_entry_density_jet(model, power, q, order):
+    """The fourth density jet at ``q``, entry by entry: each entry's jet from the
+    entries of the model's levels, products by the Leibniz rule and scalings as
+    complex factors, the (e, f) terms and the three terms added in order."""
+    dim = model.dim
     riemann = model._fields["riemann"]
-    nabla = fields.TensorField(
-        model.dim, 4, lambda q, n: geometry.covariant_jets(model, riemann, 1, q, n, 2)[-1].trace(0, 0, 2)
-    )
-    nabla_ric = entries(nabla, 4)
-    quad = np.tensordot(riem, riem, axes=([0, 2], [2, 0]))  # [a, b, c, d] = R^e_{afb} R^f_{ced}
-    return -power * 0.6 * nabla_ric + -power * 2.0 / 15.0 * quad + power * power / 3.0 * np.multiply.outer(ric, ric)
+    R, ric = riemann.jet(q, order), model._fields["ricci"].jet(q, order)
+    nabla_ric = geometry.covariant_jets(model, riemann, 1, q, order, 2)[-1].trace(0, 0, 2)
+    out = np.empty(nabla_ric.shape, dtype=complex)
+    for a, b, c, d in np.ndindex((dim,) * 4):
+        pairs = [taylor.jet_product(R[e, a, f, b], R[f, c, e, d], dim, order) for e, f in np.ndindex(dim, dim)]
+        terms = [
+            complex(-power * 0.6) * nabla_ric[a, b, c, d],
+            complex(-power * 2.0 / 15.0) * functools.reduce(np.add, pairs),
+            complex(power * power / 3.0) * taylor.jet_product(ric[a, b], ric[c, d], dim, order),
+        ]
+        out[a, b, c, d] = terms[0] + terms[1] + terms[2]
+    return out
 
 
 # In two dimensions R^e_{afb} R^f_{ced} has one nonzero (e, f) term per entry,
@@ -568,8 +567,6 @@ def test_fourth_density_jet_node_equals_the_per_entry_construction_bit_for_bit(n
     # tensordot sums an object array's products
     model = {"skew": SKEW, "warped": WARPED}.get(name) or geometry.manifold(name)
     node = geometry.density_jet_fields(model, 4, power)
-    reference = _per_entry_density_jet(model, power)
     for x in ([0.9, 0.4, 0.7], [1.3, -0.2, 0.5]):
         q = np.array(x[: model.dim])
-        want = np.array([field.jet(q, order) for field in reference.flat])
-        assert node.jet(q, order).tobytes() == want.reshape(reference.shape + want.shape[1:]).tobytes()
+        assert node.jet(q, order).tobytes() == _per_entry_density_jet(model, power, q, order).tobytes()

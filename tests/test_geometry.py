@@ -6,8 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from phasequant import curved, fields, geometry, numdiff
+from conftest import symbolic_jet, symbolic_levels
+from phasequant import curved, geometry, numdiff
 from phasequant.errors import ChartDomainError, ConfigError, PhasequantError, UnsupportedOrderError
+from phasequant.expressions import Const
 from phasequant.fields import from_callable, from_expression, tensor_from_fields
 
 
@@ -440,20 +442,20 @@ def test_expression_geometry_matches_closed_forms(name, q, closed):
 
 
 def test_christoffel_field_partials_are_exact(sphere):
-    gamma = np.empty((2, 2, 2), dtype=object)
-    for idx in np.ndindex(gamma.shape):
-        gamma[idx] = fields.component(sphere._fields["gamma"], idx)
+    gamma = sphere._fields["gamma"]
+    d_theta, d_phi = gamma.partial(0), gamma.partial(1)
+    d_theta_theta = d_theta.partial(0)
     for theta in (0.6, 1.1, 2.3):
         q = np.array([theta, 0.4])
+        first, second = d_theta.evaluate(q), d_theta_theta.evaluate(q)
         # d/dtheta (-sin cos) = -cos(2 theta); d/dtheta cot = -1/sin^2
-        assert abs(gamma[0, 1, 1].partial(0)(q) + math.cos(2.0 * theta)) < 1e-13
-        assert abs(gamma[1, 0, 1].partial(0)(q) + 1.0 / math.sin(theta) ** 2) < 1e-13
-        assert abs(gamma[1, 0, 1].partial(1)(q)) == 0.0
+        assert abs(first[0, 1, 1] + math.cos(2.0 * theta)) < 1e-13
+        assert abs(first[1, 0, 1] + 1.0 / math.sin(theta) ** 2) < 1e-13
+        assert abs(d_phi.evaluate(q)[1, 0, 1]) == 0.0
         # second partials: 2 sin(2 theta) and 2 cos / sin^3
-        second = gamma[1, 0, 1].partial(0).partial(0)(q)
         want = 2.0 * math.cos(theta) / math.sin(theta) ** 3
-        assert abs(second - want) < 1e-13 * abs(want)
-        assert abs(gamma[0, 1, 1].partial(0).partial(0)(q) - 2.0 * math.sin(2.0 * theta)) < 1e-13
+        assert abs(second[1, 0, 1] - want) < 1e-13 * abs(want)
+        assert abs(second[0, 1, 1] - 2.0 * math.sin(2.0 * theta)) < 1e-13
 
 
 def test_non_diagonal_expression_metric():
@@ -482,8 +484,8 @@ def test_opaque_metric_falls_back_to_finite_differences(sphere):
     for q in (np.array([1.1, 0.4]), np.array([2.0, -1.3])):
         for quantity in (geometry.inverse_metric, christoffel, geometry.ricci, geometry.riemann):
             np.testing.assert_allclose(quantity(opaque, q), quantity(sphere, q), rtol=0, atol=1e-6)
-        ginv_fd = fields.component(geometry.inverse_metric_field(opaque), (1, 1)).partial(0)(q)
-        ginv_exact = fields.component(geometry.inverse_metric_field(sphere), (1, 1)).partial(0)(q)
+        ginv_fd = geometry.inverse_metric_field(opaque).partial(0).evaluate(q)[1, 1]
+        ginv_exact = geometry.inverse_metric_field(sphere).partial(0).evaluate(q)[1, 1]
         assert abs(ginv_fd - ginv_exact) < 1e-6
 
 
@@ -496,8 +498,9 @@ def test_manifold_model_needs_a_metric(sphere):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_connection_and_curvature_formulas_match_loop_reference(rng, dim):
-    # Expression arrays, and the field arrays of an opaque metric, go through
-    # these vectorized formulas; check them against loops on float arrays.
+    # Every model's levels come from these formulas on jets; check their values
+    # against loops on float arrays, from jets through order 1 whose first
+    # partials are the random arrays (dg[a, b, c] = d_c g_ab).
     g_inv, dg = rng.normal(size=(dim, dim)), rng.normal(size=(dim,) * 3)
     gamma, dgamma = rng.normal(size=(dim,) * 3), rng.normal(size=(dim,) * 4)
     gamma_want = np.zeros((dim,) * 3)
@@ -509,8 +512,43 @@ def test_connection_and_curvature_formulas_match_loop_reference(rng, dim):
         riemann_want[rr, s, m, n] = dgamma[rr, n, s, m] - dgamma[rr, m, s, n] + sum(
             gamma[rr, m, l] * gamma[l, n, s] - gamma[rr, n, l] * gamma[l, m, s] for l in r
         )
-    np.testing.assert_allclose(geometry._christoffel_from(g_inv, dg), gamma_want, rtol=0, atol=1e-13)
-    np.testing.assert_allclose(geometry._riemann_from(gamma, dgamma), riemann_want, rtol=0, atol=1e-13)
+    g_jet = np.concatenate([np.zeros((dim, dim, 1)), dg], axis=-1)  # the order-1 partials follow the value
+    gamma_jet = np.concatenate([gamma[..., None], dgamma], axis=-1)
+    got_gamma = geometry._christoffel_from(g_jet, g_inv[..., None], dim, 0)[..., 0]
+    np.testing.assert_allclose(got_gamma, gamma_want, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(geometry._riemann_from(gamma_jet, dim, 0)[..., 0], riemann_want, rtol=0, atol=1e-13)
+
+
+# a curved metric in three dimensions, which no built-in model covers: its
+# connection has entries of every slot kind, and Ricci sums three terms
+CURVED_3D = geometry.ManifoldModel(
+    name="curved-3d",
+    dim=3,
+    coords=tuple(geometry.CoordSpec(n) for n in "xyz"),
+    metric_exprs=geometry._metric_exprs(tuple("xyz"), [["1", "0", "0"], ["0", "1 + x*x", "0"], ["0", "0", "1 + y*y"]]),
+)
+
+
+@pytest.mark.parametrize("level", ["gamma", "riemann", "ricci"])
+def test_three_dimensional_levels_match_symbolic_partials(level):
+    # the Leibniz jets of the level nodes against loops over symbolic partials
+    # of the same formulas, written out entry by entry on the expressions
+    exprs = symbolic_levels(CURVED_3D)[level]
+    assert any(not isinstance(e, Const) for e in exprs.flat)
+    for q in (np.array([0.7, -0.4, 0.3]), np.array([-1.2, 0.9, 2.0])):
+        got = CURVED_3D._fields[level].jet(q, 2)
+        want = symbolic_jet(exprs, CURVED_3D.coordinate_names, q, 2)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
+    assert np.abs(geometry.ricci(CURVED_3D, q)).max() > 0.1
+
+
+def test_three_dimensional_levels_on_a_point_array_equal_single_points():
+    points = np.column_stack([np.linspace(-1.5, 1.5, 7), np.linspace(0.9, -0.6, 7), np.linspace(0.0, 2.0, 7)])
+    for level, node in CURVED_3D._fields.items():
+        got = node.jet(points, 2)
+        want = np.stack([node.jet(x, 2) for x in points], axis=-2)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), level
 
 
 # ---------------------------------------------------------------------------
