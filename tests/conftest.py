@@ -68,7 +68,8 @@ def symbolic_levels(model):
         gamma[c, a, b] = mul(Const(0.5), functools.reduce(add, [mul(g_inv[c, e], lowered[e]) for e in r]))
     for i, s, m, n in itertools.product(r, repeat=4):
         quadratic = [add(mul(gamma[i, m, l], gamma[l, n, s]), minus(mul(gamma[i, n, l], gamma[l, m, s]))) for l in r]
-        riemann[i, s, m, n] = add(add(d(gamma[i, n, s], m), minus(d(gamma[i, m, s], n))), functools.reduce(add, quadratic))
+        linear = add(d(gamma[i, n, s], m), minus(d(gamma[i, m, s], n)))
+        riemann[i, s, m, n] = add(linear, functools.reduce(add, quadratic))
     for s, n in itertools.product(r, repeat=2):
         ricci[s, n] = functools.reduce(add, [riemann[m, s, m, n] for m in r])
     return {"g_inv": g_inv, "gamma": gamma, "riemann": riemann, "ricci": ricci}

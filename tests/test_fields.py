@@ -558,13 +558,14 @@ WARPED = geometry.ManifoldModel(
 )
 
 
-# the skew and warped metrics' partials grow fast with the order (the skew
-# metric's fourth density jet through order 1 takes seconds), so they are read at order 0
+# the skew metric's inverse has partials that grow fast with the order (its
+# fourth density jet through order 2 takes most of a second), so the skew and
+# warped metrics are read at order 0
 @pytest.mark.parametrize("name, order", [("skew", 0), ("warped", 0), ("sphere:1", 2)])
 @pytest.mark.parametrize("power", [-1.0, 1.0, -0.5])
 def test_fourth_density_jet_node_equals_the_per_entry_construction_bit_for_bit(name, order, power):
     # the stacked quadratic term sums its (e, f) pairs in np.ndindex order, as
-    # tensordot sums an object array's products
+    # the per-entry reference does
     model = {"skew": SKEW, "warped": WARPED}.get(name) or geometry.manifold(name)
     node = geometry.density_jet_fields(model, 4, power)
     for x in ([0.9, 0.4, 0.7], [1.3, -0.2, 0.5]):
