@@ -33,7 +33,10 @@ checkout a round records:
   carries over between calls), and at m = 3 on the same sphere given by an
   opaque ``metric_fn``, the callable ``x -> geometry.metric(sphere, x)`` (its
   curvature from finite differences of the metric callable; the model is
-  built afresh on every call too), of the finite-difference density jet
+  built afresh on every call too), of the curved-defect experiment's p-scan
+  at its first probe (seven ``curved.axiom_defect`` calls at scales 0.25 to
+  1.75 of its base momentum, its default symbol and hbar, on a unit sphere
+  and symbol built afresh on every call), of the finite-difference density jet
   ``geometry.sqrt_g_jet(sphere, (1.1, 0.4), 2, method="numeric")``, of one
   flat-axioms round trip (``flat_weyl.a_image_flat`` then
   ``flat_weyl.dequantize_flat``, standard ordering, hbar = 1) of a random
@@ -63,7 +66,9 @@ checkout a round records:
   the same probe) sampling the CPU's speed on a timer meanwhile.  Each call's time less the probe's
   samples inside it is its raw time; the layer's median raw time goes in
   ``layers_raw_ms`` and, scaled to the probe's reference speed as perfbench
-  scales a pass, in ``layers_ms``;
+  scales a pass, in ``layers_ms``.  One more, untimed call of each layer is
+  counted as the experiments' runs are, in ``layers_py_calls`` and
+  ``layers_c_calls``;
 - the end-to-end medians of ``perfbench/run.py --workload all`` of that
   checkout, with ``--seconds`` and the round's seed (``--seed`` + round).
 
@@ -146,7 +151,7 @@ def layer_timings(src: Path) -> dict:
     import_s = time.perf_counter() - start
 
     from phasequant.bases import FourierBasis, HermiteBasis
-    from phasequant.curved import dequantize_curved, wue_weyl_image
+    from phasequant.curved import axiom_defect, dequantize_curved, wue_weyl_image
     from phasequant.cylinder import CutoffFamily, pair_trace_smeared_cyl
     from phasequant.fields import constant, from_expression, tensor_from_fields
     from phasequant.flat_weyl import a_image_flat, dequantize_flat, quantize_gaussian_flat
@@ -213,6 +218,14 @@ def layer_timings(src: Path) -> dict:
         f = symbol_from_config(model, {"coefficient": "cos-theta", "degree": degree})
         return dequantize_curved(model, wue_weyl_image(model, f), np.array([0.3, -0.55]), np.array([1.1, 0.4]))
 
+    curved_defect = harness.default_config("curved-defect")
+
+    def defect_pscan() -> list[complex]:
+        model = sphere(1.0)
+        f = symbol_from_config(model, curved_defect["symbol"])
+        p, q, hbar = np.array([0.3, -0.55]), np.array([1.1, 0.4]), curved_defect["hbar"]
+        return [axiom_defect(model, f, t * p, q, hbar) for t in (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75)]
+
     def flat_round_trip() -> complex:
         line, standard = euclidean_space(1), ordering_scheme("standard")
         f = harness._random_flat_symbol(np.random.default_rng(20260814))
@@ -242,6 +255,7 @@ def layer_timings(src: Path) -> dict:
     for degree in (2, 3, 4):
         layers[f"dequantize_curved_sphere_deg{degree}"] = lambda degree=degree: sphere_dequantization(degree)
     layers["dequantize_curved_opaque_sphere_deg3"] = lambda: sphere_dequantization(3, opaque=True)
+    layers["defect_pscan_sphere_7"] = defect_pscan
     layers["sqrt_g_jet_numeric_sphere"] = lambda: geometry.sqrt_g_jet(
         sphere(1.0), np.array([1.1, 0.4]), 2, method="numeric"
     )
@@ -272,6 +286,7 @@ def layer_timings(src: Path) -> dict:
     bump = cylinder.periodic_test_function(0.9, 0.4)
     layers["fourier_coefficients_K64"] = lambda: bases.fourier_coefficients(bump(bases.angle_grid(512)), 128)
     layers_ms = {name: median_ms(name, call) for name, call in layers.items()}
+    layer_calls = {name: call_counts(call) for name, call in layers.items()}
     return {
         "default_configs": {entry.name: harness.default_config(entry.name) for entry in harness.list_experiments()},
         "import_harness_s": import_s,
@@ -283,6 +298,8 @@ def layer_timings(src: Path) -> dict:
         "checks_passed": f"{passed}/{total}",
         "layers_ms": layers_ms,
         "layers_raw_ms": raw_ms,
+        "layers_py_calls": {name: counts[0] for name, counts in layer_calls.items()},
+        "layers_c_calls": {name: counts[1] for name, counts in layer_calls.items()},
         "layer_repeats": repeats,
         "numpy": np.__version__,
     }

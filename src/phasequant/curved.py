@@ -22,6 +22,15 @@ pairing computes each distinct field's jet once, since a field remembers its
 jet at the last point.  Its Taylor algebra holds flat jets, as fields do:
 each ingredient's derivative arrays enter once, through ``taylor.from_jets``.
 
+Only the phase series and the final pairing sums depend on the momentum.  An
+operator remembers the rest of its pairing (the normal frame, the density
+series and the coefficient series collected per monomial rank), read-only,
+at its last model and point, and a symbol remembers the Weyl image
+:func:`axiom_defect` built for it at its last model, ``hbar`` and measure.
+Each memo holds one entry, keyed by the model's identity (and the point's
+shape and bytes), so a p-scan at one point builds one image and one pairing,
+and any other call builds them afresh.
+
 The images here are also the package's flat-space images: on a flat model
 every volume-density jet beyond order zero vanishes, and both maps reduce to
 the flat symmetric and standard orderings.
@@ -42,7 +51,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import geometry, numdiff, taylor
-from .errors import ConfigError
+from .errors import ConfigError, ShapeError
 from .fields import TensorField, contract, scale
 from .geometry import ManifoldModel
 from .symbols import CovariantOperator, MomentumPolynomial, merge_terms, ordering_scheme, ordering_transform
@@ -198,13 +207,19 @@ def _coeff_jets(
     return jets
 
 
-def _pairing_data(model: ManifoldModel, q: np.ndarray, D: CovariantOperator, order: int) -> tuple:
-    """The pairing's series at ``q``: ``h = sqrt(g)^(-1/2)``, ``sqrt(g)``, the
-    connection and the coefficients, all from the normal-coordinate expansion
-    of the metric.  The connection is read through order ``order - 1`` (zeros
-    pad it), the order-k coefficient through order k: it meets monomials of
-    rank at most k, and the trace pairing of rank r reads order r."""
-    dim = model.dim
+def _pairing_data(model: ManifoldModel, q: np.ndarray, D: CovariantOperator) -> tuple:
+    """The part of the pairing at ``q`` that no momentum enters: the normal frame
+    ``E``, ``h = sqrt(g)^(-1/2)`` with its argument negated, ``sqrt(g)``, and the
+    coefficient series collected per monomial rank (:func:`_momentum_polynomial_series`),
+    all from the normal-coordinate expansion of the metric.  The connection is
+    read through order ``D.max_order - 1`` (zeros pad it), the order-k
+    coefficient through order k: it meets monomials of rank at most k, and the
+    trace pairing of rank r reads order r.  The operator remembers this part,
+    read-only, at its last model (by identity) and point (by shape and bytes)."""
+    key, (last, known, part) = (q.shape, q.tobytes()), D._pairing
+    if last is model and known == key:
+        return part
+    dim, order = model.dim, D.max_order
     # no jet read here needs the metric past ``order``: one remembered opaque metric_fn jet serves all
     model._fields["g"].jet(q, order)
     gamma_jets = geometry.normal_christoffel_jets(model, q, max(order - 1, 0))
@@ -212,7 +227,14 @@ def _pairing_data(model: ManifoldModel, q: np.ndarray, D: CovariantOperator, ord
     h = taylor.from_jets(dim, geometry.sqrt_g_jet(model, q, order, power=-0.5))
     sqrt_g = taylor.from_jets(dim, geometry.sqrt_g_jet(model, q, order))
     gamma_jets = gamma_jets + [np.zeros((dim,) * (3 + k)) for k in range(len(gamma_jets), order + 1)]
-    return h, sqrt_g, taylor.from_jets(dim, gamma_jets), coeff
+    collected = _momentum_polynomial_series(h, taylor.from_jets(dim, gamma_jets), coeff, order)
+    h_rev = taylor.negate_argument(h)
+    E = geometry.normal_frame(model, q)
+    for array in (E, h_rev.jet, sqrt_g.jet, *(series.jet for series in collected.values())):
+        array.flags.writeable = False
+    part = (E, h_rev, sqrt_g, collected)
+    D._pairing = (model, key, part)
+    return part
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +284,13 @@ def _momentum_polynomial_series(
     return collected
 
 
+def _momentum(model: ManifoldModel, p: np.ndarray) -> np.ndarray:
+    p = np.atleast_1d(np.asarray(p, dtype=float))
+    if p.shape != (model.dim,):
+        raise ShapeError(f"expected a momentum of {model.dim} components, got shape {p.shape}")
+    return p
+
+
 def dequantize_curved(
     model: ManifoldModel,
     D: CovariantOperator,
@@ -279,20 +308,22 @@ def dequantize_curved(
     operator applied to plane-wave-like states in normal coordinates.  On
     flat models this recovers the symbol exactly (up to jet accuracy); on
     curved manifolds the deviation from the symbol is the trace-axiom defect.
+
+    Only the phase series, ``W`` and the final pairing sums depend on ``p``.
+    The rest (:func:`_pairing_data`) the operator remembers at its last model
+    and point, so a p-scan at one point builds it once; a momentum whose
+    shape is not ``(model.dim,)`` raises :class:`ShapeError` first.
     """
     _check_variant(measure_variant)
-    p = np.atleast_1d(np.asarray(p, dtype=float))
+    p = _momentum(model, p)
     q = np.asarray(q, dtype=float)
     geometry.check_point(model, q)
-    order = D.max_order
-    h, sqrt_g, gamma, coeff = _pairing_data(model, q, D, order)
-    phase = _phase_series(model.dim, order, geometry.normal_frame(model, q).T @ p, hbar)
-    h_rev = taylor.negate_argument(h)
+    E, h_rev, sqrt_g, collected = _pairing_data(model, q, D)
+    phase = _phase_series(model.dim, D.max_order, E.T @ p, hbar)
     if measure_variant == "paper":
         w = taylor.mul(sqrt_g, taylor.mul(h_rev, phase))
     else:
         w = taylor.mul(h_rev, phase)
-    collected = _momentum_polynomial_series(h, gamma, coeff, order)
     total = 0.0 + 0.0j
     for r, series in collected.items():
         total += taylor.delta_pairing(w, series)
@@ -307,8 +338,17 @@ def axiom_defect(
     hbar: float = 1.0,
     measure_variant: str = "paper",
 ) -> complex:
-    """Deviation of quantize-then-dequantize from the identity at one point."""
-    D = wue_weyl_image(model, f, hbar, measure_variant)
-    value = dequantize_curved(model, D, p, q, hbar, measure_variant)
-    return f.evaluate(np.atleast_1d(np.asarray(p, dtype=float)), np.asarray(q, dtype=float)) - value
+    """Deviation of quantize-then-dequantize from the identity at one point.
 
+    The symbol remembers the Weyl image it was given here at its last model
+    (by identity), ``hbar`` and measure, and that image remembers its pairing
+    at its last point (:func:`dequantize_curved`): a p-scan at one point
+    builds one image and one pairing.
+    """
+    p = _momentum(model, p)
+    last, known_hbar, known_variant, D = f._image
+    if last is not model or known_hbar != hbar or known_variant != measure_variant:
+        D = wue_weyl_image(model, f, hbar, measure_variant)
+        f._image = (model, hbar, measure_variant, D)
+    value = dequantize_curved(model, D, p, q, hbar, measure_variant)
+    return f.evaluate(p, np.asarray(q, dtype=float)) - value

@@ -64,11 +64,12 @@ class MomentumPolynomial:
     term per degree; degrees run from 0 to :data:`MAX_DEGREE`.
     """
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim", "terms", "_image")
 
     def __init__(self, dim: int, terms: dict[int, TensorField]):
         self.dim = dim
         self.terms = _check_terms(dim, terms, "symbol")
+        self._image: tuple = (None, None, None, None)  # (model, hbar, measure, Weyl image) of curved.axiom_defect
 
     def evaluate(self, p: np.ndarray, q: np.ndarray) -> complex | np.ndarray:
         """The value at one phase-space point, or at each row of ``(N, dim)``
@@ -89,11 +90,12 @@ class CovariantOperator:
     covariant derivatives.
     """
 
-    __slots__ = ("dim", "terms")
+    __slots__ = ("dim", "terms", "_pairing", "__weakref__")
 
     def __init__(self, dim: int, terms: dict[int, TensorField]):
         self.dim = dim
         self.terms = _check_terms(dim, terms, "operator")
+        self._pairing: tuple = (None, None, None)  # (model, (shape, bytes) of q, read-only part) of curved._pairing_data
 
     @property
     def max_order(self) -> int:

@@ -1,5 +1,6 @@
 import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -356,3 +357,113 @@ def test_pairing_leaves_little_cyclic_garbage():
     finally:
         gc.enable()
     assert found <= 300
+
+
+# ---------------------------------------------------------------------------
+# the pairing remembered at a point, the image remembered by its symbol
+
+SCAN_SCALES = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75)
+
+
+def skew_model():
+    # a metric whose connection has every kind of entry
+    return geometry.ManifoldModel(
+        name="skew",
+        dim=2,
+        coords=(geometry.CoordSpec("x"), geometry.CoordSpec("y")),
+        metric_exprs=geometry._metric_exprs(
+            ("x", "y"), [["1 + 0.3*x*x + 0.1*y", "0.2*sin(y) + 0.1*x"], ["0.2*sin(y) + 0.1*x", "2 + cos(x)*y"]]
+        ),
+    )
+
+
+SCAN_MODELS = {"sphere": lambda: geometry.sphere(1.0), "opaque-sphere": opaque_unit_sphere, "skew": skew_model}
+
+
+def scan_symbol(model, degree, source="0.4 + cos({a})*{b}"):
+    a, b = model.coordinate_names
+    return symbol_from_config(model, {"coefficient": "custom:" + source.format(a=a, b=b), "degree": degree})
+
+
+def fresh_defect(make_model, degree, p, q=Q0, hbar=1.0, measure="paper", source="0.4 + cos({a})*{b}"):
+    # a new model, symbol and image: no memo of an earlier call can take part
+    model = make_model()
+    f = scan_symbol(model, degree, source)
+    D = curved.wue_weyl_image(model, f, hbar, measure)
+    return f.evaluate(p, q) - curved.dequantize_curved(model, D, p, q, hbar, measure)
+
+
+@pytest.mark.parametrize("degree", [2, 3, 4])
+@pytest.mark.parametrize("name", sorted(SCAN_MODELS))
+def test_a_p_scan_through_one_image_equals_fresh_calls_bit_for_bit(name, degree):
+    make_model = SCAN_MODELS[name]
+    model = make_model()
+    f = scan_symbol(model, degree)
+    for measure in curved.MEASURE_VARIANTS:
+        scan = [curved.axiom_defect(model, f, t * P0, Q0, measure_variant=measure) for t in SCAN_SCALES]
+        fresh = [fresh_defect(make_model, degree, t * P0, measure=measure) for t in SCAN_SCALES]
+        assert np.array(scan).tobytes() == np.array(fresh).tobytes(), measure
+
+
+def test_the_memos_give_the_fresh_value_after_each_switch_and_back():
+    sources = ("0.4 + cos({a})*{b}", "sin({a}) + 0.2*{b}")
+    models = {1.0: geometry.sphere(1.0), 2.0: geometry.sphere(2.0)}
+    symbols = {source: scan_symbol(models[1.0], 3, source) for source in sources}  # one symbol on both spheres
+    base = {"radius": 1.0, "source": sources[0], "q": Q0, "hbar": 1.0, "measure": "paper"}
+    switches = {"q": np.array([1.9, -0.9]), "radius": 2.0, "source": sources[1], "hbar": 0.5, "measure": "emmrich"}
+
+    def check(radius, source, q, hbar, measure):
+        got = curved.axiom_defect(models[radius], symbols[source], P0, q, hbar, measure)
+        want = fresh_defect(lambda: geometry.sphere(radius), 3, P0, q, hbar, measure, source)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    check(**base)
+    for key, value in switches.items():
+        check(**{**base, key: value})
+        check(**base)
+
+
+def test_an_operator_remembers_its_pairing_per_model_and_point():
+    # the operator's memo is keyed by the model's identity too: the image of
+    # the unit sphere paired on the polar plane at the same chart point is its
+    # fresh value there
+    def fresh_pairing(make_model):
+        D = curved.wue_weyl_image(geometry.sphere(1.0), scan_symbol(geometry.sphere(1.0), 2))
+        return curved.dequantize_curved(make_model(), D, P0, Q0)
+
+    sphere, plane = geometry.sphere(1.0), geometry.polar_plane()
+    want = {sphere: fresh_pairing(lambda: geometry.sphere(1.0)), plane: fresh_pairing(geometry.polar_plane)}
+    assert want[sphere] != want[plane]
+    D = curved.wue_weyl_image(sphere, scan_symbol(sphere, 2))
+    for model in (sphere, plane, sphere):
+        assert curved.dequantize_curved(model, D, P0, Q0) == want[model]
+
+
+def test_the_remembered_pairing_is_read_only():
+    f = scan_symbol(UNIT_SPHERE, 3)
+    curved.axiom_defect(UNIT_SPHERE, f, P0, Q0)
+    D = f._image[3]
+    E, h_rev, sqrt_g, collected = D._pairing[2]
+    arrays = [E, h_rev.jet, sqrt_g.jet, *(series.jet for series in collected.values())]
+    assert len(arrays) == 3 + len(collected) > 3
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 1.0
+
+
+def test_each_memo_holds_one_entry():
+    sphere, other = geometry.sphere(1.0), geometry.sphere(2.0)
+    f = scan_symbol(sphere, 2)
+    curved.axiom_defect(sphere, f, P0, Q0)
+    image, pairing = weakref.ref(f._image[3]), weakref.ref(f._image[3]._pairing[2][2])
+    curved.axiom_defect(sphere, f, 0.5 * P0, Q0)
+    assert f._image[3] is image()  # one image and one pairing per p-scan
+    assert f._image[3]._pairing[2][2] is pairing()
+    curved.axiom_defect(other, f, P0, Q0)
+    assert image() is None and pairing() is None
+
+    D = curved.wue_weyl_image(sphere, f)
+    curved.dequantize_curved(sphere, D, P0, Q0)
+    pairing = weakref.ref(D._pairing[2][2])
+    curved.dequantize_curved(sphere, D, P0, np.array([1.9, -0.9]))
+    assert pairing() is None

@@ -1,17 +1,22 @@
 """Library code raises only the package's own error types.
 
 Each case below is one ``raise`` site in ``numdiff``, ``fields``, ``taylor``,
-``geometry.covariant_divergence`` and the harness check declaration; every one
-raises a :class:`PhasequantError` that is still a ``ValueError``.
+``geometry.covariant_divergence``, the curved pairing and the harness check
+declaration; every one raises a :class:`PhasequantError` that is still a
+``ValueError``.
 """
 
 import numpy as np
 import pytest
 
-from phasequant import fields, geometry, harness, numdiff, taylor
-from phasequant.errors import PhasequantError
+from phasequant import curved, fields, geometry, harness, numdiff, taylor
+from phasequant.errors import PhasequantError, ShapeError
+from phasequant.symbols import symbol_from_config
 
 ONE = np.ones(())
+SPHERE = geometry.sphere(1.0)
+KINETIC = symbol_from_config(SPHERE, {"coefficient": "inverse-metric", "degree": 2})
+Q = np.array([1.1, 0.4])
 SCALAR = taylor.constant(2, 1, ONE)
 VECTOR = taylor.constant(2, 1, np.ones(2))
 
@@ -39,6 +44,10 @@ CASES = {
     "geometry-divergence-rank": lambda: geometry.covariant_divergence(
         geometry.euclidean_space(2), fields.constant(2, 1.0)
     ),
+    "curved-momentum-shape": lambda: curved.dequantize_curved(
+        SPHERE, curved.wue_weyl_image(SPHERE, KINETIC), np.ones(3), Q
+    ),
+    "curved-defect-momentum-shape": lambda: curved.axiom_defect(SPHERE, KINETIC, np.ones(3), Q),
     "harness-comparison-mode": lambda: harness.Check("only", 1.0, "TRIVIAL", mode="sideways"),
 }
 
@@ -48,3 +57,22 @@ def test_library_errors_are_phasequant_errors(case):
     with pytest.raises(PhasequantError) as info:
         CASES[case]()
     assert isinstance(info.value, ValueError)
+
+
+def test_a_momentum_of_the_wrong_shape_is_refused_before_any_pairing_work():
+    f = symbol_from_config(SPHERE, {"coefficient": "inverse-metric", "degree": 2})
+    D = curved.wue_weyl_image(SPHERE, f)
+    wrong = (np.ones(3), np.ones((1, 2)), np.array(0.3))
+    for p in wrong:
+        with pytest.raises(ShapeError):
+            curved.dequantize_curved(SPHERE, D, p, Q)
+        with pytest.raises(ShapeError):
+            curved.axiom_defect(SPHERE, f, p, Q)
+    assert D._pairing == (None, None, None) and f._image == (None, None, None, None)
+    curved.dequantize_curved(SPHERE, D, np.array([0.3, -0.55]), Q)
+    curved.axiom_defect(SPHERE, f, np.array([0.3, -0.55]), Q)
+    for p in wrong:  # a filled memo is not read either
+        with pytest.raises(ShapeError):
+            curved.dequantize_curved(SPHERE, D, p, Q)
+        with pytest.raises(ShapeError):
+            curved.axiom_defect(SPHERE, f, p, Q)
