@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from phasequant import harness, numdiff
+from phasequant import geometry, harness, numdiff
 from phasequant.expressions import Const, add, inverse_matrix, mul
 from phasequant.fields import constant, from_expression, tensor_from_fields
 from phasequant.symbols import MomentumPolynomial
@@ -46,6 +46,19 @@ def symbol_factory(rng):
         return random_symbol(rng, max_degree)
 
     return build
+
+
+def skew_model():
+    """A metric whose connection has every kind of entry, so the slot terms of a
+    divergence add in a different order for each permutation of its indices."""
+    return geometry.ManifoldModel(
+        name="skew",
+        dim=2,
+        coords=(geometry.CoordSpec("x"), geometry.CoordSpec("y")),
+        metric_exprs=geometry._metric_exprs(
+            ("x", "y"), [["1 + 0.3*x*x + 0.1*y", "0.2*sin(y) + 0.1*x"], ["0.2*sin(y) + 0.1*x", "2 + cos(x)*y"]]
+        ),
+    )
 
 
 def symbolic_levels(model):

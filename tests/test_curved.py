@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+from conftest import skew_model
 from phasequant import curved, geometry, numdiff
 from phasequant.errors import ConfigError
 from phasequant.fields import from_expression, tensor_from_fields
@@ -363,20 +364,6 @@ def test_pairing_leaves_little_cyclic_garbage():
 # the pairing remembered at a point, the image remembered by its symbol
 
 SCAN_SCALES = (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75)
-
-
-def skew_model():
-    # a metric whose connection has every kind of entry
-    return geometry.ManifoldModel(
-        name="skew",
-        dim=2,
-        coords=(geometry.CoordSpec("x"), geometry.CoordSpec("y")),
-        metric_exprs=geometry._metric_exprs(
-            ("x", "y"), [["1 + 0.3*x*x + 0.1*y", "0.2*sin(y) + 0.1*x"], ["0.2*sin(y) + 0.1*x", "2 + cos(x)*y"]]
-        ),
-    )
-
-
 SCAN_MODELS = {"sphere": lambda: geometry.sphere(1.0), "opaque-sphere": opaque_unit_sphere, "skew": skew_model}
 
 

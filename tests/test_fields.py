@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import symbolic_jet, symbolic_levels
+from conftest import skew_model, symbolic_jet, symbolic_levels
 from phasequant import bases, fields, geometry, numdiff, symbols, taylor
 
 
@@ -452,16 +452,7 @@ def test_n_ary_tensor_add_equals_nested_pairwise_sums_bit_for_bit():
 # ---------------------------------------------------------------------------
 # tensor nodes: one jet, the component axes first
 
-# a metric whose connection has every kind of entry, so the slot terms of a
-# divergence add in a different order for each permutation of its indices
-SKEW = geometry.ManifoldModel(
-    name="skew",
-    dim=2,
-    coords=(geometry.CoordSpec("x"), geometry.CoordSpec("y")),
-    metric_exprs=geometry._metric_exprs(
-        ("x", "y"), [["1 + 0.3*x*x + 0.1*y", "0.2*sin(y) + 0.1*x"], ["0.2*sin(y) + 0.1*x", "2 + cos(x)*y"]]
-    ),
-)
+SKEW = skew_model()
 
 
 def _expression_tensor(model, rank):
