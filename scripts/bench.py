@@ -22,10 +22,17 @@ checkout a round records:
   run, counted by a ``sys.setprofile`` hook: Python calls (generator resumes
   included) in ``run_all_py_calls`` and calls of C functions, numpy's
   included, in ``run_all_c_calls``.  Counts are exact where times drift with
-  the host, so a time that moves while its counts stay is host noise;
+  the host, so a time that moves while its counts stay is host noise.  One
+  more untimed run under ``tracemalloc`` gives the peak of the memory it
+  allocated, in bytes, in ``run_all_peak_bytes``, so what a memo keeps is
+  on record;
 - the median time of repeated calls of ``symbols.operator_matrix`` (circle,
   Weyl image of cos(theta) p^2, Fourier basis) at K = 32 and K = 64, of
-  ``cylinder.pair_trace_smeared_cyl`` at K = 64 with a fresh default cutoff,
+  ``cylinder.pair_trace_smeared_cyl`` at K = 64 with a fresh default cutoff
+  (the cost of one call with no transform pair remembered), of the
+  cylinder-axioms experiment's series of nine smeared pair traces (offsets
+  0, pi/2 and pi at K = 64, then 0 and pi/2 at K = 16, 32 and 48) on one
+  default cutoff built afresh on every call,
   of ``flat_weyl.quantize_gaussian_flat`` at K = 32 (the first Gaussian of
   the flat-axioms weak-form pairing), and of ``curved.dequantize_curved`` on
   the unit sphere at the curved-defect point for cos(theta) p^m at m = 2,
@@ -68,7 +75,8 @@ checkout a round records:
   ``layers_raw_ms`` and, scaled to the probe's reference speed as perfbench
   scales a pass, in ``layers_ms``.  One more, untimed call of each layer is
   counted as the experiments' runs are, in ``layers_py_calls`` and
-  ``layers_c_calls``;
+  ``layers_c_calls``, and one more has its ``tracemalloc`` peak in
+  ``layers_peak_bytes``;
 - the end-to-end medians of ``perfbench/run.py --workload all`` of that
   checkout, with ``--seconds`` and the round's seed (``--seed`` + round).
 
@@ -97,6 +105,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 PINNED = {
@@ -117,6 +126,10 @@ COLD_RUNS = 5
 # round records their median (one run moves by about 10% on unchanged code).
 WARM_RUNS = 5
 PERFBENCH_CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
+# The cylinder-axioms runner's smeared pair traces, (theta_center offset, K) in call order.
+SMEARED_SERIES = [(0.0, 64), (math.pi / 2.0, 64), (math.pi, 64)] + [
+    (offset, K) for K in (16, 32, 48) for offset in (0.0, math.pi / 2.0)
+]
 
 
 def load_perfbench_child():
@@ -170,7 +183,7 @@ def layer_timings(src: Path) -> dict:
         raise SystemExit(f"imported phasequant from {harness.__file__}, not from the checkout")
 
     child = load_perfbench_child()
-    run_all_s, run_all_raw_s, py_calls, c_calls, passed, total = {}, {}, {}, {}, 0, 0
+    run_all_s, run_all_raw_s, py_calls, c_calls, peaks, passed, total = {}, {}, {}, {}, {}, 0, 0
     for entry in harness.list_experiments():
         config = harness.ExperimentConfig.from_dict(harness.default_config(entry.name))
         harness.run_experiment(config)
@@ -185,6 +198,7 @@ def layer_timings(src: Path) -> dict:
         run_all_raw_s[entry.name] = statistics.median(raw)
         run_all_s[entry.name] = statistics.median(scaled)
         py_calls[entry.name], c_calls[entry.name] = call_counts(lambda: harness.run_experiment(config))
+        peaks[entry.name] = peak_bytes(lambda: harness.run_experiment(config))
         passed += sum(record.passed for record in report.records)
         total += len(report.records)
 
@@ -251,6 +265,17 @@ def layer_timings(src: Path) -> dict:
     layers["pair_trace_smeared_cyl_K64"] = lambda: pair_trace_smeared_cyl(
         0.4, 0.9, CutoffFamily(0.8, 2.8), 64, 1.0, theta_center=0.9, p_center=0.4, theta_width=0.4, p_width=0.8
     )
+
+    def smeared_series() -> list[complex]:
+        chi = CutoffFamily(0.8, 2.8)
+        return [
+            pair_trace_smeared_cyl(
+                0.4, 0.9, chi, K, 1.0, theta_center=0.9 + offset, p_center=0.4, theta_width=0.4, p_width=0.8
+            )
+            for offset, K in SMEARED_SERIES
+        ]
+
+    layers["smeared_series_cyl"] = smeared_series
     layers["quantize_gaussian_flat_K32"] = lambda: quantize_gaussian_flat(0.4, -0.3, 0.9, 0.8, K=32)
     for degree in (2, 3, 4):
         layers[f"dequantize_curved_sphere_deg{degree}"] = lambda degree=degree: sphere_dequantization(degree)
@@ -287,6 +312,7 @@ def layer_timings(src: Path) -> dict:
     layers["fourier_coefficients_K64"] = lambda: bases.fourier_coefficients(bump(bases.angle_grid(512)), 128)
     layers_ms = {name: median_ms(name, call) for name, call in layers.items()}
     layer_calls = {name: call_counts(call) for name, call in layers.items()}
+    layer_peaks = {name: peak_bytes(call) for name, call in layers.items()}
     return {
         "default_configs": {entry.name: harness.default_config(entry.name) for entry in harness.list_experiments()},
         "import_harness_s": import_s,
@@ -295,11 +321,13 @@ def layer_timings(src: Path) -> dict:
         "run_all_total_s": sum(run_all_s.values()),
         "run_all_py_calls": py_calls,
         "run_all_c_calls": c_calls,
+        "run_all_peak_bytes": peaks,
         "checks_passed": f"{passed}/{total}",
         "layers_ms": layers_ms,
         "layers_raw_ms": raw_ms,
         "layers_py_calls": {name: counts[0] for name, counts in layer_calls.items()},
         "layers_c_calls": {name: counts[1] for name, counts in layer_calls.items()},
+        "layers_peak_bytes": layer_peaks,
         "layer_repeats": repeats,
         "numpy": np.__version__,
     }
@@ -319,6 +347,16 @@ def call_counts(run) -> tuple[int, int]:
     finally:
         sys.setprofile(None)
     return counts["call"], counts["c_call"]
+
+
+def peak_bytes(run) -> int:
+    """The ``tracemalloc`` peak of the memory that ``run()`` allocates, in bytes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def polar_chart_deltas(harness, flat_chart_delta_value):

@@ -51,7 +51,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import geometry, numdiff, taylor
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError, ShapeError, check_hbar
 from .fields import TensorField, contract, scale
 from .geometry import ManifoldModel
 from .symbols import CovariantOperator, MomentumPolynomial, merge_terms, ordering_scheme, ordering_transform
@@ -312,10 +312,12 @@ def dequantize_curved(
     Only the phase series, ``W`` and the final pairing sums depend on ``p``.
     The rest (:func:`_pairing_data`) the operator remembers at its last model
     and point, so a p-scan at one point builds it once; a momentum whose
-    shape is not ``(model.dim,)`` raises :class:`ShapeError` first.
+    shape is not ``(model.dim,)`` raises :class:`ShapeError` first, and an
+    ``hbar`` that is not positive and finite :class:`ConfigError`.
     """
     _check_variant(measure_variant)
     p = _momentum(model, p)
+    check_hbar(hbar)
     q = np.asarray(q, dtype=float)
     geometry.check_point(model, q)
     E, h_rev, sqrt_g, collected = _pairing_data(model, q, D)
@@ -343,9 +345,11 @@ def axiom_defect(
     The symbol remembers the Weyl image it was given here at its last model
     (by identity), ``hbar`` and measure, and that image remembers its pairing
     at its last point (:func:`dequantize_curved`): a p-scan at one point
-    builds one image and one pairing.
+    builds one image and one pairing.  A wrong momentum shape or ``hbar``
+    raises before either memo is read.
     """
     p = _momentum(model, p)
+    check_hbar(hbar)
     last, known_hbar, known_variant, D = f._image
     if last is not model or known_hbar != hbar or known_variant != measure_variant:
         D = wue_weyl_image(model, f, hbar, measure_variant)

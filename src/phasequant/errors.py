@@ -1,6 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one check of hbar that
+every entry point dividing by it makes."""
 
 from __future__ import annotations
+
+import numbers
+import sys
 
 
 class PhasequantError(Exception):
@@ -55,3 +59,14 @@ class ConfigError(PhasequantError, ValueError):
 
 class ExperimentError(PhasequantError, RuntimeError):
     """A harness check could not be evaluated; the message names the check."""
+
+
+def positive_finite(value) -> bool:
+    """A real number (not a bool) above 0 whose float is finite: no NaN, no inf, no int past the float range."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value <= sys.float_info.max
+
+
+def check_hbar(hbar) -> None:
+    """Raise :class:`ConfigError` unless ``hbar`` is a positive finite number."""
+    if not positive_finite(hbar):
+        raise ConfigError(f"hbar must be a positive finite number, got {hbar!r}")

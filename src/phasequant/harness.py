@@ -32,7 +32,6 @@ import datetime
 import functools
 import json
 import math
-import sys
 from collections.abc import Callable, Iterator
 from pathlib import Path
 
@@ -41,7 +40,14 @@ import numpy as np
 from . import __version__, curved, cylinder, flat_weyl, geometry, numdiff
 from .bases import MAX_HERMITE_TRUNCATION, FourierBasis, HermiteBasis
 from .cylinder import CutoffFamily
-from .errors import ConfigError, ExperimentError, PhasequantError, QuadratureAccuracyError
+from .errors import (
+    ConfigError,
+    ExperimentError,
+    PhasequantError,
+    QuadratureAccuracyError,
+    check_hbar,
+    positive_finite,
+)
 from .expressions import Const, Pow, Var, add, mul
 from .fields import TensorField, add as field_add, constant as constant_field, from_expression, tensor_from_fields
 from .symbols import (
@@ -181,11 +187,6 @@ _COMMENTS = {
 }
 
 
-def _positive_finite(value) -> bool:
-    """A number (not a bool) above 0 whose float is finite: no NaN, no inf, no int past the float range."""
-    return not isinstance(value, bool) and isinstance(value, (int, float)) and 0 < value <= sys.float_info.max
-
-
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     """Validated inputs of one experiment run; build it with ``from_dict``.
@@ -211,8 +212,8 @@ class ExperimentConfig:
     def validate(self) -> None:
         experiment = _experiment(self.experiment)
         settings = experiment.settings
-        if "hbar" in settings and not _positive_finite(self.hbar):
-            raise ConfigError("hbar must be a positive finite number")
+        if "hbar" in settings:
+            check_hbar(self.hbar)
         for key in ("truncation_K", "truncation_N"):
             value = getattr(self, key)
             if key not in settings:
@@ -256,7 +257,7 @@ class ExperimentConfig:
                     f"unknown tolerance key {name!r} for {self.experiment}; "
                     f"valid names: {', '.join(sorted(names))}"
                 )
-            if not _positive_finite(tol):
+            if not positive_finite(tol):
                 raise ConfigError(f"tolerance {name!r} must be a positive finite number")
         if self.output_dir is not None and not isinstance(self.output_dir, str):
             raise ConfigError("output_dir must be a string or null")
@@ -1059,7 +1060,7 @@ def run_experiment(config: ExperimentConfig, tolerance_scale: float = 1.0) -> Re
     (e.g. an ``OverflowError`` at an extreme ``hbar``); a ``ConfigError``
     passes through unchanged.
     """
-    if not _positive_finite(tolerance_scale):
+    if not positive_finite(tolerance_scale):
         raise ConfigError("tolerance scale must be positive and finite")
     config.validate()
     experiment = _experiment(config.experiment)

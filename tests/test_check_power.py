@@ -196,6 +196,28 @@ def test_polynomial_reproduction_fails_when_the_fourier_matrix_is_scaled(monkeyp
     assert not record(rerun("cylinder-axioms"), "polynomial-reproduction").passed
 
 
+def flatten_the_smearing_bump(monkeypatch):
+    # a flat test function has no angular localization: only its zeroth Fourier
+    # coefficient survives, so every theta_center gives the same smeared trace
+    monkeypatch.setattr(cylinder, "periodic_test_function", lambda center, width: np.ones_like)
+
+
+def test_smeared_quarter_ratio_fails_when_the_smearing_bump_is_flat(monkeypatch, reports):
+    # the quarter-turn trace then equals the coincident one: a ratio of 1 against 0.05
+    assert record(reports["cylinder-axioms"], "smeared-quarter-ratio").passed
+    flatten_the_smearing_bump(monkeypatch)
+    check = record(rerun("cylinder-axioms"), "smeared-quarter-ratio")
+    assert check.measured == 1.0 and not check.passed
+
+
+def test_antipodal_vs_quarter_fails_when_the_smearing_bump_is_flat(monkeypatch, reports):
+    # the antipodal trace then equals the quarter-turn one: a ratio of 1 against a floor of 2
+    assert record(reports["cylinder-axioms"], "antipodal-vs-quarter").passed
+    flatten_the_smearing_bump(monkeypatch)
+    check = record(rerun("cylinder-axioms"), "antipodal-vs-quarter")
+    assert check.measured == 1.0 and not check.passed
+
+
 def test_circle_weyl_hermiticity_fails_when_the_fourier_matrix_is_skewed(monkeypatch, reports):
     # the strict upper triangle scaled alone leaves the matrix non-hermitian
     assert record(reports["orderings"], "circle-weyl-hermiticity").passed
@@ -290,6 +312,8 @@ POWER = {
     ("point-transform", "radial-momentum-shift"): test_radial_momentum_shift_fails_when_the_divergence_is_scaled,
     ("cylinder-axioms", "kernel-trace"): test_kernel_trace_fails_when_the_fourier_matrix_is_scaled,
     ("cylinder-axioms", "entry-oracle"): test_entry_oracle_fails_when_the_transform_is_perturbed,
+    ("cylinder-axioms", "smeared-quarter-ratio"): test_smeared_quarter_ratio_fails_when_the_smearing_bump_is_flat,
+    ("cylinder-axioms", "antipodal-vs-quarter"): test_antipodal_vs_quarter_fails_when_the_smearing_bump_is_flat,
     ("cylinder-axioms", "polynomial-reproduction"): (
         test_polynomial_reproduction_fails_when_the_fourier_matrix_is_scaled
     ),
@@ -331,8 +355,6 @@ BACKLOG = [
     ("curved-defect", "pullback-vs-covariant"),
     ("cylinder-axioms", "raw-kernel-trace"),
     ("cylinder-axioms", "kernel-hermiticity"),
-    ("cylinder-axioms", "smeared-quarter-ratio"),
-    ("cylinder-axioms", "antipodal-vs-quarter"),
     ("cylinder-axioms", "delta-model-mismatch"),
     ("discrete-limit", "discrete-diagonal"),
     ("discrete-limit", "discrete-trace"),

@@ -1,6 +1,8 @@
+import gc
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -310,6 +312,85 @@ def test_pair_trace_localizes_in_angle(chi):
     ).real
     assert coincident > 0.5
     assert abs(quarter) / coincident < 0.05
+
+
+# the cylinder-axioms runner's smeared pair traces: (theta_center offset, K) in call order
+SMEARED_SERIES = [(0.0, 64), (math.pi / 2.0, 64), (math.pi, 64)] + [
+    (offset, K) for K in (16, 32, 48) for offset in (0.0, math.pi / 2.0)
+]
+LATTICE = dict(K=64, p=0.4, p_center=0.4, p_width=0.8, hbar=1.0)
+
+
+def smeared(chi, offset=0.0, K=64, p=0.4, p_center=0.4, p_width=0.8, hbar=1.0):
+    return cylinder.pair_trace_smeared_cyl(
+        p, 0.9, chi, K, hbar, theta_center=0.9 + offset, p_center=p_center, theta_width=0.4, p_width=p_width
+    )
+
+
+def fresh_smeared(**kwargs):
+    return smeared(cylinder.CutoffFamily(0.8, 2.8), **kwargs)
+
+
+def bits(value: complex) -> bytes:
+    return np.array(value).tobytes()
+
+
+def test_the_runners_smeared_series_on_one_cutoff_equals_fresh_cutoffs_bit_for_bit():
+    chi = cylinder.CutoffFamily(0.8, 2.8)
+    for offset, K in SMEARED_SERIES:
+        assert bits(smeared(chi, offset, K)) == bits(fresh_smeared(offset=offset, K=K))
+
+
+def test_the_smeared_memo_holds_one_read_only_entry():
+    chi = cylinder.CutoffFamily(0.8, 2.8)
+    smeared(chi)
+    key, pair = chi._smeared
+    assert key == tuple(LATTICE.values())
+    assert pair.shape == (2, 4 * 64 + 1)
+    assert not pair.flags.writeable and not pair[0].flags.writeable
+    with pytest.raises(ValueError):
+        pair[1, 0] = 0.0
+    last = weakref.ref(pair)
+    del pair
+    smeared(chi, K=16)
+    gc.collect()
+    assert last() is None
+    assert chi._smeared[0] == (16, 0.4, 0.4, 0.8, 1.0)
+
+
+@pytest.mark.parametrize(
+    "part, other", [("K", 48), ("p", -0.3), ("p_center", 0.9), ("p_width", 0.5), ("hbar", 0.7)]
+)
+def test_switching_each_key_part_and_back_gives_the_fresh_values(part, other):
+    chi = cylinder.CutoffFamily(0.8, 2.8)
+    switched = {part: other}
+    for kwargs in ({}, switched, {}, switched):
+        for offset in (0.0, math.pi / 2.0):
+            assert bits(smeared(chi, offset, **kwargs)) == bits(fresh_smeared(offset=offset, **kwargs))
+
+
+def test_a_raising_call_leaves_the_memo_as_it_was():
+    chi = cylinder.CutoffFamily(0.8, 2.8)
+    with pytest.raises(QuadratureAccuracyError):
+        smeared(chi, p_center=math.inf)
+    assert chi._smeared == (None, None)
+    want = bits(fresh_smeared())
+    assert bits(smeared(chi)) == want
+    entry = chi._smeared
+    with pytest.raises(QuadratureAccuracyError):
+        smeared(chi, p_center=math.inf)
+    assert chi._smeared is entry
+    assert bits(smeared(chi, math.pi / 2.0)) == bits(fresh_smeared(offset=math.pi / 2.0))
+    assert bits(smeared(chi)) == want
+
+
+def test_equal_cutoffs_stay_equal_after_one_fills_its_memo():
+    filled, fresh = cylinder.CutoffFamily(0.8, 2.8), cylinder.CutoffFamily(0.8, 2.8)
+    smeared(filled)
+    assert filled == fresh and hash(filled) == hash(fresh) and repr(filled) == repr(fresh)
+    assert repr(fresh) == "CutoffFamily(plateau=0.8, support=2.8, profile='smoothstep')"
+    assert len({filled, fresh}) == 1
+    assert filled != cylinder.CutoffFamily(0.8, 2.7)
 
 
 def test_periodic_test_function_properties():

@@ -1,16 +1,18 @@
 """Library code raises only the package's own error types.
 
 Each case below is one ``raise`` site in ``numdiff``, ``fields``, ``taylor``,
-``geometry.covariant_divergence``, the curved pairing and the harness check
-declaration; every one raises a :class:`PhasequantError` that is still a
-``ValueError``.
+``geometry.covariant_divergence``, the curved pairing, the check of hbar at
+the curved and cylinder entry points and the harness check declaration;
+every one raises a :class:`PhasequantError` that is still a ``ValueError``.
 """
+
+import math
 
 import numpy as np
 import pytest
 
-from phasequant import curved, fields, geometry, harness, numdiff, taylor
-from phasequant.errors import PhasequantError, ShapeError
+from phasequant import curved, cylinder, fields, geometry, harness, numdiff, taylor
+from phasequant.errors import ConfigError, PhasequantError, ShapeError
 from phasequant.symbols import symbol_from_config
 
 ONE = np.ones(())
@@ -19,6 +21,8 @@ KINETIC = symbol_from_config(SPHERE, {"coefficient": "inverse-metric", "degree":
 Q = np.array([1.1, 0.4])
 SCALAR = taylor.constant(2, 1, ONE)
 VECTOR = taylor.constant(2, 1, np.ones(2))
+CHI = cylinder.CutoffFamily(0.8, 2.8)
+SMEARING = dict(theta_center=0.9, p_center=0.4)
 
 
 def fifth_callable_partial():
@@ -48,6 +52,18 @@ CASES = {
         SPHERE, curved.wue_weyl_image(SPHERE, KINETIC), np.ones(3), Q
     ),
     "curved-defect-momentum-shape": lambda: curved.axiom_defect(SPHERE, KINETIC, np.ones(3), Q),
+    "curved-hbar-zero": lambda: curved.dequantize_curved(
+        SPHERE, curved.wue_weyl_image(SPHERE, KINETIC), np.ones(2), Q, hbar=0.0
+    ),
+    "curved-defect-hbar-zero": lambda: curved.axiom_defect(SPHERE, KINETIC, np.ones(2), Q, hbar=0.0),
+    "curved-defect-hbar-nan": lambda: curved.axiom_defect(SPHERE, KINETIC, np.ones(2), Q, hbar=math.nan),
+    "cylinder-matrix-hbar-zero": lambda: cylinder.quantizer_matrix_cyl(0.4, 0.9, CHI, 8, 0.0),
+    "cylinder-trace-hbar-zero": lambda: cylinder.quantizer_trace_cyl(0.4, 0.9, CHI, 8, 0.0),
+    "cylinder-reproduction-hbar-zero": lambda: cylinder.polynomial_reproduction_check(
+        fields.constant(1, 1.0), 0, 0.4, 0.9, CHI, 8, 0.0
+    ),
+    "cylinder-smeared-hbar-zero": lambda: cylinder.pair_trace_smeared_cyl(0.4, 0.9, CHI, 8, 0.0, **SMEARING),
+    "cylinder-smeared-hbar-inf": lambda: cylinder.pair_trace_smeared_cyl(0.4, 0.9, CHI, 8, math.inf, **SMEARING),
     "harness-comparison-mode": lambda: harness.Check("only", 1.0, "TRIVIAL", mode="sideways"),
 }
 
@@ -76,3 +92,24 @@ def test_a_momentum_of_the_wrong_shape_is_refused_before_any_pairing_work():
             curved.dequantize_curved(SPHERE, D, p, Q)
         with pytest.raises(ShapeError):
             curved.axiom_defect(SPHERE, f, p, Q)
+
+
+@pytest.mark.parametrize("hbar", [0.0, -1.0, math.inf, -math.inf, math.nan, True, "1.0"])
+def test_a_bad_hbar_is_refused_before_any_memo_is_read(hbar):
+    f = symbol_from_config(SPHERE, {"coefficient": "inverse-metric", "degree": 2})
+    D = curved.wue_weyl_image(SPHERE, f)
+    chi = cylinder.CutoffFamily(0.8, 2.8)
+    p = np.array([0.3, -0.55])
+    calls = (
+        lambda: curved.dequantize_curved(SPHERE, D, p, Q, hbar),
+        lambda: curved.axiom_defect(SPHERE, f, p, Q, hbar),
+        lambda: cylinder.quantizer_matrix_cyl(0.4, 0.9, chi, 8, hbar),
+        lambda: cylinder.quantizer_trace_cyl(0.4, 0.9, chi, 8, hbar),
+        lambda: cylinder.polynomial_reproduction_check(fields.constant(1, 1.0), 0, 0.4, 0.9, chi, 8, hbar),
+        lambda: cylinder.pair_trace_smeared_cyl(0.4, 0.9, chi, 8, hbar, **SMEARING),
+    )
+    for call in calls:
+        with pytest.raises(ConfigError, match="hbar"):
+            call()
+    assert D._pairing == (None, None, None) and f._image == (None, None, None, None)
+    assert chi._smeared == (None, None)
