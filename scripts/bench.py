@@ -182,6 +182,11 @@ def layer_timings(src: Path) -> dict:
     if src.resolve() not in Path(harness.__file__).resolve().parents:
         raise SystemExit(f"imported phasequant from {harness.__file__}, not from the checkout")
 
+    try:  # the experiments' generator; a checkout without ``seeded`` draws the same values from numpy's
+        from phasequant.seeded import Generator
+    except ImportError:
+        from numpy.random import default_rng as Generator
+
     child = load_perfbench_child()
     run_all_s, run_all_raw_s, py_calls, c_calls, peaks, passed, total = {}, {}, {}, {}, {}, 0, 0
     for entry in harness.list_experiments():
@@ -242,7 +247,7 @@ def layer_timings(src: Path) -> dict:
 
     def flat_round_trip() -> complex:
         line, standard = euclidean_space(1), ordering_scheme("standard")
-        f = harness._random_flat_symbol(np.random.default_rng(20260814))
+        f = harness._random_flat_symbol(Generator(20260814))
         D = a_image_flat(standard, f, line, 1.0)
         return dequantize_flat(standard, D, np.array([0.3]), np.array([-0.4]), 1.0, line)
 
@@ -253,7 +258,7 @@ def layer_timings(src: Path) -> dict:
     ]
 
     def stacked_round_trips():
-        rng = np.random.default_rng(20260814)
+        rng = Generator(20260814)
         for _ in range(3):  # the flat-axioms hermiticity draws come first
             rng.uniform(-1.5, 1.5, size=2)
         return harness._round_trip_residual(rng, round_trip_schemes, 20, 1.0)
@@ -286,7 +291,7 @@ def layer_timings(src: Path) -> dict:
     )
     layers["dequantize_flat_cubic"] = flat_round_trip
     layers["round_trip_residual_20"] = stacked_round_trips
-    layers["flat_chart_delta_value_20"] = polar_chart_deltas(harness, flat_chart_delta_value)
+    layers["flat_chart_delta_value_20"] = polar_chart_deltas(harness, flat_chart_delta_value, Generator)
     from phasequant import bases, cylinder
 
     for nodes in (256, 512, 1024):
@@ -359,7 +364,7 @@ def peak_bytes(run) -> int:
         tracemalloc.stop()
 
 
-def polar_chart_deltas(harness, flat_chart_delta_value):
+def polar_chart_deltas(harness, flat_chart_delta_value, Generator):
     """The 20 chart-conjugated generator values of the point-transform
     experiment, as a call that recomputes them."""
     import numpy as np
@@ -372,7 +377,7 @@ def polar_chart_deltas(harness, flat_chart_delta_value):
         polar = [[math.hypot(x, y), math.atan2(y, x)] for x, y in rows]
         return np.reshape(np.array(polar), np.shape(xy))
 
-    rng = np.random.default_rng(27182)  # the experiment's generator, past its cartesian-reduction draws
+    rng = Generator(27182)  # the experiment's generator, past its cartesian-reduction draws
     rng.uniform(-1.0, 1.0, size=20)
     f = harness._random_chart_symbol(rng, ("r", "phi"))
     points = []

@@ -117,8 +117,10 @@ def wue_standard_image(
 def _image(
     model: ManifoldModel, f: MomentumPolynomial, hbar: float, measure_variant: str, divergences: bool
 ) -> CovariantOperator:
-    """The jet cascade of both images, with the divergence cascade of the symmetric one."""
+    """The jet cascade of both images, with the divergence cascade of the symmetric one; an ``hbar``
+    that is not positive and finite raises :class:`ConfigError`."""
     _check_variant(measure_variant)
+    check_hbar(hbar)
     pieces: list[dict[int, TensorField]] = []
     for m, X in f.terms.items():
         front = (-1j * hbar) ** m

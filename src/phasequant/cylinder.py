@@ -39,7 +39,7 @@ import numpy as np
 
 from .bases import FourierBasis, angle_grid, clenshaw_curtis, fourier_coefficients
 from .curved import wue_weyl_image
-from .errors import ConfigError, QuadratureAccuracyError, check_hbar
+from .errors import ConfigError, QuadratureAccuracyError, check_hbar, positive_finite
 from .fields import TensorField, tensor_from_fields
 from .geometry import circle
 from .symbols import MomentumPolynomial, operator_matrix
@@ -316,8 +316,8 @@ def polynomial_reproduction_check(
 
 def periodic_test_function(center: float, width: float) -> Callable[[float], float]:
     """Smooth 2 pi-periodic bump ``exp((cos(theta - center) - 1)/width^2)``, peak 1."""
-    if width <= 0.0:
-        raise ConfigError("test-function width must be positive")
+    if not positive_finite(width):
+        raise ConfigError(f"test-function width must be a positive finite number, got {width!r}")
 
     def t(theta):
         return np.exp((np.cos(theta - center) - 1.0) / (width * width))
@@ -360,11 +360,15 @@ def pair_trace_smeared_cyl(
     by exactly those, and a call that repeats them (another ``theta`` or
     ``theta_center``, say) skips both transforms; its sum is the same
     product and the same ``np.sum``, so the value keeps its bits.  The pair
-    is stored only once both transforms succeed, and an ``hbar`` that is not
-    positive and finite raises :class:`ConfigError` before the memo is read.
+    is stored only once both transforms succeed.  An ``hbar``, ``p_width`` or
+    ``theta_width`` that is not positive and finite raises
+    :class:`ConfigError` before the memo is read.
     """
     _check_truncation(K)
     check_hbar(hbar)
+    if not positive_finite(p_width):
+        raise ConfigError(f"momentum width must be a positive finite number, got {p_width!r}")
+    t = periodic_test_function(theta_center, theta_width)
     key = (K, p, p_center, p_width, hbar)
     known, pair = chi._smeared
     if known != key:
@@ -380,7 +384,6 @@ def pair_trace_smeared_cyl(
         pair = np.stack([ivals, chi.weighted_transform(us - 2.0 * p_center / hbar, envelope)])
         pair.setflags(write=False)
         object.__setattr__(chi, "_smeared", (key, pair))  # the dataclass is frozen
-    t = periodic_test_function(theta_center, theta_width)
     tcoef = fourier_coefficients(t(angle_grid(SMEARING_NODES)), 2 * K)
     total = _smeared_sum(pair[0], pair[1], tcoef, theta, K)
     return complex(total * 2.0 * math.pi / (2.0 * math.pi * hbar * math.pi**2))
@@ -464,6 +467,7 @@ def discrete_quantize(
     decayed at the momentum cap.
     """
     _check_truncation(K)
+    check_hbar(hbar)
     if N < 0:
         raise ConfigError(f"momentum cap must be >= 0, got {N}")
     grid = angle_grid(max(4 * K + 4, 64))

@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the one check of hbar that
-every entry point dividing by it makes."""
+every entry point taking it makes."""
 
 from __future__ import annotations
 

@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, curved, cylinder, flat_weyl, geometry, numdiff
+from . import __version__, curved, cylinder, flat_weyl, geometry, numdiff, seeded
 from .bases import MAX_HERMITE_TRUNCATION, FourierBasis, HermiteBasis
 from .cylinder import CutoffFamily
 from .errors import (
@@ -447,14 +447,14 @@ def _finite_json(value):
 # shared symbol builders
 
 
-def _polynomial_field(rng: np.random.Generator, var: str):
+def _polynomial_field(rng: seeded.Generator, var: str):
     """``sum_k c_k var^k`` over k = 0..3 with uniform random ``c_k``, built
     node by node as the parser builds ``(c0)*var**0 + ... + (c3)*var**3``."""
     terms = (mul(Const(float(c)), Pow(Var(var), k)) for k, c in enumerate(rng.uniform(-1.0, 1.0, size=4)))
     return from_expression(functools.reduce(add, terms), (var,))
 
 
-def _random_flat_symbol(rng: np.random.Generator) -> MomentumPolynomial:
+def _random_flat_symbol(rng: seeded.Generator) -> MomentumPolynomial:
     terms = {}
     for degree in range(4):
         field = _polynomial_field(rng, "x")
@@ -477,7 +477,7 @@ def _row_symbol(symbols: list[MomentumPolynomial]) -> MomentumPolynomial:
     return MomentumPolynomial(dim, {m: rows([f.terms[m] for f in symbols], m) for m in symbols[0].terms})
 
 
-def _round_trip_residual(rng: np.random.Generator, schemes: list[OrderingScheme], count: int, hbar: float):
+def _round_trip_residual(rng: seeded.Generator, schemes: list[OrderingScheme], count: int, hbar: float):
     """``|dequantize(quantize(f)) - f|`` of ``count`` random flat symbols, cycling through ``schemes``.
 
     The trips of one scheme run as one stack: one image, one dequantization
@@ -508,14 +508,14 @@ def _operator_difference(first, second, points: np.ndarray) -> np.ndarray:
     return np.concatenate(differences)
 
 
-def _smooth_coefficient_field(rng: np.random.Generator, names: tuple[str, ...]):
+def _smooth_coefficient_field(rng: seeded.Generator, names: tuple[str, ...]):
     c = [float(v) for v in rng.uniform(-1.0, 1.0, size=4)]
     r, phi = names
     source = f"({c[0]!r}) + ({c[1]!r})*{r} + ({c[2]!r})*sin({phi}) + ({c[3]!r})*{r}*cos({phi})"
     return from_expression(source, names)
 
 
-def _random_chart_symbol(rng: np.random.Generator, names: tuple[str, ...]) -> MomentumPolynomial:
+def _random_chart_symbol(rng: seeded.Generator, names: tuple[str, ...]) -> MomentumPolynomial:
     dim = len(names)
     scalar = _smooth_coefficient_field(rng, names)
     vector = tensor_from_fields(dim, 1, lambda idx: _smooth_coefficient_field(rng, names))
@@ -533,7 +533,7 @@ def _random_chart_symbol(rng: np.random.Generator, names: tuple[str, ...]) -> Mo
 def _run_flat_axioms(cfg: ExperimentConfig, series: dict) -> Iterator:
     hbar = cfg.hbar
     s = math.sqrt(hbar)
-    rng = np.random.default_rng(20260814)
+    rng = seeded.Generator(20260814)
 
     yield flat_weyl.quantizer_diag_flat(0.0, 0.0, 2, hbar)[0].real, 2.0
 
@@ -572,7 +572,7 @@ def _run_orderings(cfg: ExperimentConfig, series: dict) -> Iterator:
     hbar = cfg.hbar
     model = geometry.euclidean_space(1)
     circle = geometry.circle()
-    rng = np.random.default_rng(31415)
+    rng = seeded.Generator(31415)
     probes = np.array([[-0.8], [0.1], [0.7]])
 
     f = _random_flat_symbol(rng)
@@ -699,7 +699,7 @@ def _run_point_transform(cfg: ExperimentConfig, series: dict) -> Iterator:
     hbar = cfg.hbar
     polar = geometry.polar_plane()
     euclid = geometry.euclidean_space(2)
-    rng = np.random.default_rng(27182)
+    rng = seeded.Generator(27182)
 
     def to_cartesian(q):  # (N, 2) polar points
         return np.stack([q[:, 0] * np.cos(q[:, 1]), q[:, 0] * np.sin(q[:, 1])], axis=-1)
@@ -786,7 +786,7 @@ def _tanh_sinh_cosine(chi: CutoffFamily, s: float) -> float:
 def _run_cylinder_axioms(cfg: ExperimentConfig, series: dict) -> Iterator:
     hbar = cfg.hbar
     chi = _cutoff_from_config(cfg.cutoff)
-    rng = np.random.default_rng(16180)
+    rng = seeded.Generator(16180)
     one = constant_field(1, 1.0)
     cos_theta = from_expression("cos(theta)", ("theta",))
 

@@ -384,6 +384,28 @@ def test_a_raising_call_leaves_the_memo_as_it_was():
     assert bits(smeared(chi)) == want
 
 
+@pytest.mark.parametrize("width", [0.0, -0.8, math.nan, math.inf, True])
+def test_a_width_that_is_not_positive_and_finite_is_refused_before_the_memo_is_read(width):
+    chi = cylinder.CutoffFamily(0.8, 2.8)
+
+    def call(**widths):
+        kwargs = dict(theta_center=0.9, p_center=0.4, theta_width=0.4, p_width=0.8) | widths
+        return cylinder.pair_trace_smeared_cyl(0.4, 0.9, chi, 64, 1.0, **kwargs)
+
+    for bad in (dict(p_width=width), dict(theta_width=width)):
+        with pytest.raises(ConfigError, match="width"):
+            call(**bad)
+    assert chi._smeared == (None, None)
+    assert bits(call()) == bits(fresh_smeared())
+    entry = chi._smeared
+    for bad in (dict(p_width=width), dict(theta_width=width)):
+        with pytest.raises(ConfigError, match="width"):
+            call(**bad)
+    assert chi._smeared is entry
+    with pytest.raises(ConfigError, match="width"):
+        cylinder.periodic_test_function(0.9, width)
+
+
 def test_equal_cutoffs_stay_equal_after_one_fills_its_memo():
     filled, fresh = cylinder.CutoffFamily(0.8, 2.8), cylinder.CutoffFamily(0.8, 2.8)
     smeared(filled)

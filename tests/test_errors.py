@@ -2,7 +2,8 @@
 
 Each case below is one ``raise`` site in ``numdiff``, ``fields``, ``taylor``,
 ``geometry.covariant_divergence``, the curved pairing, the check of hbar at
-the curved and cylinder entry points and the harness check declaration;
+the curved and cylinder entry points, the smearing widths of the cylinder and
+the harness check declaration;
 every one raises a :class:`PhasequantError` that is still a ``ValueError``.
 """
 
@@ -64,6 +65,13 @@ CASES = {
     ),
     "cylinder-smeared-hbar-zero": lambda: cylinder.pair_trace_smeared_cyl(0.4, 0.9, CHI, 8, 0.0, **SMEARING),
     "cylinder-smeared-hbar-inf": lambda: cylinder.pair_trace_smeared_cyl(0.4, 0.9, CHI, 8, math.inf, **SMEARING),
+    "curved-weyl-image-hbar-nan": lambda: curved.wue_weyl_image(SPHERE, KINETIC, hbar=math.nan),
+    "curved-standard-image-hbar-zero": lambda: curved.wue_standard_image(SPHERE, KINETIC, hbar=0.0),
+    "cylinder-discrete-quantize-hbar-zero": lambda: cylinder.discrete_quantize(lambda p, theta: p, 2, 3, 0.0),
+    "cylinder-smeared-p-width-negative": lambda: cylinder.pair_trace_smeared_cyl(
+        0.4, 0.9, CHI, 8, 1.0, p_width=-0.8, **SMEARING
+    ),
+    "cylinder-test-function-width-nan": lambda: cylinder.periodic_test_function(0.9, math.nan),
     "harness-comparison-mode": lambda: harness.Check("only", 1.0, "TRIVIAL", mode="sideways"),
 }
 
@@ -107,6 +115,9 @@ def test_a_bad_hbar_is_refused_before_any_memo_is_read(hbar):
         lambda: cylinder.quantizer_trace_cyl(0.4, 0.9, chi, 8, hbar),
         lambda: cylinder.polynomial_reproduction_check(fields.constant(1, 1.0), 0, 0.4, 0.9, chi, 8, hbar),
         lambda: cylinder.pair_trace_smeared_cyl(0.4, 0.9, chi, 8, hbar, **SMEARING),
+        lambda: curved.wue_weyl_image(SPHERE, f, hbar),
+        lambda: curved.wue_standard_image(SPHERE, f, hbar),
+        lambda: cylinder.discrete_quantize(lambda p, theta: p, 2, 3, hbar),
     )
     for call in calls:
         with pytest.raises(ConfigError, match="hbar"):
