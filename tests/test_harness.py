@@ -778,23 +778,23 @@ def test_harness_and_cylinder_import_without_scipy():
     assert proc.stdout.strip() == "[]"
 
 
-def test_flat_suite_runs_without_numpy_polynomial_or_scipy():
+def test_the_experiments_run_without_numpy_polynomial_random_or_scipy():
     # every quadrature rule comes from bases, the cylinder's polynomial fits
-    # take np.polyfit, and the entry-oracle's tanh-sinh rule keeps all seven
-    # experiments free of scipy
+    # take np.polyfit, the entry-oracle's tanh-sinh rule keeps all seven
+    # experiments free of scipy, and their seeded inputs come from seeded
     code = (
         "import sys\n"
         "from phasequant import harness\n"
-        "for name in ('flat-axioms', 'orderings', 'point-transform', 'discrete-limit', 'discrete-orthogonality',\n"
-        "             'curved-defect', 'cylinder-axioms'):\n"
+        "for name in harness.EXPERIMENT_NAMES:\n"
         "    harness.run_experiment(harness.ExperimentConfig.from_dict(harness.default_config(name)))\n"
         "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[]", "[]"]
+    assert proc.stdout.split() == ["[]", "[]", "[]"]
 
 
 def test_quad_still_resolves_on_harness_and_cylinder():

@@ -1,10 +1,6 @@
 """``seeded.Generator`` draws bit for bit what ``numpy.random.default_rng`` draws,
-and the experiments take their draws from it without importing ``numpy.random``."""
-
-import os
-import subprocess
-import sys
-from pathlib import Path
+alone and in each runner's own sequence of draws.  That the experiments run
+without importing ``numpy.random`` is checked in ``test_harness.py``."""
 
 import numpy as np
 import pytest
@@ -13,7 +9,6 @@ from phasequant import harness, seeded
 
 EXPERIMENT_SEEDS = (20260814, 31415, 27182, 16180)
 SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**70 + 3, 2**160 + 7) + EXPERIMENT_SEEDS
-SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def same(got, want) -> bool:
@@ -57,16 +52,3 @@ def test_every_runners_draws_match_numpy_bit_for_bit(monkeypatch):
         harness.run_experiment(harness.ExperimentConfig.from_dict(harness.default_config(name)))
     assert set(Twin.draws) == set(EXPERIMENT_SEEDS) and all(Twin.draws.values())
 
-
-def test_the_default_experiments_run_without_numpy_random():
-    code = (
-        "import sys\n"
-        "from phasequant import harness\n"
-        "for name in harness.EXPERIMENT_NAMES:\n"
-        "    harness.run_experiment(harness.ExperimentConfig.from_dict(harness.default_config(name)))\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'random']))"
-    )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
