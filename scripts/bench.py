@@ -43,7 +43,7 @@ checkout a round records:
   built afresh on every call too), of the curved-defect experiment's p-scan
   at its first probe (seven ``curved.axiom_defect`` calls at scales 0.25 to
   1.75 of its base momentum, its default symbol and hbar, on a unit sphere
-  and symbol built afresh on every call), of the finite-difference density jet
+  and symbol built afresh on every call), of the series density jet
   ``geometry.sqrt_g_jet(sphere, (1.1, 0.4), 2, method="numeric")``, of one
   flat-axioms round trip (``flat_weyl.a_image_flat`` then
   ``flat_weyl.dequantize_flat``, standard ordering, hbar = 1) of a random

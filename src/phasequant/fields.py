@@ -6,11 +6,10 @@ geometry and a density jet alike.  A field's one derivative primitive is
 ``field.jet(q, order)``: its partials through ``order`` at a point or at each
 row of an ``(N, dim)`` point array, its ``rank`` component axes first and a
 last axis over :func:`numdiff.multi_indices`.  An expression fills it from its
-symbolic partials, a callable from one finite-difference jet, sums and
-products from their parts' jets (the Leibniz rule), and a partial from its
-parent's jet shifted down an order.  Scaling, sums, contractions (one Leibniz
-product per weight slot; a rank-0 weight makes a product) and divergences act
-on the whole node, and :func:`stack` makes one node of an object array of
+symbolic partials, a callable from one finite-difference jet, and sums and
+products from their parts' jets (the Leibniz rule).  Scaling, sums,
+contractions (one Leibniz product per weight slot; a rank-0 weight makes a
+product) and divergences act on the whole node, and :func:`stack` makes one node of an object array of
 scalar fields.  The value is the order-0 entry, on a point array bit for bit
 those at the single points (the same numpy operations run on both).  A field
 remembers its jet, read-only, at the last point or point array (keyed by shape
@@ -27,7 +26,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import numdiff, taylor
-from .errors import ShapeError, UnsupportedOrderError
+from .errors import ShapeError
 from .expressions import Expr, parse_expression
 
 
@@ -36,16 +35,13 @@ class TensorField:
 
     ``jet(q, order)`` holds ``rank`` component axes of length ``dim`` before
     any point axis and the multi-index axis; a scalar field has rank 0.
-    ``cap``, when set, is the highest order a finite-difference source gives; a
-    chain of partials past it raises at once.
     """
 
-    __slots__ = ("dim", "rank", "cap", "_jet", "_last")
+    __slots__ = ("dim", "rank", "_jet", "_last")
 
-    def __init__(self, dim: int, rank: int, jet: Callable[[np.ndarray, int], np.ndarray], cap: int | None = None):
+    def __init__(self, dim: int, rank: int, jet: Callable[[np.ndarray, int], np.ndarray]):
         self.dim = dim
         self.rank = rank
-        self.cap = cap
         self._jet = jet
         self._last: tuple = (None, -1, None)  # ((shape, bytes) of q, order, read-only jet), replaced as one
 
@@ -70,14 +66,6 @@ class TensorField:
         matmul sums a strided stack by another kernel, moving symbol values' last bits."""
         values = self.jet(q, 0)[..., 0]  # the component axes, then a point array's
         return np.array(values.transpose(-1, *range(self.rank)) if values.ndim > self.rank else values, order="C")
-
-    def partial(self, axis: int) -> "TensorField":
-        if self.cap == 0:
-            raise UnsupportedOrderError("finite-difference chain exceeds supported order")
-        cap = None if self.cap is None else self.cap - 1
-        return TensorField(
-            self.dim, self.rank, lambda q, n: taylor.jet_shift(self.jet(q, n + 1), self.dim, n, axis), cap
-        )
 
 
 def sorted_entries(jet: np.ndarray, dim: int, rank: int) -> np.ndarray:
@@ -142,7 +130,7 @@ def from_callable(dim: int, fn: Callable[[np.ndarray], complex]) -> TensorField:
         flat = numdiff.jet(lifted, q, order).astype(complex)
         return flat if q.ndim == 1 else np.moveaxis(flat, 0, -2)  # the point axis just before the jet's
 
-    return TensorField(dim, 0, jet, numdiff.MAX_ORDER)
+    return TensorField(dim, 0, jet)
 
 
 def stack(dim: int, rank: int, comps: np.ndarray) -> TensorField:
@@ -174,7 +162,7 @@ def scale(field: TensorField, factor: complex) -> TensorField:
     factor = complex(factor)
     if factor == 0:
         return constant(field.dim, np.zeros((field.dim,) * field.rank))
-    return TensorField(field.dim, field.rank, lambda q, order: factor * field.jet(q, order), field.cap)
+    return TensorField(field.dim, field.rank, lambda q, order: factor * field.jet(q, order))
 
 
 def add(*fields: TensorField) -> TensorField:

@@ -20,7 +20,7 @@ import numpy as np
 from . import geometry
 from .bases import gauss_hermite, hermite_polynomial_values
 from .curved import wue_weyl_image
-from .errors import InversionError
+from .errors import InversionError, check_hbar
 from .fields import scale
 from .geometry import ManifoldModel
 from .symbols import (
@@ -82,6 +82,7 @@ def dequantize_flat(
     A stack is checked row by row: each row's defect is held against that
     row's own magnitude, so a bad row cannot hide behind a larger one.
     """
+    check_hbar(hbar)
     model = model or geometry.euclidean_space(D.dim)
     g = _weyl_symbol(model, D, hbar)
     f = ordering_transform(model, A.inverse(), g, hbar)
@@ -115,7 +116,9 @@ MAX_TRUNCATION = 322
 def _kernel_factors(p: float, x: float, K: int, hbar: float) -> tuple[np.ndarray, np.ndarray, float]:
     """``2 integral dxi exp(-2 i p xi / hbar) h_j(x - xi) h_k(x + xi)`` as
     ``c * sum_i A[j, i] B[k, i]`` over Gauss-Hermite nodes in the scaled
-    offset, the shared Gaussian pulled out into ``c``: ``(A, B, c)``."""
+    offset, the shared Gaussian pulled out into ``c``: ``(A, B, c)``.  Every
+    kernel entry point reads it, so it checks ``hbar`` first."""
+    check_hbar(hbar)
     s = math.sqrt(hbar)
     xt = x / s
     u, w = gauss_hermite(max(4 * (K + 1), 32))
@@ -177,6 +180,7 @@ def quantize_gaussian_flat(
     to :data:`MAX_TRUNCATION`.  Both products are real ``np.einsum`` sums, not
     BLAS ones, which from about K = 32 round differently on one thread and on two.
     """
+    check_hbar(hbar)
     nodes = max(4 * (K + 1), 96)
     tau, w = gauss_hermite(nodes)
     y = math.sqrt(2.0 * hbar) * tau

@@ -1,17 +1,16 @@
 """Chart-based Riemannian geometry for the configuration manifolds.
 
-A :class:`ManifoldModel` bundles a single chart (coordinate ranges), the
-metric in that chart, and optional closed-form geodesics.  Each level of a
-model (the metric, its inverse, connection, curvature and Ricci tensor) is
-one tensor node, its component axes first, that every reader takes whole.
-Only the metric and inverse jets depend on how the metric is given: built-in
-models give it as expressions, whose symbolic partials are exact, and a model
-given by an opaque ``metric_fn`` reads both from one finite-difference jet of
-``metric_fn`` and its inverse at the same nodes, so finite differences apply
-only one level deep, at the callable.  The connection and curvature take
-their jets from the jets of the level below by the Leibniz rule (Taylor-mode
-propagation, Griewank and Walther, *Evaluating Derivatives*, ch. 13), one
-code path for every model.
+A :class:`ManifoldModel` bundles a single chart (coordinate ranges) and the
+metric in that chart.  Each level of a model (the metric, its inverse,
+connection, curvature and Ricci tensor) is one tensor node, its component axes
+first, that every reader takes whole.  Only the metric and inverse jets depend
+on how the metric is given: built-in models give it as expressions, whose
+symbolic partials are exact, and a model given by an opaque ``metric_fn``
+reads both from one finite-difference jet of ``metric_fn`` and its inverse at
+the same nodes, so finite differences apply only one level deep, at the
+callable.  The connection and curvature take their jets from the jets of the
+level below by the Leibniz rule (Taylor-mode propagation, Griewank and
+Walther, *Evaluating Derivatives*, ch. 13), one code path for every model.
 
 The covariant derivative is one operation on jets, :func:`covariant_jets`,
 which the pairing's coefficient jets, the frame curvature ``R``, ``nabla R``
@@ -21,11 +20,14 @@ connection jets (:func:`normal_metric_series`, :func:`normal_christoffel_jets`)
 and, as one tensor node per order over the base point, the density jets
 (:func:`density_jet_fields`): the image contracts that node and
 :func:`sqrt_g_jet` evaluates it at a point, so density jets have one source.
-Closed-form geodesics (a model's ``exp_fn``) and finite-difference jets of
-pulled-back functions (``sqrt_g_jet(method="numeric")``, :func:`pullback_jet`)
-remain as independent references for checks.  The metric series is a flat
-jet (``taylor.Series``); connection, density and pullback jets are returned
-as symmetric derivative arrays, one per order.
+The exponential map is a power series in the frame components
+(:func:`exp_series`), solved order by order from the connection's own chart
+jets, with no integrator and no closed-form geodesics; the density and
+pullback jets composed with it (``sqrt_g_jet(method="numeric")``,
+:func:`pullback_jet`) are the references that checks compare the curvature
+forms with.  The metric series is a flat jet (``taylor.Series``); connection,
+density and pullback jets are returned as symmetric derivative arrays, one
+per order.
 
 Conventions:
 
@@ -38,6 +40,7 @@ Conventions:
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -75,10 +78,6 @@ class ManifoldModel:
     ``metric_fn`` is set only for opaque models.  Either way the metric and its
     inverse are the ``g`` and ``g_inv`` nodes of ``_fields``, and the levels
     above them are computed from their jets alike.
-    ``exp_fn(q, v)``, a model's closed-form geodesics, maps a chart tangent
-    vector at ``q`` to the geodesic endpoint, or an ``(N, dim)`` stack of
-    them to ``(N, dim)`` endpoints, and must be continuous in ``v`` near the
-    chart point (periodic coordinates unwrap rather than jump).
     """
 
     name: str
@@ -87,7 +86,6 @@ class ManifoldModel:
     metric_fn: Callable[[np.ndarray], np.ndarray] | None = None
     metric_exprs: tuple[tuple[Expr, ...], ...] | None = None
     flat: bool = False
-    exp_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
     def __post_init__(self):
         if (self.metric_fn is None) == (self.metric_exprs is None):
@@ -295,27 +293,7 @@ def scalar_curvature(model: ManifoldModel, q: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# exponential map and normal coordinates
-
-
-def exp_map(model: ManifoldModel, q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Geodesic endpoint ``exp_q(v)`` in chart coordinates from the model's
-    closed form; ``v`` is one tangent vector or an ``(N, dim)`` stack of them,
-    giving ``(N, dim)`` endpoints (the references call it on stencil node
-    arrays).  A model without ``exp_fn`` raises :class:`ConfigError`.
-    """
-    if model.exp_fn is None:
-        raise ConfigError(f"manifold {model.name!r} has no closed-form geodesics")
-    return np.asarray(model.exp_fn(np.asarray(q, dtype=float), np.asarray(v, dtype=float)), dtype=float)
-
-
-def exp_jacobian(model: ManifoldModel, q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Derivative ``d exp_q(v) / dv`` as a (dim, dim) matrix, or one per row
-    of an ``(N, dim)`` stack of tangent vectors, from one batched call of
-    :func:`exp_map` on every stencil node."""
-    q = np.asarray(q, dtype=float)
-    v = np.asarray(v, dtype=float)
-    return numdiff.jacobian(lambda u: exp_map(model, q, u), v)
+# normal frames and normal coordinates
 
 
 def normal_frame(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
@@ -349,6 +327,49 @@ def frame_components(arr: np.ndarray, E: np.ndarray, upper: int) -> np.ndarray:
         else:
             out = np.moveaxis(np.tensordot(E, out, axes=([0], [axis])), 0, axis)
     return out
+
+
+def _compose(jet: np.ndarray, r: np.ndarray, dim: int, order: int) -> np.ndarray:
+    """The flat jet through ``order`` in ``xi`` of ``f(q + r(xi))``, from ``f``'s chart jet
+    at ``q`` (component axes first) and the jet ``[i, M]`` of ``r``, ``r(0) = 0``: the sum
+    of ``d^beta f(q) r^beta / beta!``, each power one Leibniz product over a lower one.
+    Only ``f``'s partials through its jet's own order enter, so the result is exact
+    through the lower of that order and ``order``."""
+    indices = numdiff.multi_indices(dim, order)
+    powers = [np.eye(1, len(indices))[0]]  # the jet of r^beta, per beta in index order
+    total = jet[..., :1] * powers[0]
+    for i, beta in enumerate(indices[1 : jet.shape[-1]], 1):
+        axis = max(a for a in range(dim) if beta[a])
+        lower = indices.index(beta[:axis] + (beta[axis] - 1,) + beta[axis + 1 :])
+        powers.append(taylor.jet_product(powers[lower], r[axis], dim, order))
+        total = total + jet[..., i : i + 1] / math.prod(map(math.factorial, beta)) * powers[i]
+    return total
+
+
+def exp_series(model: ManifoldModel, q: np.ndarray, order: int) -> np.ndarray:
+    """The flat jet through ``order``, axes ``[i, M]``, of ``r(xi) = exp_q(E xi) - q`` in
+    the frame components ``xi`` (``E`` the :func:`normal_frame`): the geodesics of the
+    model's own connection as a power series, exact to rounding (Taylor mode; Brewin,
+    arXiv:0903.2087).  With the Euler operator ``D = xi . d_xi``, the geodesic equation
+    along rays reads ``(D^2 - D) r = -Gamma(q + r)(D r, D r)``; its degree-``k`` part
+    gives ``k (k - 1) r_k`` from the degrees below ``k`` and Gamma's chart jets at ``q``
+    through ``k - 2``, so it takes no integrator and works on every model.
+    """
+    q = np.asarray(q, dtype=float)
+    dim = model.dim
+    degree = np.array([sum(alpha) for alpha in numdiff.multi_indices(dim, order)])
+    r = np.zeros((dim, len(degree)))
+    r[:, 1 : dim + 1] = normal_frame(model, q)[:, : len(degree) - 1]  # the linear term E xi
+    gamma = model._fields["gamma"].jet(q, max(order - 2, 0)).real
+    for k in range(2, order + 1):
+        n = np.count_nonzero(degree <= k)
+        Dr = degree[:n] * r[:, :n]
+        # Gamma(q + r) is exact through degree k - 2, all of it that meets (D r, D r) on degree k
+        G = _compose(gamma[..., : np.count_nonzero(degree <= k - 2)], r[:, :n], dim, k)
+        pairs = taylor.jet_product(Dr[:, None], Dr[None, :], dim, k)
+        rhs = reduce(np.add, [taylor.jet_product(G[:, a, b], pairs[a, b], dim, k) for a, b in np.ndindex(dim, dim)])
+        r[:, degree == k] = -rhs[:, degree[:n] == k] / (k * (k - 1))
+    return r
 
 
 def _frame_riemann(model: ManifoldModel, q: np.ndarray, count: int) -> list[np.ndarray]:
@@ -434,23 +455,37 @@ def sqrt_g_jet(
       symmetrized frame components of :func:`density_jet_fields` at ``q``, the
       same node the image contracts.  On flat models every jet beyond the
       value vanishes, at any order.
-    * ``"numeric"`` - finite-difference jets of the pulled-back density, the
-      independent reference that checks compare the curvature form with.
+    * ``"numeric"`` - the density ``sqrt(det(J^T g(q + r) J))**power`` of the metric
+      pulled back along :func:`exp_series`, ``J = d(q + r)/d xi``, as a
+      composition of series: the reference that checks compare the curvature
+      form with, computed from the connection's geodesics, not from curvature.
     """
     q = np.asarray(q, dtype=float)
     dim = model.dim
     if method not in ("numeric", "curvature"):
         raise ConfigError(f"unknown jet method {method!r}")
     if method == "numeric":
-        E = normal_frame(model, q)
+        n = len(numdiff.multi_indices(dim, max_order))
+        one = np.eye(1, n)[0]  # the jet of the constant 1
+        r = exp_series(model, q, max_order + 1)
+        J = taylor.Series(dim, max_order, taylor.jet_shift(r, dim, max_order, slice(None)))  # [i, a] = d_a r_i
+        g = taylor.Series(dim, max_order, _compose(model._fields["g"].jet(q, max_order).real, r[:, :n], dim, max_order))
+        G = taylor.matmul(taylor.matmul(taylor.Series(dim, max_order, J.jet.swapaxes(0, 1)), g), J).jet
 
-        def density(xi: np.ndarray) -> np.ndarray:  # the metric pulled back along geodesics, per node
-            v = xi @ E.T  # the chart vector of each node's frame components
-            J = np.matmul(exp_jacobian(model, q, v), E)
-            G = np.matmul(np.matmul(J.transpose(0, 2, 1), metric(model, exp_map(model, q, v))), J)
-            return np.sqrt(np.linalg.det(G)) ** power
+        def product(a, b):
+            return taylor.jet_product(a, b, dim, max_order)
 
-        return numdiff.expand(numdiff.jet(density, np.zeros(dim), max_order), dim, max_order)
+        det = 0.0  # the permutation sum of det(J^T g(q + r) J)
+        for perm in itertools.permutations(range(dim)):
+            sign = (-1) ** sum(perm[i] > perm[j] for i, j in itertools.combinations(range(dim), 2))
+            det = det + sign * reduce(product, [G[a, perm[a]] for a in range(dim)])
+        # det**(power/2) = det(0)**(power/2) (1 + u)**(power/2), the binomial series of u = det/det(0) - 1
+        u = det / det[0] - one
+        term = total = one
+        for k in range(1, max_order + 1):
+            term = product(term, u) * (power / 2.0 - k + 1) / k
+            total = total + term
+        return numdiff.expand(det[0] ** (power / 2.0) * total, dim, max_order)
     if model.flat:
         return [np.ones(()) if k == 0 else np.zeros((dim,) * k) for k in range(max_order + 1)]
     E = normal_frame(model, q)
@@ -546,14 +581,13 @@ def pullback_jet(
     q: np.ndarray,
     max_order: int,
 ) -> list[np.ndarray]:
-    """Finite-difference jets of ``psi`` composed with normal coordinates.
+    """Jets of ``psi`` composed with normal coordinates, ``psi(q + r(xi))`` for the
+    :func:`exp_series` ``r``: ``psi``'s chart jet at ``q`` composed with ``r``.
 
-    For scalars these should agree with :func:`sym_cov_deriv_in_frame`
-    order by order.
+    For scalars these agree with :func:`sym_cov_deriv_in_frame` order by order.
     """
     q = np.asarray(q, dtype=float)
-    E = normal_frame(model, q)
-    pulled = numdiff.jet(lambda xi: psi(exp_map(model, q, xi @ E.T)), np.zeros(model.dim), max_order)
+    pulled = _compose(psi.jet(q, max_order), exp_series(model, q, max_order), model.dim, max_order)
     return numdiff.expand(pulled, model.dim, max_order)
 
 
@@ -575,7 +609,6 @@ def euclidean_space(dim: int) -> ManifoldModel:
         coords=tuple(CoordSpec(name) for name in names),
         metric_exprs=_metric_exprs(names, [["1" if i == j else "0" for j in range(dim)] for i in range(dim)]),
         flat=True,
-        exp_fn=lambda q, v: q + v,
     )
 
 
@@ -586,14 +619,7 @@ def circle() -> ManifoldModel:
         coords=(CoordSpec("theta", -math.pi, math.pi, periodic=True),),
         metric_exprs=_metric_exprs(("theta",), [["1"]]),
         flat=True,
-        exp_fn=lambda q, v: q + v,
     )
-
-
-def _unwrap_angle(angle: np.ndarray, reference: float) -> np.ndarray:
-    """Shift each ``angle`` by multiples of 2 pi so it lands nearest ``reference``."""
-    turns = np.round((reference - angle) / (2.0 * math.pi))
-    return angle + 2.0 * math.pi * turns
 
 
 def sphere(radius: float = 1.0) -> ManifoldModel:
@@ -615,36 +641,6 @@ def sphere(radius: float = 1.0) -> ManifoldModel:
         )
     a2 = repr(a * a)
 
-    def embed(q):
-        theta, phi = q
-        return a * np.array(
-            [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi), math.cos(theta)]
-        )
-
-    def tangent(q, v):  # v: (N, 2)
-        theta, phi = q
-        d_theta = a * np.array(
-            [math.cos(theta) * math.cos(phi), math.cos(theta) * math.sin(phi), -math.sin(theta)]
-        )
-        d_phi = a * np.array([-math.sin(theta) * math.sin(phi), math.sin(theta) * math.cos(phi), 0.0])
-        return v[:, 0, None] * d_theta + v[:, 1, None] * d_phi
-
-    def exp_fn(q, v):
-        q, v = np.asarray(q, dtype=float), np.asarray(v, dtype=float)
-        vs = np.atleast_2d(v)
-        p = embed(q)
-        t = tangent(q, vs)
-        speed = np.linalg.norm(t, axis=-1) / a
-        moving = speed >= 1e-300
-        s = np.where(moving, speed, 1.0)
-        # |t| = a * speed, so sin(speed)/speed * t has length a sin(speed).
-        endpoint = np.cos(s)[:, None] * p + (np.sin(s) / s)[:, None] * t
-        z = np.clip(endpoint[:, 2] / a, -1.0, 1.0)
-        theta = np.arccos(z)
-        phi = np.arctan2(endpoint[:, 1], endpoint[:, 0])
-        out = np.where(moving[:, None], np.stack([theta, _unwrap_angle(phi, q[1])], axis=-1), q)
-        return out if v.ndim == 2 else out[0]
-
     return ManifoldModel(
         name=f"sphere:{a:g}",
         dim=2,
@@ -654,7 +650,6 @@ def sphere(radius: float = 1.0) -> ManifoldModel:
         ),
         metric_exprs=_metric_exprs(("theta", "phi"), [[a2, "0"], ["0", f"{a2}*sin(theta)**2"]]),
         flat=False,
-        exp_fn=exp_fn,
     )
 
 

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from phasequant import geometry, harness, numdiff
+from phasequant import geometry, harness, numdiff, taylor
 from phasequant.expressions import Const, add, inverse_matrix, mul
-from phasequant.fields import constant, from_expression, tensor_from_fields
+from phasequant.fields import TensorField, constant, from_expression, tensor_from_fields
 from phasequant.symbols import MomentumPolynomial
 
 SEED = 20260814
@@ -22,6 +22,16 @@ settings.load_profile("deterministic")
 def rng():
     """Fresh deterministic generator per test."""
     return np.random.default_rng(SEED)
+
+
+def partial(field, *axes):
+    """The partial of ``field`` along each of ``axes`` in turn: a field whose jet
+    reads its parent's jet through one order more with ``taylor.jet_shift``."""
+    for axis in axes:
+        field = TensorField(
+            field.dim, field.rank, lambda q, n, f=field, a=axis: taylor.jet_shift(f.jet(q, n + 1), f.dim, n, a)
+        )
+    return field
 
 
 def random_cubic_field(rng, var="x"):

@@ -91,13 +91,26 @@ def test_ricci_convention_fails_when_ricci_is_scaled(monkeypatch, reports):
 
 
 def test_density_jet_ricci_fails_when_the_frame_ricci_is_scaled(monkeypatch, reports):
-    # the numeric sqrt(g) jet against -Ric/3 in the frame reads 3.3e-5 against 1e-5
+    # the series sqrt(g) jet against -Ric/3 in the frame reads 3.3e-5 against 1e-5
     assert record(reports["curved-defect"], "density-jet-ricci").passed
     ricci_in_frame = geometry.ricci_in_frame
     monkeypatch.setattr(geometry, "ricci_in_frame", lambda *args: ricci_in_frame(*args) * (1.0 + 1e-4))
     report = rerun("curved-defect")
     assert not record(report, "density-jet-ricci").passed
     assert all(r.passed for r in report.records if r.name != "density-jet-ricci")
+
+
+def test_pullback_vs_covariant_fails_when_the_frame_covariant_derivatives_are_scaled(monkeypatch, reports):
+    # the pulled-back jets of orders 0 to 3 are of size 1, so a 1e-4 relative
+    # change reads about 1e-4 against 1e-5
+    assert record(reports["curved-defect"], "pullback-vs-covariant").passed
+    sym_cov_deriv_in_frame = geometry.sym_cov_deriv_in_frame
+    monkeypatch.setattr(
+        geometry, "sym_cov_deriv_in_frame", lambda *args: sym_cov_deriv_in_frame(*args) * (1.0 + 1e-4)
+    )
+    report = rerun("curved-defect")
+    assert not record(report, "pullback-vs-covariant").passed
+    assert all(r.passed for r in report.records if r.name != "pullback-vs-covariant")
 
 
 def test_ricci_coefficient_fails_when_the_second_density_jet_is_scaled(monkeypatch, reports):
@@ -307,6 +320,9 @@ POWER = {
     ("curved-defect", "ricci-coefficient"): test_ricci_coefficient_fails_when_the_second_density_jet_is_scaled,
     ("curved-defect", "ricci-convention"): test_ricci_convention_fails_when_ricci_is_scaled,
     ("curved-defect", "density-jet-ricci"): test_density_jet_ricci_fails_when_the_frame_ricci_is_scaled,
+    ("curved-defect", "pullback-vs-covariant"): (
+        test_pullback_vs_covariant_fails_when_the_frame_covariant_derivatives_are_scaled
+    ),
     ("point-transform", "cartesian-reduction"): test_cartesian_reduction_fails_when_the_divergence_is_scaled,
     ("point-transform", "polar-cartesian-agreement"): test_polar_cartesian_agreement_fails_on_nan_chart_values,
     ("point-transform", "radial-momentum-shift"): test_radial_momentum_shift_fails_when_the_divergence_is_scaled,
@@ -352,7 +368,6 @@ BACKLOG = [
     ("curved-defect", "flat-defect-euclidean"),
     ("curved-defect", "flat-defect-polar"),
     ("curved-defect", "emmrich-defect"),
-    ("curved-defect", "pullback-vs-covariant"),
     ("cylinder-axioms", "raw-kernel-trace"),
     ("cylinder-axioms", "kernel-hermiticity"),
     ("cylinder-axioms", "delta-model-mismatch"),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import skew_model
-from phasequant import curved, geometry, numdiff
+from phasequant import curved, geometry, harness, numdiff
 from phasequant.errors import ConfigError
 from phasequant.fields import from_expression, tensor_from_fields
 from phasequant.symbols import MomentumPolynomial, symbol_from_config
@@ -57,11 +57,12 @@ def test_volume_jets_second_order_is_third_of_ricci():
 
 
 def test_volume_jets_numeric_agrees_with_curvature_form():
+    # the numeric jets come from the connection's geodesic series, exact to rounding
     numeric = reciprocal_volume_jets(UNIT_SPHERE, Q0, 2, method="numeric")
     closed = reciprocal_volume_jets(UNIT_SPHERE, Q0, 2, method="curvature")
-    assert float(numeric[0]) == pytest.approx(1.0, abs=1e-9)
-    np.testing.assert_allclose(numeric[1], 0.0, atol=1e-6)
-    np.testing.assert_allclose(numeric[2], closed[2], atol=1e-5)
+    assert float(numeric[0]) == pytest.approx(1.0, abs=1e-15)
+    np.testing.assert_allclose(numeric[1], 0.0, atol=1e-15)
+    np.testing.assert_allclose(numeric[2], closed[2], atol=1e-15)
 
 
 @pytest.mark.parametrize("q", [Q0, np.array([1.5, 0.0])])
@@ -230,6 +231,19 @@ def test_sphere_defect_takes_no_finite_differences(monkeypatch):
     assert abs(d - 2.0 / 3.0) <= 1e-15
 
 
+def test_curved_defect_experiment_takes_no_finite_differences(monkeypatch):
+    # every check of the default run reads exact jets of the sphere's metric
+    # expressions, the references along the connection's geodesic series too
+    def forbidden(*args, **kwargs):
+        raise AssertionError("finite differences in the curved-defect experiment")
+
+    for name in ("partials", "jet", "jacobian"):
+        monkeypatch.setattr(numdiff, name, forbidden)
+    report = harness.run_experiment(harness.ExperimentConfig.from_dict({"experiment": "curved-defect"}))
+    assert len(report.records) == 12
+    assert all(record.passed for record in report.records)
+
+
 # ---------------------------------------------------------------------------
 # third- and fourth-order operators on curved models
 
@@ -249,12 +263,10 @@ def test_degree_three_sphere_dequantization_is_real_and_matches_finite_differenc
 
 def test_higher_order_curved_pairing_takes_no_finite_differences(monkeypatch):
     def forbidden(*args, **kwargs):
-        raise AssertionError("finite differences or geodesics on an expression-built model")
+        raise AssertionError("finite differences on an expression-built model")
 
     for name in ("partials", "jet", "jacobian"):
         monkeypatch.setattr(numdiff, name, forbidden)
-    monkeypatch.setattr(geometry, "exp_map", forbidden)
-    monkeypatch.setattr(geometry, "exp_jacobian", forbidden)
     for degree in (3, 4):
         f = cos_theta_symbol(UNIT_SPHERE, degree)
         assert abs(curved.dequantize_curved(UNIT_SPHERE, curved.wue_weyl_image(UNIT_SPHERE, f), P0, Q0)) > 0.1

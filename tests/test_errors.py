@@ -2,7 +2,7 @@
 
 Each case below is one ``raise`` site in ``numdiff``, ``fields``, ``taylor``,
 ``geometry.covariant_divergence``, the curved pairing, the check of hbar at
-the curved and cylinder entry points, the smearing widths of the cylinder and
+the curved, cylinder and flat Weyl entry points, the smearing widths of the cylinder and
 the harness check declaration;
 every one raises a :class:`PhasequantError` that is still a ``ValueError``.
 """
@@ -12,9 +12,9 @@ import math
 import numpy as np
 import pytest
 
-from phasequant import curved, cylinder, fields, geometry, harness, numdiff, taylor
+from phasequant import curved, cylinder, fields, flat_weyl, geometry, harness, numdiff, taylor
 from phasequant.errors import ConfigError, PhasequantError, ShapeError
-from phasequant.symbols import symbol_from_config
+from phasequant.symbols import CovariantOperator, ordering_scheme, symbol_from_config
 
 ONE = np.ones(())
 SPHERE = geometry.sphere(1.0)
@@ -24,17 +24,13 @@ SCALAR = taylor.constant(2, 1, ONE)
 VECTOR = taylor.constant(2, 1, np.ones(2))
 CHI = cylinder.CutoffFamily(0.8, 2.8)
 SMEARING = dict(theta_center=0.9, p_center=0.4)
-
-
-def fifth_callable_partial():
-    field = fields.from_callable(1, lambda q: q[0] ** 2)
-    for _ in range(5):
-        field = field.partial(0)
+WEYL = ordering_scheme("weyl")
+FLAT_OPERATOR = CovariantOperator(1, {0: fields.constant(1, 1.0)})
 
 
 CASES = {
     "numdiff-jet-order": lambda: numdiff.jet(numdiff.pointwise(lambda x: x[0]), np.zeros(1), 5),
-    "fields-callable-order": fifth_callable_partial,
+    "fields-callable-order": lambda: fields.from_callable(1, lambda q: q[0] ** 2).jet(np.zeros(1), 5),
     "fields-add-empty": lambda: fields.add(),
     "fields-component-shape": lambda: fields.stack(2, 2, np.empty((2,), dtype=object)),
     "fields-tensor-add-rank": lambda: fields.add(fields.constant(2, np.ones(2)), fields.constant(2, 1.0)),
@@ -72,6 +68,14 @@ CASES = {
         0.4, 0.9, CHI, 8, 1.0, p_width=-0.8, **SMEARING
     ),
     "cylinder-test-function-width-nan": lambda: cylinder.periodic_test_function(0.9, math.nan),
+    "flat-trace-hbar-zero": lambda: flat_weyl.flat_trace(0.4, 0.2, 8, 0.0),
+    "flat-trace-hbar-negative": lambda: flat_weyl.flat_trace(0.4, 0.2, 8, -1.0),
+    "flat-trace-hbar-nan": lambda: flat_weyl.flat_trace(0.4, 0.2, 8, math.nan),
+    "flat-matrix-hbar-zero": lambda: flat_weyl.quantizer_matrix_flat(0.4, 0.2, 8, 0.0),
+    "flat-matrix-hbar-negative": lambda: flat_weyl.quantizer_matrix_flat(0.4, 0.2, 8, -1.0),
+    "flat-matrix-hbar-nan": lambda: flat_weyl.quantizer_matrix_flat(0.4, 0.2, 8, math.nan),
+    "flat-dequantize-hbar-zero": lambda: flat_weyl.dequantize_flat(WEYL, FLAT_OPERATOR, [0.3], [-0.5], 0.0),
+    "flat-gaussian-hbar-negative": lambda: flat_weyl.quantize_gaussian_flat(0.4, 0.2, 1.0, 1.0, 8, -1.0),
     "harness-comparison-mode": lambda: harness.Check("only", 1.0, "TRIVIAL", mode="sideways"),
 }
 
@@ -118,6 +122,10 @@ def test_a_bad_hbar_is_refused_before_any_memo_is_read(hbar):
         lambda: curved.wue_weyl_image(SPHERE, f, hbar),
         lambda: curved.wue_standard_image(SPHERE, f, hbar),
         lambda: cylinder.discrete_quantize(lambda p, theta: p, 2, 3, hbar),
+        lambda: flat_weyl.flat_trace(0.4, 0.2, 8, hbar),
+        lambda: flat_weyl.quantizer_matrix_flat(0.4, 0.2, 8, hbar),
+        lambda: flat_weyl.dequantize_flat(WEYL, FLAT_OPERATOR, [0.3], [-0.5], hbar),
+        lambda: flat_weyl.quantize_gaussian_flat(0.4, 0.2, 1.0, 1.0, 8, hbar),
     )
     for call in calls:
         with pytest.raises(ConfigError, match="hbar"):

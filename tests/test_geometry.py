@@ -1,14 +1,13 @@
 import dataclasses
-import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from conftest import symbolic_jet, symbolic_levels
+from conftest import partial, symbolic_jet, symbolic_levels
 from phasequant import curved, geometry, numdiff
-from phasequant.errors import ChartDomainError, ConfigError, PhasequantError, UnsupportedOrderError
+from phasequant.errors import ChartDomainError, ConfigError, UnsupportedOrderError
 from phasequant.expressions import Const
 from phasequant.fields import from_callable, from_expression, tensor_from_fields
 
@@ -145,21 +144,31 @@ def test_riemann_symmetries_on_sphere(sphere):
 # exponential map and normal frames
 
 
+def series_endpoint(model, q, xi, order):
+    """``q + r(xi)`` from the terms of :func:`geometry.exp_series` through ``order``."""
+    total = np.array(q, dtype=float)
+    for k, term in enumerate(numdiff.expand(geometry.exp_series(model, q, order), model.dim, order)):
+        for _ in range(k):
+            term = term @ xi
+        total = total + term / math.factorial(k)
+    return total
+
+
 def test_euclidean_exp_is_translation():
-    model = geometry.euclidean_space(2)
-    q, v = np.array([0.2, -0.4]), np.array([1.0, 0.5])
-    np.testing.assert_allclose(geometry.exp_map(model, q, v), q + v, atol=1e-12)
-    np.testing.assert_allclose(geometry.exp_jacobian(model, q, v), np.eye(2), atol=1e-12)
+    # r(xi) = E xi, the identity frame: every term past the linear one is exactly 0
+    r = geometry.exp_series(geometry.euclidean_space(2), np.array([0.2, -0.4]), 4)
+    np.testing.assert_array_equal(r[:, 1:3], np.eye(2))
+    np.testing.assert_array_equal(np.delete(r, [1, 2], axis=1), 0.0)
 
 
 def test_sphere_equator_geodesics(sphere):
+    # from the equator, where the frame is the chart basis, the equator and a
+    # meridian are geodesics whose series stop at the linear term
     q = np.array([math.pi / 2.0, 0.0])
-    # along the equator
-    out = geometry.exp_map(sphere, q, np.array([0.0, 0.7]))
-    np.testing.assert_allclose(out, [math.pi / 2.0, 0.7], atol=1e-8)
-    # along a meridian
-    out = geometry.exp_map(sphere, q, np.array([-0.4, 0.0]))
-    np.testing.assert_allclose(out, [math.pi / 2.0 - 0.4, 0.0], atol=1e-8)
+    out = series_endpoint(sphere, q, np.array([0.0, 0.7]), 6)
+    np.testing.assert_allclose(out, [math.pi / 2.0, 0.7], rtol=0, atol=1e-15)
+    out = series_endpoint(sphere, q, np.array([-0.4, 0.0]), 6)
+    np.testing.assert_allclose(out, [math.pi / 2.0 - 0.4, 0.0], rtol=0, atol=1e-15)
 
 
 def test_normal_frame_orthonormalizes_metric(sphere, polar):
@@ -171,10 +180,30 @@ def test_normal_frame_orthonormalizes_metric(sphere, polar):
 
 
 def test_normal_coordinates_anchor_at_origin(sphere):
+    # r(0) = 0, d exp_q(0) = E takes the metric to the identity, and the
+    # geodesic equation's degree-2 part is d^2 r = -Gamma(E, E)
     q = np.array([1.1, 0.4])
-    np.testing.assert_allclose(geometry.exp_map(sphere, q, np.zeros(2)), q, atol=1e-12)
-    J = geometry.exp_jacobian(sphere, q, np.zeros(2)) @ geometry.normal_frame(sphere, q)
-    np.testing.assert_allclose(J.T @ geometry.metric(sphere, q) @ J, np.eye(2), atol=1e-10)
+    r = geometry.exp_series(sphere, q, 2)
+    np.testing.assert_array_equal(r[:, 0], 0.0)
+    J = r[:, 1:3]
+    np.testing.assert_allclose(J.T @ geometry.metric(sphere, q) @ J, np.eye(2), rtol=0, atol=1e-15)
+    want = -np.einsum("cij,ia,jb->cab", christoffel(sphere, q), J, J)
+    np.testing.assert_allclose(numdiff.expand(r, 2, 2)[2], want, rtol=0, atol=1e-15)
+
+
+def test_exp_series_runs_without_closed_form_geodesics(sphere, polar):
+    # polar-plane geodesics are straight lines in Cartesian coordinates; the
+    # series converges within the distance 1.5 to the origin
+    q, xi = np.array([1.5, 0.3]), np.array([0.12, -0.09])
+    radial, angular = np.array([math.cos(q[1]), math.sin(q[1])]), np.array([-math.sin(q[1]), math.cos(q[1])])
+    end = q[0] * radial + xi[0] * radial + xi[1] * angular  # E xi is xi_0 e_r + xi_1 e_phi / r
+    want = [math.hypot(*end), math.atan2(end[1], end[0])]
+    np.testing.assert_allclose(series_endpoint(polar, q, xi, 10), want, rtol=0, atol=1e-12)
+    # the opaque sphere's connection is one finite-difference level deep: the
+    # terms of degree 3 and 4 read its first and second partials
+    q = np.array([1.1, 0.4])
+    got = geometry.exp_series(opaque_sphere(sphere), q, 4)
+    np.testing.assert_allclose(got, geometry.exp_series(sphere, q, 4), rtol=0, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -190,18 +219,29 @@ def test_sqrt_g_jet_flat_models_are_trivial():
             np.testing.assert_array_equal(jets[k], 0.0)
 
 
+def reference_cases(sphere):
+    """The unit sphere, the same metric given opaquely, and the torus at two points."""
+    points = (np.array([1.1, 0.4]), np.array([0.7, 0.2]))
+    return [(sphere, points[0]), (opaque_sphere(sphere), points[0]), (TORUS, points[0]), (TORUS, points[1])]
+
+
 def test_sqrt_g_jet_numeric_matches_curvature_form(sphere):
     # (sqrt g)**power has the frame Hessian -(power/3) Ric: the pairing's
     # density (1) and half-density (-1/2), and the image's reciprocal (-1).
+    # The numeric jets pull the metric back along the connection's geodesics
+    # and agree to rounding; the opaque sphere's fourth jet reads its
+    # connection's finite-difference jets through order 3.
     q = np.array([1.1, 0.4])
     ricci_frame = geometry.ricci_in_frame(sphere, q)
+    exact, opaque = (1e-15, 1e-15, 2e-15, 2e-15, 2e-14), (1e-15, 1e-15, 1e-12, 1e-10, 1e-7)
     for power in (1.0, -0.5, -1.0):
         closed = geometry.sqrt_g_jet(sphere, q, max_order=2, method="curvature", power=power)
         np.testing.assert_allclose(closed[2], -(power / 3.0) * ricci_frame, atol=1e-15)
-        numeric = geometry.sqrt_g_jet(sphere, q, max_order=2, method="numeric", power=power)
-        assert float(numeric[0]) == pytest.approx(1.0, abs=1e-9)
-        np.testing.assert_allclose(numeric[1], 0.0, atol=1e-6)
-        np.testing.assert_allclose(numeric[2], closed[2], atol=1e-5)
+        for model, point in reference_cases(sphere):
+            numeric = geometry.sqrt_g_jet(model, point, max_order=4, method="numeric", power=power)
+            closed = geometry.sqrt_g_jet(model, point, max_order=4, power=power)
+            for k, atol in enumerate(opaque if model.metric_exprs is None else exact):
+                np.testing.assert_allclose(numeric[k], closed[k], rtol=0, atol=atol, err_msg=f"{model.name} {k}")
 
 
 def test_sqrt_g_jet_rejects_unknown_method(sphere):
@@ -265,10 +305,11 @@ def test_connection_jets_vanish_along_rays():
 
 
 def test_normal_coordinate_series_match_integrated_geodesics():
-    # An oracle independent of the curvature expansion: geodesics and their
-    # Jacobians from q are integrated to 1e-13, the metric, three powers of
-    # the density and a tensor are pulled back to normal coordinates, and
-    # their Taylor coefficients along rays are read off polynomial fits.
+    # An oracle independent of the curvature expansion and of the exp-map
+    # series: geodesics and their Jacobians from q are integrated to 1e-13,
+    # the endpoints are taken, the metric, three powers of the density and a
+    # tensor are pulled back to normal coordinates, and their Taylor
+    # coefficients along rays are read off polynomial fits.
     from numpy.polynomial import chebyshev
     from scipy.integrate import solve_ivp
 
@@ -284,6 +325,8 @@ def test_normal_coordinate_series_match_integrated_geodesics():
 
     entries = {(0, 0): "cos(theta)", (0, 1): "0.3*sin(phi)", (1, 1): "1 + phi"}
     X = tensor_from_fields(2, 2, lambda idx: from_expression(entries[idx], TORUS_NAMES))
+    endpoint = numdiff.expand(geometry.exp_series(TORUS, q, 4), 2, 4)
+    endpoint[0] = endpoint[0] + q
     metric_series = geometry.normal_metric_series(TORUS, q, 4)
     powers = (-0.5, 1.0, -1.0)
     density = [geometry.sqrt_g_jet(TORUS, q, 4, power=power) for power in powers]
@@ -301,15 +344,15 @@ def test_normal_coordinate_series_match_integrated_geodesics():
             Ji = np.linalg.inv(J)
             pulled = Ji @ X.evaluate(y[:2]).real @ Ji.T
             densities = [np.linalg.det(g) ** (power / 2.0) for power in powers]
-            samples.append(np.concatenate([g.ravel(), densities, pulled.ravel()]))
+            samples.append(np.concatenate([y[:2], g.ravel(), densities, pulled.ravel()]))
         fits = chebyshev.chebfit(nodes / half, np.array(samples), 14)
         poly = np.array([np.pad(chebyshev.cheb2poly(fits[:, i]), (0, 4))[:5] for i in range(fits.shape[1])])
         for k in range(5):
-            along = [numdiff.expand(metric_series.jet, 2, 4)[k], *[jets[k] for jets in density], coeff[k]]
+            along = [endpoint[k], numdiff.expand(metric_series.jet, 2, 4)[k], *[jets[k] for jets in density], coeff[k]]
             for _ in range(k):
                 along = [a @ u for a in along]
             got = math.factorial(k) * poly[:, k] / half**k
-            want = np.concatenate([along[0].ravel(), along[1:4], along[4].real.ravel()])
+            want = np.concatenate([along[0], along[1].ravel(), along[2:5], along[5].real.ravel()])
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
 
 
@@ -347,7 +390,7 @@ def test_covariant_derivative_index_order(sphere):
     q = np.array([1.2, -0.6])
     gamma = christoffel(sphere, q)
     vec = np.array([V(q), W(q)])
-    partials = np.array([[c.partial(e)(q) for e in range(2)] for c in comps])
+    partials = np.array([[partial(c, e)(q) for e in range(2)] for c in comps])
     want = partials + np.einsum("aeg,g->ae", gamma, vec)
     vector = tensor_from_fields(2, 1, lambda idx: comps[idx[0]])
     got = geometry.covariant_jets(sphere, vector, 1, q, 0, 1)[1][..., 0]
@@ -375,16 +418,15 @@ def test_covariant_divergence_rejects_scalars(sphere):
 
 
 def test_pullback_jet_matches_frame_covariant_derivatives(sphere):
-    psi = from_expression("sin(theta)*cos(phi) + 0.3*cos(theta)", ("theta", "phi"))
-    q = np.array([1.2, 0.7])
-    jets = geometry.pullback_jet(sphere, psi, q, max_order=2)
-    for order in range(3):
-        want = geometry.sym_cov_deriv_in_frame(sphere, psi, q, order)
-        np.testing.assert_allclose(
-            np.asarray(jets[order], dtype=complex),
-            np.asarray(want, dtype=complex),
-            atol=1e-6,
-        )
+    # d^k (psi o exp_q)(0) = Sym nabla^k psi for a torsion-free connection:
+    # the series checks the covariant cascade against the connection's own
+    # geodesics, on the opaque sphere through the same finite-difference jets
+    for model, q in reference_cases(sphere):
+        psi = from_expression("sin(theta)*cos(phi) + 0.3*cos(theta)", model.coordinate_names)
+        jets = geometry.pullback_jet(model, psi, q, max_order=4)
+        for order in range(5):
+            want = geometry.sym_cov_deriv_in_frame(model, psi, q, order)
+            np.testing.assert_allclose(jets[order], want, rtol=0, atol=1e-14, err_msg=f"{model.name} {order}")
 
 
 def test_covariant_derivative_reduces_to_partials_on_flat_space():
@@ -443,8 +485,8 @@ def test_expression_geometry_matches_closed_forms(name, q, closed):
 
 def test_christoffel_field_partials_are_exact(sphere):
     gamma = sphere._fields["gamma"]
-    d_theta, d_phi = gamma.partial(0), gamma.partial(1)
-    d_theta_theta = d_theta.partial(0)
+    d_theta, d_phi = partial(gamma, 0), partial(gamma, 1)
+    d_theta_theta = partial(d_theta, 0)
     for theta in (0.6, 1.1, 2.3):
         q = np.array([theta, 0.4])
         first, second = d_theta.evaluate(q), d_theta_theta.evaluate(q)
@@ -484,8 +526,8 @@ def test_opaque_metric_falls_back_to_finite_differences(sphere):
     for q in (np.array([1.1, 0.4]), np.array([2.0, -1.3])):
         for quantity in (geometry.inverse_metric, christoffel, geometry.ricci, geometry.riemann):
             np.testing.assert_allclose(quantity(opaque, q), quantity(sphere, q), rtol=0, atol=1e-6)
-        ginv_fd = geometry.inverse_metric_field(opaque).partial(0).evaluate(q)[1, 1]
-        ginv_exact = geometry.inverse_metric_field(sphere).partial(0).evaluate(q)[1, 1]
+        ginv_fd = partial(geometry.inverse_metric_field(opaque), 0).evaluate(q)[1, 1]
+        ginv_exact = partial(geometry.inverse_metric_field(sphere), 0).evaluate(q)[1, 1]
         assert abs(ginv_fd - ginv_exact) < 1e-6
 
 
@@ -552,26 +594,7 @@ def test_three_dimensional_levels_on_a_point_array_equal_single_points():
 
 
 # ---------------------------------------------------------------------------
-# stacks of tangent vectors and pinned finite-difference references
-
-VECTORS = np.array([[0.0, 0.0], [0.3, -0.2], [-0.05, 0.4], [1e-3, 0.0], [0.7, 0.9]])
-
-
-@pytest.mark.parametrize("name", ["sphere:1.0", "sphere:2.0", "euclidean:2"])
-def test_exp_map_on_a_stack_equals_single_calls(name):
-    model = geometry.manifold(name)
-    q = np.array([1.1, 0.4])
-    for fn in (geometry.exp_map, geometry.exp_jacobian):
-        stacked = fn(model, q, VECTORS)
-        want = np.stack([fn(model, q, v) for v in VECTORS])
-        assert stacked.shape == want.shape and stacked.tobytes() == want.tobytes()
-
-
-def test_exp_map_without_closed_form_geodesics_raises(sphere):
-    opaque = opaque_sphere(sphere)
-    for model in (geometry.manifold("polar-plane"), opaque):
-        with pytest.raises(PhasequantError, match=model.name):
-            geometry.exp_map(model, np.array([1.1, 0.4]), VECTORS[1])
+# point stacks
 
 
 def test_opaque_metric_on_a_point_stack_equals_single_calls(sphere):
@@ -584,39 +607,3 @@ def test_opaque_metric_on_a_point_stack_equals_single_calls(sphere):
             stacked = fn(model, points)
             want = np.stack([fn(model, x) for x in points])
             assert stacked.shape == want.shape and stacked.tobytes() == want.tobytes()
-
-
-def _sha256(arr) -> str:
-    return hashlib.sha256(np.ascontiguousarray(np.asarray(arr) + 0.0).tobytes()).hexdigest()
-
-
-# SHA-256 of the bytes of each jet, negative zeros folded to +0.  Finite
-# differences nested in finite differences amplify a changed last bit of the
-# geodesic or metric values by about 1e8, so these pins catch any change in
-# the arithmetic of the references.
-NUMERIC_DENSITY_JET_SHA256 = [
-    "b63488cbb2b25e131797410b3e48ca96aba0a55dce8668ad332eb7472f7aee9b",
-    "cd6866ed0bb46b57f9d74af975fe06af7bb3409d33bf77cb6f65a750ab8815d7",
-    "31505d0d18775565fb4403f640416f8dc868f7223dbc9b7ba27347322da74947",
-]
-PULLBACK_JET_SHA256 = [
-    "8373b80abe61de1f8e46cd6b7da944d5e814fe56e8c709afab27b6e40ded4e8d",
-    "f073e59c23193fb9c24e2af3283584e3fb532679c7930716974b11b0865f042c",
-    "366ccfd97ab7e4fdca89bf9c46fcb10a1bbb37fe71c0d8fa203cbb6e3cf6771b",
-    "ea4c1a5736b1482a4c23d9211f3e024bd0d41e8af0a7b9486b82fa19a5f4288d",
-]
-
-
-def test_numeric_density_jet_is_bit_identical_to_pointwise_evaluation():
-    """Pins the values of the finite-difference density jet on the unit sphere."""
-    jets = geometry.sqrt_g_jet(geometry.manifold("sphere:1"), np.array([1.1, 0.4]), 2, method="numeric")
-    assert [_sha256(jet) for jet in jets] == NUMERIC_DENSITY_JET_SHA256
-
-
-def test_pullback_jet_is_bit_identical_to_pointwise_evaluation():
-    """Pins the values of the finite-difference pullback jet at the field and
-    point of the curved-defect experiment's pullback-vs-covariant check."""
-    model = geometry.manifold("sphere:1")
-    psi = from_expression("sin(theta)*cos(phi) + 0.3*cos(theta)", model.coordinate_names)
-    jets = geometry.pullback_jet(model, psi, np.array([1.1, 0.4]), 3)
-    assert [_sha256(jet) for jet in jets] == PULLBACK_JET_SHA256

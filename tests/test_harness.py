@@ -302,13 +302,15 @@ def test_report_files_written(tmp_path, reports):
 # frequencies and two real matmuls, in place of one nodes x frequencies cosine
 # table: raw-kernel-trace moved from 3.576983e-11 to 3.577050e-11, entry-oracle
 # from 2.2e-16 to 1.1e-16, and the smeared-trace values by at most 6.3e-14
-# relative.  The curved-defect files were last re-recorded when the
-# finite-difference density reference took numpy's vector functions, which
-# moved density-jet-ricci at rounding level.
+# relative.  The curved-defect JSON and records were last re-recorded when the
+# density and pullback references became compositions with the exp map's
+# power series in place of finite differences of finite differences:
+# density-jet-ricci moved from 2.3220268946522182e-07 to 3.3e-16 and
+# pullback-vs-covariant from 2.4602232112647116e-08 to 2.3e-16.
 REPORT_SHA256 = {
     "curved-defect-defect_vs_p.csv": "46e41d2e8b5d69398cac653df6e10a5f3eb456afaf7c86996dba271612b4492c",
-    "curved-defect-records.csv": "067d51846132f23b3db453bf3f48e1e986ac6cb19ebd4544a799ba86fbf7da48",
-    "curved-defect.json": "8774ddbe82e8529c952ef70d7df8bd86751d62cc4de92019e9b53b0c767b86cf",
+    "curved-defect-records.csv": "381f10e9a465b89ef422aaa8269edb7b75009490b39ceef9e2a8b8b19f35426c",
+    "curved-defect.json": "e528302483bdf5a389c683b5785d4da525be368817d1d63337b34b2f9cf8707b",
     "cylinder-axioms-records.csv": "a6f1d39b15b5d588de36aa246490b8ee2ce9dc06e061ebffe69fb5f1fa0465e0",
     "cylinder-axioms-reproduction_vs_m.csv": "a9acbf799ee464a72dcf57c3af330539fc6d58c2de2cee114f6ac869e62f2a86",
     "cylinder-axioms-smeared_trace_vs_K.csv": "88797e7c3b3943db262dcac1ce3e49c0b2fa1114506ba6c8f2a37d4f7b88cd89",
