@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import math
 
@@ -427,6 +428,42 @@ def test_pullback_jet_matches_frame_covariant_derivatives(sphere):
         for order in range(5):
             want = geometry.sym_cov_deriv_in_frame(model, psi, q, order)
             np.testing.assert_allclose(jets[order], want, rtol=0, atol=1e-14, err_msg=f"{model.name} {order}")
+
+
+def _sha256(arr) -> str:
+    return hashlib.sha256(np.ascontiguousarray(np.asarray(arr) + 0.0).tobytes()).hexdigest()
+
+
+# SHA-256 of the bytes of each series jet, negative zeros folded to +0.  The
+# tolerance tests above bound the series against the curvature path; these
+# pins catch any change in the arithmetic of the references, which moves the
+# curved-defect report's values without moving them past a tolerance.
+NUMERIC_DENSITY_JET_SHA256 = [
+    "6c3c396ed6b5c36dcae172271f462051b1266b851e92df3deea8ac65478fd712",
+    "374708fff7719dd5979ec875d56cd2286f6d3cf7ec317a3b25632aab28ec37bb",
+    "11f129ecde43dfd67b6e81c7a71e77524daa69329c3e5ae1195293e7686d791a",
+]
+PULLBACK_JET_SHA256 = [
+    "8373b80abe61de1f8e46cd6b7da944d5e814fe56e8c709afab27b6e40ded4e8d",
+    "3bda58a8d5a98961b8406d9e1f24ff507e5dd9c32e3ba32e6987f8c1e103cd71",
+    "7b1c0f4d4b5a8b6d5d261fde73155e932672548d1bf3a3e677ece452ceff9f39",
+    "2222f0a1ff0d3f079526ac603adfa03b3bbb84f8bdcc29e6ecfacca7e4fbeb24",
+]
+
+
+def test_numeric_density_jet_is_bit_identical_to_pointwise_evaluation():
+    """Pins the values of the exp-series density jet on the unit sphere."""
+    jets = geometry.sqrt_g_jet(geometry.manifold("sphere:1"), np.array([1.1, 0.4]), 2, method="numeric")
+    assert [_sha256(jet) for jet in jets] == NUMERIC_DENSITY_JET_SHA256
+
+
+def test_pullback_jet_is_bit_identical_to_pointwise_evaluation():
+    """Pins the values of the exp-series pullback jet at the field and point
+    of the curved-defect experiment's pullback-vs-covariant check."""
+    model = geometry.manifold("sphere:1")
+    psi = from_expression("sin(theta)*cos(phi) + 0.3*cos(theta)", model.coordinate_names)
+    jets = geometry.pullback_jet(model, psi, np.array([1.1, 0.4]), 3)
+    assert [_sha256(jet) for jet in jets] == PULLBACK_JET_SHA256
 
 
 def test_covariant_derivative_reduces_to_partials_on_flat_space():
