@@ -31,6 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_hbar
+
 # Least half-width of the Hermite quadrature window, in units of sqrt(hbar).
 HERMITE_HALF_WIDTH = 10.0
 # Newton on the Legendre recurrence stops once no node moves by more than
@@ -221,10 +223,14 @@ class HermiteBasis:
 
     ``h_k(x) = hbar^(-1/4) P_k(x / sqrt(hbar)) exp(-x^2 / (2 hbar))`` with
     ``P_k`` the orthonormal Hermite polynomials; these diagonalize the
-    harmonic oscillator at scale ``hbar``.
+    harmonic oscillator at scale ``hbar``, which must be positive and finite
+    (:class:`~phasequant.errors.ConfigError` at construction otherwise).
     """
 
     hbar: float = 1.0
+
+    def __post_init__(self):
+        check_hbar(self.hbar)
 
     def resolving_nodes(self, K: int) -> int:
         return 4 * K  # h_K has K zeros, in a window that widens with K

@@ -51,7 +51,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import geometry, numdiff, taylor
-from .errors import ConfigError, ShapeError, check_hbar
+from .errors import ConfigError, ShapeError, check_hbar, finite
 from .fields import TensorField, contract, scale
 from .geometry import ManifoldModel
 from .symbols import CovariantOperator, MomentumPolynomial, merge_terms, ordering_scheme, ordering_transform
@@ -194,15 +194,15 @@ def _coeff_jets(
 ) -> list[np.ndarray]:
     """Pullback jets of a contravariant coefficient tensor in normal coordinates.
 
-    The k-th jet is the frame components of the k-th covariant derivative,
-    less the connection terms of :func:`_ray_correction` (none on flat
-    models), symmetrized over its derivative axes.
+    The k-th jet is the frame components (the model's one ``geometry.frame``
+    at ``q``) of the k-th covariant derivative, less the connection terms of
+    :func:`_ray_correction` (none on flat models), symmetrized over its
+    derivative axes.
     """
-    rank = tensor.rank
-    E = geometry.normal_frame(model, q)
+    rank, basis = tensor.rank, geometry.frame(model, q)
     jets: list[np.ndarray] = []
     for k, level in enumerate(geometry.covariant_jets(model, tensor, rank, q, 0, order)):
-        jet = geometry.frame_components(level[..., 0], E, rank)
+        jet = geometry.frame_components(level[..., 0], basis, rank)
         if k >= 2 and rank and not model.flat:
             jet = jet - _ray_correction(gamma_jets, jets, rank, k)
         jets.append(numdiff.symmetrize(jet, axes=range(rank, rank + k)))
@@ -224,6 +224,7 @@ def _pairing_data(model: ManifoldModel, q: np.ndarray, D: CovariantOperator) -> 
     dim, order = model.dim, D.max_order
     # no jet read here needs the metric past ``order``: one remembered opaque metric_fn jet serves all
     model._fields["g"].jet(q, order)
+    E = geometry.normal_frame(model, q)  # the model's one frame at q, which every frame reader below shares
     gamma_jets = geometry.normal_christoffel_jets(model, q, max(order - 1, 0))
     coeff = {k: taylor.from_jets(dim, _coeff_jets(model, q, t, k, gamma_jets)) for k, t in D.terms.items()}
     h = taylor.from_jets(dim, geometry.sqrt_g_jet(model, q, order, power=-0.5))
@@ -231,8 +232,7 @@ def _pairing_data(model: ManifoldModel, q: np.ndarray, D: CovariantOperator) -> 
     gamma_jets = gamma_jets + [np.zeros((dim,) * (3 + k)) for k in range(len(gamma_jets), order + 1)]
     collected = _momentum_polynomial_series(h, taylor.from_jets(dim, gamma_jets), coeff, order)
     h_rev = taylor.negate_argument(h)
-    E = geometry.normal_frame(model, q)
-    for array in (E, h_rev.jet, sqrt_g.jet, *(series.jet for series in collected.values())):
+    for array in (h_rev.jet, sqrt_g.jet, *(series.jet for series in collected.values())):
         array.flags.writeable = False
     part = (E, h_rev, sqrt_g, collected)
     D._pairing = (model, key, part)
@@ -287,9 +287,13 @@ def _momentum_polynomial_series(
 
 
 def _momentum(model: ManifoldModel, p: np.ndarray) -> np.ndarray:
+    """``p`` as a float array of ``model.dim`` finite components; a wrong shape raises
+    :class:`ShapeError`, a NaN or infinite component :class:`ConfigError`."""
     p = np.atleast_1d(np.asarray(p, dtype=float))
     if p.shape != (model.dim,):
         raise ShapeError(f"expected a momentum of {model.dim} components, got shape {p.shape}")
+    if not all(map(finite, p.tolist())):
+        raise ConfigError(f"momentum components must be finite, got {p.tolist()}")
     return p
 
 
@@ -314,8 +318,9 @@ def dequantize_curved(
     Only the phase series, ``W`` and the final pairing sums depend on ``p``.
     The rest (:func:`_pairing_data`) the operator remembers at its last model
     and point, so a p-scan at one point builds it once; a momentum whose
-    shape is not ``(model.dim,)`` raises :class:`ShapeError` first, and an
-    ``hbar`` that is not positive and finite :class:`ConfigError`.
+    shape is not ``(model.dim,)`` raises :class:`ShapeError` first, and a
+    non-finite momentum component or an ``hbar`` that is not positive and
+    finite :class:`ConfigError`.
     """
     _check_variant(measure_variant)
     p = _momentum(model, p)
@@ -347,8 +352,8 @@ def axiom_defect(
     The symbol remembers the Weyl image it was given here at its last model
     (by identity), ``hbar`` and measure, and that image remembers its pairing
     at its last point (:func:`dequantize_curved`): a p-scan at one point
-    builds one image and one pairing.  A wrong momentum shape or ``hbar``
-    raises before either memo is read.
+    builds one image and one pairing.  A wrong momentum shape, a non-finite
+    momentum component or a bad ``hbar`` raises before either memo is read.
     """
     p = _momentum(model, p)
     check_hbar(hbar)

@@ -39,7 +39,7 @@ import numpy as np
 
 from .bases import FourierBasis, angle_grid, clenshaw_curtis, fourier_coefficients
 from .curved import wue_weyl_image
-from .errors import ConfigError, QuadratureAccuracyError, check_hbar, positive_finite
+from .errors import ConfigError, QuadratureAccuracyError, check_hbar, finite, positive_finite
 from .fields import TensorField, tensor_from_fields
 from .geometry import circle
 from .symbols import MomentumPolynomial, operator_matrix
@@ -64,6 +64,12 @@ SMEARING_NODES = 512
 def _check_truncation(K: int) -> None:
     if not isinstance(K, (int, np.integer)) or K < 1 or K > MAX_TRUNCATION:
         raise ConfigError(f"Fourier truncation must be an integer in [1, {MAX_TRUNCATION}], got {K}")
+
+
+def _check_angle(name: str, value: float) -> None:
+    """Raise :class:`ConfigError` unless the angle ``value`` is a finite number; any finite angle is valid."""
+    if not finite(value):
+        raise ConfigError(f"{name} must be a finite angle, got {value!r}")
 
 
 def _largest_frequency(s: np.ndarray) -> float:
@@ -316,6 +322,7 @@ def polynomial_reproduction_check(
 
 def periodic_test_function(center: float, width: float) -> Callable[[float], float]:
     """Smooth 2 pi-periodic bump ``exp((cos(theta - center) - 1)/width^2)``, peak 1."""
+    _check_angle("center", center)
     if not positive_finite(width):
         raise ConfigError(f"test-function width must be a positive finite number, got {width!r}")
 
@@ -406,6 +413,7 @@ def _discrete_transform(s: np.ndarray) -> np.ndarray:
 def discrete_quantizer(n: int, theta: float, K: int) -> np.ndarray:
     """Quantizer at lattice momentum ``n * hbar``: entries ``(1/pi) e^{i(k'-k)theta} I(k+k'-2n)``."""
     _check_truncation(K)
+    _check_angle("theta", theta)
     if not isinstance(n, (int, np.integer)):
         raise ConfigError(f"discrete mode requires an integer momentum index, got {n!r}")
     return _kernel(_discrete_transform(np.arange(-2 * K, 2 * K + 1) - 2 * n), theta, K)
@@ -447,6 +455,7 @@ def discrete_pair_trace_smeared(
     ``theta``; for ``n != n2`` it decays with K.
     """
     _check_truncation(K)
+    _check_angle("theta", theta)
     us = np.arange(-2 * K, 2 * K + 1)
     tcoef = fourier_coefficients(t(angle_grid(SMEARING_NODES)), 2 * K)
     total = _smeared_sum(_discrete_transform(us - 2 * n), _discrete_transform(us - 2 * n2), tcoef, theta, K)

@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the one check of hbar that
-every entry point taking it makes."""
+"""Exception types shared across the package, the domain predicates of numeric
+arguments, and the one check of hbar that every entry point taking it makes."""
 
 from __future__ import annotations
 
@@ -64,6 +64,11 @@ class ExperimentError(PhasequantError, RuntimeError):
 def positive_finite(value) -> bool:
     """A real number (not a bool) above 0 whose float is finite: no NaN, no inf, no int past the float range."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value <= sys.float_info.max
+
+
+def finite(value) -> bool:
+    """A real number (not a bool) whose float is finite: no NaN, no inf, no int past the float range."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
 
 
 def check_hbar(hbar) -> None:

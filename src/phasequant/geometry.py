@@ -29,6 +29,15 @@ forms with.  The metric series is a flat jet (``taylor.Series``); connection,
 density and pullback jets are returned as symmetric derivative arrays, one
 per order.
 
+Everything in normal coordinates is read in one orthonormal frame ``E`` at
+``q``.  A model remembers ``E`` and ``E^-1`` (:func:`frame`), read-only, at its
+last point, keyed by the point's shape and bytes; the memo takes no part in
+the model's equality, hashing or ``repr``.  So one pairing evaluates the
+metric, runs Gram-Schmidt and inverts ``E`` once, and every frame reader
+(:func:`frame_components` of the curvature levels, density jets, Ricci and
+covariant derivatives, the linear term of :func:`exp_series`, and the
+pairing's coefficient jets) takes the same pair.
+
 Conventions:
 
 * curvature: ``R^r_{s m n} = d_m Gamma^r_{n s} - d_n Gamma^r_{m s}
@@ -43,7 +52,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from typing import Callable
 
@@ -86,6 +95,8 @@ class ManifoldModel:
     metric_fn: Callable[[np.ndarray], np.ndarray] | None = None
     metric_exprs: tuple[tuple[Expr, ...], ...] | None = None
     flat: bool = False
+    # ((shape, bytes) of the last point, (E, E^-1) there), read-only, replaced as one (see :func:`frame`)
+    _frame: tuple = field(default=(None, None), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if (self.metric_fn is None) == (self.metric_exprs is None):
@@ -296,15 +307,10 @@ def scalar_curvature(model: ManifoldModel, q: np.ndarray) -> float:
 # normal frames and normal coordinates
 
 
-def normal_frame(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
-    """Orthonormal frame at ``q`` as a matrix ``E`` with ``E[:, a] = e_a``.
-
-    Gram-Schmidt over the chart basis vectors in chart-index order, so for
-    diagonal metrics ``E`` is the diagonal rescaling ``1/sqrt(g_aa)``.
-    Satisfies ``E^T g E = identity``.
-    """
-    g = metric(model, q)
-    dim = model.dim
+def _gram_schmidt(g: np.ndarray) -> np.ndarray:
+    """The orthonormal frame of the metric value ``g``: Gram-Schmidt over the
+    chart basis vectors in chart-index order."""
+    dim = len(g)
     E = np.zeros((dim, dim))
     for a in range(dim):
         w = np.zeros(dim)
@@ -316,16 +322,43 @@ def normal_frame(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
     return E
 
 
-def frame_components(arr: np.ndarray, E: np.ndarray, upper: int) -> np.ndarray:
-    """Components of a tensor in the orthonormal frame ``E``; the first
-    ``upper`` axes are contravariant, the others covariant."""
-    Einv = np.linalg.inv(E)
+def frame(model: ManifoldModel, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The orthonormal frame ``E`` at ``q`` (:func:`normal_frame`) and its inverse,
+    both read-only.  The model remembers the pair at its last point, keyed by
+    shape and bytes, so every reader at one point shares one metric evaluation,
+    one Gram-Schmidt and one inverse."""
+    q = np.asarray(q, dtype=float)
+    key, (last, pair) = (q.shape, q.tobytes()), model._frame
+    if key != last:
+        E = _gram_schmidt(metric(model, q))
+        pair = (E, np.linalg.inv(E))
+        for array in pair:
+            array.flags.writeable = False
+        object.__setattr__(model, "_frame", (key, pair))
+    return pair
+
+
+def normal_frame(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
+    """Orthonormal frame at ``q`` as a read-only matrix ``E`` with ``E[:, a] = e_a``.
+
+    Gram-Schmidt over the chart basis vectors in chart-index order, so for
+    diagonal metrics ``E`` is the diagonal rescaling ``1/sqrt(g_aa)``.
+    Satisfies ``E^T g E = identity``.
+    """
+    return frame(model, q)[0]
+
+
+def frame_components(arr: np.ndarray, basis: tuple[np.ndarray, np.ndarray], upper: int) -> np.ndarray:
+    """Components of a tensor in the orthonormal frame ``basis = (E, E^-1)`` of
+    :func:`frame`; the first ``upper`` axes are contravariant, the others covariant."""
+    E, Einv = basis
     out = arr
-    for axis in range(out.ndim):
+    for axis in range(arr.ndim):
+        order = (*range(1, axis + 1), 0, *range(axis + 1, arr.ndim))  # the new axis 0 back to ``axis``
         if axis < upper:
-            out = np.moveaxis(np.tensordot(Einv, out, axes=([1], [axis])), 0, axis)
+            out = np.tensordot(Einv, out, axes=([1], [axis])).transpose(order)
         else:
-            out = np.moveaxis(np.tensordot(E, out, axes=([0], [axis])), 0, axis)
+            out = np.tensordot(E, out, axes=([0], [axis])).transpose(order)
     return out
 
 
@@ -375,9 +408,9 @@ def exp_series(model: ManifoldModel, q: np.ndarray, order: int) -> np.ndarray:
 def _frame_riemann(model: ManifoldModel, q: np.ndarray, count: int) -> list[np.ndarray]:
     """Frame components of ``R``, ``nabla R`` and ``nabla nabla R`` at ``q``
     (the first ``count`` of them), axes ``[r, s, m, n]`` then derivative axes."""
-    E = normal_frame(model, q)
+    basis = frame(model, q)
     levels = covariant_jets(model, model._fields["riemann"], 1, q, 0, count - 1)
-    return [frame_components(level[..., 0].real, E, 1) for level in levels]
+    return [frame_components(level[..., 0].real, basis, 1) for level in levels]
 
 
 def normal_metric_series(model: ManifoldModel, q: np.ndarray, order: int) -> taylor.Series:
@@ -435,7 +468,7 @@ def normal_christoffel_jets(model: ManifoldModel, q: np.ndarray, order: int) -> 
 
 def ricci_in_frame(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
     """Ricci tensor contracted into the orthonormal normal frame."""
-    return frame_components(ricci(model, q), normal_frame(model, q), 0)
+    return frame_components(ricci(model, q), frame(model, q), 0)
 
 
 def sqrt_g_jet(
@@ -488,11 +521,10 @@ def sqrt_g_jet(
         return numdiff.expand(det[0] ** (power / 2.0) * total, dim, max_order)
     if model.flat:
         return [np.ones(()) if k == 0 else np.zeros((dim,) * k) for k in range(max_order + 1)]
-    E = normal_frame(model, q)
-    jets = [np.ones(()), np.zeros((dim,))]
+    basis, jets = frame(model, q), [np.ones(()), np.zeros((dim,))]
     for k in range(2, max_order + 1):
         values = density_jet_fields(model, k, power).evaluate(q).real
-        jets.append(numdiff.symmetrize(frame_components(values, E, 0)))
+        jets.append(numdiff.symmetrize(frame_components(values, basis, 0)))
     return jets[: max_order + 1]
 
 
@@ -554,7 +586,7 @@ def sym_cov_deriv_in_frame(
     model: ManifoldModel, psi: TensorField, q: np.ndarray, order: int
 ) -> np.ndarray:
     """Symmetrized covariant derivative contracted with the normal frame."""
-    return frame_components(sym_cov_deriv(model, psi, q, order), normal_frame(model, q), 0)
+    return frame_components(sym_cov_deriv(model, psi, q, order), frame(model, q), 0)
 
 
 def covariant_divergence(model: ManifoldModel, tensor: TensorField) -> TensorField:

@@ -1,10 +1,11 @@
 """Library code raises only the package's own error types.
 
 Each case below is one ``raise`` site in ``numdiff``, ``fields``, ``taylor``,
-``geometry.covariant_divergence``, the curved pairing, the check of hbar at
-the curved, cylinder and flat Weyl entry points, the smearing widths of the cylinder and
-the harness check declaration;
-every one raises a :class:`PhasequantError` that is still a ``ValueError``.
+``geometry.covariant_divergence``, the curved pairing and its momentum, the
+check of hbar at the curved, cylinder, flat Weyl and Hermite-basis entry
+points, the smearing widths and angles of the cylinder and the harness check
+declaration; every one raises a :class:`PhasequantError` that is still a
+``ValueError``.
 """
 
 import math
@@ -12,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from phasequant import curved, cylinder, fields, flat_weyl, geometry, harness, numdiff, taylor
+from phasequant import bases, curved, cylinder, fields, flat_weyl, geometry, harness, numdiff, taylor
 from phasequant.errors import ConfigError, PhasequantError, ShapeError
 from phasequant.symbols import CovariantOperator, ordering_scheme, symbol_from_config
 
@@ -49,6 +50,11 @@ CASES = {
         SPHERE, curved.wue_weyl_image(SPHERE, KINETIC), np.ones(3), Q
     ),
     "curved-defect-momentum-shape": lambda: curved.axiom_defect(SPHERE, KINETIC, np.ones(3), Q),
+    "curved-momentum-nan": lambda: curved.dequantize_curved(
+        SPHERE, curved.wue_weyl_image(SPHERE, KINETIC), np.array([0.3, math.nan]), Q
+    ),
+    "curved-defect-momentum-inf": lambda: curved.axiom_defect(SPHERE, KINETIC, np.array([math.inf, 0.3]), Q),
+    "curved-defect-momentum-minus-inf": lambda: curved.axiom_defect(SPHERE, KINETIC, [0.3, -math.inf], Q),
     "curved-hbar-zero": lambda: curved.dequantize_curved(
         SPHERE, curved.wue_weyl_image(SPHERE, KINETIC), np.ones(2), Q, hbar=0.0
     ),
@@ -68,6 +74,15 @@ CASES = {
         0.4, 0.9, CHI, 8, 1.0, p_width=-0.8, **SMEARING
     ),
     "cylinder-test-function-width-nan": lambda: cylinder.periodic_test_function(0.9, math.nan),
+    "cylinder-test-function-center-nan": lambda: cylinder.periodic_test_function(math.nan, 0.5),
+    "cylinder-test-function-center-inf": lambda: cylinder.periodic_test_function(math.inf, 0.5),
+    "cylinder-discrete-quantizer-theta-nan": lambda: cylinder.discrete_quantizer(2, math.nan, 8),
+    "cylinder-discrete-pair-trace-theta-inf": lambda: cylinder.discrete_pair_trace(2, 2, 0.7, math.inf, 8),
+    "cylinder-discrete-smeared-theta-nan": lambda: cylinder.discrete_pair_trace_smeared(
+        2, 2, math.nan, cylinder.periodic_test_function(0.9, 0.5), 8
+    ),
+    "bases-hermite-hbar-zero": lambda: bases.HermiteBasis(hbar=0.0),
+    "bases-hermite-hbar-nan": lambda: bases.HermiteBasis(hbar=math.nan),
     "flat-trace-hbar-zero": lambda: flat_weyl.flat_trace(0.4, 0.2, 8, 0.0),
     "flat-trace-hbar-negative": lambda: flat_weyl.flat_trace(0.4, 0.2, 8, -1.0),
     "flat-trace-hbar-nan": lambda: flat_weyl.flat_trace(0.4, 0.2, 8, math.nan),
@@ -104,6 +119,22 @@ def test_a_momentum_of_the_wrong_shape_is_refused_before_any_pairing_work():
             curved.dequantize_curved(SPHERE, D, p, Q)
         with pytest.raises(ShapeError):
             curved.axiom_defect(SPHERE, f, p, Q)
+
+
+def test_a_non_finite_momentum_is_refused_before_any_pairing_work():
+    f = symbol_from_config(SPHERE, {"coefficient": "inverse-metric", "degree": 2})
+    D = curved.wue_weyl_image(SPHERE, f)
+    bad = (np.array([math.inf, 0.3]), np.array([0.3, -math.inf]), np.array([math.nan, math.nan]))
+    for filled in (False, True):  # neither an empty nor a filled memo is read
+        for p in bad:
+            with pytest.raises(ConfigError, match="momentum"):
+                curved.dequantize_curved(SPHERE, D, p, Q)
+            with pytest.raises(ConfigError, match="momentum"):
+                curved.axiom_defect(SPHERE, f, p, Q)
+        if not filled:
+            assert D._pairing == (None, None, None) and f._image == (None, None, None, None)
+        for p in (np.zeros(2), np.array([-1.0, 0.0])):  # zero and negative momenta are valid
+            assert abs(curved.axiom_defect(SPHERE, f, p, Q) - 2.0 / 3.0) <= 1e-12
 
 
 @pytest.mark.parametrize("hbar", [0.0, -1.0, math.inf, -math.inf, math.nan, True, "1.0"])
