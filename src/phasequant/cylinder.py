@@ -21,7 +21,11 @@ matmuls for the rest, never a nodes x frequencies table (see
 :func:`_cosine_integral`).  A smeared pair trace's two transforms depend on
 its lattice (``K``, ``p``, ``p_center``, ``p_width``, ``hbar``) and not on
 its angles, so the cutoff remembers the last pair, one read-only entry: a
-series of test-function centers on one lattice transforms once.
+series of test-function centers on one lattice transforms once.  When the
+pair shares its frequencies (``p_center == p``), the plain and the
+envelope-weighted transition integrals share one rule, one set of phase
+tables and one evaluation of the cutoff at the nodes
+(:meth:`CutoffFamily.transform_pair`).
 
 The discrete quantizer at momentum ``n * hbar``, the kernel of the closed-form
 indicator transform (:func:`_discrete_transform`), is the limit of the
@@ -81,8 +85,10 @@ def _largest_frequency(s: np.ndarray) -> float:
 
 
 def _cosine_integral(weight: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, s: np.ndarray) -> np.ndarray:
-    """``int_lo^hi weight(x) cos(s x) dx`` at every frequency of ``s``.
+    """``int_lo^hi weight(x) cos(s x) dx`` at every frequency of ``s``, for each weight of a stack.
 
+    ``weight`` maps the nodes to one row of values or to a stack of rows
+    (nodes last); the result is stacked the same way over ``s``'s shape.
     The coarse Clenshaw-Curtis rule has ``n = RULE_NODE_STEP + ceil((hi - lo)
     * max|s| / 2)`` intervals rounded up to a multiple of ``RULE_NODE_STEP``;
     the fine rule has ``2n``, and its ``2n + 1`` nodes hold the coarse rule's.
@@ -92,9 +98,10 @@ def _cosine_integral(weight: Callable[[np.ndarray], np.ndarray], lo: float, hi: 
     shifted integer lattice), ``sum_n w_n cos(s x_n) = Re T_w(a, r) - eps
     Im T_{wx}(a, r) + O((eps x)^2)`` with ``T_v(a, r) = sum_n v_n e^{i a x_n}
     e^{i r x_n}``: exact phases at the anchors and the steps (Van Loan,
-    *Computational Frameworks for the FFT*, 1992, 1.4), two real matmuls for
-    both rules.  The fine values are returned when the two agree to
-    :data:`QUAD_TOLERANCE`.
+    *Computational Frameworks for the FFT*, 1992, 1.4), built once for the
+    stack, then two real matmuls for both rules per weight, of one shape
+    however many weights there are.  The fine values are returned when the
+    two agree to :data:`QUAD_TOLERANCE`, for every weight in turn.
     """
     s_max = _largest_frequency(s)
     half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
@@ -110,8 +117,7 @@ def _cosine_integral(weight: Callable[[np.ndarray], np.ndarray], lo: float, hi: 
     weights = np.zeros((2, 2 * nodes + 1))
     weights[0, ::2], weights[1] = clenshaw_curtis(nodes)[1], fine_weights
     x = mid + half * u
-    v = half * weight(x) * weights
-    v = np.stack([v, v * x])[:, :, None]  # (w, w x) x (coarse, fine) x 1 x nodes
+    values = half * weight(x)[..., None, :] * weights  # stack x (coarse, fine) x nodes
     freq = s.reshape(-1)
     whole = np.floor(freq)
     block = _PHASE_BLOCK * np.floor(whole / _PHASE_BLOCK)
@@ -121,16 +127,24 @@ def _cosine_integral(weight: Callable[[np.ndarray], np.ndarray], lo: float, hi: 
     step = (whole - block).astype(int)
     eps = freq - key - step
     ax, rx = np.outer(anchors, x), np.outer(np.arange(_PHASE_BLOCK), x)
-    cos_r, sin_r = np.cos(rx), np.sin(rx)
-    # Re T_w = sum w (cos ax cos rx - sin ax sin rx), Im T_wx = sum w x (sin ax cos rx + cos ax sin rx)
-    t = (v * np.stack([cos_r, sin_r])[:, None]).reshape(-1, x.size) @ np.cos(ax).T
-    t += (v * np.stack([-sin_r, cos_r])[:, None]).reshape(-1, x.size) @ np.sin(ax).T
-    re_w, im_wx = t.reshape(2, 2, _PHASE_BLOCK, anchors.size)[:, :, step, group]
-    coarse, fine = re_w - eps * im_wx
-    gap = float(np.max(np.abs(fine - coarse), initial=0.0))
-    if gap > QUAD_TOLERANCE:
-        raise QuadratureAccuracyError(gap, QUAD_TOLERANCE)
-    return fine.reshape(s.shape)
+    cos_r, sin_r, cos_a, sin_a = np.cos(rx), np.sin(rx), np.cos(ax).T, np.sin(ax).T
+    terms = np.empty((2, 2, _PHASE_BLOCK, x.size))  # (w, w x) x (coarse, fine) x steps x nodes
+    out = np.empty(values.shape[:-2] + (freq.size,))
+    for index in np.ndindex(out.shape[:-1]):
+        v = np.stack([values[index], values[index] * x])[:, :, None]
+        # Re T_w = sum w (cos ax cos rx - sin ax sin rx), Im T_wx = sum w x (sin ax cos rx + cos ax sin rx)
+        np.multiply(v[0], cos_r, out=terms[0])
+        np.multiply(v[1], sin_r, out=terms[1])
+        t = terms.reshape(-1, x.size) @ cos_a
+        np.negative(np.multiply(v[0], sin_r, out=terms[0]), out=terms[0])
+        np.multiply(v[1], cos_r, out=terms[1])
+        t += terms.reshape(-1, x.size) @ sin_a
+        re_w, im_wx = t.reshape(2, 2, _PHASE_BLOCK, anchors.size)[:, :, step, group]
+        coarse, out[index] = re_w - eps * im_wx
+        gap = float(np.max(np.abs(out[index] - coarse), initial=0.0))
+        if gap > QUAD_TOLERANCE:
+            raise QuadratureAccuracyError(gap, QUAD_TOLERANCE)
+    return out.reshape(out.shape[:-1] + s.shape)
 
 
 @dataclass(frozen=True)
@@ -144,7 +158,8 @@ class CutoffFamily:
     ``plateau == support`` and has a closed-form transform).
 
     ``value``, ``transform`` and ``weighted_transform`` accept a number or an
-    array (a number gives a float).  A transform integrates the transition
+    array (a number gives a float); ``transform_pair`` stacks a transform
+    and a weighted one.  A transform integrates the transition
     ``[plateau, support]`` (and, for ``weighted_transform``, the plateau)
     with one Clenshaw-Curtis rule for every frequency at once.  Its interval
     count grows with the interval length times the largest frequency (see
@@ -156,7 +171,11 @@ class CutoffFamily:
     16 steps and one anchor per block of 16 over the ``2n + 1`` fine nodes of
     a coarse rule of ``n`` intervals.  The rules come from
     :func:`~phasequant.bases.clenshaw_curtis`, cached per interval count:
-    closed-form nodes and one FFT for the weights.
+    closed-form nodes and one FFT for the weights.  A pair at equal
+    frequencies builds the transition's rule and phase tables once for both
+    of its weights, ``chi^2`` and ``chi^2`` times the envelope, and each
+    weight then takes the matmuls a lone transform takes, so both values
+    keep their bits.
 
     A cutoff remembers the transform pair of its last
     :func:`pair_trace_smeared_cyl` call, read-only; the memo takes no part in
@@ -204,16 +223,30 @@ class CutoffFamily:
             out[inside] = np.exp(1.0 - 1.0 / (1.0 - t * t))
         return float(out) if out.ndim == 0 else out
 
+    def _squared(self, x: np.ndarray) -> np.ndarray:
+        """``2 chi^2``, the weight of the cosine transform over the half line."""
+        return 2.0 * self.value(x) ** 2
+
+    def _plateau_transform(self, s: np.ndarray) -> np.ndarray:
+        """``int chi^2(xi) exp(i s xi) dxi`` over the plateau, in closed form."""
+        a = self.plateau
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(s == 0.0, 2.0 * a, 2.0 * np.sin(s * a) / s)
+
+    def _weighted_plateau_transform(self, s: np.ndarray, envelope: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        """``int chi^2(xi) envelope(xi) exp(i s xi) dxi`` over the plateau."""
+        total = np.zeros(s.shape)
+        total += _cosine_integral(lambda x: self._squared(x) * envelope(x), 0.0, self.plateau, s)
+        return total
+
     def transform(self, s: float | np.ndarray) -> float | np.ndarray:
         """Cosine transform ``int chi^2(xi) exp(i s xi) dxi`` (real and even in s);
         a non-finite frequency raises on every profile, the closed-form indicator's too."""
         s = np.asarray(s, dtype=float)
         _largest_frequency(s)
-        a, b = self.plateau, self.support
-        with np.errstate(divide="ignore", invalid="ignore"):
-            total = np.where(s == 0.0, 2.0 * a, 2.0 * np.sin(s * a) / s)
+        total = self._plateau_transform(s)
         if self.profile != "indicator":
-            total = total + _cosine_integral(lambda x: 2.0 * self.value(x) ** 2, a, b, s)
+            total = total + _cosine_integral(self._squared, self.plateau, self.support, s)
         return float(total) if total.ndim == 0 else total
 
     def weighted_transform(
@@ -225,11 +258,34 @@ class CutoffFamily:
         the array of its values.
         """
         s = np.asarray(s, dtype=float)
-        total = np.zeros(s.shape)
-        for lo, hi in ((0.0, self.plateau), (self.plateau, self.support)):
-            if hi > lo:
-                total += _cosine_integral(lambda x: 2.0 * self.value(x) ** 2 * envelope(x), lo, hi, s)
+        total = self._weighted_plateau_transform(s, envelope)
+        if self.profile != "indicator":
+            total += _cosine_integral(lambda x: self._squared(x) * envelope(x), self.plateau, self.support, s)
         return float(total) if total.ndim == 0 else total
+
+    def transform_pair(
+        self, s: np.ndarray, s_weighted: np.ndarray, envelope: Callable[[np.ndarray], np.ndarray]
+    ) -> np.ndarray:
+        """``transform(s)`` and ``weighted_transform(s_weighted, envelope)`` stacked, bit for bit.
+
+        When the two frequency arrays are equal, both transition integrals
+        are one :func:`_cosine_integral` of the stacked weights ``2 chi^2``
+        and ``2 chi^2 envelope``: one rule and one set of phase tables, and
+        ``chi`` evaluated once per node.
+        """
+        s, s_weighted = np.asarray(s, dtype=float), np.asarray(s_weighted, dtype=float)
+        if not np.array_equal(s, s_weighted) or self.profile == "indicator":
+            return np.stack([self.transform(s), self.weighted_transform(s_weighted, envelope)])
+        _largest_frequency(s)
+        plain, weighted = self._plateau_transform(s), self._weighted_plateau_transform(s, envelope)
+
+        def stacked(x: np.ndarray) -> np.ndarray:
+            squared = self._squared(x)
+            return np.stack([squared, squared * envelope(x)])
+
+        transition = _cosine_integral(stacked, self.plateau, self.support, s)
+        weighted += transition[1]
+        return np.stack([plain + transition[0], weighted])
 
 
 def __getattr__(name: str):
@@ -261,6 +317,7 @@ def quantizer_matrix_cyl(
     """Quantizer matrix ``(1/pi) e^{i(k'-k) theta} I(k + k' - 2p/hbar)``, |k|,|k'| <= K."""
     _check_truncation(K)
     check_hbar(hbar)
+    _check_angle("theta", theta)
     return _kernel(chi.transform(np.arange(-2 * K, 2 * K + 1) - 2.0 * p / hbar), theta, K)
 
 
@@ -288,9 +345,13 @@ def polynomial_reproduction_check(
     full index sum has the closed form ``e^{i d theta} P_d((2p/hbar - d)/2)``
     per band ``d`` (the cutoff's plateau kills every other Poisson term).  The
     residual therefore reflects operator-matrix quadrature, not the cutoff.
+    A ``theta`` or ``p`` that is not finite raises :class:`ConfigError`.
     """
     _check_truncation(K)
     check_hbar(hbar)
+    _check_angle("theta", theta)
+    if not finite(p):
+        raise ConfigError(f"momentum must be a finite number, got {p!r}")
     if m < 0:
         raise ConfigError(f"momentum degree must be >= 0, got {m}")
     model = circle()
@@ -366,13 +427,16 @@ def pair_trace_smeared_cyl(
     ``p_width`` and ``hbar`` only, so ``chi`` remembers the last pair, keyed
     by exactly those, and a call that repeats them (another ``theta`` or
     ``theta_center``, say) skips both transforms; its sum is the same
-    product and the same ``np.sum``, so the value keeps its bits.  The pair
-    is stored only once both transforms succeed.  An ``hbar``, ``p_width`` or
-    ``theta_width`` that is not positive and finite raises
-    :class:`ConfigError` before the memo is read.
+    product and the same ``np.sum``, so the value keeps its bits.  A miss
+    takes both from :meth:`CutoffFamily.transform_pair`, which integrates
+    their transitions together when ``p_center == p``.  The pair is stored
+    only once both transforms succeed.  An ``hbar``, ``p_width`` or
+    ``theta_width`` that is not positive and finite, or a ``theta`` that is
+    not finite, raises :class:`ConfigError` before the memo is read.
     """
     _check_truncation(K)
     check_hbar(hbar)
+    _check_angle("theta", theta)
     if not positive_finite(p_width):
         raise ConfigError(f"momentum width must be a positive finite number, got {p_width!r}")
     t = periodic_test_function(theta_center, theta_width)
@@ -385,10 +449,9 @@ def pair_trace_smeared_cyl(
             return amplitude * np.exp(-2.0 * (p_width * xi / hbar) ** 2)
 
         us = np.arange(-2 * K, 2 * K + 1)
-        ivals = chi.transform(us - 2.0 * p / hbar)
-        # kept as one new block: the two result arrays, kept as they are, sit between the transforms'
+        # one new block: the two result arrays, kept as they are, sit between the transforms'
         # freed temporaries and raised a perfbench cylinder pass's peak RSS by 0.1 MB
-        pair = np.stack([ivals, chi.weighted_transform(us - 2.0 * p_center / hbar, envelope)])
+        pair = chi.transform_pair(us - 2.0 * p / hbar, us - 2.0 * p_center / hbar, envelope)
         pair.setflags(write=False)
         object.__setattr__(chi, "_smeared", (key, pair))  # the dataclass is frozen
     tcoef = fourier_coefficients(t(angle_grid(SMEARING_NODES)), 2 * K)

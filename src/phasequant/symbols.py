@@ -127,6 +127,11 @@ def operator_matrix(model: ManifoldModel, D: CovariantOperator, basis, K: int) -
     weights times ``sqrt(g)`` at its nodes.  The integral is repeated at
     doubled resolution and must agree to :data:`QUADRATURE_TOLERANCE`,
     otherwise (a NaN entry included) :class:`QuadratureAccuracyError` is raised.
+    Each coefficient of ``D`` (and ``sqrt(g)`` on a model with a connection) is
+    evaluated once, on the coarse rule's nodes followed by the fine rule's, and
+    each Galerkin sum takes a contiguous copy of its own rule's slice: a point
+    array gives every point's single-point value bit for bit, and the rules
+    need not nest (Gauss-Legendre rules do not).
     Bases take partial derivatives, which are covariant ones on a connection-free
     model, and up to order one on any model; a model with a connection raises
     :class:`UnsupportedOrderError` for operators of higher order.
@@ -138,18 +143,20 @@ def operator_matrix(model: ManifoldModel, D: CovariantOperator, basis, K: int) -
             f"got order {order}"
         )
 
-    def assemble(nodes: int) -> np.ndarray:
-        points, weights = basis.quadrature(nodes, K)
-        # a constant metric has one determinant, broadcast over the nodes
-        vol = np.sqrt(np.linalg.det(geometry.metric(model, points[:1] if model.connection_free else points)))
-        coefficients = np.zeros((order + 1, len(points)), dtype=complex)
-        for r, tensor in D.terms.items():
-            coefficients[r] = tensor.evaluate(points)[(slice(None),) + (0,) * r]
-        return basis.galerkin(points, coefficients, weights * vol, K)
-
     nodes = max(QUADRATURE_NODES, basis.resolving_nodes(K))
-    coarse = assemble(nodes)
-    fine = assemble(2 * nodes)
+    rules = [basis.quadrature(n, K) for n in (nodes, 2 * nodes)]
+    points = np.concatenate([rule_points for rule_points, _ in rules])
+    split = len(rules[0][0])
+    # a constant metric has one determinant, broadcast over the nodes
+    det = np.linalg.det(geometry.metric(model, points[:1] if model.connection_free else points))
+    vol = np.broadcast_to(np.sqrt(det), len(points))
+    coefficients = np.zeros((order + 1, len(points)), dtype=complex)
+    for r, tensor in D.terms.items():
+        coefficients[r] = tensor.evaluate(points)[(slice(None),) + (0,) * r]
+    coarse, fine = (
+        basis.galerkin(rule_points, np.ascontiguousarray(coefficients[:, part]), weights * vol[part], K)
+        for part, (rule_points, weights) in zip((slice(None, split), slice(split, None)), rules)
+    )
     err = float(np.max(np.abs(fine - coarse)))
     if not err <= QUADRATURE_TOLERANCE:  # a NaN difference fails too
         raise QuadratureAccuracyError(err, QUADRATURE_TOLERANCE)

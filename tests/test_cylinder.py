@@ -295,6 +295,24 @@ def test_polynomial_reproduction(chi, m):
     assert residual < 1e-6
 
 
+# repr of polynomial_reproduction_check(cos(theta), m, 2, 0.7, default cutoff, 32)
+# for m = 0..4, as the residuals read before each coefficient of the operator
+# matrix was evaluated once over both of its rules
+REPRODUCTION_REPRS = [
+    "2.2887833992611187e-16",
+    "4.440892098500626e-16",
+    "1.3322676295501878e-15",
+    "1.9860273225978185e-15",
+    "2.3364326363345898e-14",
+]
+
+
+def test_polynomial_reproduction_reads_its_pinned_reprs(chi):
+    X = from_expression("cos(theta)", ("theta",))
+    got = [repr(cylinder.polynomial_reproduction_check(X, m, 2.0, 0.7, chi, 32, 1.0)) for m in range(5)]
+    assert got == REPRODUCTION_REPRS
+
+
 def test_reproduction_rejects_negative_degree(chi):
     with pytest.raises(ConfigError):
         cylinder.polynomial_reproduction_check(constant(1, 1.0), -1, 0.0, 0.0, chi, 8)
@@ -413,6 +431,90 @@ def test_equal_cutoffs_stay_equal_after_one_fills_its_memo():
     assert repr(fresh) == "CutoffFamily(plateau=0.8, support=2.8, profile='smoothstep')"
     assert len({filled, fresh}) == 1
     assert filled != cylinder.CutoffFamily(0.8, 2.7)
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_theta_is_refused_before_the_memo_is_read(theta):
+    chi = cylinder.CutoffFamily(0.8, 2.8)
+    call = dict(p=0.4, theta=theta, chi=chi, K=64, hbar=1.0, theta_center=0.9, p_center=0.4)
+    with pytest.raises(ConfigError, match="theta"):
+        cylinder.pair_trace_smeared_cyl(**call)
+    assert chi._smeared == (None, None)
+    smeared(chi)
+    entry = chi._smeared
+    with pytest.raises(ConfigError, match="theta"):  # a filled memo is not read either
+        cylinder.pair_trace_smeared_cyl(**call)
+    assert chi._smeared is entry
+
+
+# repr of each of the cylinder-axioms runner's nine smeared pair traces on one
+# default cutoff, as they read before a pair at equal frequencies shared its
+# transition tables; sharing them must keep every bit
+SMEARED_SERIES_REPRS = [
+    "(0.9741413129615574-8.294751723398339e-18j)",
+    "(0.0018556549634531287+3.374673328859916e-17j)",
+    "(-0.012884661476590807+3.6164843324648986e-18j)",
+    "(0.9741413128902771-1.4404217283094207e-17j)",
+    "(0.0018556549651238563+4.499564438479888e-17j)",
+    "(0.9741413129615547-2.9036994621647314e-17j)",
+    "(0.0018556549634531623+3.374673328859916e-17j)",
+    "(0.9741413129615574-1.7193840102221555e-17j)",
+    "(0.00185565496345314+3.374673328859916e-17j)",
+]
+
+
+def test_the_runners_smeared_series_reads_its_pinned_reprs():
+    chi = cylinder.CutoffFamily(0.8, 2.8)
+    assert [repr(smeared(chi, offset, K)) for offset, K in SMEARED_SERIES] == SMEARED_SERIES_REPRS
+
+
+def counted_cosine_integrals(monkeypatch) -> list:
+    intervals, integral = [], cylinder._cosine_integral
+
+    def counted(weight, lo, hi, s):
+        intervals.append((lo, hi))
+        return integral(weight, lo, hi, s)
+
+    monkeypatch.setattr(cylinder, "_cosine_integral", counted)
+    return intervals
+
+
+def test_a_smeared_pair_at_equal_frequencies_integrates_its_transition_once(monkeypatch):
+    intervals = counted_cosine_integrals(monkeypatch)
+    chi = cylinder.CutoffFamily(0.8, 2.8)
+    smeared(chi)
+    assert intervals == [(0.0, 0.8), (0.8, 2.8)]  # the weighted plateau, then both transitions
+    intervals.clear()
+    smeared(chi, math.pi / 2.0)  # a memo hit
+    assert intervals == []
+    smeared(chi, p_center=-0.3)  # unequal frequencies: a transition per transform
+    assert intervals == [(0.8, 2.8), (0.0, 0.8), (0.8, 2.8)]
+
+
+@pytest.mark.parametrize(
+    "profile, plateau, support", [("smoothstep", 0.8, 2.8), ("classic-bump", 1.0, 1.4), ("indicator", 1.0, 1.0)]
+)
+@pytest.mark.parametrize("shift", [0.0, 0.7])
+def test_transform_pair_equals_the_two_transforms_bit_for_bit(profile, plateau, support, shift):
+    family = cylinder.CutoffFamily(plateau, support, profile)
+    s = np.arange(-64, 65) - 0.8
+
+    def envelope(x):
+        return 2.0 * np.exp(-2.0 * (0.8 * x) ** 2)
+
+    pair = family.transform_pair(s, s + shift, envelope)
+    assert pair.shape == (2,) + s.shape
+    assert pair[0].tobytes() == family.transform(s).tobytes()
+    assert pair[1].tobytes() == family.weighted_transform(s + shift, envelope).tobytes()
+
+
+def test_cosine_integral_stacks_weights_bit_for_bit(chi):
+    s = COSINE_INTEGRAL_FREQUENCIES["K64-lattice"]
+    rows = [lambda x: 2.0 * chi.value(x) ** 2, lambda x: np.exp(-2.0 * (0.8 * x) ** 2)]
+    stacked = cylinder._cosine_integral(lambda x: np.stack([w(x) for w in rows]), 0.8, 2.8, s)
+    assert stacked.shape == (2,) + s.shape
+    for got, weight in zip(stacked, rows):
+        assert got.tobytes() == cylinder._cosine_integral(weight, 0.8, 2.8, s).tobytes()
 
 
 def test_periodic_test_function_properties():

@@ -3,7 +3,7 @@
 Each case below is one ``raise`` site in ``numdiff``, ``fields``, ``taylor``,
 ``geometry.covariant_divergence``, the curved pairing and its momentum, the
 check of hbar at the curved, cylinder, flat Weyl and Hermite-basis entry
-points, the smearing widths and angles of the cylinder and the harness check
+points, the smearing widths, angles and momenta of the cylinder and the harness check
 declaration; every one raises a :class:`PhasequantError` that is still a
 ``ValueError``.
 """
@@ -70,6 +70,14 @@ CASES = {
     "curved-weyl-image-hbar-nan": lambda: curved.wue_weyl_image(SPHERE, KINETIC, hbar=math.nan),
     "curved-standard-image-hbar-zero": lambda: curved.wue_standard_image(SPHERE, KINETIC, hbar=0.0),
     "cylinder-discrete-quantize-hbar-zero": lambda: cylinder.discrete_quantize(lambda p, theta: p, 2, 3, 0.0),
+    "cylinder-smeared-theta-nan": lambda: cylinder.pair_trace_smeared_cyl(0.4, math.nan, CHI, 8, 1.0, **SMEARING),
+    "cylinder-matrix-theta-nan": lambda: cylinder.quantizer_matrix_cyl(0.4, math.nan, CHI, 8),
+    "cylinder-reproduction-theta-nan": lambda: cylinder.polynomial_reproduction_check(
+        fields.constant(1, 1.0), 0, 0.4, math.nan, CHI, 8
+    ),
+    "cylinder-reproduction-p-nan": lambda: cylinder.polynomial_reproduction_check(
+        fields.constant(1, 1.0), 0, math.nan, 0.9, CHI, 8
+    ),
     "cylinder-smeared-p-width-negative": lambda: cylinder.pair_trace_smeared_cyl(
         0.4, 0.9, CHI, 8, 1.0, p_width=-0.8, **SMEARING
     ),

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from phasequant import geometry, harness, numdiff, symbols
+from phasequant import fields, geometry, harness, numdiff, symbols
 from phasequant.curved import wue_weyl_image
 from phasequant.bases import FourierBasis, HermiteBasis
 from phasequant.errors import ConfigError, QuadratureAccuracyError, UnsupportedOrderError
@@ -294,6 +294,68 @@ def test_operator_matrix_digests_are_pinned(m):
     assert digest == COS_THETA_MATRIX_SHA256[m]
 
 
+# SHA-256 of operator_matrix(...).tobytes() as the matrices read before each
+# coefficient (and sqrt(g) where the metric varies) was evaluated once over the
+# coarse and the fine rule together: the joined evaluation must keep every bit.
+SINGLE_EVALUATION_SHA256 = {
+    "circle-cos-p2-K32": "1e323851aa99b63e86aad0641522a93fcf2ad230776a6ba58b23862251570f6f",
+    "circle-cos-p2-K64": "47b76233afa9d411515e0faf66c12b1c3c9bcf75696bed8123341f4326be5551",
+    "hermite-oscillator-K16": "fd59419f6407725cd953a00d754606b64f651049a1e6e246f6cf1853e160d17f",
+    "wavy-circle-sin-K8": "dee2960b303c0165f6a86b7d61307483f8fff8ef747dd3ef1f78ba10e9c59e80",
+}
+
+
+def wavy_circle() -> geometry.ManifoldModel:
+    """A circle whose metric varies, so every node carries its own ``sqrt(g)``."""
+    theta = geometry.CoordSpec("theta", -math.pi, math.pi, periodic=True)
+    metric = parse_expression("1 + 0.5*cos(theta)*cos(theta)", ("theta",))
+    return geometry.ManifoldModel("wavy-circle", 1, (theta,), metric_exprs=((metric,),))
+
+
+def single_evaluation_cases() -> dict:
+    cos_theta = from_expression("cos(theta)", ("theta",))
+    circle = geometry.circle()
+    kinetic = wue_weyl_image(circle, momentum_power(1, 2, cos_theta), 1.0)
+    x2 = from_expression("0.5*x**2", ("x",))
+    oscillator = symbols.CovariantOperator(
+        1, {0: tensor_from_fields(1, 0, lambda idx: x2), 2: tensor_from_fields(1, 2, lambda idx: constant(1, -0.5))}
+    )
+    sin_theta = from_expression("sin(theta)", ("theta",))
+    drift = symbols.CovariantOperator(
+        1, {0: tensor_from_fields(1, 0, lambda idx: sin_theta), 1: tensor_from_fields(1, 1, lambda idx: sin_theta)}
+    )
+    return {
+        "circle-cos-p2-K32": (circle, kinetic, FourierBasis(), 32),
+        "circle-cos-p2-K64": (circle, kinetic, FourierBasis(), 64),
+        "hermite-oscillator-K16": (geometry.euclidean_space(1), oscillator, HermiteBasis(), 16),
+        "wavy-circle-sin-K8": (wavy_circle(), drift, FourierBasis(), 8),
+    }
+
+
+@pytest.mark.parametrize("case", list(SINGLE_EVALUATION_SHA256))
+def test_operator_matrix_bits_are_pinned(case):
+    M = operator_matrix(*single_evaluation_cases()[case])
+    assert hashlib.sha256(M.tobytes()).hexdigest() == SINGLE_EVALUATION_SHA256[case]
+
+
+@pytest.mark.parametrize("case", list(SINGLE_EVALUATION_SHA256))
+def test_operator_matrix_evaluates_each_coefficient_once(case, monkeypatch):
+    model, D, basis, K = single_evaluation_cases()[case]
+    evaluated, evaluate = [], fields.TensorField.evaluate
+
+    def counted(self, q):
+        evaluated.append((self, len(q)))
+        return evaluate(self, q)
+
+    monkeypatch.setattr(fields.TensorField, "evaluate", counted)
+    operator_matrix(model, D, basis, K)
+    nodes = max(symbols.QUADRATURE_NODES, basis.resolving_nodes(K))
+    for term in D.terms.values():  # on the coarse rule's nodes and the fine rule's, joined
+        assert [n for field, n in evaluated if field is term] == [3 * nodes]
+    metric_nodes = [n for field, n in evaluated if field is model._fields["g"]]
+    assert metric_nodes == ([1] if model.connection_free else [3 * nodes])
+
+
 @pytest.mark.parametrize("m", range(5))
 def test_operator_matrix_matches_a_pointwise_assembly(m):
     # the fine rule's sum taken one node at a time, with the modes and their
@@ -314,10 +376,7 @@ def test_operator_matrix_matches_a_pointwise_assembly(m):
 
 
 def test_operator_matrix_weights_by_a_varying_density():
-    # a circle whose metric varies, so every node carries its own sqrt(g)
-    theta = geometry.CoordSpec("theta", -math.pi, math.pi, periodic=True)
-    metric = parse_expression("1 + 0.5*cos(theta)*cos(theta)", ("theta",))
-    model = geometry.ManifoldModel("wavy-circle", 1, (theta,), metric_exprs=((metric,),))
+    model = wavy_circle()
     assert not model.connection_free
     coeff = from_expression("sin(theta)", ("theta",))
     D = symbols.CovariantOperator(1, {0: tensor_from_fields(1, 0, lambda idx: coeff)})
@@ -350,9 +409,7 @@ def test_operator_matrix_rejects_a_nan_matrix():
 
 def test_operator_matrix_rejects_second_order_operators_on_a_model_with_a_connection():
     # the bases take partial derivatives only; nabla nabla carries Christoffel terms
-    theta = geometry.CoordSpec("theta", -math.pi, math.pi, periodic=True)
-    metric = parse_expression("1 + 0.5*cos(theta)*cos(theta)", ("theta",))
-    model = geometry.ManifoldModel("wavy-circle", 1, (theta,), metric_exprs=((metric,),))
+    model = wavy_circle()
     D = symbols.CovariantOperator(1, {2: constant(1, np.ones((1, 1)))})
     with pytest.raises(UnsupportedOrderError):
         operator_matrix(model, D, FourierBasis(), 3)
