@@ -57,7 +57,13 @@ checkout a round records:
   and points, with chart maps that take one point or an array of points),
   and of building the Gauss-Legendre rules ``bases.gauss_legendre`` of 256,
   512 and 1024 nodes and the 256-node Gauss-Hermite rule
-  ``bases.gauss_hermite``, each with its cache cleared first; of the
+  ``bases.gauss_hermite``, each with its cache cleared first (where the
+  checkout tabulates a size, as it does the 256-node Hermite rule, the call
+  reads the table, already loaded); of the eight Gauss rules the default
+  flat-axioms and orderings runs take (the sizes of
+  ``scripts/tabulate_rules.py`` next to this script) with the cache of every
+  cached function in ``bases`` cleared first, the table's loader included,
+  so they cost what they cost a fresh process; of the
   default cutoff's transform at the 257 frequencies of a K = 64 quantizer
   matrix at p = 0.4 (``CutoffFamily(0.8, 2.8).transform``) with the cache of
   every cached rule in ``bases`` cleared first, so it pays for building its
@@ -301,6 +307,14 @@ def layer_timings(src: Path) -> dict:
         )
     layers["gauss_hermite_256"] = lambda: (bases.gauss_hermite.cache_clear(), bases.gauss_hermite(256))
     cached_rules = [rule for rule in vars(bases).values() if hasattr(rule, "cache_clear")]
+    from tabulate_rules import SIZES as DEFAULT_RULE_SIZES
+
+    def cold_default_rules():
+        for rule in cached_rules:
+            rule.cache_clear()
+        return [getattr(bases, f"gauss_{family}")(n) for family, sizes in DEFAULT_RULE_SIZES.items() for n in sizes]
+
+    layers["flat_rules_cold"] = cold_default_rules
 
     def cold_cutoff_transform():
         for rule in cached_rules:

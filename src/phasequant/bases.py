@@ -16,7 +16,11 @@ Hale & Townsend, SISC 35 (2013), and Townsend, Trogdon & Olver, IMA J.
 Numer. Anal. 36 (2016): O(n^2) numpy work vectorized over half the nodes,
 with no eigensolve (numpy's own rules solve the Golub-Welsch eigenproblem,
 O(n^3) through LAPACK, and its Hermite rule's weights turn to NaN past about
-360 nodes).  :func:`clenshaw_curtis` needs no iteration: closed-form nodes
+360 nodes).  That work is the same on every run, so the output of the Newton
+builders for the eight sizes the default experiments take is stored, bit for
+bit, in :data:`RULE_TABLE` (written by ``scripts/tabulate_rules.py``) and
+read back on the first rule request; every other size takes Newton.
+:func:`clenshaw_curtis` needs no iteration: closed-form nodes
 and one FFT for the weights.  Its rules nest, the rule of ``2n`` intervals
 holding every node of the rule of ``n``, and at the node counts of the
 cutoff transforms it is as accurate as Gauss-Legendre (Trefethen, SIAM Rev.
@@ -28,6 +32,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -45,6 +50,10 @@ NEWTON_STEPS = 10
 # (Hermite's equation gives f''/2f' = x at a zero), below half an ulp of x.
 HERMITE_NEWTON_TOLERANCE = 1e-8
 HERMITE_RESCALE_STEPS = 32
+#: The Newton output, bit for bit, for the rule sizes the default experiments
+#: use, written by ``scripts/tabulate_rules.py``: a cold run reads these
+#: instead of iterating.
+RULE_TABLE = Path(__file__).with_name("gauss_rules.npz")
 
 
 def _legendre_and_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -65,16 +74,26 @@ def _legendre_and_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndar
 def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes (ascending) and weights on [-1, 1].
 
-    Tricomi's asymptotic guesses for the nonnegative nodes are refined by
-    Newton steps on the three-term recurrence, all nodes at once; the
-    negative half mirrors them, so the rule is symmetric bit for bit and an
-    odd rule has the node 0.0.  The weights ``2 / ((1 - x^2) P_n'(x)^2)``
-    use the derivative of the last Newton step, carried to the root by one
-    Taylor step, and are then scaled by 2 over their exact sum, since the
-    exact rule's weights add up to 2.  Computed once per node count; the
-    arrays are read-only.
+    The nonnegative half comes from :func:`_legendre_newton`, or from
+    :data:`RULE_TABLE` where that holds the output for ``nodes``; the
+    negative half mirrors it, so the rule is symmetric bit for bit and an
+    odd rule has the node 0.0.  The weights are then scaled by 2 over their
+    exact sum, since the exact rule's weights add up to 2.  Computed once per
+    node count; the arrays are read-only.
     """
-    n, half = nodes, (nodes + 1) // 2
+    return _mirrored_rule(nodes, *_half_rule("legendre", nodes, _legendre_newton), 2.0)
+
+
+def _legendre_newton(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nonnegative Gauss-Legendre nodes (descending, an odd rule's 0.0
+    last) and their weights.
+
+    Tricomi's asymptotic guesses are refined by Newton steps on the
+    three-term recurrence, all nodes at once.  The weights
+    ``2 / ((1 - x^2) P_n'(x)^2)`` use the derivative of the last Newton step,
+    carried to the root by one Taylor step.
+    """
+    half = (n + 1) // 2
     theta = math.pi * (4 * np.arange(1, half + 1) - 1) / (4 * n + 2)
     x = (1 - (n - 1) / (8 * n**3) - (39 - 28 / np.sin(theta) ** 2) / (384 * n**4)) * np.cos(theta)
     if n % 2:
@@ -90,7 +109,25 @@ def gauss_legendre(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     # node instead, it would carry the node's rounding, amplified by
     # 1/(1 - x^2), into the weights next to x = +-1: at 512 nodes their
     # relative error would be 9e-13 instead of 1.3e-13.
-    return _mirrored_rule(n, x, 2.0 / ((s - 2.0 * root * dx) * dp * dp), 2.0)
+    return x, 2.0 / ((s - 2.0 * root * dx) * dp * dp)
+
+
+@functools.cache
+def _rule_table() -> dict[str, np.ndarray]:
+    """The ``(2, half)`` arrays of :data:`RULE_TABLE`, nodes over weights,
+    keyed ``legendre_<n>`` and ``hermite_<n>``, read-only: read on the first
+    rule request, never at import."""
+    with np.load(RULE_TABLE, allow_pickle=False) as table:
+        halves = {name: table[name] for name in table.files}
+    for half in halves.values():
+        half.flags.writeable = False
+    return halves
+
+
+def _half_rule(family: str, n: int, newton) -> tuple[np.ndarray, np.ndarray]:
+    """The nonnegative half of the rule of ``n`` nodes: tabulated, else ``newton(n)``."""
+    half = _rule_table().get(f"{family}_{n}")
+    return newton(n) if half is None else (half[0], half[1])
 
 
 def _mirrored_rule(n: int, x: np.ndarray, w: np.ndarray, total: float) -> tuple[np.ndarray, np.ndarray]:
@@ -125,13 +162,23 @@ def _monic_hermite(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
 def gauss_hermite(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Hermite nodes (ascending) and weights for ``integral exp(-u^2) g(u) du``.
 
-    As :func:`gauss_legendre`, from Tricomi's guesses for the positive zeros
-    of ``H_n`` (Gatteschi, J. Comput. Appl. Math. 144, 2002, eq. 2.1).  The
-    weights ``C / H_{n-1}(x)^2`` take the recurrence's powers of two last,
-    so one below the smallest double becomes 0.0, never NaN, and are scaled
-    by ``sqrt(pi)`` over their exact sum.
+    As :func:`gauss_legendre`, from :func:`_hermite_newton` or
+    :data:`RULE_TABLE`; the weights are scaled by ``sqrt(pi)`` over their
+    exact sum.
     """
-    n, nu = nodes, 2 * nodes + 1
+    return _mirrored_rule(nodes, *_half_rule("hermite", nodes, _hermite_newton), math.sqrt(math.pi))
+
+
+def _hermite_newton(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nonnegative Gauss-Hermite nodes (descending, an odd rule's 0.0
+    last) and their weights.
+
+    As :func:`_legendre_newton`, from Tricomi's guesses for the positive
+    zeros of ``H_n`` (Gatteschi, J. Comput. Appl. Math. 144, 2002, eq. 2.1).
+    The weights ``C / H_{n-1}(x)^2`` take the recurrence's powers of two
+    last, so one below the smallest double becomes 0.0, never NaN.
+    """
+    nu = 2 * n + 1
     rhs = math.pi * (4 * np.arange(n // 2) + 3) / nu
     t = np.full(n // 2, 0.5 * math.pi)
     for _ in range(7):  # t - sin t = rhs
@@ -148,8 +195,7 @@ def gauss_hermite(nodes: int) -> tuple[np.ndarray, np.ndarray]:
             break
     mantissa, shift = np.frexp(p0 * (1.0 - 2.0 * root * dx))
     exponent += shift
-    w = np.ldexp(1.0 / (mantissa * mantissa), 2 * (np.min(exponent) - exponent))
-    return _mirrored_rule(n, x, w, math.sqrt(math.pi))
+    return x, np.ldexp(1.0 / (mantissa * mantissa), 2 * (np.min(exponent) - exponent))
 
 
 @functools.cache

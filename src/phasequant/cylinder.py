@@ -321,8 +321,9 @@ def quantizer_matrix_cyl(
     return _kernel(chi.transform(np.arange(-2 * K, 2 * K + 1) - 2.0 * p / hbar), theta, K)
 
 
-def quantizer_trace_cyl(p: float, theta: float, chi: CutoffFamily, K: int, hbar: float = 1.0) -> float:
-    """Raw truncated trace ``(1/pi) sum_{|k|<=K} I(2k - 2p/hbar)`` (exactly 1 as K grows)."""
+def quantizer_trace_cyl(p: float, chi: CutoffFamily, K: int, hbar: float = 1.0) -> float:
+    """Raw truncated trace ``(1/pi) sum_{|k|<=K} I(2k - 2p/hbar)`` (exactly 1 as K grows);
+    the diagonal entries do not depend on the angle, so it takes none."""
     _check_truncation(K)
     check_hbar(hbar)
     c = 2.0 * p / hbar

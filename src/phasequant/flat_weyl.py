@@ -20,7 +20,7 @@ import numpy as np
 from . import geometry
 from .bases import gauss_hermite, hermite_polynomial_values
 from .curved import wue_weyl_image
-from .errors import InversionError, check_hbar
+from .errors import ConfigError, InversionError, check_hbar, finite, positive_finite
 from .fields import scale
 from .geometry import ManifoldModel
 from .symbols import (
@@ -117,8 +117,10 @@ def _kernel_factors(p: float, x: float, K: int, hbar: float) -> tuple[np.ndarray
     """``2 integral dxi exp(-2 i p xi / hbar) h_j(x - xi) h_k(x + xi)`` as
     ``c * sum_i A[j, i] B[k, i]`` over Gauss-Hermite nodes in the scaled
     offset, the shared Gaussian pulled out into ``c``: ``(A, B, c)``.  Every
-    kernel entry point reads it, so it checks ``hbar`` first."""
+    kernel entry point reads it, so it checks ``hbar``, then ``p`` and ``x``, first."""
     check_hbar(hbar)
+    if not (finite(p) and finite(x)):
+        raise ConfigError(f"phase-space point must be finite, got p = {p!r}, x = {x!r}")
     s = math.sqrt(hbar)
     xt = x / s
     u, w = gauss_hermite(max(4 * (K + 1), 32))
@@ -179,8 +181,14 @@ def quantize_gaussian_flat(
     ``c P G P^H`` on the ``n x n`` grid, O(n^2 K) work, finite for ``K`` up
     to :data:`MAX_TRUNCATION`.  Both products are real ``np.einsum`` sums, not
     BLAS ones, which from about K = 32 round differently on one thread and on two.
+    A center that is not finite, or a width that is not positive and finite,
+    raises :class:`ConfigError`.
     """
     check_hbar(hbar)
+    if not (finite(p0) and finite(x0)):
+        raise ConfigError(f"Gaussian center must be finite, got p0 = {p0!r}, x0 = {x0!r}")
+    if not (positive_finite(sp) and positive_finite(sx)):
+        raise ConfigError(f"Gaussian widths must be positive finite numbers, got sp = {sp!r}, sx = {sx!r}")
     nodes = max(4 * (K + 1), 96)
     tau, w = gauss_hermite(nodes)
     y = math.sqrt(2.0 * hbar) * tau

@@ -794,8 +794,8 @@ def _run_cylinder_axioms(cfg: ExperimentConfig, series: dict) -> Iterator:
 
     def raw_deviation(wide=CutoffFamily(0.8, 2.8)):
         p = hbar * float(rng.uniform(-2.0, 2.0))
-        theta = float(rng.uniform(-math.pi, math.pi))
-        return abs(cylinder.quantizer_trace_cyl(p, theta, wide, cylinder.MAX_TRUNCATION, hbar) - 1.0)
+        rng.uniform(-math.pi, math.pi)  # the trace takes no angle; the draw keeps the later ones in place
+        return abs(cylinder.quantizer_trace_cyl(p, wide, cylinder.MAX_TRUNCATION, hbar) - 1.0)
 
     yield np.array([raw_deviation() for _ in range(5)])
 

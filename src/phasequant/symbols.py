@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, numdiff
-from .errors import ConfigError, QuadratureAccuracyError, UnsupportedOrderError
+from .errors import ConfigError, QuadratureAccuracyError, UnsupportedOrderError, check_hbar
 from .fields import TensorField, add, constant, from_expression, scale, tensor_from_fields
 from .geometry import ManifoldModel
 
@@ -201,8 +201,10 @@ def ordering_scheme(name: str, hbar: float = 1.0) -> OrderingScheme:
     ``weyl`` is the identity series.  ``standard`` produces operators with all
     derivatives to the right of the coefficients.  ``standard-printed`` is a
     variant that scales the series argument by ``hbar`` and flips the phase;
-    it is kept for side-by-side comparisons.
+    it is kept for side-by-side comparisons.  ``hbar`` must be positive and
+    finite for every preset (:class:`ConfigError` otherwise).
     """
+    check_hbar(hbar)
     coeffs: list[complex]
     if name == "weyl":
         coeffs = [1.0 + 0j] + [0j] * MAX_DEGREE

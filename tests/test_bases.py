@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from phasequant import bases
+from phasequant import bases, harness
 
 LEGENDRE_SIZES = (1, 2, 3, 64, 65, 512)
 
@@ -172,6 +172,53 @@ def test_gauss_hermite_rule_is_cached_and_read_only():
     assert not u.flags.writeable and not w.flags.writeable
     with pytest.raises(ValueError):
         u[0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# the tabulated rules
+
+NEWTON = {"legendre": (bases._legendre_newton, 2.0), "hermite": (bases._hermite_newton, math.sqrt(math.pi))}
+BUILDERS = {"legendre": bases.gauss_legendre, "hermite": bases.gauss_hermite}
+TABULATED = [(family, int(n)) for family, n in (name.split("_") for name in sorted(bases._rule_table()))]
+
+
+@pytest.mark.parametrize("family, n", TABULATED)
+def test_a_tabulated_rule_is_its_newton_output_bit_for_bit(family, n):
+    newton, total = NEWTON[family]
+    stored, want = bases._rule_table()[f"{family}_{n}"], np.stack(newton(n))
+    assert stored.dtype == want.dtype and stored.shape == want.shape == (2, (n + 1) // 2)
+    assert stored.tobytes() == want.tobytes()
+    for got, mirrored in zip(BUILDERS[family](n), bases._mirrored_rule(n, *newton(n), total)):
+        assert got.tobytes() == mirrored.tobytes()
+
+
+@pytest.mark.parametrize("family", BUILDERS)
+def test_a_size_outside_the_table_takes_newton(family, monkeypatch):
+    calls, newton = [], getattr(bases, f"_{family}_newton")
+    monkeypatch.setattr(bases, f"_{family}_newton", lambda n: calls.append(n) or newton(n))
+    builder, inside = BUILDERS[family], next(n for f, n in TABULATED if f == family)
+    builder.cache_clear()
+    builder(inside)
+    builder(inside + 1)
+    assert calls == [inside + 1]
+
+
+def test_the_default_flat_runs_read_every_rule_from_the_table(monkeypatch):
+    """flat-axioms and orderings build all their Gauss rules from the table, and
+    take every rule in it: a change of their default sizes fails here until
+    ``scripts/tabulate_rules.py`` is run again."""
+
+    def refuse(n):
+        raise AssertionError(f"Newton iteration for a rule of {n} nodes")
+
+    monkeypatch.setattr(bases, "_legendre_newton", refuse)
+    monkeypatch.setattr(bases, "_hermite_newton", refuse)
+    for builder in BUILDERS.values():
+        builder.cache_clear()
+    for name in ("flat-axioms", "orderings"):
+        assert harness.run_experiment(harness.ExperimentConfig.from_dict(harness.default_config(name))).passed
+    for family, builder in BUILDERS.items():
+        assert builder.cache_info().currsize == sum(f == family for f, _ in TABULATED)
 
 
 def test_hermite_polynomials_orthonormal_under_gaussian_weight():

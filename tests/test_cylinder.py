@@ -279,7 +279,7 @@ def test_kernel_entry_matches_direct_integral(chi):
 def test_raw_trace_near_one_with_wide_cutoff():
     wide = cylinder.CutoffFamily(0.8, 2.8)
     for p in (0.0, 0.77, -1.4):
-        trace = cylinder.quantizer_trace_cyl(p, 0.3, wide, cylinder.MAX_TRUNCATION)
+        trace = cylinder.quantizer_trace_cyl(p, wide, cylinder.MAX_TRUNCATION)
         assert trace == pytest.approx(1.0, abs=1e-8)
 
 

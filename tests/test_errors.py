@@ -2,9 +2,10 @@
 
 Each case below is one ``raise`` site in ``numdiff``, ``fields``, ``taylor``,
 ``geometry.covariant_divergence``, the curved pairing and its momentum, the
-check of hbar at the curved, cylinder, flat Weyl and Hermite-basis entry
-points, the smearing widths, angles and momenta of the cylinder and the harness check
-declaration; every one raises a :class:`PhasequantError` that is still a
+check of hbar at the curved, cylinder, flat Weyl, Hermite-basis and
+ordering-preset entry points, the smearing widths, angles and momenta of the
+cylinder, the phase-space points and Gaussian centers and widths of the flat
+Weyl kernels and the harness check declaration; every one raises a :class:`PhasequantError` that is still a
 ``ValueError``.
 """
 
@@ -61,7 +62,7 @@ CASES = {
     "curved-defect-hbar-zero": lambda: curved.axiom_defect(SPHERE, KINETIC, np.ones(2), Q, hbar=0.0),
     "curved-defect-hbar-nan": lambda: curved.axiom_defect(SPHERE, KINETIC, np.ones(2), Q, hbar=math.nan),
     "cylinder-matrix-hbar-zero": lambda: cylinder.quantizer_matrix_cyl(0.4, 0.9, CHI, 8, 0.0),
-    "cylinder-trace-hbar-zero": lambda: cylinder.quantizer_trace_cyl(0.4, 0.9, CHI, 8, 0.0),
+    "cylinder-trace-hbar-zero": lambda: cylinder.quantizer_trace_cyl(0.4, CHI, 8, 0.0),
     "cylinder-reproduction-hbar-zero": lambda: cylinder.polynomial_reproduction_check(
         fields.constant(1, 1.0), 0, 0.4, 0.9, CHI, 8, 0.0
     ),
@@ -99,6 +100,18 @@ CASES = {
     "flat-matrix-hbar-nan": lambda: flat_weyl.quantizer_matrix_flat(0.4, 0.2, 8, math.nan),
     "flat-dequantize-hbar-zero": lambda: flat_weyl.dequantize_flat(WEYL, FLAT_OPERATOR, [0.3], [-0.5], 0.0),
     "flat-gaussian-hbar-negative": lambda: flat_weyl.quantize_gaussian_flat(0.4, 0.2, 1.0, 1.0, 8, -1.0),
+    "flat-matrix-p-nan": lambda: flat_weyl.quantizer_matrix_flat(math.nan, 0.0, 4),
+    "flat-matrix-x-inf": lambda: flat_weyl.quantizer_matrix_flat(0.0, math.inf, 4),
+    "flat-diag-x-nan": lambda: flat_weyl.quantizer_diag_flat(0.0, math.nan, 4),
+    "flat-trace-p-nan": lambda: flat_weyl.flat_trace(math.nan, 0.0, 4),
+    "flat-trace-p-minus-inf": lambda: flat_weyl.flat_trace(-math.inf, 0.0, 4),
+    "flat-gaussian-p0-inf": lambda: flat_weyl.quantize_gaussian_flat(math.inf, 0.2, 1.0, 1.0, 8),
+    "flat-gaussian-x0-nan": lambda: flat_weyl.quantize_gaussian_flat(0.4, math.nan, 1.0, 1.0, 8),
+    "flat-gaussian-sp-nan": lambda: flat_weyl.quantize_gaussian_flat(0.4, 0.2, math.nan, 1.0, 8),
+    "flat-gaussian-sx-zero": lambda: flat_weyl.quantize_gaussian_flat(0.4, 0.2, 1.0, 0.0, 8),
+    "flat-gaussian-sx-negative": lambda: flat_weyl.quantize_gaussian_flat(0.4, 0.2, 1.0, -1.0, 8),
+    "ordering-scheme-hbar-nan": lambda: ordering_scheme("standard-printed", math.nan),
+    "ordering-scheme-hbar-negative": lambda: ordering_scheme("standard-printed", -1.0),
     "harness-comparison-mode": lambda: harness.Check("only", 1.0, "TRIVIAL", mode="sideways"),
 }
 
@@ -155,7 +168,7 @@ def test_a_bad_hbar_is_refused_before_any_memo_is_read(hbar):
         lambda: curved.dequantize_curved(SPHERE, D, p, Q, hbar),
         lambda: curved.axiom_defect(SPHERE, f, p, Q, hbar),
         lambda: cylinder.quantizer_matrix_cyl(0.4, 0.9, chi, 8, hbar),
-        lambda: cylinder.quantizer_trace_cyl(0.4, 0.9, chi, 8, hbar),
+        lambda: cylinder.quantizer_trace_cyl(0.4, chi, 8, hbar),
         lambda: cylinder.polynomial_reproduction_check(fields.constant(1, 1.0), 0, 0.4, 0.9, chi, 8, hbar),
         lambda: cylinder.pair_trace_smeared_cyl(0.4, 0.9, chi, 8, hbar, **SMEARING),
         lambda: curved.wue_weyl_image(SPHERE, f, hbar),
@@ -165,6 +178,7 @@ def test_a_bad_hbar_is_refused_before_any_memo_is_read(hbar):
         lambda: flat_weyl.quantizer_matrix_flat(0.4, 0.2, 8, hbar),
         lambda: flat_weyl.dequantize_flat(WEYL, FLAT_OPERATOR, [0.3], [-0.5], hbar),
         lambda: flat_weyl.quantize_gaussian_flat(0.4, 0.2, 1.0, 1.0, 8, hbar),
+        lambda: ordering_scheme("standard-printed", hbar),
     )
     for call in calls:
         with pytest.raises(ConfigError, match="hbar"):

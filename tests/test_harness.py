@@ -463,6 +463,14 @@ def test_hbar_override_is_echoed_and_scales_defect():
     assert {r.name: r for r in report.records}["emmrich-defect"].tolerance == 0.1 * 0.5 * 0.5
 
 
+@pytest.mark.parametrize("hbar", [0.3, 3.0])
+@pytest.mark.parametrize("name", [name for name in EXPERIMENTS if "hbar" in SETTINGS[name]])
+def test_every_hbar_reading_experiment_passes_away_from_hbar_one(name, hbar):
+    report = harness.run_experiment(harness.ExperimentConfig.from_dict({"experiment": name, "hbar": hbar}))
+    assert report.environment["hbar"] == hbar
+    assert [record.name for record in report.records if not record.passed] == []
+
+
 # ---------------------------------------------------------------------------
 # entry-oracle
 

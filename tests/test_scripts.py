@@ -36,3 +36,10 @@ def test_run_all_writes_the_same_reports_as_single_runs(tmp_path, capsys, report
         if name.endswith(".json"):
             want, got = (re.sub(rb'"timestamp": "[^"]*"', b"", text) for text in (want, got))
         assert got == want, name
+
+
+def test_tabulate_rules_lists_exactly_the_tabulated_sizes():
+    from phasequant import bases
+
+    sizes = load_script("tabulate_rules").SIZES
+    assert sorted(bases._rule_table()) == sorted(f"{family}_{n}" for family, ns in sizes.items() for n in ns)
