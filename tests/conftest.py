@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -56,6 +57,18 @@ def symbol_factory(rng):
         return random_symbol(rng, max_degree)
 
     return build
+
+
+def torus_model():
+    """The torus of tube radius 1/2 about a circle of radius 1, whose scalar
+    curvature 4 cos(theta) / (1 + cos(theta) / 2) takes both signs."""
+    names = ("theta", "phi")
+    return geometry.ManifoldModel(
+        name="torus",
+        dim=2,
+        coords=tuple(geometry.CoordSpec(n, -math.pi, math.pi, periodic=True) for n in names),
+        metric_exprs=geometry._metric_exprs(names, [["0.25", "0"], ["0", "(1 + 0.5*cos(theta))**2"]]),
+    )
 
 
 def skew_model():

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import skew_model
+from conftest import skew_model, torus_model
 from phasequant import curved, geometry, harness, numdiff
 from phasequant.errors import ConfigError
 from phasequant.fields import from_expression, tensor_from_fields
@@ -214,33 +214,27 @@ def test_defect_vanishes_on_flat_polar_chart(monkeypatch):
         assert abs(d) <= 1e-14
 
 
-def expression_model(name, coords, rows):
-    return geometry.ManifoldModel(
-        name=name, dim=2, coords=coords, metric_exprs=geometry._metric_exprs(tuple(c.name for c in coords), rows)
-    )
-
-
-# A torus of tube radius 1/2 about a circle of radius 1, R = 4 cos(theta) / (1 + cos(theta) / 2),
-# and the hyperbolic half-plane, R = -2.
-EQ_2_46_TORUS = expression_model(
-    "torus",
-    tuple(geometry.CoordSpec(n, -math.pi, math.pi, periodic=True) for n in ("theta", "phi")),
-    [["0.25", "0"], ["0", "(1 + 0.5*cos(theta))**2"]],
+# R = -2 on the hyperbolic half-plane
+HALF_PLANE = geometry.ManifoldModel(
+    name="half-plane",
+    dim=2,
+    coords=(geometry.CoordSpec("x"), geometry.CoordSpec("y", 0.0, math.inf)),
+    metric_exprs=geometry._metric_exprs(("x", "y"), [["1/(y*y)", "0"], ["0", "1/(y*y)"]]),
 )
-EQ_2_46_HALF_PLANE = expression_model(
-    "half-plane", (geometry.CoordSpec("x"), geometry.CoordSpec("y", 0.0, math.inf)), [["1/(y*y)", "0"], ["0", "1/(y*y)"]]
-)
+TORUS = torus_model()
 EQ_2_46_POINTS = [
-    (EQ_2_46_TORUS, (1.1, 0.4), 4.0 * math.cos(1.1) / (1.0 + 0.5 * math.cos(1.1))),  # R = 1.479
-    (EQ_2_46_TORUS, (2.5, 0.1), 4.0 * math.cos(2.5) / (1.0 + 0.5 * math.cos(2.5))),  # R = -5.346
-    (EQ_2_46_TORUS, (math.pi / 2.0, 0.3), 0.0),  # the outer and inner halves meet
-    (EQ_2_46_HALF_PLANE, (0.2, 0.9), -2.0),
-    (EQ_2_46_HALF_PLANE, (-0.4, 2.0), -2.0),
+    (TORUS, (1.1, 0.4), 4.0 * math.cos(1.1) / (1.0 + 0.5 * math.cos(1.1))),  # R = 1.479
+    (TORUS, (2.5, 0.1), 4.0 * math.cos(2.5) / (1.0 + 0.5 * math.cos(2.5))),  # R = -5.346
+    (TORUS, (math.pi / 2.0, 0.3), 0.0),  # the top circle, between R > 0 outside and R < 0 inside
+    (HALF_PLANE, (0.2, 0.9), -2.0),
+    (HALF_PLANE, (-0.4, 2.0), -2.0),
 ]
 
 
 @pytest.mark.parametrize("hbar", [1.0, 0.3])
-@pytest.mark.parametrize("model, q, R", EQ_2_46_POINTS, ids=[f"{m.name}-{q[0]:.3g}-{q[1]:.3g}" for m, q, _ in EQ_2_46_POINTS])
+@pytest.mark.parametrize(
+    "model, q, R", EQ_2_46_POINTS, ids=[f"{m.name}-{q[0]:.3g}-{q[1]:.3g}" for m, q, _ in EQ_2_46_POINTS]
+)
 def test_defect_is_a_third_of_the_curvature_where_it_is_zero_or_negative(model, q, R, hbar):
     # Eq 2.46 at every point and momentum, not only on round spheres: the defect
     # of the kinetic symbol is hbar^2 R / 3, to 1e-12 relative, or 1e-14 absolute where R = 0

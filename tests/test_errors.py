@@ -5,8 +5,8 @@ Each case below is one ``raise`` site in ``numdiff``, ``fields``, ``taylor``,
 check of hbar at the curved, cylinder, flat Weyl, Hermite-basis and
 ordering-preset entry points, the smearing widths, angles and momenta of the
 cylinder, the phase-space points and Gaussian centers and widths of the flat
-Weyl kernels and the harness check declaration; every one raises a :class:`PhasequantError` that is still a
-``ValueError``.
+Weyl kernels and the harness check declaration; every one raises a
+:class:`PhasequantError` that is still a ``ValueError``.
 """
 
 import math

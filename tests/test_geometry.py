@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import partial, symbolic_jet, symbolic_levels
+from conftest import partial, symbolic_jet, symbolic_levels, torus_model
 from phasequant import curved, geometry, numdiff
 from phasequant.errors import ChartDomainError, ConfigError, UnsupportedOrderError
 from phasequant.expressions import Const
@@ -283,12 +283,7 @@ def test_sqrt_g_jet_matches_sphere_closed_form(radius, power, q):
 
 
 TORUS_NAMES = ("theta", "phi")
-TORUS = geometry.ManifoldModel(
-    name="torus",
-    dim=2,
-    coords=tuple(geometry.CoordSpec(n, -math.pi, math.pi, periodic=True) for n in TORUS_NAMES),
-    metric_exprs=geometry._metric_exprs(TORUS_NAMES, [["0.25", "0"], ["0", "(1 + 0.5*cos(theta))**2"]]),
-)
+TORUS = torus_model()
 
 
 def test_connection_jets_vanish_along_rays():
