@@ -91,8 +91,15 @@ Per checkout the output also records its commit, a digest of
 total.
 
 Everything runs in child processes with BLAS and OpenMP pinned to one thread
-and the checkout's ``src`` first on ``PYTHONPATH``.  The output holds every
-round, the per-checkout medians over rounds, and the machine facts.
+and the checkout's ``src`` first on ``PYTHONPATH``.  Before round 0 every
+checkout's ``src`` and ``perfbench`` are compiled in place (``compileall``),
+so each imports its modules from bytecode even where ``PYTHONDONTWRITEBYTECODE``
+is set, and ``import_harness_s``, ``cold_run_s`` and perfbench's ``setup_s`` do
+not favour a tree that already held ``__pycache__`` directories.  (A
+``PYTHONPYCACHEPREFIX`` per checkout would not do: numpy and the standard
+library would then compile from source on every import, which makes a cold
+``import numpy`` about four times slower.)  The output holds every round, the
+per-checkout medians over rounds, and the machine facts.
 """
 
 from __future__ import annotations
@@ -521,6 +528,9 @@ def main(argv=None) -> int:
         label, _, path = spec.partition("=")
         checkouts[label] = Path(path).resolve()
 
+    for root in checkouts.values():
+        compile_command = [sys.executable, "-m", "compileall", "-q", str(root / "src"), str(root / "perfbench")]
+        subprocess.run(compile_command, capture_output=True, check=True)
     runs: dict[str, list[dict]] = {label: [] for label in checkouts}
     for round_index in range(args.rounds):
         order = list(checkouts) if round_index % 2 == 0 else list(reversed(checkouts))

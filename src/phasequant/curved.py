@@ -141,11 +141,13 @@ def kinetic_symbol(model: ManifoldModel, hbar: float = 1.0) -> MomentumPolynomia
 
     The standard ordering transform of ``|p|_g^2`` plus ``(hbar^2/12) g^{ab}
     R_{ab}``: the transform's divergence terms vanish on a metric-compatible
-    connection, leaving kinetic energy plus a scalar curvature shift.
+    connection, leaving kinetic energy plus a scalar curvature shift.  An
+    ``hbar`` that is not positive and finite raises :class:`ConfigError`.
     """
+    check_hbar(hbar)
     X = geometry.inverse_metric_field(model)
     kinetic = MomentumPolynomial(model.dim, {2: X})
-    standard = ordering_transform(model, ordering_scheme("standard", hbar), kinetic, hbar)
+    standard = ordering_transform(model, ordering_scheme("standard"), kinetic, hbar)
     shift = {0: scale(geometry.ricci_contraction(model, X), hbar * hbar / 12.0)}
     return MomentumPolynomial(model.dim, merge_terms(model.dim, standard.terms, shift))
 

@@ -21,11 +21,10 @@ matmuls for the rest, never a nodes x frequencies table (see
 :func:`_cosine_integral`).  A smeared pair trace's two transforms depend on
 its lattice (``K``, ``p``, ``p_center``, ``p_width``, ``hbar``) and not on
 its angles, so the cutoff remembers the last pair, one read-only entry: a
-series of test-function centers on one lattice transforms once.  When the
-pair shares its frequencies (``p_center == p``), the plain and the
-envelope-weighted transition integrals share one rule, one set of phase
-tables and one evaluation of the cutoff at the nodes
-(:meth:`CutoffFamily.transform_pair`).
+series of test-function centers on one lattice transforms once.  One
+:meth:`CutoffFamily.transform` call gives the plain and the
+envelope-weighted rows, whose transition integrals share one rule, one set
+of phase tables and one evaluation of the cutoff at the nodes.
 
 The discrete quantizer at momentum ``n * hbar``, the kernel of the closed-form
 indicator transform (:func:`_discrete_transform`), is the limit of the
@@ -157,11 +156,11 @@ class CutoffFamily:
     plateau only to first order), or ``indicator`` (sharp edge; requires
     ``plateau == support`` and has a closed-form transform).
 
-    ``value``, ``transform`` and ``weighted_transform`` accept a number or an
-    array (a number gives a float); ``transform_pair`` stacks a transform
-    and a weighted one.  A transform integrates the transition
-    ``[plateau, support]`` (and, for ``weighted_transform``, the plateau)
-    with one Clenshaw-Curtis rule for every frequency at once.  Its interval
+    ``value`` and ``transform`` accept a number or an array (a number gives a
+    float); ``transform`` stacks one row per smearing envelope under the
+    plain transform.  A transform integrates the transition ``[plateau,
+    support]`` (and, for the envelope rows, the plateau) with one
+    Clenshaw-Curtis rule for every frequency at once.  Its interval
     count grows with the interval length times the largest frequency (see
     ``_cosine_integral``) and is capped at :data:`MAX_RULE_NODES`, beyond
     which :class:`QuadratureAccuracyError` is raised, as for a non-finite
@@ -171,11 +170,9 @@ class CutoffFamily:
     16 steps and one anchor per block of 16 over the ``2n + 1`` fine nodes of
     a coarse rule of ``n`` intervals.  The rules come from
     :func:`~phasequant.bases.clenshaw_curtis`, cached per interval count:
-    closed-form nodes and one FFT for the weights.  A pair at equal
-    frequencies builds the transition's rule and phase tables once for both
-    of its weights, ``chi^2`` and ``chi^2`` times the envelope, and each
-    weight then takes the matmuls a lone transform takes, so both values
-    keep their bits.
+    closed-form nodes and one FFT for the weights.  The rows share the
+    transition's rule and phase tables, and each row then takes the matmuls
+    a lone transform takes, so every row keeps the bits it has alone.
 
     A cutoff remembers the transform pair of its last
     :func:`pair_trace_smeared_cyl` call, read-only; the memo takes no part in
@@ -223,69 +220,33 @@ class CutoffFamily:
             out[inside] = np.exp(1.0 - 1.0 / (1.0 - t * t))
         return float(out) if out.ndim == 0 else out
 
-    def _squared(self, x: np.ndarray) -> np.ndarray:
-        """``2 chi^2``, the weight of the cosine transform over the half line."""
-        return 2.0 * self.value(x) ** 2
+    def transform(self, s: float | np.ndarray, *envelopes: Callable[[np.ndarray], np.ndarray]) -> float | np.ndarray:
+        """Cosine transform ``int chi^2(xi) exp(i s xi) dxi`` (real and even in s), and
+        after it one row per even real envelope, the transform of ``chi^2 * envelope``.
 
-    def _plateau_transform(self, s: np.ndarray) -> np.ndarray:
-        """``int chi^2(xi) exp(i s xi) dxi`` over the plateau, in closed form."""
+        An envelope maps an array of quadrature nodes to its values.  Row 0's
+        plateau is closed-form; the envelope rows' plateau is one
+        :func:`_cosine_integral`, and every row's transition one more, of the
+        stacked weights.  With no envelope a number gives a float; a non-finite
+        frequency raises on every profile, the closed-form indicator's too.
+        """
+        s = np.asarray(s, dtype=float)
+        _largest_frequency(s)
         a = self.plateau
+
+        def weights(x: np.ndarray) -> np.ndarray:
+            squared = 2.0 * self.value(x) ** 2
+            return np.stack([squared] + [squared * envelope(x) for envelope in envelopes])
+
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(s == 0.0, 2.0 * a, 2.0 * np.sin(s * a) / s)
-
-    def _weighted_plateau_transform(self, s: np.ndarray, envelope: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        """``int chi^2(xi) envelope(xi) exp(i s xi) dxi`` over the plateau."""
-        total = np.zeros(s.shape)
-        total += _cosine_integral(lambda x: self._squared(x) * envelope(x), 0.0, self.plateau, s)
-        return total
-
-    def transform(self, s: float | np.ndarray) -> float | np.ndarray:
-        """Cosine transform ``int chi^2(xi) exp(i s xi) dxi`` (real and even in s);
-        a non-finite frequency raises on every profile, the closed-form indicator's too."""
-        s = np.asarray(s, dtype=float)
-        _largest_frequency(s)
-        total = self._plateau_transform(s)
+            rows = [np.where(s == 0.0, 2.0 * a, 2.0 * np.sin(s * a) / s)]
+        if envelopes:
+            rows.extend(0.0 + _cosine_integral(lambda x: weights(x)[1:], 0.0, a, s))
+        total = np.stack(rows)
         if self.profile != "indicator":
-            total = total + _cosine_integral(self._squared, self.plateau, self.support, s)
+            total = total + _cosine_integral(weights, a, self.support, s)
+        total = total if envelopes else total[0]
         return float(total) if total.ndim == 0 else total
-
-    def weighted_transform(
-        self, s: float | np.ndarray, envelope: Callable[[np.ndarray], np.ndarray]
-    ) -> float | np.ndarray:
-        """Cosine transform of ``chi^2 * envelope`` for an even real envelope.
-
-        ``envelope`` is called on arrays of quadrature nodes and must return
-        the array of its values.
-        """
-        s = np.asarray(s, dtype=float)
-        total = self._weighted_plateau_transform(s, envelope)
-        if self.profile != "indicator":
-            total += _cosine_integral(lambda x: self._squared(x) * envelope(x), self.plateau, self.support, s)
-        return float(total) if total.ndim == 0 else total
-
-    def transform_pair(
-        self, s: np.ndarray, s_weighted: np.ndarray, envelope: Callable[[np.ndarray], np.ndarray]
-    ) -> np.ndarray:
-        """``transform(s)`` and ``weighted_transform(s_weighted, envelope)`` stacked, bit for bit.
-
-        When the two frequency arrays are equal, both transition integrals
-        are one :func:`_cosine_integral` of the stacked weights ``2 chi^2``
-        and ``2 chi^2 envelope``: one rule and one set of phase tables, and
-        ``chi`` evaluated once per node.
-        """
-        s, s_weighted = np.asarray(s, dtype=float), np.asarray(s_weighted, dtype=float)
-        if not np.array_equal(s, s_weighted) or self.profile == "indicator":
-            return np.stack([self.transform(s), self.weighted_transform(s_weighted, envelope)])
-        _largest_frequency(s)
-        plain, weighted = self._plateau_transform(s), self._weighted_plateau_transform(s, envelope)
-
-        def stacked(x: np.ndarray) -> np.ndarray:
-            squared = self._squared(x)
-            return np.stack([squared, squared * envelope(x)])
-
-        transition = _cosine_integral(stacked, self.plateau, self.support, s)
-        weighted += transition[1]
-        return np.stack([plain + transition[0], weighted])
 
 
 def __getattr__(name: str):
@@ -429,9 +390,9 @@ def pair_trace_smeared_cyl(
     by exactly those, and a call that repeats them (another ``theta`` or
     ``theta_center``, say) skips both transforms; its sum is the same
     product and the same ``np.sum``, so the value keeps its bits.  A miss
-    takes both from :meth:`CutoffFamily.transform_pair`, which integrates
-    their transitions together when ``p_center == p``.  The pair is stored
-    only once both transforms succeed.  An ``hbar``, ``p_width`` or
+    takes both from one :meth:`CutoffFamily.transform` at the ``p_center``
+    frequencies, and the plain one afresh only when ``p_center != p``.  The
+    pair is stored only once both transforms succeed.  An ``hbar``, ``p_width`` or
     ``theta_width`` that is not positive and finite, or a ``theta`` that is
     not finite, raises :class:`ConfigError` before the memo is read.
     """
@@ -450,9 +411,11 @@ def pair_trace_smeared_cyl(
             return amplitude * np.exp(-2.0 * (p_width * xi / hbar) ** 2)
 
         us = np.arange(-2 * K, 2 * K + 1)
-        # one new block: the two result arrays, kept as they are, sit between the transforms'
-        # freed temporaries and raised a perfbench cylinder pass's peak RSS by 0.1 MB
-        pair = chi.transform_pair(us - 2.0 * p / hbar, us - 2.0 * p_center / hbar, envelope)
+        # kept as it is: a copy of the result sits between the transforms' freed
+        # temporaries and raised a perfbench cylinder pass's peak RSS by 0.1 MB
+        pair = chi.transform(us - 2.0 * p_center / hbar, envelope)
+        if p_center != p:
+            pair[0] = chi.transform(us - 2.0 * p / hbar)
         pair.setflags(write=False)
         object.__setattr__(chi, "_smeared", (key, pair))  # the dataclass is frozen
     tcoef = fourier_coefficients(t(angle_grid(SMEARING_NODES)), 2 * K)

@@ -55,7 +55,7 @@ def _weyl_symbol(model: ManifoldModel, D: CovariantOperator, hbar: float) -> Mom
     symbol is the standard transform of the read-off one.
     """
     read_off = MomentumPolynomial(D.dim, {k: scale(t, (1j / hbar) ** k) for k, t in D.terms.items()})
-    return ordering_transform(model, ordering_scheme("standard", hbar), read_off, hbar)
+    return ordering_transform(model, ordering_scheme("standard"), read_off, hbar)
 
 
 def dequantize_flat(

@@ -201,20 +201,18 @@ def _riemann_from(gamma: np.ndarray, dim: int, order: int) -> np.ndarray:
 
 
 def check_point(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
-    """Validate a chart point, raising :class:`ChartDomainError` near edges.
+    """Validate a chart point, raising :class:`ChartDomainError` at a non-finite coordinate or near edges.
 
-    Periodic coordinates are never rejected; open boundaries are shrunk by
+    A periodic coordinate takes any finite value; open boundaries are shrunk by
     :data:`CHART_MARGIN` so downstream finite differences cannot step outside.
     """
     q = np.asarray(q, dtype=float)
     if q.shape != (model.dim,):
         raise ChartDomainError("point", float(q.size), f"expected {model.dim} coordinates, got shape {q.shape}")
     for spec, value in zip(model.coords, q):
-        if spec.periodic:
-            continue
         lo = spec.lower if math.isinf(spec.lower) else spec.lower + CHART_MARGIN
         hi = spec.upper if math.isinf(spec.upper) else spec.upper - CHART_MARGIN
-        if not (lo <= value <= hi):
+        if not math.isfinite(value) or not (spec.periodic or lo <= value <= hi):
             raise ChartDomainError(spec.name, float(value))
     return q
 
@@ -300,6 +298,8 @@ def density_jet_fields(model: ManifoldModel, k: int, power: float) -> TensorFiel
 
 
 def scalar_curvature(model: ManifoldModel, q: np.ndarray) -> float:
+    """``g^{ab} Ric_ab`` at a chart point; a point :func:`check_point` refuses raises."""
+    q = check_point(model, q)
     return float(np.einsum("ab,ab->", inverse_metric(model, q), ricci(model, q)))
 
 
@@ -386,9 +386,10 @@ def exp_series(model: ManifoldModel, q: np.ndarray, order: int) -> np.ndarray:
     arXiv:0903.2087).  With the Euler operator ``D = xi . d_xi``, the geodesic equation
     along rays reads ``(D^2 - D) r = -Gamma(q + r)(D r, D r)``; its degree-``k`` part
     gives ``k (k - 1) r_k`` from the degrees below ``k`` and Gamma's chart jets at ``q``
-    through ``k - 2``, so it takes no integrator and works on every model.
+    through ``k - 2``, so it takes no integrator and works on every model.  A point
+    :func:`check_point` refuses raises :class:`ChartDomainError`.
     """
-    q = np.asarray(q, dtype=float)
+    q = check_point(model, q)
     dim = model.dim
     degree = np.array([sum(alpha) for alpha in numdiff.multi_indices(dim, order)])
     r = np.zeros((dim, len(degree)))

@@ -176,7 +176,7 @@ _COMMENTS = {
     "manifold": "euclidean:<dim> | circle | sphere:<radius> | polar-plane",
     "symbol": "name or {coefficient, degree, scale}; coefficient in "
     "constant | cos-theta | inverse-metric | custom:<expression>",
-    "ordering": "weyl | standard | standard-printed",
+    "ordering": "weyl | standard",
     "cutoff": "momentum cutoff: {profile, plateau, support} or {profile, mollifier: j}; "
     "profile in smoothstep | classic-bump | indicator",
     "truncation_K": f"basis/lattice index cap (cylinder kernels cap at {cylinder.MAX_TRUNCATION}, "
@@ -240,7 +240,7 @@ class ExperimentConfig:
                     "e.g. {'coefficient': 'inverse-metric', 'degree': 2}"
                 )
         if "ordering" in settings:
-            ordering_scheme(self.ordering, self.hbar)
+            ordering_scheme(self.ordering)
         if "cutoff" in settings:
             if not isinstance(self.cutoff, dict):
                 raise ConfigError("cutoff must be a mapping")
@@ -588,7 +588,7 @@ def _run_orderings(cfg: ExperimentConfig, series: dict) -> Iterator:
         differences.append(_operator_difference(direct, through, probes))
     yield np.concatenate(differences)
 
-    yield _round_trip_residual(rng, [ordering_scheme(cfg.ordering, hbar)], 5, hbar)
+    yield _round_trip_residual(rng, [ordering_scheme(cfg.ordering)], 5, hbar)
 
     scheme = OrderingScheme((1.0, 0.35, -0.15, 0.05, 0.0), name="real-demo")
     X = from_expression("0.4 + 0.9*x + 0.25*x**2", ("x",))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry, numdiff
-from .errors import ConfigError, QuadratureAccuracyError, UnsupportedOrderError, check_hbar
+from .errors import ConfigError, QuadratureAccuracyError, UnsupportedOrderError
 from .fields import TensorField, add, constant, from_expression, scale, tensor_from_fields
 from .geometry import ManifoldModel
 
@@ -195,23 +195,17 @@ class OrderingScheme:
         return OrderingScheme(tuple(b), name=f"{self.name}-inverse")
 
 
-def ordering_scheme(name: str, hbar: float = 1.0) -> OrderingScheme:
+def ordering_scheme(name: str) -> OrderingScheme:
     """Named ordering presets.
 
     ``weyl`` is the identity series.  ``standard`` produces operators with all
-    derivatives to the right of the coefficients.  ``standard-printed`` is a
-    variant that scales the series argument by ``hbar`` and flips the phase;
-    it is kept for side-by-side comparisons.  ``hbar`` must be positive and
-    finite for every preset (:class:`ConfigError` otherwise).
+    derivatives to the right of the coefficients.
     """
-    check_hbar(hbar)
     coeffs: list[complex]
     if name == "weyl":
         coeffs = [1.0 + 0j] + [0j] * MAX_DEGREE
     elif name == "standard":
         coeffs = [(-0.5j) ** k / math.factorial(k) for k in range(MAX_DEGREE + 1)]
-    elif name == "standard-printed":
-        coeffs = [(0.5j * hbar) ** k / math.factorial(k) for k in range(MAX_DEGREE + 1)]
     else:
         raise ConfigError(f"unknown ordering scheme {name!r}")
     return OrderingScheme(tuple(coeffs), name=name)

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import tracemalloc
 import warnings
@@ -73,9 +74,7 @@ def test_transform_is_even_and_matches_quadrature(chi):
 
 def test_weighted_transform_with_unit_envelope_matches_transform(chi):
     s = 0.9
-    assert chi.weighted_transform(s, lambda x: 1.0) == pytest.approx(
-        chi.transform(s), abs=1e-10
-    )
+    assert chi.transform(s, lambda x: 1.0)[1] == pytest.approx(chi.transform(s), abs=1e-10)
 
 
 def smoothstep_squared(chi, x):
@@ -189,7 +188,7 @@ def test_non_finite_frequencies_raise_before_any_rule_is_built(chi, bad, monkeyp
     with pytest.raises(QuadratureAccuracyError, match="non-finite"):
         chi.transform(bad)
     with pytest.raises(QuadratureAccuracyError, match="non-finite"):
-        chi.weighted_transform(np.array([0.0, bad]), np.cos)
+        chi.transform(np.array([0.0, bad]), np.cos)
     with pytest.raises(QuadratureAccuracyError, match="non-finite"):
         cylinder.quantizer_matrix_cyl(bad, 0.0, chi, 8)
 
@@ -221,13 +220,13 @@ def test_scalar_arguments_give_floats_and_arrays_give_arrays(chi):
     assert type(chi.value(1.8)) is float
     assert type(chi.transform(1.4)) is float
     assert type(chi.transform(np.float64(1.4))) is float
-    assert type(chi.weighted_transform(0.9, np.cos)) is float
+    assert chi.transform(0.9, np.cos).shape == (2,)
     xs = np.array([-3.0, -1.8, 0.0, 0.8, 1.2, 2.79, 2.8])
     np.testing.assert_allclose(chi.value(xs), [chi.value(x) for x in xs], rtol=0.0, atol=1e-15)
     s = np.array([0.0, 1.4, -3.0, 17.5])
     np.testing.assert_allclose(chi.transform(s), [chi.transform(v) for v in s], rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(
-        chi.weighted_transform(s, np.cos), [chi.weighted_transform(v, np.cos) for v in s], rtol=0.0, atol=1e-13
+        chi.transform(s, np.cos), np.transpose([chi.transform(v, np.cos) for v in s]), rtol=0.0, atol=1e-13
     )
 
 
@@ -481,14 +480,35 @@ def counted_cosine_integrals(monkeypatch) -> list:
 
 def test_a_smeared_pair_at_equal_frequencies_integrates_its_transition_once(monkeypatch):
     intervals = counted_cosine_integrals(monkeypatch)
+    transforms, transform = [], cylinder.CutoffFamily.transform
+
+    def counted(self, s, *envelopes):
+        transforms.append(len(envelopes))
+        return transform(self, s, *envelopes)
+
+    monkeypatch.setattr(cylinder.CutoffFamily, "transform", counted)
     chi = cylinder.CutoffFamily(0.8, 2.8)
     smeared(chi)
     assert intervals == [(0.0, 0.8), (0.8, 2.8)]  # the weighted plateau, then both transitions
+    assert transforms == [1]  # one transform with the envelope
     intervals.clear()
     smeared(chi, math.pi / 2.0)  # a memo hit
-    assert intervals == []
-    smeared(chi, p_center=-0.3)  # unequal frequencies: a transition per transform
-    assert intervals == [(0.8, 2.8), (0.0, 0.8), (0.8, 2.8)]
+    assert intervals == [] and transforms == [1]
+    smeared(chi, p_center=-0.3)  # unequal frequencies: the plain transform again at p
+    assert intervals == [(0.0, 0.8), (0.8, 2.8), (0.8, 2.8)]
+    assert transforms == [1, 1, 0]
+
+
+# SHA-256 of the (plain, weighted) pair at frequencies s and s + shift, as the
+# transform and the weighted transform gave it when each was its own method
+TRANSFORM_PAIR_SHA256 = {
+    ("smoothstep", 0.0): "6256aca6b409110a4fb98c7b668faf569383dfcfe3a164ad2434142b56aa42dc",
+    ("smoothstep", 0.7): "b90f078c5b02cd51de1e508e3e44c3886f24f93746be0160faad39db87fc91f9",
+    ("classic-bump", 0.0): "3c04205bc0e04d52d9a9987088a7cbc188aaffaef3ad0ad3a8d7de89286a337b",
+    ("classic-bump", 0.7): "929f3491fb93da3b31606b18981e4d6e093192a1e4bda1b54dee0b0ea6af070a",
+    ("indicator", 0.0): "a87a61c287be495390720794123f1f6bebfa674a307a5bab8e6e29fede494e49",
+    ("indicator", 0.7): "1870932bb8e2afe8a4856286c0bfbbfc66e3583318832f7dde49edf2bcec3e2b",
+}
 
 
 @pytest.mark.parametrize(
@@ -502,10 +522,11 @@ def test_transform_pair_equals_the_two_transforms_bit_for_bit(profile, plateau, 
     def envelope(x):
         return 2.0 * np.exp(-2.0 * (0.8 * x) ** 2)
 
-    pair = family.transform_pair(s, s + shift, envelope)
+    pair = family.transform(s + shift, envelope)
     assert pair.shape == (2,) + s.shape
-    assert pair[0].tobytes() == family.transform(s).tobytes()
-    assert pair[1].tobytes() == family.weighted_transform(s + shift, envelope).tobytes()
+    assert pair[0].tobytes() == family.transform(s + shift).tobytes()  # the plain row is the lone transform
+    pair[0] = family.transform(s)
+    assert hashlib.sha256(pair.tobytes()).hexdigest() == TRANSFORM_PAIR_SHA256[profile, shift]
 
 
 def test_cosine_integral_stacks_weights_bit_for_bit(chi):

@@ -1,9 +1,10 @@
 """Library code raises only the package's own error types.
 
 Each case below is one ``raise`` site in ``numdiff``, ``fields``, ``taylor``,
-``geometry.covariant_divergence``, the curved pairing and its momentum, the
-check of hbar at the curved, cylinder, flat Weyl, Hermite-basis and
-ordering-preset entry points, the smearing widths, angles and momenta of the
+``geometry.covariant_divergence``, the chart points of ``geometry.check_point``
+and its callers, the curved pairing and its momentum, the check of hbar at
+the curved, cylinder, flat Weyl, Hermite-basis and kinetic-symbol entry
+points, the smearing widths, angles and momenta of the
 cylinder, the phase-space points and Gaussian centers and widths of the flat
 Weyl kernels and the harness check declaration; every one raises a
 :class:`PhasequantError` that is still a ``ValueError``.
@@ -20,7 +21,9 @@ from phasequant.symbols import CovariantOperator, ordering_scheme, symbol_from_c
 
 ONE = np.ones(())
 SPHERE = geometry.sphere(1.0)
+PLANE = geometry.euclidean_space(2)
 KINETIC = symbol_from_config(SPHERE, {"coefficient": "inverse-metric", "degree": 2})
+COS_CUBIC = symbol_from_config(SPHERE, {"coefficient": "cos-theta", "degree": 3})
 Q = np.array([1.1, 0.4])
 SCALAR = taylor.constant(2, 1, ONE)
 VECTOR = taylor.constant(2, 1, np.ones(2))
@@ -110,8 +113,17 @@ CASES = {
     "flat-gaussian-sp-nan": lambda: flat_weyl.quantize_gaussian_flat(0.4, 0.2, math.nan, 1.0, 8),
     "flat-gaussian-sx-zero": lambda: flat_weyl.quantize_gaussian_flat(0.4, 0.2, 1.0, 0.0, 8),
     "flat-gaussian-sx-negative": lambda: flat_weyl.quantize_gaussian_flat(0.4, 0.2, 1.0, -1.0, 8),
-    "ordering-scheme-hbar-nan": lambda: ordering_scheme("standard-printed", math.nan),
-    "ordering-scheme-hbar-negative": lambda: ordering_scheme("standard-printed", -1.0),
+    "kinetic-symbol-hbar-nan": lambda: curved.kinetic_symbol(SPHERE, math.nan),
+    "kinetic-symbol-hbar-negative": lambda: curved.kinetic_symbol(SPHERE, -1.0),
+    "geometry-point-periodic-inf": lambda: geometry.check_point(SPHERE, np.array([1.1, math.inf])),
+    "geometry-point-periodic-nan": lambda: geometry.check_point(SPHERE, np.array([1.1, math.nan])),
+    "geometry-point-unbounded-inf": lambda: geometry.check_point(PLANE, np.array([math.inf, 0.0])),
+    "geometry-point-unbounded-minus-inf": lambda: geometry.check_point(PLANE, np.array([0.0, -math.inf])),
+    "curved-defect-point-inf": lambda: curved.axiom_defect(SPHERE, COS_CUBIC, np.array([0.3, -0.55]), [1.1, math.inf]),
+    "geometry-scalar-curvature-pole": lambda: geometry.scalar_curvature(SPHERE, np.array([0.0, 0.4])),
+    "geometry-scalar-curvature-nan": lambda: geometry.scalar_curvature(SPHERE, np.array([math.nan, 0.4])),
+    "geometry-exp-series-pole": lambda: geometry.exp_series(SPHERE, np.array([0.0, 0.4]), 3),
+    "geometry-exp-series-point-inf": lambda: geometry.exp_series(PLANE, np.array([math.inf, 0.0]), 3),
     "harness-comparison-mode": lambda: harness.Check("only", 1.0, "TRIVIAL", mode="sideways"),
 }
 
@@ -178,7 +190,7 @@ def test_a_bad_hbar_is_refused_before_any_memo_is_read(hbar):
         lambda: flat_weyl.quantizer_matrix_flat(0.4, 0.2, 8, hbar),
         lambda: flat_weyl.dequantize_flat(WEYL, FLAT_OPERATOR, [0.3], [-0.5], hbar),
         lambda: flat_weyl.quantize_gaussian_flat(0.4, 0.2, 1.0, 1.0, 8, hbar),
-        lambda: ordering_scheme("standard-printed", hbar),
+        lambda: curved.kinetic_symbol(SPHERE, hbar),
     )
     for call in calls:
         with pytest.raises(ConfigError, match="hbar"):

@@ -87,15 +87,14 @@ def test_preset_standard_series():
     np.testing.assert_allclose(A.coefficients, want, atol=1e-15)
 
 
-def test_preset_standard_printed_flips_phase_and_scales():
-    A = ordering_scheme("standard-printed", hbar=2.0)
-    want = [(1j) ** k / math.factorial(k) for k in range(len(A.coefficients))]
-    np.testing.assert_allclose(A.coefficients, want, atol=1e-15)
-
-
 def test_unknown_preset_rejected():
     with pytest.raises(ConfigError):
         ordering_scheme("antinormal")
+
+
+def test_the_standard_printed_preset_is_no_longer_an_ordering():
+    with pytest.raises(ConfigError, match="standard-printed"):
+        ordering_scheme("standard-printed")
 
 
 # ---------------------------------------------------------------------------

@@ -174,3 +174,25 @@ def test_constant_has_only_a_value():
     s = taylor.constant(DIM, 2, np.eye(2))
     assert s.jet.shape == (2, 2, 6)
     assert np.array_equal(s.jet[..., 0], np.eye(2)) and not s.jet[..., 1:].any()
+
+
+def _row_by_row_product(a, b, dim, order):
+    """The Leibniz rule of :func:`taylor.jet_product` summed one weighted row at a time."""
+    first, second, weights = taylor._leibniz_table(dim, order)
+    terms = weights * (a[..., first] * b[..., second])
+    total = terms[..., 0, :]
+    for row in range(1, len(weights)):
+        total = total + terms[..., row, :]
+    return total
+
+
+@pytest.mark.parametrize("dim, order", [(1, 4), (2, 1), (2, 4), (3, 3)])
+def test_jet_product_is_the_row_by_row_leibniz_sum_bit_for_bit(dim, order):
+    rng = np.random.default_rng(7)
+    size = len(numdiff.multi_indices(dim, order))
+    a = rng.normal(size=(5, 2, size)) + 1j * rng.normal(size=(5, 2, size))
+    b = rng.normal(size=(2, size))
+    got = taylor.jet_product(a, b, dim, order)
+    assert got.tobytes() == _row_by_row_product(a, b, dim, order).tobytes()
+    for point in range(len(a)):  # a stack gives its single points' jets
+        assert got[point].tobytes() == taylor.jet_product(a[point], b, dim, order).tobytes()
