@@ -241,7 +241,7 @@ class CutoffFamily:
         with np.errstate(divide="ignore", invalid="ignore"):
             rows = [np.where(s == 0.0, 2.0 * a, 2.0 * np.sin(s * a) / s)]
         if envelopes:
-            rows.extend(0.0 + _cosine_integral(lambda x: weights(x)[1:], 0.0, a, s))
+            rows.extend(_cosine_integral(lambda x: weights(x)[1:], 0.0, a, s))
         total = np.stack(rows)
         if self.profile != "indicator":
             total = total + _cosine_integral(weights, a, self.support, s)
