@@ -10,7 +10,8 @@ checkout a round records:
 - the median wall time of :data:`COLD_RUNS` cold runs of each cataloged
   experiment at its default config, each ``python -m phasequant run`` in a
   fresh process (start-up and imports included);
-- the time to import ``phasequant.harness`` in a fresh process;
+- the median, over :data:`COLD_RUNS` fresh processes, of the time each takes
+  to import ``phasequant.harness`` after ``import numpy``;
 - the warm time of each cataloged experiment at its default config, in
   catalog order (as ``scripts/run_all.py`` runs them): one untimed
   in-process run, then :data:`WARM_RUNS` timed ones, each under perfbench's
@@ -60,8 +61,8 @@ checkout a round records:
   ``bases.gauss_hermite``, each with its cache cleared first (where the
   checkout tabulates a size, as it does the 256-node Hermite rule, the call
   reads the table, already loaded); of the eight Gauss rules the default
-  flat-axioms and orderings runs take (the sizes of
-  ``scripts/tabulate_rules.py`` next to this script) with the cache of every
+  flat-axioms and orderings runs take (the sizes of the checkout's own
+  table, ``bases._rule_table()``) with the cache of every
   cached function in ``bases`` cleared first, the table's loader included,
   so they cost what they cost a fresh process; of the
   default cutoff's transform at the 257 frequencies of a K = 64 quantizer
@@ -171,11 +172,7 @@ def layer_timings(src: Path) -> dict:
     """Run in a child: time the experiments and layers of the package under ``src``."""
     import numpy as np
 
-    start = time.perf_counter()
     from phasequant import harness
-
-    import_s = time.perf_counter() - start
-
     from phasequant.bases import FourierBasis, HermiteBasis
     from phasequant.curved import axiom_defect, dequantize_curved, wue_weyl_image
     from phasequant.cylinder import CutoffFamily, pair_trace_smeared_cyl
@@ -314,12 +311,13 @@ def layer_timings(src: Path) -> dict:
         )
     layers["gauss_hermite_256"] = lambda: (bases.gauss_hermite.cache_clear(), bases.gauss_hermite(256))
     cached_rules = [rule for rule in vars(bases).values() if hasattr(rule, "cache_clear")]
-    from tabulate_rules import SIZES as DEFAULT_RULE_SIZES
+    names = [name.split("_") for name in bases._rule_table()]  # ``<family>_<n>``, on every checkout
+    default_rules = [(getattr(bases, f"gauss_{family}"), int(n)) for family, n in names]
 
     def cold_default_rules():
         for rule in cached_rules:
             rule.cache_clear()
-        return [getattr(bases, f"gauss_{family}")(n) for family, sizes in DEFAULT_RULE_SIZES.items() for n in sizes]
+        return [rule(n) for rule, n in default_rules]
 
     layers["flat_rules_cold"] = cold_default_rules
 
@@ -341,7 +339,6 @@ def layer_timings(src: Path) -> dict:
     layer_peaks = {name: peak_bytes(call) for name, call in layers.items()}
     return {
         "default_configs": {entry.name: harness.default_config(entry.name) for entry in harness.list_experiments()},
-        "import_harness_s": import_s,
         "run_all_s": run_all_s,
         "run_all_raw_s": run_all_raw_s,
         "run_all_total_s": sum(run_all_s.values()),
@@ -440,6 +437,19 @@ def cold_run_s(root: Path, configs: dict) -> dict:
     return out
 
 
+def import_harness_s(root: Path) -> float:
+    """The median time of :data:`COLD_RUNS` fresh processes to import
+    ``phasequant.harness`` after ``import numpy``."""
+    code = "import time, numpy; t = time.perf_counter(); import phasequant.harness; print(time.perf_counter() - t)"
+    times = []
+    for _ in range(COLD_RUNS):
+        proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=child_env(root), capture_output=True, text=True)
+        if proc.returncode != 0:
+            raise SystemExit(f"harness import in {root.name} exited {proc.returncode}: {proc.stderr[-2000:]}")
+        times.append(float(proc.stdout))
+    return statistics.median(times)
+
+
 def measure(root: Path, seed: int, seconds: int) -> dict:
     proc = subprocess.run(
         [sys.executable, __file__, "--child", str(root / "src")],
@@ -449,6 +459,7 @@ def measure(root: Path, seed: int, seconds: int) -> dict:
     )
     result = last_json_line(proc, f"layer child of {root.name}")
     result["cold_run_s"] = cold_run_s(root, result.pop("default_configs"))
+    result["import_harness_s"] = import_harness_s(root)
     proc = subprocess.run(
         [sys.executable, str(root / "perfbench" / "run.py"), "--workload", "all"]
         + ["--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],

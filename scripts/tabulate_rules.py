@@ -3,45 +3,30 @@
 
     PYTHONPATH=src python3 scripts/tabulate_rules.py
 
-For every size in :data:`SIZES` the file ``src/phasequant/gauss_rules.npz``
+For every size in ``bases.RULE_SIZES`` the file ``src/phasequant/gauss_rules.npy``
 holds the nonnegative half of the rule as the Newton builder
-(``bases._legendre_newton`` or ``bases._hermite_newton``) returns it, one
-``(2, half)`` float64 array of nodes over weights named ``<family>_<n>``.
-The sizes are those the default ``flat-axioms`` and ``orderings`` runs
-request; a size outside the table still takes Newton.  The archive's members
-are stored uncompressed with a fixed time stamp, so the same rules give the
-same bytes.  Run this again after a change of the Newton builders or of the
-default sizes.
+(``bases._legendre_newton`` or ``bases._hermite_newton``) returns it: one
+``(2, columns)`` float64 array of nodes over weights, the halves side by side
+in the order of ``RULE_SIZES``, from which ``bases`` takes the offsets.  The
+sizes are those the default ``flat-axioms`` and ``orderings`` runs request; a
+size outside the table still takes Newton.  The same rules give the same
+bytes.  Run this again after a change of the Newton builders or of
+``RULE_SIZES``.
 """
 
 from __future__ import annotations
 
 import sys
-import zipfile
 
 import numpy as np
 
 from phasequant import bases
-
-SIZES = {
-    # operator_matrix's coarse and fine rules at QUADRATURE_NODES, for every
-    # Hermite operator matrix with K <= 48
-    "legendre": (192, 384),
-    # flat_trace's ladder at K = 4, 8, 16, 32 (8K nodes each; the first also
-    # serves quantizer_diag_flat's small kernels), quantizer_matrix_flat at
-    # K = 16, and quantize_gaussian_flat at flat-axioms' default K = 32
-    "hermite": (32, 64, 68, 128, 132, 256),
-}
+from phasequant.bases import RULE_SIZES
 
 
 def main() -> int:
-    with zipfile.ZipFile(bases.RULE_TABLE, "w") as archive:
-        for family, sizes in SIZES.items():
-            newton = getattr(bases, f"_{family}_newton")
-            for n in sizes:
-                member = zipfile.ZipInfo(f"{family}_{n}.npy", date_time=(1980, 1, 1, 0, 0, 0))
-                with archive.open(member, "w") as handle:
-                    np.lib.format.write_array(handle, np.stack(newton(n)), allow_pickle=False)
+    halves = [np.stack(getattr(bases, f"_{family}_newton")(n)) for family, sizes in RULE_SIZES.items() for n in sizes]
+    np.save(bases.RULE_TABLE, np.concatenate(halves, axis=1), allow_pickle=False)
     print(f"wrote {bases.RULE_TABLE}")
     return 0
 

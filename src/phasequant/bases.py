@@ -17,9 +17,10 @@ Numer. Anal. 36 (2016): O(n^2) numpy work vectorized over half the nodes,
 with no eigensolve (numpy's own rules solve the Golub-Welsch eigenproblem,
 O(n^3) through LAPACK, and its Hermite rule's weights turn to NaN past about
 360 nodes).  That work is the same on every run, so the output of the Newton
-builders for the eight sizes the default experiments take is stored, bit for
-bit, in :data:`RULE_TABLE` (written by ``scripts/tabulate_rules.py``) and
-read back on the first rule request; every other size takes Newton.
+builders for the eight sizes the default experiments take (:data:`RULE_SIZES`)
+is stored, bit for bit, in one array, :data:`RULE_TABLE` (written by
+``scripts/tabulate_rules.py``), and read back on the first rule request;
+every other size takes Newton.
 :func:`clenshaw_curtis` needs no iteration: closed-form nodes
 and one FFT for the weights.  Its rules nest, the rule of ``2n`` intervals
 holding every node of the rule of ``n``, and at the node counts of the
@@ -50,10 +51,17 @@ NEWTON_STEPS = 10
 # (Hermite's equation gives f''/2f' = x at a zero), below half an ulp of x.
 HERMITE_NEWTON_TOLERANCE = 1e-8
 HERMITE_RESCALE_STEPS = 32
-#: The Newton output, bit for bit, for the rule sizes the default experiments
-#: use, written by ``scripts/tabulate_rules.py``: a cold run reads these
-#: instead of iterating.
-RULE_TABLE = Path(__file__).with_name("gauss_rules.npz")
+#: The rule sizes the default experiments take, per family, in table order:
+#: ``operator_matrix``'s coarse and fine Legendre rules at QUADRATURE_NODES for
+#: every Hermite operator matrix with K <= 48; ``flat_trace``'s Hermite ladder
+#: at K = 4, 8, 16, 32 (8K nodes each; the first also serves
+#: ``quantizer_diag_flat``'s small kernels), ``quantizer_matrix_flat`` at K = 16
+#: and ``quantize_gaussian_flat`` at flat-axioms' default K = 32.
+RULE_SIZES = {"legendre": (192, 384), "hermite": (32, 64, 68, 128, 132, 256)}
+#: The Newton output, bit for bit, for :data:`RULE_SIZES`: one ``(2, columns)``
+#: float64 array, nodes over weights, each rule's nonnegative half in turn,
+#: written by ``scripts/tabulate_rules.py``; a cold run reads it instead of iterating.
+RULE_TABLE = Path(__file__).with_name("gauss_rules.npy")
 
 
 def _legendre_and_derivative(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -114,13 +122,14 @@ def _legendre_newton(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.cache
 def _rule_table() -> dict[str, np.ndarray]:
-    """The ``(2, half)`` arrays of :data:`RULE_TABLE`, nodes over weights,
+    """The ``(2, half)`` slices of :data:`RULE_TABLE`, nodes over weights,
     keyed ``legendre_<n>`` and ``hermite_<n>``, read-only: read on the first
-    rule request, never at import."""
-    with np.load(RULE_TABLE, allow_pickle=False) as table:
-        halves = {name: table[name] for name in table.files}
-    for half in halves.values():
-        half.flags.writeable = False
+    rule request, never at import; the offsets follow :data:`RULE_SIZES`."""
+    table, halves, start = np.load(RULE_TABLE, allow_pickle=False), {}, 0
+    table.flags.writeable = False
+    for family, sizes in RULE_SIZES.items():
+        for n in sizes:
+            halves[f"{family}_{n}"], start = table[:, start : start + (n + 1) // 2], start + (n + 1) // 2
     return halves
 
 

@@ -7,12 +7,13 @@ through truncated Taylor algebra.  The round trip is not exact on curved
 manifolds: the residual is a curvature multiple of the symbol coefficients,
 and quantifying it is the main job of this module.
 
-The pairing reads its ingredients as jets in normal coordinates, all from
-one source, the normal-coordinate expansion of the metric in
-``geometry``: density jets from ``geometry.sqrt_g_jet``, connection jets
-from ``geometry.normal_christoffel_jets``, and coefficient jets from
-covariant derivatives (``geometry.covariant_jets``) corrected by those
-connection jets along the radial geodesics.  The image contracts the same
+The pairing reads its ingredients as jets in normal coordinates from
+``geometry``: density jets from ``geometry.sqrt_g_jet`` (the curvature
+expansion of the density), connection jets from
+``geometry.normal_christoffel_jets`` (the normal-coordinate metric, exact at
+every order), and coefficient jets from covariant derivatives
+(``geometry.covariant_jets``) corrected by those connection jets along the
+radial geodesics.  The image contracts the same
 density jets, as nodes (``geometry.density_jet_fields``), that the pairing
 evaluates at a point.  Every operator order the package supports (up to 4)
 is exact in the curvature; flat models are the zero-curvature case of the
@@ -215,7 +216,7 @@ def _pairing_data(model: ManifoldModel, q: np.ndarray, D: CovariantOperator) -> 
     """The part of the pairing at ``q`` that no momentum enters: the normal frame
     ``E``, ``h = sqrt(g)^(-1/2)`` with its argument negated, ``sqrt(g)``, and the
     coefficient series collected per monomial rank (:func:`_momentum_polynomial_series`),
-    all from the normal-coordinate expansion of the metric.  The connection is
+    all jets in normal coordinates at ``q``.  The connection is
     read through order ``D.max_order - 1`` (zeros pad it), the order-k
     coefficient through order k: it meets monomials of rank at most k, and the
     trace pairing of rank r reads order r.  The operator remembers this part,

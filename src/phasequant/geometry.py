@@ -13,21 +13,21 @@ level below by the Leibniz rule (Taylor-mode propagation, Griewank and
 Walther, *Evaluating Derivatives*, ch. 13), one code path for every model.
 
 The covariant derivative is one operation on jets, :func:`covariant_jets`,
-which the pairing's coefficient jets, the frame curvature ``R``, ``nabla R``
-and ``nabla nabla R``, divergences and density jets all read.  The
-normal-coordinate expansion of the metric through fourth order gives the
-connection jets (:func:`normal_metric_series`, :func:`normal_christoffel_jets`)
-and, as one tensor node per order over the base point, the density jets
+which the pairing's coefficient jets, divergences and density jets all read.
+The curvature expansion of the volume density through fourth order gives the
+density jets as one tensor node per order over the base point
 (:func:`density_jet_fields`): the image contracts that node and
 :func:`sqrt_g_jet` evaluates it at a point, so density jets have one source.
 The exponential map is a power series in the frame components
 (:func:`exp_series`), solved order by order from the connection's own chart
-jets, with no integrator and no closed-form geodesics; the density and
-pullback jets composed with it (``sqrt_g_jet(method="numeric")``,
-:func:`pullback_jet`) are the references that checks compare the curvature
-forms with.  The metric series is a flat jet (``taylor.Series``); connection,
-density and pullback jets are returned as symmetric derivative arrays, one
-per order.
+jets, with no integrator and no closed-form geodesics.  The chart metric
+composed with it is the one normal-coordinate metric, exact at every order
+(:func:`normal_metric_series`): the pairing's connection jets
+(:func:`normal_christoffel_jets`) and the reference density
+(``sqrt_g_jet(method="numeric")``) read it, and :func:`pullback_jet` composes
+fields with the same series.  The metric series is a flat jet
+(``taylor.Series``); connection, density and pullback jets are returned as
+symmetric derivative arrays, one per order.
 
 Everything in normal coordinates is read in one orthonormal frame ``E`` at
 ``q``.  A model remembers ``E`` and ``E^-1`` (:func:`frame`), read-only, at its
@@ -266,8 +266,9 @@ def density_jet_fields(model: ManifoldModel, k: int, power: float) -> TensorFiel
     (``k`` = 2, 3, 4) of the density power ``(sqrt g)**power`` in normal
     coordinates at ``q``, chart axes.  This is the one source of density
     jets: the image contracts it with coefficients (``power`` -1), and
-    :func:`sqrt_g_jet` evaluates it at a point.  With ``p = power``, from
-    the expansion of :func:`normal_metric_series`::
+    :func:`sqrt_g_jet` evaluates it at a point.  With ``p = power``, from the
+    Riemann-normal-coordinate expansion of the metric (Mueller, Schubert and
+    van de Ven, gr-qc/9712092)::
 
         k = 2:  -(p/3) Ric_ab
         k = 3:  -(p/2) nabla_c Ric_ab
@@ -406,69 +407,45 @@ def exp_series(model: ManifoldModel, q: np.ndarray, order: int) -> np.ndarray:
     return r
 
 
-def _frame_riemann(model: ManifoldModel, q: np.ndarray, count: int) -> list[np.ndarray]:
-    """Frame components of ``R``, ``nabla R`` and ``nabla nabla R`` at ``q``
-    (the first ``count`` of them), axes ``[r, s, m, n]`` then derivative axes."""
-    basis = frame(model, q)
-    levels = covariant_jets(model, model._fields["riemann"], 1, q, 0, count - 1)
-    return [frame_components(level[..., 0].real, basis, 1) for level in levels]
-
-
 def normal_metric_series(model: ManifoldModel, q: np.ndarray, order: int) -> taylor.Series:
-    """Taylor series of the metric in normal coordinates at ``q``, frame axes:
-    the Riemann-normal-coordinate expansion through fourth order (Mueller,
-    Schubert and van de Ven, gr-qc/9712092; Brewin, arXiv:0903.2087)::
-
-        g_ab = delta_ab - (1/3) R_acbd x^c x^d - (1/6) nabla_e R_acbd x^c x^d x^e
-               + (-(1/20) nabla_f nabla_e R_acbd + (2/45) R_acgd R_begf) x^c x^d x^e x^f
-
-    with the curvature from the model's Riemann node; the identity on flat models.
-    """
+    """Taylor series through ``order`` of the metric in normal coordinates at ``q``, frame
+    axes: ``g~ = J^T g(q + r) J`` with ``r`` the :func:`exp_series` and ``J = d(q + r)/d xi``,
+    exact to rounding on every model at every order.  A point :func:`check_point` refuses raises."""
+    q = check_point(model, q)
     dim = model.dim
-    if model.flat:
-        return taylor.constant(dim, order, np.eye(dim))
-    if order > 4:
-        raise UnsupportedOrderError("the normal-coordinate metric expansion stops at order 4")
-    curvature = _frame_riemann(model, q, order - 1)
-    terms = [np.eye(dim), np.zeros((dim,) * 3)]
-    terms += [-np.swapaxes(R, 1, 2) / divisor for R, divisor in zip(curvature, (3.0, 6.0, 20.0))]
-    if order >= 4:
-        R = curvature[0]
-        terms[4] = terms[4] + (2.0 / 45.0) * np.einsum("acgd,begf->abcdef", R, R)
-    coeffs = [math.factorial(k) * numdiff.symmetrize(t, axes=range(2, 2 + k)) for k, t in enumerate(terms)]
-    return taylor.from_jets(dim, coeffs[: order + 1])
+    n = len(numdiff.multi_indices(dim, order))
+    r = exp_series(model, q, order + 1)
+    J = taylor.Series(dim, order, taylor.jet_shift(r, dim, order, slice(None)))  # [i, a] = d_a r_i
+    g = taylor.Series(dim, order, _compose(model._fields["g"].jet(q, order).real, r[:, :n], dim, order))
+    return taylor.matmul(taylor.matmul(taylor.Series(dim, order, J.jet.swapaxes(0, 1)), g), J)
 
 
 def normal_christoffel_jets(model: ManifoldModel, q: np.ndarray, order: int) -> list[np.ndarray]:
-    """Jets of the connection ``Gamma~^c_{ab}`` in normal coordinates at ``q``.
-
-    Frame axes ``[c, a, b]`` then derivative axes.  The value vanishes, the
-    first jet is ``-(R~^c_{abd} + R~^c_{bad}) / 3``, and higher jets (through
-    order 3) come from :func:`normal_metric_series` through
-    ``Gamma = (1/2) g^{-1} (d g + d g - d g)``.
-    """
+    """Jets of the connection ``Gamma~^c_{ab}`` in normal coordinates at ``q``, frame axes
+    ``[c, a, b]`` then derivative axes: the value 0, the first jet ``-(R~^c_{abd} + R~^c_{bad}) / 3``,
+    and higher jets :func:`_christoffel_from` of :func:`normal_metric_series`, its value and
+    gradient set to the ``delta`` and 0 of normal coordinates.  A point :func:`check_point` refuses raises."""
+    q = check_point(model, q)
     dim = model.dim
-    R = _frame_riemann(model, q, 1)[0]
+    R = frame_components(model._fields["riemann"].evaluate(q).real, frame(model, q), 1)
     jets = [np.zeros((dim,) * 3), -(R + np.swapaxes(R, 1, 2)) / 3.0][: order + 1]
     if order < 2:
         return jets
     G = normal_metric_series(model, q, order + 1)
-    # g^{-1} = 1 + sum_n (-A)^n over the powers of A = G - 1 that survive
-    # truncation (A starts at order 2)
+    G.jet[..., 0], G.jet[..., 1 : dim + 1] = np.eye(dim), 0.0
+    # g^{-1} = 1 + sum_n (-A)^n over the powers of A = G - 1 (from order 2) that survive truncation
     A = taylor.add(G, taylor.constant(dim, G.order, -np.eye(dim)))
     power, total = A, taylor.scale(A, -1.0)
     for n in range(2, G.order // 2 + 1):
         power = taylor.matmul(power, A)
         total = taylor.add(total, taylor.scale(power, (-1.0) ** n))
     g_inv = taylor.add(taylor.constant(dim, G.order, np.eye(dim)), total)
-    # [d, a, b] = Gamma_{dab} from [a, b, e] = d_e g_ab
-    c = taylor.gradient(G, 2).jet
-    lower = taylor.Series(dim, order, 0.5 * (c.swapaxes(1, 2) + c - np.moveaxis(c, 2, 0)))
-    return jets + numdiff.expand(taylor.matmul(g_inv, lower).jet, dim, order)[2:]
+    return jets + numdiff.expand(_christoffel_from(G.jet, g_inv.jet, dim, order).real, dim, order)[2:]
 
 
 def ricci_in_frame(model: ManifoldModel, q: np.ndarray) -> np.ndarray:
-    """Ricci tensor contracted into the orthonormal normal frame."""
+    """Ricci tensor in the orthonormal normal frame; a point :func:`check_point` refuses raises."""
+    q = check_point(model, q)
     return frame_components(ricci(model, q), frame(model, q), 0)
 
 
@@ -489,22 +466,19 @@ def sqrt_g_jet(
       symmetrized frame components of :func:`density_jet_fields` at ``q``, the
       same node the image contracts.  On flat models every jet beyond the
       value vanishes, at any order.
-    * ``"numeric"`` - the density ``sqrt(det(J^T g(q + r) J))**power`` of the metric
-      pulled back along :func:`exp_series`, ``J = d(q + r)/d xi``, as a
-      composition of series: the reference that checks compare the curvature
+    * ``"numeric"`` - the density ``sqrt(det g~)**power`` of :func:`normal_metric_series`,
+      as a composition of series: the reference that checks compare the curvature
       form with, computed from the connection's geodesics, not from curvature.
+
+    A point :func:`check_point` refuses raises.
     """
-    q = np.asarray(q, dtype=float)
+    q = check_point(model, q)
     dim = model.dim
     if method not in ("numeric", "curvature"):
         raise ConfigError(f"unknown jet method {method!r}")
     if method == "numeric":
-        n = len(numdiff.multi_indices(dim, max_order))
-        one = np.eye(1, n)[0]  # the jet of the constant 1
-        r = exp_series(model, q, max_order + 1)
-        J = taylor.Series(dim, max_order, taylor.jet_shift(r, dim, max_order, slice(None)))  # [i, a] = d_a r_i
-        g = taylor.Series(dim, max_order, _compose(model._fields["g"].jet(q, max_order).real, r[:, :n], dim, max_order))
-        G = taylor.matmul(taylor.matmul(taylor.Series(dim, max_order, J.jet.swapaxes(0, 1)), g), J).jet
+        G = normal_metric_series(model, q, max_order).jet
+        one = np.eye(1, G.shape[-1])[0]  # the jet of the constant 1
 
         def product(a, b):
             return taylor.jet_product(a, b, dim, max_order)
@@ -573,8 +547,10 @@ def covariant_jets(
 def sym_cov_deriv(model: ManifoldModel, psi: TensorField, q: np.ndarray, order: int) -> np.ndarray:
     """Symmetrized ``order``-th covariant derivative of a scalar at ``q``.
 
-    Chart (lower) indices.  Order 0 returns the value itself.
+    Chart (lower) indices.  Order 0 returns the value itself.  A point
+    :func:`check_point` refuses raises, as in :func:`sym_cov_deriv_in_frame`.
     """
+    q = check_point(model, q)
     vals = covariant_jets(model, psi, 0, q, 0, order)[order][..., 0]
     if order == 0:
         return vals

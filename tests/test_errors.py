@@ -31,6 +31,7 @@ CHI = cylinder.CutoffFamily(0.8, 2.8)
 SMEARING = dict(theta_center=0.9, p_center=0.4)
 WEYL = ordering_scheme("weyl")
 FLAT_OPERATOR = CovariantOperator(1, {0: fields.constant(1, 1.0)})
+PSI = fields.from_expression("cos(theta)*sin(phi)", ("theta", "phi"))
 
 
 CASES = {
@@ -124,6 +125,27 @@ CASES = {
     "geometry-scalar-curvature-nan": lambda: geometry.scalar_curvature(SPHERE, np.array([math.nan, 0.4])),
     "geometry-exp-series-pole": lambda: geometry.exp_series(SPHERE, np.array([0.0, 0.4]), 3),
     "geometry-exp-series-point-inf": lambda: geometry.exp_series(PLANE, np.array([math.inf, 0.0]), 3),
+    "geometry-ricci-in-frame-pole": lambda: geometry.ricci_in_frame(SPHERE, np.array([0.0, 0.4])),
+    "geometry-ricci-in-frame-nan": lambda: geometry.ricci_in_frame(SPHERE, np.array([math.nan, 0.4])),
+    "geometry-ricci-in-frame-inf": lambda: geometry.ricci_in_frame(SPHERE, np.array([1.1, math.inf])),
+    "geometry-sym-cov-deriv-pole": lambda: geometry.sym_cov_deriv(SPHERE, PSI, np.array([0.0, 0.4]), 2),
+    "geometry-sym-cov-deriv-nan": lambda: geometry.sym_cov_deriv(SPHERE, PSI, np.array([math.nan, 0.4]), 2),
+    "geometry-sym-cov-deriv-in-frame-pole": lambda: geometry.sym_cov_deriv_in_frame(
+        SPHERE, PSI, np.array([0.0, 0.4]), 2
+    ),
+    "geometry-sym-cov-deriv-in-frame-nan": lambda: geometry.sym_cov_deriv_in_frame(
+        SPHERE, PSI, np.array([math.nan, 0.4]), 2
+    ),
+    "geometry-christoffel-jets-pole": lambda: geometry.normal_christoffel_jets(SPHERE, np.array([0.0, 0.4]), 2),
+    "geometry-christoffel-jets-nan": lambda: geometry.normal_christoffel_jets(SPHERE, np.array([math.nan, 0.4]), 2),
+    "geometry-christoffel-jets-inf": lambda: geometry.normal_christoffel_jets(SPHERE, np.array([1.1, math.inf]), 2),
+    "geometry-sqrt-g-jet-pole": lambda: geometry.sqrt_g_jet(SPHERE, np.array([0.0, 0.4])),
+    "geometry-sqrt-g-jet-nan": lambda: geometry.sqrt_g_jet(SPHERE, np.array([math.nan, 0.4])),
+    "geometry-sqrt-g-jet-inf": lambda: geometry.sqrt_g_jet(SPHERE, np.array([1.1, math.inf])),
+    "geometry-sqrt-g-jet-numeric-pole": lambda: geometry.sqrt_g_jet(SPHERE, np.array([0.0, 0.4]), method="numeric"),
+    "geometry-sqrt-g-jet-numeric-nan": lambda: geometry.sqrt_g_jet(
+        SPHERE, np.array([math.nan, 0.4]), method="numeric"
+    ),
     "harness-comparison-mode": lambda: harness.Check("only", 1.0, "TRIVIAL", mode="sideways"),
 }
 

@@ -292,12 +292,24 @@ def test_connection_jets_vanish_along_rays():
     # derivative axes.  On the torus, where nabla R does not vanish, this
     # checks the algebra that turns the metric series into connection jets.
     for q in (np.array([1.1, 0.4]), np.array([2.5, -1.0])):
-        jets = geometry.normal_christoffel_jets(TORUS, q, 3)
-        assert len(jets) == 4
-        for k in range(1, 4):
+        jets = geometry.normal_christoffel_jets(TORUS, q, 4)
+        assert len(jets) == 5
+        for k in range(1, 5):
             assert np.abs(jets[k]).max() > 0.05
             radial = np.stack([numdiff.symmetrize(jets[k][c]) for c in range(2)])
             np.testing.assert_allclose(radial, 0.0, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["sphere:1", "torus", "polar-plane", "euclidean:2"])
+def test_the_normal_metric_series_is_finite_at_every_order(name):
+    # the chart metric composed with the exp-map series has no order cap, and
+    # its value is the identity of the orthonormal frame on every model
+    model = TORUS if name == "torus" else geometry.manifold(name)
+    for order in range(6):
+        series = geometry.normal_metric_series(model, np.array([1.1, 0.4]), order)
+        assert series.order == order and series.jet.shape == (2, 2, len(numdiff.multi_indices(2, order)))
+        assert np.isfinite(series.jet).all()
+        np.testing.assert_allclose(series.jet[..., 0], np.eye(2), rtol=0, atol=1e-15)
 
 
 def test_normal_coordinate_series_match_integrated_geodesics():

@@ -2,6 +2,7 @@ import importlib.util
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
@@ -39,7 +40,11 @@ def test_run_all_writes_the_same_reports_as_single_runs(tmp_path, capsys, report
 
 
 def test_tabulate_rules_lists_exactly_the_tabulated_sizes():
+    # the script writes the sizes bases reads, and the stored table holds
+    # exactly their halves, so no offset runs past a rule or leaves columns over
     from phasequant import bases
 
-    sizes = load_script("tabulate_rules").SIZES
-    assert sorted(bases._rule_table()) == sorted(f"{family}_{n}" for family, ns in sizes.items() for n in ns)
+    assert load_script("tabulate_rules").RULE_SIZES is bases.RULE_SIZES
+    halves = [(n + 1) // 2 for sizes in bases.RULE_SIZES.values() for n in sizes]
+    assert np.load(bases.RULE_TABLE).shape == (2, sum(halves))
+    assert [half.shape[1] for half in bases._rule_table().values()] == halves
