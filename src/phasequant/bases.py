@@ -129,7 +129,8 @@ def _rule_table() -> dict[str, np.ndarray]:
     table.flags.writeable = False
     for family, sizes in RULE_SIZES.items():
         for n in sizes:
-            halves[f"{family}_{n}"], start = table[:, start : start + (n + 1) // 2], start + (n + 1) // 2
+            stop = start + (n + 1) // 2
+            halves[f"{family}_{n}"], start = table[:, start:stop], stop
     return halves
 
 
